@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick bench-quick bench-json bench-check bench-multicell-json bench-multicell-check bench-oneapi-json bench-oneapi-check profile trace-demo clean
+.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick bench-quick bench-selftest bench-json bench-check bench-multicell-json bench-multicell-check bench-oneapi-json bench-oneapi-check profile trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,14 @@ check: build lint vet race
 # the bench harness builds and executes, not a timing measurement.
 bench-quick:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# bench-selftest runs the perf ledger's own checks. bench/ is a module
+# of its own (BENCHMARK.json's command is `go run -C bench .`), so the
+# root module's ./... patterns — and therefore `make check` — never
+# reach it; this target is the only thing that vets, tests and
+# flarevets it.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run github.com/flare-sim/flare/cmd/flarevet ./...
 
 # bench-json measures the canonical engine benchmark and refreshes the
 # committed BENCH_engine.json (the baseline block is preserved).

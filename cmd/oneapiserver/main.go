@@ -12,7 +12,8 @@
 // Observability: the server records control-plane decisions into an
 // in-process flight recorder (internal/obs) and exposes
 //
-//	/metrics      Prometheus-text counters and solver-latency histogram
+//	/metrics      Prometheus-text counters, solver-latency histogram, and
+//	              process gauges (Go heap/goroutines/GC, solver scratch)
 //	/debug/flare  JSON tail of the recorder's ring buffer (?n=64)
 //
 // Both endpoints sit outside the fault middleware so they stay
@@ -39,8 +40,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -179,9 +182,39 @@ func buildHandler(cfg core.Config, faultCfg faults.Config, ringSize, shards int)
 
 	mux := http.NewServeMux()
 	mux.Handle("/", api)
-	mux.Handle("/metrics", obs.MetricsHandler(rec.Metrics()))
+	metrics := obs.MetricsHandler(rec.Metrics())
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		metrics.ServeHTTP(w, r)
+		writeProcessGauges(w)
+	})
 	mux.Handle("/debug/flare", obs.DebugHandler(rec))
 	return mux, rec, server
+}
+
+// writeProcessGauges appends the process's memory picture to a /metrics
+// scrape: the Go runtime's heap, goroutine and GC figures (under the
+// Prometheus Go collector's names) and the exact solver's shared
+// scratch, so the server's footprint is visible without /proc. Every
+// value is read here, at scrape time; nothing on a request or BAI path
+// maintains them.
+func writeProcessGauges(w io.Writer) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	sets, scratchBytes := core.SolverScratchStats()
+	for _, g := range []struct {
+		name, typ string
+		v         uint64
+	}{
+		{"go_memstats_heap_inuse_bytes", "gauge", ms.HeapInuse},
+		{"go_memstats_heap_sys_bytes", "gauge", ms.HeapSys},
+		{"go_goroutines", "gauge", uint64(runtime.NumGoroutine())},
+		{"go_gc_cycles_total", "counter", uint64(ms.NumGC)},
+		{"flare_solver_scratch_sets", "gauge", uint64(sets)},
+		{"flare_solver_scratch_bytes", "gauge", uint64(scratchBytes)},
+	} {
+		// A failed write means the scraper hung up; there is no one to tell.
+		_, _ = fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", g.name, g.typ, g.name, g.v)
+	}
 }
 
 // parseWindows parses comma-separated "from-to" blackout windows.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 
 // TestMetricsEndpoint drives the assembled oneapiserver handler through
 // a session-open + stats-report + poll exchange and asserts that
-// /metrics serves the solver-latency histogram and the install/retry
-// counters, and that /debug/flare returns the recorded event tail.
+// /metrics serves the solver-latency histogram, the install/retry
+// counters and the process gauges, and that /debug/flare returns the recorded event tail.
 func TestMetricsEndpoint(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
@@ -50,9 +51,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		"flare_session_opens_total 1",
 		"flare_solver_latency_seconds_bucket",
 		"flare_solver_latency_seconds_count 1",
+		"go_memstats_heap_inuse_bytes ",
+		"go_memstats_heap_sys_bytes ",
+		"go_goroutines ",
+		"go_gc_cycles_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	// The BAI above ran a solve, so at least one scratch set with grown
+	// tables is idle on the freelist by now.
+	for _, gauge := range []string{"flare_solver_scratch_sets", "flare_solver_scratch_bytes"} {
+		_, rest, _ := strings.Cut(body, "\n"+gauge+" ")
+		line, _, _ := strings.Cut(rest, "\n")
+		if v, err := strconv.ParseInt(line, 10, 64); err != nil || v < 1 {
+			t.Errorf("/metrics %s = %q, want a positive integer", gauge, line)
 		}
 	}
 	if rec.Metrics().BAISolves.Load() != 1 {

@@ -173,7 +173,9 @@ type Controller struct {
 	shed       int
 	calmStreak int
 
+	// solveTimes is a ring of maxSolveTimes; solveNext is its oldest entry.
 	solveTimes []time.Duration
+	solveNext  int
 
 	// now supplies the wall clock for solver-latency measurement (the
 	// Figure 9 numbers and the bai_solve DurNs field). It is injectable
@@ -337,12 +339,16 @@ func (c *Controller) SetPreferences(flowID int, prefs Preferences) error {
 	return nil
 }
 
-// SolveTimes returns the wall-clock duration of each BAI's optimisation
-// so far — the Figure 9 measurement.
+// maxSolveTimes bounds the solve-latency history (32 KB a cell) above the
+// longest run in the tree, the 3600-BAI soak: simulations keep every sample.
+const maxSolveTimes = 4096
+
+// SolveTimes returns the wall-clock duration of each of the most recent
+// maxSolveTimes BAIs' optimisation, oldest first — the Figure 9 measurement.
 func (c *Controller) SolveTimes() []time.Duration {
-	out := make([]time.Duration, len(c.solveTimes))
-	copy(out, c.solveTimes)
-	return out
+	out := make([]time.Duration, 0, len(c.solveTimes))
+	out = append(out, c.solveTimes[c.solveNext:]...)
+	return append(out, c.solveTimes[:c.solveNext]...)
 }
 
 // RunBAI executes one bitrate assignment interval: update radio costs
@@ -417,7 +423,12 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		sol, err = c.exact.Solve(&prob)
 	}
 	elapsed := c.now().Sub(start)
-	c.solveTimes = append(c.solveTimes, elapsed)
+	if len(c.solveTimes) < maxSolveTimes {
+		c.solveTimes = append(c.solveTimes, elapsed)
+	} else {
+		c.solveTimes[c.solveNext] = elapsed
+		c.solveNext = (c.solveNext + 1) % maxSolveTimes
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: BAI solve: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ExactSolver solves the discrete problem (Eq. 3-4) as a multiple-choice
@@ -15,15 +16,23 @@ import (
 // With the default 4000 bins the discretisation error is below 0.03% of
 // the band, far finer than one ladder step; the brute-force solver in
 // the tests confirms the DP matches true optima on small instances.
+//
+// An ExactSolver holds only its resolution: Solve borrows its DP tables
+// from a process-wide freelist (solverScratch) for the call, so it is
+// safe for concurrent use and retains peak simultaneous solves x largest
+// problem seen, however many solvers (cells) exist.
 type ExactSolver struct {
 	// Bins is the capacity discretisation granularity.
 	Bins int
+}
 
-	// DP scratch, grown on demand and reused across Solve calls so the
-	// per-BAI solve allocates only its returned Solution. An ExactSolver
-	// is therefore not safe for concurrent Solve calls; the controller
-	// owns one per cell and serialises BAIs, which is the contract
-	// throughout this codebase.
+// NewExactSolver returns an ExactSolver with the default resolution.
+func NewExactSolver() *ExactSolver { return &ExactSolver{Bins: 4000} }
+
+// mckpScratch is one set of DP tables, grown on demand and never
+// shrunk. Sets are shared between cells of any shape, so isolation
+// rests on one rule: solve overwrites every entry it later reads.
+type mckpScratch struct {
 	costs  [][]int
 	utils  [][]float64
 	costsB []int
@@ -31,19 +40,75 @@ type ExactSolver struct {
 	dp     []float64
 	nxt    []float64
 	choice []int8 // flattened n x (bins+1)
-
-	// dtCache memoises DataTerm(j/bins) for j in [0, bins]: the curve
-	// depends only on (NumDataFlows, Alpha, bins), which are constant
-	// across the BAIs of a run, and recomputing 4001 logs per solve was
-	// a measurable slice of the controller's hot path. The cached values
-	// are the exact floats DataTerm returns, so reuse is bit-identical.
-	dtCache []float64
-	dtData  int
-	dtAlpha float64
 }
 
-// NewExactSolver returns an ExactSolver with the default resolution.
-func NewExactSolver() *ExactSolver { return &ExactSolver{Bins: 4000} }
+// scratchPool is the freelist ExactSolver.Solve borrows from: a mutex-
+// guarded stack, not a sync.Pool, whose drops at every GC would tie
+// allocation counts to collector timing. mu is the innermost ranked lock
+// (lint.LockRanks): taken under oneapi's cellState.mu for one push or pop.
+type scratchPool struct {
+	mu sync.Mutex
+	// free is LIFO: back-to-back solves of different cells reuse the set
+	// that is still warm in cache.
+	free []*mckpScratch
+	// sets counts sets ever created. One is created only when all others
+	// are on loan, so this is also the peak number of simultaneous solves.
+	sets int
+	// curves are immutable tables of log(1 - j/bins), j in [0, bins]: the
+	// data term with its per-problem n*alpha divided out, one per resolution.
+	// Production uses one slot; the rest (round-robin) spare mixed-bins tests.
+	curves    [4][]float64
+	nextCurve int
+}
+
+var solverScratch scratchPool
+
+// borrow pops the most recently returned set (or makes an empty one) and
+// finds the log curve for bins, built under the lock on first use (~40 µs).
+func (sp *scratchPool) borrow(bins int) (sc *mckpScratch, logs []float64) {
+	sp.mu.Lock()
+	if n := len(sp.free); n > 0 {
+		sc, sp.free[n-1] = sp.free[n-1], nil
+		sp.free = sp.free[:n-1]
+	} else {
+		sc = new(mckpScratch)
+		sp.sets++
+	}
+	for _, c := range sp.curves {
+		if len(c) == bins+1 {
+			logs = c
+		}
+	}
+	if logs == nil {
+		logs = make([]float64, bins+1)
+		for j := range logs {
+			logs[j] = math.Log(1 - float64(j)/float64(bins))
+		}
+		sp.curves[sp.nextCurve%len(sp.curves)] = logs
+		sp.nextCurve++
+	}
+	sp.mu.Unlock()
+	return sc, logs
+}
+
+// giveBack pushes a borrowed set for the next solve.
+func (sp *scratchPool) giveBack(sc *mckpScratch) {
+	sp.mu.Lock()
+	sp.free = append(sp.free, sc)
+	sp.mu.Unlock()
+}
+
+// SolverScratchStats reports the exact solver's retained memory: how
+// many scratch sets exist (the peak number of simultaneous solves so
+// far) and the table bytes of the idle ones (a set on loan is not sized).
+func SolverScratchStats() (sets int, bytes int64) {
+	solverScratch.mu.Lock()
+	defer solverScratch.mu.Unlock()
+	for _, sc := range solverScratch.free { // two tables of each width
+		bytes += int64(48*cap(sc.costs) + 16*cap(sc.costsB) + 16*cap(sc.dp) + cap(sc.choice))
+	}
+	return solverScratch.sets, bytes
+}
 
 // Solve runs the DP and returns the best feasible assignment.
 //
@@ -52,15 +117,22 @@ func (s *ExactSolver) Solve(p *Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
+	if len(p.Flows) == 0 {
+		return p.solutionFor(nil, true), nil
+	}
 	bins := s.Bins
 	if bins < 10 {
 		bins = 10
 	}
-	n := len(p.Flows)
-	if n == 0 {
-		return p.solutionFor(nil, true), nil
-	}
+	sc, logs := solverScratch.borrow(bins)
+	sol, err := sc.solve(p, bins, logs)
+	solverScratch.giveBack(sc)
+	return sol, err
+}
 
+// solve is the DP proper on a borrowed set; logs is the curve for bins.
+func (s *mckpScratch) solve(p *Problem, bins int, logs []float64) (Solution, error) {
+	n := len(p.Flows)
 	binRBs := p.TotalRBs / float64(bins)
 	// cost in bins (rounded up) per flow per level. The per-flow slices
 	// are carved out of grow-only scratch buffers; every entry is
@@ -188,26 +260,21 @@ func (s *ExactSolver) Solve(p *Problem) (Solution, error) {
 		dp, next = next, dp
 	}
 
-	// Pick the bucket count that maximises utility + data term. The
-	// data-term curve over the bucket grid is memoised across solves
-	// (see dtCache).
-	if len(s.dtCache) != bins+1 || s.dtData != p.NumDataFlows || s.dtAlpha != p.Alpha {
-		if cap(s.dtCache) < bins+1 {
-			s.dtCache = make([]float64, bins+1)
-		}
-		s.dtCache = s.dtCache[:bins+1]
-		for j := 0; j <= bins; j++ {
-			s.dtCache[j] = p.DataTerm(float64(j) / float64(bins))
-		}
-		s.dtData, s.dtAlpha = p.NumDataFlows, p.Alpha
-	}
+	// Pick the bucket count that maximises utility + data term. The term
+	// is DataTerm(j/bins) to the bit — the same left-to-right product
+	// float64(n)*alpha*log(1-r), the log read from the shared curve — and
+	// the conversion keeps it rounded before the add (no fused multiply).
+	dataK := float64(p.NumDataFlows) * p.Alpha // 0 iff DataTerm is identically 0
 	bestObj := negInf
 	bestJ := -1
 	for j := 0; j <= bins; j++ {
 		if dp[j] == negInf {
 			continue
 		}
-		obj := dp[j] + s.dtCache[j]
+		obj := dp[j]
+		if dataK != 0 {
+			obj += float64(dataK * logs[j])
+		}
 		if obj > bestObj {
 			bestObj = obj
 			bestJ = j

@@ -20,11 +20,17 @@ import (
 // BruteForce optimum over the exact costs bounds the DP objective from
 // above; that cross-check runs on every instance (n <= 4 on the
 // 6-level sim ladder keeps it cheap).
+//
+// Each input is solved twice — cold, on a scratch set of its own, and
+// through the shared freelist right after a larger problem of a
+// different shape has been through it — and the two solutions must be
+// identical: shared scratch carries nothing from one solve to the next.
 func FuzzMCKP(f *testing.F) {
 	f.Add(uint8(2), uint16(0x1b), int64(500_000), 10.0, 1.0, false, 0.0)
 	f.Add(uint8(4), uint16(0xffff), int64(100), 0.25, 0.0, true, 0.0)
 	f.Add(uint8(1), uint16(0), int64(5_000_000), 120.0, 4.0, false, 1.1e6)
 	f.Add(uint8(3), uint16(0x0421), int64(40_000), 2.0, 0.5, true, 450_000.0)
+	polluter := shapedProblem(16, true, 9, 0.7, 2e6)
 	f.Fuzz(func(t *testing.T, nRaw uint8, prevBits uint16, totalRBs int64, bytesPerRB, alpha float64, fine bool, capBps float64) {
 		n := int(nRaw)%4 + 1
 		if totalRBs <= 0 {
@@ -61,9 +67,17 @@ func FuzzMCKP(f *testing.F) {
 			t.Fatalf("constructed instance invalid: %v", err)
 		}
 
-		sol, err := NewExactSolver().Solve(p)
+		solver := NewExactSolver()
+		sol := coldSolve(t, p, solver.Bins)
+		if _, err := solver.Solve(polluter); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := solver.Solve(p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !sameSolution(warm, sol) {
+			t.Fatalf("after a polluting solve: %+v, cold: %+v", warm, sol)
 		}
 		if len(sol.Levels) != n {
 			t.Fatalf("%d levels for %d flows", len(sol.Levels), n)

@@ -28,9 +28,9 @@ func TestLockOrder(t *testing.T) {
 }
 
 // TestLockRanksTable pins the real hierarchy: the four control-plane
-// classes exist, with distinct ranks in the documented order
-// poolMu > optMu > shard.mu > cellState.mu, and every entry documents
-// what it protects.
+// classes and the solver's scratch freelist exist, with distinct ranks
+// in the documented order poolMu > optMu > shard.mu > cellState.mu >
+// scratchPool.mu, and every entry documents what it protects.
 func TestLockRanksTable(t *testing.T) {
 	want := []struct {
 		typ, field string
@@ -39,6 +39,7 @@ func TestLockRanksTable(t *testing.T) {
 		{"Server", "optMu"},
 		{"shard", "mu"},
 		{"cellState", "mu"},
+		{"scratchPool", "mu"},
 	}
 	if len(lint.LockRanks) != len(want) {
 		t.Fatalf("LockRanks has %d classes, want %d", len(lint.LockRanks), len(want))

@@ -36,8 +36,9 @@ func (c LockClass) String() string {
 }
 
 // LockRanks is the control plane's declared hierarchy, outermost
-// first: poolMu > optMu > shard.mu > cellState.mu. cmd/flarevet, the
-// tree test, and DESIGN.md §12 all read this table.
+// first: poolMu > optMu > shard.mu > cellState.mu > core's
+// scratchPool.mu. cmd/flarevet, the tree test, and DESIGN.md §12 all
+// read this table.
 var LockRanks = []LockClass{
 	{
 		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "poolMu", Rank: 40,
@@ -53,6 +54,10 @@ var LockRanks = []LockClass{
 	},
 	{
 		Pkg: internalPrefix + "oneapi", Type: "cellState", Field: "mu", Rank: 10,
-		Doc: "one cell's session state; innermost — nothing else may be acquired while it is held, and both-cells operations (Handover) must lock in global cell-ID order",
+		Doc: "one cell's session state; innermost of the oneapi locks — under it only the solver's scratchPool.mu may be acquired, and both-cells operations (Handover) must lock in global cell-ID order",
+	},
+	{
+		Pkg: internalPrefix + "core", Type: "scratchPool", Field: "mu", Rank: 5,
+		Doc: "the exact solver's shared scratch freelist; innermost — taken inside a cell's BAI under cellState.mu, held for one push or pop, never across a solve, and nothing may be acquired while it is held",
 	},
 }

@@ -31,10 +31,10 @@ func soakCycle(t *testing.T, s *Server, flowID int) {
 // TestChurnSoakBoundedMemory is the ROADMAP item-5 churn-soak bound: 10k
 // session arrive/depart cycles through an admission-gated server must
 // not grow the session table, the wait queue, or the flight-recorder
-// ring — and must not retain per-flow state on the heap. Telemetry that
-// grows per BAI by design (the solver wall-time log, ~16 B/BAI) fits
-// comfortably inside the slack; a leak of even a bare session struct
-// per cycle blows through it.
+// ring — and must not retain per-flow state on the heap. Per-BAI
+// telemetry (the solver wall-time history, capped at 32 KB a cell)
+// fits comfortably inside the slack; a leak of even a bare session
+// struct per cycle blows through it.
 func TestChurnSoakBoundedMemory(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
@@ -77,8 +77,8 @@ func TestChurnSoakBoundedMemory(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	// 10k leaked sessions would retain >2 MB; the per-BAI solve-time
-	// log retains ~160 KB over the window. 1 MB splits them cleanly.
+	// 10k leaked sessions would retain >2 MB; the solve-time history
+	// retains at most 32 KB. 1 MB splits them cleanly.
 	const maxGrowth = 1 << 20
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > maxGrowth {
 		t.Errorf("heap grew %d bytes across %d churn cycles (bound %d): per-flow state is leaking",

@@ -367,14 +367,28 @@ func TestBatchPCEFBrokenContract(t *testing.T) {
 
 // TestRunBAIRoundsMatchesSequential: the pooled batch entry point must
 // produce, per cell, exactly what sequential RunBAIReport calls produce
-// — slotted by input index regardless of pool scheduling.
+// — slotted by input index regardless of pool scheduling. The 64 cells
+// differ in session count, ladder and data-flow count, so pool workers
+// pass differently shaped problems through the solver's shared scratch
+// in scheduler order (the race detector watches the hand-offs).
 func TestRunBAIRoundsMatchesSequential(t *testing.T) {
-	const cells = 9
+	const cells = 64
+	flowsOf := func(c int) []int {
+		ids := make([]int, 1+c%8)
+		for f := range ids {
+			ids[f] = c*10 + f
+		}
+		return ids
+	}
 	build := func() *Server {
 		s := serverForTest()
 		for c := 0; c < cells; c++ {
-			for f := 0; f < 3; f++ {
-				if err := s.OpenSession(c, SessionRequest{FlowID: c*10 + f, LadderBps: has.SimLadder()}); err != nil {
+			ladder := has.SimLadder()
+			if c%2 == 1 {
+				ladder = has.FineLadder()
+			}
+			for _, id := range flowsOf(c) {
+				if err := s.OpenSession(c, SessionRequest{FlowID: id, LadderBps: ladder}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -383,7 +397,8 @@ func TestRunBAIRoundsMatchesSequential(t *testing.T) {
 	}
 	reports := make([]CellReport, cells)
 	for c := 0; c < cells; c++ {
-		reports[c] = CellReport{CellID: c, Report: healthyReport(c*10, c*10+1, c*10+2)}
+		reports[c] = CellReport{CellID: c, Report: healthyReport(flowsOf(c)...)}
+		reports[c].Report.NumDataFlows = c % 5
 	}
 
 	seq := build()
