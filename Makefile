@@ -80,13 +80,16 @@ bench-quick:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run github.com/flare-sim/flare/cmd/flarevet ./...
 
-# bench-json measures the canonical engine benchmark and refreshes the
-# committed BENCH_engine.json (the baseline block is preserved).
+# bench-json measures the canonical engine benchmark — and its churn
+# block: the 200-declared / ~12-live session-churn cell and what
+# assembling it costs — and refreshes the committed BENCH_engine.json
+# (the baseline block is preserved).
 bench-json:
 	$(GO) run ./cmd/flarebench -json BENCH_engine.json
 
-# bench-check is the CI perf gate: fail if the engine benchmark
-# regresses more than 20% simsec/sec against the committed numbers.
+# bench-check is the CI perf gate: fail if the engine benchmark, on the
+# busy cell or on the churn cell, regresses more than 20% simsec/sec
+# against the committed numbers.
 bench-check:
 	$(GO) run ./cmd/flarebench -check-against BENCH_engine.json
 

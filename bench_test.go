@@ -183,6 +183,34 @@ func BenchmarkEngineTick(b *testing.B) {
 	b.ReportMetric(benchmarks.EngineSimSeconds/float64(b.Elapsed().Seconds()/float64(b.N)), "simsec/sec")
 }
 
+// BenchmarkEngineChurn measures the engine under session churn: 200
+// declared sessions of which about 12 are live at any instant, over 400
+// simulated seconds. What it prices is the declared-but-idle session —
+// per TTI (settled bearers must stay out of the radio loop) and at
+// assembly (timed here too: Run builds the cell).
+func BenchmarkEngineChurn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cellsim.Run(benchmarks.EngineChurnConfig(uint64(i + 1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(benchmarks.EngineChurnSimSeconds/float64(b.Elapsed().Seconds()/float64(b.N)), "simsec/sec")
+}
+
+// BenchmarkCellAssemble measures cellsim.New alone on the churn cell:
+// what 200 declared sessions cost before the first TTI runs.
+func BenchmarkCellAssemble(b *testing.B) {
+	cfg := benchmarks.EngineChurnConfig(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cellsim.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineTickRecording runs the same canonical workload with
 // the telemetry flight recorder enabled (ring buffer only, no
 // streaming sink): every BAI solve, clamp, install, delivery, and

@@ -17,13 +17,16 @@
 // -json measures the canonical engine benchmark (the BenchmarkEngineTick
 // workload from internal/benchmarks) and writes its simsec/sec, ns/op
 // and allocs/op to the given file, preserving any committed baseline
-// block; -json-multicell does the same for the multi-cell scaling curve
-// (the BenchmarkMultiCell workload at 1/4/16/64 cells, aggregate
-// simsec/sec per point); -json-oneapi measures the control-plane load
-// workload (BenchmarkOneAPILoad: the internal/loadgen driver against an
-// in-process sharded OneAPI server, BAI rounds/sec plus latency
-// percentiles and sessions/sec). All record GOMAXPROCS, worker/shard
-// counts, and the CPU model so numbers are comparable across machines.
+// block, plus a churn block (the BenchmarkEngineChurn workload's
+// simsec/sec and allocs/op, and BenchmarkCellAssemble's ns/op), which
+// -check-against gates at the same 20%; -json-multicell does the same
+// for the multi-cell scaling curve (the BenchmarkMultiCell workload at
+// 1/4/16/64 cells, aggregate simsec/sec per point); -json-oneapi
+// measures the control-plane load workload (BenchmarkOneAPILoad: the
+// internal/loadgen driver against an in-process sharded OneAPI server,
+// BAI rounds/sec plus latency percentiles and sessions/sec). All record
+// GOMAXPROCS, worker/shard counts, and the CPU model so numbers are
+// comparable across machines.
 // -check-against is repeatable (and accepts comma-separated paths): each
 // file's Benchmark field names the workload to measure, and the run
 // exits nonzero if any measurement regressed more than 20% against that
@@ -81,14 +84,26 @@ type scalePoint struct {
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 }
 
-// benchPoint is one measurement: the single-cell engine numbers, the
-// scaling curve in Points (BenchmarkMultiCell), or the control-plane
-// load numbers (BenchmarkOneAPILoad).
+// churnPoint is the engine under session churn (BenchmarkEngineChurn:
+// 200 declared sessions, about 12 live, 400 simulated seconds) plus
+// what assembling that cell costs (BenchmarkCellAssemble). It rides in
+// the engine file: same engine, the workload where idle sessions are
+// the cost.
+type churnPoint struct {
+	SimsecPerSec float64 `json:"simsec_per_sec"`
+	AllocsPerOp  int64   `json:"allocs_per_op"`
+	AssembleNs   int64   `json:"assemble_ns"`
+}
+
+// benchPoint is one measurement: the single-cell engine numbers (with
+// the churn block), the scaling curve in Points (BenchmarkMultiCell),
+// or the control-plane load numbers (BenchmarkOneAPILoad).
 type benchPoint struct {
 	Label        string       `json:"label,omitempty"`
 	SimsecPerSec float64      `json:"simsec_per_sec,omitempty"`
 	NsPerOp      int64        `json:"ns_per_op,omitempty"`
 	AllocsPerOp  int64        `json:"allocs_per_op,omitempty"`
+	Churn        *churnPoint  `json:"churn,omitempty"`
 	Env          *benchEnv    `json:"env,omitempty"`
 	Points       []scalePoint `json:"points,omitempty"`
 
@@ -146,12 +161,53 @@ func measureEngine() (benchPoint, error) {
 	if failed != nil {
 		return benchPoint{}, failed
 	}
+	churn, err := measureChurn()
+	if err != nil {
+		return benchPoint{}, err
+	}
 	ns := res.NsPerOp()
 	return benchPoint{
 		SimsecPerSec: benchmarks.EngineSimSeconds / (float64(ns) / 1e9),
 		NsPerOp:      ns,
 		AllocsPerOp:  res.AllocsPerOp(),
+		Churn:        churn,
 		Env:          measureEnv(1),
+	}, nil
+}
+
+// measureChurn runs the session-churn engine workload and the assembly
+// of its cell, the same loops as BenchmarkEngineChurn and
+// BenchmarkCellAssemble.
+func measureChurn() (*churnPoint, error) {
+	var failed error
+	run := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cellsim.Run(benchmarks.EngineChurnConfig(uint64(i + 1))); err != nil {
+				failed = err
+				b.Fatal(err)
+			}
+		}
+	})
+	if failed != nil {
+		return nil, failed
+	}
+	cfg := benchmarks.EngineChurnConfig(1)
+	assemble := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := cellsim.New(cfg); err != nil {
+				failed = err
+				b.Fatal(err)
+			}
+		}
+	})
+	if failed != nil {
+		return nil, failed
+	}
+	return &churnPoint{
+		SimsecPerSec: benchmarks.EngineChurnSimSeconds / (float64(run.NsPerOp()) / 1e9),
+		AllocsPerOp:  run.AllocsPerOp(),
+		AssembleNs:   assemble.NsPerOp(),
 	}, nil
 }
 
@@ -281,21 +337,34 @@ func writeBenchFile(path, benchmark, metric string, cur *benchPoint) int {
 }
 
 // checkEngine gates the single-cell measurement against a committed
-// file: >20% simsec/sec regression fails.
+// file: >20% simsec/sec regression fails, on the busy cell and — when
+// the file carries a churn block — on the churn cell.
 func checkEngine(path string, ref *benchFile, cur benchPoint) int {
 	if ref.Current == nil || ref.Current.SimsecPerSec <= 0 {
 		fmt.Fprintf(os.Stderr, "flarebench: %s has no current measurement to check against\n", path)
 		return 1
 	}
-	floor := 0.8 * ref.Current.SimsecPerSec
-	if cur.SimsecPerSec < floor {
+	code := checkSimsec("", cur.SimsecPerSec, ref.Current.SimsecPerSec)
+	if ref.Current.Churn != nil && cur.Churn != nil {
+		if c := checkSimsec(" (churn)", cur.Churn.SimsecPerSec, ref.Current.Churn.SimsecPerSec); c != 0 {
+			code = c
+		}
+	}
+	return code
+}
+
+// checkSimsec is one 20% simsec/sec gate; what names the workload in
+// the messages.
+func checkSimsec(what string, cur, committed float64) int {
+	floor := 0.8 * committed
+	if cur < floor {
 		fmt.Fprintf(os.Stderr,
-			"flarebench: PERF REGRESSION: %.1f simsec/sec is more than 20%% below the committed %.1f (floor %.1f)\n",
-			cur.SimsecPerSec, ref.Current.SimsecPerSec, floor)
+			"flarebench: PERF REGRESSION%s: %.1f simsec/sec is more than 20%% below the committed %.1f (floor %.1f)\n",
+			what, cur, committed, floor)
 		return 1
 	}
-	fmt.Printf("perf check OK: %.1f simsec/sec vs committed %.1f (floor %.1f)\n",
-		cur.SimsecPerSec, ref.Current.SimsecPerSec, floor)
+	fmt.Printf("perf check OK%s: %.1f simsec/sec vs committed %.1f (floor %.1f)\n",
+		what, cur, committed, floor)
 	return 0
 }
 
@@ -397,6 +466,8 @@ func runBench(jsonPath, jsonMultiPath, jsonOneAPIPath string, checkPaths []strin
 		fmt.Printf("%s: %.1f simsec/sec, %d ns/op, %d allocs/op (GOMAXPROCS=%d)\n",
 			engineBenchName, engineCur.SimsecPerSec, engineCur.NsPerOp,
 			engineCur.AllocsPerOp, engineCur.Env.GOMAXPROCS)
+		fmt.Printf("BenchmarkEngineChurn: %.1f simsec/sec, %d allocs/op; BenchmarkCellAssemble: %d ns/op\n",
+			engineCur.Churn.SimsecPerSec, engineCur.Churn.AllocsPerOp, engineCur.Churn.AssembleNs)
 	}
 	if needMulti {
 		var err error

@@ -132,7 +132,7 @@ type FlarePlugin struct {
 	maxBps      float64 // 0 = no client cap
 
 	fb   FallbackConfig
-	hist *History
+	hist History
 
 	mode        PluginMode
 	lastSeq     int64
@@ -155,8 +155,23 @@ func NewFlarePlugin() *FlarePlugin {
 // NewFlarePluginWithFallback builds a plugin with an explicit
 // degradation policy.
 func NewFlarePluginWithFallback(fb FallbackConfig) *FlarePlugin {
+	return &NewFlarePlugins(1, fb)[0]
+}
+
+// NewFlarePlugins builds n plugins sharing one degradation policy as
+// one slab: the plugins are the elements of the returned slice and
+// their throughput histories are windows of a single backing array, so
+// a cell's worth of sessions costs two allocations rather than three
+// per session. Use the elements in place (&ps[i]).
+func NewFlarePlugins(n int, fb FallbackConfig) []FlarePlugin {
 	fb = fb.normalized()
-	return &FlarePlugin{fb: fb, hist: NewHistory(fb.WindowSegments)}
+	w := fb.WindowSegments
+	samples := make([]float64, n*w)
+	ps := make([]FlarePlugin, n)
+	for i := range ps {
+		ps[i] = FlarePlugin{fb: fb, hist: History{samples: samples[i*w : (i+1)*w : (i+1)*w]}}
+	}
+	return ps
 }
 
 // Name implements has.Adapter.

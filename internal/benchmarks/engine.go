@@ -5,9 +5,12 @@
 package benchmarks
 
 import (
+	"math"
+	"sort"
 	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // EngineSimSeconds is the simulated duration of one EngineTick
@@ -28,5 +31,52 @@ func EngineTickConfig(seed uint64) cellsim.Config {
 	cfg.Flare.BAI = 1 * time.Second
 	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: 12}
 	cfg.Seed = seed
+	return cfg
+}
+
+// Churn workload shape: EngineChurnSessions sessions declared over
+// EngineChurnSimSeconds simulated seconds, about EngineChurnLive of them
+// live at any instant.
+const (
+	EngineChurnSimSeconds = 400
+	EngineChurnSessions   = 200
+	EngineChurnLive       = 12
+)
+
+// EngineChurnConfig returns the session-churn workload: the engine cell
+// without data flows, its video sessions arriving as a Poisson process
+// conditioned on the declared count (uniform order statistics) and
+// staying for Pareto (shape 2.5) durations whose mean keeps about
+// EngineChurnLive sessions live. Most declared bearers are idle at any
+// TTI, so the workload measures what a declared-but-idle session costs
+// per TTI and at assembly — the shape of bench/'s cell_churn.
+func EngineChurnConfig(seed uint64) cellsim.Config {
+	cfg := cellsim.DefaultConfig(cellsim.SchemeFLARE)
+	cfg.Duration = EngineChurnSimSeconds * time.Second
+	cfg.SegmentDuration = 2 * time.Second
+	cfg.Flare.BAI = 1 * time.Second
+	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: 12}
+	cfg.Seed = seed
+
+	const shape = 2.5
+	horizon := float64(EngineChurnSimSeconds)
+	meanDur := EngineChurnLive * horizon / EngineChurnSessions
+	rng := sim.NewRNG(seed ^ 0x9e3779b97f4a7c15)
+	arrivals := make([]float64, EngineChurnSessions)
+	for i := range arrivals {
+		arrivals[i] = rng.Float64() * horizon
+	}
+	sort.Float64s(arrivals)
+	xm := meanDur * (shape - 1) / shape
+	cfg.NumVideo = EngineChurnSessions
+	cfg.VideoArrivals = make([]time.Duration, EngineChurnSessions)
+	cfg.VideoDepartures = make([]time.Duration, EngineChurnSessions)
+	for i, t := range arrivals {
+		dur := xm * math.Pow(1-rng.Float64(), -1/shape)
+		cfg.VideoArrivals[i] = time.Duration(t * float64(time.Second))
+		if t+dur < horizon {
+			cfg.VideoDepartures[i] = time.Duration((t + dur) * float64(time.Second))
+		}
+	}
 	return cfg
 }

@@ -1,0 +1,168 @@
+package cellsim
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/flare-sim/flare/internal/core"
+	"github.com/flare-sim/flare/internal/has"
+	"github.com/flare-sim/flare/internal/oneapi"
+	"github.com/flare-sim/flare/internal/sim"
+)
+
+// churnConfig is the declared-but-mostly-idle cell: `sessions` FLARE
+// sessions arrive uniformly over the run and stay for Pareto (shape 2.5)
+// durations whose mean keeps about `live` of them live, so at any TTI
+// most declared bearers are idle — not yet arrived (settled from the
+// first TTI) or departed (decaying, then settled ~75 s later). Departures
+// land wherever the Pareto draw puts them, which is mid-download more
+// often than not.
+func churnConfig(seed uint64, sessions int, duration time.Duration, live float64) Config {
+	cfg := DefaultConfig(SchemeFLARE)
+	cfg.Seed = seed
+	cfg.Duration = duration
+	cfg.SegmentDuration = 2 * time.Second
+	cfg.Flare.BAI = time.Second
+	cfg.Channel = ChannelSpec{Kind: ChannelStatic, StaticITbs: 12}
+
+	const shape = 2.5
+	horizon := duration.Seconds()
+	xm := live * horizon / float64(sessions) * (shape - 1) / shape
+	rng := sim.NewRNG(seed + 1)
+	arrivals := make([]float64, sessions)
+	for i := range arrivals {
+		arrivals[i] = rng.Float64() * horizon
+	}
+	sort.Float64s(arrivals)
+	cfg.NumVideo = sessions
+	cfg.VideoArrivals = make([]time.Duration, sessions)
+	cfg.VideoDepartures = make([]time.Duration, sessions)
+	for i, at := range arrivals {
+		dur := xm * math.Pow(1-rng.Float64(), -1/shape)
+		cfg.VideoArrivals[i] = time.Duration(at * float64(time.Second))
+		if at+dur < horizon {
+			cfg.VideoDepartures[i] = time.Duration((at + dur) * float64(time.Second))
+		}
+	}
+	return cfg
+}
+
+// TestCellAssemblyAllocsPerSession pins what one more declared session
+// costs cellsim.New in heap allocations. The per-session objects (bearer,
+// transport flow, player, driver flow, plugin and its history) come out
+// of per-cell slabs and the MPD and its ladder are shared, so what is
+// left per session is the bound callbacks, the controller's registration
+// and amortised table growth. A per-session Sprintf, Errorf or ladder
+// copy creeping back shows up here as a whole number.
+func TestCellAssemblyAllocsPerSession(t *testing.T) {
+	allocs := func(sessions int) float64 {
+		cfg := churnConfig(1, sessions, 400*time.Second, 12)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(20), allocs(200)
+	perSession := (large - small) / 180
+	t.Logf("cellsim.New: %.0f allocs at 20 sessions, %.0f at 200, %.2f per added session", small, large, perSession)
+	// Measured 8.03: six bound callbacks (two on the flow, three on the
+	// player, OnSegment), the controller's flow record and its ladder
+	// copy, and a little table growth. Before the slabs it was 33.7.
+	if perSession > 9 {
+		t.Errorf("each added session costs %.2f allocations in cellsim.New, want <= 9", perSession)
+	}
+	if large > 2700 {
+		t.Errorf("cellsim.New on the 200-session churn cell makes %.0f allocations, want <= 2700", large)
+	}
+}
+
+// mpdContent is an MPD's observable content, deep-copied.
+type mpdContent struct {
+	reps     []has.Representation
+	streamed has.Ladder // the ladder players stream by, shared by all of them
+	segDur   time.Duration
+	segments int
+	jitter   float64
+}
+
+func contentOf(s *Sim) mpdContent {
+	return mpdContent{
+		reps:     append([]has.Representation(nil), s.mpd.Representations...),
+		streamed: s.video[0].Player.State().Ladder.Clone(),
+		segDur:   s.mpd.SegmentDuration,
+		segments: s.mpd.TotalSegments,
+		jitter:   s.mpd.SizeJitter,
+	}
+}
+
+// TestSharedMPDIsNeverWritten: every player of a cell streams one MPD
+// and one ladder. Several cells run at once (the race detector watches
+// `make check`), each through a whole churn run with every adapter,
+// driver and control-plane consumer in the loop; afterwards each cell's
+// MPD must be exactly what New built, and MPD().Ladder() must still
+// hand out private copies.
+func TestSharedMPDIsNeverWritten(t *testing.T) {
+	const cells = 4
+	server := oneapi.NewServer(core.DefaultConfig(), nil)
+	sims := make([]*Sim, cells)
+	before := make([]mpdContent, cells)
+	for c := range sims {
+		cfg := churnConfig(uint64(10+c), 40, 60*time.Second, 8)
+		cfg.NumLegacy = 1
+		cfg.VBRJitter = 0.2
+		s, err := NewInCell(cfg, server, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sims[c], before[c] = s, contentOf(s)
+
+		shared := s.video[0].Player.State().Ladder
+		players := s.legacyPlayers
+		for _, f := range s.video {
+			players = append(players, f.Player)
+		}
+		for i, p := range players {
+			if p.MPD() != s.mpd {
+				t.Fatalf("cell %d player %d has a private MPD", c, i)
+			}
+			if l := p.State().Ladder; &l[0] != &shared[0] {
+				t.Fatalf("cell %d player %d has a private ladder", c, i)
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, cells)
+	for c, s := range sims {
+		c, s := c, s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[c] = s.Run()
+		}()
+	}
+	wg.Wait()
+
+	for c, s := range sims {
+		if errs[c] != nil {
+			t.Fatalf("cell %d: %v", c, errs[c])
+		}
+		if after := contentOf(s); !reflect.DeepEqual(after, before[c]) {
+			t.Errorf("cell %d: the shared MPD changed during the run:\nbefore %+v\nafter  %+v", c, before[c], after)
+		}
+		// Consumers of MPD().Ladder() own what they get.
+		mine := s.video[0].Player.MPD().Ladder()
+		mine[0] = -1
+		if again := s.video[0].Player.MPD().Ladder(); again[0] == -1 {
+			t.Errorf("cell %d: MPD().Ladder() returned shared storage", c)
+		}
+		if streamed := s.video[0].Player.State().Ladder; streamed[0] == -1 {
+			t.Errorf("cell %d: MPD().Ladder() aliases the ladder players stream by", c)
+		}
+	}
+}

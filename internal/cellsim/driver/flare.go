@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/flare-sim/flare/internal/abr"
@@ -26,9 +27,16 @@ type flareDriver struct {
 	server *oneapi.Server
 	cellID int
 
-	e       Engine
-	flows   []*Flow
-	plugins []*abr.FlarePlugin // parallel to flows
+	e     Engine
+	flows []*Flow
+	// plugins is the group's plugin slab, parallel to flows: NewAdapter(i)
+	// hands out &plugins[i].
+	plugins []abr.FlarePlugin
+	// ladder is the bitrate ladder of ladderMPD, extracted once and put
+	// in every session request of the flows streaming that MPD (the
+	// server clones what it keeps).
+	ladder    has.Ladder
+	ladderMPD *has.MPD
 
 	// Control-plane fault injection (nil when disabled): independent
 	// decision streams for the eNodeB's stats reports and the plugins'
@@ -110,6 +118,7 @@ var (
 
 func newFlareDriver(cfg Config) (Controller, error) {
 	d := &flareDriver{cfg: cfg, server: cfg.OneAPI, cellID: cfg.CellID, rec: cfg.Obs}
+	d.plugins = abr.NewFlarePlugins(cfg.Count, cfg.Fallback)
 	if d.server == nil {
 		if cfg.ControlShards > 0 {
 			d.server = oneapi.NewServerSharded(cfg.Flare, nil, cfg.ControlShards)
@@ -152,10 +161,19 @@ func (d *flareDriver) SchedulerPolicy() SchedulerPolicy { return PolicyGBR }
 
 // NewAdapter implements Controller: every flow gets a FLARE plugin with
 // the configured degradation policy.
-func (d *flareDriver) NewAdapter(int) (has.Adapter, error) {
-	p := abr.NewFlarePluginWithFallback(d.cfg.Fallback)
-	d.plugins = append(d.plugins, p)
-	return p, nil
+func (d *flareDriver) NewAdapter(i int) (has.Adapter, error) {
+	if i < 0 || i >= len(d.plugins) {
+		return nil, fmt.Errorf("driver: FLARE adapter %d outside the group's %d flows", i, len(d.plugins))
+	}
+	return &d.plugins[i], nil
+}
+
+// sessionRequest builds the open request for one of the driver's flows.
+func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
+	if m := f.Player.MPD(); m != d.ladderMPD {
+		d.ladderMPD, d.ladder = m, m.Ladder()
+	}
+	return oneapi.SessionRequest{FlowID: f.ID, LadderBps: d.ladder}
 }
 
 // Init implements Controller: open a OneAPI session per flow and
@@ -172,8 +190,7 @@ func (d *flareDriver) Init(e Engine, flows []*Flow) error {
 		d.admission = make([]flowAdmission, len(flows))
 	} else {
 		for _, f := range flows {
-			req := oneapi.SessionRequest{FlowID: f.ID, LadderBps: f.Player.MPD().Ladder()}
-			if err := d.server.OpenSession(d.cellID, req); err != nil {
+			if err := d.server.OpenSession(d.cellID, d.sessionRequest(f)); err != nil {
 				return err
 			}
 		}
@@ -185,9 +202,6 @@ func (d *flareDriver) Init(e Engine, flows []*Flow) error {
 		// Wire each plugin's mode transitions into the trace, tagged
 		// with the flow the plugin serves.
 		for i := range flows {
-			if i >= len(d.plugins) || d.plugins[i] == nil {
-				continue
-			}
 			flowID := int32(flows[i].ID)
 			d.plugins[i].SetTransitionObserver(func(to abr.PluginMode, reason abr.TransitionReason, count int) {
 				ev := obs.Recovery(int32(d.cellID), flowID, int32(count))
@@ -234,8 +248,8 @@ func (d *flareDriver) sendBufferFeedback() {
 		d.bufferCaps = make([]float64, len(d.flows))
 	}
 	for i, f := range d.flows {
-		plugin := d.plugins[i]
-		if plugin == nil || f.Player.Done() {
+		plugin := &d.plugins[i]
+		if f.Player.Done() {
 			continue
 		}
 		buf := f.Player.BufferSeconds()
@@ -281,8 +295,7 @@ func (d *flareDriver) OnFlowArrival(f *Flow) {
 // tryOpen attempts one admission-mode session open and advances the
 // flow's re-try schedule.
 func (d *flareDriver) tryOpen(f *Flow, st *flowAdmission) {
-	req := oneapi.SessionRequest{FlowID: f.ID, LadderBps: f.Player.MPD().Ladder()}
-	err := d.server.OpenSession(d.cellID, req)
+	err := d.server.OpenSession(d.cellID, d.sessionRequest(f))
 	switch {
 	case err == nil:
 		st.opened = true
@@ -363,8 +376,8 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 	// answers from its current table whether or not this interval's BAI
 	// ran; a dropped poll feeds the fallback detector instead.
 	for i, f := range d.flows {
-		plugin := d.plugins[i]
-		if plugin == nil || f.Player.Done() {
+		plugin := &d.plugins[i]
+		if f.Player.Done() {
 			continue
 		}
 		if d.admission != nil {
@@ -456,10 +469,10 @@ func (d *flareDriver) FlowExtras(f *Flow) FlowExtras {
 		admitted = st.everOpened
 		preStall = st.stallBase
 	}
-	if f.Index < 0 || f.Index >= len(d.plugins) || d.plugins[f.Index] == nil {
+	if f.Index < 0 || f.Index >= len(d.plugins) {
 		return FlowExtras{Admitted: admitted, PreAdmissionStallSeconds: preStall}
 	}
-	p := d.plugins[f.Index]
+	p := &d.plugins[f.Index]
 	return FlowExtras{
 		FallbackTransitions:      p.Transitions(),
 		FallbackIntervals:        p.FallbackIntervals(),

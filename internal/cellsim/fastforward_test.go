@@ -94,6 +94,29 @@ func TestFastForwardEquivalenceStaticIdleCell(t *testing.T) {
 	assertIdentical(t, "static-idle", naive, fast)
 }
 
+// TestFastForwardEquivalenceChurnCell: 200 declared sessions, about 12
+// live — the cell where most bearers sit settled, outside every per-TTI
+// pass and every idle replay. The naive loop is the oracle for what the
+// kernel's jumps may skip; that a settled bearer's skipped ticks were
+// no-ops is pinned bit for bit in lte (TestSettledSkipMatchesTickEveryTTI).
+// Here the point is the whole engine around it: arrivals onto settled
+// bearers, departures mid-download, bearers settling again ~75 s after
+// their session left.
+func TestFastForwardEquivalenceChurnCell(t *testing.T) {
+	cfg := churnConfig(7, 200, 160*time.Second, 12)
+	naive, fast := runBothLoops(t, cfg)
+	assertIdentical(t, "churn", naive, fast)
+	streamedThenLeft := 0
+	for i, c := range fast.Clients {
+		if cfg.VideoDepartures[i] > 0 && c.Segments > 0 {
+			streamedThenLeft++
+		}
+	}
+	if streamedThenLeft < 50 {
+		t.Fatalf("only %d sessions streamed and then departed; the churn case is not exercising departures", streamedThenLeft)
+	}
+}
+
 // TestFastForwardEquivalenceMobility covers the stateful channel: the
 // random-waypoint walk consumes RNG at every position step, so the
 // catch-up path must replay exactly the draws the naive loop makes.

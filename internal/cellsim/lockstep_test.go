@@ -104,6 +104,16 @@ func TestLockstepMixedCell(t *testing.T) {
 	assertLockstep(t, mixedConfig(2, 2), 3)
 }
 
+// TestLockstepChurnCell: 200 declared sessions, about 12 live. Nearly
+// every bearer is settled nearly all the time, so this is the case where
+// the parallel radio phases run over a live set that is a small, moving
+// subset of the bearers: sessions arrive onto bearers that settled at
+// the first TTI, depart mid-download, and the departed bearers settle
+// again once their averages have decayed (~75 s on).
+func TestLockstepChurnCell(t *testing.T) {
+	assertLockstep(t, churnConfig(7, 200, 160*time.Second, 12), 3)
+}
+
 // TestLockstepManyWorkers: more workers than flows, and an odd worker
 // count that leaves uneven range chunks.
 func TestLockstepManyWorkers(t *testing.T) {

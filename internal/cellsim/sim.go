@@ -87,6 +87,19 @@ type Sim struct {
 	// video is every group's flows concatenated, in flow-ID order.
 	video []*driver.Flow
 
+	// mpd is the cell's one media description: every player (video and
+	// legacy) streams the same presentation, so they share it — and the
+	// ladder derived from it — read-only. nil in a cell without players.
+	mpd *has.MPD
+	// Per-session state lives in per-cell slabs, indexed by flow ID
+	// (players: video flows, then legacy), instead of one allocation per
+	// object per session. The slabs are never reallocated: the objects
+	// hold pointers to one another and to themselves (bound callbacks).
+	bearerSlab []lte.Bearer
+	flowSlab   []transport.Flow
+	playerSlab []has.Player
+	videoSlab  []driver.Flow
+
 	dataBearers []*lte.Bearer
 	dataFlows   []*transport.Flow
 
@@ -170,6 +183,20 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 		return nil, err
 	}
 	s.enb = lte.NewENodeB(ch, s.buildScheduler())
+
+	s.bearerSlab = make([]lte.Bearer, numUEs)
+	s.flowSlab = make([]transport.Flow, numUEs)
+	s.allFlows = make([]*transport.Flow, 0, numUEs)
+	if players := cfg.NumVideo + cfg.NumLegacy; players > 0 {
+		s.playerSlab = make([]has.Player, players)
+		s.videoSlab = make([]driver.Flow, cfg.NumVideo)
+		s.video = make([]*driver.Flow, 0, cfg.NumVideo)
+		segs := int(cfg.Duration/cfg.SegmentDuration) + 16
+		if s.mpd, err = has.NewMPD(cfg.Ladder, cfg.SegmentDuration, segs); err != nil {
+			return nil, err
+		}
+		s.mpd.SizeJitter = cfg.VBRJitter
+	}
 
 	if err := s.buildVideo(); err != nil {
 		return nil, err
@@ -300,21 +327,12 @@ func (s *Sim) buildScheduler() lte.Scheduler {
 }
 
 func (s *Sim) buildVideo() error {
-	segs := int(s.cfg.Duration/s.cfg.SegmentDuration) + 16
 	id := 0
 	for _, g := range s.groups {
 		g := g
+		g.flows = make([]*driver.Flow, 0, groupCount(g))
 		for i := 0; i < groupCount(g); i++ {
-			mpd, err := has.NewMPD(s.cfg.Ladder, s.cfg.SegmentDuration, segs)
-			if err != nil {
-				return err
-			}
-			mpd.SizeJitter = s.cfg.VBRJitter
-			b := &lte.Bearer{ID: id, UE: id, Class: lte.ClassVideo}
-			if _, err := s.enb.AddBearer(b); err != nil {
-				return err
-			}
-			flow, err := s.newFlow(b)
+			b, flow, err := s.newFlow(id, lte.ClassVideo)
 			if err != nil {
 				return err
 			}
@@ -322,11 +340,12 @@ func (s *Sim) buildVideo() error {
 			if err != nil {
 				return err
 			}
-			player, err := has.NewPlayer(&s.env, flow, mpd, adapter, s.cfg.Player)
-			if err != nil {
+			player := &s.playerSlab[id]
+			if err := player.Init(&s.env, flow, s.mpd, adapter, s.cfg.Player); err != nil {
 				return err
 			}
-			f := &driver.Flow{
+			f := &s.videoSlab[id]
+			*f = driver.Flow{
 				ID:        id,
 				Index:     i,
 				UE:        id,
@@ -350,7 +369,6 @@ func (s *Sim) buildVideo() error {
 			}
 			g.flows = append(g.flows, f)
 			s.video = append(s.video, f)
-			s.allFlows = append(s.allFlows, flow)
 			id++
 		}
 	}
@@ -360,38 +378,41 @@ func (s *Sim) buildVideo() error {
 // groupCount returns the number of flows a group was configured for.
 func groupCount(g *simGroup) int { return g.count }
 
-// newFlow builds a transport flow on the engine's env — or, when the
-// intra-cell pool is enabled, on a per-flow env that can buffer its
-// schedule calls during parallel tick phases (see parallel.go). Must be
-// called in canonical flow order: par.envs mirrors allFlows.
-func (s *Sim) newFlow(b *lte.Bearer) (*transport.Flow, error) {
-	if s.par == nil {
-		return transport.NewFlow(&s.env, b, s.cfg.Transport)
+// newFlow builds flow `id` of the cell — its bearer, registered with
+// the eNodeB, and the transport flow over it, both carved from the
+// cell's slabs — and appends the flow to allFlows. The flow runs on the
+// engine's env or, when the intra-cell pool is enabled, on a per-flow
+// env that can buffer its schedule calls during parallel tick phases
+// (see parallel.go). Must be called in canonical flow order: IDs index
+// the slabs, and par.envs mirrors allFlows.
+func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Flow, error) {
+	b := &s.bearerSlab[id]
+	*b = lte.Bearer{ID: id, UE: id, Class: class}
+	if _, err := s.enb.AddBearer(b); err != nil {
+		return nil, nil, err
 	}
-	e := &flowEnv{s: s}
-	f, err := transport.NewFlow(e, b, s.cfg.Transport)
-	if err != nil {
-		return nil, err
+	f := &s.flowSlab[id]
+	var env transport.Env = &s.env
+	if s.par != nil {
+		e := &flowEnv{s: s, flow: f}
+		s.par.envs = append(s.par.envs, e)
+		env = e
 	}
-	e.flow = f
-	s.par.envs = append(s.par.envs, e)
-	return f, nil
+	if err := f.Init(env, b, s.cfg.Transport); err != nil {
+		return nil, nil, err
+	}
+	s.allFlows = append(s.allFlows, f)
+	return b, f, nil
 }
 
 func (s *Sim) buildData() error {
 	for i := 0; i < s.cfg.NumData; i++ {
-		id := s.cfg.NumVideo + i
-		b := &lte.Bearer{ID: id, UE: id, Class: lte.ClassData}
-		if _, err := s.enb.AddBearer(b); err != nil {
-			return err
-		}
-		flow, err := s.newFlow(b)
+		b, flow, err := s.newFlow(s.cfg.NumVideo+i, lte.ClassData)
 		if err != nil {
 			return err
 		}
 		s.dataBearers = append(s.dataBearers, b)
 		s.dataFlows = append(s.dataFlows, flow)
-		s.allFlows = append(s.allFlows, flow)
 	}
 	return nil
 }
@@ -402,30 +423,18 @@ func (s *Sim) buildData() error {
 // data flows. (For first-class mixed populations with per-scheme result
 // attribution, prefer Config.VideoGroups.)
 func (s *Sim) buildLegacy() error {
-	segs := int(s.cfg.Duration/s.cfg.SegmentDuration) + 16
 	for i := 0; i < s.cfg.NumLegacy; i++ {
-		id := s.cfg.NumVideo + s.cfg.NumData + i
-		mpd, err := has.NewMPD(s.cfg.Ladder, s.cfg.SegmentDuration, segs)
+		b, flow, err := s.newFlow(s.cfg.NumVideo+s.cfg.NumData+i, lte.ClassData)
 		if err != nil {
 			return err
 		}
-		mpd.SizeJitter = s.cfg.VBRJitter
-		b := &lte.Bearer{ID: id, UE: id, Class: lte.ClassData}
-		if _, err := s.enb.AddBearer(b); err != nil {
-			return err
-		}
-		flow, err := s.newFlow(b)
-		if err != nil {
-			return err
-		}
-		player, err := has.NewPlayer(&s.env, flow, mpd, abr.NewFestive(s.cfg.Festive, s.rng), s.cfg.Player)
-		if err != nil {
+		player := &s.playerSlab[s.cfg.NumVideo+i]
+		if err := player.Init(&s.env, flow, s.mpd, abr.NewFestive(s.cfg.Festive, s.rng), s.cfg.Player); err != nil {
 			return err
 		}
 		s.legacyBearers = append(s.legacyBearers, b)
 		s.legacyFlows = append(s.legacyFlows, flow)
 		s.legacyPlayers = append(s.legacyPlayers, player)
-		s.allFlows = append(s.allFlows, flow)
 	}
 	return nil
 }

@@ -289,6 +289,14 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	return nil
 }
 
+// Registered reports whether a flow has a session at this controller —
+// the existence probe, costing neither Snapshot's ladder copy nor its
+// error value on a miss.
+func (c *Controller) Registered(flowID int) bool {
+	_, ok := c.flows[flowID]
+	return ok
+}
+
 // SessionSnapshot is a registered flow's portable state, used for
 // inter-cell handover.
 type SessionSnapshot struct {

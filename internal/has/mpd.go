@@ -17,6 +17,9 @@ type Representation struct {
 // MPD is the Media Presentation Description: segment timing plus the
 // available representations. The FLARE plugin extracts the bitrate ladder
 // from it and registers the ladder with the OneAPI server.
+//
+// An MPD is immutable once players stream from it: one value is shared
+// by every player of a cell, none of which writes to it.
 type MPD struct {
 	// SegmentDuration is the play length of every segment.
 	SegmentDuration time.Duration `json:"segment_duration"`
@@ -30,9 +33,15 @@ type MPD struct {
 	// [-1, 1]. 0 (the default) is constant-bitrate. Values are clamped
 	// to [0, 0.9] when sizing.
 	SizeJitter float64 `json:"size_jitter,omitempty"`
+
+	// ladder is the representations' bitrates as NewMPD derived them:
+	// the one read-only Ladder all players of the presentation share.
+	// Nil for an MPD built any other way (decoded from JSON).
+	ladder Ladder
 }
 
-// NewMPD builds an MPD from a ladder.
+// NewMPD builds an MPD from a ladder. Its Representations must not be
+// modified afterwards: players stream by the ladder derived here.
 func NewMPD(ladder Ladder, segDur time.Duration, totalSegments int) (*MPD, error) {
 	if err := ladder.Validate(); err != nil {
 		return nil, err
@@ -54,16 +63,27 @@ func NewMPD(ladder Ladder, segDur time.Duration, totalSegments int) (*MPD, error
 		SegmentDuration: segDur,
 		Representations: reps,
 		TotalSegments:   totalSegments,
+		ladder:          ladder.Clone(),
 	}, nil
 }
 
-// Ladder extracts the bitrate ladder from the representations.
+// Ladder extracts the bitrate ladder from the representations. Every
+// call returns a fresh slice the caller owns.
 func (m *MPD) Ladder() Ladder {
 	l := make(Ladder, len(m.Representations))
 	for i, r := range m.Representations {
 		l[i] = r.BandwidthBps
 	}
 	return l
+}
+
+// sharedLadder returns the ladder players stream by: the read-only one
+// NewMPD derived, or a fresh extraction when there is none.
+func (m *MPD) sharedLadder() Ladder {
+	if m.ladder != nil {
+		return m.ladder
+	}
+	return m.Ladder()
 }
 
 // Rate returns the bitrate of the representation at the given index

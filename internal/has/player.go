@@ -103,9 +103,11 @@ type Player struct {
 	env  transport.Env
 	flow *transport.Flow
 	mpd  *MPD
-	// ladder is mpd's bitrate ladder, extracted once at construction:
-	// state snapshots and per-segment accounting read it every decision,
-	// and MPD.Ladder() allocates per call.
+	// ladder is mpd's bitrate ladder (MPD.sharedLadder: one read-only
+	// slice for every player of the presentation): state snapshots and
+	// per-segment accounting read it every decision, and MPD.Ladder()
+	// allocates per call. Adapters receive it in State and must not
+	// write to it.
 	ladder  Ladder
 	adapter Adapter
 
@@ -152,17 +154,28 @@ type Player struct {
 // NewPlayer builds a player over the given flow. The flow's OnDelivered
 // hook is taken over by the player.
 func NewPlayer(env transport.Env, flow *transport.Flow, mpd *MPD, adapter Adapter, cfg PlayerConfig) (*Player, error) {
-	if err := cfg.validate(); err != nil {
+	p := new(Player)
+	if err := p.Init(env, flow, mpd, adapter, cfg); err != nil {
 		return nil, err
 	}
-	ladder := mpd.Ladder()
+	return p, nil
+}
+
+// Init is NewPlayer into caller-provided storage — the cell simulator
+// carves its players from one slab. p must not be copied afterwards:
+// the callbacks Init binds point at it.
+func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter Adapter, cfg PlayerConfig) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	ladder := mpd.sharedLadder()
 	if err := ladder.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if adapter == nil {
-		return nil, fmt.Errorf("has: nil adapter")
+		return fmt.Errorf("has: nil adapter")
 	}
-	p := &Player{
+	*p = Player{
 		cfg:         cfg,
 		env:         env,
 		flow:        flow,
@@ -179,7 +192,7 @@ func NewPlayer(env transport.Env, flow *transport.Flow, mpd *MPD, adapter Adapte
 	p.sendFn = func(bytes int64) { p.flow.Send(bytes) }
 	p.argSched, _ = env.(transport.ArgScheduler)
 	flow.OnDelivered = p.onBytes
-	return p, nil
+	return nil
 }
 
 // Adapter returns the player's rate-adaptation algorithm.

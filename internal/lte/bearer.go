@@ -1,6 +1,9 @@
 package lte
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BearerClass distinguishes video bearers (eligible for GBR treatment)
 // from best-effort data bearers.
@@ -53,10 +56,6 @@ type Bearer struct {
 	UE int
 	// Class is the traffic class.
 	Class BearerClass
-	// GBRBits is the guaranteed bit rate in bits/s; 0 means non-GBR.
-	GBRBits float64
-	// MBRBits is the maximum bit rate in bits/s; 0 means unlimited.
-	MBRBits float64
 	// QueueLimit caps the queue in bytes; excess Enqueue bytes are
 	// dropped (drop-tail), which is what triggers TCP loss recovery.
 	// 0 means unlimited.
@@ -67,29 +66,54 @@ type Bearer struct {
 	// uses it to generate ACKs.
 	OnDeliver func(bytes int64)
 
+	// GBRBits is the guaranteed bit rate in bits/s; 0 means non-GBR.
+	GBRBits float64
+	// MBRBits is the maximum bit rate in bits/s; 0 means unlimited.
+	MBRBits float64
+
+	// The unexported state is laid out by access pattern, not by topic:
+	// everything tick and the schedulers touch every TTI sits in one
+	// contiguous run starting at the two rates above, so a live bearer's
+	// per-TTI working set is two or three cache lines and a settled
+	// bearer's per-TTI check (stirred) reads only the first.
 	queue int64
 
-	win        WindowStats
-	total      WindowStats
-	avgTput    float64 // EWMA bits/s over avgTputTTIs, for PF metrics
-	fastTput   float64 // EWMA bits/s over fastTputTTIs, for GBR checks
-	gbrCredit  float64 // bytes owed to meet GBR (two-phase scheduler)
-	mbrCredit  float64 // token bucket for strict MBR enforcement
+	// gbrRefBits and mbrRefBits are the rates the cached derivatives
+	// below were computed from — tick refreshes them, and the derivatives,
+	// whenever it runs with a different positive rate, so direct mutation
+	// of the public fields is picked up. On a settled bearer they are
+	// the rates it settled at, positive or not (tickIdleOnce), which is
+	// what lets the eNodeB detect a rate written since.
+	gbrRefBits float64
+	mbrRefBits float64
+
+	// ttiServedBits is the bits served this TTI, written by the service
+	// pass and consumed (re-zeroed) by the accounting pass.
+	ttiServedBits float64
+
+	avgTput   float64 // EWMA bits/s over avgTputTTIs, for PF metrics
+	fastTput  float64 // EWMA bits/s over fastTputTTIs, for GBR checks
+	gbrCredit float64 // bytes owed to meet GBR (two-phase scheduler)
+	mbrCredit float64 // token bucket for strict MBR enforcement
+
+	// Cached per-TTI derivatives of the rates in gbrRefBits/mbrRefBits.
+	// Each is produced by exactly the expression tick used to evaluate
+	// inline, so reuse is bit-identical; caching just removes several FP
+	// divisions from a function that runs once per live bearer per TTI.
+	gbrPerTTI float64 // GBRBits / 8 / TTIsPerSecond
+	gbrLimit  float64 // GBRBits / 8
+	mbrPerTTI float64 // MBRBits / 8 / TTIsPerSecond
+	mbrBurst  float64 // mbrBurstBytes(MBRBits)
+
 	mbrPrimed  bool
 	everServed bool
 
-	// Lazily cached per-TTI derivatives of GBRBits/MBRBits, keyed on the
-	// rate they were derived from so direct mutation of the public
-	// fields is picked up. Each cached value is produced by exactly the
-	// expression tick used to evaluate inline, so reuse is
-	// bit-identical; caching just removes several FP divisions from a
-	// function that runs once per bearer per TTI.
-	gbrRefBits float64
-	gbrPerTTI  float64 // GBRBits / 8 / TTIsPerSecond
-	gbrLimit   float64 // GBRBits / 8
-	mbrRefBits float64
-	mbrPerTTI  float64 // MBRBits / 8 / TTIsPerSecond
-	mbrBurst   float64 // mbrBurstBytes(MBRBits)
+	// idx is the bearer's position in its cell's bearer slice (set by
+	// ENodeB.AddBearer).
+	idx int
+
+	win   WindowStats
+	total WindowStats
 }
 
 // Enqueue adds bytes to the bearer queue and returns the number of bytes
@@ -165,7 +189,8 @@ func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 }
 
 // tick updates the throughput averages with the bits served this TTI.
-// Called once per TTI for every bearer, served or not.
+// Called once per TTI for every bearer that is not settled, served or
+// not.
 //
 //flare:hotpath
 func (b *Bearer) tick(servedBits float64) {
@@ -211,33 +236,92 @@ func (b *Bearer) tick(servedBits float64) {
 	}
 }
 
+// minNormalTput is the smallest normal float64. The idle decay
+// a -= a/N changes every normal a (a/N is far above a's last bit), so
+// an average at or above it cannot be at its fixed point.
+const minNormalTput = 0x1p-1022
+
+// endTTI is the bearer's end-of-TTI accounting: one tick with the bits
+// served this TTI (consumed and re-zeroed). It reports whether the
+// bearer is now settled. Only a bearer whose slow average has already
+// left the normal range, and that was neither served nor left
+// backlogged, is even tested; the average comes first because that
+// branch predicts (whether a busy bearer was served in a given TTI does
+// not). The worker-pool decay phase calls this; ENodeB.RunTTI's
+// sequential pass has the same body written out — keep them in step.
+func (b *Bearer) endTTI() bool {
+	served := b.ttiServedBits
+	if b.avgTput < minNormalTput && served == 0 && b.queue == 0 {
+		return b.tickIdleOnce()
+	}
+	b.ttiServedBits = 0
+	b.tick(served)
+	return false
+}
+
+// tickIdleOnce is tick(0) plus the fixed-point test: it reports whether
+// the tick left the accounting state bit-identical. tick(0) is a
+// deterministic function of that state and the bearer's GBR/MBR, so a
+// true result proves every further idle tick at the same rates is a
+// no-op — the one fact both tickIdle and the eNodeB's settled set rest
+// on.
+func (b *Bearer) tickIdleOnce() bool {
+	prevAvg, prevFast := b.avgTput, b.fastTput
+	prevGBR, prevMBR := b.gbrCredit, b.mbrCredit
+	prevPrimed := b.mbrPrimed
+	b.tick(0)
+	if b.avgTput != prevAvg || b.fastTput != prevFast ||
+		b.gbrCredit != prevGBR || b.mbrCredit != prevMBR ||
+		b.mbrPrimed != prevPrimed {
+		return false
+	}
+	// Record the rates the fixed point holds at. tick has done so for a
+	// positive rate; a rate of zero or below it never looks up, so
+	// writing it here cannot disagree with the cached derivatives — they
+	// are only read after a positive rate has been compared with the ref.
+	b.gbrRefBits, b.mbrRefBits = b.GBRBits, b.MBRBits
+	return true
+}
+
 // tickIdle replays k idle TTIs (tick(0) k times) — the fast-forward
 // catch-up for a bearer that was neither enqueued into nor served while
-// the kernel skipped dead TTIs.
+// the kernel skipped dead TTIs. It reports whether the replay ended at
+// a fixed point (see tickIdleOnce).
 //
 // Determinism is the contract here: results must be byte-identical to
 // calling tick(0) k times, so no closed form (pow-based EWMA decay,
 // multiply-accumulate credits) is admissible — IEEE-754 rounding makes
 // a*(1-1/N)^k differ from the iterated a -= a/N in the last bits. What
-// IS admissible is fixed-point detection: tick(0) is a deterministic
-// function of the bearer's accounting state, so the first iteration
-// that leaves that state bit-identical proves every further iteration
-// is a no-op and the remaining k can be dropped. In practice the EWMAs
-// hit zero (through the denormals) and the GBR/MBR credits saturate at
-// their clamps within a bounded number of steps, so long skips cost far
-// less than k iterations.
-func (b *Bearer) tickIdle(k int64) {
+// IS admissible is fixed-point detection: the first iteration that
+// leaves the state bit-identical proves every further iteration is a
+// no-op and the remaining k can be dropped. The EWMAs do not reach
+// zero: a -= a/N stalls at a small non-zero denormal (2.47e-322 for the
+// 100-TTI window, 1e-322 for the 40-TTI one, where a/N rounds to zero),
+// about 75 simulated seconds after the last service; the GBR/MBR
+// credits saturate at their clamps within a second. So long skips cost
+// far less than k iterations, and an idle bearer always ends up at a
+// fixed point.
+func (b *Bearer) tickIdle(k int64) bool {
 	for i := int64(0); i < k; i++ {
-		prevAvg, prevFast := b.avgTput, b.fastTput
-		prevGBR, prevMBR := b.gbrCredit, b.mbrCredit
-		prevPrimed := b.mbrPrimed
-		b.tick(0)
-		if b.avgTput == prevAvg && b.fastTput == prevFast &&
-			b.gbrCredit == prevGBR && b.mbrCredit == prevMBR &&
-			b.mbrPrimed == prevPrimed {
-			return // fixed point: all further idle ticks are no-ops
+		if b.tickIdleOnce() {
+			return true // fixed point: all further idle ticks are no-ops
 		}
 	}
+	return false
+}
+
+// stirred reports whether a settled bearer has to rejoin the per-TTI
+// passes: bytes were enqueued, or its GBR/MBR no longer equal the rates
+// of the tick that proved it settled (through SetGBR/SetMBR or a direct
+// write to the fields — the next tick would act on the new rate). This
+// is all a settled bearer costs per pass, so the three tests are folded
+// into one branch; comparing the rates' bit patterns errs only towards
+// true (-0 against +0), and a spurious re-admission is just one more
+// no-op tick.
+func (b *Bearer) stirred() bool {
+	return uint64(b.queue)|
+		(math.Float64bits(b.GBRBits)^math.Float64bits(b.gbrRefBits))|
+		(math.Float64bits(b.MBRBits)^math.Float64bits(b.mbrRefBits)) != 0
 }
 
 // mbrBurstBytes is the MBR token bucket depth: 50 ms at the cap rate.

@@ -16,6 +16,20 @@ type ENodeB struct {
 	byID     map[int]*Bearer
 	rbgSizes []int
 
+	// live and settled partition bearers. A bearer is settled when it
+	// has no backlog and an idle tick provably leaves its accounting
+	// state bit-identical at its current GBR/MBR (Bearer.tickIdleOnce);
+	// every per-TTI pass — active-set scan, accounting, Idle,
+	// FastForwardIdle — walks live only, so the skipped ticks are
+	// exactly the ticks that were no-ops. live stays in bearer order
+	// (the scheduler must see the active set in that order); settled
+	// bearers cost one stirred() compare per pass until an Enqueue or a
+	// GBR/MBR change re-admits them (readmit). NewENodeB sizes both
+	// slices for one bearer per UE, so in a cell built that way neither
+	// grows during a run.
+	live    []*Bearer
+	settled []*Bearer
+
 	// flowStates is a persistent per-bearer scratch slice, parallel to
 	// bearers: the Bearer pointer and index are written once at AddBearer
 	// time, so the per-TTI refresh only touches the volatile fields
@@ -23,10 +37,6 @@ type ENodeB struct {
 	// the subset handed to the scheduler, rebuilt each TTI.
 	flowStates []FlowState
 	active     []*FlowState
-	// served accumulates the bits served per bearer within a TTI; each
-	// entry is re-zeroed as it is consumed by the tick loop, so the
-	// slice never needs a bulk memclear.
-	served []float64
 
 	// pool and par, when set (SetWorkerPool), split RunTTI's per-bearer
 	// phases across a worker pool with bearer-ID-ordered folds; nil
@@ -35,13 +45,20 @@ type ENodeB struct {
 	par  *enbParallel
 }
 
-// NewENodeB creates a cell with the given channel and scheduler.
+// NewENodeB creates a cell with the given channel and scheduler. The
+// per-bearer tables are sized for one bearer per UE up front (more
+// still fit, by growing), so assembling a cell does not regrow them.
 func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
+	n := ch.NumUEs()
 	return &ENodeB{
-		channel:  ch,
-		sched:    sched,
-		byID:     make(map[int]*Bearer),
-		rbgSizes: RBGSizes(),
+		channel:    ch,
+		sched:      sched,
+		bearers:    make([]*Bearer, 0, n),
+		byID:       make(map[int]*Bearer, n),
+		live:       make([]*Bearer, 0, n),
+		settled:    make([]*Bearer, 0, n),
+		flowStates: make([]FlowState, 0, n),
+		rbgSizes:   RBGSizes(),
 	}
 }
 
@@ -63,10 +80,12 @@ func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	if b.UE < 0 || b.UE >= e.channel.NumUEs() {
 		return nil, fmt.Errorf("lte: bearer %d references UE %d, channel has %d UEs", b.ID, b.UE, e.channel.NumUEs())
 	}
-	idx := len(e.bearers)
+	b.idx = len(e.bearers)
 	e.bearers = append(e.bearers, b)
-	e.flowStates = append(e.flowStates, FlowState{Bearer: b, idx: idx})
-	e.served = append(e.served, 0)
+	e.flowStates = append(e.flowStates, FlowState{Bearer: b})
+	// A new bearer starts live; its first accounting pass settles it if
+	// it is idle.
+	e.live = append(e.live, b)
 	if e.byID == nil {
 		e.byID = make(map[int]*Bearer)
 	}
@@ -126,15 +145,17 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 	//flare:allow hotpath frontier: the Channel impls (Static/Cyclic/Trace/MobilityChannel) update preallocated per-UE state in place; the flarebench TTI-rate and allocs/op gates cover them
 	e.channel.Update(tti)
 
-	// Build the schedulable set: bearers with backlog. Idle bearers'
-	// FlowStates are not touched at all — only the volatile fields of
-	// active flows are refreshed (Bearer and idx are fixed at AddBearer).
+	// Build the schedulable set: live bearers with backlog. Idle
+	// bearers' FlowStates are not touched at all — only the volatile
+	// fields of active flows are refreshed (Bearer is fixed at
+	// AddBearer).
+	e.readmit()
 	e.active = e.active[:0]
-	for i, b := range e.bearers {
+	for _, b := range e.live {
 		if b.queue <= 0 {
 			continue
 		}
-		f := &e.flowStates[i]
+		f := &e.flowStates[b.idx]
 		//flare:allow hotpath frontier: Channel.ITbs impls are single array reads on all four in-tree channels; the flarebench gates cover them
 		f.ITbs = e.channel.ITbs(b.UE)
 		f.BitsPerRB = BitsPerRB(f.ITbs)
@@ -155,24 +176,70 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 			served := f.Bearer.serve(capBytes, f.granted)
 			res.ServedBytes += served
 			res.UsedRBs += f.granted
-			e.served[f.idx] = float64(served * 8)
+			f.Bearer.ttiServedBits = float64(served * 8)
 		}
 	}
 
-	// Throughput averages decay every TTI for every bearer; re-zero each
-	// served entry as it is consumed so the next TTI starts clean.
-	for i, b := range e.bearers {
-		b.tick(e.served[i])
-		e.served[i] = 0
+	// Throughput averages decay every TTI for every live bearer; the
+	// ones the tick proves settled leave the live set here. The body is
+	// Bearer.endTTI written out: endTTI is too big to inline, and the
+	// extra call per bearer per TTI measured 5 % on a saturated cell,
+	// whose bearers all take the direct call to tick.
+	n := 0
+	for _, b := range e.live {
+		if b.avgTput < minNormalTput && b.ttiServedBits == 0 && b.queue == 0 {
+			n = e.keepLive(n, b, b.tickIdleOnce())
+			continue
+		}
+		b.tick(b.ttiServedBits)
+		b.ttiServedBits = 0
+		e.live[n] = b
+		n++
 	}
+	e.live = e.live[:n]
 	return res
+}
+
+// keepLive is the body of the loops that filter live in place: b goes
+// back into live at position n, or — settled — onto the settled set. It
+// returns the next free position.
+func (e *ENodeB) keepLive(n int, b *Bearer, settled bool) int {
+	if settled {
+		e.settled = append(e.settled, b)
+		return n
+	}
+	e.live[n] = b
+	return n + 1
+}
+
+// readmit moves every settled bearer that was enqueued into or had its
+// GBR/MBR changed back into the live set, at its place in bearer order.
+// It runs at the top of every per-TTI pass, so a change made at any
+// point between passes is honoured by the next one.
+func (e *ENodeB) readmit() {
+	n := 0
+	for _, b := range e.settled {
+		if !b.stirred() {
+			e.settled[n] = b
+			n++
+			continue
+		}
+		i := len(e.live)
+		e.live = append(e.live, b)
+		for ; i > 0 && e.live[i-1].idx > b.idx; i-- {
+			e.live[i] = e.live[i-1]
+		}
+		e.live[i] = b
+	}
+	e.settled = e.settled[:n]
 }
 
 // Idle reports whether no bearer has queued bytes — together with an
 // inert transport layer and an empty event horizon, the condition under
 // which the kernel may fast-forward past this cell's TTIs.
 func (e *ENodeB) Idle() bool {
-	for _, b := range e.bearers {
+	e.readmit()
+	for _, b := range e.live {
 		if b.queue > 0 {
 			return false
 		}
@@ -191,9 +258,10 @@ func (e *ENodeB) CanFastForward() bool {
 // (fromTTI, toTTI) exclusive, under the precondition that the cell was
 // idle for the whole span (no backlog, so no scheduling and no service).
 // The channel catches up its internal state (including RNG consumption)
-// and every bearer replays its idle accounting decay. The kernel calls
-// RunTTI(toTTI) itself on the wake TTI. Results are byte-identical to
-// the naive per-TTI loop.
+// and every live bearer replays its idle accounting decay, settling if
+// the replay reaches its fixed point. The kernel calls RunTTI(toTTI)
+// itself on the wake TTI. Results are byte-identical to the naive
+// per-TTI loop.
 func (e *ENodeB) FastForwardIdle(fromTTI, toTTI int64) {
 	if cc, ok := e.channel.(ChannelCatchUp); ok {
 		//flare:allow hotpath frontier: CatchUp runs once per idle span, not per TTI, and the in-tree impls advance RNG state in place; the kernel-jump equivalence tests cover it
@@ -203,7 +271,10 @@ func (e *ENodeB) FastForwardIdle(fromTTI, toTTI int64) {
 	if k <= 0 {
 		return
 	}
-	for _, b := range e.bearers {
-		b.tickIdle(k)
+	e.readmit()
+	n := 0
+	for _, b := range e.live {
+		n = e.keepLive(n, b, b.tickIdle(k))
 	}
+	e.live = e.live[:n]
 }

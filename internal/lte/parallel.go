@@ -13,10 +13,11 @@ import "github.com/flare-sim/flare/internal/sim"
 //	                   sequential otherwise (the mobility random walk
 //	                   consumes a shared RNG stream in UE order).
 //	active-set build — volatile FlowState refresh is per-bearer
-//	                   independent (parallel, via a per-bearer mask);
-//	                   the compaction into the scheduler's active slice
-//	                   is a sequential scan in bearer order, so the
-//	                   scheduler sees exactly the sequential slice.
+//	                   independent (parallel over the live set, via a
+//	                   per-bearer mask); the compaction into the
+//	                   scheduler's active slice is a sequential scan in
+//	                   bearer order, so the scheduler sees exactly the
+//	                   sequential slice.
 //	Allocate         — inherently sequential: every scheduler here is a
 //	                   sticky argmax whose pick at RBG k depends on the
 //	                   grants of RBGs 0..k-1.
@@ -26,14 +27,19 @@ import "github.com/flare-sim/flare/internal/sim"
 //	                   in the sequential fold below, in bearer-ID order
 //	                   — the same order serve interleaves them in the
 //	                   sequential loop.
-//	decay            — Bearer.tick is pure per-bearer accounting
-//	                   (parallel).
+//	decay            — Bearer.endTTI is pure per-bearer accounting
+//	                   (parallel over the live set); which bearers it
+//	                   found settled comes back through the mask, and
+//	                   the move out of the live set is a sequential
+//	                   scan.
 type enbParallel struct {
 	chanPhase  enbChanPhase
 	buildPhase enbBuildPhase
 	drainPhase enbDrainPhase
 	decayPhase enbDecayPhase
-	activeMask []bool
+	// mask is one flag per live bearer: "backlogged" out of the build
+	// phase, "settled" out of the decay phase.
+	mask []bool
 }
 
 // SetWorkerPool attaches (or with nil detaches) a worker pool to the
@@ -69,25 +75,25 @@ type enbChanPhase struct {
 func (p *enbChanPhase) RunRange(lo, hi int) { p.ru.UpdateRange(p.tti, lo, hi) }
 
 // enbBuildPhase refreshes the volatile FlowState fields of backlogged
-// bearers and marks them in activeMask. Writes are per-bearer disjoint;
-// the sequential compaction scan in runTTIParallel turns the mask into
-// the scheduler's active slice in bearer order.
+// live bearers and marks them in the mask. Writes are per-bearer
+// disjoint; the sequential compaction scan in runTTIParallel turns the
+// mask into the scheduler's active slice in bearer order.
 type enbBuildPhase struct{ e *ENodeB }
 
 func (p *enbBuildPhase) RunRange(lo, hi int) {
 	e := p.e
 	for i := lo; i < hi; i++ {
-		b := e.bearers[i]
+		b := e.live[i]
 		if b.queue <= 0 {
-			e.par.activeMask[i] = false
+			e.par.mask[i] = false
 			continue
 		}
-		f := &e.flowStates[i]
+		f := &e.flowStates[b.idx]
 		f.ITbs = e.channel.ITbs(b.UE)
 		f.BitsPerRB = BitsPerRB(f.ITbs)
 		f.remaining = b.queue
 		f.granted = 0
-		e.par.activeMask[i] = true
+		e.par.mask[i] = true
 	}
 }
 
@@ -106,16 +112,15 @@ func (p *enbDrainPhase) RunRange(lo, hi int) {
 	}
 }
 
-// enbDecayPhase runs the per-TTI throughput/credit decay — pure
-// per-bearer math, with each served entry re-zeroed as it is consumed
-// exactly like the sequential loop.
+// enbDecayPhase runs the per-TTI accounting of the live bearers — pure
+// per-bearer math, exactly the sequential loop's endTTI call — and
+// records which of them it found settled.
 type enbDecayPhase struct{ e *ENodeB }
 
 func (p *enbDecayPhase) RunRange(lo, hi int) {
 	e := p.e
 	for i := lo; i < hi; i++ {
-		e.bearers[i].tick(e.served[i])
-		e.served[i] = 0
+		e.par.mask[i] = e.live[i].endTTI()
 	}
 }
 
@@ -134,14 +139,15 @@ func (e *ENodeB) runTTIParallel(tti int64) TTIResult {
 		e.channel.Update(tti)
 	}
 
-	if len(e.par.activeMask) != len(e.bearers) {
-		e.par.activeMask = make([]bool, len(e.bearers))
+	e.readmit()
+	if len(e.par.mask) < len(e.live) {
+		e.par.mask = make([]bool, len(e.bearers))
 	}
-	e.pool.Do(len(e.bearers), &e.par.buildPhase)
+	e.pool.Do(len(e.live), &e.par.buildPhase)
 	e.active = e.active[:0]
-	for i, on := range e.par.activeMask {
-		if on {
-			e.active = append(e.active, &e.flowStates[i])
+	for i, b := range e.live {
+		if e.par.mask[i] {
+			e.active = append(e.active, &e.flowStates[b.idx])
 		}
 	}
 
@@ -159,7 +165,7 @@ func (e *ENodeB) runTTIParallel(tti int64) TTIResult {
 			}
 			res.ServedBytes += f.served
 			res.UsedRBs += f.granted
-			e.served[f.idx] = float64(f.served * 8)
+			f.Bearer.ttiServedBits = float64(f.served * 8)
 			if f.served > 0 {
 				if cb := f.Bearer.OnDeliver; cb != nil {
 					cb(f.served)
@@ -168,6 +174,11 @@ func (e *ENodeB) runTTIParallel(tti int64) TTIResult {
 		}
 	}
 
-	e.pool.Do(len(e.bearers), &e.par.decayPhase)
+	e.pool.Do(len(e.live), &e.par.decayPhase)
+	n := 0
+	for i, b := range e.live {
+		n = e.keepLive(n, b, e.par.mask[i])
+	}
+	e.live = e.live[:n]
 	return res
 }

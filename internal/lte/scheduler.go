@@ -16,8 +16,6 @@ type FlowState struct {
 	remaining int64
 	// granted accumulates RBs granted this TTI.
 	granted int
-	// idx is the bearer's index in the eNodeB's bearer slice.
-	idx int
 
 	// pf caches the PF metric for the TTI. The metric's inputs (iTbs and
 	// the average-throughput EWMA) are constant within a TTI — the EWMA

@@ -19,7 +19,6 @@ func makeFlows(iTbs int, backlogs ...int64) ([]*FlowState, []*Bearer) {
 			ITbs:      iTbs,
 			BitsPerRB: BitsPerRB(iTbs),
 			remaining: bl,
-			idx:       i,
 		}
 		flows[i] = &states[i]
 	}

@@ -354,10 +354,11 @@ func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) 
 	c := s.cell(cellID)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if snap, snapErr := c.controller.Snapshot(req.FlowID); snapErr == nil {
+	if c.controller.Registered(req.FlowID) {
 		// The flow is already registered: idempotent when the ladder
 		// matches (preferences are simply refreshed), conflict when it
 		// does not.
+		snap, _ := c.controller.Snapshot(req.FlowID) // cannot miss: registered, and c.mu is held
 		if !sameLadder(snap.Ladder, ladder) {
 			return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrSessionConflict)
 		}
@@ -780,7 +781,7 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 	defer c.mu.Unlock()
 	a, ok := c.current[flowID]
 	if !ok {
-		if _, err := c.controller.Snapshot(flowID); err != nil {
+		if !c.controller.Registered(flowID) {
 			return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrUnknownSession)
 		}
 		return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrNoAssignment)

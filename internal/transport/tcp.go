@@ -134,10 +134,21 @@ type Flow struct {
 // NewFlow wires a TCP flow onto a bearer. The bearer's OnDeliver hook and
 // QueueLimit are taken over by the flow.
 func NewFlow(env Env, bearer *lte.Bearer, cfg Config) (*Flow, error) {
-	if err := cfg.validate(); err != nil {
+	f := new(Flow)
+	if err := f.Init(env, bearer, cfg); err != nil {
 		return nil, err
 	}
-	f := &Flow{
+	return f, nil
+}
+
+// Init is NewFlow into caller-provided storage — the cell simulator
+// carves its flows from one slab. f must not be copied afterwards: the
+// callbacks Init binds point at it.
+func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	*f = Flow{
 		env:         env,
 		bearer:      bearer,
 		cfg:         cfg,
@@ -155,7 +166,7 @@ func NewFlow(env Env, bearer *lte.Bearer, cfg Config) (*Flow, error) {
 	}
 	bearer.QueueLimit = cfg.QueueLimit
 	bearer.OnDeliver = f.onRadioDeliver
-	return f, nil
+	return nil
 }
 
 // Bearer returns the radio bearer this flow rides on.
