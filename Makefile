@@ -58,6 +58,10 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAdmission -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzDirective -fuzztime 10s
+	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsReportDecode -fuzztime 10s
+	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsResponseDecode -fuzztime 10s
+	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzAssignmentDecode -fuzztime 10s
+	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzWireEncode -fuzztime 10s
 
 race:
 	$(GO) test -race ./...

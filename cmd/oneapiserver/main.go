@@ -162,9 +162,9 @@ func run() int {
 // buildHandler assembles the full HTTP surface: the OneAPI handler
 // (wrapped in the fault middleware when configured) plus the /metrics
 // and /debug/flare observability endpoints, which bypass fault
-// injection. It returns the mux, the server's flight recorder, and the
-// server itself (for the shutdown drain). shards <= 0 uses the oneapi
-// default.
+// injection. It returns the root handler, the server's flight recorder,
+// and the server itself (for the shutdown drain). shards <= 0 uses the
+// oneapi default.
 func buildHandler(cfg core.Config, faultCfg faults.Config, ringSize, shards int) (http.Handler, *obs.Recorder, *oneapi.Server) {
 	rec := obs.New(obs.Options{RingSize: ringSize})
 	var server *oneapi.Server
@@ -175,20 +175,31 @@ func buildHandler(cfg core.Config, faultCfg faults.Config, ringSize, shards int)
 	}
 	server.SetRecorder(rec)
 
-	api := http.Handler(oneapi.Handler(server))
+	api := oneapi.Handler(server)
 	if faultCfg.Enabled() {
 		api = faults.Middleware(faults.New(faultCfg), api)
 	}
+	return &root{api: api, metrics: obs.MetricsHandler(rec.Metrics()), debug: obs.DebugHandler(rec)}, rec, server
+}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", api)
-	metrics := obs.MetricsHandler(rec.Metrics())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		metrics.ServeHTTP(w, r)
+// root is the process's route table above the API's own: the two
+// observability paths by exact match, everything else to the API. No
+// ServeMux sits on the way — a request costs two string compares here
+// and one pass of oneapi.Handler's table.
+type root struct {
+	api, metrics, debug http.Handler
+}
+
+func (h *root) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/metrics":
+		h.metrics.ServeHTTP(w, r)
 		writeProcessGauges(w)
-	})
-	mux.Handle("/debug/flare", obs.DebugHandler(rec))
-	return mux, rec, server
+	case "/debug/flare":
+		h.debug.ServeHTTP(w, r)
+	default:
+		h.api.ServeHTTP(w, r)
+	}
 }
 
 // writeProcessGauges appends the process's memory picture to a /metrics

@@ -89,12 +89,15 @@ func (c ClientConfig) normalized() ClientConfig {
 // re-opens with the remembered ladder and preferences before retrying.
 // It is safe for concurrent use.
 type Client struct {
-	baseURL string
-	http    *http.Client
-	cellID  int
-	flowID  int
-	cfg     ClientConfig
-	rec     *obs.Recorder // nil = telemetry disabled
+	http   *http.Client
+	cellID int
+	flowID int
+	cfg    ClientConfig
+	rec    *obs.Recorder // nil = telemetry disabled
+
+	// The session's four URLs, built once: a client serves one flow in
+	// one cell for its whole life (a handed-over session gets a new one).
+	openURL, sessionURL, prefsURL, pollURL string
 
 	mu       sync.Mutex
 	rng      *sim.RNG
@@ -121,9 +124,15 @@ func NewClientWithConfig(baseURL string, cellID, flowID int, httpc *http.Client,
 		httpc = http.DefaultClient
 	}
 	cfg = cfg.normalized()
+	cell := baseURL + "/oneapi/v4/cells/" + strconv.Itoa(cellID)
+	session := cell + "/sessions/" + strconv.Itoa(flowID)
 	return &Client{
-		baseURL: baseURL, http: httpc, cellID: cellID, flowID: flowID,
+		http: httpc, cellID: cellID, flowID: flowID,
 		cfg: cfg, rng: sim.NewRNG(cfg.JitterSeed),
+		openURL:    cell + "/sessions",
+		sessionURL: session,
+		prefsURL:   session + "/preferences",
+		pollURL:    cell + "/assignments/" + strconv.Itoa(flowID),
 	}
 }
 
@@ -164,8 +173,7 @@ func (c *Client) OpenContext(ctx context.Context, ladder has.Ladder, prefs core.
 	if err != nil {
 		return fmt.Errorf("oneapi: marshal session request: %w", err)
 	}
-	url := fmt.Sprintf("%s/oneapi/v4/cells/%d/sessions", c.baseURL, c.cellID)
-	resp, err := c.do(ctx, http.MethodPost, url, body)
+	resp, err := c.do(ctx, http.MethodPost, c.openURL, body)
 	if err != nil {
 		return fmt.Errorf("oneapi: open session: %w", err)
 	}
@@ -237,8 +245,7 @@ func (c *Client) canReopen() bool {
 }
 
 func (c *Client) pollOnce(ctx context.Context) (AssignmentResponse, bool, error) {
-	url := fmt.Sprintf("%s/oneapi/v4/cells/%d/assignments/%d", c.baseURL, c.cellID, c.flowID)
-	resp, err := c.do(ctx, http.MethodGet, url, nil)
+	resp, err := c.do(ctx, http.MethodGet, c.pollURL, nil)
 	if err != nil {
 		return AssignmentResponse{}, false, fmt.Errorf("oneapi: poll: %w", err)
 	}
@@ -246,7 +253,11 @@ func (c *Client) pollOnce(ctx context.Context) (AssignmentResponse, bool, error)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var a AssignmentResponse
-		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
+		body, err := readResponse(resp)
+		if err == nil {
+			err = decodeAssignmentResponse(body, &a)
+		}
+		if err != nil {
 			return AssignmentResponse{}, false, fmt.Errorf("oneapi: decode assignment: %w", err)
 		}
 		return a, true, nil
@@ -282,8 +293,7 @@ func (c *Client) UpdatePreferencesContext(ctx context.Context, prefs core.Prefer
 	if err != nil {
 		return fmt.Errorf("oneapi: marshal preferences: %w", err)
 	}
-	url := fmt.Sprintf("%s/oneapi/v4/cells/%d/sessions/%d/preferences", c.baseURL, c.cellID, c.flowID)
-	resp, err := c.do(ctx, http.MethodPut, url, body)
+	resp, err := c.do(ctx, http.MethodPut, c.prefsURL, body)
 	if err != nil {
 		return fmt.Errorf("oneapi: update preferences: %w", err)
 	}
@@ -304,8 +314,7 @@ func (c *Client) Close() error {
 
 // CloseContext is Close bounded by ctx.
 func (c *Client) CloseContext(ctx context.Context) error {
-	url := fmt.Sprintf("%s/oneapi/v4/cells/%d/sessions/%d", c.baseURL, c.cellID, c.flowID)
-	resp, err := c.do(ctx, http.MethodDelete, url, nil)
+	resp, err := c.do(ctx, http.MethodDelete, c.sessionURL, nil)
 	if err != nil {
 		return fmt.Errorf("oneapi: close session: %w", err)
 	}
@@ -452,13 +461,13 @@ func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string,
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	body, err := json.Marshal(report)
+	body, err := appendStatsReport(make([]byte, 0, statsReportSize(report)), report)
 	if err != nil {
 		return StatsResponse{}, fmt.Errorf("oneapi: marshal stats report: %w", err)
 	}
 	reqCtx, cancel := context.WithTimeout(ctx, DefaultClientConfig().RequestTimeout)
 	defer cancel()
-	url := fmt.Sprintf("%s/oneapi/v4/cells/%d/stats", baseURL, cellID)
+	url := baseURL + "/oneapi/v4/cells/" + strconv.Itoa(cellID) + "/stats"
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return StatsResponse{}, fmt.Errorf("oneapi: build stats request: %w", err)
@@ -473,7 +482,11 @@ func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string,
 		return StatsResponse{}, fmt.Errorf("oneapi: report stats: %w", respErr(resp))
 	}
 	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	raw, err := readResponse(resp)
+	if err == nil {
+		err = decodeStatsResponse(raw, &sr)
+	}
+	if err != nil {
 		return StatsResponse{}, fmt.Errorf("oneapi: decode stats response: %w", err)
 	}
 	return sr, nil
@@ -512,6 +525,17 @@ func ReportStatsBatch(ctx context.Context, httpc *http.Client, baseURL string, r
 		return BatchStatsResponse{}, fmt.Errorf("oneapi: decode batch stats response: %w", err)
 	}
 	return br, nil
+}
+
+// readResponse reads a response body in one piece, sized by the
+// server's Content-Length where it sent a plausible one.
+func readResponse(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBatchBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 func drainClose(rc io.ReadCloser) {

@@ -10,7 +10,13 @@
 // principle.
 package oneapi
 
-import "github.com/flare-sim/flare/internal/core"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+
+	"github.com/flare-sim/flare/internal/core"
+)
 
 // SessionRequest registers a video flow with the OneAPI server: the
 // plugin sends the bitrate ladder parsed from the MPD (with identifying
@@ -104,4 +110,280 @@ type BatchStatsResult struct {
 // request order.
 type BatchStatsResponse struct {
 	Results []BatchStatsResult `json:"results"`
+}
+
+// Wire codecs for the messages that carry the traffic: the plugin poll
+// (AssignmentResponse) and the eNodeB statistics exchange (StatsReport,
+// StatsResponse). Each append function emits the bytes json.Marshal
+// emits for the value, and each decode function stores into its
+// argument what json.Unmarshal would — same documents accepted, same
+// documents refused — without reflection (see jsonwire.go for the
+// contract's fine print). The other messages are sent once per session
+// or less and stay on encoding/json.
+
+// appendAssignmentResponse appends a's JSON encoding to dst.
+func appendAssignmentResponse(dst []byte, a AssignmentResponse) ([]byte, error) {
+	e := wireEnc{b: dst}
+	e.raw(`{"flow_id":`)
+	e.int(int64(a.FlowID))
+	e.raw(`,"rate_bps":`)
+	e.float(a.RateBps)
+	e.raw(`,"level":`)
+	e.int(int64(a.Level))
+	e.raw(`,"bai_seq":`)
+	e.int(a.BAISeq)
+	if a.CellSeq != 0 {
+		e.raw(`,"cell_seq":`)
+		e.int(a.CellSeq)
+	}
+	e.raw(`}`)
+	return e.b, e.err
+}
+
+// appendStatsResponse appends r's JSON encoding to dst.
+func appendStatsResponse(dst []byte, r StatsResponse) ([]byte, error) {
+	e := wireEnc{b: dst}
+	e.raw(`{"assignments":`)
+	if r.Assignments == nil {
+		e.raw(`null`)
+	} else {
+		e.raw(`[`)
+		for i, a := range r.Assignments {
+			if i > 0 {
+				e.raw(`,`)
+			}
+			e.raw(`{"flow_id":`)
+			e.int(int64(a.FlowID))
+			e.raw(`,"level":`)
+			e.int(int64(a.Level))
+			e.raw(`,"rate_bps":`)
+			e.float(a.RateBps)
+			e.raw(`}`)
+		}
+		e.raw(`]`)
+	}
+	if r.BAISeq != 0 {
+		e.raw(`,"bai_seq":`)
+		e.int(r.BAISeq)
+	}
+	if len(r.Failed) > 0 {
+		e.raw(`,"failed":[`)
+		for i, f := range r.Failed {
+			if i > 0 {
+				e.raw(`,`)
+			}
+			e.raw(`{"flow_id":`)
+			e.int(int64(f.FlowID))
+			e.raw(`,"reason":`)
+			e.str(f.Reason)
+			e.raw(`}`)
+		}
+		e.raw(`]`)
+	}
+	e.raw(`}`)
+	return e.b, e.err
+}
+
+// statsResponseSize is a capacity for r's encoding that the ladders and
+// flow counts in use do not outgrow, so a response is one allocation.
+func statsResponseSize(r StatsResponse) int {
+	n := 64 + 64*len(r.Assignments)
+	for _, f := range r.Failed {
+		n += 48 + len(f.Reason)
+	}
+	return n
+}
+
+// appendStatsReport appends r's JSON encoding to dst, flows in the
+// order json.Marshal gives a map: by key as a decimal string.
+func appendStatsReport(dst []byte, r StatsReport) ([]byte, error) {
+	e := wireEnc{b: dst}
+	e.raw(`{"flows":`)
+	if r.Flows == nil {
+		e.raw(`null`)
+	} else {
+		ids := make([]int, 0, len(r.Flows))
+		for id := range r.Flows {
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, compareDecimal)
+		e.raw(`{`)
+		for i, id := range ids {
+			if i > 0 {
+				e.raw(`,`)
+			}
+			fs := r.Flows[id]
+			e.raw(`"`)
+			e.int(int64(id))
+			e.raw(`":{"bytes":`)
+			e.int(fs.Bytes)
+			e.raw(`,"rbs":`)
+			e.int(fs.RBs)
+			if fs.BytesPerRBHint != 0 {
+				e.raw(`,"bytes_per_rb_hint":`)
+				e.float(fs.BytesPerRBHint)
+			}
+			e.raw(`}`)
+		}
+		e.raw(`}`)
+	}
+	e.raw(`,"num_data_flows":`)
+	e.int(int64(r.NumDataFlows))
+	if r.Seq != 0 {
+		e.raw(`,"seq":`)
+		e.int(r.Seq)
+	}
+	e.raw(`}`)
+	return e.b, e.err
+}
+
+// statsReportSize is statsResponseSize's counterpart for a report.
+func statsReportSize(r StatsReport) int { return 64 + 64*len(r.Flows) }
+
+// decodeStatsReport is json.Unmarshal(data, r).
+func decodeStatsReport(data []byte, r *StatsReport) error {
+	if err := checkJSON(data); err != nil {
+		return err
+	}
+	d := wireDec{b: data}
+	isObject, err := d.open('{', "StatsReport")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "flows"):
+			err = d.flowsInto(&r.Flows)
+		case keyIs(key, "num_data_flows"):
+			err = d.intInto(&r.NumDataFlows, "StatsReport.num_data_flows")
+		case keyIs(key, "seq"):
+			err = d.int64Into(&r.Seq, "StatsReport.seq")
+		default:
+			d.skip()
+		}
+	}
+	return err
+}
+
+// flowsInto stores a flows object: a repeated member adds to the map
+// the first one made, a repeated flow replaces the earlier entry whole.
+func (d *wireDec) flowsInto(m *map[int]core.FlowStats) error {
+	isObject, err := d.open('{', "StatsReport.flows")
+	if err != nil {
+		return err
+	}
+	if !isObject {
+		*m = nil
+		return nil
+	}
+	if *m == nil {
+		*m = make(map[int]core.FlowStats, d.sizeHint())
+	}
+	for first := true; d.more('}', first); first = false {
+		key := d.key()
+		id, err := strconv.ParseInt(string(key), 10, strconv.IntSize)
+		if err != nil {
+			return fmt.Errorf("oneapi: json: cannot decode flow id %q into StatsReport.flows", key)
+		}
+		var fs core.FlowStats
+		if err := d.flowStatsInto(&fs); err != nil {
+			return err
+		}
+		(*m)[int(id)] = fs
+	}
+	return nil
+}
+
+func (d *wireDec) flowStatsInto(fs *core.FlowStats) error {
+	isObject, err := d.open('{', "FlowStats")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "bytes"):
+			err = d.int64Into(&fs.Bytes, "FlowStats.bytes")
+		case keyIs(key, "rbs"):
+			err = d.int64Into(&fs.RBs, "FlowStats.rbs")
+		case keyIs(key, "bytes_per_rb_hint"):
+			err = d.floatInto(&fs.BytesPerRBHint, "FlowStats.bytes_per_rb_hint")
+		default:
+			d.skip()
+		}
+	}
+	return err
+}
+
+// decodeStatsResponse is json.Unmarshal(data, r).
+func decodeStatsResponse(data []byte, r *StatsResponse) error {
+	if err := checkJSON(data); err != nil {
+		return err
+	}
+	d := wireDec{b: data}
+	isObject, err := d.open('{', "StatsResponse")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "assignments"):
+			err = decodeSlice(&d, &r.Assignments, "StatsResponse.assignments", (*wireDec).assignmentInto)
+		case keyIs(key, "bai_seq"):
+			err = d.int64Into(&r.BAISeq, "StatsResponse.bai_seq")
+		case keyIs(key, "failed"):
+			err = decodeSlice(&d, &r.Failed, "StatsResponse.failed", (*wireDec).failureInto)
+		default:
+			d.skip()
+		}
+	}
+	return err
+}
+
+func (d *wireDec) assignmentInto(a *core.Assignment) error {
+	isObject, err := d.open('{', "Assignment")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "flow_id"):
+			err = d.intInto(&a.FlowID, "Assignment.flow_id")
+		case keyIs(key, "level"):
+			err = d.intInto(&a.Level, "Assignment.level")
+		case keyIs(key, "rate_bps"):
+			err = d.floatInto(&a.RateBps, "Assignment.rate_bps")
+		default:
+			d.skip()
+		}
+	}
+	return err
+}
+
+func (d *wireDec) failureInto(f *EnforcementFailure) error {
+	isObject, err := d.open('{', "EnforcementFailure")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "flow_id"):
+			err = d.intInto(&f.FlowID, "EnforcementFailure.flow_id")
+		case keyIs(key, "reason"):
+			err = d.stringInto(&f.Reason, "EnforcementFailure.reason")
+		default:
+			d.skip()
+		}
+	}
+	return err
+}
+
+// decodeAssignmentResponse is json.Unmarshal(data, a).
+func decodeAssignmentResponse(data []byte, a *AssignmentResponse) error {
+	if err := checkJSON(data); err != nil {
+		return err
+	}
+	d := wireDec{b: data}
+	isObject, err := d.open('{', "AssignmentResponse")
+	for first := true; isObject && err == nil && d.more('}', first); first = false {
+		switch key := d.key(); {
+		case keyIs(key, "flow_id"):
+			err = d.intInto(&a.FlowID, "AssignmentResponse.flow_id")
+		case keyIs(key, "rate_bps"):
+			err = d.floatInto(&a.RateBps, "AssignmentResponse.rate_bps")
+		case keyIs(key, "level"):
+			err = d.intInto(&a.Level, "AssignmentResponse.level")
+		case keyIs(key, "bai_seq"):
+			err = d.int64Into(&a.BAISeq, "AssignmentResponse.bai_seq")
+		case keyIs(key, "cell_seq"):
+			err = d.int64Into(&a.CellSeq, "AssignmentResponse.cell_seq")
+		default:
+			d.skip()
+		}
+	}
+	return err
 }

@@ -2,6 +2,8 @@ package oneapi
 
 import (
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -398,5 +400,103 @@ func TestHandoverMovesSessionBetweenCells(t *testing.T) {
 	}
 	if err := s.Handover(1, 0, 7); err == nil {
 		t.Fatal("handover onto an occupied flow ID accepted")
+	}
+}
+
+// padded stretches a JSON object to n bytes with whitespace after its
+// opening brace.
+func padded(doc string, n int) string {
+	return doc[:1] + strings.Repeat(" ", n-len(doc)) + doc[1:]
+}
+
+// unreadBody fails the test if the handler reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("an over-limit body was read")
+	return 0, io.EOF
+}
+func (unreadBody) Close() error { return nil }
+
+// TestHTTPBodyLimits: every route that takes a body refuses one over
+// its cap with 413 and the bad_request envelope — whether the length
+// was declared or the body streamed in chunks — and still serves one
+// that is exactly at the cap.
+func TestHTTPBodyLimits(t *testing.T) {
+	s := serverForTest()
+	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(s)
+	for _, tc := range []struct {
+		name, method, path, doc string
+		limit, atLimit          int
+	}{
+		{"open", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":2,"ladder_bps":[200000,400000]}`, maxBodyBytes, 201},
+		{"preferences", "PUT", "/oneapi/v4/cells/0/sessions/1/preferences", `{"max_bps":250000}`, maxBodyBytes, 204},
+		{"handover", "POST", "/oneapi/v4/cells/0/sessions/1/handover", `{"to_cell":0}`, maxBodyBytes, 400},
+		{"stats", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000,"rbs":100}}}`, maxBodyBytes, 200},
+		{"batch", "POST", "/oneapi/v4/stats/batch", `{"reports":[]}`, maxBatchBodyBytes, 200},
+	} {
+		for _, chunked := range []bool{false, true} {
+			for _, over := range []int{0, 1} {
+				s.CloseSession(0, 2) // so that every at-limit open creates
+				req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(padded(tc.doc, tc.limit+over)))
+				if chunked {
+					req.ContentLength = -1
+				}
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, req)
+				want := tc.atLimit
+				if over > 0 {
+					want = http.StatusRequestEntityTooLarge
+				}
+				if rr.Code != want {
+					t.Errorf("%s chunked=%v, %d B over the limit: status %d, want %d", tc.name, chunked, over, rr.Code, want)
+				}
+				if over > 0 && !strings.Contains(rr.Body.String(), `"code":"bad_request"`) {
+					t.Errorf("%s: 413 body %q lacks the bad_request envelope", tc.name, rr.Body)
+				}
+			}
+		}
+	}
+	// The hot route must turn a declared over-limit length away without
+	// reading (or allocating for) any of it.
+	req := httptest.NewRequest("POST", "/oneapi/v4/cells/0/stats", nil)
+	req.Body, req.ContentLength = unreadBody{t}, maxBodyBytes+1
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	if rr.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared over-limit stats body: status %d", rr.Code)
+	}
+	// A body shorter than it declared is a 400, not a hang or a panic.
+	req = httptest.NewRequest("POST", "/oneapi/v4/cells/0/stats", strings.NewReader(`{"flows":`))
+	req.ContentLength = 500
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	if rr.Code != http.StatusBadRequest {
+		t.Errorf("truncated stats body: status %d", rr.Code)
+	}
+}
+
+// TestHTTPStatsBodyRefusals: what the hand-written report decoder turns
+// away is a 400 bad_request like any other malformed body, and leaves
+// the cell's BAI state untouched.
+func TestHTTPStatsBodyRefusals(t *testing.T) {
+	s := serverForTest()
+	h := Handler(s)
+	for _, body := range []string{
+		`{"flows":`, `{"flows":{"1":{"bytes":1}}} trailing`, `{"flows":[]}`, `{"flows":{"x":{}}}`,
+		`{"flows":{"1":{"bytes":1.5}}}`, `{"seq":"7"}`, `[]`, `"report"`, `{"flows":{"1":{"rbs":1e400}}}`,
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/oneapi/v4/cells/0/stats", strings.NewReader(body)))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"code":"bad_request"`) ||
+			!strings.Contains(rr.Body.String(), "decode stats report: ") {
+			t.Errorf("stats body %q: %d %s", body, rr.Code, rr.Body)
+		}
+	}
+	if s.lookup(0) != nil {
+		t.Error("a refused report created its cell")
 	}
 }
