@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsResponseDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzAssignmentDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzWireEncode -fuzztime 10s
+	$(GO) test ./internal/has -run '^$$' -fuzz FuzzTallyMatchesSlices -fuzztime 10s
 
 race:
 	$(GO) test -race ./...

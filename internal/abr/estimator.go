@@ -7,12 +7,13 @@ package abr
 
 import "github.com/flare-sim/flare/internal/metrics"
 
-// History is a fixed-capacity ring of recent per-segment throughput
-// samples (bits/s) with the aggregate views the adapters need.
+// History is a fixed-capacity window of recent per-segment throughput
+// samples (bits/s) with the aggregate views the adapters need. The
+// samples are kept oldest first in one array sized at construction —
+// a full window slides down by one on Add — so every view is a
+// sub-slice of it and a session's estimates allocate nothing.
 type History struct {
-	samples []float64
-	next    int
-	full    bool
+	samples []float64 // len = samples held, cap = the window
 }
 
 // NewHistory creates a history holding up to n samples. n must be
@@ -21,42 +22,28 @@ func NewHistory(n int) *History {
 	if n < 1 {
 		n = 1
 	}
-	return &History{samples: make([]float64, n)}
+	return &History{samples: make([]float64, 0, n)}
 }
 
-// Add records a throughput sample.
+// Add records a throughput sample, dropping the oldest of a full window.
 func (h *History) Add(bps float64) {
-	h.samples[h.next] = bps
-	h.next++
-	if h.next == len(h.samples) {
-		h.next = 0
-		h.full = true
+	if len(h.samples) == cap(h.samples) {
+		h.samples = h.samples[:copy(h.samples, h.samples[1:])]
 	}
+	h.samples = append(h.samples, bps)
 }
 
 // Len returns the number of recorded samples (up to capacity).
-func (h *History) Len() int {
-	if h.full {
-		return len(h.samples)
-	}
-	return h.next
-}
+func (h *History) Len() int { return len(h.samples) }
 
-// values returns the most recent min(k, Len) samples, oldest first.
+// values returns the most recent min(k, Len) samples, oldest first. The
+// slice is the history's own: read it, do not keep or write it.
 func (h *History) values(k int) []float64 {
-	n := h.Len()
+	n := len(h.samples)
 	if k > n {
 		k = n
 	}
-	out := make([]float64, 0, k)
-	start := h.next - k
-	if start < 0 {
-		start += len(h.samples)
-	}
-	for i := 0; i < k; i++ {
-		out = append(out, h.samples[(start+i)%len(h.samples)])
-	}
-	return out
+	return h.samples[n-k:]
 }
 
 // HarmonicMean returns the harmonic mean of the last k samples (all when
@@ -80,12 +67,8 @@ func (h *History) Mean(k int) float64 {
 
 // Last returns the most recent sample, or 0 when empty.
 func (h *History) Last() float64 {
-	if h.Len() == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	i := h.next - 1
-	if i < 0 {
-		i += len(h.samples)
-	}
-	return h.samples[i]
+	return h.samples[len(h.samples)-1]
 }

@@ -55,8 +55,11 @@ type Festive struct {
 	hist *History
 	rng  *sim.RNG
 
-	upStreak  int
-	lastQs    []int // recent selected levels, for the switch count
+	upStreak int
+	// lastQs holds the most recent SwitchWindow+1 selected levels, oldest
+	// first, for the switch count. Its backing array is sized once in
+	// NewFestive and never re-allocated.
+	lastQs    []int
 	bufTarget float64
 }
 
@@ -77,9 +80,10 @@ func NewFestive(cfg FestiveConfig, rng *sim.RNG) *Festive {
 		cfg.SwitchWindow = 1
 	}
 	f := &Festive{
-		cfg:  cfg,
-		hist: NewHistory(cfg.HistorySegments),
-		rng:  rng.Split(),
+		cfg:    cfg,
+		hist:   NewHistory(cfg.HistorySegments),
+		rng:    rng.Split(),
+		lastQs: make([]int, 0, cfg.SwitchWindow+1),
 	}
 	f.resampleBufferTarget()
 	return f
@@ -91,10 +95,11 @@ func (f *Festive) Name() string { return "festive" }
 // OnSegmentComplete implements has.Adapter.
 func (f *Festive) OnSegmentComplete(rec has.SegmentRecord) {
 	f.hist.Add(rec.ThroughputBps)
-	f.lastQs = append(f.lastQs, rec.Quality)
-	if len(f.lastQs) > f.cfg.SwitchWindow+1 {
-		f.lastQs = f.lastQs[1:]
+	if len(f.lastQs) == f.cfg.SwitchWindow+1 {
+		// Window full: drop the oldest by copying down, in place.
+		f.lastQs = f.lastQs[:copy(f.lastQs, f.lastQs[1:])]
 	}
+	f.lastQs = append(f.lastQs, rec.Quality)
 }
 
 // recentSwitches counts level changes among the recent segments.

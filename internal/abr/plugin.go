@@ -169,7 +169,7 @@ func NewFlarePlugins(n int, fb FallbackConfig) []FlarePlugin {
 	samples := make([]float64, n*w)
 	ps := make([]FlarePlugin, n)
 	for i := range ps {
-		ps[i] = FlarePlugin{fb: fb, hist: History{samples: samples[i*w : (i+1)*w : (i+1)*w]}}
+		ps[i] = FlarePlugin{fb: fb, hist: History{samples: samples[i*w : i*w : (i+1)*w]}}
 	}
 	return ps
 }

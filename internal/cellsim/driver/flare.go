@@ -56,6 +56,12 @@ type flareDriver struct {
 	// paper's behaviour). See OnFlowArrival.
 	admission []flowAdmission
 	baiCount  int64 // OnBAI ordinal, the clock for admission re-tries
+
+	// The in-process BAI round runs on storage the driver owns: pcef is
+	// its enforcement hook, adapted once at Init, and resp the response
+	// every round is written into (read only until the next round).
+	pcef oneapi.BatchPCEF
+	resp oneapi.StatsResponse
 }
 
 // flowAdmission tracks one flow's session through the admission state
@@ -183,6 +189,7 @@ func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
 func (d *flareDriver) Init(e Engine, flows []*Flow) error {
 	d.e = e
 	d.flows = flows
+	d.pcef = oneapi.PCEFBatchFunc(d.installGBRs)
 	if d.cfg.Flare.AdmissionControl {
 		// Sessions open at arrival time instead (OnFlowArrival): opening
 		// here would charge the admission predicate for flows that have
@@ -271,13 +278,6 @@ func (d *flareDriver) sendBufferFeedback() {
 	}
 }
 
-// OnBAI implements Controller: one control-plane interval end to end —
-// the eNodeB's statistics report upstream (which triggers the BAI) and
-// each plugin's assignment poll downstream. Either leg can be lost to
-// the fault injectors; a lost report means the eNodeB keeps its GBRs and
-// the window accounting accumulates into the next report, while lost
-// polls feed the plugins' fallback detectors. With no faults configured
-// the behaviour — and the RNG stream — is identical to a direct push.
 // OnFlowArrival implements ArrivalAware: in admission mode the flow's
 // session opens here, at the moment it actually starts. A rejection is
 // not fatal — the flow starts on its plugin's local ABR and the open is
@@ -332,6 +332,39 @@ func (d *flareDriver) retryAdmissions() {
 	}
 }
 
+// installGBRs is the driver's PCEF: one round's GBRs installed at the
+// eNodeB in assignment order, every one attempted whatever the others
+// did. It returns nil when all went in, the per-install outcomes
+// otherwise.
+func (d *flareDriver) installGBRs(installs []oneapi.GBRInstall) []error {
+	var errs []error
+	for i, in := range installs {
+		gbr := in.GBRBps
+		if d.admission != nil {
+			gbr *= admissionGBRHeadroom
+		}
+		if err := d.e.SetGBR(in.FlowID, gbr); err != nil {
+			if errs == nil {
+				errs = make([]error, len(installs))
+			}
+			errs[i] = err
+		}
+	}
+	return errs
+}
+
+// OnBAI implements Controller: one control-plane interval end to end —
+// the eNodeB's statistics report upstream (which triggers the BAI) and
+// each plugin's assignment poll downstream. Either leg can be lost to
+// the fault injectors; a lost report means the eNodeB keeps its GBRs and
+// the window accounting accumulates into the next report, while lost
+// polls feed the plugins' fallback detectors. With no faults configured
+// the behaviour — and the RNG stream — is identical to a direct push.
+//
+// A steady-state round allocates nothing: report map, PCEF, response and
+// every buffer below them belong to the engine, this driver, the server's
+// cell or its controller, and are reused from round to round
+// (cellsim's TestInProcessRoundAllocs holds it to that).
 func (d *flareDriver) OnBAI(now time.Duration) error {
 	d.baiCount++
 	if d.admission != nil {
@@ -354,21 +387,16 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 	} else {
 		d.sendBufferFeedback()
 		report := oneapi.StatsReport{Flows: d.e.CollectStats(d.flows), NumDataFlows: -1}
-		pcef := oneapi.PCEFFunc(func(flowID int, gbr float64) error {
-			if d.admission != nil {
-				gbr *= admissionGBRHeadroom
+		if err := d.server.RunBAIInto(d.cellID, report, d.pcef, &d.resp); err != nil {
+			// Declared here, not above: errors.As makes its target escape.
+			var enforceErr *oneapi.EnforceError
+			if !errors.As(err, &enforceErr) {
+				return err
 			}
-			return d.e.SetGBR(flowID, gbr)
-		})
-		_, err := d.server.RunBAI(d.cellID, report, pcef)
-		var enforceErr *oneapi.EnforceError
-		if errors.As(err, &enforceErr) {
 			// Partial enforcement is degraded, not fatal: the failed
 			// flows keep their previous GBR and assignment, and their
 			// plugins will see the assignment age until they degrade.
 			d.ctrl.EnforceFailures += len(enforceErr.Failed)
-		} else if err != nil {
-			return err
 		}
 	}
 

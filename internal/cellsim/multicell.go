@@ -131,7 +131,7 @@ func RunMultiConfig(ctx context.Context, mc MultiConfig, server *oneapi.Server, 
 // loops poll only at TTI multiples of 1024 (and never at TTI 0), so
 // every cell simulates at least its first ~1 s before a sibling's
 // cancellation can reach it. A cell that fails within that window
-// therefore always records its own error — which cells end up in the
+// therefore always reports its own error — which cells end up in the
 // error fold is a deterministic fact, not a scheduling race.
 func runMany(ctx context.Context, cancel context.CancelFunc, workers int, sims []*Sim, out *MultiResult, errs []error) (*MultiResult, error) {
 	jobs := make(chan int)

@@ -765,20 +765,7 @@ func (s *Sim) buildResult() *Result {
 	for _, g := range s.groups {
 		telemetry, _ := g.ctrl.(driver.FlowTelemetry)
 		for _, f := range g.flows {
-			p := f.Player
-			rates := p.SelectedRates()
-			cr := ClientResult{
-				FlowID:              f.ID,
-				Scheme:              g.scheme,
-				AvgRateBps:          metrics.Mean(rates),
-				AvgTputBps:          float64(f.Transport.DeliveredTotal()) * 8 / durSec,
-				NumChanges:          metrics.CountChanges(rates),
-				Segments:            len(rates),
-				StallSeconds:        p.StallSeconds(),
-				StallCount:          p.StallCount(),
-				StartupDelaySeconds: p.StartupDelaySeconds(),
-				QoEScore:            qoe.Score(rates, p.StallSeconds(), p.StartupDelaySeconds(), qoe.DefaultWeights()),
-			}
+			cr := clientResult(f.ID, g.scheme, f.Player, f.Transport, durSec)
 			cr.Admitted = true
 			if telemetry != nil {
 				ex := telemetry.FlowExtras(f)
@@ -797,19 +784,8 @@ func (s *Sim) buildResult() *Result {
 		})
 	}
 	for i, p := range s.legacyPlayers {
-		rates := p.SelectedRates()
-		res.Legacy = append(res.Legacy, ClientResult{
-			FlowID:              s.legacyBearers[i].ID,
-			Scheme:              SchemeFESTIVE,
-			AvgRateBps:          metrics.Mean(rates),
-			AvgTputBps:          float64(s.legacyFlows[i].DeliveredTotal()) * 8 / durSec,
-			NumChanges:          metrics.CountChanges(rates),
-			Segments:            len(rates),
-			StallSeconds:        p.StallSeconds(),
-			StallCount:          p.StallCount(),
-			StartupDelaySeconds: p.StartupDelaySeconds(),
-			QoEScore:            qoe.Score(rates, p.StallSeconds(), p.StartupDelaySeconds(), qoe.DefaultWeights()),
-		})
+		res.Legacy = append(res.Legacy,
+			clientResult(s.legacyBearers[i].ID, SchemeFESTIVE, p, s.legacyFlows[i], durSec))
 	}
 	for _, g := range s.groups {
 		if ct, ok := g.ctrl.(driver.ControlTelemetry); ok {
@@ -822,6 +798,25 @@ func (s *Sim) buildResult() *Result {
 	res.BufferSeries = s.bufSeries
 	res.DataTputSeries = s.dataSeries
 	return res
+}
+
+// clientResult reads one session's outcome off its player: the rate
+// figures come from the player's running tally, which sums what a pass
+// over the per-segment rates would, in that order.
+func clientResult(flowID int, scheme Scheme, p *has.Player, flow *transport.Flow, durSec float64) ClientResult {
+	tally := p.Tally()
+	return ClientResult{
+		FlowID:              flowID,
+		Scheme:              scheme,
+		AvgRateBps:          tally.AvgRateBps(),
+		AvgTputBps:          float64(flow.DeliveredTotal()) * 8 / durSec,
+		NumChanges:          tally.Changes(),
+		Segments:            tally.Segments(),
+		StallSeconds:        p.StallSeconds(),
+		StallCount:          p.StallCount(),
+		StartupDelaySeconds: p.StartupDelaySeconds(),
+		QoEScore:            tally.Score(p.StallSeconds(), p.StartupDelaySeconds(), qoe.DefaultWeights()),
+	}
 }
 
 // Run is the package-level convenience: assemble and execute in one call.

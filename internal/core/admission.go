@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/obs"
@@ -32,14 +30,8 @@ func (c *Controller) floorCostRBs(ladder has.Ladder, rbsPerByte float64) float64
 // EWMA radio-cost estimates. Flows are summed in sorted-ID order so
 // the float result is deterministic.
 func (c *Controller) FloorDemandRBs() float64 {
-	ids := make([]int, 0, len(c.flows))
-	//flare:allow key-collection loop: the keys are sorted on the next line, so iteration order cannot reach state or output
-	for id := range c.flows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var sum float64
-	for _, id := range ids {
+	for _, id := range c.sortedIDs() {
 		f := c.flows[id]
 		sum += c.floorCostRBs(f.ladder, f.rbsPerByte)
 	}

@@ -20,14 +20,14 @@ func BenchmarkSolveRoundRobinCells(b *testing.B) {
 		_, logs := new(scratchPool).borrow(solver.Bins)
 		private := make([]mckpScratch, cells)
 		for c := range private { // first solves allocate the tables
-			if _, err := private[c].solve(problems[c], solver.Bins, logs); err != nil {
+			if err := private[c].solve(problems[c], solver.Bins, logs, new(Solution)); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := private[i%cells].solve(problems[i%cells], solver.Bins, logs); err != nil {
+			if err := private[i%cells].solve(problems[i%cells], solver.Bins, logs, new(Solution)); err != nil {
 				b.Fatal(err)
 			}
 		}

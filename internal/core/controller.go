@@ -188,12 +188,14 @@ type Controller struct {
 	cellID int32
 	baiSeq int64
 
-	// Per-BAI scratch reused across RunBAI calls (the solvers never
+	// Per-BAI buffers reused across RunBAI calls (the solvers never
 	// retain the Problem, and a Controller's BAIs are serialised by its
-	// caller). The returned Assignment slice is still freshly allocated
-	// — it escapes to the caller.
-	scratchIDs   []int
-	scratchFlows []VideoFlow
+	// caller): the sorted flow IDs, the optimisation instance, the
+	// solver's answer and the assignments RunBAI returns.
+	scratchIDs []int
+	prob       Problem
+	sol        Solution
+	out        []Assignment
 }
 
 // NewController builds a controller. Invalid config fields fall back to
@@ -347,6 +349,23 @@ func (c *Controller) SetPreferences(flowID int, prefs Preferences) error {
 	return nil
 }
 
+// sortedIDs returns the registered flow IDs in ascending order — the
+// order every per-flow pass uses, so float sums and outputs never see
+// map order — in the controller's buffer, good until the next call.
+func (c *Controller) sortedIDs() []int {
+	ids := c.scratchIDs[:0]
+	if cap(ids) < len(c.flows) {
+		ids = make([]int, 0, len(c.flows))
+	}
+	//flare:allow key-collection loop: the keys are sorted on the next line, so iteration order cannot reach state or output
+	for id := range c.flows {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	c.scratchIDs = ids
+	return ids
+}
+
 // maxSolveTimes bounds the solve-latency history (32 KB a cell) above the
 // longest run in the tree, the 3600-BAI soak: simulations keep every sample.
 const maxSolveTimes = 4096
@@ -363,17 +382,16 @@ func (c *Controller) SolveTimes() []time.Duration {
 // from the statistics report, solve Eq. 3-4 (exactly or relaxed), apply
 // the Algorithm 1 gate, and return the assignments in flow-ID order.
 // numDataFlows is the PCRF's count of concurrent non-video flows.
+//
+// The round runs on buffers the controller owns, and the returned slice
+// is one of them: it is valid until this controller's next RunBAI, which
+// overwrites it. A caller that keeps assignments longer copies them
+// (oneapi.Server does, into its caller's StatsResponse).
 func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assignment, error) {
 	if numDataFlows < 0 {
 		return nil, fmt.Errorf("core: negative data flow count %d", numDataFlows)
 	}
-	ids := c.scratchIDs[:0]
-	//flare:allow key-collection loop: the keys are sorted on the next line, so iteration order cannot reach state or output
-	for id := range c.flows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.scratchIDs = ids
+	ids := c.sortedIDs()
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -395,11 +413,12 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		f.rbsPerByte += w * (sample - f.rbsPerByte)
 	}
 
-	if cap(c.scratchFlows) < len(ids) {
-		c.scratchFlows = make([]VideoFlow, len(ids))
+	prob := &c.prob
+	if cap(prob.Flows) < len(ids) {
+		prob.Flows = make([]VideoFlow, len(ids))
 	}
-	prob := Problem{
-		Flows:           c.scratchFlows[:len(ids)],
+	*prob = Problem{
+		Flows:           prob.Flows[:len(ids)],
 		Objective:       c.obj,
 		NumDataFlows:    numDataFlows,
 		Alpha:           c.cfg.Alpha,
@@ -421,14 +440,12 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 	}
 
 	start := c.now()
-	var (
-		sol Solution
-		err error
-	)
+	sol := &c.sol
+	var err error
 	if c.cfg.UseRelaxation {
-		sol, err = c.relax.Solve(&prob)
+		*sol, err = c.relax.Solve(prob)
 	} else {
-		sol, err = c.exact.Solve(&prob)
+		err = c.exact.SolveInto(prob, sol)
 	}
 	elapsed := c.now().Sub(start)
 	if len(c.solveTimes) < maxSolveTimes {
@@ -451,10 +468,13 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 				maxShed = l
 			}
 		}
-		c.updateShed(sol, maxShed)
+		c.updateShed(*sol, maxShed)
 	}
 
-	out := make([]Assignment, len(ids))
+	if cap(c.out) < len(ids) {
+		c.out = make([]Assignment, len(ids))
+	}
+	out := c.out[:len(ids)]
 	for i, id := range ids {
 		f := c.flows[id]
 		final, streak, need := c.gate.ApplyDetail(id, f.level, sol.Levels[i])

@@ -110,29 +110,47 @@ func SolverScratchStats() (sets int, bytes int64) {
 	return solverScratch.sets, bytes
 }
 
-// Solve runs the DP and returns the best feasible assignment.
+// Solve runs the DP and returns the best feasible assignment in a
+// Solution of its own.
+func (s *ExactSolver) Solve(p *Problem) (Solution, error) {
+	var sol Solution
+	err := s.SolveInto(p, &sol)
+	return sol, err
+}
+
+// SolveInto is Solve into caller storage: sol's Levels and RatesBps
+// arrays are overwritten in place when they are large enough, so a
+// caller that hands the same Solution to every solve (the Controller)
+// allocates nothing in steady state. On error sol is empty.
 //
 //flare:hotpath
-func (s *ExactSolver) Solve(p *Problem) (Solution, error) {
+func (s *ExactSolver) SolveInto(p *Problem, sol *Solution) error {
+	sol.reset()
 	if err := p.Validate(); err != nil {
-		return Solution{}, err
+		return err
 	}
 	if len(p.Flows) == 0 {
-		return p.solutionFor(nil, true), nil
+		p.fill(sol, nil, true)
+		return nil
 	}
 	bins := s.Bins
 	if bins < 10 {
 		bins = 10
 	}
 	sc, logs := solverScratch.borrow(bins)
-	sol, err := sc.solve(p, bins, logs)
+	err := sc.solve(p, bins, logs, sol)
 	solverScratch.giveBack(sc)
-	return sol, err
+	return err
 }
 
 // solve is the DP proper on a borrowed set; logs is the curve for bins.
-func (s *mckpScratch) solve(p *Problem, bins int, logs []float64) (Solution, error) {
+// sol arrives empty (reset) and stays so on error.
+func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution) error {
 	n := len(p.Flows)
+	if cap(sol.Levels) < n {
+		sol.Levels = make([]int, 0, n)
+	}
+	levels := sol.Levels[:n]
 	binRBs := p.TotalRBs / float64(bins)
 	// cost in bins (rounded up) per flow per level. The per-flow slices
 	// are carved out of grow-only scratch buffers; every entry is
@@ -171,7 +189,9 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64) (Solution, err
 	if !feasible {
 		// Even the lowest levels overflow the cell; hand out the
 		// minimum and let the scheduler degrade gracefully.
-		return p.solutionFor(p.lowestLevels(), false), nil
+		clear(levels)
+		p.fill(sol, levels, false)
+		return nil
 	}
 
 	negInf := math.Inf(-1)
@@ -281,22 +301,23 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64) (Solution, err
 		}
 	}
 	if bestJ < 0 {
-		return p.solutionFor(p.lowestLevels(), false), nil
+		clear(levels)
+		p.fill(sol, levels, false)
+		return nil
 	}
 
-	// Backtrack the choices. levels is freshly allocated because the
-	// returned Solution retains it.
-	levels := make([]int, n)
+	// Backtrack the choices.
 	j := bestJ
 	for u := n - 1; u >= 0; u-- {
 		l := choice[u*(bins+1)+j]
 		if l < 0 {
-			return Solution{}, fmt.Errorf("core: DP backtrack failed at flow %d", u)
+			return fmt.Errorf("core: DP backtrack failed at flow %d", u)
 		}
 		levels[u] = int(l)
 		j -= costs[u][l]
 	}
-	return p.solutionFor(levels, true), nil
+	p.fill(sol, levels, true)
+	return nil
 }
 
 // BruteForce exhaustively enumerates every level combination. It is

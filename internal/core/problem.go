@@ -197,20 +197,31 @@ type Solution struct {
 	Feasible bool
 }
 
-// solutionFor packages a level assignment into a Solution.
+// solutionFor packages a level assignment into a Solution of its own.
 func (p *Problem) solutionFor(levels []int, feasible bool) Solution {
-	rates := make([]float64, len(levels))
-	for u := range p.Flows {
-		rates[u] = p.Flows[u].Ladder.Rate(levels[u])
+	var sol Solution
+	p.fill(&sol, levels, feasible)
+	return sol
+}
+
+// fill makes sol the Solution for levels (which it keeps): rates — into
+// sol.RatesBps's own storage when that is large enough — RB share and
+// objective.
+func (p *Problem) fill(sol *Solution, levels []int, feasible bool) {
+	if cap(sol.RatesBps) < len(levels) {
+		sol.RatesBps = make([]float64, len(levels))
 	}
-	obj, share := p.ObjectiveAt(levels)
-	return Solution{
-		Levels:     levels,
-		RatesBps:   rates,
-		VideoShare: share,
-		Objective:  obj,
-		Feasible:   feasible,
+	sol.Levels, sol.RatesBps = levels, sol.RatesBps[:len(levels)]
+	for u, l := range levels {
+		sol.RatesBps[u] = p.Flows[u].Ladder.Rate(l)
 	}
+	sol.Objective, sol.VideoShare = p.ObjectiveAt(levels)
+	sol.Feasible = feasible
+}
+
+// reset empties sol, keeping its storage for the next fill.
+func (sol *Solution) reset() {
+	*sol = Solution{Levels: sol.Levels[:0], RatesBps: sol.RatesBps[:0]}
 }
 
 // lowestLevels returns the all-minimum assignment.

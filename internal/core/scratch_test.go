@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,8 +23,8 @@ func coldSolve(t testing.TB, p *Problem, bins int) Solution {
 		return p.solutionFor(nil, true)
 	}
 	sc, logs := new(scratchPool).borrow(bins) // an empty pool: new set, new curve
-	sol, err := sc.solve(p, bins, logs)
-	if err != nil {
+	var sol Solution
+	if err := sc.solve(p, bins, logs, &sol); err != nil {
 		t.Fatal(err)
 	}
 	return sol
@@ -237,7 +238,7 @@ func TestConcurrentControllersMatchSerial(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 				}
-				out[b] = as
+				out[b] = slices.Clone(as) // as is the controller's buffer, overwritten next round
 			})
 		}
 		return out

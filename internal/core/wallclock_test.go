@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -69,7 +70,7 @@ func TestAssignmentsIdenticalUnderAnyClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, as)
+			out = append(out, slices.Clone(as)) // as is the controller's buffer, overwritten next round
 		}
 		return out
 	}

@@ -1,6 +1,13 @@
 package has
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"github.com/flare-sim/flare/internal/metrics"
+	"github.com/flare-sim/flare/internal/qoe"
+	"github.com/flare-sim/flare/internal/sim"
+)
 
 func FuzzHighestAtMost(f *testing.F) {
 	f.Add(0.0)
@@ -48,6 +55,54 @@ func FuzzSegmentBytesAt(f *testing.F) {
 			}
 		} else if sz != base {
 			t.Fatalf("CBR size %d != base %d", sz, base)
+		}
+	})
+}
+
+// FuzzTallyMatchesSlices holds the session tally to the arithmetic it
+// replaced, to the bit: a random walk of quality levels over SimLadder
+// or FineLadder (repeatPct of the steps stay put, so runs of equal rates
+// and lone switches both occur) goes through qoe.Tally one segment at a
+// time and, as the collected rates, through metrics.Mean,
+// metrics.CountChanges and qoe.Score — the passes results were built
+// from while players still logged every segment. Any session length,
+// any stall time, and the never-started session's startup of -1.
+func FuzzTallyMatchesSlices(f *testing.F) {
+	for i, n := range []int{0, 1, 2, 3, 7, 64, 1000, 10_000} {
+		f.Add(uint64(i+1), n, i%2 == 1, uint8(30*i), 0.25*float64(i), float64(i%3)-1)
+	}
+	f.Add(uint64(99), 500, true, uint8(100), 12.5, -1.0) // one rate throughout, never started
+	f.Fuzz(func(t *testing.T, seed uint64, n int, fine bool, repeatPct uint8, stallSec, startupSec float64) {
+		if n < 0 || n > 20_000 {
+			t.Skip()
+		}
+		ladder := SimLadder()
+		if fine {
+			ladder = FineLadder()
+		}
+		rng := sim.NewRNG(seed)
+		var tally qoe.Tally
+		rates := make([]float64, 0, n)
+		q := rng.Intn(ladder.Len())
+		for i := 0; i < n; i++ {
+			if rng.Intn(100) >= int(repeatPct) {
+				q = rng.Intn(ladder.Len())
+			}
+			tally.Add(ladder.Rate(q))
+			rates = append(rates, ladder.Rate(q))
+		}
+		if got := tally.Segments(); got != n {
+			t.Fatalf("Segments() = %d, want %d", got, n)
+		}
+		if got, want := tally.AvgRateBps(), metrics.Mean(rates); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AvgRateBps() = %v, metrics.Mean = %v", got, want)
+		}
+		if got, want := tally.Changes(), metrics.CountChanges(rates); got != want {
+			t.Fatalf("Changes() = %d, metrics.CountChanges = %d", got, want)
+		}
+		w := qoe.DefaultWeights()
+		if got, want := tally.Score(stallSec, startupSec, w), qoe.Score(rates, stallSec, startupSec, w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Tally.Score = %v, qoe.Score = %v", got, want)
 		}
 	})
 }

@@ -75,6 +75,14 @@ func (a *fixedAdapter) Name() string                      { return "fixed" }
 func (a *fixedAdapter) NextQuality(State) int             { return a.quality }
 func (a *fixedAdapter) OnSegmentComplete(r SegmentRecord) { a.records = append(a.records, r) }
 
+// collectSegments hooks p.OnSegment — the one way to get a per-segment
+// history out of a player — and returns the growing log.
+func collectSegments(p *Player) *[]SegmentRecord {
+	log := new([]SegmentRecord)
+	p.OnSegment = func(r SegmentRecord) { *log = append(*log, r) }
+	return log
+}
+
 func testMPD(t *testing.T, segs int) *MPD {
 	t.Helper()
 	m, err := NewMPD(SimLadder(), 2*time.Second, segs)
@@ -120,18 +128,22 @@ func TestPlayerDownloadsAllSegments(t *testing.T) {
 	mpd := testMPD(t, 5)
 	a := &fixedAdapter{quality: 1} // 250 kbps
 	p := env.addPlayer(t, 0, mpd, a, DefaultPlayerConfig())
+	log := collectSegments(p)
 	p.Start()
 	env.run(30_000) // 30 s for a 10 s presentation
 	if !p.Done() {
 		t.Fatal("player not done")
 	}
-	if got := len(p.Records()); got != 5 {
+	if got := len(*log); got != 5 {
 		t.Fatalf("downloaded %d segments, want 5", got)
+	}
+	if got := p.Tally().Segments(); got != 5 {
+		t.Fatalf("tally counts %d segments, want 5", got)
 	}
 	if got := len(a.records); got != 5 {
 		t.Fatalf("adapter saw %d completions, want 5", got)
 	}
-	for i, rec := range p.Records() {
+	for i, rec := range *log {
 		if rec.Index != i {
 			t.Fatalf("record %d has index %d", i, rec.Index)
 		}
@@ -239,17 +251,19 @@ func TestPlayerSelectedRatesAndQualities(t *testing.T) {
 	env := newPlayerEnv(t, 12, 1)
 	mpd := testMPD(t, 4)
 	p := env.addPlayer(t, 0, mpd, &fixedAdapter{quality: 2}, DefaultPlayerConfig())
+	log := collectSegments(p)
 	p.Start()
 	env.run(30_000)
-	qs := p.Qualities()
-	rs := p.SelectedRates()
-	if len(qs) != 4 || len(rs) != 4 {
-		t.Fatalf("lengths %d/%d, want 4", len(qs), len(rs))
+	if len(*log) != 4 {
+		t.Fatalf("%d segments, want 4", len(*log))
 	}
-	for i := range qs {
-		if qs[i] != 2 || rs[i] != 500_000 {
-			t.Fatalf("segment %d: quality %d rate %v", i, qs[i], rs[i])
+	for i, rec := range *log {
+		if rec.Quality != 2 || rec.RateBps != 500_000 {
+			t.Fatalf("segment %d: quality %d rate %v", i, rec.Quality, rec.RateBps)
 		}
+	}
+	if tally := p.Tally(); tally.Segments() != 4 || tally.AvgRateBps() != 500_000 || tally.Changes() != 0 {
+		t.Fatalf("tally %+v, want 4 segments at 500 kbps, no changes", tally)
 	}
 }
 
@@ -267,16 +281,19 @@ func TestPlayerTracksQualitySwitches(t *testing.T) {
 	env := newPlayerEnv(t, 12, 1)
 	mpd := testMPD(t, 6)
 	p := env.addPlayer(t, 0, mpd, &switchingAdapter{}, DefaultPlayerConfig())
+	log := collectSegments(p)
 	p.Start()
 	env.run(40_000)
-	qs := p.Qualities()
-	if len(qs) != 6 {
-		t.Fatalf("got %d segments", len(qs))
+	if len(*log) != 6 {
+		t.Fatalf("got %d segments", len(*log))
 	}
-	for i := 1; i < len(qs); i++ {
-		if qs[i] == qs[i-1] {
-			t.Fatalf("switching adapter produced repeat at %d: %v", i, qs)
+	for i := 1; i < len(*log); i++ {
+		if (*log)[i].Quality == (*log)[i-1].Quality {
+			t.Fatalf("switching adapter produced repeat at %d: %+v", i, *log)
 		}
+	}
+	if got := p.Tally().Changes(); got != 5 {
+		t.Fatalf("tally counts %d bitrate changes over 6 alternating segments, want 5", got)
 	}
 }
 
@@ -365,8 +382,8 @@ func TestPlayerStallAndResumeCycle(t *testing.T) {
 		t.Fatal("stall seconds without stall events")
 	}
 	// It must have resumed and kept downloading after the dead zone.
-	if len(p.Records()) < 20 {
-		t.Fatalf("only %d segments; player never recovered", len(p.Records()))
+	if n := p.Tally().Segments(); n < 20 {
+		t.Fatalf("only %d segments; player never recovered", n)
 	}
 }
 
@@ -374,9 +391,13 @@ func TestPlayerThroughputSamplesReflectLink(t *testing.T) {
 	env := newPlayerEnv(t, 10, 1) // ~9 Mbps cell
 	mpd := testMPD(t, 8)
 	p := env.addPlayer(t, 0, mpd, &fixedAdapter{quality: 3}, DefaultPlayerConfig())
+	log := collectSegments(p)
 	p.Start()
 	env.run(30_000)
-	for _, rec := range p.Records() {
+	if len(*log) == 0 {
+		t.Fatal("no segment completed")
+	}
+	for _, rec := range *log {
 		if rec.ThroughputBps > 1.2*lte.CellRateBps(10) {
 			t.Fatalf("segment %d measured %v bps on a %v link",
 				rec.Index, rec.ThroughputBps, lte.CellRateBps(10))

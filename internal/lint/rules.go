@@ -82,8 +82,8 @@ var LayerRules = []LayerRule{
 	{
 		Scope:  internalPrefix + "has",
 		Forbid: []string{ModulePath},
-		Except: []string{internalPrefix + "has", internalPrefix + "transport", internalPrefix + "lte", internalPrefix + "sim"},
-		Reason: "players know segments and flows, not schemes or telemetry",
+		Except: []string{internalPrefix + "has", internalPrefix + "transport", internalPrefix + "lte", internalPrefix + "sim", internalPrefix + "qoe"},
+		Reason: "players know segments, flows and the QoE sums they tally, not schemes or telemetry",
 	},
 	{
 		Scope:  internalPrefix + "abr",

@@ -35,7 +35,8 @@ type GBRInstall struct {
 }
 
 // BatchPCEF is an optional PCEF capability: install a whole BAI round's
-// GBRs in one grouped call instead of one round trip per flow. The
+// GBRs in one grouped call instead of one round trip per flow. installs
+// is the server's buffer, good for the duration of the call only. The
 // result slice must be parallel to installs (nil error = installed); a
 // nil slice means every install succeeded. The server folds the results
 // exactly as it folds per-flow SetGBR calls — failed downgrades are
@@ -90,6 +91,10 @@ type cellState struct {
 	// iterates a map — so promotion order is deterministic. Bounded by
 	// Config.AdmissionQueue.
 	queue []SessionRequest
+
+	// installs is the batch handed to a BatchPCEF (installGBRs), reused
+	// from round to round under mu.
+	installs []GBRInstall
 }
 
 // cellIndex maps cell IDs to their state within one shard. It is
@@ -283,7 +288,7 @@ func (s *Server) Recorder() *obs.Recorder {
 
 // SetPCEF installs the server-side enforcement hook: BAIs triggered
 // with a nil PCEF (e.g. over HTTP) install GBRs through it. Failures
-// are collected per flow, never aborting the BAI (see RunBAIReport).
+// are collected per flow, never aborting the BAI (see RunBAIInto).
 func (s *Server) SetPCEF(p PCEF) {
 	s.optMu.Lock()
 	defer s.optMu.Unlock()
@@ -582,17 +587,32 @@ func (s *Server) RunBAI(cellID int, report StatsReport, pcef PCEF) ([]core.Assig
 
 // RunBAIReport is RunBAI returning the full wire-shaped outcome: the
 // committed assignments, the BAI sequence they belong to, and any
-// per-flow enforcement failures. err is *EnforceError (with resp still
-// valid) on partial enforcement, ErrStaleReport for an out-of-order
-// sequenced report, ErrDraining during a graceful shutdown, or another
-// error when the optimisation itself failed (in which case no state
-// changed).
+// per-flow enforcement failures, in a response of its own. It is
+// RunBAIInto handed a fresh StatsResponse; see there for the errors.
+func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsResponse, error) {
+	var resp StatsResponse
+	err := s.RunBAIInto(cellID, report, pcef, &resp)
+	return resp, err
+}
+
+// RunBAIInto is the BAI round, written into resp: Assignments and Failed
+// are overwritten in place when their arrays are large enough, so a
+// caller that hands the same response to every round (the in-process
+// simulator driver) allocates nothing for it, and one that hands a fresh
+// one (RunBAIReport, the HTTP binding) owns what it gets — resp never
+// aliases server or controller state. err is *EnforceError (with resp
+// still valid, and sharing resp.Failed) on partial enforcement,
+// ErrStaleReport for an out-of-order sequenced report, ErrDraining
+// during a graceful shutdown, or another error when the optimisation
+// itself failed; in the last three cases no state changed and resp is
+// empty.
 //
 // When the PCEF implements BatchPCEF the round's installs go down in
 // one grouped call — one install sequence bump, one round trip — and
 // the per-flow results are folded in assignment order, byte-identically
 // to the per-flow path.
-func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsResponse, error) {
+func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *StatsResponse) error {
+	*resp = StatsResponse{Assignments: resp.Assignments[:0], Failed: resp.Failed[:0]}
 	nData := report.NumDataFlows
 	if nData < 0 {
 		nData = s.pcrf.NumDataFlows(cellID)
@@ -601,7 +621,7 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 	sh.inflight.Add(1)
 	defer sh.inflight.Add(-1)
 	if s.draining.Load() {
-		return StatsResponse{}, fmt.Errorf("oneapi: cell %d: %w", cellID, ErrDraining)
+		return fmt.Errorf("oneapi: cell %d: %w", cellID, ErrDraining)
 	}
 	c := s.cell(cellID)
 	c.mu.Lock()
@@ -611,12 +631,14 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 	}
 	if report.Seq > 0 && report.Seq <= c.lastReportSeq {
 		c.rec.Emit(obs.StaleReport(int32(cellID), report.Seq))
-		return StatsResponse{}, fmt.Errorf("oneapi: cell %d: report seq %d <= last accepted %d: %w",
+		return fmt.Errorf("oneapi: cell %d: report seq %d <= last accepted %d: %w",
 			cellID, report.Seq, c.lastReportSeq, ErrStaleReport)
 	}
+	// assignments is the controller's buffer, good until its next round:
+	// everything kept past this call is copied out of it below.
 	assignments, err := c.controller.RunBAI(report.Flows, nData)
 	if err != nil {
-		return StatsResponse{}, fmt.Errorf("oneapi: cell %d: %w", cellID, err)
+		return fmt.Errorf("oneapi: cell %d: %w", cellID, err)
 	}
 	if report.Seq > 0 {
 		c.lastReportSeq = report.Seq
@@ -627,10 +649,12 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 	// the per-flow loop otherwise. Either way installErrs[i] is flow
 	// i's outcome and the fold below is shared, so the two paths are
 	// observationally identical.
-	installErrs := installGBRs(pcef, assignments)
+	installErrs := c.installGBRs(pcef, assignments)
 
-	committed := make([]core.Assignment, 0, len(assignments))
-	var failed []EnforcementFailure
+	// Never nil on success, even with no flows: the wire says [], not null.
+	if resp.Assignments == nil || cap(resp.Assignments) < len(assignments) {
+		resp.Assignments = make([]core.Assignment, 0, len(assignments))
+	}
 	for i, a := range assignments {
 		if installErrs != nil && installErrs[i] != nil {
 			// All-installed-or-previous-kept per flow: the flow's
@@ -642,7 +666,7 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 			// what starves the cell — so the lower assignment is
 			// published to polls while installSeq keeps lagging
 			// (the staleness signal stays intact).
-			failed = append(failed, EnforcementFailure{FlowID: a.FlowID, Reason: installErrs[i].Error()})
+			resp.Failed = append(resp.Failed, EnforcementFailure{FlowID: a.FlowID, Reason: installErrs[i].Error()})
 			c.rec.Emit(obs.InstallFail(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
 			if prev, ok := c.current[a.FlowID]; ok && a.RateBps < prev.RateBps {
 				c.current[a.FlowID] = a
@@ -651,15 +675,15 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 		}
 		c.current[a.FlowID] = a
 		c.installSeq[a.FlowID] = c.baiSeq
-		committed = append(committed, a)
+		resp.Assignments = append(resp.Assignments, a)
 		c.rec.Emit(obs.Install(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
 	}
 	s.promoteLocked(cellID, c)
-	resp := StatsResponse{Assignments: committed, BAISeq: c.baiSeq, Failed: failed}
-	if len(failed) > 0 {
-		return resp, &EnforceError{BAISeq: c.baiSeq, Failed: failed}
+	resp.BAISeq = c.baiSeq
+	if len(resp.Failed) > 0 {
+		return &EnforceError{BAISeq: c.baiSeq, Failed: resp.Failed}
 	}
-	return resp, nil
+	return nil
 }
 
 // installGBRs pushes one BAI round's assignments through the PCEF and
@@ -667,29 +691,30 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 // every install succeeded through a batch). A batch implementation
 // returning the wrong result count breaks its contract; every install
 // is then treated as failed so no flow silently advances.
-func installGBRs(pcef PCEF, assignments []core.Assignment) []error {
+func (c *cellState) installGBRs(pcef PCEF, assignments []core.Assignment) []error {
 	if pcef == nil || len(assignments) == 0 {
 		return nil
 	}
+	n := len(assignments)
 	if bp, ok := pcef.(BatchPCEF); ok {
-		installs := make([]GBRInstall, len(assignments))
+		if cap(c.installs) < n {
+			c.installs = make([]GBRInstall, n)
+		}
+		installs := c.installs[:n]
 		for i, a := range assignments {
 			installs[i] = GBRInstall{FlowID: a.FlowID, GBRBps: a.RateBps}
 		}
 		errs := bp.SetGBRBatch(installs)
-		if errs == nil {
-			return nil
-		}
-		if len(errs) != len(installs) {
-			bad := fmt.Errorf("oneapi: batch pcef returned %d results for %d installs", len(errs), len(installs))
-			errs = make([]error, len(installs))
+		if errs != nil && len(errs) != n {
+			bad := fmt.Errorf("oneapi: batch pcef returned %d results for %d installs", len(errs), n)
+			errs = make([]error, n)
 			for i := range errs {
 				errs[i] = bad
 			}
 		}
 		return errs
 	}
-	errs := make([]error, len(assignments))
+	errs := make([]error, n)
 	for i, a := range assignments {
 		errs[i] = pcef.SetGBR(a.FlowID, a.RateBps)
 	}

@@ -11,7 +11,7 @@ import (
 
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
-	"github.com/flare-sim/flare/internal/metrics"
+	"github.com/flare-sim/flare/internal/qoe"
 )
 
 // UEPlayerConfig parameterises a testbed player.
@@ -45,15 +45,14 @@ type UEPlayer struct {
 	adapter has.Adapter
 	clock   *VirtualClock
 
-	mu        sync.Mutex
-	records   []has.SegmentRecord
-	qualities []int
-	buffer    float64 // virtual seconds, as of lastAt
-	lastAt    float64
-	playing   bool
-	stalled   bool
-	everPlay  bool
-	stallSec  float64
+	mu       sync.Mutex
+	tally    qoe.Tally // the same running sums has.Player keeps
+	buffer   float64   // virtual seconds, as of lastAt
+	lastAt   float64
+	playing  bool
+	stalled  bool
+	everPlay bool
+	stallSec float64
 }
 
 // NewUEPlayer builds a player over the given (air-shaped) HTTP client.
@@ -221,8 +220,7 @@ func (p *UEPlayer) completeSegment(rec has.SegmentRecord, segSec float64) {
 	p.advance()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.records = append(p.records, rec)
-	p.qualities = append(p.qualities, rec.Quality)
+	p.tally.Add(rec.RateBps)
 	p.buffer += segSec
 	if !p.playing && p.buffer >= float64(p.cfg.StartupSegments)*segSec {
 		p.playing = true
@@ -250,20 +248,10 @@ func (p *UEPlayer) Stats() Stats {
 	p.advance()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rates := make([]float64, len(p.records))
-	for i, r := range p.records {
-		rates[i] = r.RateBps
-	}
-	changes := 0
-	for i := 1; i < len(p.qualities); i++ {
-		if p.qualities[i] != p.qualities[i-1] {
-			changes++
-		}
-	}
 	return Stats{
-		Segments:      len(p.records),
-		AvgRateBps:    metrics.Mean(rates),
-		Changes:       changes,
+		Segments:      p.tally.Segments(),
+		AvgRateBps:    p.tally.AvgRateBps(),
+		Changes:       p.tally.Changes(),
 		StallSeconds:  p.stallSec,
 		BufferSeconds: p.buffer,
 	}
