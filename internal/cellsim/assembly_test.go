@@ -3,6 +3,7 @@ package cellsim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -78,6 +79,32 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 	}
 	if large > 2700 {
 		t.Errorf("cellsim.New on the 200-session churn cell makes %.0f allocations, want <= 2700", large)
+	}
+}
+
+// TestRunStartAllocsIndependentOfSessions pins what a declared session
+// costs the start of a run: nothing of its own. Arrivals and departures
+// are handle-free events on two shared handlers, so queueing them for 200
+// sessions allocates the two handlers, two 256-event slabs and the
+// doublings of the queue's two slices (20 in all) — not a closure per
+// event on top (384 more).
+func TestRunStartAllocsIndependentOfSessions(t *testing.T) {
+	s, err := New(churnConfig(1, 200, 400*time.Second, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.scheduleStarts()
+	runtime.ReadMemStats(&after)
+	if n := s.env.events.Len(); n < 300 {
+		t.Fatalf("%d events queued for 200 sessions, want an arrival each and a departure for most", n)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("scheduling a 200-session churn run's arrivals and departures: %d allocations", allocs)
+	if allocs > 24 {
+		t.Errorf("queueing 200 sessions' arrivals and departures made %d allocations, want <= 24: nothing per session", allocs)
 	}
 }
 

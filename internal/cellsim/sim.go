@@ -497,41 +497,7 @@ func (s *Sim) Run() (*Result, error) {
 func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 	durTTIs := sim.DurationToTTIs(s.cfg.Duration)
 
-	// Stagger player and data-flow starts over the first two seconds so
-	// clients don't move in lockstep; explicit arrival schedules win.
-	for _, g := range s.groups {
-		g := g
-		for _, f := range g.flows {
-			f := f
-			p := f.Player
-			startTTI := int64(s.rng.Intn(2000))
-			if len(s.cfg.VideoArrivals) > 0 {
-				startTTI = sim.DurationToTTIs(s.cfg.VideoArrivals[f.ID])
-			}
-			s.env.events.Schedule(startTTI, func() {
-				s.rec.Emit(obs.FlowStart(int32(s.cellID), int32(f.ID)))
-				if aa, ok := g.ctrl.(driver.ArrivalAware); ok {
-					aa.OnFlowArrival(f)
-				}
-				p.Start()
-			})
-			if len(s.cfg.VideoDepartures) > 0 && s.cfg.VideoDepartures[f.ID] > 0 {
-				s.env.events.Schedule(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), func() {
-					p.Stop()
-					g.ctrl.OnFlowDeparture(f)
-					s.rec.Emit(obs.FlowDepart(int32(s.cellID), int32(f.ID)))
-				})
-			}
-		}
-	}
-	for _, p := range s.legacyPlayers {
-		p := p
-		s.env.events.Schedule(int64(s.rng.Intn(2000)), p.Start)
-	}
-	for _, f := range s.dataFlows {
-		f := f
-		s.env.events.Schedule(int64(s.rng.Intn(2000)), func() { f.SetGreedy(true) })
-	}
+	s.scheduleStarts()
 
 	for _, g := range s.groups {
 		if iv := g.ctrl.Interval(); iv > 0 {
@@ -586,6 +552,64 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// scheduleStarts queues the run's opening events. Player and data-flow
+// starts are staggered over the first two seconds so clients don't move
+// in lockstep; explicit arrival schedules win.
+func (s *Sim) scheduleStarts() {
+	// Two handlers bound once, the flow ID as the event's argument: a
+	// declared session costs the run no allocation until it arrives.
+	arrive, depart := s.flowArrives, s.flowDeparts
+	for _, f := range s.video {
+		startTTI := int64(s.rng.Intn(2000))
+		if len(s.cfg.VideoArrivals) > 0 {
+			startTTI = sim.DurationToTTIs(s.cfg.VideoArrivals[f.ID])
+		}
+		s.env.events.ScheduleArg(startTTI, arrive, int64(f.ID))
+		if len(s.cfg.VideoDepartures) > 0 && s.cfg.VideoDepartures[f.ID] > 0 {
+			s.env.events.ScheduleArg(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), depart, int64(f.ID))
+		}
+	}
+	for _, p := range s.legacyPlayers {
+		p := p
+		s.env.events.Schedule(int64(s.rng.Intn(2000)), p.Start)
+	}
+	for _, f := range s.dataFlows {
+		f := f
+		s.env.events.Schedule(int64(s.rng.Intn(2000)), func() { f.SetGreedy(true) })
+	}
+}
+
+// groupOf returns the scheme group that owns video flow id (groups own
+// consecutive ID ranges, in order).
+func (s *Sim) groupOf(id int) *simGroup {
+	for _, g := range s.groups {
+		if id < len(g.flows) {
+			return g
+		}
+		id -= len(g.flows)
+	}
+	return nil
+}
+
+// flowArrives is the arrival event of video flow id: the session
+// announces itself to its group's controller and starts playing.
+func (s *Sim) flowArrives(id int64) {
+	f := s.video[id]
+	s.rec.Emit(obs.FlowStart(int32(s.cellID), int32(f.ID)))
+	if aa, ok := s.groupOf(f.ID).ctrl.(driver.ArrivalAware); ok {
+		aa.OnFlowArrival(f)
+	}
+	f.Player.Start()
+}
+
+// flowDeparts is the departure event of video flow id.
+func (s *Sim) flowDeparts(id int64) {
+	f := s.video[id]
+	f.Player.Stop()
+	s.groupOf(f.ID).ctrl.OnFlowDeparture(f)
+	s.rec.Emit(obs.FlowDepart(int32(s.cellID), int32(f.ID)))
 }
 
 // runHooks runs the post-radio per-TTI work shared by both loops: group

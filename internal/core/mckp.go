@@ -39,7 +39,7 @@ type mckpScratch struct {
 	utilsB []float64
 	dp     []float64
 	nxt    []float64
-	choice []int8 // flattened n x (bins+1)
+	choice []int8 // n rows of one band width each (see solve)
 }
 
 // scratchPool is the freelist ExactSolver.Solve borrows from: a mutex-
@@ -170,7 +170,9 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 	costs := s.costs[:n]
 	utils := s.utils[:n]
 	off := 0
-	feasible := true
+	// lo is the cost of the all-lowest assignment: no assignment fits in
+	// fewer bins, and once it exceeds the cell nothing fits at all.
+	lo, feasible := 0, true
 	for u := range p.Flows {
 		f := &p.Flows[u]
 		maxL := f.MaxLevel()
@@ -182,7 +184,9 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 			costs[u][l] = int(math.Ceil(c / binRBs))
 			utils[u][l] = p.UtilityAt(u, l)
 		}
-		if costs[u][0] > bins {
+		if c0 := costs[u][0]; feasible && c0 <= bins-lo {
+			lo += c0
+		} else {
 			feasible = false
 		}
 	}
@@ -195,35 +199,52 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 	}
 
 	negInf := math.Inf(-1)
-	// dp[j]: max total utility using exactly <= j bins, with choice[u][j]
-	// recording flow u's level in the best assignment reaching j.
+	// dp[j]: max total utility of the flows processed so far using at most
+	// j bins (-inf where even their lowest levels need more), with
+	// choice[u][j] recording flow u's level in the best assignment
+	// reaching j.
+	//
+	// Only a band of each row is ever computed. Below rowLo — the lowest-
+	// level cost of flows 0..u — the row is -inf, and a -inf candidate
+	// never wins a strict >. Above top = bins - (lo - rowLo) the flows
+	// still to come cannot fit, so no later row reads the cell on its way
+	// to a final j <= bins: row u+1 reads at most its own top minus its
+	// lowest cost, which is row u's top. The band is width cells wide in
+	// every row; dp and next keep absolute indices, choice stores row u's
+	// band at offset j - rowLo.
+	width := bins - lo + 1
 	if cap(s.dp) < bins+1 {
 		s.dp = make([]float64, bins+1)
 		s.nxt = make([]float64, bins+1)
 	}
-	if cap(s.choice) < n*(bins+1) {
+	if cap(s.choice) < n*width {
+		// Sized for the widest band n flows can have: lo moves with every
+		// BAI's radio costs, and a table regrown for each slightly wider
+		// band is garbage the size of the table each time. The pages past
+		// n*width are never touched.
 		s.choice = make([]int8, n*(bins+1))
 	}
 	dp, next := s.dp[:bins+1], s.nxt[:bins+1]
-	choice := s.choice[:n*(bins+1)]
-	for j := range dp {
-		dp[j] = 0
-	}
+	choice := s.choice[:n*width]
+	clear(dp[:width])
 	// sat is the saturation bound after the flows processed so far: the
 	// sum of their max-level costs, capped at bins. For j >= sat every
 	// level's lookback dp[j-c] reads the (inductively constant) saturated
 	// region of the previous row, so value and first-wins argmax are the
 	// same for all such j — the tail is filled by copying the entry at
 	// the bound instead of recomputing it, bit-identically.
-	sat := 0
+	sat, prevLo := 0, 0
 	for u := 0; u < n; u++ {
 		cu, uu := costs[u], utils[u]
-		chu := choice[u*(bins+1) : (u+1)*(bins+1)]
+		c0, u0 := cu[0], uu[0]
+		rowLo := prevLo + c0
+		top := rowLo + width - 1
+		chu := choice[u*width : (u+1)*width]
 		sat += cu[len(cu)-1] // costs ascend in l, so the last is the max
 		if sat > bins {
 			sat = bins
 		}
-		bound := sat
+		bound := min(sat, top) // sat >= rowLo: max-level costs bound the lowest
 		// Level-outer sweep: for each capacity j the argmax over levels is
 		// taken in ascending l with strict >, which visits exactly the
 		// candidates of the natural per-j scan in the same order — ties
@@ -231,22 +252,15 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 		// j-outer formulation while keeping the inner loop branch-light
 		// and stride-1.
 		//
-		// Level 0 is peeled: below its cost the row is unreachable, at or
-		// above it the level-0 candidate always replaces the -inf
-		// initialiser, so both regions are written directly instead of
-		// init-then-compare. (Where dp itself is -inf the peel records
-		// choice 0 instead of -1; such cells carry value -inf and can
-		// never lie on the finite backtrack path, so the solution is
-		// unchanged.)
-		c0, u0 := cu[0], uu[0]
-		for j := 0; j < c0; j++ {
-			next[j] = negInf
-			chu[j] = -1
-		}
+		// Level 0 is peeled: everywhere in the band its lookback lands in
+		// the previous row's band, so the candidate always replaces the
+		// -inf initialiser and is written directly instead of
+		// init-then-compare. Level l starts where its own lookback enters
+		// that band, at prevLo + c.
 		{
-			dpc := dp[: bound+1-c0 : bound+1-c0]
-			nx := next[c0 : bound+1 : bound+1]
-			ch := chu[c0 : bound+1 : bound+1]
+			dpc := dp[prevLo : bound+1-c0 : bound+1-c0]
+			nx := next[rowLo : bound+1 : bound+1]
+			ch := chu[: bound+1-rowLo : bound+1-rowLo]
 			for j, dv := range dpc {
 				nx[j] = dv + u0
 				ch[j] = 0
@@ -254,14 +268,14 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 		}
 		for l := 1; l < len(cu); l++ {
 			c := cu[l]
-			if c > bound {
+			if prevLo+c > bound {
 				break // costs are ascending in l
 			}
 			ul := uu[l]
 			l8 := int8(l)
-			dpc := dp[: bound+1-c : bound+1-c]
-			nx := next[c : bound+1 : bound+1]
-			ch := chu[c : bound+1 : bound+1]
+			dpc := dp[prevLo : bound+1-c : bound+1-c]
+			nx := next[prevLo+c : bound+1 : bound+1]
+			ch := chu[c-c0 : bound+1-rowLo : bound+1-rowLo]
 			for j, dv := range dpc {
 				if v := dv + ul; v > nx[j] {
 					nx[j] = v
@@ -270,14 +284,15 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 			}
 		}
 		// Saturated tail: identical to the entry at the bound.
-		if bound < bins {
-			vn, vc := next[bound], chu[bound]
-			for j := bound + 1; j <= bins; j++ {
+		if bound < top {
+			vn, vc := next[bound], chu[bound-rowLo]
+			for j := bound + 1; j <= top; j++ {
 				next[j] = vn
-				chu[j] = vc
+				chu[j-rowLo] = vc
 			}
 		}
 		dp, next = next, dp
+		prevLo = rowLo
 	}
 
 	// Pick the bucket count that maximises utility + data term. The term
@@ -287,7 +302,7 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 	dataK := float64(p.NumDataFlows) * p.Alpha // 0 iff DataTerm is identically 0
 	bestObj := negInf
 	bestJ := -1
-	for j := 0; j <= bins; j++ {
+	for j := lo; j <= bins; j++ {
 		if dp[j] == negInf {
 			continue
 		}
@@ -306,15 +321,16 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 		return nil
 	}
 
-	// Backtrack the choices.
-	j := bestJ
+	// Backtrack the choices; rowLo follows the bands back down.
+	j, rowLo := bestJ, lo
 	for u := n - 1; u >= 0; u-- {
-		l := choice[u*(bins+1)+j]
+		l := choice[u*width+j-rowLo]
 		if l < 0 {
 			return fmt.Errorf("core: DP backtrack failed at flow %d", u)
 		}
 		levels[u] = int(l)
 		j -= costs[u][l]
+		rowLo -= costs[u][0]
 	}
 	p.fill(sol, levels, true)
 	return nil

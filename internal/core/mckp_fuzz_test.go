@@ -25,6 +25,9 @@ import (
 // through the shared freelist right after a larger problem of a
 // different shape has been through it — and the two solutions must be
 // identical: shared scratch carries nothing from one solve to the next.
+// The cold solution must also equal, to the bit, what the full-table DP
+// (mckp_ref_test.go) makes of the same instance: the band the production
+// sweep confines itself to leaves out no cell that matters.
 func FuzzMCKP(f *testing.F) {
 	f.Add(uint8(2), uint16(0x1b), int64(500_000), 10.0, 1.0, false, 0.0)
 	f.Add(uint8(4), uint16(0xffff), int64(100), 0.25, 0.0, true, 0.0)
@@ -68,7 +71,7 @@ func FuzzMCKP(f *testing.F) {
 		}
 
 		solver := NewExactSolver()
-		sol := coldSolve(t, p, solver.Bins)
+		sol := requireFullTableEqual(t, "cold solve", p, solver.Bins)
 		if _, err := solver.Solve(polluter); err != nil {
 			t.Fatal(err)
 		}

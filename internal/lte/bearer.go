@@ -67,23 +67,22 @@ type Bearer struct {
 	OnDeliver func(bytes int64)
 
 	// GBRBits is the guaranteed bit rate in bits/s; 0 means non-GBR.
+	// After AddBearer, write it through SetGBR: a settled bearer rejoins
+	// the per-TTI passes only when a setter (or Enqueue) stirs it.
 	GBRBits float64
 	// MBRBits is the maximum bit rate in bits/s; 0 means unlimited.
+	// After AddBearer, write it through SetMBR.
 	MBRBits float64
 
 	// The unexported state is laid out by access pattern, not by topic:
 	// everything tick and the schedulers touch every TTI sits in one
 	// contiguous run starting at the two rates above, so a live bearer's
-	// per-TTI working set is two or three cache lines and a settled
-	// bearer's per-TTI check (stirred) reads only the first.
+	// per-TTI working set is two or three cache lines.
 	queue int64
 
 	// gbrRefBits and mbrRefBits are the rates the cached derivatives
 	// below were computed from — tick refreshes them, and the derivatives,
-	// whenever it runs with a different positive rate, so direct mutation
-	// of the public fields is picked up. On a settled bearer they are
-	// the rates it settled at, positive or not (tickIdleOnce), which is
-	// what lets the eNodeB detect a rate written since.
+	// whenever it runs with a different positive rate.
 	gbrRefBits float64
 	mbrRefBits float64
 
@@ -107,9 +106,13 @@ type Bearer struct {
 
 	mbrPrimed  bool
 	everServed bool
+	// settled marks a bearer that has left its cell's per-TTI passes
+	// (see ENodeB.live); stir clears it.
+	settled bool
 
-	// idx is the bearer's position in its cell's bearer slice (set by
-	// ENodeB.AddBearer).
+	// enb is the cell the bearer is registered with and idx its position
+	// in that cell's bearer slice (both set by ENodeB.AddBearer).
+	enb *ENodeB
 	idx int
 
 	win   WindowStats
@@ -131,7 +134,33 @@ func (b *Bearer) Enqueue(bytes int64) int64 {
 		}
 	}
 	b.queue += accepted
+	b.stir()
 	return accepted
+}
+
+// SetGBR updates the guaranteed bit rate (0 = non-GBR).
+func (b *Bearer) SetGBR(gbrBits float64) {
+	b.GBRBits = gbrBits
+	b.stir()
+}
+
+// SetMBR updates the maximum bit rate (0 = unlimited).
+func (b *Bearer) SetMBR(mbrBits float64) {
+	b.MBRBits = mbrBits
+	b.stir()
+}
+
+// stir sends a settled bearer back to the per-TTI passes (the next
+// readmit moves it into the live set). Every write that can end the
+// fixed point calls it without asking whether this one did: a bearer
+// re-admitted at its fixed point costs one tick that proves it and
+// settles it again. The mark is the bearer's own slot, so distinct
+// bearers may be stirred concurrently (the intra-cell tick phase does).
+func (b *Bearer) stir() {
+	if b.settled {
+		b.settled = false
+		b.enb.stirred[b.idx] = 1
+	}
 }
 
 // Backlog returns the queued bytes awaiting transmission.
@@ -195,8 +224,21 @@ func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 //flare:hotpath
 func (b *Bearer) tick(servedBits float64) {
 	instant := servedBits * TTIsPerSecond // bits/s delivered this TTI
-	b.avgTput += (instant - b.avgTput) / avgTputTTIs
-	b.fastTput += (instant - b.fastTput) / fastTputTTIs
+	// An idle bearer's averages spend most of their decay below the normal
+	// range, where the float expression is microcode-assisted (~15x the
+	// cost); idleDecay is the same step on the bit pattern. Each average
+	// crosses over on its own, the fast one ~45 simulated seconds first.
+	// The range test leads: it predicts, "served this TTI" does not.
+	if b.avgTput < minNormalTput && servedBits == 0 {
+		b.avgTput = idleDecay(b.avgTput, avgTputTTIs)
+	} else {
+		b.avgTput += (instant - b.avgTput) / avgTputTTIs
+	}
+	if b.fastTput < minNormalTput && servedBits == 0 {
+		b.fastTput = idleDecay(b.fastTput, fastTputTTIs)
+	} else {
+		b.fastTput += (instant - b.fastTput) / fastTputTTIs
+	}
 	if b.GBRBits > 0 {
 		if b.GBRBits != b.gbrRefBits {
 			b.gbrRefBits = b.GBRBits
@@ -241,6 +283,20 @@ func (b *Bearer) tick(servedBits float64) {
 // an average at or above it cannot be at its fixed point.
 const minNormalTput = 0x1p-1022
 
+// idleDecay returns a + (0-a)/n for a subnormal (or zero) average a >= 0,
+// to the bit, without floating-point arithmetic. Below the normal range
+// a float64 is its mantissa m times 2^-1074 and the representable values
+// are exactly the integers, so the quotient rounds to RNE(m/n) — nearest,
+// ties to even — and the sum m - RNE(m/n) is exact.
+func idleDecay(a float64, n uint64) float64 {
+	m := math.Float64bits(a)
+	q, r := m/n, m%n
+	if 2*r > n || (2*r == n && q&1 == 1) {
+		q++
+	}
+	return math.Float64frombits(m - q)
+}
+
 // endTTI is the bearer's end-of-TTI accounting: one tick with the bits
 // served this TTI (consumed and re-zeroed). It reports whether the
 // bearer is now settled. Only a bearer whose slow average has already
@@ -270,17 +326,9 @@ func (b *Bearer) tickIdleOnce() bool {
 	prevGBR, prevMBR := b.gbrCredit, b.mbrCredit
 	prevPrimed := b.mbrPrimed
 	b.tick(0)
-	if b.avgTput != prevAvg || b.fastTput != prevFast ||
-		b.gbrCredit != prevGBR || b.mbrCredit != prevMBR ||
-		b.mbrPrimed != prevPrimed {
-		return false
-	}
-	// Record the rates the fixed point holds at. tick has done so for a
-	// positive rate; a rate of zero or below it never looks up, so
-	// writing it here cannot disagree with the cached derivatives — they
-	// are only read after a positive rate has been compared with the ref.
-	b.gbrRefBits, b.mbrRefBits = b.GBRBits, b.MBRBits
-	return true
+	return b.avgTput == prevAvg && b.fastTput == prevFast &&
+		b.gbrCredit == prevGBR && b.mbrCredit == prevMBR &&
+		b.mbrPrimed == prevPrimed
 }
 
 // tickIdle replays k idle TTIs (tick(0) k times) — the fast-forward
@@ -298,9 +346,10 @@ func (b *Bearer) tickIdleOnce() bool {
 // zero: a -= a/N stalls at a small non-zero denormal (2.47e-322 for the
 // 100-TTI window, 1e-322 for the 40-TTI one, where a/N rounds to zero),
 // about 75 simulated seconds after the last service; the GBR/MBR
-// credits saturate at their clamps within a second. So long skips cost
-// far less than k iterations, and an idle bearer always ends up at a
-// fixed point.
+// credits saturate at their clamps within a second. So a skip costs at
+// most those ~75 000 iterations however long it is — the later ones on
+// tick's integer path (idleDecay), which is the literal tick(0) to the
+// bit — and an idle bearer always ends up at a fixed point.
 func (b *Bearer) tickIdle(k int64) bool {
 	for i := int64(0); i < k; i++ {
 		if b.tickIdleOnce() {
@@ -308,20 +357,6 @@ func (b *Bearer) tickIdle(k int64) bool {
 		}
 	}
 	return false
-}
-
-// stirred reports whether a settled bearer has to rejoin the per-TTI
-// passes: bytes were enqueued, or its GBR/MBR no longer equal the rates
-// of the tick that proved it settled (through SetGBR/SetMBR or a direct
-// write to the fields — the next tick would act on the new rate). This
-// is all a settled bearer costs per pass, so the three tests are folded
-// into one branch; comparing the rates' bit patterns errs only towards
-// true (-0 against +0), and a spurious re-admission is just one more
-// no-op tick.
-func (b *Bearer) stirred() bool {
-	return uint64(b.queue)|
-		(math.Float64bits(b.GBRBits)^math.Float64bits(b.gbrRefBits))|
-		(math.Float64bits(b.MBRBits)^math.Float64bits(b.mbrRefBits)) != 0
 }
 
 // mbrBurstBytes is the MBR token bucket depth: 50 ms at the cap rate.

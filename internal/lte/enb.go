@@ -1,6 +1,7 @@
 package lte
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/flare-sim/flare/internal/sim"
@@ -16,19 +17,20 @@ type ENodeB struct {
 	byID     map[int]*Bearer
 	rbgSizes []int
 
-	// live and settled partition bearers. A bearer is settled when it
-	// has no backlog and an idle tick provably leaves its accounting
-	// state bit-identical at its current GBR/MBR (Bearer.tickIdleOnce);
-	// every per-TTI pass — active-set scan, accounting, Idle,
-	// FastForwardIdle — walks live only, so the skipped ticks are
-	// exactly the ticks that were no-ops. live stays in bearer order
-	// (the scheduler must see the active set in that order); settled
-	// bearers cost one stirred() compare per pass until an Enqueue or a
-	// GBR/MBR change re-admits them (readmit). NewENodeB sizes both
-	// slices for one bearer per UE, so in a cell built that way neither
-	// grows during a run.
+	// live holds the bearers that are not settled. A bearer is settled
+	// (Bearer.settled) when it has no backlog and an idle tick provably
+	// leaves its accounting state bit-identical at its current GBR/MBR
+	// (Bearer.tickIdleOnce); every per-TTI pass — active-set scan,
+	// accounting, Idle, FastForwardIdle — walks live only, so the skipped
+	// ticks are exactly the ticks that were no-ops. live stays in bearer
+	// order (the scheduler must see the active set in that order). A
+	// settled bearer is a flag and costs a pass nothing: Enqueue, SetGBR
+	// and SetMBR stir it — mark its slot in stirred, one byte per bearer,
+	// parallel to bearers — and readmit moves the marked ones back into
+	// live. NewENodeB sizes both slices for one bearer per UE, so in a
+	// cell built that way neither grows during a run.
 	live    []*Bearer
-	settled []*Bearer
+	stirred []byte
 
 	// flowStates is a persistent per-bearer scratch slice, parallel to
 	// bearers: the Bearer pointer and index are written once at AddBearer
@@ -56,7 +58,7 @@ func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 		bearers:    make([]*Bearer, 0, n),
 		byID:       make(map[int]*Bearer, n),
 		live:       make([]*Bearer, 0, n),
-		settled:    make([]*Bearer, 0, n),
+		stirred:    make([]byte, 0, n),
 		flowStates: make([]FlowState, 0, n),
 		rbgSizes:   RBGSizes(),
 	}
@@ -80,8 +82,9 @@ func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	if b.UE < 0 || b.UE >= e.channel.NumUEs() {
 		return nil, fmt.Errorf("lte: bearer %d references UE %d, channel has %d UEs", b.ID, b.UE, e.channel.NumUEs())
 	}
-	b.idx = len(e.bearers)
+	b.enb, b.idx = e, len(e.bearers)
 	e.bearers = append(e.bearers, b)
+	e.stirred = append(e.stirred, 0)
 	e.flowStates = append(e.flowStates, FlowState{Bearer: b})
 	// A new bearer starts live; its first accounting pass settles it if
 	// it is idle.
@@ -111,7 +114,7 @@ func (e *ENodeB) SetGBR(bearerID int, gbrBits float64) error {
 	if b == nil {
 		return fmt.Errorf("lte: no bearer with ID %d", bearerID)
 	}
-	b.GBRBits = gbrBits
+	b.SetGBR(gbrBits)
 	return nil
 }
 
@@ -121,7 +124,7 @@ func (e *ENodeB) SetMBR(bearerID int, mbrBits float64) error {
 	if b == nil {
 		return fmt.Errorf("lte: no bearer with ID %d", bearerID)
 	}
-	b.MBRBits = mbrBits
+	b.SetMBR(mbrBits)
 	return nil
 }
 
@@ -201,29 +204,31 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 }
 
 // keepLive is the body of the loops that filter live in place: b goes
-// back into live at position n, or — settled — onto the settled set. It
+// back into live at position n, or — settled — drops out of it. It
 // returns the next free position.
 func (e *ENodeB) keepLive(n int, b *Bearer, settled bool) int {
 	if settled {
-		e.settled = append(e.settled, b)
+		b.settled = true
 		return n
 	}
 	e.live[n] = b
 	return n + 1
 }
 
-// readmit moves every settled bearer that was enqueued into or had its
-// GBR/MBR changed back into the live set, at its place in bearer order.
-// It runs at the top of every per-TTI pass, so a change made at any
-// point between passes is honoured by the next one.
+// readmit moves every bearer stirred since the last call (Bearer.stir)
+// back into the live set, at its place in bearer order. It runs at the
+// top of every per-TTI pass, so a change made at any point between
+// passes is honoured by the next one. With nothing stirred — nearly
+// every pass — it is one vectorised search of a byte per bearer.
 func (e *ENodeB) readmit() {
-	n := 0
-	for _, b := range e.settled {
-		if !b.stirred() {
-			e.settled[n] = b
-			n++
-			continue
+	for from := 0; ; from++ {
+		at := bytes.IndexByte(e.stirred[from:], 1)
+		if at < 0 {
+			return
 		}
+		from += at
+		e.stirred[from] = 0
+		b := e.bearers[from]
 		i := len(e.live)
 		e.live = append(e.live, b)
 		for ; i > 0 && e.live[i-1].idx > b.idx; i-- {
@@ -231,7 +236,6 @@ func (e *ENodeB) readmit() {
 		}
 		e.live[i] = b
 	}
-	e.settled = e.settled[:n]
 }
 
 // Idle reports whether no bearer has queued bytes — together with an

@@ -88,6 +88,24 @@ func bitsOf(b *Bearer) bearerBits {
 	}
 }
 
+// numSettled counts the cell's settled bearers; numStirred the ones
+// stirred since and waiting for the next readmit.
+func (e *ENodeB) numSettled() (n int) {
+	for _, b := range e.bearers {
+		if b.settled {
+			n++
+		}
+	}
+	return n
+}
+
+func (e *ENodeB) numStirred() (n int) {
+	for _, m := range e.stirred {
+		n += int(m)
+	}
+	return n
+}
+
 // settledPair is a production cell and its reference twin.
 type settledPair struct {
 	t    *testing.T
@@ -148,11 +166,14 @@ func (p *settledPair) check(when string, tti int64) {
 			p.t.Fatalf("%s tti %d: bearer %d diverged from the tick-everything reference:\n got %+v\nwant %+v", when, tti, i, got, want)
 		}
 	}
-	if len(p.prod.live)+len(p.prod.settled) != len(p.prod.bearers) {
-		p.t.Fatalf("%s tti %d: %d live + %d settled != %d bearers", when, tti, len(p.prod.live), len(p.prod.settled), len(p.prod.bearers))
+	if live, settled, stirred := len(p.prod.live), p.prod.numSettled(), p.prod.numStirred(); live+settled+stirred != len(p.prod.bearers) {
+		p.t.Fatalf("%s tti %d: %d live + %d settled + %d stirred != %d bearers", when, tti, live, settled, stirred, len(p.prod.bearers))
 	}
-	for i := 1; i < len(p.prod.live); i++ {
-		if p.prod.live[i-1].idx >= p.prod.live[i].idx {
+	for i, b := range p.prod.live {
+		if b.settled || p.prod.stirred[b.idx] != 0 {
+			p.t.Fatalf("%s tti %d: live bearer %d is also marked settled or stirred", when, tti, b.ID)
+		}
+		if i > 0 && p.prod.live[i-1].idx >= b.idx {
 			p.t.Fatalf("%s tti %d: live set out of bearer order at %d", when, tti, i)
 		}
 	}
@@ -188,18 +209,17 @@ func (p *settledPair) step(tti int64) {
 		avg float64
 	}
 	var undisturbed []quiet
-	for _, b := range p.prod.settled {
-		if b.stirred() {
-			p.readmits++
-		} else {
+	for _, b := range p.prod.bearers {
+		if b.settled {
 			undisturbed = append(undisturbed, quiet{b, b.avgTput})
 			b.avgTput = sentinel
 		}
 	}
-	before := len(p.prod.settled)
+	p.readmits += p.prod.numStirred()
+	before := len(undisturbed)
 	p.prod.RunTTI(tti)
 	p.ref.runTTI(tti)
-	if d := len(p.prod.settled) - before; d > 0 {
+	if d := p.prod.numSettled() - before; d > 0 {
 		p.settles += d
 	}
 	for _, q := range undisturbed {
@@ -231,8 +251,8 @@ func TestSettledSkipMatchesTickEveryTTI(t *testing.T) {
 }
 
 // runSettledSequence drives one randomized sequence: bursts of traffic
-// and rate changes (through the setters and by writing the exported
-// fields) separated by idle spans long enough for served bearers to
+// and rate changes (through the cell's setters and the bearer's own)
+// separated by idle spans long enough for served bearers to
 // decay all the way to their fixed point, some of them crossed by
 // FastForwardIdle instead of TTI by TTI.
 func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
@@ -243,7 +263,9 @@ func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
 	tti := int64(0)
 
 	// mutate applies one random operation: kinds 0 and 1 enqueue, 2 and
-	// 3 go through the setters, 4 and 5 write the exported fields.
+	// 3 go through the cell's setters, 4 and 5 through the bearer's. (The
+	// reference's bearers belong to no cell and cannot settle, so a
+	// setter is a plain write there.)
 	mutate := func(kind int) {
 		i := rng.Intn(bearers)
 		rate := rates[rng.Intn(len(rates))]
@@ -258,7 +280,7 @@ func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
 						t.Fatal(err)
 					}
 				} else {
-					b.GBRBits = rate
+					b.SetGBR(rate)
 				}
 			})
 		case 3:
@@ -268,13 +290,13 @@ func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
 						t.Fatal(err)
 					}
 				} else {
-					b.MBRBits = rate
+					b.SetMBR(rate)
 				}
 			})
 		case 4:
-			p.both(i, func(_ *ENodeB, b *Bearer) { b.GBRBits = rate })
+			p.both(i, func(_ *ENodeB, b *Bearer) { b.SetGBR(rate) })
 		case 5:
-			p.both(i, func(_ *ENodeB, b *Bearer) { b.MBRBits = rate })
+			p.both(i, func(_ *ENodeB, b *Bearer) { b.SetMBR(rate) })
 		}
 	}
 
@@ -326,8 +348,8 @@ func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
 			p.settles, p.readmits, p.skippedTicks)
 	}
 	settledAfterService := 0
-	for _, b := range p.prod.settled {
-		if b.everServed {
+	for _, b := range p.prod.bearers {
+		if b.settled && b.everServed {
 			settledAfterService++
 		}
 	}
@@ -373,8 +395,8 @@ func TestIdleSeesEnqueueOnSettledBearer(t *testing.T) {
 		}
 	}
 	enb.RunTTI(0)
-	if len(enb.settled) != 2 || !enb.Idle() {
-		t.Fatalf("fresh idle bearers did not settle on their first TTI: %d settled", len(enb.settled))
+	if enb.numSettled() != 2 || !enb.Idle() {
+		t.Fatalf("fresh idle bearers did not settle on their first TTI: %d settled", enb.numSettled())
 	}
 	bs[1].Enqueue(500)
 	if enb.Idle() {
@@ -382,5 +404,188 @@ func TestIdleSeesEnqueueOnSettledBearer(t *testing.T) {
 	}
 	if len(enb.live) != 1 || enb.live[0] != bs[1] {
 		t.Fatalf("enqueued bearer was not re-admitted: live = %v", enb.live)
+	}
+}
+
+// TestReadmissionEdgeCases walks the corners of the stir/readmit
+// protocol one at a time, sequentially and through the worker-pool
+// path, comparing with the tick-every-TTI reference after every pass.
+func TestReadmissionEdgeCases(t *testing.T) {
+	pool := sim.NewWorkerPool(3)
+	defer pool.Close()
+	for _, tc := range []struct {
+		name string
+		pool *sim.WorkerPool
+	}{
+		{"sequential", nil},
+		{"worker-pool", pool},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runReadmissionEdgeCases(t, tc.pool) })
+	}
+}
+
+func runReadmissionEdgeCases(t *testing.T, pool *sim.WorkerPool) {
+	const bearers = 6
+	p := newSettledPair(t, bearers, pool)
+	tti := int64(0)
+	step := func() { p.step(tti); tti++ }
+	wantSettled := func(when string, want int) {
+		t.Helper()
+		if got := p.prod.numSettled(); got != want {
+			t.Fatalf("%s: %d bearers settled, want %d", when, got, want)
+		}
+	}
+	wantStirred := func(when string, want int) {
+		t.Helper()
+		if got := p.prod.numStirred(); got != want {
+			t.Fatalf("%s: %d bearers waiting for readmit, want %d", when, got, want)
+		}
+	}
+
+	// Bearer 0 carries traffic at a GBR and an MBR, then decays all the
+	// way to its fixed point across one long jump; the rest never carry
+	// anything and settle on their first TTI.
+	p.both(0, func(_ *ENodeB, b *Bearer) { b.SetGBR(3e5); b.SetMBR(2.5e6); b.Enqueue(30_000) })
+	for !p.idle(tti - 1) {
+		step()
+	}
+	p.prod.FastForwardIdle(tti-1, tti+90_000)
+	p.ref.skipIdle(tti-1, tti+90_000)
+	tti += 90_000
+	p.check("after the settling jump", tti)
+	wantSettled("after the settling jump", bearers)
+	if !p.prod.bearers[0].everServed {
+		t.Fatal("bearer 0 was never served")
+	}
+
+	// A rate set to a new value and back between two passes: stirred
+	// once, ticked once at the rate it settled at, settled again.
+	p.both(0, func(_ *ENodeB, b *Bearer) { b.SetGBR(1e6); b.SetGBR(3e5) })
+	wantStirred("after SetGBR there and back", 1)
+	step()
+	wantSettled("after SetGBR there and back", bearers)
+
+	// A rate that really changed keeps the bearer live until the credits
+	// reach their new clamp.
+	p.both(0, func(e *ENodeB, b *Bearer) {
+		if e != nil {
+			if err := e.SetGBR(b.ID, 1e6); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			b.SetGBR(1e6)
+		}
+	})
+	step()
+	wantSettled("one TTI after a GBR change", bearers-1)
+	for i := 0; i < 1_500; i++ {
+		step()
+	}
+	wantSettled("after the credits saturated at the new GBR", bearers)
+
+	// Enqueue of nothing stirs nothing.
+	p.both(1, func(_ *ENodeB, b *Bearer) {
+		if b.Enqueue(0) != 0 || b.Enqueue(-5) != 0 {
+			t.Fatal("Enqueue accepted a non-positive count")
+		}
+	})
+	wantStirred("after Enqueue(0)", 0)
+	step()
+
+	// Stirred three times before one readmit: one slot, one place in live.
+	p.both(2, func(_ *ENodeB, b *Bearer) { b.SetMBR(1e6); b.Enqueue(4_000); b.SetGBR(3e5) })
+	wantStirred("after three stirs of one bearer", 1)
+	// Bytes beyond QueueLimit: part of the first burst is refused, all of
+	// the second.
+	p.both(3, func(_ *ENodeB, b *Bearer) {
+		if got := b.Enqueue(100_000); got != b.QueueLimit {
+			t.Fatalf("Enqueue past the limit accepted %d of %d", got, b.QueueLimit)
+		}
+		if got := b.Enqueue(10); got != 0 {
+			t.Fatalf("Enqueue on a full queue accepted %d", got)
+		}
+	})
+	wantStirred("after stirring two bearers", 2)
+	if p.idle(tti - 1) {
+		t.Fatal("cell idle with bytes queued on stirred bearers")
+	}
+	wantStirred("after Idle", 0)
+	for !p.idle(tti - 1) {
+		step()
+	}
+
+	// The span boundary: bytes that arrive on the wake TTI, after the jump
+	// and before RunTTI — on a bearer the jump's replay left live, and on
+	// one that has been settled all along.
+	to := tti + 700
+	p.prod.FastForwardIdle(tti-1, to)
+	p.ref.skipIdle(tti-1, to)
+	p.check("after FastForwardIdle", to)
+	p.both(3, func(_ *ENodeB, b *Bearer) { b.Enqueue(9_000) })
+	p.both(4, func(_ *ENodeB, b *Bearer) { b.Enqueue(9_000) })
+	tti = to
+	step()
+	// A jump over no TTI at all does not readmit; the stir has to survive
+	// it and be seen by the pass after.
+	p.both(5, func(_ *ENodeB, b *Bearer) { b.SetMBR(3e5) })
+	p.prod.FastForwardIdle(tti-1, tti)
+	p.ref.skipIdle(tti-1, tti)
+	wantStirred("after an empty jump", 1)
+	step()
+	wantStirred("after the pass behind the empty jump", 0)
+	for !p.idle(tti - 1) {
+		step()
+	}
+	if p.settles == 0 || p.readmits == 0 || p.skippedTicks == 0 {
+		t.Fatalf("sequence did not exercise the settled set: %d settles, %d re-admissions, %d skipped ticks",
+			p.settles, p.readmits, p.skippedTicks)
+	}
+}
+
+// enqueueRange enqueues on each bearer of its range — what the
+// intra-cell transport tick phase does from several workers at once.
+type enqueueRange struct{ bearers []*Bearer }
+
+func (r enqueueRange) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		r.bearers[i].Enqueue(int64(1_000 + i))
+	}
+}
+
+// TestConcurrentStirsOfDistinctBearers: settled bearers enqueued into
+// from different goroutines in one phase (run under -race) are each
+// re-admitted once, in bearer order.
+func TestConcurrentStirsOfDistinctBearers(t *testing.T) {
+	const bearers = 96
+	pool := sim.NewWorkerPool(4)
+	defer pool.Close()
+	p := newSettledPair(t, bearers, nil)
+	p.step(0)
+	if got := p.prod.numSettled(); got != bearers {
+		t.Fatalf("%d of %d fresh bearers settled on the first TTI", got, bearers)
+	}
+	tti := int64(1)
+	for round := 0; round < 10; round++ {
+		settled := p.prod.numSettled()
+		if settled < bearers/2 {
+			t.Fatalf("round %d: only %d of %d bearers settled", round, settled, bearers)
+		}
+		pool.Do(bearers, enqueueRange{p.prod.bearers})
+		enqueueRange{p.ref.bearers}.RunRange(0, bearers)
+		if stirred, left := p.prod.numStirred(), p.prod.numSettled(); stirred != settled || left != 0 {
+			t.Fatalf("round %d: %d bearers were settled; %d marked for readmit, %d still settled", round, settled, stirred, left)
+		}
+		p.step(tti)
+		if len(p.prod.live) != bearers {
+			t.Fatalf("round %d: %d of %d bearers live after the pass", round, len(p.prod.live), bearers)
+		}
+		// Drop the backlog again: the bearers that got no grant still have
+		// a zero average and settle on the next pass, the few that were
+		// served stay live.
+		for i := range p.prod.bearers {
+			p.both(i, func(_ *ENodeB, b *Bearer) { b.queue = 0 })
+		}
+		p.step(tti + 1)
+		tti += 2
 	}
 }

@@ -48,7 +48,10 @@ type EventQueue struct {
 	h        eventHeap
 	fifo     []*Event
 	fifoHead int
-	free     []*Event
+	// laneMisses counts the poolable events in a row that the FIFO lane
+	// turned away because its tail fires later (see enqueue).
+	laneMisses int
+	free       []*Event
 	// slab is the arena new events are carved from when the free list is
 	// empty: one bulk allocation per eventSlabSize events instead of one
 	// per event. Handle-bearing events (Schedule) are never recycled —
@@ -91,26 +94,43 @@ func (q *EventQueue) newEvent(atTTI int64) *Event {
 // invariant; everything else goes to the heap. Handle-bearing events
 // are kept out of the lane so a single far-future timer cannot wedge
 // into the tail and force the steady periodic stream into the heap.
+// A poolable one can still wedge there (a session's departure,
+// scheduled at run start), so the lane counts the events it turns away
+// in a row: once they outnumber what it holds, its contents are the
+// strays and move to the heap, and the stream gets the lane.
 func (q *EventQueue) enqueue(ev *Event) {
 	q.count++
-	if ev.poolable &&
-		(q.fifoHead == len(q.fifo) || ev.AtTTI >= q.fifo[len(q.fifo)-1].AtTTI) {
-		ev.index = fifoMark
-		if q.fifoHead > 0 && len(q.fifo) == cap(q.fifo) {
-			// Compact consumed head space instead of growing: a steady
-			// periodic stream never drains the lane, so without this the
-			// backing array would grow with total events, not pending ones.
-			live := copy(q.fifo, q.fifo[q.fifoHead:])
-			for i := live; i < len(q.fifo); i++ {
-				q.fifo[i] = nil
-			}
-			q.fifo = q.fifo[:live]
-			q.fifoHead = 0
-		}
-		q.fifo = append(q.fifo, ev)
+	if !ev.poolable {
+		heap.Push(&q.h, ev)
 		return
 	}
-	heap.Push(&q.h, ev)
+	if held := len(q.fifo) - q.fifoHead; held > 0 && ev.AtTTI < q.fifo[len(q.fifo)-1].AtTTI {
+		if q.laneMisses++; q.laneMisses <= held {
+			heap.Push(&q.h, ev)
+			return
+		}
+		for i, stray := range q.fifo[q.fifoHead:] {
+			q.fifo[q.fifoHead+i] = nil
+			if stray.Run != nil || stray.runArg != nil { // not lazily cancelled
+				heap.Push(&q.h, stray)
+			}
+		}
+		q.fifo, q.fifoHead = q.fifo[:0], 0
+	}
+	q.laneMisses = 0
+	ev.index = fifoMark
+	if q.fifoHead > 0 && len(q.fifo) == cap(q.fifo) {
+		// Compact consumed head space instead of growing: a steady
+		// periodic stream never drains the lane, so without this the
+		// backing array would grow with total events, not pending ones.
+		live := copy(q.fifo, q.fifo[q.fifoHead:])
+		for i := live; i < len(q.fifo); i++ {
+			q.fifo[i] = nil
+		}
+		q.fifo = q.fifo[:live]
+		q.fifoHead = 0
+	}
+	q.fifo = append(q.fifo, ev)
 }
 
 // Schedule enqueues fn to run at the given TTI and returns the event

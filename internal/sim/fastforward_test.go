@@ -91,7 +91,7 @@ func TestScheduleArgInterleavesWithSchedule(t *testing.T) {
 	mark := func(id int) func() { return func() { got = append(got, id) } }
 	markArg := func(v int64) { got = append(got, int(v)) }
 
-	q.Schedule(10, mark(0))      // heap
+	q.Schedule(10, mark(0))       // heap
 	q.ScheduleArg(10, markArg, 1) // fifo, same TTI: after 0
 	q.Schedule(5, mark(2))        // heap, earlier TTI
 	q.ScheduleArg(10, markArg, 3) // fifo, same TTI as 0/1: last
@@ -133,6 +133,52 @@ func TestScheduleArgPoolRecycles(t *testing.T) {
 	// The backing storage must stay O(pending), not O(total fired).
 	if c := cap(q.fifo); c > 64 {
 		t.Fatalf("fifo lane grew to cap %d under steady-state load", c)
+	}
+}
+
+// TestFarFutureArgEventsLeaveTheLane: handle-free one-shots scheduled far
+// ahead (a churn run's arrivals and departures, all queued at run
+// start) must not hold the FIFO lane against the periodic stream that
+// starts afterwards. The stream may pay the heap for as many events as
+// the lane held; after that the strays are on the heap and the stream in
+// the lane — and every event still fires in (AtTTI, scheduling order).
+func TestFarFutureArgEventsLeaveTheLane(t *testing.T) {
+	var q EventQueue
+	var fired []int64
+	record := func(arg int64) { fired = append(fired, arg) }
+	const strays = 40
+	for i := int64(0); i < strays; i++ {
+		q.ScheduleArg(1_000+50*i, record, -1-i)    // an arrival
+		q.ScheduleArg(30_000+70*i, record, -100-i) // its departure
+	}
+	const streamTTIs = 40_000
+	for now := int64(0); now < streamTTIs; now++ {
+		q.ScheduleArg(now+10, record, now)
+		q.RunDue(now)
+		if now == 2*strays && len(q.h) != 2*strays {
+			t.Fatalf("after %d stream events the heap holds %d events, want the %d strays and nothing else", now, len(q.h), 2*strays)
+		}
+	}
+	q.RunDue(1 << 40)
+	if len(fired) != 2*strays+streamTTIs {
+		t.Fatalf("fired %d events, want %d", len(fired), 2*strays+streamTTIs)
+	}
+	at := func(arg int64) int64 {
+		switch {
+		case arg >= 0:
+			return arg + 10
+		case arg > -100:
+			return 1_000 + 50*(-1-arg)
+		default:
+			return 30_000 + 70*(-100-arg)
+		}
+	}
+	for i := 1; i < len(fired); i++ {
+		// Strays were scheduled first, so at equal TTIs they fire first.
+		a, b := fired[i-1], fired[i]
+		if at(a) > at(b) || (at(a) == at(b) && a >= 0 && b < 0) {
+			t.Fatalf("event %d fired before event %d", a, b)
+		}
 	}
 }
 
