@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick bench-quick bench-selftest bench-json bench-check bench-multicell-json bench-multicell-check bench-oneapi-json bench-oneapi-check profile trace-demo clean
+.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest bench-json bench-check bench-multicell-json bench-multicell-check bench-oneapi-json bench-oneapi-check profile trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -144,6 +144,12 @@ results:
 # under suite-out/. summary.json is byte-identical at any -workers.
 suite-quick:
 	$(GO) run ./cmd/flaresuite run -matrix -scale quick -out suite-out
+
+# loc prints the non-test Go line count ROADMAP item 1's deletion PRs
+# are gated on (bench/ is its own module and moves only under a ledger
+# PR; testdata is analyzer fixtures).
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:bench/*' ':!:*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

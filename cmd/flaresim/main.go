@@ -7,7 +7,7 @@
 //	flaresim [-scheme flare|festive|google|avis] [-duration 1200s]
 //	         [-videos 8] [-data 0] [-channel static|cyclic|mobility]
 //	         [-itbs 12] [-ladder sim|testbed|fine] [-seed 1]
-//	         [-alpha 1.0] [-delta 4] [-relax] [-workers 4]
+//	         [-alpha 1.0] [-delta 4] [-relax]
 //	         [-mix "flare:4,festive:4"]
 //	         [-churn 40s -offered-load 2.0] [-admission] [-admission-queue 8]
 //	         [-downgrade] [-objective eq2|upf]
@@ -23,12 +23,6 @@
 // the saturation machinery: sessions the budget cannot floor are
 // refused (and queued), and overload sheds per-flow ceilings down the
 // ladder with hysteresis.
-//
-// -workers sizes the intra-cell worker pool (per-TTI per-bearer work).
-// Results are byte-identical for any value — every concurrent phase
-// folds its effects in bearer-ID order (DESIGN.md §14) — so the flag
-// only trades wall clock; the run header prints the effective
-// parallelism. Values below 1 are rejected.
 //
 // -mix runs a mixed-scheme cell: a comma-separated list of
 // scheme:count groups that overrides -scheme/-videos for the video
@@ -48,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -107,7 +100,6 @@ func run() int {
 		delta       = flag.Int("delta", 4, "FLARE stability parameter")
 		relax       = flag.Bool("relax", false, "use FLARE's continuous-relaxation solver")
 		vbr         = flag.Float64("vbr", 0, "VBR segment-size jitter (0 = CBR, e.g. 0.3)")
-		workers     = flag.Int("workers", 1, "intra-cell worker pool size (1 = sequential engine; any value gives byte-identical results)")
 		mix         = flag.String("mix", "", `mixed-scheme cell as "scheme:count,scheme:count" (e.g. "flare:4,festive:4"); overrides -scheme/-videos`)
 
 		churnDur    = flag.Duration("churn", 0, "enable session churn: mean session length (Poisson arrivals, Pareto durations); pairs with -offered-load and overrides -videos")
@@ -134,10 +126,6 @@ func run() int {
 	if *version {
 		buildinfo.Print(os.Stdout, "flaresim")
 		return 0
-	}
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "flaresim: -workers must be >= 1 (1 = sequential engine), got %d\n", *workers)
-		return 2
 	}
 
 	stopCPU, err := profiling.StartCPU(*cpuprofile)
@@ -218,7 +206,6 @@ func run() int {
 	cfg.Flare.Delta = *delta
 	cfg.Flare.UseRelaxation = *relax
 	cfg.VBRJitter = *vbr
-	cfg.IntraWorkers = *workers
 	cfg.ControlFaults = faults.Config{Seed: *ctrlSeed, DropRate: *ctrlLoss}
 	if *ctrlBlackout != "" {
 		windows, err := parseWindows(*ctrlBlackout)
@@ -334,14 +321,8 @@ func run() int {
 	if cfg.Churn.Enabled {
 		nVideo = len(res.Clients)
 	}
-	// Effective parallelism: the pool cannot run more goroutines at
-	// once than GOMAXPROCS, however many workers were requested.
-	effPar := *workers
-	if mp := runtime.GOMAXPROCS(0); effPar > mp {
-		effPar = mp
-	}
-	fmt.Printf("%s over %v (%d video, %d data, %s channel, seed %d; workers %d, effective parallelism %d of %d cores)\n\n",
-		scheme, *duration, nVideo, *data, *channelName, *seed, *workers, effPar, runtime.GOMAXPROCS(0))
+	fmt.Printf("%s over %v (%d video, %d data, %s channel, seed %d)\n\n",
+		scheme, *duration, nVideo, *data, *channelName, *seed)
 	tbl := metrics.NewTable("Per-client results",
 		"avg rate", "avg tput", "changes", "segments", "stall s", "startup s", "QoE")
 	addClient := func(kind string, c cellsim.ClientResult) {

@@ -226,23 +226,12 @@ type Config struct {
 	// exists for those tests and for debugging, not for correctness.
 	DisableFastForward bool
 
-	// IntraWorkers splits the per-TTI per-bearer work (transport ticks,
-	// channel update, active-set refresh, queue drain, accounting decay)
-	// of this one cell across a worker pool of that size. 0 and 1 keep
-	// the sequential engine; negative values are rejected. Results are
-	// byte-identical for every value — all concurrent phases fold their
-	// effects in bearer-ID order (see DESIGN.md §14) — so this is purely
-	// a wall-clock knob for very large cells. Small cells are usually
-	// faster sequential; multi-cell runs should prefer RunMulti's
-	// inter-cell pool first.
-	IntraWorkers int
-
 	// ControlShards sets the shard count of the OneAPI control server a
 	// FLARE cell creates for itself (0 = the oneapi default; ignored
-	// when the run supplies a shared server via NewInCell). Like
-	// IntraWorkers it is purely a contention knob: results are
-	// byte-identical for every value, which the shards=1 ≡ shards=N
-	// lockstep tests pin across all six schemes.
+	// when the run supplies a shared server via NewInCell). It is purely
+	// a contention knob: results are byte-identical for every value,
+	// which the shards=1 ≡ shards=N lockstep tests pin across all six
+	// schemes.
 	ControlShards int
 }
 
@@ -276,9 +265,6 @@ func (c *Config) Validate() error {
 	if c.NumVideo < 0 || c.NumData < 0 || c.NumLegacy < 0 {
 		return fmt.Errorf("cellsim: negative flow counts (%d video, %d data, %d legacy)",
 			c.NumVideo, c.NumData, c.NumLegacy)
-	}
-	if c.IntraWorkers < 0 {
-		return fmt.Errorf("cellsim: IntraWorkers must be >= 0, got %d", c.IntraWorkers)
 	}
 	if c.ControlShards < 0 {
 		return fmt.Errorf("cellsim: ControlShards must be >= 0, got %d", c.ControlShards)

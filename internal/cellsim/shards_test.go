@@ -60,23 +60,6 @@ func TestShardsFaultedRun(t *testing.T) {
 	assertShardsLockstep(t, cfg, 8)
 }
 
-// TestShardsWithWorkers stacks sharding under the parallel engine: a
-// sharded control plane beneath intra-cell workers must still match
-// the fully sequential single-shard run.
-func TestShardsWithWorkers(t *testing.T) {
-	cfg := goldenConfig(SchemeFLARE)
-	cfg.ControlShards = 1
-	cfg.IntraWorkers = 0
-	want := goldenBytes(t, cfg)
-	cfg.ControlShards = 8
-	cfg.IntraWorkers = 3
-	got := goldenBytes(t, cfg)
-	if string(got) != string(want) {
-		t.Errorf("sharded+parallel run diverged from sequential single-shard run\n got: %s\nwant: %s",
-			got, want)
-	}
-}
-
 // TestShardsMultiCell: a shared OneAPI server managing several FLARE
 // cells concurrently, shards=1 vs shards=8, every cell byte-identical.
 func TestShardsMultiCell(t *testing.T) {

@@ -120,10 +120,6 @@ type Sim struct {
 	tickList  []*transport.Flow
 	tickDirty bool
 
-	// par holds the intra-cell parallel state when Config.IntraWorkers
-	// > 1; nil runs the engine fully sequentially. See parallel.go.
-	par *intraPar
-
 	// series state
 	rateSeries    []*metrics.TimeSeries
 	bufSeries     []*metrics.TimeSeries
@@ -168,9 +164,6 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	s.rec.SetNowTTI(s.env.NowTTI)
 	s.tickDirty = true
 	s.env.onFlowWake = func(*transport.Flow) { s.tickDirty = true }
-	if cfg.IntraWorkers > 1 {
-		s.par = newIntraPar(cfg.IntraWorkers)
-	}
 
 	numUEs := cfg.NumVideo + cfg.NumData + cfg.NumLegacy
 	ch, err := s.buildChannel(numUEs)
@@ -380,11 +373,8 @@ func groupCount(g *simGroup) int { return g.count }
 
 // newFlow builds flow `id` of the cell — its bearer, registered with
 // the eNodeB, and the transport flow over it, both carved from the
-// cell's slabs — and appends the flow to allFlows. The flow runs on the
-// engine's env or, when the intra-cell pool is enabled, on a per-flow
-// env that can buffer its schedule calls during parallel tick phases
-// (see parallel.go). Must be called in canonical flow order: IDs index
-// the slabs, and par.envs mirrors allFlows.
+// cell's slabs — and appends the flow to allFlows. Must be called in
+// canonical flow order: IDs index the slabs.
 func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Flow, error) {
 	b := &s.bearerSlab[id]
 	*b = lte.Bearer{ID: id, UE: id, Class: class}
@@ -392,13 +382,7 @@ func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Fl
 		return nil, nil, err
 	}
 	f := &s.flowSlab[id]
-	var env transport.Env = &s.env
-	if s.par != nil {
-		e := &flowEnv{s: s, flow: f}
-		s.par.envs = append(s.par.envs, e)
-		env = e
-	}
-	if err := f.Init(env, b, s.cfg.Transport); err != nil {
+	if err := f.Init(&s.env, b, s.cfg.Transport); err != nil {
 		return nil, nil, err
 	}
 	s.allFlows = append(s.allFlows, f)
@@ -519,19 +503,6 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 		s.lastDataBytes = make([]int64, len(s.dataFlows))
 	}
 
-	if s.par != nil {
-		// The pool lives only for the run: workers idle between phases,
-		// and a Sim is single-shot in practice, but tearing down here
-		// keeps repeated Runs and abandoned sims goroutine-clean.
-		s.par.pool = sim.NewWorkerPool(s.par.workers)
-		s.enb.SetWorkerPool(s.par.pool)
-		defer func() {
-			s.enb.SetWorkerPool(nil)
-			s.par.pool.Close()
-			s.par.pool = nil
-		}()
-	}
-
 	var err error
 	if s.cfg.DisableFastForward || !s.enb.CanFastForward() {
 		err = s.runNaive(ctx, durTTIs, sampleTTIs)
@@ -648,12 +619,8 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 			return ctx.Err()
 		}
 		s.env.events.RunDue(tti)
-		if s.par != nil && s.par.pool != nil {
-			s.par.tickAll(s)
-		} else {
-			for _, f := range s.allFlows {
-				f.Tick()
-			}
+		for _, f := range s.allFlows {
+			f.Tick()
 		}
 		s.enb.RunTTI(tti)
 		if err := s.runHooks(tti, sampleTTIs); err != nil {
@@ -691,15 +658,11 @@ func (s *Sim) runFast(ctx context.Context, durTTIs, sampleTTIs int64) error {
 		if s.tickDirty {
 			s.rebuildTickList()
 		}
-		if s.par != nil && s.par.pool != nil {
-			s.par.tickActive(s)
-		} else {
-			for _, f := range s.tickList {
-				if f.Active() {
-					f.Tick()
-				} else {
-					s.tickDirty = true
-				}
+		for _, f := range s.tickList {
+			if f.Active() {
+				f.Tick()
+			} else {
+				s.tickDirty = true
 			}
 		}
 		s.enb.RunTTI(tti)
@@ -721,19 +684,12 @@ func (s *Sim) runFast(ctx context.Context, durTTIs, sampleTTIs int64) error {
 	return nil
 }
 
-// rebuildTickList recomputes the active-flow subset in canonical order
-// (and, under the intra-cell pool, the matching per-flow env subset).
+// rebuildTickList recomputes the active-flow subset in canonical order.
 func (s *Sim) rebuildTickList() {
 	s.tickList = s.tickList[:0]
-	if s.par != nil {
-		s.par.tickEnvs = s.par.tickEnvs[:0]
-	}
-	for i, f := range s.allFlows {
+	for _, f := range s.allFlows {
 		if f.Active() {
 			s.tickList = append(s.tickList, f)
-			if s.par != nil {
-				s.par.tickEnvs = append(s.par.tickEnvs, s.par.envs[i])
-			}
 		}
 	}
 	s.tickDirty = false

@@ -219,7 +219,7 @@ func (p *Player) Start() {
 
 // now reads the simulated clock — the player's one crossing into its Env.
 func (p *Player) now() int64 {
-	//flare:allow hotpath frontier: the transport.Env impls (cellsim env, flowEnv) read the sim clock field without allocating; the engine allocs/op gate covers them
+	//flare:allow hotpath frontier: the transport.Env impl (cellsim env) reads the sim clock field without allocating; the engine allocs/op gate covers it
 	return p.env.NowTTI()
 }
 

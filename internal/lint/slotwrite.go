@@ -1,7 +1,6 @@
 // The slotwrite analyzer: mechanizes the "disjoint slots + ordered
 // fold" pattern every parallel fan-out in this tree hand-rolls
-// (cellsim runMany, the lte phase runners, oneapi RunBAIRounds, the
-// flaresuite matrix runner).
+// (cellsim runMany, oneapi RunBAIRounds, the flaresuite matrix runner).
 //
 // The contract (documented on sim.WorkerPool): workers may write into
 // a shared results slice only at the element owned by the input index

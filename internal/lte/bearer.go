@@ -154,12 +154,13 @@ func (b *Bearer) SetMBR(mbrBits float64) {
 // readmit moves it into the live set). Every write that can end the
 // fixed point calls it without asking whether this one did: a bearer
 // re-admitted at its fixed point costs one tick that proves it and
-// settles it again. The mark is the bearer's own slot, so distinct
-// bearers may be stirred concurrently (the intra-cell tick phase does).
+// settles it again. Clearing the flag makes a second stir a no-op, so a
+// bearer is listed at most once and the list never outgrows the room
+// AddBearer gave it.
 func (b *Bearer) stir() {
 	if b.settled {
 		b.settled = false
-		b.enb.stirred[b.idx] = 1
+		b.enb.stirred = append(b.enb.stirred, b)
 	}
 }
 
@@ -185,13 +186,9 @@ func (b *Bearer) CollectWindow() WindowStats {
 // TotalStats returns cumulative bytes/RBs since the bearer was created.
 func (b *Bearer) TotalStats() WindowStats { return b.total }
 
-// drain removes up to capBytes from the queue and records the RB cost,
-// without firing the delivery callback. It is the parallel-safe half of
-// serve: it touches only this bearer's state, so disjoint bearers may
-// drain concurrently; the caller then fires OnDeliver per bearer in
-// bearer-ID order (see ENodeB.runTTIParallel), which is exactly the
-// order serve interleaves them in the sequential loop.
-func (b *Bearer) drain(capBytes int64, rbs int) int64 {
+// serve drains up to capBytes from the queue, records the RB cost, and
+// fires OnDeliver. It returns the bytes actually served.
+func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 	served := capBytes
 	if served > b.queue {
 		served = b.queue
@@ -203,16 +200,9 @@ func (b *Bearer) drain(capBytes int64, rbs int) int64 {
 	b.total.RBs += int64(rbs)
 	if served > 0 {
 		b.everServed = true
-	}
-	return served
-}
-
-// serve drains up to capBytes from the queue, records the RB cost, and
-// fires OnDeliver. It returns the bytes actually served.
-func (b *Bearer) serve(capBytes int64, rbs int) int64 {
-	served := b.drain(capBytes, rbs)
-	if served > 0 && b.OnDeliver != nil {
-		b.OnDeliver(served)
+		if b.OnDeliver != nil {
+			b.OnDeliver(served)
+		}
 	}
 	return served
 }
@@ -295,24 +285,6 @@ func idleDecay(a float64, n uint64) float64 {
 		q++
 	}
 	return math.Float64frombits(m - q)
-}
-
-// endTTI is the bearer's end-of-TTI accounting: one tick with the bits
-// served this TTI (consumed and re-zeroed). It reports whether the
-// bearer is now settled. Only a bearer whose slow average has already
-// left the normal range, and that was neither served nor left
-// backlogged, is even tested; the average comes first because that
-// branch predicts (whether a busy bearer was served in a given TTI does
-// not). The worker-pool decay phase calls this; ENodeB.RunTTI's
-// sequential pass has the same body written out — keep them in step.
-func (b *Bearer) endTTI() bool {
-	served := b.ttiServedBits
-	if b.avgTput < minNormalTput && served == 0 && b.queue == 0 {
-		return b.tickIdleOnce()
-	}
-	b.ttiServedBits = 0
-	b.tick(served)
-	return false
 }
 
 // tickIdleOnce is tick(0) plus the fixed-point test: it reports whether

@@ -14,19 +14,6 @@ type Channel interface {
 	NumUEs() int
 }
 
-// RangeUpdater is the optional parallel extension of Channel: a channel
-// whose per-UE state for a TTI is independent of every other UE's (a
-// pure function of the TTI index per UE) can have Update split across a
-// worker pool as disjoint UE ranges. UpdateRange(tti, lo, hi) must
-// write exactly the per-UE state Update(tti) would write for UEs in
-// [lo, hi) and touch nothing else — no shared counters, no RNG. The
-// mobility channel deliberately does not implement this: its random
-// walk consumes a shared RNG stream in UE order, so it must stay
-// sequential to keep draws byte-identical.
-type RangeUpdater interface {
-	UpdateRange(tti int64, lo, hi int)
-}
-
 // ChannelCatchUp is the optional fast-forward extension of Channel: a
 // channel that implements it can advance across a span of TTIs during
 // which nothing queried it, instead of being Updated once per TTI.
@@ -72,9 +59,6 @@ func NewUniformStaticChannel(n, iTbs int) *StaticChannel {
 
 // Update implements Channel; static channels never change.
 func (c *StaticChannel) Update(int64) {}
-
-// UpdateRange implements RangeUpdater; static channels never change.
-func (c *StaticChannel) UpdateRange(int64, int, int) {}
 
 // CatchUp implements ChannelCatchUp; static channels never change.
 func (c *StaticChannel) CatchUp(int64, int64) {}
@@ -125,14 +109,8 @@ func NewCyclicChannel(minITbs, maxITbs int, periodTTIs int64, offsetTTIs []int64
 
 // Update implements Channel.
 func (c *CyclicChannel) Update(tti int64) {
-	c.UpdateRange(tti, 0, len(c.current))
-}
-
-// UpdateRange implements RangeUpdater: each UE's value is a pure
-// function of (tti, offset), so disjoint UE ranges commute.
-func (c *CyclicChannel) UpdateRange(tti int64, lo, hi int) {
-	for ue := lo; ue < hi; ue++ {
-		c.current[ue] = c.valueAt(tti + c.offsets[ue])
+	for ue, off := range c.offsets {
+		c.current[ue] = c.valueAt(tti + off)
 	}
 }
 
@@ -197,15 +175,8 @@ func NewTraceChannel(traces [][]int, stepTTIs int64) (*TraceChannel, error) {
 
 // Update implements Channel.
 func (c *TraceChannel) Update(tti int64) {
-	c.UpdateRange(tti, 0, len(c.traces))
-}
-
-// UpdateRange implements RangeUpdater: trace playback is a pure
-// function of the TTI index per UE.
-func (c *TraceChannel) UpdateRange(tti int64, lo, hi int) {
 	idx := tti / c.stepTTIs
-	for ue := lo; ue < hi; ue++ {
-		tr := c.traces[ue]
+	for ue, tr := range c.traces {
 		c.current[ue] = tr[int(idx%int64(len(tr)))]
 	}
 }

@@ -1,10 +1,8 @@
 package lte
 
 import (
-	"bytes"
 	"fmt"
-
-	"github.com/flare-sim/flare/internal/sim"
+	"slices"
 )
 
 // ENodeB is the cell: it owns the bearers, drives the channel, and runs
@@ -25,12 +23,13 @@ type ENodeB struct {
 	// ticks are exactly the ticks that were no-ops. live stays in bearer
 	// order (the scheduler must see the active set in that order). A
 	// settled bearer is a flag and costs a pass nothing: Enqueue, SetGBR
-	// and SetMBR stir it — mark its slot in stirred, one byte per bearer,
-	// parallel to bearers — and readmit moves the marked ones back into
-	// live. NewENodeB sizes both slices for one bearer per UE, so in a
-	// cell built that way neither grows during a run.
+	// and SetMBR stir it — append it to stirred, once (stir clears the
+	// flag) — and readmit moves the listed ones back into live. Both
+	// slices have room for every bearer (NewENodeB sizes them for one
+	// bearer per UE, AddBearer keeps them at least that large), so
+	// neither grows during a run.
 	live    []*Bearer
-	stirred []byte
+	stirred []*Bearer
 
 	// flowStates is a persistent per-bearer scratch slice, parallel to
 	// bearers: the Bearer pointer and index are written once at AddBearer
@@ -39,12 +38,6 @@ type ENodeB struct {
 	// the subset handed to the scheduler, rebuilt each TTI.
 	flowStates []FlowState
 	active     []*FlowState
-
-	// pool and par, when set (SetWorkerPool), split RunTTI's per-bearer
-	// phases across a worker pool with bearer-ID-ordered folds; nil
-	// keeps the sequential path. See parallel.go.
-	pool *sim.WorkerPool
-	par  *enbParallel
 }
 
 // NewENodeB creates a cell with the given channel and scheduler. The
@@ -58,7 +51,7 @@ func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 		bearers:    make([]*Bearer, 0, n),
 		byID:       make(map[int]*Bearer, n),
 		live:       make([]*Bearer, 0, n),
-		stirred:    make([]byte, 0, n),
+		stirred:    make([]*Bearer, 0, n),
 		flowStates: make([]FlowState, 0, n),
 		rbgSizes:   RBGSizes(),
 	}
@@ -84,7 +77,7 @@ func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	}
 	b.enb, b.idx = e, len(e.bearers)
 	e.bearers = append(e.bearers, b)
-	e.stirred = append(e.stirred, 0)
+	e.stirred = slices.Grow(e.stirred, len(e.bearers)-len(e.stirred))
 	e.flowStates = append(e.flowStates, FlowState{Bearer: b})
 	// A new bearer starts live; its first accounting pass settles it if
 	// it is idle.
@@ -138,13 +131,8 @@ type TTIResult struct {
 
 // RunTTI advances the channel, schedules the TTI, drains the bearer
 // queues, and updates per-bearer accounting. It must be called exactly
-// once per TTI in increasing TTI order. With a worker pool attached
-// (SetWorkerPool) the per-bearer phases run concurrently with
-// bearer-ID-ordered folds; results are byte-identical either way.
+// once per TTI in increasing TTI order.
 func (e *ENodeB) RunTTI(tti int64) TTIResult {
-	if e.pool != nil {
-		return e.runTTIParallel(tti)
-	}
 	//flare:allow hotpath frontier: the Channel impls (Static/Cyclic/Trace/MobilityChannel) update preallocated per-UE state in place; the flarebench TTI-rate and allocs/op gates cover them
 	e.channel.Update(tti)
 
@@ -184,10 +172,11 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 	}
 
 	// Throughput averages decay every TTI for every live bearer; the
-	// ones the tick proves settled leave the live set here. The body is
-	// Bearer.endTTI written out: endTTI is too big to inline, and the
-	// extra call per bearer per TTI measured 5 % on a saturated cell,
-	// whose bearers all take the direct call to tick.
+	// ones the tick proves settled leave the live set here. Only a bearer
+	// whose slow average has already left the normal range, and that was
+	// neither served nor left backlogged, is even tested; the average
+	// comes first because that branch predicts (whether a busy bearer was
+	// served in a given TTI does not).
 	n := 0
 	for _, b := range e.live {
 		if b.avgTput < minNormalTput && b.ttiServedBits == 0 && b.queue == 0 {
@@ -218,17 +207,9 @@ func (e *ENodeB) keepLive(n int, b *Bearer, settled bool) int {
 // readmit moves every bearer stirred since the last call (Bearer.stir)
 // back into the live set, at its place in bearer order. It runs at the
 // top of every per-TTI pass, so a change made at any point between
-// passes is honoured by the next one. With nothing stirred — nearly
-// every pass — it is one vectorised search of a byte per bearer.
+// passes is honoured by the next one.
 func (e *ENodeB) readmit() {
-	for from := 0; ; from++ {
-		at := bytes.IndexByte(e.stirred[from:], 1)
-		if at < 0 {
-			return
-		}
-		from += at
-		e.stirred[from] = 0
-		b := e.bearers[from]
+	for _, b := range e.stirred {
 		i := len(e.live)
 		e.live = append(e.live, b)
 		for ; i > 0 && e.live[i-1].idx > b.idx; i-- {
@@ -236,6 +217,7 @@ func (e *ENodeB) readmit() {
 		}
 		e.live[i] = b
 	}
+	e.stirred = e.stirred[:0]
 }
 
 // Idle reports whether no bearer has queued bytes — together with an

@@ -28,10 +28,6 @@ type FlowState struct {
 	// allocate on the hottest path in the simulator.
 	credit   float64
 	inGBRSet bool
-	// served is parallel-drain scratch: the bytes the drain phase
-	// removed from the bearer this TTI, consumed by the sequential
-	// delivery fold (ENodeB.runTTIParallel).
-	served int64
 }
 
 // Granted returns the number of RBs granted to this flow in the current

@@ -88,20 +88,12 @@ func bitsOf(b *Bearer) bearerBits {
 	}
 }
 
-// numSettled counts the cell's settled bearers; numStirred the ones
-// stirred since and waiting for the next readmit.
+// numSettled counts the cell's settled bearers.
 func (e *ENodeB) numSettled() (n int) {
 	for _, b := range e.bearers {
 		if b.settled {
 			n++
 		}
-	}
-	return n
-}
-
-func (e *ENodeB) numStirred() (n int) {
-	for _, m := range e.stirred {
-		n += int(m)
 	}
 	return n
 }
@@ -115,7 +107,7 @@ type settledPair struct {
 	settles, readmits, skippedTicks int
 }
 
-func newSettledPair(t *testing.T, bearers int, pool *sim.WorkerPool) *settledPair {
+func newSettledPair(t *testing.T, bearers int) *settledPair {
 	t.Helper()
 	mkChannel := func() Channel {
 		offsets := make([]int64, bearers)
@@ -133,7 +125,6 @@ func newSettledPair(t *testing.T, bearers int, pool *sim.WorkerPool) *settledPai
 		prod: NewENodeB(mkChannel(), TwoPhaseGBRScheduler{}),
 		ref:  &refCell{ch: mkChannel(), sched: TwoPhaseGBRScheduler{}},
 	}
-	p.prod.SetWorkerPool(pool)
 	for i := 0; i < bearers; i++ {
 		class := ClassVideo
 		if i%4 == 3 {
@@ -166,16 +157,24 @@ func (p *settledPair) check(when string, tti int64) {
 			p.t.Fatalf("%s tti %d: bearer %d diverged from the tick-everything reference:\n got %+v\nwant %+v", when, tti, i, got, want)
 		}
 	}
-	if live, settled, stirred := len(p.prod.live), p.prod.numSettled(), p.prod.numStirred(); live+settled+stirred != len(p.prod.bearers) {
+	if live, settled, stirred := len(p.prod.live), p.prod.numSettled(), len(p.prod.stirred); live+settled+stirred != len(p.prod.bearers) {
 		p.t.Fatalf("%s tti %d: %d live + %d settled + %d stirred != %d bearers", when, tti, live, settled, stirred, len(p.prod.bearers))
 	}
+	listed := make(map[*Bearer]bool, len(p.prod.bearers))
 	for i, b := range p.prod.live {
-		if b.settled || p.prod.stirred[b.idx] != 0 {
-			p.t.Fatalf("%s tti %d: live bearer %d is also marked settled or stirred", when, tti, b.ID)
+		if b.settled {
+			p.t.Fatalf("%s tti %d: live bearer %d is also marked settled", when, tti, b.ID)
 		}
 		if i > 0 && p.prod.live[i-1].idx >= b.idx {
 			p.t.Fatalf("%s tti %d: live set out of bearer order at %d", when, tti, i)
 		}
+		listed[b] = true
+	}
+	for _, b := range p.prod.stirred {
+		if b.settled || listed[b] {
+			p.t.Fatalf("%s tti %d: stirred bearer %d is also settled, live, or listed twice", when, tti, b.ID)
+		}
+		listed[b] = true
 	}
 }
 
@@ -215,7 +214,7 @@ func (p *settledPair) step(tti int64) {
 			b.avgTput = sentinel
 		}
 	}
-	p.readmits += p.prod.numStirred()
+	p.readmits += len(p.prod.stirred)
 	before := len(undisturbed)
 	p.prod.RunTTI(tti)
 	p.ref.runTTI(tti)
@@ -233,21 +232,11 @@ func (p *settledPair) step(tti int64) {
 }
 
 func TestSettledSkipMatchesTickEveryTTI(t *testing.T) {
-	pool := sim.NewWorkerPool(3)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		pool *sim.WorkerPool
-	}{
-		{"sequential", nil},
-		{"worker-pool", pool},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 2; seed++ {
-				runSettledSequence(t, seed, tc.pool)
-			}
-		})
-	}
+	t.Run("sequential", func(t *testing.T) {
+		for seed := uint64(1); seed <= 2; seed++ {
+			runSettledSequence(t, seed)
+		}
+	})
 }
 
 // runSettledSequence drives one randomized sequence: bursts of traffic
@@ -255,10 +244,10 @@ func TestSettledSkipMatchesTickEveryTTI(t *testing.T) {
 // separated by idle spans long enough for served bearers to
 // decay all the way to their fixed point, some of them crossed by
 // FastForwardIdle instead of TTI by TTI.
-func runSettledSequence(t *testing.T, seed uint64, pool *sim.WorkerPool) {
+func runSettledSequence(t *testing.T, seed uint64) {
 	const bearers = 12
 	rng := sim.NewRNG(seed)
-	p := newSettledPair(t, bearers, pool)
+	p := newSettledPair(t, bearers)
 	rates := []float64{0, 0, 3e5, 1e6, 2.5e6}
 	tti := int64(0)
 
@@ -408,25 +397,15 @@ func TestIdleSeesEnqueueOnSettledBearer(t *testing.T) {
 }
 
 // TestReadmissionEdgeCases walks the corners of the stir/readmit
-// protocol one at a time, sequentially and through the worker-pool
-// path, comparing with the tick-every-TTI reference after every pass.
+// protocol one at a time, comparing with the tick-every-TTI reference
+// after every pass.
 func TestReadmissionEdgeCases(t *testing.T) {
-	pool := sim.NewWorkerPool(3)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		pool *sim.WorkerPool
-	}{
-		{"sequential", nil},
-		{"worker-pool", pool},
-	} {
-		t.Run(tc.name, func(t *testing.T) { runReadmissionEdgeCases(t, tc.pool) })
-	}
+	t.Run("sequential", runReadmissionEdgeCases)
 }
 
-func runReadmissionEdgeCases(t *testing.T, pool *sim.WorkerPool) {
+func runReadmissionEdgeCases(t *testing.T) {
 	const bearers = 6
-	p := newSettledPair(t, bearers, pool)
+	p := newSettledPair(t, bearers)
 	tti := int64(0)
 	step := func() { p.step(tti); tti++ }
 	wantSettled := func(when string, want int) {
@@ -437,7 +416,7 @@ func runReadmissionEdgeCases(t *testing.T, pool *sim.WorkerPool) {
 	}
 	wantStirred := func(when string, want int) {
 		t.Helper()
-		if got := p.prod.numStirred(); got != want {
+		if got := len(p.prod.stirred); got != want {
 			t.Fatalf("%s: %d bearers waiting for readmit, want %d", when, got, want)
 		}
 	}
@@ -492,7 +471,7 @@ func runReadmissionEdgeCases(t *testing.T, pool *sim.WorkerPool) {
 	wantStirred("after Enqueue(0)", 0)
 	step()
 
-	// Stirred three times before one readmit: one slot, one place in live.
+	// Stirred three times before one readmit: listed once, one place in live.
 	p.both(2, func(_ *ENodeB, b *Bearer) { b.SetMBR(1e6); b.Enqueue(4_000); b.SetGBR(3e5) })
 	wantStirred("after three stirs of one bearer", 1)
 	// Bytes beyond QueueLimit: part of the first burst is refused, all of
@@ -536,56 +515,86 @@ func runReadmissionEdgeCases(t *testing.T, pool *sim.WorkerPool) {
 	for !p.idle(tti - 1) {
 		step()
 	}
+
+	// Stirs arriving in descending bearer order, around bearers that are
+	// already live: the list keeps arrival order, live must not. Settle
+	// everything, wake 1 and 4 with traffic, then stir 5, 3 and 0 with a
+	// rate change each.
+	p.prod.FastForwardIdle(tti-1, tti+90_000)
+	p.ref.skipIdle(tti-1, tti+90_000)
+	tti += 90_000
+	wantSettled("after the second settling jump", bearers)
+	p.both(1, func(_ *ENodeB, b *Bearer) { b.Enqueue(9_000) })
+	p.both(4, func(_ *ENodeB, b *Bearer) { b.Enqueue(9_000) })
+	step()
+	for _, i := range []int{5, 3, 0} {
+		p.both(i, func(_ *ENodeB, b *Bearer) { b.SetGBR(2.5e6) })
+	}
+	wantStirred("after three stirs in descending order", 3)
+	for i, want := range []int{5, 3, 0} {
+		if got := p.prod.stirred[i].ID; got != want {
+			t.Fatalf("stirred[%d] is bearer %d, want %d (arrival order)", i, got, want)
+		}
+	}
+	p.idle(tti - 1)
+	wantStirred("after Idle", 0)
+	for i, want := range []int{0, 1, 3, 4, 5} {
+		if len(p.prod.live) != 5 || p.prod.live[i].ID != want {
+			t.Fatalf("live after descending stirs = %v, want bearers 0 1 3 4 5, each once", liveIDs(p.prod))
+		}
+	}
+	step()
+	for !p.idle(tti - 1) {
+		step()
+	}
 	if p.settles == 0 || p.readmits == 0 || p.skippedTicks == 0 {
 		t.Fatalf("sequence did not exercise the settled set: %d settles, %d re-admissions, %d skipped ticks",
 			p.settles, p.readmits, p.skippedTicks)
 	}
 }
 
-// enqueueRange enqueues on each bearer of its range — what the
-// intra-cell transport tick phase does from several workers at once.
-type enqueueRange struct{ bearers []*Bearer }
-
-func (r enqueueRange) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		r.bearers[i].Enqueue(int64(1_000 + i))
+func liveIDs(e *ENodeB) []int {
+	ids := make([]int, len(e.live))
+	for i, b := range e.live {
+		ids[i] = b.ID
 	}
+	return ids
 }
 
-// TestConcurrentStirsOfDistinctBearers: settled bearers enqueued into
-// from different goroutines in one phase (run under -race) are each
-// re-admitted once, in bearer order.
-func TestConcurrentStirsOfDistinctBearers(t *testing.T) {
-	const bearers = 96
-	pool := sim.NewWorkerPool(4)
-	defer pool.Close()
-	p := newSettledPair(t, bearers, nil)
-	p.step(0)
-	if got := p.prod.numSettled(); got != bearers {
+// TestReadmitWorstCaseAllocs: every bearer of a 380-bearer cell stirred
+// in one TTI fills the stirred list to its worst-case length, bearers;
+// the list was sized for that when the cell was built, so the stirs and
+// the pass that re-admits them allocate nothing.
+func TestReadmitWorstCaseAllocs(t *testing.T) {
+	const bearers = 380
+	enb := NewENodeB(NewUniformStaticChannel(bearers, 12), TwoPhaseGBRScheduler{})
+	for i := 0; i < bearers; i++ {
+		if _, err := enb.AddBearer(&Bearer{ID: i, UE: i, Class: ClassVideo}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tti := int64(0)
+	enb.RunTTI(tti)
+	if got := enb.numSettled(); got != bearers {
 		t.Fatalf("%d of %d fresh bearers settled on the first TTI", got, bearers)
 	}
-	tti := int64(1)
-	for round := 0; round < 10; round++ {
-		settled := p.prod.numSettled()
-		if settled < bearers/2 {
-			t.Fatalf("round %d: only %d of %d bearers settled", round, settled, bearers)
+	room, longest := cap(enb.stirred), 0
+	allocs := testing.AllocsPerRun(100, func() {
+		// Same rate: stirred, ticked once, proven settled again.
+		for i := bearers - 1; i >= 0; i-- {
+			enb.bearers[i].SetGBR(0)
 		}
-		pool.Do(bearers, enqueueRange{p.prod.bearers})
-		enqueueRange{p.ref.bearers}.RunRange(0, bearers)
-		if stirred, left := p.prod.numStirred(), p.prod.numSettled(); stirred != settled || left != 0 {
-			t.Fatalf("round %d: %d bearers were settled; %d marked for readmit, %d still settled", round, settled, stirred, left)
-		}
-		p.step(tti)
-		if len(p.prod.live) != bearers {
-			t.Fatalf("round %d: %d of %d bearers live after the pass", round, len(p.prod.live), bearers)
-		}
-		// Drop the backlog again: the bearers that got no grant still have
-		// a zero average and settle on the next pass, the few that were
-		// served stay live.
-		for i := range p.prod.bearers {
-			p.both(i, func(_ *ENodeB, b *Bearer) { b.queue = 0 })
-		}
-		p.step(tti + 1)
-		tti += 2
+		longest = max(longest, len(enb.stirred))
+		tti++
+		enb.RunTTI(tti)
+	})
+	if allocs != 0 {
+		t.Errorf("stirring and re-admitting %d bearers: %v allocs per TTI, want 0", bearers, allocs)
+	}
+	if longest != bearers || cap(enb.stirred) != room {
+		t.Errorf("stirred list reached %d of %d bearers, capacity %d -> %d", longest, bearers, room, cap(enb.stirred))
+	}
+	if got := enb.numSettled(); got != bearers || len(enb.stirred) != 0 {
+		t.Errorf("after the last pass: %d settled, %d still listed", got, len(enb.stirred))
 	}
 }

@@ -13,19 +13,19 @@ type RangeRunner interface {
 }
 
 // WorkerPool is a bounded pool of persistent worker goroutines used to
-// split per-TTI loops across cores without perturbing determinism. The
-// pool itself never reorders anything observable: it only partitions
-// [0, n) into contiguous chunks, and every reduction over the results
-// happens in the caller, in index (bearer-ID) order.
+// split an indexed loop (the OneAPI server's cross-cell BAI rounds, the
+// flaresuite scenario matrix) across cores without perturbing
+// determinism. The pool itself never reorders anything observable: it
+// only partitions [0, n) into contiguous chunks, and every reduction
+// over the results happens in the caller, in index order.
 //
 // A pool with one worker runs everything inline on the caller's
 // goroutine and spawns nothing, so `workers=1` is byte-for-byte the
-// sequential engine with zero scheduling overhead.
+// sequential loop with zero scheduling overhead.
 //
 // Do is a barrier: it returns only after every chunk has completed.
 // It must not be called re-entrantly (from inside a RunRange) and the
-// pool must only be driven from one goroutine at a time — each cell
-// owns its own pool.
+// pool must only be driven from one goroutine at a time.
 type WorkerPool struct {
 	workers int
 	tasks   chan poolRange
@@ -72,7 +72,6 @@ func (p *WorkerPool) Do(n int, r RangeRunner) {
 		return
 	}
 	if p.workers == 1 {
-		//flare:allow hotpath frontier: RunRange impls are the preallocated eNodeB/cellsim phase runners; slotwrite checks their stores and the parallel-vs-sequential golden equality gates their behavior
 		r.RunRange(0, n)
 		return
 	}

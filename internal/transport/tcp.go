@@ -122,7 +122,7 @@ type Flow struct {
 
 	bweBytesPerTTI float64 // Westwood bandwidth estimate
 	lastAckTTI     int64
-	lastSendTTI    int64
+	lastSentTTI    int64
 	inRecovery     bool
 
 	wireDelivered int64 // radio bytes delivered, including overhead
@@ -155,7 +155,7 @@ func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
 		cwnd:        float64(cfg.InitialWindow * cfg.MSS),
 		ssthresh:    1 << 30,
 		lastAckTTI:  -1,
-		lastSendTTI: -1,
+		lastSentTTI: -1,
 	}
 	if w, ok := env.(Waker); ok {
 		f.waker = w
@@ -252,11 +252,11 @@ func (f *Flow) Tick() {
 }
 
 func (f *Flow) trySend() {
-	//flare:allow hotpath frontier: the Env impls (cellsim env, flowEnv) read the sim clock field without allocating; the engine allocs/op gate covers them
+	//flare:allow hotpath frontier: the Env impl (cellsim env) reads the sim clock field without allocating; the engine allocs/op gate covers it
 	now := f.env.NowTTI()
 	// Slow-start-after-idle: a connection that went quiet re-probes.
-	if f.cfg.IdleResetTTIs > 0 && f.lastSendTTI >= 0 &&
-		now-f.lastSendTTI > f.cfg.IdleResetTTIs && f.inFlight == 0 {
+	if f.cfg.IdleResetTTIs > 0 && f.lastSentTTI >= 0 &&
+		now-f.lastSentTTI > f.cfg.IdleResetTTIs && f.inFlight == 0 {
 		f.cwnd = float64(f.cfg.InitialWindow * f.cfg.MSS)
 	}
 
@@ -275,7 +275,7 @@ func (f *Flow) trySend() {
 	}
 	accepted := f.bearer.Enqueue(want)
 	if accepted > 0 {
-		f.lastSendTTI = now
+		f.lastSentTTI = now
 		f.inFlight += accepted
 		if !f.greedy {
 			f.pending -= accepted
