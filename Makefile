@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest bench-json bench-check bench-multicell-json bench-multicell-check bench-oneapi-json bench-oneapi-check profile trace-demo clean
+.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest ledger profile trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -85,41 +85,13 @@ bench-quick:
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run github.com/flare-sim/flare/cmd/flarevet ./...
 
-# bench-json measures the canonical engine benchmark — and its churn
-# block: the 200-declared / ~12-live session-churn cell and what
-# assembling it costs — and refreshes the committed BENCH_engine.json
-# (the baseline block is preserved).
-bench-json:
-	$(GO) run ./cmd/flarebench -json BENCH_engine.json
-
-# bench-check is the CI perf gate: fail if the engine benchmark, on the
-# busy cell or on the churn cell, regresses more than 20% simsec/sec
-# against the committed numbers.
-bench-check:
-	$(GO) run ./cmd/flarebench -check-against BENCH_engine.json
-
-# bench-multicell-json measures the multi-cell scaling curve
-# (BenchmarkMultiCell at 1/4/16/64 cells) and refreshes the committed
-# BENCH_multicell.json.
-bench-multicell-json:
-	$(GO) run ./cmd/flarebench -json-multicell BENCH_multicell.json
-
-# bench-multicell-check is the multi-cell CI perf gate: fail if any
-# point of the scaling curve regresses more than 20% aggregate
-# simsec/sec against the committed numbers.
-bench-multicell-check:
-	$(GO) run ./cmd/flarebench -check-against BENCH_multicell.json
-
-# bench-oneapi-json measures the control-plane load workload (the
-# loadgen driver against an in-process sharded OneAPI server,
-# best-of-three) and refreshes the committed BENCH_oneapi.json.
-bench-oneapi-json:
-	$(GO) run ./cmd/flarebench -json-oneapi BENCH_oneapi.json
-
-# bench-oneapi-check is the control-plane CI perf gate: fail if BAI
-# rounds/sec regresses more than 20% against the committed numbers.
-bench-oneapi-check:
-	$(GO) run ./cmd/flarebench -check-against BENCH_oneapi.json
+# ledger is the perf ledger's correctness gate: every workload once at
+# seed 1 and 15 s (BENCHMARK.json's command), failing on any incorrect
+# run or on any digest that drifts from bench/baseline.json. Wall-clock
+# metrics are recorded in bench/out/results.json, not gated.
+ledger:
+	$(GO) run -C bench . -repeats 1
+	! grep -q sim_digest_changed bench/out/results.json
 
 # profile runs the engine benchmark with pprof output (cpu.prof,
 # mem.prof) for `go tool pprof`.

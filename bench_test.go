@@ -8,8 +8,6 @@ package flare
 // outputs). Headline numbers are reported as benchmark metrics.
 
 import (
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -20,7 +18,6 @@ import (
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/obs"
-	"github.com/flare-sim/flare/internal/oneapi"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
@@ -172,8 +169,8 @@ func BenchmarkCellSimAVIS(b *testing.B)    { benchCell(b, cellsim.SchemeAVIS) }
 // BenchmarkCellSimFLARE history when touching the engine or driver
 // interfaces.
 func BenchmarkEngineTick(b *testing.B) {
-	// The workload lives in internal/benchmarks so flarebench -json and
-	// the CI regression gate measure exactly this benchmark.
+	// The workload lives in internal/benchmarks so the perf ledger's
+	// cell_busy and the whole-run allocation pin run exactly this cell.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cellsim.Run(benchmarks.EngineTickConfig(uint64(i + 1))); err != nil {
@@ -262,42 +259,6 @@ func BenchmarkMixedCell(b *testing.B) {
 		}
 	}
 }
-
-// --- Multi-cell scaling (the BENCH_multicell.json workload): n
-// independent FLARE cells over a shared OneAPI server, run through the
-// inter-cell worker pool. The figure of merit is aggregate simulated
-// seconds per wall second (cells x 15 simsec per op). workers=1 pins
-// the serial baseline the parallel points are compared against.
-
-func benchMultiCell(b *testing.B, cells, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		server := oneapi.NewServer(core.DefaultConfig(), nil)
-		cfgs := benchmarks.MultiCellConfigs(cells, uint64(i*cells+1))
-		res, err := cellsim.RunMultiConfig(context.Background(),
-			cellsim.MultiConfig{Workers: workers}, server, cfgs...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Cells) != cells {
-			b.Fatalf("%d cells, want %d", len(res.Cells), cells)
-		}
-	}
-	agg := float64(cells) * benchmarks.MultiCellSimSeconds
-	b.ReportMetric(agg/(b.Elapsed().Seconds()/float64(b.N)), "simsec/sec")
-}
-
-func BenchmarkMultiCell(b *testing.B) {
-	for _, cells := range benchmarks.MultiCellCounts() {
-		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
-			benchMultiCell(b, cells, 0) // 0 = GOMAXPROCS workers
-		})
-	}
-}
-
-// BenchmarkMultiCellSerial16 is the workers=1 baseline for the 16-cell
-// point — the denominator of the scaling claim.
-func BenchmarkMultiCellSerial16(b *testing.B) { benchMultiCell(b, 16, 1) }
 
 // --- Ablation: Algorithm 1's streak gate on vs off (delta 4 vs 0),
 // reported via the gate's direct cost.

@@ -1,12 +1,16 @@
-// Package benchmarks defines the canonical engine benchmark workloads
-// shared by the go-test benchmarks (bench_test.go) and the flarebench
-// -json harness, so the committed BENCH_engine.json numbers and the CI
-// regression gate measure exactly the workload the benchmarks do.
+// Package benchmarks defines the canonical engine workloads, shared by
+// the go-test benchmarks (bench_test.go), the whole-run allocation pins
+// in this package's tests, and the perf ledger (bench/ builds cell_busy
+// on EngineTickConfig and records CPUModel in its env block).
 package benchmarks
 
 import (
+	"bufio"
 	"math"
+	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
@@ -79,4 +83,25 @@ func EngineChurnConfig(seed uint64) cellsim.Config {
 		}
 	}
 	return cfg
+}
+
+// CPUModel best-effort identifies the host CPU so recorded benchmark
+// numbers are interpretable across machines. Linux only (reads
+// /proc/cpuinfo); other platforms fall back to the architecture name.
+func CPUModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			if _, v, ok := strings.Cut(name, ":"); ok {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOARCH
 }

@@ -14,23 +14,29 @@ import (
 // ExactSolver.SolveInto, the batched GBR install and every plugin's
 // poll — at no allocation once the cell has warmed up, at the two
 // shapes the perf ledger replays (8 sessions on the 6-rung ladder, 24 on
-// the 12-rung one). Everything a round writes lives in buffers of the
-// engine, the driver, the server's cell or its controller; all that can
-// still allocate is the controller's solve-time history, doubling a
-// handful of times on its way to its 4,096-entry bound.
+// the 12-rung one), under both objectives the solver's utility table can
+// call (Eq. 2, the default, and upf). Everything a round writes lives in
+// buffers of the engine, the driver, the server's cell or its
+// controller; all that can still allocate is the controller's solve-time
+// history, doubling a handful of times on its way to its 4,096-entry
+// bound.
 func TestInProcessRoundAllocs(t *testing.T) {
 	for _, shape := range []struct {
-		name     string
-		sessions int
-		ladder   has.Ladder
+		name      string
+		sessions  int
+		ladder    has.Ladder
+		objective string
 	}{
-		{"8x6", 8, has.SimLadder()},
-		{"24x12", 24, has.FineLadder()},
+		{"8x6", 8, has.SimLadder(), ""},
+		{"24x12", 24, has.FineLadder(), ""},
+		{"8x6-upf", 8, has.SimLadder(), "upf"},
+		{"24x12-upf", 24, has.FineLadder(), "upf"},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			cfg := DefaultConfig(SchemeFLARE)
 			cfg.NumVideo = shape.sessions
 			cfg.Ladder = shape.ladder
+			cfg.Flare.Objective = shape.objective
 			cfg.Duration = 20 * time.Second
 			cfg.SegmentDuration = 2 * time.Second
 			s, err := New(cfg)

@@ -588,7 +588,7 @@ func (s *Sim) flowDeparts(id int64) {
 func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	for _, g := range s.groups {
 		if g.tickTTIs > 0 && tti > 0 && tti%g.tickTTIs == 0 {
-			//flare:allow hotpath frontier: driver.Controller impls own their per-BAI budget (pre-bound callbacks, per-BAI scratch — PR 7); the flarebench simsec/sec and allocs/op gates cover them
+			//flare:allow hotpath frontier: driver.Controller impls own their per-BAI budget (pre-bound callbacks, per-BAI scratch — PR 7); TestInProcessRoundAllocs pins the FLARE driver's round at 0 allocs and benchmarks.TestEngineRunAllocs a whole run
 			if err := g.ctrl.OnBAI(time.Duration(tti) * sim.TTI); err != nil {
 				return err
 			}

@@ -219,7 +219,7 @@ func (p *Player) Start() {
 
 // now reads the simulated clock — the player's one crossing into its Env.
 func (p *Player) now() int64 {
-	//flare:allow hotpath frontier: the transport.Env impl (cellsim env) reads the sim clock field without allocating; the engine allocs/op gate covers it
+	//flare:allow hotpath frontier: the transport.Env impl (cellsim env) reads the sim clock field without allocating; benchmarks.TestEngineRunAllocs pins the whole run it sits in
 	return p.env.NowTTI()
 }
 

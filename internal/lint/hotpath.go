@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// Hotpath is the static complement to the AllocsPerRun floors and the
-// flarebench simsec/sec gate: functions whose doc comment carries
+// Hotpath is the static complement to the AllocsPerRun pins (a TTI, a
+// BAI round, a whole engine run, Emit): functions whose doc comment carries
 // //flare:hotpath (the Sim tick loops, the scheduler argmax, the MCKP
 // sweep, Bearer.tick, Recorder.Emit) must not contain
 //
@@ -35,9 +35,8 @@ import (
 // is the tree's standard de-allocation move and their targets are
 // still summarized wherever they are declared.
 //
-// The benchmark gates catch regressions after the fact on covered
-// configs; this analyzer rejects the construct at review time on every
-// config.
+// The pins catch regressions after the fact on covered configs; this
+// analyzer rejects the construct at review time on every config.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc: "forbids capturing closures, fmt printing, in-loop string concatenation and map/slice " +

@@ -133,7 +133,7 @@ type TTIResult struct {
 // queues, and updates per-bearer accounting. It must be called exactly
 // once per TTI in increasing TTI order.
 func (e *ENodeB) RunTTI(tti int64) TTIResult {
-	//flare:allow hotpath frontier: the Channel impls (Static/Cyclic/Trace/MobilityChannel) update preallocated per-UE state in place; the flarebench TTI-rate and allocs/op gates cover them
+	//flare:allow hotpath frontier: the Channel impls (Static/Cyclic/Trace/MobilityChannel) update preallocated per-UE state in place; TestRunTTIAllocatesNothing pins all four at 0 allocs/TTI
 	e.channel.Update(tti)
 
 	// Build the schedulable set: live bearers with backlog. Idle
@@ -147,7 +147,7 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 			continue
 		}
 		f := &e.flowStates[b.idx]
-		//flare:allow hotpath frontier: Channel.ITbs impls are single array reads on all four in-tree channels; the flarebench gates cover them
+		//flare:allow hotpath frontier: Channel.ITbs impls are single array reads on all four in-tree channels; TestRunTTIAllocatesNothing pins them
 		f.ITbs = e.channel.ITbs(b.UE)
 		f.BitsPerRB = BitsPerRB(f.ITbs)
 		f.remaining = b.queue
@@ -157,7 +157,7 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 
 	var res TTIResult
 	if len(e.active) > 0 {
-		//flare:allow hotpath frontier: the Scheduler impls (PF/PrioritySet/TwoPhaseGBR/Sliced) allocate only scheduler-owned scratch reused across TTIs; the flarebench gates cover them
+		//flare:allow hotpath frontier: the Scheduler impls (PF/PrioritySet/TwoPhaseGBR/Sliced) allocate only scheduler-owned scratch reused across TTIs; TestRunTTIAllocatesNothing pins all four at 0 allocs/TTI
 		e.sched.Allocate(tti, e.active, e.rbgSizes)
 		for _, f := range e.active {
 			if f.granted == 0 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 	}
 
 	// The disabled path must not allocate: this is the zero-cost-off
-	// contract the engine benchmark gate relies on.
+	// contract the engine's allocation pins rely on.
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Emit(Event{
 			Kind: KindClamp, Cell: 1, Flow: 3,
@@ -251,5 +252,20 @@ func TestEnabledEmitDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ring-only Emit allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestJSONLSinkEmitDoesNotAllocate: a recorder streaming to the JSONL
+// sink — the in-tree Sink that Emit's //flare:allow vouches for — encodes
+// into one reused buffer behind a bufio.Writer, so once the header is out
+// and the buffer has grown, an Emit allocates nothing.
+func TestJSONLSinkEmitDoesNotAllocate(t *testing.T) {
+	r := New(Options{RingSize: 1024, Sinks: []Sink{NewJSONLSink(io.Discard)}})
+	r.SetNowTTI(func() int64 { return 9 })
+	ev := Event{Kind: KindBAISolve, Cell: 2, Flow: -1, Seq: 7, Bytes: 3 << 20, RBs: 50_000, Bps: 2.5e6, Value: -1.25, DurNs: 71_000}
+	r.Emit(ev) // the schema header and the encode buffer's growth
+	allocs := testing.AllocsPerRun(1000, func() { r.Emit(ev) })
+	if allocs != 0 {
+		t.Fatalf("Emit through the JSONL sink allocates %v allocs/op, want 0", allocs)
 	}
 }

@@ -252,7 +252,7 @@ func (f *Flow) Tick() {
 }
 
 func (f *Flow) trySend() {
-	//flare:allow hotpath frontier: the Env impl (cellsim env) reads the sim clock field without allocating; the engine allocs/op gate covers it
+	//flare:allow hotpath frontier: the Env impl (cellsim env) reads the sim clock field without allocating; benchmarks.TestEngineRunAllocs pins the whole run it sits in
 	now := f.env.NowTTI()
 	// Slow-start-after-idle: a connection that went quiet re-probes.
 	if f.cfg.IdleResetTTIs > 0 && f.lastSentTTI >= 0 &&
