@@ -94,10 +94,12 @@ ledger:
 	! grep -q sim_digest_changed bench/out/results.json
 
 # profile runs the engine benchmark with pprof output (cpu.prof,
-# mem.prof) for `go tool pprof`.
+# mem.prof) for `go tool pprof`. mem.prof samples every allocation, so
+# `go tool pprof -sample_index=alloc_objects mem.prof` counts a run's
+# allocations site by site.
 profile:
 	$(GO) test -run '^$$' -bench BenchmarkEngineTick -benchtime 10x \
-		-cpuprofile cpu.prof -memprofile mem.prof .
+		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 1 .
 
 # trace-demo records a faulted run (the ext-faults blackout shape) with
 # telemetry on, then replays its decision narrative — solver summaries,

@@ -11,10 +11,9 @@ import (
 	"github.com/flare-sim/flare/internal/transport"
 )
 
-// segmentEnv is a transport.Env (and ArgScheduler, like the cell
-// simulator's) under the test's hand: the clock moves when the test
-// says so and timers are dropped, so the only thing that runs is what
-// the test delivers.
+// segmentEnv is a transport.Env under the test's hand: the clock moves
+// when the test says so and timers are dropped, so the only thing that
+// runs is what the test delivers.
 type segmentEnv struct{ tti int64 }
 
 func (e *segmentEnv) NowTTI() int64                         { return e.tti }

@@ -2,7 +2,9 @@ package benchmarks
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
 )
@@ -10,10 +12,11 @@ import (
 // TestEngineRunAllocs pins what a whole cellsim.Run of each canonical
 // engine workload allocates: the busy cell (60 s, 60 BAIs, 60,000 TTIs)
 // and the churn cell (400 s, 200 declared sessions). Building the cell
-// is nearly all of it — a TTI, a BAI round, a completed segment and a
-// session's arrival or departure allocate nothing in steady state — so
-// the bounds sit about 10 % above the 340–341 and 1,818–1,829 measured
-// over seeds 1–3, and one allocation more per BAI (60, 400) or per TTI
+// is nearly all of it — a TTI, a BAI round, a completed segment, a
+// pacing or loss timer and a session's arrival or departure allocate
+// nothing in steady state (TestRunAllocsIndependentOfDuration) — so the
+// bounds sit about 10 % above the 264–265 and 1,377–1,384 measured over
+// seeds 1–3, and one allocation more per BAI (60, 400) or per TTI
 // crosses them. Both are deterministic counts, unlike the wall-clock
 // rates the ledger records for the same cells.
 func TestEngineRunAllocs(t *testing.T) {
@@ -22,8 +25,8 @@ func TestEngineRunAllocs(t *testing.T) {
 		cfg   func(seed uint64) cellsim.Config
 		bound float64
 	}{
-		{"tick", EngineTickConfig, 390},
-		{"churn", EngineChurnConfig, 2020},
+		{"tick", EngineTickConfig, 291},
+		{"churn", EngineChurnConfig, 1522},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -41,6 +44,52 @@ func TestEngineRunAllocs(t *testing.T) {
 				if allocs > w.bound {
 					t.Errorf("seed %d: cellsim.Run allocates %v times, want <= %v", seed, allocs, w.bound)
 				}
+			}
+		})
+	}
+}
+
+// TestRunAllocsIndependentOfDuration: once a cell is built, what its run
+// allocates does not grow with simulated time. Each canonical workload
+// runs for its own duration T and for 4T (the churn cell's sessions all
+// arrive within T, so its last 3T are long sessions, departures and idle
+// decay), and Run alone — New is not counted — must allocate the same to
+// within 2, which is what the solve-time history's doublings past T's
+// BAIs cost: fired events are recycled, timers are bound once, and the
+// buffers the first rounds fill are sized at assembly.
+func TestRunAllocsIndependentOfDuration(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, w := range []struct {
+		name string
+		cfg  func(seed uint64) cellsim.Config
+	}{
+		{"tick", EngineTickConfig},
+		{"churn", EngineChurnConfig},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			runAllocs := func(scale time.Duration) uint64 {
+				cfg := w.cfg(1)
+				cfg.Duration *= scale
+				best := uint64(math.MaxUint64)
+				for try := 0; try < 3; try++ { // best of three, against the runtime's own strays
+					s, err := cellsim.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					if _, err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					runtime.ReadMemStats(&after)
+					best = min(best, after.Mallocs-before.Mallocs)
+				}
+				return best
+			}
+			short, long := runAllocs(1), runAllocs(4)
+			t.Logf("Run allocates %d times over T, %d over 4T", short, long)
+			if long > short+2 || short > long+2 {
+				t.Errorf("Run allocates %d times over T but %d over 4T, want within 2: something allocates as simulated time passes", short, long)
 			}
 		})
 	}

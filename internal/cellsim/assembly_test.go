@@ -55,10 +55,11 @@ func churnConfig(seed uint64, sessions int, duration time.Duration, live float64
 // TestCellAssemblyAllocsPerSession pins what one more declared session
 // costs cellsim.New in heap allocations. The per-session objects (bearer,
 // transport flow, player, driver flow, plugin and its history) come out
-// of per-cell slabs and the MPD and its ladder are shared, so what is
-// left per session is the bound callbacks, the controller's registration
-// and amortised table growth. A per-session Sprintf, Errorf or ladder
-// copy creeping back shows up here as a whole number.
+// of per-cell slabs and the MPD and its ladder are shared (the
+// controller keeps the ladder it is registered with), so what is left
+// per session is the bound callbacks, the controller's registration and
+// amortised table growth. A per-session Sprintf, Errorf or ladder copy
+// creeping back shows up here as a whole number.
 func TestCellAssemblyAllocsPerSession(t *testing.T) {
 	allocs := func(sessions int) float64 {
 		cfg := churnConfig(1, sessions, 400*time.Second, 12)
@@ -71,11 +72,11 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 	small, large := allocs(20), allocs(200)
 	perSession := (large - small) / 180
 	t.Logf("cellsim.New: %.0f allocs at 20 sessions, %.0f at 200, %.2f per added session", small, large, perSession)
-	// Measured 8.03: six bound callbacks (two on the flow, three on the
-	// player, OnSegment), the controller's flow record and its ladder
-	// copy, and a little table growth. Before the slabs it was 33.7.
-	if perSession > 9 {
-		t.Errorf("each added session costs %.2f allocations in cellsim.New, want <= 9", perSession)
+	// Measured 6.03: five bound callbacks (two on the flow, three on the
+	// player), the controller's flow record, and a little table growth.
+	// Before the slabs it was 33.7.
+	if perSession > 7 {
+		t.Errorf("each added session costs %.2f allocations in cellsim.New, want <= 7", perSession)
 	}
 	if large > 2700 {
 		t.Errorf("cellsim.New on the 200-session churn cell makes %.0f allocations, want <= 2700", large)
@@ -84,10 +85,10 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 
 // TestRunStartAllocsIndependentOfSessions pins what a declared session
 // costs the start of a run: nothing of its own. Arrivals and departures
-// are handle-free events on two shared handlers, so queueing them for 200
-// sessions allocates the two handlers, two 256-event slabs and the
-// doublings of the queue's two slices (20 in all) — not a closure per
-// event on top (384 more).
+// are ScheduleArg events on two shared handlers, so queueing them for
+// 200 sessions allocates the two handlers, two 256-event slabs and the
+// doublings of the queue's heap (14 in all) — not a closure per event on
+// top (384 more).
 func TestRunStartAllocsIndependentOfSessions(t *testing.T) {
 	s, err := New(churnConfig(1, 200, 400*time.Second, 12))
 	if err != nil {

@@ -9,9 +9,9 @@
 // the scheme itself: it looks the driver up by name, asks it for per-flow
 // adapters and a radio-scheduler policy, hands it the built flows via
 // Init, ticks it at its own control interval via OnBAI, and forwards
-// segment completions and early departures. Adding a new scheme is one
-// file in this package: implement Controller (embedding Base for the
-// hooks you don't need) and Register it in an init function.
+// early departures. Adding a new scheme is one file in this package:
+// implement Controller (embedding Base for the hooks you don't need) and
+// Register it in an init function.
 package driver
 
 import (
@@ -87,7 +87,7 @@ const (
 //
 // Call order: NewAdapter (once per flow, during cell assembly) →
 // Init (once, after every flow in the cell exists) → any interleaving of
-// OnBAI / OnSegmentComplete / OnFlowDeparture during the run → Close.
+// OnBAI / OnFlowDeparture during the run → Close.
 type Controller interface {
 	// Name returns the scheme name the driver was registered under.
 	Name() string
@@ -106,9 +106,6 @@ type Controller interface {
 	// OnBAI runs one control interval at simulated time now: collect
 	// stats, decide, enforce. Only called when Interval() > 0.
 	OnBAI(now time.Duration) error
-	// OnSegmentComplete observes one finished segment download on one of
-	// the driver's flows (after the flow's own adapter has seen it).
-	OnSegmentComplete(f *Flow, rec has.SegmentRecord)
 	// OnFlowDeparture tells the driver one of its flows ended its
 	// session early, so network-side state can be released.
 	OnFlowDeparture(f *Flow)
@@ -199,9 +196,6 @@ func (Base) Interval() time.Duration { return 0 }
 
 // OnBAI implements Controller: nothing to run.
 func (Base) OnBAI(time.Duration) error { return nil }
-
-// OnSegmentComplete implements Controller: ignored.
-func (Base) OnSegmentComplete(*Flow, has.SegmentRecord) {}
 
 // OnFlowDeparture implements Controller: ignored.
 func (Base) OnFlowDeparture(*Flow) {}

@@ -461,10 +461,6 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 	return nil
 }
 
-// OnSegmentComplete implements Controller: the plugin already observed
-// the download through the adapter path; nothing network-side to do.
-func (d *flareDriver) OnSegmentComplete(*Flow, has.SegmentRecord) {}
-
 // OnFlowDeparture implements Controller: release the flow's session so
 // the next BAI redistributes its share.
 func (d *flareDriver) OnFlowDeparture(f *Flow) {

@@ -3,6 +3,7 @@ package cellsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/flare-sim/flare/internal/abr"
@@ -39,9 +40,8 @@ func (e *env) Schedule(delay int64, fn func()) {
 	e.events.Schedule(e.clock.TTI()+delay, fn)
 }
 
-// ScheduleArg implements transport.ArgScheduler: the handle-free,
-// allocation-free path for payload-carrying periodic work (the ACK
-// clock). The queue recycles these events after they fire.
+// ScheduleArg implements transport.Env: the allocation-free path for
+// payload-carrying periodic work (the ACK clock).
 func (e *env) ScheduleArg(delay int64, fn func(int64), arg int64) {
 	if delay < 1 {
 		delay = 1
@@ -180,6 +180,7 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	s.bearerSlab = make([]lte.Bearer, numUEs)
 	s.flowSlab = make([]transport.Flow, numUEs)
 	s.allFlows = make([]*transport.Flow, 0, numUEs)
+	s.tickList = make([]*transport.Flow, 0, numUEs)
 	if players := cfg.NumVideo + cfg.NumLegacy; players > 0 {
 		s.playerSlab = make([]has.Player, players)
 		s.videoSlab = make([]driver.Flow, cfg.NumVideo)
@@ -346,9 +347,6 @@ func (s *Sim) buildVideo() error {
 				Player:    player,
 				Adapter:   adapter,
 				Transport: flow,
-			}
-			player.OnSegment = func(rec has.SegmentRecord) {
-				g.ctrl.OnSegmentComplete(f, rec)
 			}
 			if s.rec.Enabled() {
 				flowID := int32(f.ID)
@@ -530,7 +528,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 // in lockstep; explicit arrival schedules win.
 func (s *Sim) scheduleStarts() {
 	// Two handlers bound once, the flow ID as the event's argument: a
-	// declared session costs the run no allocation until it arrives.
+	// declared flow costs the run no allocation until it arrives.
 	arrive, depart := s.flowArrives, s.flowDeparts
 	for _, f := range s.video {
 		startTTI := int64(s.rng.Intn(2000))
@@ -542,13 +540,11 @@ func (s *Sim) scheduleStarts() {
 			s.env.events.ScheduleArg(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), depart, int64(f.ID))
 		}
 	}
-	for _, p := range s.legacyPlayers {
-		p := p
-		s.env.events.Schedule(int64(s.rng.Intn(2000)), p.Start)
+	for i := range s.legacyPlayers {
+		s.env.events.ScheduleArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyBearers[i].ID))
 	}
-	for _, f := range s.dataFlows {
-		f := f
-		s.env.events.Schedule(int64(s.rng.Intn(2000)), func() { f.SetGreedy(true) })
+	for i := range s.dataFlows {
+		s.env.events.ScheduleArg(int64(s.rng.Intn(2000)), arrive, int64(s.dataBearers[i].ID))
 	}
 }
 
@@ -564,9 +560,18 @@ func (s *Sim) groupOf(id int) *simGroup {
 	return nil
 }
 
-// flowArrives is the arrival event of video flow id: the session
-// announces itself to its group's controller and starts playing.
+// flowArrives is the arrival event of flow id. A video session
+// announces itself to its group's controller and starts playing; a data
+// flow turns greedy; a legacy player starts.
 func (s *Sim) flowArrives(id int64) {
+	if i := int(id) - len(s.video); i >= 0 {
+		if i < len(s.dataFlows) {
+			s.dataFlows[i].SetGreedy(true)
+		} else {
+			s.legacyPlayers[i-len(s.dataFlows)].Start()
+		}
+		return
+	}
 	f := s.video[id]
 	s.rec.Emit(obs.FlowStart(int32(s.cellID), int32(f.ID)))
 	if aa, ok := s.groupOf(f.ID).ctrl.(driver.ArrivalAware); ok {
@@ -741,7 +746,14 @@ func (s *Sim) wakeTTI(t, durTTIs, sampleTTIs int64) int64 {
 
 func (s *Sim) buildResult() *Result {
 	durSec := s.cfg.Duration.Seconds()
-	res := &Result{Scheme: s.cfg.Scheme}
+	// Sized up front, and nil when empty as they always were: the
+	// result's JSON tells nil from empty.
+	res := &Result{
+		Scheme:  s.cfg.Scheme,
+		Clients: slices.Grow([]ClientResult(nil), len(s.video)),
+		Data:    slices.Grow([]DataResult(nil), len(s.dataFlows)),
+		Legacy:  slices.Grow([]ClientResult(nil), len(s.legacyPlayers)),
+	}
 	for _, g := range s.groups {
 		telemetry, _ := g.ctrl.(driver.FlowTelemetry)
 		for _, f := range g.flows {

@@ -264,6 +264,10 @@ func (c *Controller) BAI() time.Duration { return c.cfg.BAI }
 // Register admits a video session: the plugin sends the flow's ladder
 // (extracted from the MPD, stripped of identifying metadata) and its
 // optional preferences.
+//
+// The controller keeps the ladder it is handed, without copying it, and
+// never writes to it; from then on the caller must not write to it
+// either. Many sessions may share one ladder. Snapshot hands out a copy.
 func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) error {
 	if err := ladder.Validate(); err != nil {
 		return fmt.Errorf("core: register flow %d: %w", flowID, err)
@@ -273,7 +277,7 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	}
 	f := &ctrlFlow{
 		id:         flowID,
-		ladder:     ladder.Clone(),
+		ladder:     ladder,
 		beta:       c.cfg.Beta,
 		theta:      c.cfg.ThetaBps,
 		maxBps:     prefs.MaxBps,
@@ -368,6 +372,7 @@ func (c *Controller) sortedIDs() []int {
 
 // maxSolveTimes bounds the solve-latency history (32 KB a cell) above the
 // longest run in the tree, the 3600-BAI soak: simulations keep every sample.
+// It is the history's first 64 entries doubled six times.
 const maxSolveTimes = 4096
 
 // SolveTimes returns the wall-clock duration of each of the most recent
@@ -448,7 +453,14 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		err = c.exact.SolveInto(prob, sol)
 	}
 	elapsed := c.now().Sub(start)
-	if len(c.solveTimes) < maxSolveTimes {
+	if n := len(c.solveTimes); n < maxSolveTimes {
+		if n == cap(c.solveTimes) {
+			// 64 entries at the first BAI (a simulated minute of 1 s BAIs),
+			// then doubled, not append's gentler growth past 256 entries:
+			// a run four times as long regrows the history twice more.
+			// Not the cap up front: a server runs hundreds of controllers.
+			c.solveTimes = append(make([]time.Duration, 0, max(2*n, 64)), c.solveTimes...)
+		}
 		c.solveTimes = append(c.solveTimes, elapsed)
 	} else {
 		c.solveTimes[c.solveNext] = elapsed

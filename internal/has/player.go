@@ -149,12 +149,10 @@ type Player struct {
 	tally qoe.Tally // the selected rates, summed segment by segment
 
 	// requestNextFn and sendFn are the pre-bound scheduling callbacks
-	// (see NewPlayer). argSched is the env's payload-carrying scheduler
-	// when it offers one — the allocation-free path for the per-segment
-	// request-latency timer.
+	// (see Init): the pacing timer, and the per-segment request-latency
+	// timer, which carries the segment's size as its argument.
 	requestNextFn func()
 	sendFn        func(int64)
-	argSched      transport.ArgScheduler
 }
 
 // NewPlayer builds a player over the given flow. The flow's OnDelivered
@@ -196,7 +194,6 @@ func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter
 	// requestNext continuously while a stream is buffer-limited.
 	p.requestNextFn = p.requestNext
 	p.sendFn = func(bytes int64) { p.flow.Send(bytes) }
-	p.argSched, _ = env.(transport.ArgScheduler)
 	flow.OnDelivered = p.onBytes
 	return nil
 }
@@ -377,12 +374,7 @@ func (p *Player) requestNext() {
 	p.segStartTTI = now
 	p.downloading = true
 	if p.cfg.RequestLatencyTTIs > 0 {
-		if p.argSched != nil {
-			p.argSched.ScheduleArg(p.cfg.RequestLatencyTTIs, p.sendFn, p.segBytes)
-			return
-		}
-		bytes := p.segBytes
-		p.env.Schedule(p.cfg.RequestLatencyTTIs, func() { p.flow.Send(bytes) })
+		p.env.ScheduleArg(p.cfg.RequestLatencyTTIs, p.sendFn, p.segBytes)
 	} else {
 		p.flow.Send(p.segBytes)
 	}

@@ -34,6 +34,13 @@ func (e *playerEnv) Schedule(delay int64, fn func()) {
 	e.events.Schedule(e.clock.TTI()+delay, fn)
 }
 
+func (e *playerEnv) ScheduleArg(delay int64, fn func(int64), arg int64) {
+	if delay < 1 {
+		delay = 1
+	}
+	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
+}
+
 func (e *playerEnv) addPlayer(t *testing.T, ue int, mpd *MPD, a Adapter, cfg PlayerConfig) *Player {
 	t.Helper()
 	b := &lte.Bearer{ID: len(e.flows), UE: ue, Class: lte.ClassVideo}

@@ -35,14 +35,16 @@ type ENodeB struct {
 	// bearers: the Bearer pointer and index are written once at AddBearer
 	// time, so the per-TTI refresh only touches the volatile fields
 	// (iTbs, backlog, grant) and only for backlogged bearers. active is
-	// the subset handed to the scheduler, rebuilt each TTI.
+	// the subset handed to the scheduler, rebuilt each TTI in storage
+	// sized like live's.
 	flowStates []FlowState
 	active     []*FlowState
 }
 
 // NewENodeB creates a cell with the given channel and scheduler. The
 // per-bearer tables are sized for one bearer per UE up front (more
-// still fit, by growing), so assembling a cell does not regrow them.
+// still fit, by growing), so neither assembling a cell nor its first
+// busy TTIs regrow them.
 func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 	n := ch.NumUEs()
 	return &ENodeB{
@@ -53,6 +55,7 @@ func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 		live:       make([]*Bearer, 0, n),
 		stirred:    make([]*Bearer, 0, n),
 		flowStates: make([]FlowState, 0, n),
+		active:     make([]*FlowState, 0, n),
 		rbgSizes:   RBGSizes(),
 	}
 }

@@ -21,6 +21,11 @@ import (
 // SessionRequest registers a video flow with the OneAPI server: the
 // plugin sends the bitrate ladder parsed from the MPD (with identifying
 // metadata removed) and its optional client preferences.
+//
+// LadderBps is handed over, not copied: a session the request opens (at
+// once or from the admission queue) keeps it for its lifetime, so the
+// sender must not write to it afterwards. Sharing one read-only ladder
+// across requests is fine.
 type SessionRequest struct {
 	FlowID      int              `json:"flow_id"`
 	LadderBps   []float64        `json:"ladder_bps"`

@@ -345,7 +345,8 @@ func (s *Server) OpenSession(cellID int, req SessionRequest) error {
 
 // Open is OpenSession with an extra created flag: true when the call
 // registered a new session, false when it matched an existing one
-// idempotently (the HTTP binding maps these to 201 vs 200).
+// idempotently (the HTTP binding maps these to 201 vs 200). The session
+// keeps req.LadderBps without copying it (see SessionRequest).
 func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) {
 	ladder := has.Ladder(req.LadderBps)
 	// Validate before the admission predicate, which prices the

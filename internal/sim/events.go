@@ -1,63 +1,55 @@
 package sim
 
-import "container/heap"
-
-// Event is a callback scheduled to run at a specific TTI.
-type Event struct {
-	// AtTTI is the TTI index at which the event fires.
-	AtTTI int64
-	// Run is invoked when the clock reaches AtTTI.
-	Run func()
-
-	// runArg/arg are the payload-carrying alternative to Run used by
-	// ScheduleArg: sharing one func value across many events avoids the
-	// per-event closure allocation on high-frequency paths.
+// event is one scheduled callback: run for Schedule, runArg(arg) for
+// ScheduleArg.
+type event struct {
+	atTTI  int64
+	seq    int64 // tie-break so same-TTI events run in scheduling order
+	run    func()
 	runArg func(int64)
 	arg    int64
-	// poolable marks handle-free events (ScheduleArg): once fired they
-	// are recycled through the queue's free list. Events with handles
-	// are never pooled — a caller could Cancel a stale handle and
-	// corrupt the recycled event.
-	poolable bool
-
-	seq   int64 // tie-break so same-TTI events run in scheduling order
-	index int   // heap position; fifoMark in the FIFO lane; -1 once popped or cancelled
+	next   *event // the FIFO lane's or the free list's link
 }
 
-// index markers for events outside the heap.
-const (
-	indexDone = -1 // popped or cancelled
-	fifoMark  = -2 // queued in the FIFO lane
-)
+// before is the queue's total order: (atTTI, seq).
+func (e *event) before(o *event) bool {
+	return e.atTTI < o.atTTI || (e.atTTI == o.atTTI && e.seq < o.seq)
+}
 
-// Cancelled reports whether the event has been removed from its queue.
-func (e *Event) Cancelled() bool { return e.index == indexDone && e.Run == nil }
-
-// EventQueue is a priority queue of events ordered by firing TTI.
-// Events scheduled for the same TTI fire in the order they were scheduled.
-// The zero value is ready to use. EventQueue is not safe for concurrent
-// use; the simulation kernel is single-goroutine by design.
+// EventQueue is a priority queue of callbacks ordered by firing TTI.
+// Events scheduled for the same TTI fire in the order they were
+// scheduled. An event cannot be cancelled: scheduling returns nothing,
+// and once an event has fired the queue reuses its storage, so a
+// simulation that keeps a bounded number of events pending stops
+// allocating once it has carved that many. The zero value is ready to
+// use. EventQueue is not safe for concurrent use; the simulation kernel
+// is single-goroutine by design.
 //
-// Internally the queue is two lanes merged on (AtTTI, seq): a FIFO slice
-// for events scheduled in nondecreasing-TTI order (the overwhelmingly
-// common case — the transport ACK clock schedules now+RTT/2 every TTI)
-// and a binary heap for the rest. FIFO pushes and pops are O(1) with no
-// sift traffic; the merge preserves exactly the total order the pure
-// heap produced, so the split is invisible to callers.
+// Internally the queue is two lanes merged on (AtTTI, seq): a FIFO list
+// for ScheduleArg events that arrive in nondecreasing-TTI order (the
+// overwhelmingly common case — the transport ACK clock schedules
+// now+RTT/2 every TTI) and a binary heap for Schedule timers and
+// out-of-order events. FIFO pushes and pops are O(1) with no sift
+// traffic; the merge preserves exactly the total order a single heap
+// produces, so the split is invisible to callers.
 type EventQueue struct {
-	h        eventHeap
-	fifo     []*Event
-	fifoHead int
-	// laneMisses counts the poolable events in a row that the FIFO lane
-	// turned away because its tail fires later (see enqueue).
-	laneMisses int
-	free       []*Event
-	// slab is the arena new events are carved from when the free list is
-	// empty: one bulk allocation per eventSlabSize events instead of one
-	// per event. Handle-bearing events (Schedule) are never recycled —
-	// without the slab each of them is its own allocation, and the
-	// poolable warm-up path allocates one Event at a time too.
-	slab    []Event
+	heap []*event // binary min-heap on (atTTI, seq)
+
+	// laneHead..laneTail is the FIFO lane, laneLen events long, linked
+	// through event.next in nondecreasing atTTI. laneMisses counts the
+	// ScheduleArg events in a row it turned away because its tail fires
+	// later (see ScheduleArg).
+	laneHead, laneTail *event
+	laneLen            int
+	laneMisses         int
+
+	// free lists the fired events, linked through event.next. slab is
+	// the arena new events are carved from when the free list is empty:
+	// one bulk allocation per eventSlabSize events instead of one per
+	// event.
+	free *event
+	slab []event
+
 	count   int
 	nextSeq int64
 }
@@ -69,158 +61,76 @@ const eventSlabSize = 256
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return q.count }
 
-// newEvent takes an Event from the free list or allocates one.
-func (q *EventQueue) newEvent(atTTI int64) *Event {
-	var ev *Event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
+// newEvent takes an event from the free list or carves one.
+func (q *EventQueue) newEvent(atTTI int64) *event {
+	ev := q.free
+	if ev != nil {
+		q.free = ev.next
 	} else {
 		if len(q.slab) == 0 {
-			q.slab = make([]Event, eventSlabSize)
+			q.slab = make([]event, eventSlabSize)
 		}
 		ev = &q.slab[0]
 		q.slab = q.slab[1:]
 	}
-	*ev = Event{AtTTI: atTTI, seq: q.nextSeq, index: indexDone}
+	*ev = event{atTTI: atTTI, seq: q.nextSeq}
 	q.nextSeq++
+	q.count++
 	return ev
 }
 
-// enqueue routes the event to the FIFO lane when it is poolable (the
-// high-frequency periodic traffic, which is scheduled in nondecreasing
-// TTI order in practice) and respects the lane's nondecreasing-TTI
-// invariant; everything else goes to the heap. Handle-bearing events
-// are kept out of the lane so a single far-future timer cannot wedge
-// into the tail and force the steady periodic stream into the heap.
-// A poolable one can still wedge there (a session's departure,
+// Schedule enqueues fn to run at the given TTI.
+func (q *EventQueue) Schedule(atTTI int64, fn func()) {
+	ev := q.newEvent(atTTI)
+	ev.run = fn
+	q.push(ev)
+}
+
+// ScheduleArg enqueues fn(arg) at the given TTI: one func value shared by
+// many events, the argument telling them apart, so a high-frequency
+// caller such as the transport ACK clock allocates no closure per event.
+//
+// These events take the FIFO lane when their TTI keeps it nondecreasing.
+// Schedule timers never do, so a single far-future timer cannot wedge
+// into the tail and force the steady periodic stream into the heap. A
+// ScheduleArg event can still wedge there (a session's departure,
 // scheduled at run start), so the lane counts the events it turns away
 // in a row: once they outnumber what it holds, its contents are the
 // strays and move to the heap, and the stream gets the lane.
-func (q *EventQueue) enqueue(ev *Event) {
-	q.count++
-	if !ev.poolable {
-		heap.Push(&q.h, ev)
-		return
-	}
-	if held := len(q.fifo) - q.fifoHead; held > 0 && ev.AtTTI < q.fifo[len(q.fifo)-1].AtTTI {
-		if q.laneMisses++; q.laneMisses <= held {
-			heap.Push(&q.h, ev)
-			return
-		}
-		for i, stray := range q.fifo[q.fifoHead:] {
-			q.fifo[q.fifoHead+i] = nil
-			if stray.Run != nil || stray.runArg != nil { // not lazily cancelled
-				heap.Push(&q.h, stray)
-			}
-		}
-		q.fifo, q.fifoHead = q.fifo[:0], 0
-	}
-	q.laneMisses = 0
-	ev.index = fifoMark
-	if q.fifoHead > 0 && len(q.fifo) == cap(q.fifo) {
-		// Compact consumed head space instead of growing: a steady
-		// periodic stream never drains the lane, so without this the
-		// backing array would grow with total events, not pending ones.
-		live := copy(q.fifo, q.fifo[q.fifoHead:])
-		for i := live; i < len(q.fifo); i++ {
-			q.fifo[i] = nil
-		}
-		q.fifo = q.fifo[:live]
-		q.fifoHead = 0
-	}
-	q.fifo = append(q.fifo, ev)
-}
-
-// Schedule enqueues fn to run at the given TTI and returns the event
-// handle, which can be passed to Cancel.
-func (q *EventQueue) Schedule(atTTI int64, fn func()) *Event {
-	ev := q.newEvent(atTTI)
-	ev.Run = fn
-	q.enqueue(ev)
-	return ev
-}
-
-// ScheduleArg enqueues fn(arg) at the given TTI without returning a
-// handle. Handle-free events can never be cancelled, so the queue
-// recycles the Event object after it fires — the allocation-free path
-// for high-frequency periodic work such as the transport ACK clock.
 func (q *EventQueue) ScheduleArg(atTTI int64, fn func(int64), arg int64) {
 	ev := q.newEvent(atTTI)
-	ev.runArg = fn
-	ev.arg = arg
-	ev.poolable = true
-	q.enqueue(ev)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op. FIFO-lane events are cancelled
-// lazily (cleared in place, skipped at pop time) to keep the lane O(1).
-func (q *EventQueue) Cancel(ev *Event) {
-	if ev == nil {
-		return
-	}
-	switch {
-	case ev.index >= 0:
-		heap.Remove(&q.h, ev.index)
-	case ev.index == fifoMark:
-		// stays in the lane; fifoPeek discards it
-	default:
-		return
-	}
-	ev.index = indexDone
-	ev.Run = nil
-	ev.runArg = nil
-	q.count--
-}
-
-// fifoPeek returns the first live FIFO event, discarding cancelled
-// entries, or nil when the lane is empty (which also resets the lane's
-// storage so it can be reused without growing).
-func (q *EventQueue) fifoPeek() *Event {
-	for q.fifoHead < len(q.fifo) {
-		ev := q.fifo[q.fifoHead]
-		if ev.Run == nil && ev.runArg == nil { // lazily cancelled
-			q.fifo[q.fifoHead] = nil
-			q.fifoHead++
-			continue
+	ev.runArg, ev.arg = fn, arg
+	if q.laneTail != nil && atTTI < q.laneTail.atTTI {
+		if q.laneMisses++; q.laneMisses <= q.laneLen {
+			q.push(ev)
+			return
 		}
-		return ev
+		for stray := q.laneHead; stray != nil; {
+			next := stray.next
+			stray.next = nil
+			q.push(stray)
+			stray = next
+		}
+		q.laneHead, q.laneTail, q.laneLen = nil, nil, 0
 	}
-	q.fifo = q.fifo[:0]
-	q.fifoHead = 0
-	return nil
+	q.laneMisses = 0
+	if q.laneTail == nil {
+		q.laneHead = ev
+	} else {
+		q.laneTail.next = ev
+	}
+	q.laneTail = ev
+	q.laneLen++
 }
 
-// peek returns the next event in (AtTTI, seq) order across both lanes
-// without removing it.
-func (q *EventQueue) peek() *Event {
-	fe := q.fifoPeek()
-	var he *Event
-	if len(q.h) > 0 {
-		he = q.h[0]
+// peek returns the next event in (atTTI, seq) order across both lanes
+// without removing it, or nil when the queue is empty.
+func (q *EventQueue) peek() *event {
+	ev := q.laneHead
+	if len(q.heap) > 0 && (ev == nil || q.heap[0].before(ev)) {
+		return q.heap[0]
 	}
-	switch {
-	case fe == nil:
-		return he
-	case he == nil:
-		return fe
-	case he.AtTTI < fe.AtTTI || (he.AtTTI == fe.AtTTI && he.seq < fe.seq):
-		return he
-	default:
-		return fe
-	}
-}
-
-// PeekTTI returns the TTI of the earliest pending event, or ok=false when
-// the queue is empty.
-func (q *EventQueue) PeekTTI() (tti int64, ok bool) {
-	ev := q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.AtTTI, true
+	return ev
 }
 
 // NextDeadline returns the earliest TTI at which a pending event will
@@ -228,7 +138,10 @@ func (q *EventQueue) PeekTTI() (tti int64, ok bool) {
 // fast-forward horizon: a quiescent simulation may jump the clock to
 // (but not past) this TTI without missing any scheduled work.
 func (q *EventQueue) NextDeadline() (tti int64, ok bool) {
-	return q.PeekTTI()
+	if ev := q.peek(); ev != nil {
+		return ev.atTTI, true
+	}
+	return 0, false
 }
 
 // RunDue pops and runs every event whose firing TTI is <= now, in order.
@@ -238,63 +151,72 @@ func (q *EventQueue) RunDue(now int64) int {
 	n := 0
 	for {
 		ev := q.peek()
-		if ev == nil || ev.AtTTI > now {
+		if ev == nil || ev.atTTI > now {
 			return n
 		}
-		if ev.index == fifoMark {
-			q.fifo[q.fifoHead] = nil
-			q.fifoHead++
+		if ev == q.laneHead {
+			if q.laneHead = ev.next; q.laneHead == nil {
+				q.laneTail = nil
+			}
+			q.laneLen--
 		} else {
-			heap.Pop(&q.h)
+			q.pop()
 		}
 		q.count--
-		ev.index = indexDone
-		run, runArg, arg := ev.Run, ev.runArg, ev.arg
-		ev.Run = nil
-		ev.runArg = nil
-		if ev.poolable {
-			q.free = append(q.free, ev)
-		}
-		// The callback may schedule new events (possibly due at <= now)
-		// or cancel pending ones; the loop re-peeks every iteration.
+		run, runArg, arg := ev.run, ev.runArg, ev.arg
+		*ev = event{next: q.free}
+		q.free = ev
+		// The callback may schedule new events (possibly due at <= now,
+		// possibly in the storage just freed); the loop re-peeks.
 		if run != nil {
 			run()
-			n++
-		} else if runArg != nil {
+		} else {
 			runArg(arg)
-			n++
 		}
+		n++
 	}
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].AtTTI != h[j].AtTTI {
-		return h[i].AtTTI < h[j].AtTTI
+// push adds ev to the heap.
+func (q *EventQueue) push(ev *event) {
+	h := append(q.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
+	q.heap = h
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes the heap's root.
+func (q *EventQueue) pop() {
+	n := len(q.heap) - 1
+	last := q.heap[n]
+	q.heap[n] = nil
+	h := q.heap[:n]
+	q.heap = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
 }

@@ -7,7 +7,7 @@ import (
 
 // Unit tests for the kernel fast-forward primitives: the NextDeadline
 // horizon, the AdvanceTo clock jump, and the two-lane event queue's
-// ScheduleArg path (ordering, pooling, cancellation interplay).
+// ScheduleArg path (ordering, recycling, lane routing).
 
 func TestNextDeadlineEmptyQueue(t *testing.T) {
 	var q EventQueue
@@ -18,10 +18,10 @@ func TestNextDeadlineEmptyQueue(t *testing.T) {
 
 func TestNextDeadlineTracksEarliestAcrossLanes(t *testing.T) {
 	var q EventQueue
-	// Heap lane: a handle-bearing far event, then a nearer one.
+	// Heap lane: a far timer, then a nearer one.
 	q.Schedule(50, func() {})
 	q.Schedule(20, func() {})
-	// FIFO lane: a poolable event in between.
+	// FIFO lane: a ScheduleArg event in between.
 	q.ScheduleArg(30, func(int64) {}, 0)
 	if tti, ok := q.NextDeadline(); !ok || tti != 20 {
 		t.Fatalf("NextDeadline = %d,%v; want 20,true", tti, ok)
@@ -33,16 +33,6 @@ func TestNextDeadlineTracksEarliestAcrossLanes(t *testing.T) {
 	q.RunDue(49)
 	if tti, ok := q.NextDeadline(); !ok || tti != 50 {
 		t.Fatalf("after draining 30: NextDeadline = %d,%v; want 50,true", tti, ok)
-	}
-}
-
-func TestNextDeadlineSeesCancellation(t *testing.T) {
-	var q EventQueue
-	ev := q.Schedule(10, func() {})
-	q.Schedule(40, func() {})
-	q.Cancel(ev)
-	if tti, ok := q.NextDeadline(); !ok || tti != 40 {
-		t.Fatalf("NextDeadline after cancel = %d,%v; want 40,true", tti, ok)
 	}
 }
 
@@ -108,7 +98,7 @@ func TestScheduleArgInterleavesWithSchedule(t *testing.T) {
 	}
 }
 
-// TestScheduleArgPoolRecycles proves handle-free events are recycled:
+// TestScheduleArgPoolRecycles proves fired events are recycled:
 // steady-state periodic scheduling must not grow the queue's storage.
 func TestScheduleArgPoolRecycles(t *testing.T) {
 	var q EventQueue
@@ -127,16 +117,49 @@ func TestScheduleArgPoolRecycles(t *testing.T) {
 	if fired != 10_000 {
 		t.Fatalf("fired %d, want 10000", fired)
 	}
-	if got := len(q.free); got < 1 {
-		t.Fatal("free list empty; pooled events are not being recycled")
+	if q.free == nil {
+		t.Fatal("free list empty; fired events are not being recycled")
 	}
-	// The backing storage must stay O(pending), not O(total fired).
-	if c := cap(q.fifo); c > 64 {
-		t.Fatalf("fifo lane grew to cap %d under steady-state load", c)
+	// The storage must stay O(pending), not O(total fired): each event
+	// schedules its successor after it was freed, so one event carved
+	// from the first slab serves the whole chain.
+	if carved := eventSlabSize - len(q.slab); carved != 1 {
+		t.Fatalf("%d events carved for a chain that never has more than one pending", carved)
 	}
 }
 
-// TestFarFutureArgEventsLeaveTheLane: handle-free one-shots scheduled far
+// TestEventQueueSteadyStateAllocatesNothing: once the queue has carved
+// as many events as are ever pending at once and its heap has grown to
+// hold them, Schedule timers interleaved with a ScheduleArg stream
+// allocate nothing, whichever lane they take.
+func TestEventQueueSteadyStateAllocatesNothing(t *testing.T) {
+	var q EventQueue
+	timer := func() {}
+	ack := func(int64) {}
+	now := int64(0)
+	step := func() {
+		q.ScheduleArg(now+20, ack, now)
+		if now%3 == 0 {
+			q.Schedule(now+40+now%17, timer)
+		}
+		q.RunDue(now)
+		now++
+	}
+	for i := 0; i < 1_000; i++ { // warm-up
+		step()
+	}
+	const steps = 30_000 // 10⁴ timers
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations over %d timers and %d ScheduleArg events, want 0", allocs, steps/3, steps)
+	}
+}
+
+// TestFarFutureArgEventsLeaveTheLane: ScheduleArg one-shots scheduled far
 // ahead (a churn run's arrivals and departures, all queued at run
 // start) must not hold the FIFO lane against the periodic stream that
 // starts afterwards. The stream may pay the heap for as many events as
@@ -155,8 +178,8 @@ func TestFarFutureArgEventsLeaveTheLane(t *testing.T) {
 	for now := int64(0); now < streamTTIs; now++ {
 		q.ScheduleArg(now+10, record, now)
 		q.RunDue(now)
-		if now == 2*strays && len(q.h) != 2*strays {
-			t.Fatalf("after %d stream events the heap holds %d events, want the %d strays and nothing else", now, len(q.h), 2*strays)
+		if now == 2*strays && len(q.heap) != 2*strays {
+			t.Fatalf("after %d stream events the heap holds %d events, want the %d strays and nothing else", now, len(q.heap), 2*strays)
 		}
 	}
 	q.RunDue(1 << 40)
@@ -184,7 +207,7 @@ func TestFarFutureArgEventsLeaveTheLane(t *testing.T) {
 
 // TestEventQueueRandomizedMergeOrder cross-checks the two-lane queue
 // against a straightforward reference: random interleavings of
-// Schedule/ScheduleArg/Cancel must fire in identical order.
+// Schedule/ScheduleArg must fire in identical order.
 func TestEventQueueRandomizedMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -198,53 +221,25 @@ func TestEventQueueRandomizedMergeOrder(t *testing.T) {
 		var got []int
 		seq := 0
 		id := 0
-		var handles []*Event
-		var handleIDs []int
 		now := int64(0)
 		for step := 0; step < 200; step++ {
-			switch rng.Intn(4) {
-			case 0, 1: // ScheduleArg, mostly nondecreasing TTIs
-				at := now + int64(rng.Intn(20))
-				v := id
+			at := now + int64(rng.Intn(20))
+			v := id
+			if rng.Intn(3) < 2 { // ScheduleArg, mostly nondecreasing TTIs
 				q.ScheduleArg(at, func(arg int64) { got = append(got, int(arg)) }, int64(v))
-				want = append(want, ref{at, seq, v})
-				seq++
-				id++
-			case 2: // Schedule with handle
-				at := now + int64(rng.Intn(20))
-				v := id
-				ev := q.Schedule(at, func() { got = append(got, v) })
-				handles = append(handles, ev)
-				handleIDs = append(handleIDs, v)
-				want = append(want, ref{at, seq, v})
-				seq++
-				id++
-			case 3: // cancel a random outstanding handle
-				if len(handles) > 0 {
-					k := rng.Intn(len(handles))
-					if !handles[k].Cancelled() { // not already fired
-						q.Cancel(handles[k])
-						// drop from the reference list
-						cid := handleIDs[k]
-						for i, w := range want {
-							if w.id == cid {
-								want = append(want[:i], want[i+1:]...)
-								break
-							}
-						}
-					}
-					handles = append(handles[:k], handles[k+1:]...)
-					handleIDs = append(handleIDs[:k], handleIDs[k+1:]...)
-				}
+			} else {
+				q.Schedule(at, func() { got = append(got, v) })
 			}
+			want = append(want, ref{at, seq, v})
+			seq++
+			id++
 			if rng.Intn(3) == 0 {
 				now += int64(rng.Intn(5))
 				q.RunDue(now)
 			}
 		}
 		q.RunDue(1 << 40)
-		// Reference order: stable by (at, seq); drop already-fired
-		// duplicates by comparing the full sequences.
+		// Reference order: stable by (at, seq).
 		ordered := make([]ref, len(want))
 		copy(ordered, want)
 		for i := 1; i < len(ordered); i++ {

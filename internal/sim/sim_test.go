@@ -226,23 +226,6 @@ func TestEventQueueSameTTIFIFO(t *testing.T) {
 	}
 }
 
-func TestEventQueueCancel(t *testing.T) {
-	var q EventQueue
-	ran := false
-	ev := q.Schedule(1, func() { ran = true })
-	q.Cancel(ev)
-	q.RunDue(10)
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue length = %d after cancel, want 0", q.Len())
-	}
-	// Double-cancel and nil-cancel must be safe.
-	q.Cancel(ev)
-	q.Cancel(nil)
-}
-
 func TestEventQueueReentrantSchedule(t *testing.T) {
 	var q EventQueue
 	var fired []string
@@ -263,12 +246,12 @@ func TestEventQueueReentrantSchedule(t *testing.T) {
 
 func TestEventQueuePeek(t *testing.T) {
 	var q EventQueue
-	if _, ok := q.PeekTTI(); ok {
-		t.Fatal("PeekTTI on empty queue returned ok")
+	if _, ok := q.NextDeadline(); ok {
+		t.Fatal("NextDeadline on empty queue returned ok")
 	}
 	q.Schedule(42, func() {})
-	if tti, ok := q.PeekTTI(); !ok || tti != 42 {
-		t.Fatalf("PeekTTI = %d,%v, want 42,true", tti, ok)
+	if tti, ok := q.NextDeadline(); !ok || tti != 42 {
+		t.Fatalf("NextDeadline = %d,%v, want 42,true", tti, ok)
 	}
 }
 
@@ -281,7 +264,7 @@ func TestEventQueueManyEventsStaySorted(t *testing.T) {
 	}
 	last := int64(-1)
 	for q.Len() > 0 {
-		tti, _ := q.PeekTTI()
+		tti, _ := q.NextDeadline()
 		if tti < last {
 			t.Fatalf("heap order violated: %d after %d", tti, last)
 		}

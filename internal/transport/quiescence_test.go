@@ -7,21 +7,7 @@ import (
 )
 
 // Unit tests for the flow-side fast-forward contract: Active/Quiescent
-// semantics and the pooled ScheduleArg ACK path's equivalence with the
-// closure path.
-
-// argEnv extends testEnv with the ArgScheduler fast path so the pooled
-// ACK delivery can be exercised against the closure fallback.
-type argEnv struct {
-	*testEnv
-}
-
-func (e *argEnv) ScheduleArg(delay int64, fn func(int64), arg int64) {
-	if delay < 1 {
-		delay = 1
-	}
-	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
-}
+// semantics.
 
 func TestActiveTracksPendingAndGreedy(t *testing.T) {
 	env := newTestEnv(t, 10, 1)
@@ -73,59 +59,5 @@ func TestQuiescentRequiresClosedWindow(t *testing.T) {
 	env.run(int64(cfg.RTTTTIs) + 5)
 	if int64(f.Cwnd())-f.InFlight() > 0 && f.Pending() > 0 && f.Quiescent() {
 		t.Fatal("flow with window space and pending bytes reported quiescent")
-	}
-}
-
-// TestArgSchedulerACKPathMatchesClosures pins the pooled-event ACK
-// delivery to the closure fallback: both paths must produce identical
-// flow trajectories, byte for byte.
-func TestArgSchedulerACKPathMatchesClosures(t *testing.T) {
-	plain := newTestEnv(t, 10, 1)
-	arg := &argEnv{newTestEnv(t, 10, 1)}
-
-	cfg := DefaultConfig()
-	b1 := &lte.Bearer{ID: 0, UE: 0, Class: lte.ClassVideo}
-	if _, err := plain.enb.AddBearer(b1); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := NewFlow(plain, b1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.flows = append(plain.flows, f1)
-
-	b2 := &lte.Bearer{ID: 0, UE: 0, Class: lte.ClassVideo}
-	if _, err := arg.enb.AddBearer(b2); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := NewFlow(arg, b2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arg.flows = append(arg.flows, f2)
-
-	if f1.argSched != nil {
-		t.Fatal("plain env unexpectedly implements ArgScheduler")
-	}
-	if f2.argSched == nil {
-		t.Fatal("arg env does not implement ArgScheduler")
-	}
-
-	f1.Send(200_000)
-	f2.Send(200_000)
-	for i := 0; i < 3_000; i++ {
-		plain.run(1)
-		arg.run(1)
-		if f1.DeliveredTotal() != f2.DeliveredTotal() ||
-			f1.InFlight() != f2.InFlight() ||
-			f1.Cwnd() != f2.Cwnd() ||
-			f1.Pending() != f2.Pending() {
-			t.Fatalf("TTI %d: ACK paths diverged:\nclosure delivered=%d inFlight=%d cwnd=%v pending=%d\npooled  delivered=%d inFlight=%d cwnd=%v pending=%d",
-				i, f1.DeliveredTotal(), f1.InFlight(), f1.Cwnd(), f1.Pending(),
-				f2.DeliveredTotal(), f2.InFlight(), f2.Cwnd(), f2.Pending())
-		}
-	}
-	if f1.DeliveredTotal() == 0 {
-		t.Fatal("nothing delivered; test exercised no ACKs")
 	}
 }

@@ -26,6 +26,11 @@ type Env interface {
 	NowTTI() int64
 	// Schedule runs fn after delayTTIs TTIs (>= 1 enforces causality).
 	Schedule(delayTTIs int64, fn func())
+	// ScheduleArg runs fn(arg) after delayTTIs TTIs: the allocation-free
+	// variant for payload-carrying callbacks. The flow uses it for the
+	// per-delivery ACK clock — one stored method value plus the byte
+	// count replaces a fresh closure per radio delivery.
+	ScheduleArg(delayTTIs int64, fn func(int64), arg int64)
 }
 
 // Waker is an optional Env extension. An environment that implements it
@@ -34,14 +39,6 @@ type Env interface {
 // active-flow tick list instead of polling every flow every TTI.
 type Waker interface {
 	FlowActivated(f *Flow)
-}
-
-// ArgScheduler is an optional Env extension: an allocation-free variant
-// of Schedule for payload-carrying callbacks. The flow uses it for the
-// per-delivery ACK clock — one stored method value plus the byte count
-// replaces a fresh closure per radio delivery.
-type ArgScheduler interface {
-	ScheduleArg(delayTTIs int64, fn func(int64), arg int64)
 }
 
 // Config holds the TCP model parameters.
@@ -101,10 +98,14 @@ func (c Config) validate() error {
 // Flow is one TCP connection from server to UE across a bearer.
 // Flows are single-goroutine, driven by the simulation loop.
 type Flow struct {
-	env      Env
-	waker    Waker        // env's Waker extension, nil if not implemented
-	argSched ArgScheduler // env's ArgScheduler extension, nil if not implemented
-	onAckFn  func(int64)  // f.onAck as a stored method value (one alloc, reused)
+	env   Env
+	waker Waker // env's Waker extension, nil if not implemented
+	// onAckFn and onLossFn are f.onAck and f.onLossDetected as stored
+	// method values: a method value allocates wherever it is evaluated.
+	// onLossFn is bound at the flow's first loss, so a flow that never
+	// overflows its queue does not pay for it.
+	onAckFn  func(int64)
+	onLossFn func()
 	bearer   *lte.Bearer
 	cfg      Config
 
@@ -160,10 +161,7 @@ func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
 	if w, ok := env.(Waker); ok {
 		f.waker = w
 	}
-	if a, ok := env.(ArgScheduler); ok {
-		f.argSched = a
-		f.onAckFn = f.onAck
-	}
+	f.onAckFn = f.onAck
 	bearer.QueueLimit = cfg.QueueLimit
 	bearer.OnDeliver = f.onRadioDeliver
 	return nil
@@ -289,8 +287,11 @@ func (f *Flow) trySend() {
 		f.lostTotal += dropped
 		if !f.inRecovery {
 			f.inRecovery = true
-			//flare:allow hotpath frontier: Schedule fires only on queue overflow (loss), not per send, and the Env impls push onto a preallocated timer wheel
-			f.env.Schedule(f.cfg.RTTTTIs, f.onLossDetected)
+			if f.onLossFn == nil {
+				f.onLossFn = f.onLossDetected
+			}
+			//flare:allow hotpath frontier: Schedule fires only on queue overflow (loss), not per send, onto the cellsim env's queue, which recycles fired events; benchmarks.TestRunAllocsIndependentOfDuration pins that a busy cell's losses allocate nothing past each flow's first
+			f.env.Schedule(f.cfg.RTTTTIs, f.onLossFn)
 		}
 	}
 }
@@ -327,11 +328,7 @@ func (f *Flow) onRadioDeliver(bytes int64) {
 	if delay < 1 {
 		delay = 1
 	}
-	if f.argSched != nil {
-		f.argSched.ScheduleArg(delay, f.onAckFn, bytes)
-	} else {
-		f.env.Schedule(delay, func() { f.onAck(bytes) })
-	}
+	f.env.ScheduleArg(delay, f.onAckFn, bytes)
 }
 
 func (f *Flow) onAck(bytes int64) {

@@ -32,6 +32,13 @@ func (e *testEnv) Schedule(delay int64, fn func()) {
 	e.events.Schedule(e.clock.TTI()+delay, fn)
 }
 
+func (e *testEnv) ScheduleArg(delay int64, fn func(int64), arg int64) {
+	if delay < 1 {
+		delay = 1
+	}
+	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
+}
+
 func (e *testEnv) addFlow(t *testing.T, ue int, class lte.BearerClass, cfg Config) *Flow {
 	t.Helper()
 	b := &lte.Bearer{ID: len(e.flows), UE: ue, Class: class}
