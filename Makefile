@@ -21,8 +21,9 @@ vet:
 	$(GO) vet ./...
 
 # flarevet is this repo's own analyzer suite (internal/lint): the
-# determinism, layering, hotpath, and obsdiscipline invariants, enforced
-# mechanically. Zero third-party dependencies, so it always runs.
+# determinism, seedpurity, layering, obsdiscipline, lockorder and
+# directive analyzers, enforced mechanically. Zero third-party
+# dependencies, so it always runs.
 flarevet:
 	$(GO) run ./cmd/flarevet ./...
 

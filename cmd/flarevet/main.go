@@ -1,8 +1,8 @@
 // Command flarevet is the project's multichecker: it runs the
 // internal/lint analyzer suite — determinism, seedpurity, layering,
-// hotpath, obsdiscipline, lockorder, slotwrite, and the directive
-// audit — over the packages matching its arguments and exits non-zero
-// if any invariant is violated.
+// obsdiscipline, lockorder, and the directive audit — over the packages
+// matching its arguments and exits non-zero if any invariant is
+// violated.
 //
 // Usage:
 //
@@ -13,10 +13,10 @@
 //
 // Analyzer applicability is governed by the declarative ruleset in
 // internal/lint/rules.go: determinism and seedpurity run only inside
-// the sim-clock domain; the other six run everywhere. The whole run is
+// the sim-clock domain; the other four run everywhere. The whole run is
 // one fact-store session: packages are analyzed in dependency order so
-// call-graph facts (hotpath summaries, seed sinks) and waivers flow
-// from callees to callers. For narrow patterns the in-module
+// seedpurity's seed-sink facts and waivers flow from callees to
+// callers. For narrow patterns the in-module
 // dependency closure is analyzed too, but findings are printed only
 // for the requested packages; the stale-waiver audit runs only on
 // whole-module invocations, where every directive is in view. Findings

@@ -56,15 +56,23 @@ func TestEngineRunAllocs(t *testing.T) {
 // decay), and Run alone — New is not counted — must allocate the same to
 // within 2, which is what the solve-time history's doublings past T's
 // BAIs cost: fired events are recycled, timers are bound once, and the
-// buffers the first rounds fill are sized at assembly.
+// buffers the first rounds fill are sized at assembly. The naive row is
+// the busy cell on the TTI-by-TTI loop (Sim.runNaive), which the other
+// rows never reach.
 func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	naiveTick := func(seed uint64) cellsim.Config {
+		cfg := EngineTickConfig(seed)
+		cfg.DisableFastForward = true
+		return cfg
+	}
 	for _, w := range []struct {
 		name string
 		cfg  func(seed uint64) cellsim.Config
 	}{
 		{"tick", EngineTickConfig},
 		{"churn", EngineChurnConfig},
+		{"naive", naiveTick},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			runAllocs := func(scale time.Duration) uint64 {

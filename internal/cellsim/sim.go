@@ -593,7 +593,6 @@ func (s *Sim) flowDeparts(id int64) {
 func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	for _, g := range s.groups {
 		if g.tickTTIs > 0 && tti > 0 && tti%g.tickTTIs == 0 {
-			//flare:allow hotpath frontier: driver.Controller impls own their per-BAI budget (pre-bound callbacks, per-BAI scratch — PR 7); TestInProcessRoundAllocs pins the FLARE driver's round at 0 allocs and benchmarks.TestEngineRunAllocs a whole run
 			if err := g.ctrl.OnBAI(time.Duration(tti) * sim.TTI); err != nil {
 				return err
 			}
@@ -610,8 +609,6 @@ func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 // the semantic baseline the fast-forward kernel must match byte for
 // byte, kept selectable via Config.DisableFastForward (and used
 // automatically for channel models without catch-up support).
-//
-//flare:hotpath
 func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 	for tti := int64(0); tti < durTTIs; tti++ {
 		// Poll at every 1024th TTI except the first: a run always makes
@@ -619,7 +616,6 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 		// cancellation, so which cells of a multi-cell run reach an
 		// early failure of their own (vs. a sibling's cancel) is a
 		// deterministic fact, not a goroutine race. See runMany.
-		//flare:allow hotpath frontier: context.Context.Err returns a cached sentinel without allocating in every stdlib implementation
 		if tti&0x3ff == 0 && tti != 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -648,14 +644,11 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 // Quiescence is decided after RunTTI and the hooks because both can
 // re-arm flows mid-TTI: radio delivery fires OnDeliver → player
 // progress → a new segment request → Flow.Send.
-//
-//flare:hotpath
 func (s *Sim) runFast(ctx context.Context, durTTIs, sampleTTIs int64) error {
 	for tti := int64(0); tti < durTTIs; {
 		// Same cancellation-poll points as runNaive (multiples of 1024,
 		// never TTI 0) so both loops observe a cancel at the same TTI —
 		// see the runNaive comment for why TTI 0 is excluded.
-		//flare:allow hotpath frontier: context.Context.Err returns a cached sentinel without allocating in every stdlib implementation
 		if tti&0x3ff == 0 && tti != 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}

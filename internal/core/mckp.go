@@ -122,8 +122,6 @@ func (s *ExactSolver) Solve(p *Problem) (Solution, error) {
 // arrays are overwritten in place when they are large enough, so a
 // caller that hands the same Solution to every solve (the Controller)
 // allocates nothing in steady state. On error sol is empty.
-//
-//flare:hotpath
 func (s *ExactSolver) SolveInto(p *Problem, sol *Solution) error {
 	sol.reset()
 	if err := p.Validate(); err != nil {

@@ -156,7 +156,6 @@ func (p *Problem) objective() Objective {
 // keep-previous-level stickiness bonus.
 func (p *Problem) UtilityAt(u, level int) float64 {
 	f := &p.Flows[u]
-	//flare:allow hotpath frontier: Objective impls (Eq. 2/3 and utility-PF) are pure float arithmetic; TestInProcessRoundAllocs pins the whole solve at 0 allocs under both (its eq2 and upf rows)
 	util := p.objective().Utility(f.Beta, f.ThetaBps, f.Ladder.Rate(level))
 	if p.StickinessBonus > 0 && level == f.PrevLevel {
 		util += p.StickinessBonus

@@ -91,7 +91,8 @@ func (l Ladder) Clamp(i int) int {
 //
 // The binary search is written out rather than using sort.Search: the
 // closure sort.Search takes escapes to the heap, and this sits inside
-// the MCKP solve (core.VideoFlow.MaxLevel) on the //flare:hotpath.
+// the MCKP solve (core.VideoFlow.MaxLevel), which TestInProcessRoundAllocs
+// pins at zero allocations.
 func (l Ladder) HighestAtMost(bps float64) int {
 	// Find the first index with rate > bps.
 	lo, hi := 0, len(l)

@@ -216,7 +216,6 @@ func (p *Player) Start() {
 
 // now reads the simulated clock — the player's one crossing into its Env.
 func (p *Player) now() int64 {
-	//flare:allow hotpath frontier: the transport.Env impl (cellsim env) reads the sim clock field without allocating; benchmarks.TestEngineRunAllocs pins the whole run it sits in
 	return p.env.NowTTI()
 }
 
@@ -394,8 +393,6 @@ func (p *Player) stateLocked(now int64) State {
 
 // onBytes handles radio-delivered bytes for the in-progress segment. A
 // completed segment is accounted in place and allocates nothing.
-//
-//flare:hotpath
 func (p *Player) onBytes(n int64) {
 	if !p.downloading {
 		return
@@ -426,13 +423,10 @@ func (p *Player) onBytes(n int64) {
 	p.downloading = false
 	p.buffer += p.mpd.SegmentSeconds()
 	p.maybeStartPlayback()
-	//flare:allow hotpath frontier: the Adapter impls (FlarePlugin, Festive, Google, BBA, MPC, the AVIS client) file the sample in fixed windows sized at construction; TestCompletedSegmentAllocatesNothing runs the plugin and FESTIVE through here
 	p.adapter.OnSegmentComplete(rec)
 	if p.OnSegment != nil {
 		p.OnSegment(rec)
 	}
-	// Through the pre-bound callback, like the pacing timers: flarevet
-	// follows static calls, so its budget for this function ends here, at
-	// the segment boundary; the allocation test above covers the request.
+	// TestCompletedSegmentAllocatesNothing covers the request, too.
 	p.requestNextFn()
 }

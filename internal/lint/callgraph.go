@@ -1,5 +1,5 @@
 // The intra-package call graph and the call classifier the dataflow
-// analyzers (lockorder, seedpurity, slotwrite, hotpath v2) share.
+// analyzers (lockorder, seedpurity) share.
 //
 // Resolution is static and honest about its limits: a call is either
 // resolved to the single *types.Func it must invoke (package functions,
@@ -118,14 +118,6 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// deref strips one level of pointerness.
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
 // namedOf returns the named type behind t (through one pointer), or
 // nil.
 func namedOf(t types.Type) *types.Named {
@@ -137,25 +129,4 @@ func namedOf(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// rootIdent returns the leftmost identifier of a selector/index/slice
-// chain (x in x.f[i].g), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -1,4 +1,4 @@
-// Directive grammar. flarevet understands two comment directives:
+// Directive grammar. flarevet understands one comment directive:
 //
 //	//flare:allow <reason>
 //	    Suppresses any flarevet finding on the same line or on the
@@ -8,15 +8,14 @@
 //	    directive that suppresses nothing is also a finding (a stale
 //	    waiver), so the audit trail cannot rot.
 //
-//	//flare:hotpath [note]
-//	    Marks a function declaration as allocation-sensitive; the
-//	    hotpath analyzer then forbids capturing closures, fmt
-//	    printing, string concatenation in loops, and defer inside
-//	    it and everything reachable from it. The directive must
-//	    appear in a function's doc comment.
+// Every other comment that starts with //flare: is an unknown directive
+// and is reported: a misspelt waiver, or a marker for a check the suite
+// does not run, must not sit in the tree promising a guarantee that
+// nothing enforces.
 //
-// Both are ordinary line comments, invisible to the compiler: adding or
-// removing them cannot change behaviour, goldens, or benchmarks.
+// Directives are ordinary line comments, invisible to the compiler:
+// adding or removing them cannot change behaviour, goldens, or
+// benchmarks.
 package lint
 
 import (
@@ -26,8 +25,8 @@ import (
 )
 
 const (
-	allowPrefix   = "//flare:allow"
-	hotpathPrefix = "//flare:hotpath"
+	directivePrefix = "//flare:"
+	allowPrefix     = directivePrefix + "allow"
 )
 
 // DirectiveKind classifies a parsed flare directive.
@@ -38,16 +37,16 @@ const (
 	DirectiveNone DirectiveKind = iota
 	// DirectiveAllow is //flare:allow <reason>.
 	DirectiveAllow
-	// DirectiveHotpath is //flare:hotpath [note].
-	DirectiveHotpath
+	// DirectiveUnknown is any other //flare: comment.
+	DirectiveUnknown
 )
 
 // ParseDirective parses one comment's raw text (as go/ast stores it,
 // leading "//" included). kind is DirectiveNone when the comment is not
 // a flare directive. For allow directives, reason is the trimmed reason
-// text and malformed reports the grammar violation a bare
-// "//flare:allow" commits: the reason is mandatory and must be
-// separated from the keyword by a space.
+// text. malformed reports a grammar violation: a bare "//flare:allow"
+// (the reason is mandatory and must be separated from the keyword by a
+// space), or any unknown directive.
 //
 // This is the single implementation the runner, the stale-waiver check,
 // and FuzzDirective all share.
@@ -60,8 +59,8 @@ func ParseDirective(text string) (kind DirectiveKind, reason string, malformed b
 			return DirectiveAllow, "", true
 		}
 		return DirectiveAllow, reason, false
-	case strings.HasPrefix(text, hotpathPrefix):
-		return DirectiveHotpath, "", false
+	case strings.HasPrefix(text, directivePrefix):
+		return DirectiveUnknown, "", true
 	}
 	return DirectiveNone, "", false
 }
@@ -90,33 +89,20 @@ type directives struct {
 	malformed []Diagnostic
 }
 
-// siteFor returns the allow directive covering pos (same line, or the
-// line directly above), or nil.
-func (d *directives) siteFor(pos token.Position) *allowSite {
-	lines := d.allowLines[pos.Filename]
-	if s := lines[pos.Line]; s != nil {
-		return s
-	}
-	return lines[pos.Line-1]
-}
-
-// allows reports whether a diagnostic at pos is suppressed, marking the
+// allows reports whether a diagnostic at pos is suppressed by an allow
+// directive on the same line or the line directly above, marking that
 // directive as consumed.
 func (d *directives) allows(pos token.Position) bool {
-	if s := d.siteFor(pos); s != nil {
-		s.used = true
-		return true
+	lines := d.allowLines[pos.Filename]
+	s := lines[pos.Line]
+	if s == nil {
+		s = lines[pos.Line-1]
 	}
-	return false
-}
-
-// waivedAt reports whether pos is covered by a reasoned allow WITHOUT
-// consuming it. Analyzers that use a waiver as a scope marker (slotwrite
-// keys its worker-goroutine discipline off the determinism waiver on a
-// go statement) must not count as the suppression that keeps the
-// directive alive.
-func (d *directives) waivedAt(pos token.Position) bool {
-	return d.siteFor(pos) != nil
+	if s == nil {
+		return false
+	}
+	s.used = true
+	return true
 }
 
 // collectDirectives scans every comment in the package for flare
@@ -124,59 +110,29 @@ func (d *directives) waivedAt(pos token.Position) bool {
 func collectDirectives(fset *token.FileSet, files []*ast.File) *directives {
 	d := &directives{allowLines: make(map[string]map[int]*allowSite)}
 	for _, f := range files {
-		// Function doc comments are the only legal home for
-		// //flare:hotpath; remember them so strays can be reported.
-		funcDocs := make(map[*ast.CommentGroup]bool)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				funcDocs[fd.Doc] = true
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				kind, reason, malformed := ParseDirective(c.Text)
-				switch kind {
-				case DirectiveAllow:
-					pos := fset.Position(c.Pos())
-					if malformed {
-						d.malformed = append(d.malformed, Diagnostic{
-							Pos:      pos,
-							Analyzer: "directive",
-							Message:  "flare:allow requires a reason: //flare:allow <why this is safe>",
-						})
-						continue
-					}
-					lines := d.allowLines[pos.Filename]
-					if lines == nil {
-						lines = make(map[int]*allowSite)
-						d.allowLines[pos.Filename] = lines
-					}
-					lines[pos.Line] = &allowSite{pos: pos, reason: reason}
-				case DirectiveHotpath:
-					if !funcDocs[cg] {
-						d.malformed = append(d.malformed, Diagnostic{
-							Pos:      fset.Position(c.Pos()),
-							Analyzer: "directive",
-							Message:  "flare:hotpath must appear in a function declaration's doc comment",
-						})
-					}
+				if kind == DirectiveNone {
+					continue
 				}
+				pos := fset.Position(c.Pos())
+				if malformed {
+					msg := "flare:allow requires a reason: //flare:allow <why this is safe>"
+					if kind == DirectiveUnknown {
+						msg = "unknown directive " + strings.Fields(c.Text)[0] + ": //flare:allow <reason> is the only flare directive"
+					}
+					d.malformed = append(d.malformed, Diagnostic{Pos: pos, Analyzer: "directive", Message: msg})
+					continue
+				}
+				lines := d.allowLines[pos.Filename]
+				if lines == nil {
+					lines = make(map[int]*allowSite)
+					d.allowLines[pos.Filename] = lines
+				}
+				lines[pos.Line] = &allowSite{pos: pos, reason: reason}
 			}
 		}
 	}
 	return d
-}
-
-// hasHotpathDirective reports whether a function's doc comment carries
-// //flare:hotpath.
-func hasHotpathDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if kind, _, _ := ParseDirective(c.Text); kind == DirectiveHotpath {
-			return true
-		}
-	}
-	return false
 }

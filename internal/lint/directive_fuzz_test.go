@@ -12,8 +12,12 @@ import (
 // stale-waiver audit, and the suppression filter. Invariants:
 //
 //   - ParseDirective never panics, whatever bytes arrive;
-//   - a bare //flare:allow (no reason, or reason not separated by a
-//     space) is always malformed and never yields a reason;
+//   - an allow-prefixed comment is always an allow, and a bare
+//     //flare:allow (no reason, or reason not separated by a space) is
+//     always malformed and never yields a reason;
+//   - any other //flare: comment is an unknown directive, always
+//     malformed; a comment outside the //flare: namespace is no
+//     directive and never malformed;
 //   - a malformed or non-allow parse never returns reason text;
 //   - well-formed reasons survive a FormatAllow round-trip verbatim.
 func FuzzDirective(f *testing.F) {
@@ -29,6 +33,8 @@ func FuzzDirective(f *testing.F) {
 		"/* block comment */",
 		"",
 		"//flare:allow reason with // nested markers /* and */ inside",
+		"//flare:",
+		"// flare:allow with a space is an ordinary comment",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -36,13 +42,24 @@ func FuzzDirective(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		kind, reason, malformed := lint.ParseDirective(text)
 
-		if kind == lint.DirectiveNone || malformed {
+		if kind != lint.DirectiveAllow || malformed {
 			if reason != "" {
 				t.Fatalf("ParseDirective(%q) = kind %v, malformed %v, but leaked reason %q", text, kind, malformed, reason)
 			}
 		}
-		if strings.HasPrefix(text, "//flare:allow") && kind != lint.DirectiveAllow {
-			t.Fatalf("ParseDirective(%q) did not classify an allow-prefixed comment (got kind %v)", text, kind)
+		switch {
+		case strings.HasPrefix(text, "//flare:allow"):
+			if kind != lint.DirectiveAllow {
+				t.Fatalf("ParseDirective(%q) did not classify an allow-prefixed comment (got kind %v)", text, kind)
+			}
+		case strings.HasPrefix(text, "//flare:"):
+			if kind != lint.DirectiveUnknown || !malformed {
+				t.Fatalf("ParseDirective(%q) = kind %v, malformed %v: want an unknown, malformed directive", text, kind, malformed)
+			}
+		default:
+			if kind != lint.DirectiveNone || malformed {
+				t.Fatalf("ParseDirective(%q) = kind %v, malformed %v: want no directive", text, kind, malformed)
+			}
 		}
 		if kind == lint.DirectiveAllow && !malformed {
 			if reason == "" {

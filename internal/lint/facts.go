@@ -4,24 +4,19 @@
 // in-session *types.Package for every import edge, so a *types.Func
 // seen at a call site in package P IS the object the summarizer saw
 // when it processed P's dependency earlier. That identity is what lets
-// per-function facts (hotpath allocation summaries, seed-sink
-// parameters) flow from callee packages to caller packages without any
-// serialization: the store is just maps keyed by the objects
-// themselves. This mirrors x/tools' analysis.Fact machinery, collapsed
-// to the single-process case flarevet always runs in.
+// per-function facts (seedpurity's seed-sink parameters) flow from
+// callee packages to caller packages without any serialization: the
+// store is just a map keyed by the objects themselves. This mirrors
+// x/tools' analysis.Fact machinery, collapsed to the single-process
+// case flarevet always runs in.
 //
 // The store also merges every package's //flare:allow directives into
-// one index. Two things depend on that being session-global rather
-// than per-package: transitive hotpath findings are positioned at the
-// callee's site — possibly in an earlier-loaded package — and must be
-// suppressible by a waiver in THAT file; and the stale-waiver check
-// can only run once every package has had the chance to consume every
-// directive.
+// one index, because the stale-waiver check can only run once every
+// package has had the chance to consume every directive.
 package lint
 
 import (
 	"fmt"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -35,17 +30,10 @@ type FactStore struct {
 	// consumption bits. Files are unique across packages, so merging
 	// is plain map union.
 	dirs directives
-	// summaries holds the hotpath allocation summary of every function
-	// the session has analyzed, hot or not (hot roots DFS through
-	// them).
-	summaries map[*types.Func]*hotSummary
 	// seedSinks marks parameter indices that a function forwards into
 	// an RNG constructor: call sites must pass config-seed-derived
 	// arguments there.
 	seedSinks map[*types.Func]map[int]bool
-	// reported dedupes findings that several roots can reach (two
-	// hotpath roots sharing a helper report its defer once).
-	reported map[string]bool
 }
 
 // NewFactStore returns an empty store.
@@ -54,9 +42,7 @@ func NewFactStore() *FactStore {
 		dirs: directives{
 			allowLines: make(map[string]map[int]*allowSite),
 		},
-		summaries: make(map[*types.Func]*hotSummary),
 		seedSinks: make(map[*types.Func]map[int]bool),
-		reported:  make(map[string]bool),
 	}
 }
 
@@ -73,17 +59,6 @@ func (s *FactStore) mergeDirectives(d *directives) {
 			dst[line] = site
 		}
 	}
-}
-
-// claimReport reserves a (analyzer, position) report slot, returning
-// false if an earlier pass already reported there.
-func (s *FactStore) claimReport(analyzer string, pos token.Position) bool {
-	key := fmt.Sprintf("%s|%s:%d:%d", analyzer, pos.Filename, pos.Line, pos.Column)
-	if s.reported[key] {
-		return false
-	}
-	s.reported[key] = true
-	return true
 }
 
 // addSeedSink records that callers of fn must pass a config-seed-

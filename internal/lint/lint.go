@@ -1,9 +1,14 @@
 // Package lint is flarevet's analyzer suite: mechanical enforcement of
-// the invariants PRs 2-4 established by convention — byte-exact
-// deterministic replay inside the sim-clock domain, the layering DAG
-// (observer hooks never import obs, drivers see the engine only through
-// the narrow view), the zero-alloc hot path, and the single-sourced
-// flare-trace/1 event schema.
+// the invariants the tree keeps by convention — byte-exact
+// deterministic replay inside the sim-clock domain (no map ranges, wall
+// clock or ambient randomness; RNGs seeded from the config), the
+// layering DAG (observer hooks never import obs, drivers see the engine
+// only through the narrow view), the single-sourced flare-trace/1 event
+// schema, and the lock hierarchy.
+//
+// Runtime invariants are not guessed from syntax here: the zero-alloc
+// hot path is held by the AllocsPerRun/MemStats pins, and the worker
+// pools' disjoint-slot writes by the lockstep and -race suites.
 //
 // The suite is modelled on golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Diagnostic, analysistest-style fixtures) but is implemented on
@@ -54,19 +59,10 @@ type Pass struct {
 	// Info holds the type-checker's findings for Files.
 	Info *types.Info
 
-	// store is the session fact store: cross-package function
-	// summaries, the merged waiver index, and report deduplication.
+	// store is the session fact store: cross-package seed-sink facts
+	// and the merged waiver index.
 	store *FactStore
 	diags *[]Diagnostic
-}
-
-// WaivedAt reports whether pos is covered by a reasoned //flare:allow
-// directive, without consuming it. Analyzers use this when a waiver
-// scopes further checking (slotwrite inspects the goroutines whose go
-// statement carries a determinism waiver) rather than suppressing a
-// finding.
-func (p *Pass) WaivedAt(pos token.Pos) bool {
-	return p.store.dirs.waivedAt(p.Fset.Position(pos))
 }
 
 // Reportf records a finding at pos.
@@ -92,10 +88,10 @@ func (d Diagnostic) String() string {
 
 // Run applies the analyzers to one standalone package and returns the
 // surviving diagnostics: findings suppressed by a well-formed
-// //flare:allow directive are dropped; malformed directives (no
-// reason, or a hotpath mark not attached to a function declaration)
-// and stale waivers that suppressed nothing are themselves reported
-// under the "directive" pseudo-analyzer.
+// //flare:allow directive are dropped; malformed directives (an allow
+// with no reason, or any other //flare: comment) and stale waivers that
+// suppressed nothing are themselves reported under the "directive"
+// pseudo-analyzer.
 //
 // Run is the single-package convenience (fixtures, one-shot checks).
 // Multi-package sessions — cmd/flarevet, the tree test — create one

@@ -71,8 +71,8 @@ type listedPackage struct {
 //
 // For narrow patterns (anything but the whole module), the in-module
 // dependency closure is loaded too, marked Target=false: the dataflow
-// analyzers need dependency-package facts (hotpath summaries, seed
-// sinks) for a narrow run to agree with the whole-module run, and the
+// analyzers need dependency-package facts (seedpurity's seed sinks)
+// for a narrow run to agree with the whole-module run, and the
 // shared loader is faster than re-checking each dependency through the
 // source importer anyway.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {

@@ -169,38 +169,37 @@ func pathMatches(pattern, path string) bool {
 }
 
 // DirectiveCheck is the directive grammar and waiver audit. Its work —
-// rejecting bare //flare:allow, misplaced //flare:hotpath, and stale
+// rejecting bare //flare:allow, unknown //flare: directives, and stale
 // waivers no analyzer consumed — is performed by the runner itself
 // (lint.Run / FactStore.StaleWaivers), because it must see every other
 // analyzer's suppressions; it is registered here so the suite's table
-// (flarevet -help-analyzers, the eight-analyzer help test) describes
+// (flarevet -help-analyzers, the six-analyzer help test) describes
 // everything that can produce a finding.
 var DirectiveCheck = &Analyzer{
 	Name: "directive",
-	Doc: "validates //flare:allow <reason> and //flare:hotpath grammar, and reports stale " +
-		"//flare:allow directives that no longer suppress any finding (whole-module runs only)",
+	Doc: "validates //flare:allow <reason> grammar, rejects any other //flare: directive, and " +
+		"reports stale //flare:allow directives that no longer suppress any finding (whole-module runs only)",
 	Run: func(*Pass) {},
 }
 
-// Analyzers returns the full suite — all eight analyzers — in
-// reporting order. This table is the single registry: -help-analyzers
-// and the help-coverage test are generated from it.
+// Analyzers returns the full suite — all six analyzers — in reporting
+// order. This table is the single registry: -help-analyzers and the
+// help-coverage test are generated from it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, SeedPurity,
-		Layering, Hotpath, ObsDiscipline,
-		LockOrder, SlotWrite,
+		Layering, ObsDiscipline, LockOrder,
 		DirectiveCheck,
 	}
 }
 
 // AnalyzersFor selects the analyzers that apply to pkgPath: layering,
-// hotpath, obsdiscipline, lockorder, slotwrite, and the directive audit
-// run everywhere; determinism and seedpurity only inside the sim-clock
-// domain (live servers and CLIs may read the wall clock, and may seed
-// jitter however they like).
+// obsdiscipline, lockorder, and the directive audit run everywhere;
+// determinism and seedpurity only inside the sim-clock domain (live
+// servers and CLIs may read the wall clock, and may seed jitter however
+// they like).
 func AnalyzersFor(pkgPath string) []*Analyzer {
-	as := []*Analyzer{Layering, Hotpath, ObsDiscipline, LockOrder, SlotWrite, DirectiveCheck}
+	as := []*Analyzer{Layering, ObsDiscipline, LockOrder, DirectiveCheck}
 	if IsSimClock(pkgPath) {
 		as = append([]*Analyzer{Determinism, SeedPurity}, as...)
 	}

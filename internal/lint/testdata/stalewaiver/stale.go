@@ -1,17 +1,18 @@
-// Package stalefix exercises the stale-waiver audit: a //flare:allow
-// that suppresses a live finding is consumed and healthy; one that
+// Package stalefix exercises the directive audit: a //flare:allow that
+// suppresses a live finding is consumed and healthy; one that
 // suppresses nothing (the code it excused was deleted or moved) is
-// itself a finding, so waivers cannot silently outlive their reasons.
+// itself a finding, so waivers cannot silently outlive their reasons;
+// and a //flare: comment other than allow is an unknown directive.
 package stalefix
 
-func cleanup() {}
-
-// consumed: the waiver excuses the defer finding below it.
-//
-//flare:hotpath
-func withWaiver() {
-	//flare:allow fixture: guards a once-per-run teardown, not per-tick work
-	defer cleanup()
+// consumed: the waiver excuses the map-range finding below it.
+func withWaiver(m map[string]int) int {
+	n := 0
+	//flare:allow fixture: a count is the same in every iteration order
+	for range m {
+		n++
+	}
+	return n
 }
 
 // orphaned: nothing is reported at the line below this waiver.
@@ -20,7 +21,14 @@ func calm() int {
 	return 1
 }
 
+// unknown: a marker for a check the suite does not run promises a
+// guarantee nothing enforces.
+func marked() {
+	/* want `unknown directive //flare:noalloc: //flare:allow <reason> is the only flare directive` */ //flare:noalloc
+}
+
 var (
 	_ = withWaiver
 	_ = calm
+	_ = marked
 )

@@ -9,7 +9,7 @@ import (
 // TestTreeClean is the regression gate behind `make lint`: it loads the
 // whole module exactly as cmd/flarevet does and asserts the suite
 // produces zero findings. Any new wall-clock read, map range, layering
-// break, hot-path allocation pattern, or hand-rolled obs.Event literal
+// break, lock-order inversion, or hand-rolled obs.Event literal
 // fails this test (and so `go test ./...`) even if the author never ran
 // flarevet.
 func TestTreeClean(t *testing.T) {
@@ -25,8 +25,8 @@ func TestTreeClean(t *testing.T) {
 	}
 	// One fact store for the whole session, exactly as cmd/flarevet
 	// runs it: packages arrive in dependency order, so callee facts
-	// (hotpath summaries, seed sinks) and waivers flow to callers, and
-	// the stale-waiver audit runs once everything has been analyzed.
+	// (seed sinks) and waivers flow to callers, and the stale-waiver
+	// audit runs once everything has been analyzed.
 	store := lint.NewFactStore()
 	clean := true
 	for _, pkg := range pkgs {

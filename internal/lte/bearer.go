@@ -210,8 +210,6 @@ func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 // tick updates the throughput averages with the bits served this TTI.
 // Called once per TTI for every bearer that is not settled, served or
 // not.
-//
-//flare:hotpath
 func (b *Bearer) tick(servedBits float64) {
 	instant := servedBits * TTIsPerSecond // bits/s delivered this TTI
 	// An idle bearer's averages spend most of their decay below the normal

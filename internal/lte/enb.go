@@ -136,7 +136,6 @@ type TTIResult struct {
 // queues, and updates per-bearer accounting. It must be called exactly
 // once per TTI in increasing TTI order.
 func (e *ENodeB) RunTTI(tti int64) TTIResult {
-	//flare:allow hotpath frontier: the Channel impls (Static/Cyclic/Trace/MobilityChannel) update preallocated per-UE state in place; TestRunTTIAllocatesNothing pins all four at 0 allocs/TTI
 	e.channel.Update(tti)
 
 	// Build the schedulable set: live bearers with backlog. Idle
@@ -150,7 +149,6 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 			continue
 		}
 		f := &e.flowStates[b.idx]
-		//flare:allow hotpath frontier: Channel.ITbs impls are single array reads on all four in-tree channels; TestRunTTIAllocatesNothing pins them
 		f.ITbs = e.channel.ITbs(b.UE)
 		f.BitsPerRB = BitsPerRB(f.ITbs)
 		f.remaining = b.queue
@@ -160,7 +158,6 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 
 	var res TTIResult
 	if len(e.active) > 0 {
-		//flare:allow hotpath frontier: the Scheduler impls (PF/PrioritySet/TwoPhaseGBR/Sliced) allocate only scheduler-owned scratch reused across TTIs; TestRunTTIAllocatesNothing pins all four at 0 allocs/TTI
 		e.sched.Allocate(tti, e.active, e.rbgSizes)
 		for _, f := range e.active {
 			if f.granted == 0 {
@@ -253,7 +250,6 @@ func (e *ENodeB) CanFastForward() bool {
 // per-TTI loop.
 func (e *ENodeB) FastForwardIdle(fromTTI, toTTI int64) {
 	if cc, ok := e.channel.(ChannelCatchUp); ok {
-		//flare:allow hotpath frontier: CatchUp runs once per idle span, not per TTI, and the in-tree impls advance RNG state in place; the kernel-jump equivalence tests cover it
 		cc.CatchUp(fromTTI, toTTI)
 	}
 	k := toTTI - fromTTI - 1

@@ -124,8 +124,6 @@ func (PFScheduler) Allocate(_ int64, flows []*FlowState, rbgSizes []int) {
 // metric, or nil when none is eligible. When filter is non-nil only
 // flows for which it returns true are considered. Callers must have run
 // cachePF on flows first.
-//
-//flare:hotpath
 func pickMaxPF(flows []*FlowState, filter func(*FlowState) bool) *FlowState {
 	var best *FlowState
 	bestMetric := -1.0

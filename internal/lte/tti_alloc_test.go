@@ -10,9 +10,9 @@ import (
 // TestRunTTIAllocatesNothing pins a busy TTI — channel update, the
 // schedulable set, Allocate, the drain and the accounting tick — at no
 // allocation, under every in-tree scheduler over every in-tree channel,
-// with all 20 bearers backlogged (half of them GBR video). These are the
-// Channel and Scheduler implementations RunTTI's //flare:allow waivers
-// vouch for; a per-TTI allocation in any of them fails here.
+// with all 20 bearers backlogged (half of them GBR video). A per-TTI
+// allocation in any Channel or Scheduler implementation, in pickMaxPF
+// or in Bearer.tick fails here.
 func TestRunTTIAllocatesNothing(t *testing.T) {
 	const bearers = 20
 	channels := []struct {

@@ -121,8 +121,6 @@ func (r *Recorder) SetNowTTI(now func() int64) {
 // every sink. On a nil recorder it is a no-op — and because Event is a
 // flat value built on the caller's stack, the disabled path allocates
 // nothing.
-//
-//flare:hotpath
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -147,7 +145,6 @@ func (r *Recorder) Emit(e Event) {
 		}
 	}
 	for _, s := range r.sinks {
-		//flare:allow hotpath frontier: the Sink impls (buffered JSONL encoder, the test MemorySink) amortize allocation; TestJSONLSinkEmitDoesNotAllocate pins the JSONL one at 0
 		if err := s.Write(ev); err != nil {
 			r.met.SinkErrors.Add(1)
 		}

@@ -244,9 +244,13 @@ func TestMetricsAndDebugHandlers(t *testing.T) {
 	}
 }
 
+// TestEnabledEmitDoesNotAllocate: a ring-only Emit allocates nothing. The
+// clock reads a TTI two minutes into a run, not a small one: integers
+// below 256 box into an interface for free, so a TTI of 9 would hide a
+// formatting call on the stamped time.
 func TestEnabledEmitDoesNotAllocate(t *testing.T) {
 	r := New(Options{RingSize: 1024})
-	r.SetNowTTI(func() int64 { return 9 })
+	r.SetNowTTI(func() int64 { return 120_000 })
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Emit(Event{Kind: KindClamp, Flow: 1, Reco: 2, Level: 1, Prev: 1, Bytes: 3, RBs: 4, Bps: 5})
 	})
@@ -256,12 +260,12 @@ func TestEnabledEmitDoesNotAllocate(t *testing.T) {
 }
 
 // TestJSONLSinkEmitDoesNotAllocate: a recorder streaming to the JSONL
-// sink — the in-tree Sink that Emit's //flare:allow vouches for — encodes
+// sink — the in-tree Sink a traced run streams through — encodes
 // into one reused buffer behind a bufio.Writer, so once the header is out
 // and the buffer has grown, an Emit allocates nothing.
 func TestJSONLSinkEmitDoesNotAllocate(t *testing.T) {
 	r := New(Options{RingSize: 1024, Sinks: []Sink{NewJSONLSink(io.Discard)}})
-	r.SetNowTTI(func() int64 { return 9 })
+	r.SetNowTTI(func() int64 { return 120_000 })
 	ev := Event{Kind: KindBAISolve, Cell: 2, Flow: -1, Seq: 7, Bytes: 3 << 20, RBs: 50_000, Bps: 2.5e6, Value: -1.25, DurNs: 71_000}
 	r.Emit(ev) // the schema header and the encode buffer's growth
 	allocs := testing.AllocsPerRun(1000, func() { r.Emit(ev) })

@@ -37,7 +37,6 @@ func (c *Clock) Advance() int64 {
 // component (players, transport, bearers).
 func (c *Clock) AdvanceTo(tti int64) int64 {
 	if tti < c.tti {
-		//flare:allow hotpath: the Sprintf sits on the panic path only — it never runs on a well-formed fast-forward, and the panic message must name both TTIs
 		panic(fmt.Sprintf("sim: clock cannot move backwards (at %d, asked for %d)", c.tti, tti))
 	}
 	c.tti = tti

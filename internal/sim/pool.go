@@ -26,6 +26,14 @@ type RangeRunner interface {
 // Do is a barrier: it returns only after every chunk has completed.
 // It must not be called re-entrantly (from inside a RunRange) and the
 // pool must only be driven from one goroutine at a time.
+//
+// The disjoint-slot contract is held by tests: TestWorkerPoolCoversAllIndices
+// (the partition), the callers' lockstep suites — oneapi's
+// TestRunBAIRoundsMatchesSequential, flaresuite's
+// TestRunLockstepAcrossWorkers, and cellsim's TestRunMulti* for the
+// multi-cell fan-out that hand-rolls the same pattern — and
+// `go test -race`. A worker that writes another index's slot fails the
+// lockstep comparison.
 type WorkerPool struct {
 	workers int
 	tasks   chan poolRange

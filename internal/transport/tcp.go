@@ -250,7 +250,6 @@ func (f *Flow) Tick() {
 }
 
 func (f *Flow) trySend() {
-	//flare:allow hotpath frontier: the Env impl (cellsim env) reads the sim clock field without allocating; benchmarks.TestEngineRunAllocs pins the whole run it sits in
 	now := f.env.NowTTI()
 	// Slow-start-after-idle: a connection that went quiet re-probes.
 	if f.cfg.IdleResetTTIs > 0 && f.lastSentTTI >= 0 &&
@@ -290,7 +289,6 @@ func (f *Flow) trySend() {
 			if f.onLossFn == nil {
 				f.onLossFn = f.onLossDetected
 			}
-			//flare:allow hotpath frontier: Schedule fires only on queue overflow (loss), not per send, onto the cellsim env's queue, which recycles fired events; benchmarks.TestRunAllocsIndependentOfDuration pins that a busy cell's losses allocate nothing past each flow's first
 			f.env.Schedule(f.cfg.RTTTTIs, f.onLossFn)
 		}
 	}
