@@ -21,9 +21,9 @@ vet:
 	$(GO) vet ./...
 
 # flarevet is this repo's own analyzer suite (internal/lint): the
-# determinism, seedpurity, layering, obsdiscipline, lockorder and
-# directive analyzers, enforced mechanically. Zero third-party
-# dependencies, so it always runs.
+# determinism, layering, obsdiscipline, lockorder and directive
+# analyzers, enforced mechanically. Zero third-party dependencies, so it
+# always runs.
 flarevet:
 	$(GO) run ./cmd/flarevet ./...
 
@@ -51,12 +51,14 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each fuzz target a short adversarial budget on top of
-# the committed seed corpora (which every plain `go test` run replays).
+# fuzz-smoke gives each of the 13 fuzz targets a short adversarial
+# budget on top of the committed seed corpora (which every plain
+# `go test` run replays).
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzMCKP -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGateApply -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAdmission -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactSolverStaysFeasible -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzDirective -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsReportDecode -fuzztime 10s
@@ -64,6 +66,8 @@ fuzz-smoke:
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzAssignmentDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzWireEncode -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzTallyMatchesSlices -fuzztime 10s
+	$(GO) test ./internal/has -run '^$$' -fuzz FuzzHighestAtMost -fuzztime 10s
+	$(GO) test ./internal/has -run '^$$' -fuzz FuzzSegmentBytesAt -fuzztime 10s
 
 race:
 	$(GO) test -race ./...

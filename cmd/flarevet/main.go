@@ -1,8 +1,7 @@
 // Command flarevet is the project's multichecker: it runs the
-// internal/lint analyzer suite — determinism, seedpurity, layering,
-// obsdiscipline, lockorder, and the directive audit — over the packages
-// matching its arguments and exits non-zero if any invariant is
-// violated.
+// internal/lint analyzer suite — determinism, layering, obsdiscipline,
+// lockorder, and the directive audit — over the packages matching its
+// arguments and exits non-zero if any invariant is violated.
 //
 // Usage:
 //
@@ -12,16 +11,13 @@
 //	flarevet -help-analyzers         # analyzer documentation
 //
 // Analyzer applicability is governed by the declarative ruleset in
-// internal/lint/rules.go: determinism and seedpurity run only inside
-// the sim-clock domain; the other four run everywhere. The whole run is
-// one fact-store session: packages are analyzed in dependency order so
-// seedpurity's seed-sink facts and waivers flow from callees to
-// callers. For narrow patterns the in-module
-// dependency closure is analyzed too, but findings are printed only
-// for the requested packages; the stale-waiver audit runs only on
-// whole-module invocations, where every directive is in view. Findings
-// are suppressed only by //flare:allow <reason> directives (see
-// internal/lint).
+// internal/lint/rules.go: determinism runs only inside the sim-clock
+// domain; the other four run everywhere. Each package is analyzed on
+// its own, so a narrow pattern reports exactly what the whole-module run
+// reports for the same packages, stale waivers included (narrow runs
+// type-check the in-module dependency closure too, but report only the
+// requested packages). Findings are suppressed only by
+// //flare:allow <reason> directives (see internal/lint).
 package main
 
 import (
@@ -60,23 +56,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One fact-store session over the dependency-ordered package list:
-	// callee facts and waivers are in the store before callers run.
-	store := lint.NewFactStore()
 	var diags []lint.Diagnostic
-	allTargets := true
 	for _, pkg := range pkgs {
-		ds := lint.RunWithFacts(pkg, lint.AnalyzersFor(pkg.Path), store)
 		if pkg.Target {
-			diags = append(diags, ds...)
-		} else {
-			allTargets = false
+			diags = append(diags, lint.Run(pkg, lint.AnalyzersFor(pkg.Path))...)
 		}
-	}
-	// The stale-waiver audit needs every directive's consumers in view;
-	// a narrow run that skipped sibling packages would cry wolf.
-	if allTargets {
-		diags = append(diags, store.StaleWaivers()...)
 	}
 	lint.SortDiagnostics(diags)
 
@@ -132,9 +116,8 @@ func printJSON(diags []lint.Diagnostic) {
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: flarevet [flags] [packages]\n\n")
 	fmt.Fprintf(os.Stderr, "Runs the FLARE invariant analyzers over the given package patterns\n")
-	fmt.Fprintf(os.Stderr, "(default ./...). Narrow patterns analyze the in-module dependency\n")
-	fmt.Fprintf(os.Stderr, "closure for cross-package facts but report findings only for the\n")
-	fmt.Fprintf(os.Stderr, "requested packages.\n\n")
+	fmt.Fprintf(os.Stderr, "(default ./...), one package at a time. Narrow patterns type-check the\n")
+	fmt.Fprintf(os.Stderr, "in-module dependency closure but report only the requested packages.\n\n")
 	flag.PrintDefaults()
 	fmt.Fprintf(os.Stderr, "\nRun with -help-analyzers for what each analyzer enforces.\n")
 }

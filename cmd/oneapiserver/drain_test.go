@@ -24,7 +24,6 @@ func TestShutdownDrainsBAIRounds(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
 	handler, _, server := buildHandler(cfg, faults.Config{}, 0, 4)
-	defer server.Close()
 
 	// A PCEF that parks the first install until released: the in-flight
 	// round the shutdown must wait for.

@@ -130,7 +130,6 @@ func run() int {
 	}
 
 	handler, _, server := buildHandler(cfg, faultCfg, *ring, *shards)
-	defer server.Close()
 	if faultCfg.Enabled() {
 		fmt.Printf("oneapiserver: fault injection ON (drop=%.2f fail=%.2f delay=%.2f blackouts=%d)\n",
 			*faultDrop, *faultFail, *faultDelay, len(faultCfg.Blackouts))

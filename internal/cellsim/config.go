@@ -138,19 +138,14 @@ type Config struct {
 	// VBRJitter sizes segments variably around the nominal encoding
 	// rate (see has.MPD.SizeJitter). 0 = CBR.
 	VBRJitter float64
-	// StatsLossRate drops each BAI's statistics report with this
-	// probability (control-plane failure injection: the OneAPI overlay
-	// rides a real network, and a lost report must only delay
-	// adaptation — installed GBRs and the last assignment persist).
-	// This legacy knob draws from the simulation's primary RNG; prefer
-	// ControlFaults, which owns independent streams.
-	StatsLossRate float64
 	// ControlFaults injects faults into the FLARE control plane: the
 	// eNodeB's statistics reports and the plugins' assignment polls
 	// each get an independent injector stream derived from
 	// ControlFaults.Seed, so a zero configuration leaves runs
-	// byte-identical to fault-free ones. Blackout windows take the
-	// whole plane down (reports and polls) for their duration.
+	// byte-identical to fault-free ones. A lost report only delays
+	// adaptation: installed GBRs and the last assignment persist.
+	// Blackout windows take the whole plane down (reports and polls)
+	// for their duration.
 	ControlFaults faults.Config
 	// Fallback parameterises the FLARE plugins' graceful degradation
 	// (K failed polls / M-BAI-stale assignment → local ABR). The zero
@@ -306,11 +301,6 @@ func (c *Config) Validate() error {
 	if !driver.Known(c.Scheme.String()) {
 		return fmt.Errorf("cellsim: no driver registered for scheme %q (registered: %v)",
 			c.Scheme.String(), driver.Names())
-	}
-	if c.StatsLossRate < 0 || c.StatsLossRate >= 1 {
-		if c.StatsLossRate != 0 {
-			return fmt.Errorf("cellsim: stats loss rate %v out of [0, 1)", c.StatsLossRate)
-		}
 	}
 	if err := c.ControlFaults.Validate(); err != nil {
 		return fmt.Errorf("cellsim: control faults: %w", err)

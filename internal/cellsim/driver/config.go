@@ -41,8 +41,6 @@ type Config struct {
 	Fallback abr.FallbackConfig
 	// ControlFaults injects faults into the driver's control plane.
 	ControlFaults faults.Config
-	// StatsLossRate is the legacy stats-report loss knob (draws from RNG).
-	StatsLossRate float64
 	// LowBufferCapSeconds is the FLARE buffer-feedback threshold
 	// (negative disables; 0 means the default).
 	LowBufferCapSeconds float64

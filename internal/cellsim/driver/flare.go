@@ -60,7 +60,7 @@ type flareDriver struct {
 	// The in-process BAI round runs on storage the driver owns: pcef is
 	// its enforcement hook, adapted once at Init, and resp the response
 	// every round is written into (read only until the next round).
-	pcef oneapi.BatchPCEF
+	pcef oneapi.PCEF
 	resp oneapi.StatsResponse
 }
 
@@ -370,18 +370,7 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 	if d.admission != nil {
 		d.retryAdmissions()
 	}
-	reportLost := false
-	// Legacy knob first (draws from the primary RNG, preserving
-	// pre-fault-injector determinism for configs that use it)...
-	if d.cfg.StatsLossRate > 0 && d.cfg.RNG.Float64() < d.cfg.StatsLossRate {
-		reportLost = true
-	}
-	// ...then the dedicated injector stream.
-	if !reportLost && d.statsFaults != nil && d.statsFaults.Decide(now).Lost() {
-		reportLost = true
-	}
-
-	if reportLost {
+	if d.statsFaults != nil && d.statsFaults.Decide(now).Lost() {
 		d.ctrl.ReportsLost++
 		d.rec.Emit(obs.ReportLost(int32(d.cellID)))
 	} else {

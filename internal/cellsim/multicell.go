@@ -125,7 +125,8 @@ func RunMultiConfig(ctx context.Context, mc MultiConfig, server *oneapi.Server, 
 
 // runMany drains the cells through a bounded worker pool. Jobs are
 // handed out in input order; each worker writes only its own slots of
-// out.Cells/errs, so the merge is deterministic by construction.
+// out.Cells/errs, so the merge is deterministic by construction
+// (TestLockstepMultiCell and -race hold it to that).
 //
 // Workers never pre-check ctx before starting a cell: the engine's TTI
 // loops poll only at TTI multiples of 1024 (and never at TTI 0), so
@@ -138,7 +139,6 @@ func runMany(ctx context.Context, cancel context.CancelFunc, workers int, sims [
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//flare:allow multi-cell fan-out: each worker writes only its own job's index slots and the error fold below scans slots in input-index order
 		go func() {
 			defer wg.Done()
 			for i := range jobs {

@@ -72,7 +72,6 @@ func TestShardsMultiCell(t *testing.T) {
 
 	runAll := func(shards int) [][]byte {
 		server := oneapi.NewServerSharded(core.DefaultConfig(), nil, shards)
-		defer server.Close()
 		res, err := RunMultiConfig(context.Background(), MultiConfig{Workers: 4}, server, cells...)
 		if err != nil {
 			t.Fatal(err)

@@ -240,7 +240,6 @@ func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int
 			Google:              s.cfg.Google,
 			Fallback:            s.cfg.Fallback,
 			ControlFaults:       s.cfg.ControlFaults,
-			StatsLossRate:       s.cfg.StatsLossRate,
 			LowBufferCapSeconds: s.cfg.LowBufferCapSeconds,
 			OneAPI:              server,
 			CellID:              cellID,

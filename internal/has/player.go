@@ -428,5 +428,5 @@ func (p *Player) onBytes(n int64) {
 		p.OnSegment(rec)
 	}
 	// TestCompletedSegmentAllocatesNothing covers the request, too.
-	p.requestNextFn()
+	p.requestNext()
 }

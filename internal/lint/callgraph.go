@@ -1,11 +1,10 @@
-// The intra-package call graph and the call classifier the dataflow
-// analyzers (lockorder, seedpurity) share.
+// The intra-package call graph and call classifier behind lockorder's
+// transitive acquisition sets.
 //
 // Resolution is static and honest about its limits: a call is either
 // resolved to the single *types.Func it must invoke (package functions,
-// concrete methods — including cross-package ones, whose identity the
-// loader preserves), identified as an interface method call (the callee
-// set is open; analyzers report or ignore the frontier explicitly), or
+// concrete methods), identified as an interface method call (the callee
+// set is open; lockorder ignores that frontier explicitly), or
 // dynamic (function values, builtins, conversions) and skipped. No
 // points-to analysis is attempted: the invariants flarevet enforces are
 // conventions about how this tree is written, and the tree is written
@@ -20,21 +19,16 @@ import (
 // callGraph indexes one package's function declarations.
 type callGraph struct {
 	// decls lists every function/method with a body, in source order
-	// (file order, then declaration order) — analyzers iterate this
+	// (file order, then declaration order) — lockorder iterates this
 	// for deterministic reporting.
 	decls []*ast.FuncDecl
-	// funcOf maps a declaration to its type-checker object; declOf is
-	// the inverse.
-	funcOf map[*ast.FuncDecl]*types.Func
+	// declOf maps a function's type-checker object to its declaration.
 	declOf map[*types.Func]*ast.FuncDecl
 }
 
 // buildCallGraph indexes the pass's package.
 func buildCallGraph(pass *Pass) *callGraph {
-	g := &callGraph{
-		funcOf: make(map[*ast.FuncDecl]*types.Func),
-		declOf: make(map[*types.Func]*ast.FuncDecl),
-	}
+	g := &callGraph{declOf: make(map[*types.Func]*ast.FuncDecl)}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -46,7 +40,6 @@ func buildCallGraph(pass *Pass) *callGraph {
 				continue
 			}
 			g.decls = append(g.decls, fd)
-			g.funcOf[fd] = fn
 			g.declOf[fn] = fd
 		}
 	}

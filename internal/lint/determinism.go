@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Determinism flags the constructs that break byte-exact replay when
@@ -21,26 +20,18 @@ import (
 //   - the global math/rand source (rand.Intn, rand.Float64, ...):
 //     draws interleave across goroutines and runs. Use a seeded
 //     *rand.Rand owned by the component (internal/sim.RNG).
-//   - `go` statements: a spawned goroutine's work completes in
-//     scheduler order, so any observable effect it produces is an
-//     unordered concurrent reduction unless the caller folds results in
-//     a fixed order. The parallel engine's pools are annotated with
-//     exactly that argument; new spawn sites must make it too.
-//   - sync/atomic mutations (Add/Store/Swap/CompareAndSwap/And/Or,
-//     package functions or the atomic type methods): concurrent
-//     accumulation into shared words is reduction in arrival order —
-//     unordered by definition.
-//   - sync.Map methods: a concurrent map has no deterministic iteration
-//     or update order.
+//
+// These are the hazards a test run can pass by luck — a map that
+// happens to iterate in insertion order, a wall clock that happens to
+// agree — so no runtime suite holds them. Concurrency hazards are left
+// to the tests that do: the lockstep suites and `go test -race`.
 //
 // The analyzer is syntax+types only; it does not attempt to prove that
 // a flagged construct actually feeds state. That is what the allow
-// directive's mandatory reason is for: the human writes the proof —
-// for concurrency sites, the fixed-reduction-order argument.
+// directive's mandatory reason is for.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbids unordered map ranges, wall-clock reads (time.Now/Since), global math/rand draws, " +
-		"and unordered concurrent reductions (go statements, sync/atomic mutations, sync.Map) " +
+	Doc: "forbids unordered map ranges, wall-clock reads (time.Now/Since) and global math/rand draws " +
 		"in sim-clock packages; suppress only with //flare:allow <reason>",
 	Run: runDeterminism,
 }
@@ -54,45 +45,10 @@ var globalRandAllowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
-// atomicMutatorPrefixes match the sync/atomic operations that write:
-// package functions (AddInt64, StoreUint32, ...) and the atomic type
-// methods (Add, Store, ...) share these name prefixes. Load is absent
-// on purpose — a racy read is the writer's finding, not the reader's.
-var atomicMutatorPrefixes = []string{"Add", "Store", "Swap", "CompareAndSwap", "And", "Or"}
-
-func isAtomicMutator(name string) bool {
-	for _, p := range atomicMutatorPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// isSyncMapMethod reports whether fn is a method on sync.Map.
-func isSyncMapMethod(fn *types.Func, sig *types.Signature) bool {
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Map"
-}
-
 func runDeterminism(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(n.Pos(),
-					"go statement spawns scheduler-ordered work in a sim-clock package; fold every observable reduction in a fixed order and annotate //flare:allow <reason> stating that argument")
 			case *ast.RangeStmt:
 				if t := pass.Info.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Map); ok {
@@ -105,33 +61,22 @@ func runDeterminism(pass *Pass) {
 				if !ok || fn.Pkg() == nil {
 					return true
 				}
-				sig, _ := fn.Type().(*types.Signature)
-				isMethod := sig != nil && sig.Recv() != nil
+				// Methods (e.g. (*rand.Rand).Intn, time.Time.Sub) are
+				// fine: the generator is component-owned and seeded, and
+				// a time value was read somewhere else.
+				if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
+					return true
+				}
 				switch fn.Pkg().Path() {
 				case "time":
-					if isMethod {
-						return true
-					}
 					if name := fn.Name(); name == "Now" || name == "Since" {
 						pass.Reportf(n.Pos(),
 							"time.%s reads the wall clock in a sim-clock package; inject a clock or annotate //flare:allow <reason>", name)
 					}
 				case "math/rand", "math/rand/v2":
-					// Methods (e.g. (*rand.Rand).Intn) are fine: the
-					// generator is component-owned and seeded.
-					if !isMethod && !globalRandAllowed[fn.Name()] {
+					if !globalRandAllowed[fn.Name()] {
 						pass.Reportf(n.Pos(),
 							"global math/rand.%s is unseeded shared state in a sim-clock package; use a component-owned seeded *rand.Rand", fn.Name())
-					}
-				case "sync/atomic":
-					if isAtomicMutator(fn.Name()) {
-						pass.Reportf(n.Pos(),
-							"sync/atomic.%s is an unordered concurrent reduction in a sim-clock package; fold results in a fixed order instead or annotate //flare:allow <reason>", fn.Name())
-					}
-				case "sync":
-					if isSyncMapMethod(fn, sig) {
-						pass.Reportf(n.Pos(),
-							"sync.Map.%s has no deterministic order in a sim-clock package; use an ordinary map with sorted iteration or annotate //flare:allow <reason>", fn.Name())
 					}
 				}
 			}

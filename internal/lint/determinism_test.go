@@ -9,7 +9,8 @@ import (
 
 // TestDeterminism covers the three forbidden constructs (map range,
 // time.Now/Since, global math/rand), the reasoned allow waiver, the
-// non-suppressing bare allow, and the seeded-generator escape hatch.
+// non-suppressing bare allow, the seeded-generator escape hatch, and
+// the concurrency constructs the analyzer leaves alone.
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, "testdata/determinism", "fixture/determinism", lint.Determinism)
 }

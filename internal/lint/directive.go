@@ -19,6 +19,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -73,7 +74,7 @@ func FormatAllow(reason string) string {
 }
 
 // allowSite is one well-formed //flare:allow directive, with the
-// consumption bit the stale-waiver check reads.
+// consumption bit the stale-waiver check (directives.stale) reads.
 type allowSite struct {
 	pos    token.Position
 	reason string
@@ -103,6 +104,29 @@ func (d *directives) allows(pos token.Position) bool {
 	}
 	s.used = true
 	return true
+}
+
+// stale returns one finding per //flare:allow directive that no
+// finding consumed: a waiver that suppresses nothing documents a hazard
+// that no longer exists, and its reason — written for a different line
+// of code — misleads the next reader. Stale findings are exempt from
+// suppression: the fix is deleting the directive, not waiving the
+// waiver.
+func (d *directives) stale() []Diagnostic {
+	var out []Diagnostic
+	for _, lines := range d.allowLines {
+		for _, site := range lines {
+			if !site.used {
+				out = append(out, Diagnostic{
+					Pos:      site.pos,
+					Analyzer: "directive",
+					Message: fmt.Sprintf("stale //flare:allow (%s): no finding is suppressed here; delete the directive or restore the code it excused",
+						site.reason),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // collectDirectives scans every comment in the package for flare

@@ -1,14 +1,15 @@
 // Package lint is flarevet's analyzer suite: mechanical enforcement of
-// the invariants the tree keeps by convention — byte-exact
-// deterministic replay inside the sim-clock domain (no map ranges, wall
-// clock or ambient randomness; RNGs seeded from the config), the
-// layering DAG (observer hooks never import obs, drivers see the engine
-// only through the narrow view), the single-sourced flare-trace/1 event
-// schema, and the lock hierarchy.
+// the invariants the tree keeps by convention and no runtime test can
+// hold — byte-exact deterministic replay inside the sim-clock domain
+// (no map ranges, wall clock or global math/rand, any of which a test
+// run can pass by luck), the layering DAG (observer hooks never import
+// obs, drivers see the engine only through the narrow view), the
+// single-sourced flare-trace/1 event schema, and the lock hierarchy.
 //
 // Runtime invariants are not guessed from syntax here: the zero-alloc
-// hot path is held by the AllocsPerRun/MemStats pins, and the worker
-// pools' disjoint-slot writes by the lockstep and -race suites.
+// hot path is held by the AllocsPerRun/MemStats pins; seeding, shared
+// RNGs and the worker pools' fold order by the goldens, the lockstep
+// suites and -race.
 //
 // The suite is modelled on golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Diagnostic, analysistest-style fixtures) but is implemented on
@@ -30,6 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // An Analyzer describes one invariant checker. Run inspects a single
@@ -59,9 +61,6 @@ type Pass struct {
 	// Info holds the type-checker's findings for Files.
 	Info *types.Info
 
-	// store is the session fact store: cross-package seed-sink facts
-	// and the merged waiver index.
-	store *FactStore
 	diags *[]Diagnostic
 }
 
@@ -86,37 +85,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Run applies the analyzers to one standalone package and returns the
-// surviving diagnostics: findings suppressed by a well-formed
-// //flare:allow directive are dropped; malformed directives (an allow
-// with no reason, or any other //flare: comment) and stale waivers that
-// suppressed nothing are themselves reported under the "directive"
+// Run applies the analyzers to one package and returns the surviving
+// diagnostics: findings suppressed by a well-formed //flare:allow
+// directive are dropped; malformed directives (an allow with no reason,
+// or any other //flare: comment) and stale waivers that suppressed
+// nothing are themselves reported under the "directive"
 // pseudo-analyzer.
 //
-// Run is the single-package convenience (fixtures, one-shot checks).
-// Multi-package sessions — cmd/flarevet, the tree test — create one
-// FactStore, call RunWithFacts per package in dependency order, and
-// append StaleWaivers at the end, so that facts and waivers flow
-// across package boundaries.
+// Packages are independent: every analyzer reports at a position in the
+// package it inspects, so the package's own directives are the whole
+// waiver index, and a package's findings are the same whether it is
+// checked alone or as part of the module.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	store := NewFactStore()
-	diags := RunWithFacts(pkg, analyzers, store)
-	diags = append(diags, store.StaleWaivers()...)
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunWithFacts applies the analyzers to one package of a session whose
-// state lives in store. The package's directives are merged into the
-// store before the analyzers run (so waivers in this package's files
-// can suppress findings reported by LATER packages, and vice versa for
-// facts); suppression is then checked against the whole session index,
-// consuming the matched directives. Malformed-directive findings are
-// appended; stale-waiver findings are NOT — harvest them from
-// store.StaleWaivers once the session is complete.
-func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) []Diagnostic {
 	dirs := collectDirectives(pkg.Fset, pkg.Files)
-	store.mergeDirectives(dirs)
 
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -127,7 +108,6 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) []Diagn
 			PkgPath:  pkg.Path,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			store:    store,
 			diags:    &diags,
 		}
 		a.Run(pass)
@@ -135,11 +115,31 @@ func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) []Diagn
 
 	kept := diags[:0]
 	for _, d := range diags {
-		if !store.dirs.allows(d.Pos) {
+		if !dirs.allows(d.Pos) {
 			kept = append(kept, d)
 		}
 	}
 	kept = append(kept, dirs.malformed...)
+	// The stale audit runs after suppression, so a stale waiver can
+	// never excuse its own staleness.
+	kept = append(kept, dirs.stale()...)
 	SortDiagnostics(kept)
 	return kept
+}
+
+// SortDiagnostics orders findings by file, line, column, analyzer.
+func SortDiagnostics(ds []Diagnostic) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Analyzer < b.Analyzer
+	})
 }

@@ -2,11 +2,11 @@
 // type information, without depending on golang.org/x/tools/go/packages.
 // The loader therefore drives the stock toolchain directly:
 //
-//  1. `go list -json <patterns>` enumerates the target packages (and
-//     their in-module dependency edges) exactly as the build would,
-//  2. each target is parsed with go/parser and type-checked with
+//  1. `go list -json <patterns>` enumerates the packages (and their
+//     import edges) exactly as the build would,
+//  2. each package is parsed with go/parser and type-checked with
 //     go/types in dependency order, and
-//  3. imports outside the target set (the standard library, and module
+//  3. imports outside the loaded set (the standard library, and module
 //     packages a narrow pattern did not select) are satisfied by the
 //     stdlib source importer (go/importer "source" mode), which
 //     type-checks them from source on demand and caches the results.
@@ -47,11 +47,9 @@ type Package struct {
 	// Types and Info are the type-checker outputs.
 	Types *types.Package
 	Info  *types.Info
-	// Target reports whether the package matched the load patterns
-	// (as opposed to being pulled in as an in-module dependency so
-	// that facts and types are exact). Diagnostics are printed for
-	// target packages only; the stale-waiver audit runs only when
-	// every loaded package is a target.
+	// Target reports whether the package matched the load patterns, as
+	// opposed to being loaded only as an in-module dependency of one
+	// that did. Only targets are analyzed.
 	Target bool
 }
 
@@ -70,11 +68,13 @@ type listedPackage struct {
 // Packages are returned in dependency order.
 //
 // For narrow patterns (anything but the whole module), the in-module
-// dependency closure is loaded too, marked Target=false: the dataflow
-// analyzers need dependency-package facts (seedpurity's seed sinks)
-// for a narrow run to agree with the whole-module run, and the
-// shared loader is faster than re-checking each dependency through the
-// source importer anyway.
+// dependency closure is loaded too, marked Target=false, for type
+// identity: a module package reached both directly and through the
+// source importer would otherwise be type-checked twice, and its types
+// (sim.RNG passed from cellsim/driver into abr, say) would not match
+// their own copies. Analyzers look at one package at a time, so a
+// narrow run reports exactly what the whole-module run reports for the
+// same packages.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -27,15 +27,14 @@ func TestLockOrder(t *testing.T) {
 	linttest.Run(t, "testdata/lockorder", "fixture/lockfix", lint.NewLockOrder(ranks))
 }
 
-// TestLockRanksTable pins the real hierarchy: the four control-plane
+// TestLockRanksTable pins the real hierarchy: the three control-plane
 // classes and the solver's scratch freelist exist, with distinct ranks
-// in the documented order poolMu > optMu > shard.mu > cellState.mu >
+// in the documented order optMu > shard.mu > cellState.mu >
 // scratchPool.mu, and every entry documents what it protects.
 func TestLockRanksTable(t *testing.T) {
 	want := []struct {
 		typ, field string
 	}{
-		{"Server", "poolMu"},
 		{"Server", "optMu"},
 		{"shard", "mu"},
 		{"cellState", "mu"},

@@ -36,14 +36,9 @@ func (c LockClass) String() string {
 }
 
 // LockRanks is the control plane's declared hierarchy, outermost
-// first: poolMu > optMu > shard.mu > cellState.mu > core's
-// scratchPool.mu. cmd/flarevet, the tree test, and DESIGN.md §12 all
-// read this table.
+// first: optMu > shard.mu > cellState.mu > core's scratchPool.mu.
+// cmd/flarevet, the tree test, and DESIGN.md §12 all read this table.
 var LockRanks = []LockClass{
-	{
-		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "poolMu", Rank: 40,
-		Doc: "serializes RunBAIRounds/Close around the shared BAI worker pool; held across whole rounds, so nothing may hold it while a finer lock is already held",
-	},
 	{
 		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "optMu", Rank: 30,
 		Doc: "guards creation-time defaults (recorder, PCEF, wall clock) and orders Set* against cell creation; taken before any shard or cell lock",

@@ -9,13 +9,13 @@ import (
 
 // TestAnalyzerHelpCoversRegistry pins the -help-analyzers text to the
 // registry: every registered analyzer appears by name with a non-empty
-// doc, names are unique, and the suite is exactly the six analyzers
+// doc, names are unique, and the suite is exactly the five analyzers
 // this tree documents. Adding an analyzer without registering it (or
 // registering one without doc) fails here, not in a user's terminal.
 func TestAnalyzerHelpCoversRegistry(t *testing.T) {
 	all := lint.Analyzers()
-	if len(all) != 6 {
-		t.Fatalf("registry has %d analyzers, want 6 — determinism, seedpurity, layering, obsdiscipline, lockorder, directive (update this pin, -help-analyzers, DESIGN.md §12, and README together)", len(all))
+	if len(all) != 5 {
+		t.Fatalf("registry has %d analyzers, want 5 — determinism, layering, obsdiscipline, lockorder, directive (update this pin, -help-analyzers, DESIGN.md §12, and README together)", len(all))
 	}
 	help := lint.AnalyzerHelp()
 	seen := map[string]bool{}

@@ -171,23 +171,23 @@ func pathMatches(pattern, path string) bool {
 // DirectiveCheck is the directive grammar and waiver audit. Its work —
 // rejecting bare //flare:allow, unknown //flare: directives, and stale
 // waivers no analyzer consumed — is performed by the runner itself
-// (lint.Run / FactStore.StaleWaivers), because it must see every other
-// analyzer's suppressions; it is registered here so the suite's table
-// (flarevet -help-analyzers, the six-analyzer help test) describes
-// everything that can produce a finding.
+// (lint.Run), because it must see every other analyzer's suppressions;
+// it is registered here so the suite's table (flarevet -help-analyzers,
+// the five-analyzer help test) describes everything that can produce a
+// finding.
 var DirectiveCheck = &Analyzer{
 	Name: "directive",
 	Doc: "validates //flare:allow <reason> grammar, rejects any other //flare: directive, and " +
-		"reports stale //flare:allow directives that no longer suppress any finding (whole-module runs only)",
+		"reports stale //flare:allow directives that no longer suppress any finding",
 	Run: func(*Pass) {},
 }
 
-// Analyzers returns the full suite — all six analyzers — in reporting
+// Analyzers returns the full suite — all five analyzers — in reporting
 // order. This table is the single registry: -help-analyzers and the
 // help-coverage test are generated from it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, SeedPurity,
+		Determinism,
 		Layering, ObsDiscipline, LockOrder,
 		DirectiveCheck,
 	}
@@ -195,13 +195,12 @@ func Analyzers() []*Analyzer {
 
 // AnalyzersFor selects the analyzers that apply to pkgPath: layering,
 // obsdiscipline, lockorder, and the directive audit run everywhere;
-// determinism and seedpurity only inside the sim-clock domain (live
-// servers and CLIs may read the wall clock, and may seed jitter however
-// they like).
+// determinism only inside the sim-clock domain (live servers and CLIs
+// may read the wall clock).
 func AnalyzersFor(pkgPath string) []*Analyzer {
 	as := []*Analyzer{Layering, ObsDiscipline, LockOrder, DirectiveCheck}
 	if IsSimClock(pkgPath) {
-		as = append([]*Analyzer{Determinism, SeedPurity}, as...)
+		as = append([]*Analyzer{Determinism}, as...)
 	}
 	return as
 }

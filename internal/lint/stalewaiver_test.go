@@ -9,10 +9,9 @@ import (
 
 // TestStaleWaiver checks the directive hygiene rules: a //flare:allow
 // consumed by the finding it suppresses is healthy, while one that
-// suppresses nothing is reported — the audit lint.Run (and the
-// whole-module session in cmd/flarevet) appends after suppression, so
-// a stale waiver can never excuse its own staleness — and any other
-// //flare: comment is an unknown directive.
+// suppresses nothing is reported — the audit lint.Run appends after
+// suppression, so a stale waiver can never excuse its own staleness —
+// and any other //flare: comment is an unknown directive.
 func TestStaleWaiver(t *testing.T) {
 	linttest.Run(t, "testdata/stalewaiver", "fixture/stalefix", lint.Determinism)
 }

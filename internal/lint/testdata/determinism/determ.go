@@ -1,8 +1,8 @@
 // Package determfix exercises the determinism analyzer: the forbidden
-// constructs (map range, wall clock, global rand, and the concurrency
-// trio — go statements, sync/atomic mutations, sync.Map), the reasoned
-// //flare:allow waiver, and the rule that a bare (reasonless) allow
-// suppresses nothing and is itself a finding.
+// constructs (map range, wall clock, global rand), the reasoned
+// //flare:allow waiver, the rule that a bare (reasonless) allow
+// suppresses nothing and is itself a finding, and the concurrency the
+// analyzer leaves to the lockstep and -race suites.
 package determfix
 
 import (
@@ -62,38 +62,13 @@ func seededRand() float64 {
 	return r.Float64()
 }
 
-// spawn is an unannotated goroutine: its work lands in scheduler
-// order, so the analyzer demands the fixed-reduction-order argument.
-func spawn(ch chan int) {
-	go func() { ch <- 1 }() // want `go statement spawns scheduler-ordered work`
-}
-
-// orderedSpawn carries that argument and is waived.
-func orderedSpawn(out []int) {
-	done := make(chan struct{})
-	//flare:allow fixture: the goroutine writes only index 0 and the caller folds slots in index order after <-done
-	go func() {
-		out[0] = 1
-		close(done)
-	}()
-	<-done
-}
-
-// atomicReduce accumulates concurrently: package function and typed
-// method forms are both unordered reductions. Plain loads are not
-// flagged — a racy read is the writer's finding.
-func atomicReduce(word *int64, ctr *atomic.Int64) int64 {
-	atomic.AddInt64(word, 1) // want `sync/atomic.AddInt64 is an unordered concurrent reduction`
-	ctr.Store(2)             // want `sync/atomic.Store is an unordered concurrent reduction`
-	return ctr.Load() + atomic.LoadInt64(word)
-}
-
-// concurrentMap uses sync.Map, which has no deterministic order.
-func concurrentMap(m *sync.Map) {
-	m.Store("k", 1) // want `sync.Map.Store has no deterministic order`
-	m.Range(func(k, v any) bool { // want `sync.Map.Range has no deterministic order`
-		return true
-	})
+// concurrency is not the analyzer's business: go statements,
+// sync/atomic and sync.Map produce no finding. Whether their results
+// are folded in a fixed order is held by the lockstep and -race suites.
+func concurrency(ch chan int, word *int64, m *sync.Map) {
+	go func() { ch <- 1 }()
+	atomic.AddInt64(word, 1)
+	m.Range(func(k, v any) bool { return true })
 }
 
 var (
@@ -104,8 +79,5 @@ var (
 	_ = bootTime
 	_ = globalRand
 	_ = seededRand
-	_ = spawn
-	_ = orderedSpawn
-	_ = atomicReduce
-	_ = concurrentMap
+	_ = concurrency
 )

@@ -9,9 +9,9 @@ import (
 // TestTreeClean is the regression gate behind `make lint`: it loads the
 // whole module exactly as cmd/flarevet does and asserts the suite
 // produces zero findings. Any new wall-clock read, map range, layering
-// break, lock-order inversion, or hand-rolled obs.Event literal
-// fails this test (and so `go test ./...`) even if the author never ran
-// flarevet.
+// break, lock-order inversion, hand-rolled obs.Event literal, or stale
+// waiver fails this test (and so `go test ./...`) even if the author
+// never ran flarevet.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is seconds of work; skipped in -short")
@@ -23,21 +23,12 @@ func TestTreeClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	// One fact store for the whole session, exactly as cmd/flarevet
-	// runs it: packages arrive in dependency order, so callee facts
-	// (seed sinks) and waivers flow to callers, and the stale-waiver
-	// audit runs once everything has been analyzed.
-	store := lint.NewFactStore()
 	clean := true
 	for _, pkg := range pkgs {
-		for _, d := range lint.RunWithFacts(pkg, lint.AnalyzersFor(pkg.Path), store) {
+		for _, d := range lint.Run(pkg, lint.AnalyzersFor(pkg.Path)) {
 			t.Errorf("%s", d)
 			clean = false
 		}
-	}
-	for _, d := range store.StaleWaivers() {
-		t.Errorf("%s", d)
-		clean = false
 	}
 	if clean {
 		t.Logf("flarevet clean across %d packages", len(pkgs))

@@ -15,7 +15,6 @@ func newTestServer(t *testing.T, shards int) (*oneapi.Server, *httptest.Server) 
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
 	s := oneapi.NewServerSharded(cfg, nil, shards)
-	t.Cleanup(s.Close)
 	srv := httptest.NewServer(oneapi.Handler(s))
 	t.Cleanup(srv.Close)
 	return s, srv

@@ -494,9 +494,9 @@ func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string,
 
 // ReportStatsBatch POSTs many cells' reports in one exchange — the
 // aggregation-site client side of /oneapi/v4/stats/batch. The server
-// fans the BAI rounds across its worker pool; results come back in
-// request order with per-cell errors inside the envelope (one stale
-// cell cannot fail its neighbours).
+// runs the BAI rounds in request order; results come back in that order
+// with per-cell errors inside the envelope (one stale cell cannot fail
+// its neighbours).
 func ReportStatsBatch(ctx context.Context, httpc *http.Client, baseURL string, reports []CellReport) (BatchStatsResponse, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient

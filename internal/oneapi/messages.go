@@ -94,8 +94,8 @@ type HandoverRequest struct {
 }
 
 // BatchStatsRequest carries many cells' statistics reports in one POST
-// — the aggregation-site wire format. The server fans the BAI rounds
-// across its worker pool (RunBAIRounds).
+// — the aggregation-site wire format. The server runs the BAI rounds in
+// request order (RunBAIRounds).
 type BatchStatsRequest struct {
 	Reports []CellReport `json:"reports"`
 }

@@ -2,7 +2,6 @@ package oneapi
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,58 +9,51 @@ import (
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/obs"
-	"github.com/flare-sim/flare/internal/sim"
 )
 
 // PCEF is the enforcement interface: the policy-and-charging enforcement
 // pathway through which the OneAPI server installs each video flow's GBR
-// at the eNodeB (the Continuous GBR Updater in the testbed MAC).
+// at the eNodeB (the Continuous GBR Updater in the testbed MAC). A BAI
+// round's GBRs go down in one grouped call. installs is the server's
+// buffer, good for the duration of the call only. The result slice must
+// be parallel to installs (nil error = installed); a nil slice means
+// every install succeeded. The server folds the results per flow:
+// failed downgrades are published to polls, failed upgrades keep the
+// previous assignment.
 type PCEF interface {
-	// SetGBR installs a guaranteed bit rate for a bearer.
-	SetGBR(flowID int, gbrBps float64) error
+	SetGBRBatch(installs []GBRInstall) []error
 }
 
-// PCEFFunc adapts a function to the PCEF interface.
-type PCEFFunc func(flowID int, gbrBps float64) error
-
-// SetGBR implements PCEF.
-func (f PCEFFunc) SetGBR(flowID int, gbrBps float64) error { return f(flowID, gbrBps) }
-
-// GBRInstall is one entry of a batched PCEF install: the GBR a BAI
-// round wants enforced for one bearer.
+// GBRInstall is one entry of a PCEF install: the GBR a BAI round wants
+// enforced for one bearer.
 type GBRInstall struct {
 	FlowID int     `json:"flow_id"`
 	GBRBps float64 `json:"gbr_bps"`
 }
 
-// BatchPCEF is an optional PCEF capability: install a whole BAI round's
-// GBRs in one grouped call instead of one round trip per flow. installs
-// is the server's buffer, good for the duration of the call only. The
-// result slice must be parallel to installs (nil error = installed); a
-// nil slice means every install succeeded. The server folds the results
-// exactly as it folds per-flow SetGBR calls — failed downgrades are
-// published to polls, failed upgrades keep the previous assignment —
-// so batching is an amortisation, never a semantic change.
-type BatchPCEF interface {
-	PCEF
-	SetGBRBatch(installs []GBRInstall) []error
+// PCEFFunc adapts a per-flow install function to PCEF: each install of
+// a batch is one call, in batch order.
+type PCEFFunc func(flowID int, gbrBps float64) error
+
+// SetGBRBatch implements PCEF.
+func (f PCEFFunc) SetGBRBatch(installs []GBRInstall) []error {
+	var errs []error
+	for i, in := range installs {
+		if err := f(in.FlowID, in.GBRBps); err != nil {
+			if errs == nil {
+				errs = make([]error, len(installs))
+			}
+			errs[i] = err
+		}
+	}
+	return errs
 }
 
-// PCEFBatchFunc adapts a function to BatchPCEF; its per-flow SetGBR
-// view wraps single-entry batches.
+// PCEFBatchFunc adapts a batch install function to PCEF.
 type PCEFBatchFunc func(installs []GBRInstall) []error
 
-// SetGBRBatch implements BatchPCEF.
+// SetGBRBatch implements PCEF.
 func (f PCEFBatchFunc) SetGBRBatch(installs []GBRInstall) []error { return f(installs) }
-
-// SetGBR implements PCEF.
-func (f PCEFBatchFunc) SetGBR(flowID int, gbrBps float64) error {
-	errs := f([]GBRInstall{{FlowID: flowID, GBRBps: gbrBps}})
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
-}
 
 type cellState struct {
 	// mu serializes operations on this cell only: BAI rounds, session
@@ -92,7 +84,7 @@ type cellState struct {
 	// Config.AdmissionQueue.
 	queue []SessionRequest
 
-	// installs is the batch handed to a BatchPCEF (installGBRs), reused
+	// installs is the batch handed to the PCEF (installGBRs), reused
 	// from round to round under mu.
 	installs []GBRInstall
 }
@@ -151,12 +143,6 @@ type Server struct {
 	// draining refuses new sessions and new BAI rounds once a graceful
 	// shutdown has begun; in-flight rounds complete (see BeginDrain).
 	draining atomic.Bool
-
-	// baiPool fans RunBAIRounds batches across cells. It is created
-	// lazily (in-process simulation servers never batch) and driven
-	// under poolMu because sim.WorkerPool is single-driver.
-	poolMu  sync.Mutex
-	baiPool *sim.WorkerPool
 }
 
 // NewServer builds a OneAPI server that creates controllers with cfg,
@@ -608,10 +594,9 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 // itself failed; in the last three cases no state changed and resp is
 // empty.
 //
-// When the PCEF implements BatchPCEF the round's installs go down in
-// one grouped call — one install sequence bump, one round trip — and
-// the per-flow results are folded in assignment order, byte-identically
-// to the per-flow path.
+// The round's installs go down in one grouped PCEF call — one install
+// sequence bump, one round trip — and the per-flow results are folded
+// in assignment order.
 func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *StatsResponse) error {
 	*resp = StatsResponse{Assignments: resp.Assignments[:0], Failed: resp.Failed[:0]}
 	nData := report.NumDataFlows
@@ -646,10 +631,8 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 	}
 	c.baiSeq++
 
-	// Enforcement: one grouped PCEF call when the capability is there,
-	// the per-flow loop otherwise. Either way installErrs[i] is flow
-	// i's outcome and the fold below is shared, so the two paths are
-	// observationally identical.
+	// Enforcement: one grouped PCEF call; installErrs[i] is flow i's
+	// outcome.
 	installErrs := c.installGBRs(pcef, assignments)
 
 	// Never nil on success, even with no flows: the wire says [], not null.
@@ -687,37 +670,30 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 	return nil
 }
 
-// installGBRs pushes one BAI round's assignments through the PCEF and
-// returns the per-assignment outcomes (nil slice when pcef is nil or
-// every install succeeded through a batch). A batch implementation
-// returning the wrong result count breaks its contract; every install
-// is then treated as failed so no flow silently advances.
+// installGBRs pushes one BAI round's assignments through the PCEF in
+// one grouped call and returns the per-assignment outcomes (nil slice
+// when pcef is nil or every install succeeded). A PCEF returning the
+// wrong result count breaks its contract; every install is then treated
+// as failed so no flow silently advances.
 func (c *cellState) installGBRs(pcef PCEF, assignments []core.Assignment) []error {
 	if pcef == nil || len(assignments) == 0 {
 		return nil
 	}
 	n := len(assignments)
-	if bp, ok := pcef.(BatchPCEF); ok {
-		if cap(c.installs) < n {
-			c.installs = make([]GBRInstall, n)
-		}
-		installs := c.installs[:n]
-		for i, a := range assignments {
-			installs[i] = GBRInstall{FlowID: a.FlowID, GBRBps: a.RateBps}
-		}
-		errs := bp.SetGBRBatch(installs)
-		if errs != nil && len(errs) != n {
-			bad := fmt.Errorf("oneapi: batch pcef returned %d results for %d installs", len(errs), n)
-			errs = make([]error, n)
-			for i := range errs {
-				errs[i] = bad
-			}
-		}
-		return errs
+	if cap(c.installs) < n {
+		c.installs = make([]GBRInstall, n)
 	}
-	errs := make([]error, n)
+	installs := c.installs[:n]
 	for i, a := range assignments {
-		errs[i] = pcef.SetGBR(a.FlowID, a.RateBps)
+		installs[i] = GBRInstall{FlowID: a.FlowID, GBRBps: a.RateBps}
+	}
+	errs := pcef.SetGBRBatch(installs)
+	if errs != nil && len(errs) != n {
+		bad := fmt.Errorf("oneapi: batch pcef returned %d results for %d installs", len(errs), n)
+		errs = make([]error, n)
+		for i := range errs {
+			errs[i] = bad
+		}
 	}
 	return errs
 }
@@ -736,55 +712,17 @@ type RoundOutcome struct {
 	Err    error
 }
 
-// RunBAIRounds executes one BAI per report, fanning the solves across a
-// bounded worker pool so an aggregation site reporting many cells at
-// once amortises solver work across cores. Outcomes are slotted by
-// input index, so the result order is deterministic regardless of pool
-// width. Cell IDs within one batch should be distinct: duplicates
-// serialize on the cell's lock in unspecified order (sequenced reports
-// then reject the loser as stale).
+// RunBAIRounds executes one BAI per report, in input order, and returns
+// the outcomes in that order. Duplicate cell IDs within one batch run
+// in input order too (a sequenced report repeated later in the batch is
+// rejected as stale).
 func (s *Server) RunBAIRounds(reports []CellReport, pcef PCEF) []RoundOutcome {
 	out := make([]RoundOutcome, len(reports))
-	if len(reports) == 0 {
-		return out
+	for i, cr := range reports {
+		resp, err := s.RunBAIReport(cr.CellID, cr.Report, pcef)
+		out[i] = RoundOutcome{CellID: cr.CellID, Resp: resp, Err: err}
 	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.baiPool == nil {
-		s.baiPool = sim.NewWorkerPool(runtime.GOMAXPROCS(0))
-	}
-	s.baiPool.Do(len(reports), &roundRunner{s: s, reports: reports, pcef: pcef, out: out})
 	return out
-}
-
-// roundRunner adapts a batch of BAI rounds to sim.RangeRunner: each
-// worker owns a disjoint slice of report indices and writes only its
-// own outcome slots.
-type roundRunner struct {
-	s       *Server
-	reports []CellReport
-	pcef    PCEF
-	out     []RoundOutcome
-}
-
-// RunRange implements sim.RangeRunner.
-func (r *roundRunner) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		cr := r.reports[i]
-		resp, err := r.s.RunBAIReport(cr.CellID, cr.Report, r.pcef)
-		r.out[i] = RoundOutcome{CellID: cr.CellID, Resp: resp, Err: err}
-	}
-}
-
-// Close releases the server's worker pool (if RunBAIRounds ever created
-// one). The server must not be used after Close.
-func (s *Server) Close() {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.baiPool != nil {
-		s.baiPool.Close()
-		s.baiPool = nil
-	}
 }
 
 // Assignment returns a flow's most recent assignment, for polling

@@ -365,12 +365,11 @@ func TestBatchPCEFBrokenContract(t *testing.T) {
 	}
 }
 
-// TestRunBAIRoundsMatchesSequential: the pooled batch entry point must
-// produce, per cell, exactly what sequential RunBAIReport calls produce
-// — slotted by input index regardless of pool scheduling. The 64 cells
-// differ in session count, ladder and data-flow count, so pool workers
-// pass differently shaped problems through the solver's shared scratch
-// in scheduler order (the race detector watches the hand-offs).
+// TestRunBAIRoundsMatchesSequential: the batch entry point must
+// produce, per cell, exactly what sequential RunBAIReport calls produce,
+// in input order. The 64 cells differ in session count, ladder and
+// data-flow count, so differently shaped problems pass through the
+// solver's shared scratch one after another.
 func TestRunBAIRoundsMatchesSequential(t *testing.T) {
 	const cells = 64
 	flowsOf := func(c int) []int {
@@ -412,7 +411,6 @@ func TestRunBAIRoundsMatchesSequential(t *testing.T) {
 	}
 
 	pooled := build()
-	defer pooled.Close()
 	outcomes := pooled.RunBAIRounds(reports, nil)
 	if len(outcomes) != cells {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), cells)

@@ -196,7 +196,6 @@ func playWireScenes(t *testing.T) string {
 			}
 			fmt.Fprintf(&b, "< %q\n\n", rr.Body.String())
 		}
-		s.Close()
 	}
 	return b.String()
 }

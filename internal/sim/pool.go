@@ -13,11 +13,11 @@ type RangeRunner interface {
 }
 
 // WorkerPool is a bounded pool of persistent worker goroutines used to
-// split an indexed loop (the OneAPI server's cross-cell BAI rounds, the
-// flaresuite scenario matrix) across cores without perturbing
-// determinism. The pool itself never reorders anything observable: it
-// only partitions [0, n) into contiguous chunks, and every reduction
-// over the results happens in the caller, in index order.
+// split an indexed loop (the flaresuite scenario matrix) across cores
+// without perturbing determinism. The pool itself never reorders
+// anything observable: it only partitions [0, n) into contiguous
+// chunks, and every reduction over the results happens in the caller,
+// in index order.
 //
 // A pool with one worker runs everything inline on the caller's
 // goroutine and spawns nothing, so `workers=1` is byte-for-byte the
@@ -28,12 +28,11 @@ type RangeRunner interface {
 // pool must only be driven from one goroutine at a time.
 //
 // The disjoint-slot contract is held by tests: TestWorkerPoolCoversAllIndices
-// (the partition), the callers' lockstep suites — oneapi's
-// TestRunBAIRoundsMatchesSequential, flaresuite's
-// TestRunLockstepAcrossWorkers, and cellsim's TestRunMulti* for the
-// multi-cell fan-out that hand-rolls the same pattern — and
-// `go test -race`. A worker that writes another index's slot fails the
-// lockstep comparison.
+// (the partition), the callers' lockstep suites — flaresuite's
+// TestRunLockstepAcrossWorkers, and cellsim's TestLockstepMultiCell for
+// the multi-cell fan-out that hand-rolls the same pattern — and
+// `go test -race`. A worker that writes another index's slot, or a
+// fold in completion order, fails the lockstep comparison.
 type WorkerPool struct {
 	workers int
 	tasks   chan poolRange
@@ -55,7 +54,6 @@ func NewWorkerPool(workers int) *WorkerPool {
 	}
 	p.tasks = make(chan poolRange, workers)
 	for i := 0; i < workers; i++ {
-		//flare:allow worker-pool goroutine: chunks are disjoint index ranges and every observable reduction is folded by the caller in index order after the Do barrier
 		go p.work(p.tasks)
 	}
 	return p
