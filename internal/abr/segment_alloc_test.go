@@ -16,9 +16,11 @@ import (
 // runs is what the test delivers.
 type segmentEnv struct{ tti int64 }
 
-func (e *segmentEnv) NowTTI() int64                         { return e.tti }
-func (e *segmentEnv) Schedule(int64, func())                {}
-func (e *segmentEnv) ScheduleArg(int64, func(int64), int64) {}
+func (e *segmentEnv) NowTTI() int64                                { return e.tti }
+func (e *segmentEnv) Schedule(int64, func())                       {}
+func (e *segmentEnv) ScheduleArg(int64, func(int64), int64)        {}
+func (e *segmentEnv) ScheduleHandler(int64, sim.Handler)           {}
+func (e *segmentEnv) ScheduleHandlerArg(int64, sim.Handler, int64) {}
 
 // TestCompletedSegmentAllocatesNothing pins what a session costs per
 // completed segment: nothing. Whole segments are delivered straight to
@@ -57,7 +59,7 @@ func TestCompletedSegmentAllocatesNothing(t *testing.T) {
 			run := func() {
 				for i := 0; i < segments; i++ {
 					env.tti += 2000
-					flow.OnDelivered(1 << 40)
+					flow.OnDelivered.Fire(1 << 40)
 				}
 			}
 			// Best of three: a malloc of the runtime's own (a stray timer,

@@ -14,19 +14,21 @@ import (
 // and the churn cell (400 s, 200 declared sessions). Building the cell
 // is nearly all of it — a TTI, a BAI round, a completed segment, a
 // pacing or loss timer and a session's arrival or departure allocate
-// nothing in steady state (TestRunAllocsIndependentOfDuration) — so the
-// bounds sit about 10 % above the 264–265 and 1,377–1,384 measured over
-// seeds 1–3, and one allocation more per BAI (60, 400) or per TTI
-// crosses them. Both are deterministic counts, unlike the wall-clock
-// rates the ledger records for the same cells.
+// nothing in steady state (TestRunAllocsIndependentOfDuration), and
+// wiring a session allocates nothing beyond the controller's flow
+// record — so the bounds sit about 10 % above the 150 and 349–351
+// measured over seeds 1–3, and one allocation more per BAI (60, 400),
+// per session (20, 200) or per TTI crosses them. Both are deterministic
+// counts, unlike the wall-clock rates the ledger records for the same
+// cells.
 func TestEngineRunAllocs(t *testing.T) {
 	for _, w := range []struct {
 		name  string
 		cfg   func(seed uint64) cellsim.Config
 		bound float64
 	}{
-		{"tick", EngineTickConfig, 291},
-		{"churn", EngineChurnConfig, 1522},
+		{"tick", EngineTickConfig, 165},
+		{"churn", EngineChurnConfig, 386},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -55,10 +57,10 @@ func TestEngineRunAllocs(t *testing.T) {
 // arrive within T, so its last 3T are long sessions, departures and idle
 // decay), and Run alone — New is not counted — must allocate the same to
 // within 2, which is what the solve-time history's doublings past T's
-// BAIs cost: fired events are recycled, timers are bound once, and the
-// buffers the first rounds fill are sized at assembly. The naive row is
-// the busy cell on the TTI-by-TTI loop (Sim.runNaive), which the other
-// rows never reach.
+// BAIs cost: fired events are recycled, timers are views of the state
+// they fire on, and the buffers the first rounds fill are sized at
+// assembly. The naive row is the busy cell on the TTI-by-TTI loop
+// (Sim.runNaive), which the other rows never reach.
 func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	naiveTick := func(seed uint64) cellsim.Config {

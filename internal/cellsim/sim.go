@@ -25,36 +25,35 @@ type env struct {
 	clock  sim.Clock
 	events sim.EventQueue
 
-	// onFlowWake is invoked when a transport flow transitions from
-	// inactive to active (transport.Waker); the Sim uses it to mark its
-	// tick list stale.
-	onFlowWake func(*transport.Flow)
+	// tickDirty marks the Sim's tick list stale (see Sim.allFlows). It
+	// lives here so that FlowActivated, the transport.Waker hook, sets
+	// it directly.
+	tickDirty bool
 }
 
 func (e *env) NowTTI() int64 { return e.clock.TTI() }
 
-func (e *env) Schedule(delay int64, fn func()) {
+// ScheduleHandler implements transport.Env: the flows' and players'
+// timers.
+func (e *env) ScheduleHandler(delay int64, h sim.Handler) {
 	if delay < 1 {
 		delay = 1
 	}
-	e.events.Schedule(e.clock.TTI()+delay, fn)
+	e.events.ScheduleHandler(e.clock.TTI()+delay, h)
 }
 
-// ScheduleArg implements transport.Env: the allocation-free path for
-// payload-carrying periodic work (the ACK clock).
-func (e *env) ScheduleArg(delay int64, fn func(int64), arg int64) {
+// ScheduleHandlerArg implements transport.Env: payload-carrying
+// periodic work (the ACK clock, a request's latency).
+func (e *env) ScheduleHandlerArg(delay int64, h sim.Handler, arg int64) {
 	if delay < 1 {
 		delay = 1
 	}
-	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
+	e.events.ScheduleHandlerArg(e.clock.TTI()+delay, h, arg)
 }
 
-// FlowActivated implements transport.Waker.
-func (e *env) FlowActivated(f *transport.Flow) {
-	if e.onFlowWake != nil {
-		e.onFlowWake(f)
-	}
-}
+// FlowActivated implements transport.Waker: a flow went from inactive
+// to active, so the tick list no longer holds every active flow.
+func (e *env) FlowActivated(*transport.Flow) { e.tickDirty = true }
 
 // simGroup is one scheme's slice of the video population: the driver
 // running it, the flows it owns, and its control-tick period.
@@ -94,7 +93,8 @@ type Sim struct {
 	// Per-session state lives in per-cell slabs, indexed by flow ID
 	// (players: video flows, then legacy), instead of one allocation per
 	// object per session. The slabs are never reallocated: the objects
-	// hold pointers to one another and to themselves (bound callbacks).
+	// hold pointers to one another and to themselves (their event and
+	// delivery handlers).
 	bearerSlab []lte.Bearer
 	flowSlab   []transport.Flow
 	playerSlab []has.Player
@@ -109,16 +109,15 @@ type Sim struct {
 
 	// allFlows is every transport flow in canonical (flow-ID) order:
 	// video, then data, then legacy. tickList is the subset with bytes to
-	// send — the only flows whose Tick can act. tickDirty marks the list
-	// stale: set when a flow activates (via the env's Waker hook) or when
-	// a listed flow is observed inactive, and serviced by rebuilding from
-	// allFlows, which keeps the tick order canonical. Tick order across
-	// flows is immaterial for byte-exactness (a flow's Tick touches only
-	// its own state and bearer, and draws no RNG), but a canonical order
-	// keeps the engine easy to reason about.
-	allFlows  []*transport.Flow
-	tickList  []*transport.Flow
-	tickDirty bool
+	// send — the only flows whose Tick can act. env.tickDirty marks the
+	// list stale: set when a flow activates (the env's Waker hook) or
+	// when a listed flow is observed inactive, and serviced by rebuilding
+	// from allFlows, which keeps the tick order canonical. Tick order
+	// across flows is immaterial for byte-exactness (a flow's Tick
+	// touches only its own state and bearer, and draws no RNG), but a
+	// canonical order keeps the engine easy to reason about.
+	allFlows []*transport.Flow
+	tickList []*transport.Flow
 
 	// series state
 	rateSeries    []*metrics.TimeSeries
@@ -161,9 +160,10 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	cfg.NumVideo = totalCount(groups)
 
 	s := &Sim{cfg: cfg, rng: sim.NewRNG(cfg.Seed), rec: cfg.Obs, cellID: cellID}
-	s.rec.SetNowTTI(s.env.NowTTI)
-	s.tickDirty = true
-	s.env.onFlowWake = func(*transport.Flow) { s.tickDirty = true }
+	if s.rec.Enabled() { // the method value is a heap object
+		s.rec.SetNowTTI(s.env.NowTTI)
+	}
+	s.env.tickDirty = true
 
 	numUEs := cfg.NumVideo + cfg.NumData + cfg.NumLegacy
 	ch, err := s.buildChannel(numUEs)
@@ -526,26 +526,37 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 // starts are staggered over the first two seconds so clients don't move
 // in lockstep; explicit arrival schedules win.
 func (s *Sim) scheduleStarts() {
-	// Two handlers bound once, the flow ID as the event's argument: a
-	// declared flow costs the run no allocation until it arrives.
-	arrive, depart := s.flowArrives, s.flowDeparts
+	// Two handlers on the Sim itself, the flow ID as the event's
+	// argument: a declared flow costs the run no allocation until it
+	// arrives.
+	arrive, depart := (*arrival)(s), (*departure)(s)
 	for _, f := range s.video {
 		startTTI := int64(s.rng.Intn(2000))
 		if len(s.cfg.VideoArrivals) > 0 {
 			startTTI = sim.DurationToTTIs(s.cfg.VideoArrivals[f.ID])
 		}
-		s.env.events.ScheduleArg(startTTI, arrive, int64(f.ID))
+		s.env.events.ScheduleHandlerArg(startTTI, arrive, int64(f.ID))
 		if len(s.cfg.VideoDepartures) > 0 && s.cfg.VideoDepartures[f.ID] > 0 {
-			s.env.events.ScheduleArg(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), depart, int64(f.ID))
+			s.env.events.ScheduleHandlerArg(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), depart, int64(f.ID))
 		}
 	}
 	for i := range s.legacyPlayers {
-		s.env.events.ScheduleArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyBearers[i].ID))
+		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyBearers[i].ID))
 	}
 	for i := range s.dataFlows {
-		s.env.events.ScheduleArg(int64(s.rng.Intn(2000)), arrive, int64(s.dataBearers[i].ID))
+		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.dataBearers[i].ID))
 	}
 }
+
+// The arrival and departure events' handlers are views of the Sim:
+// pointers in an interface, which allocate nothing.
+type (
+	arrival   Sim
+	departure Sim
+)
+
+func (h *arrival) Fire(id int64)   { (*Sim)(h).flowArrives(id) }
+func (h *departure) Fire(id int64) { (*Sim)(h).flowDeparts(id) }
 
 // groupOf returns the scheme group that owns video flow id (groups own
 // consecutive ID ranges, in order).
@@ -652,14 +663,14 @@ func (s *Sim) runFast(ctx context.Context, durTTIs, sampleTTIs int64) error {
 			return ctx.Err()
 		}
 		s.env.events.RunDue(tti)
-		if s.tickDirty {
+		if s.env.tickDirty {
 			s.rebuildTickList()
 		}
 		for _, f := range s.tickList {
 			if f.Active() {
 				f.Tick()
 			} else {
-				s.tickDirty = true
+				s.env.tickDirty = true
 			}
 		}
 		s.enb.RunTTI(tti)
@@ -689,7 +700,7 @@ func (s *Sim) rebuildTickList() {
 			s.tickList = append(s.tickList, f)
 		}
 	}
-	s.tickDirty = false
+	s.env.tickDirty = false
 }
 
 // quiescent reports whether skipping TTIs is provably a no-op right now:
@@ -699,7 +710,7 @@ func (s *Sim) rebuildTickList() {
 // by definition; the list is refreshed first so no newly woken flow is
 // missed.
 func (s *Sim) quiescent() bool {
-	if s.tickDirty {
+	if s.env.tickDirty {
 		s.rebuildTickList()
 	}
 	for _, f := range s.tickList {

@@ -1,6 +1,7 @@
 package has
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,6 +131,19 @@ func TestNewMPD(t *testing.T) {
 	}
 	if m.SegmentSeconds() != 10 {
 		t.Fatalf("SegmentSeconds = %v", m.SegmentSeconds())
+	}
+	// Every ID is the rate in kbps as %.0f formats it, ties and
+	// sub-kbps rungs included.
+	for _, l := range []Ladder{SimLadder(), FineLadder(), {400, 500, 1500, 2500, 999_500, 1_000_500, 123_456_789.5, 1e12}} {
+		m, err := NewMPD(l, time.Second, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range l {
+			if got, want := m.Representations[i].ID, fmt.Sprintf("%.0fk", r/1000); got != want {
+				t.Errorf("rung %v: ID %q, want %q", r, got, want)
+			}
+		}
 	}
 }
 

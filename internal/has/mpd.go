@@ -2,6 +2,8 @@ package has
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -52,12 +54,20 @@ func NewMPD(ladder Ladder, segDur time.Duration, totalSegments int) (*MPD, error
 	if totalSegments < 0 {
 		return nil, fmt.Errorf("has: negative segment count %d", totalSegments)
 	}
+	// The IDs ("790k": the rate in kbps, as %.0f rounds it) are
+	// formatted into one buffer and cut from one string, not allocated
+	// one per rung. A formatted rate holds no 'k', so each ID runs to
+	// the next one.
+	buf := make([]byte, 0, 128)
+	for _, r := range ladder {
+		buf = append(strconv.AppendFloat(buf, r/1000, 'f', 0, 64), 'k')
+	}
+	ids := string(buf)
 	reps := make([]Representation, len(ladder))
 	for i, r := range ladder {
-		reps[i] = Representation{
-			ID:           fmt.Sprintf("%.0fk", r/1000),
-			BandwidthBps: r,
-		}
+		n := strings.IndexByte(ids, 'k') + 1
+		reps[i] = Representation{ID: ids[:n], BandwidthBps: r}
+		ids = ids[n:]
 	}
 	return &MPD{
 		SegmentDuration: segDur,

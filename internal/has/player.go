@@ -147,12 +147,6 @@ type Player struct {
 	startupTTI   int64 // when playback first started, -1 until then
 
 	tally qoe.Tally // the selected rates, summed segment by segment
-
-	// requestNextFn and sendFn are the pre-bound scheduling callbacks
-	// (see Init): the pacing timer, and the per-segment request-latency
-	// timer, which carries the segment's size as its argument.
-	requestNextFn func()
-	sendFn        func(int64)
 }
 
 // NewPlayer builds a player over the given flow. The flow's OnDelivered
@@ -167,7 +161,7 @@ func NewPlayer(env transport.Env, flow *transport.Flow, mpd *MPD, adapter Adapte
 
 // Init is NewPlayer into caller-provided storage — the cell simulator
 // carves its players from one slab. p must not be copied afterwards:
-// the callbacks Init binds point at it.
+// the flow's delivery hook and the player's timers point at it.
 func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter Adapter, cfg PlayerConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -189,14 +183,24 @@ func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter
 		lastQuality: -1,
 		startupTTI:  -1,
 	}
-	// Bind the rescheduling callbacks once: a method value allocates at
-	// every use site, and the buffer-cap pacing loop schedules
-	// requestNext continuously while a stream is buffer-limited.
-	p.requestNextFn = p.requestNext
-	p.sendFn = func(bytes int64) { p.flow.Send(bytes) }
-	flow.OnDelivered = p.onBytes
+	flow.OnDelivered = (*segmentBytes)(p)
 	return nil
 }
+
+// The player's event handlers are views of the player itself: a
+// *Player converted to one of these types and stored in a sim.Handler
+// is a pointer in an interface, so wiring and arming them allocates
+// nothing — the buffer-cap pacing loop re-arms requestTimer
+// continuously while a stream is buffer-limited.
+type (
+	segmentBytes Player // the flow's delivery hook: onBytes
+	requestTimer Player // pacing: requestNext
+	sendTimer    Player // request latency: the response starts, arg bytes long
+)
+
+func (h *segmentBytes) Fire(n int64)  { (*Player)(h).onBytes(n) }
+func (h *requestTimer) Fire(int64)    { (*Player)(h).requestNext() }
+func (h *sendTimer) Fire(bytes int64) { h.flow.Send(bytes) }
 
 // Adapter returns the player's rate-adaptation algorithm.
 func (p *Player) Adapter() Adapter { return p.adapter }
@@ -355,13 +359,13 @@ func (p *Player) requestNext() {
 		if !p.playing {
 			wait = 100 // re-check while paused; drain only happens in playback
 		}
-		p.env.Schedule(wait, p.requestNextFn)
+		p.env.ScheduleHandler(wait, (*requestTimer)(p))
 		return
 	}
 	// Optional adapter pacing (FESTIVE's randomized scheduling).
 	if pacer, ok := p.adapter.(RequestPacer); ok {
 		if d := pacer.RequestDelay(p.stateLocked(now)); d > 0 {
-			p.env.Schedule(d, p.requestNextFn)
+			p.env.ScheduleHandler(d, (*requestTimer)(p))
 			return
 		}
 	}
@@ -373,7 +377,7 @@ func (p *Player) requestNext() {
 	p.segStartTTI = now
 	p.downloading = true
 	if p.cfg.RequestLatencyTTIs > 0 {
-		p.env.ScheduleArg(p.cfg.RequestLatencyTTIs, p.sendFn, p.segBytes)
+		p.env.ScheduleHandlerArg(p.cfg.RequestLatencyTTIs, (*sendTimer)(p), p.segBytes)
 	} else {
 		p.flow.Send(p.segBytes)
 	}

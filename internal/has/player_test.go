@@ -28,18 +28,22 @@ func newPlayerEnv(t *testing.T, iTbs, numUEs int) *playerEnv {
 func (e *playerEnv) NowTTI() int64 { return e.clock.TTI() }
 
 func (e *playerEnv) Schedule(delay int64, fn func()) {
-	if delay < 1 {
-		delay = 1
-	}
-	e.events.Schedule(e.clock.TTI()+delay, fn)
+	e.events.Schedule(e.at(delay), fn)
 }
 
 func (e *playerEnv) ScheduleArg(delay int64, fn func(int64), arg int64) {
-	if delay < 1 {
-		delay = 1
-	}
-	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
+	e.events.ScheduleArg(e.at(delay), fn, arg)
 }
+
+func (e *playerEnv) ScheduleHandler(delay int64, h sim.Handler) {
+	e.events.ScheduleHandler(e.at(delay), h)
+}
+
+func (e *playerEnv) ScheduleHandlerArg(delay int64, h sim.Handler, arg int64) {
+	e.events.ScheduleHandlerArg(e.at(delay), h, arg)
+}
+
+func (e *playerEnv) at(delay int64) int64 { return e.clock.TTI() + max(delay, 1) }
 
 func (e *playerEnv) addPlayer(t *testing.T, ue int, mpd *MPD, a Adapter, cfg PlayerConfig) *Player {
 	t.Helper()

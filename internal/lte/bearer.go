@@ -3,6 +3,8 @@ package lte
 import (
 	"fmt"
 	"math"
+
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // BearerClass distinguishes video bearers (eligible for GBR treatment)
@@ -61,10 +63,10 @@ type Bearer struct {
 	// 0 means unlimited.
 	QueueLimit int64
 
-	// OnDeliver, if set, is invoked with the number of bytes drained
-	// from the queue each TTI the bearer is served. The transport layer
-	// uses it to generate ACKs.
-	OnDeliver func(bytes int64)
+	// OnDeliver, if set, is fired with the number of bytes drained from
+	// the queue each TTI the bearer is served. The transport layer uses
+	// it to generate ACKs.
+	OnDeliver sim.Handler
 
 	// GBRBits is the guaranteed bit rate in bits/s; 0 means non-GBR.
 	// After AddBearer, write it through SetGBR: a settled bearer rejoins
@@ -201,7 +203,7 @@ func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 	if served > 0 {
 		b.everServed = true
 		if b.OnDeliver != nil {
-			b.OnDeliver(served)
+			b.OnDeliver.Fire(served)
 		}
 	}
 	return served

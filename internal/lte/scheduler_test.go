@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // makeFlows builds flow states with the given backlogs at a common iTbs.
@@ -313,7 +315,7 @@ func TestBearerServeBoundedByQueue(t *testing.T) {
 	b := &Bearer{ID: 0}
 	b.Enqueue(100)
 	var delivered int64
-	b.OnDeliver = func(n int64) { delivered += n }
+	b.OnDeliver = sim.HandlerFunc(func(n int64) { delivered += n })
 	served := b.serve(1000, 5)
 	if served != 100 {
 		t.Fatalf("served %d, want 100", served)

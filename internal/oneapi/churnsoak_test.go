@@ -61,11 +61,11 @@ func TestChurnSoakBoundedMemory(t *testing.T) {
 	c := s.lookup(0)
 	c.mu.Lock()
 	nFlows := c.controller.NumFlows()
-	nCurrent, nInstall, nQueue := len(c.current), len(c.installSeq), len(c.queue)
+	nInstalled, nQueue := len(c.installed), len(c.queue)
 	c.mu.Unlock()
-	if nFlows != 0 || nCurrent != 0 || nInstall != 0 {
-		t.Errorf("session state retained after churn: %d flows, %d assignments, %d install seqs",
-			nFlows, nCurrent, nInstall)
+	if nFlows != 0 || nInstalled != 0 {
+		t.Errorf("session state retained after churn: %d flows, %d installed assignments",
+			nFlows, nInstalled)
 	}
 	if nQueue != 0 {
 		t.Errorf("wait queue retained %d departed flows", nQueue)

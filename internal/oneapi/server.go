@@ -68,13 +68,12 @@ type cellState struct {
 	rec  *obs.Recorder
 	pcef PCEF
 
-	baiSeq  int64
-	current map[int]core.Assignment
-	// installSeq records, per flow, the BAI sequence at which the
-	// flow's current assignment was successfully installed; it lags
-	// baiSeq for flows whose PCEF installs failed, which is how
-	// polling plugins detect their own staleness.
-	installSeq map[int]int64
+	baiSeq int64
+	// installed is, per flow, what a poll answers: the flow's current
+	// assignment and the BAI sequence at which it was last successfully
+	// installed. The sequence lags baiSeq for flows whose PCEF installs
+	// failed, which is how polling plugins detect their own staleness.
+	installed map[int]installation
 	// lastReportSeq is the highest accepted StatsReport.Seq (0 before
 	// the first sequenced report).
 	lastReportSeq int64
@@ -87,6 +86,12 @@ type cellState struct {
 	// installs is the batch handed to the PCEF (installGBRs), reused
 	// from round to round under mu.
 	installs []GBRInstall
+}
+
+// installation is one flow's entry in cellState.installed.
+type installation struct {
+	assignment core.Assignment
+	seq        int64
 }
 
 // cellIndex maps cell IDs to their state within one shard. It is
@@ -207,8 +212,7 @@ func (s *Server) cell(cellID int) *cellState {
 		controller: core.NewController(s.cfg),
 		rec:        s.rec,
 		pcef:       s.pcef,
-		current:    make(map[int]core.Assignment),
-		installSeq: make(map[int]int64),
+		installed:  make(map[int]installation),
 	}
 	c.controller.SetRecorder(s.rec, cellID)
 	if s.wallClock != nil {
@@ -474,8 +478,7 @@ func (s *Server) CloseSession(cellID, flowID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.controller.Unregister(flowID)
-	delete(c.current, flowID)
-	delete(c.installSeq, flowID)
+	delete(c.installed, flowID)
 	s.dequeueLocked(c, flowID)
 	c.rec.Emit(obs.SessionClose(int32(cellID), int32(flowID)))
 	s.promoteLocked(cellID, c)
@@ -523,21 +526,19 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 	if err := to.controller.Register(flowID, snap.Ladder, snap.Preferences); err != nil {
 		return fmt.Errorf("oneapi: handover: %w", err)
 	}
-	if a, ok := from.current[flowID]; ok {
-		age := from.baiSeq - from.installSeq[flowID]
-		inst := to.baiSeq - age
-		if inst < 0 {
+	if in, ok := from.installed[flowID]; ok {
+		age := from.baiSeq - in.seq
+		in.seq = to.baiSeq - age
+		if in.seq < 0 {
 			// The target cell is younger than the assignment's age:
 			// clamp — the age signal saturates at the target's own
 			// BAI count, which is every BAI the new shard can vouch for.
-			inst = 0
+			in.seq = 0
 		}
-		to.current[flowID] = a
-		to.installSeq[flowID] = inst
+		to.installed[flowID] = in
 	}
 	from.controller.Unregister(flowID)
-	delete(from.current, flowID)
-	delete(from.installSeq, flowID)
+	delete(from.installed, flowID)
 	s.dequeueLocked(from, flowID)
 	s.promoteLocked(fromCell, from)
 	to.rec.Emit(obs.Handover(int32(fromCell), int32(toCell), int32(flowID)))
@@ -648,17 +649,16 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 			// leave the flow advertising a higher rate than the
 			// optimiser just chose — the stale high assignment is
 			// what starves the cell — so the lower assignment is
-			// published to polls while installSeq keeps lagging
-			// (the staleness signal stays intact).
+			// published to polls while its install sequence keeps
+			// lagging (the staleness signal stays intact).
 			resp.Failed = append(resp.Failed, EnforcementFailure{FlowID: a.FlowID, Reason: installErrs[i].Error()})
 			c.rec.Emit(obs.InstallFail(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
-			if prev, ok := c.current[a.FlowID]; ok && a.RateBps < prev.RateBps {
-				c.current[a.FlowID] = a
+			if prev, ok := c.installed[a.FlowID]; ok && a.RateBps < prev.assignment.RateBps {
+				c.installed[a.FlowID] = installation{a, prev.seq}
 			}
 			continue
 		}
-		c.current[a.FlowID] = a
-		c.installSeq[a.FlowID] = c.baiSeq
+		c.installed[a.FlowID] = installation{a, c.baiSeq}
 		resp.Assignments = append(resp.Assignments, a)
 		c.rec.Emit(obs.Install(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
 	}
@@ -743,7 +743,7 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a, ok := c.current[flowID]
+	in, ok := c.installed[flowID]
 	if !ok {
 		if !c.controller.Registered(flowID) {
 			return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrUnknownSession)
@@ -751,10 +751,10 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 		return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrNoAssignment)
 	}
 	return AssignmentResponse{
-		FlowID:  a.FlowID,
-		RateBps: a.RateBps,
-		Level:   a.Level,
-		BAISeq:  c.installSeq[flowID],
+		FlowID:  in.assignment.FlowID,
+		RateBps: in.assignment.RateBps,
+		Level:   in.assignment.Level,
+		BAISeq:  in.seq,
 		CellSeq: c.baiSeq,
 	}, nil
 }

@@ -130,7 +130,8 @@ func TestHandoverContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...then two rounds of PCEF failure age it: the re-offered rate is
-	// not lower, so the previous assignment is kept and installSeq lags.
+	// not lower, so the previous assignment is kept and its install
+	// sequence lags.
 	failing := PCEFFunc(func(int, float64) error { return errors.New("pcef down") })
 	for i := 0; i < 2; i++ {
 		if _, err := s.RunBAI(0, healthyReport(flow), failing); err == nil {

@@ -1,14 +1,31 @@
 package sim
 
-// event is one scheduled callback: run for Schedule, runArg(arg) for
-// ScheduleArg.
+// Handler is an event's callback: the queue calls Fire with the
+// event's argument (0 for a ScheduleHandler timer). Engine state
+// implements it through named pointer views of itself (type ackTimer
+// Flow, say), so that handing one to the queue stores a pointer in an
+// interface and allocates nothing, where a bound method value is a
+// fresh heap object.
+type Handler interface {
+	Fire(arg int64)
+}
+
+// HandlerFunc adapts a plain function to a Handler, for closures in
+// tests and cold paths (Schedule and ScheduleArg take closures through
+// it). A func value is pointer-shaped, so the conversion itself
+// allocates nothing.
+type HandlerFunc func(arg int64)
+
+// Fire calls f(arg).
+func (f HandlerFunc) Fire(arg int64) { f(arg) }
+
+// event is one scheduled callback, fired as h.Fire(arg).
 type event struct {
-	atTTI  int64
-	seq    int64 // tie-break so same-TTI events run in scheduling order
-	run    func()
-	runArg func(int64)
-	arg    int64
-	next   *event // the FIFO lane's or the free list's link
+	atTTI int64
+	seq   int64 // tie-break so same-TTI events run in scheduling order
+	h     Handler
+	arg   int64
+	next  *event // the FIFO lane's or the free list's link
 }
 
 // before is the queue's total order: (atTTI, seq).
@@ -16,7 +33,7 @@ func (e *event) before(o *event) bool {
 	return e.atTTI < o.atTTI || (e.atTTI == o.atTTI && e.seq < o.seq)
 }
 
-// EventQueue is a priority queue of callbacks ordered by firing TTI.
+// EventQueue is a priority queue of handlers ordered by firing TTI.
 // Events scheduled for the same TTI fire in the order they were
 // scheduled. An event cannot be cancelled: scheduling returns nothing,
 // and once an event has fired the queue reuses its storage, so a
@@ -25,10 +42,10 @@ func (e *event) before(o *event) bool {
 // use. EventQueue is not safe for concurrent use; the simulation kernel
 // is single-goroutine by design.
 //
-// Internally the queue is two lanes merged on (AtTTI, seq): a FIFO list
-// for ScheduleArg events that arrive in nondecreasing-TTI order (the
-// overwhelmingly common case — the transport ACK clock schedules
-// now+RTT/2 every TTI) and a binary heap for Schedule timers and
+// Internally the queue is two lanes merged on (atTTI, seq): a FIFO list
+// for ScheduleHandlerArg events that arrive in nondecreasing-TTI order
+// (the overwhelmingly common case — the transport ACK clock schedules
+// now+RTT/2 every TTI) and a binary heap for ScheduleHandler timers and
 // out-of-order events. FIFO pushes and pops are O(1) with no sift
 // traffic; the merge preserves exactly the total order a single heap
 // produces, so the split is invisible to callers.
@@ -37,8 +54,8 @@ type EventQueue struct {
 
 	// laneHead..laneTail is the FIFO lane, laneLen events long, linked
 	// through event.next in nondecreasing atTTI. laneMisses counts the
-	// ScheduleArg events in a row it turned away because its tail fires
-	// later (see ScheduleArg).
+	// ScheduleHandlerArg events in a row it turned away because its tail
+	// fires later (see ScheduleHandlerArg).
 	laneHead, laneTail *event
 	laneLen            int
 	laneMisses         int
@@ -79,27 +96,29 @@ func (q *EventQueue) newEvent(atTTI int64) *event {
 	return ev
 }
 
-// Schedule enqueues fn to run at the given TTI.
-func (q *EventQueue) Schedule(atTTI int64, fn func()) {
+// ScheduleHandler enqueues h to fire at the given TTI, as h.Fire(0).
+// These events take the heap.
+func (q *EventQueue) ScheduleHandler(atTTI int64, h Handler) {
 	ev := q.newEvent(atTTI)
-	ev.run = fn
+	ev.h = h
 	q.push(ev)
 }
 
-// ScheduleArg enqueues fn(arg) at the given TTI: one func value shared by
-// many events, the argument telling them apart, so a high-frequency
-// caller such as the transport ACK clock allocates no closure per event.
+// ScheduleHandlerArg enqueues h.Fire(arg) at the given TTI: one handler
+// shared by many events, the argument telling them apart, so a
+// high-frequency caller such as the transport ACK clock needs no state
+// per event.
 //
 // These events take the FIFO lane when their TTI keeps it nondecreasing.
-// Schedule timers never do, so a single far-future timer cannot wedge
-// into the tail and force the steady periodic stream into the heap. A
-// ScheduleArg event can still wedge there (a session's departure,
-// scheduled at run start), so the lane counts the events it turns away
-// in a row: once they outnumber what it holds, its contents are the
-// strays and move to the heap, and the stream gets the lane.
-func (q *EventQueue) ScheduleArg(atTTI int64, fn func(int64), arg int64) {
+// ScheduleHandler timers never do, so a single far-future timer cannot
+// wedge into the tail and force the steady periodic stream into the
+// heap. A ScheduleHandlerArg event can still wedge there (a session's
+// departure, scheduled at run start), so the lane counts the events it
+// turns away in a row: once they outnumber what it holds, its contents
+// are the strays and move to the heap, and the stream gets the lane.
+func (q *EventQueue) ScheduleHandlerArg(atTTI int64, h Handler, arg int64) {
 	ev := q.newEvent(atTTI)
-	ev.runArg, ev.arg = fn, arg
+	ev.h, ev.arg = h, arg
 	if q.laneTail != nil && atTTI < q.laneTail.atTTI {
 		if q.laneMisses++; q.laneMisses <= q.laneLen {
 			q.push(ev)
@@ -123,6 +142,23 @@ func (q *EventQueue) ScheduleArg(atTTI int64, fn func(int64), arg int64) {
 	q.laneLen++
 }
 
+// Schedule is ScheduleHandler for a closure: fn runs at the given TTI.
+func (q *EventQueue) Schedule(atTTI int64, fn func()) {
+	q.ScheduleHandler(atTTI, timerFunc(fn))
+}
+
+// ScheduleArg is ScheduleHandlerArg for a closure: fn(arg) runs at the
+// given TTI.
+func (q *EventQueue) ScheduleArg(atTTI int64, fn func(int64), arg int64) {
+	q.ScheduleHandlerArg(atTTI, HandlerFunc(fn), arg)
+}
+
+// timerFunc adapts Schedule's func() the way HandlerFunc adapts
+// func(int64).
+type timerFunc func()
+
+func (f timerFunc) Fire(int64) { f() }
+
 // peek returns the next event in (atTTI, seq) order across both lanes
 // without removing it, or nil when the queue is empty.
 func (q *EventQueue) peek() *event {
@@ -144,7 +180,7 @@ func (q *EventQueue) NextDeadline() (tti int64, ok bool) {
 	return 0, false
 }
 
-// RunDue pops and runs every event whose firing TTI is <= now, in order.
+// RunDue pops and fires every event whose firing TTI is <= now, in order.
 // It returns the number of events run. Events scheduled by a running
 // event for a TTI <= now are run in the same call.
 func (q *EventQueue) RunDue(now int64) int {
@@ -163,16 +199,12 @@ func (q *EventQueue) RunDue(now int64) int {
 			q.pop()
 		}
 		q.count--
-		run, runArg, arg := ev.run, ev.runArg, ev.arg
+		h, arg := ev.h, ev.arg
 		*ev = event{next: q.free}
 		q.free = ev
-		// The callback may schedule new events (possibly due at <= now,
+		// The handler may schedule new events (possibly due at <= now,
 		// possibly in the storage just freed); the loop re-peeks.
-		if run != nil {
-			run()
-		} else {
-			runArg(arg)
-		}
+		h.Fire(arg)
 		n++
 	}
 }

@@ -128,19 +128,37 @@ func TestScheduleArgPoolRecycles(t *testing.T) {
 	}
 }
 
+// sink is a Handler on state the test owns, the shape the engine's
+// handlers have (a pointer view of a flow or a player). It records
+// base+arg: a sink shared by many events records each one's argument,
+// and a sink of its own with base = id records the id of a
+// ScheduleHandler timer, which fires with 0.
+type sink struct {
+	got  *[]int
+	base int
+}
+
+func (s *sink) Fire(arg int64) { *s.got = append(*s.got, s.base+int(arg)) }
+
+// counter is the steady-state test's Handler.
+type counter struct{ fired, sum int64 }
+
+func (c *counter) Fire(arg int64) { c.fired++; c.sum += arg }
+
 // TestEventQueueSteadyStateAllocatesNothing: once the queue has carved
 // as many events as are ever pending at once and its heap has grown to
-// hold them, Schedule timers interleaved with a ScheduleArg stream
-// allocate nothing, whichever lane they take.
+// hold them, ScheduleHandler timers interleaved with a
+// ScheduleHandlerArg stream allocate nothing, whichever lane they take.
+// Both are pointers to state the test owns, as the engine's handlers
+// are.
 func TestEventQueueSteadyStateAllocatesNothing(t *testing.T) {
 	var q EventQueue
-	timer := func() {}
-	ack := func(int64) {}
+	timer, ack := &counter{}, &counter{}
 	now := int64(0)
 	step := func() {
-		q.ScheduleArg(now+20, ack, now)
+		q.ScheduleHandlerArg(now+20, ack, now)
 		if now%3 == 0 {
-			q.Schedule(now+40+now%17, timer)
+			q.ScheduleHandler(now+40+now%17, timer)
 		}
 		q.RunDue(now)
 		now++
@@ -155,7 +173,10 @@ func TestEventQueueSteadyStateAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("%v allocations over %d timers and %d ScheduleArg events, want 0", allocs, steps/3, steps)
+		t.Errorf("%v allocations over %d timers and %d ScheduleHandlerArg events, want 0", allocs, steps/3, steps)
+	}
+	if timer.fired == 0 || timer.sum != 0 || ack.fired == 0 {
+		t.Errorf("timers fired %d times with argument sum %d (want 0), ACKs %d times", timer.fired, timer.sum, ack.fired)
 	}
 }
 
@@ -206,8 +227,11 @@ func TestFarFutureArgEventsLeaveTheLane(t *testing.T) {
 }
 
 // TestEventQueueRandomizedMergeOrder cross-checks the two-lane queue
-// against a straightforward reference: random interleavings of
-// Schedule/ScheduleArg must fire in identical order.
+// against a straightforward reference: random interleavings of heap
+// timers and lane events must fire in identical order, whether an event
+// is a pointer Handler (ScheduleHandler, ScheduleHandlerArg), a closure
+// through the func adapters (Schedule, ScheduleArg) or a HandlerFunc —
+// and a timer must fire with argument 0.
 func TestEventQueueRandomizedMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -219,15 +243,23 @@ func TestEventQueueRandomizedMergeOrder(t *testing.T) {
 		}
 		var want []ref
 		var got []int
+		shared := &sink{got: &got}
 		seq := 0
 		id := 0
 		now := int64(0)
 		for step := 0; step < 200; step++ {
 			at := now + int64(rng.Intn(20))
 			v := id
-			if rng.Intn(3) < 2 { // ScheduleArg, mostly nondecreasing TTIs
+			switch rng.Intn(6) { // lane events two times in three, mostly nondecreasing TTIs
+			case 0:
+				q.ScheduleHandlerArg(at, shared, int64(v))
+			case 1:
+				q.ScheduleHandlerArg(at, HandlerFunc(func(arg int64) { got = append(got, int(arg)) }), int64(v))
+			case 2, 3:
 				q.ScheduleArg(at, func(arg int64) { got = append(got, int(arg)) }, int64(v))
-			} else {
+			case 4:
+				q.ScheduleHandler(at, &sink{got: &got, base: v})
+			default:
 				q.Schedule(at, func() { got = append(got, v) })
 			}
 			want = append(want, ref{at, seq, v})

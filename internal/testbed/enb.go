@@ -10,6 +10,7 @@ import (
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/oneapi"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // ENodeBConfig parameterises the software femtocell.
@@ -127,11 +128,11 @@ func (e *ENodeB) Attach(ue int, class lte.BearerClass) (int, *http.Client, error
 	if _, err := e.radio.AddBearer(b); err != nil {
 		return 0, nil, err
 	}
-	b.OnDeliver = func(n int64) {
+	b.OnDeliver = sim.HandlerFunc(func(n int64) {
 		if conn := e.conns[id]; conn != nil {
 			conn.allowance += n
 		}
-	}
+	})
 	client := &http.Client{
 		Transport: &airTransport{enb: e, bearerID: id, base: http.DefaultTransport},
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/flare-sim/flare/internal/lte"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 func TestOverheadGoodputBelowWireRate(t *testing.T) {
@@ -32,7 +33,7 @@ func TestOverheadAppDeliveryCoversSend(t *testing.T) {
 		env := newTestEnv(t, 12, 1)
 		f := env.addFlow(t, 0, lte.ClassVideo, DefaultConfig())
 		var got int64
-		f.OnDelivered = func(n int64) { got += n }
+		f.OnDelivered = sim.HandlerFunc(func(n int64) { got += n })
 		f.Send(size)
 		env.run(30000)
 		if got < size {
@@ -50,7 +51,7 @@ func TestOverheadFactorOneIsExact(t *testing.T) {
 	cfg.OverheadFactor = 1
 	f := env.addFlow(t, 0, lte.ClassVideo, cfg)
 	var got int64
-	f.OnDelivered = func(n int64) { got += n }
+	f.OnDelivered = sim.HandlerFunc(func(n int64) { got += n })
 	f.Send(123_456)
 	env.run(10000)
 	if got != 123_456 {

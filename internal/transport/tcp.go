@@ -17,20 +17,44 @@ import (
 	"math"
 
 	"github.com/flare-sim/flare/internal/lte"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // Env is the scheduling environment flows run in — implemented by the
-// cell simulator over its clock and event queue.
+// cell simulator over its clock and event queue. It schedules
+// sim.Handlers, and a flow's handlers are views of the flow itself (see
+// ackTimer), so arming one allocates nothing.
 type Env interface {
 	// NowTTI returns the current TTI index.
 	NowTTI() int64
-	// Schedule runs fn after delayTTIs TTIs (>= 1 enforces causality).
+	// ScheduleHandler fires h.Fire(0) after delayTTIs TTIs (>= 1
+	// enforces causality).
+	ScheduleHandler(delayTTIs int64, h sim.Handler)
+	// ScheduleHandlerArg fires h.Fire(arg) after delayTTIs TTIs: the
+	// variant for payload-carrying events. The flow uses it for the
+	// per-delivery ACK clock — its ACK handler plus the byte count.
+	ScheduleHandlerArg(delayTTIs int64, h sim.Handler, arg int64)
+}
+
+// ClosureEnv is an environment that schedules closures instead of
+// handlers, such as a bare clock over sim.EventQueue's Schedule and
+// ScheduleArg. NewFlow accepts one.
+type ClosureEnv interface {
+	NowTTI() int64
 	Schedule(delayTTIs int64, fn func())
-	// ScheduleArg runs fn(arg) after delayTTIs TTIs: the allocation-free
-	// variant for payload-carrying callbacks. The flow uses it for the
-	// per-delivery ACK clock — one stored method value plus the byte
-	// count replaces a fresh closure per radio delivery.
 	ScheduleArg(delayTTIs int64, fn func(int64), arg int64)
+}
+
+// closureEnv runs a flow on a ClosureEnv: each event costs the closure
+// that carries its handler.
+type closureEnv struct{ ClosureEnv }
+
+func (e closureEnv) ScheduleHandler(delayTTIs int64, h sim.Handler) {
+	e.Schedule(delayTTIs, func() { h.Fire(0) })
+}
+
+func (e closureEnv) ScheduleHandlerArg(delayTTIs int64, h sim.Handler, arg int64) {
+	e.ScheduleArg(delayTTIs, h.Fire, arg)
 }
 
 // Waker is an optional Env extension. An environment that implements it
@@ -98,21 +122,15 @@ func (c Config) validate() error {
 // Flow is one TCP connection from server to UE across a bearer.
 // Flows are single-goroutine, driven by the simulation loop.
 type Flow struct {
-	env   Env
-	waker Waker // env's Waker extension, nil if not implemented
-	// onAckFn and onLossFn are f.onAck and f.onLossDetected as stored
-	// method values: a method value allocates wherever it is evaluated.
-	// onLossFn is bound at the flow's first loss, so a flow that never
-	// overflows its queue does not pay for it.
-	onAckFn  func(int64)
-	onLossFn func()
-	bearer   *lte.Bearer
-	cfg      Config
+	env    Env
+	waker  Waker // env's Waker extension, nil if not implemented
+	bearer *lte.Bearer
+	cfg    Config
 
-	// OnDelivered, if set, is called at the UE when bytes arrive over
-	// the radio (before the ACK returns to the sender). HAS players use
-	// it to track segment download progress.
-	OnDelivered func(bytes int64)
+	// OnDelivered, if set, is fired at the UE with the bytes that arrive
+	// over the radio (before the ACK returns to the sender). HAS players
+	// use it to track segment download progress.
+	OnDelivered sim.Handler
 
 	pending  int64 // app bytes waiting for window space
 	greedy   bool  // unlimited pending (iperf-style)
@@ -133,10 +151,15 @@ type Flow struct {
 }
 
 // NewFlow wires a TCP flow onto a bearer. The bearer's OnDeliver hook and
-// QueueLimit are taken over by the flow.
-func NewFlow(env Env, bearer *lte.Bearer, cfg Config) (*Flow, error) {
+// QueueLimit are taken over by the flow. env is the flow's Env when it
+// is one; otherwise the flow schedules through its closure calls.
+func NewFlow(env ClosureEnv, bearer *lte.Bearer, cfg Config) (*Flow, error) {
+	e, ok := env.(Env)
+	if !ok {
+		e = closureEnv{env}
+	}
 	f := new(Flow)
-	if err := f.Init(env, bearer, cfg); err != nil {
+	if err := f.Init(e, bearer, cfg); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -144,7 +167,7 @@ func NewFlow(env Env, bearer *lte.Bearer, cfg Config) (*Flow, error) {
 
 // Init is NewFlow into caller-provided storage — the cell simulator
 // carves its flows from one slab. f must not be copied afterwards: the
-// callbacks Init binds point at it.
+// bearer's delivery hook and the flow's timers point at it.
 func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -161,11 +184,23 @@ func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
 	if w, ok := env.(Waker); ok {
 		f.waker = w
 	}
-	f.onAckFn = f.onAck
 	bearer.QueueLimit = cfg.QueueLimit
-	bearer.OnDeliver = f.onRadioDeliver
+	bearer.OnDeliver = (*radioDelivery)(f)
 	return nil
 }
+
+// The flow's event handlers are views of the flow itself: a *Flow
+// converted to one of these types and stored in a sim.Handler is a
+// pointer in an interface, so wiring and arming them allocates nothing.
+type (
+	radioDelivery Flow // the bearer's delivery hook: onRadioDeliver
+	ackTimer      Flow // an ACK's arrival at the sender: onAck
+	lossTimer     Flow // duplicate ACKs revealing a drop: onLossDetected
+)
+
+func (h *radioDelivery) Fire(bytes int64) { (*Flow)(h).onRadioDeliver(bytes) }
+func (h *ackTimer) Fire(bytes int64)      { (*Flow)(h).onAck(bytes) }
+func (h *lossTimer) Fire(int64)           { (*Flow)(h).onLossDetected() }
 
 // Bearer returns the radio bearer this flow rides on.
 func (f *Flow) Bearer() *lte.Bearer { return f.bearer }
@@ -286,10 +321,7 @@ func (f *Flow) trySend() {
 		f.lostTotal += dropped
 		if !f.inRecovery {
 			f.inRecovery = true
-			if f.onLossFn == nil {
-				f.onLossFn = f.onLossDetected
-			}
-			f.env.Schedule(f.cfg.RTTTTIs, f.onLossFn)
+			f.env.ScheduleHandler(f.cfg.RTTTTIs, (*lossTimer)(f))
 		}
 	}
 }
@@ -318,7 +350,7 @@ func (f *Flow) onRadioDeliver(bytes int64) {
 	if newApp > 0 {
 		f.appDelivered += newApp
 		if f.OnDelivered != nil {
-			f.OnDelivered(newApp)
+			f.OnDelivered.Fire(newApp)
 		}
 	}
 	// The ACK reaches the sender half an RTT later.
@@ -326,7 +358,7 @@ func (f *Flow) onRadioDeliver(bytes int64) {
 	if delay < 1 {
 		delay = 1
 	}
-	f.env.ScheduleArg(delay, f.onAckFn, bytes)
+	f.env.ScheduleHandlerArg(delay, (*ackTimer)(f), bytes)
 }
 
 func (f *Flow) onAck(bytes int64) {

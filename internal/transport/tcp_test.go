@@ -26,18 +26,22 @@ func newTestEnv(t *testing.T, iTbs, numUEs int) *testEnv {
 func (e *testEnv) NowTTI() int64 { return e.clock.TTI() }
 
 func (e *testEnv) Schedule(delay int64, fn func()) {
-	if delay < 1 {
-		delay = 1
-	}
-	e.events.Schedule(e.clock.TTI()+delay, fn)
+	e.events.Schedule(e.at(delay), fn)
 }
 
 func (e *testEnv) ScheduleArg(delay int64, fn func(int64), arg int64) {
-	if delay < 1 {
-		delay = 1
-	}
-	e.events.ScheduleArg(e.clock.TTI()+delay, fn, arg)
+	e.events.ScheduleArg(e.at(delay), fn, arg)
 }
+
+func (e *testEnv) ScheduleHandler(delay int64, h sim.Handler) {
+	e.events.ScheduleHandler(e.at(delay), h)
+}
+
+func (e *testEnv) ScheduleHandlerArg(delay int64, h sim.Handler, arg int64) {
+	e.events.ScheduleHandlerArg(e.at(delay), h, arg)
+}
+
+func (e *testEnv) at(delay int64) int64 { return e.clock.TTI() + max(delay, 1) }
 
 func (e *testEnv) addFlow(t *testing.T, ue int, class lte.BearerClass, cfg Config) *Flow {
 	t.Helper()
@@ -63,6 +67,52 @@ func (e *testEnv) run(n int64) {
 		}
 		e.enb.RunTTI(tti)
 		e.clock.Advance()
+	}
+}
+
+// funcOnly hides testEnv's handler calls: a ClosureEnv and no Env.
+type funcOnly struct{ e *testEnv }
+
+func (f funcOnly) NowTTI() int64                   { return f.e.NowTTI() }
+func (f funcOnly) Schedule(delay int64, fn func()) { f.e.Schedule(delay, fn) }
+func (f funcOnly) ScheduleArg(delay int64, fn func(int64), arg int64) {
+	f.e.ScheduleArg(delay, fn, arg)
+}
+
+// TestClosureEnvMatchesEnv: a flow NewFlow builds on a ClosureEnv that
+// is no Env gets its ACK and loss timers as closures, and behaves
+// exactly as one on an Env.
+func TestClosureEnvMatchesEnv(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueLimit = 20_000 // overflows: loss timers fire too
+	run := func(closures bool) *Flow {
+		env := newTestEnv(t, 10, 1)
+		b := &lte.Bearer{ID: 0, UE: 0, Class: lte.ClassData}
+		if _, err := env.enb.AddBearer(b); err != nil {
+			t.Fatal(err)
+		}
+		var on ClosureEnv = env
+		if closures {
+			on = funcOnly{env}
+		}
+		f, err := NewFlow(on, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.flows = append(env.flows, f)
+		f.SetGreedy(true)
+		env.run(5000)
+		return f
+	}
+	want, got := run(false), run(true)
+	if want.LossEvents() == 0 {
+		t.Fatal("no loss events: the loss timer is not exercised")
+	}
+	if got.DeliveredTotal() != want.DeliveredTotal() || got.LossEvents() != want.LossEvents() ||
+		got.Cwnd() != want.Cwnd() || got.InFlight() != want.InFlight() {
+		t.Errorf("ClosureEnv: delivered %d, %d losses, cwnd %v, in flight %d; Env: %d, %d, %v, %d",
+			got.DeliveredTotal(), got.LossEvents(), got.Cwnd(), got.InFlight(),
+			want.DeliveredTotal(), want.LossEvents(), want.Cwnd(), want.InFlight())
 	}
 }
 
@@ -105,7 +155,7 @@ func TestSendDeliversExactly(t *testing.T) {
 	env := newTestEnv(t, 10, 1)
 	f := env.addFlow(t, 0, lte.ClassVideo, DefaultConfig())
 	var delivered int64
-	f.OnDelivered = func(n int64) { delivered += n }
+	f.OnDelivered = sim.HandlerFunc(func(n int64) { delivered += n })
 	const size = 500_000
 	f.Send(size)
 	env.run(20000)
@@ -202,7 +252,7 @@ func TestTwoSegmentsSequential(t *testing.T) {
 	env := newTestEnv(t, 10, 1)
 	f := env.addFlow(t, 0, lte.ClassVideo, DefaultConfig())
 	var delivered int64
-	f.OnDelivered = func(n int64) { delivered += n }
+	f.OnDelivered = sim.HandlerFunc(func(n int64) { delivered += n })
 	f.Send(300_000)
 	env.run(8000)
 	first := delivered
@@ -246,7 +296,7 @@ func TestVideoAndDataCoexistence(t *testing.T) {
 	data := env.addFlow(t, 1, lte.ClassData, DefaultConfig())
 	data.SetGreedy(true)
 	var got int64
-	video.OnDelivered = func(n int64) { got += n }
+	video.OnDelivered = sim.HandlerFunc(func(n int64) { got += n })
 	video.Send(1_000_000)
 	env.run(20000)
 	if got != 1_000_000 {
