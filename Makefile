@@ -114,13 +114,20 @@ trace-demo:
 		-ctrl-blackout 40s-80s -trace trace-demo.jsonl
 	$(GO) run ./cmd/flaretrace trace-demo.jsonl
 
-# results regenerates the quick-scale experiment outputs in results/.
-results:
-	$(GO) run ./cmd/flarebench -scale quick -out results
+# PAPER_SPECS are the flaresuite report specs: the paper's tables and
+# figures plus the four extensions, in paper order.
+PAPER_SPECS = table1,table2,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,ext-coexist,ext-abr,ext-faults,ext-saturation
 
-# suite-quick runs the whole scenario matrix at quick scale through the
-# flaresuite CLI, writing per-scenario traces/reports plus summary.json
-# under suite-out/. summary.json is byte-identical at any -workers.
+# results regenerates results/ at full (paper) scale: results/<id>/<id>.txt
+# and .csv per report spec, plus summary.json recording the scale,
+# duration factor and run count. It exits non-zero when any spec's
+# acceptance clauses fail; the files are written either way.
+results:
+	$(GO) run ./cmd/flaresuite run -scale full -scenario $(PAPER_SPECS) -out results
+
+# suite-quick runs every spec at quick scale through the flaresuite CLI,
+# the scenario matrix expanded, writing per-scenario traces/reports plus
+# summary.json under suite-out/.
 suite-quick:
 	$(GO) run ./cmd/flaresuite run -matrix -scale quick -out suite-out
 

@@ -1,59 +1,48 @@
 package flare
 
-// One benchmark per table and figure in the paper's evaluation, plus
-// micro-benchmarks and ablations of the core design choices. The
-// table/figure benchmarks run the full experiment pipeline at Quick
-// scale (shortened durations, 3 seeded runs per point — the shapes match
-// the paper; cmd/flarebench -scale full reproduces the paper-scale
-// outputs). Headline numbers are reported as benchmark metrics.
+// One sub-benchmark per registered flaresuite spec (every table and
+// figure in the paper's evaluation, the extensions and the matrix-native
+// scenarios), plus micro-benchmarks and ablations of the core design
+// choices. The spec benchmarks run the whole runner at a benchmark
+// scale (factor 0.05, 2 seeded runs per point); `flaresuite run -scale
+// full` reproduces the paper-scale outputs.
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"github.com/flare-sim/flare/internal/benchmarks"
 	"github.com/flare-sim/flare/internal/cellsim"
 	"github.com/flare-sim/flare/internal/core"
-	"github.com/flare-sim/flare/internal/experiments"
+	"github.com/flare-sim/flare/internal/flaresuite"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/obs"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
-// benchScale trims the experiments to benchmark-friendly durations.
-func benchScale() experiments.Scale {
-	return experiments.Scale{DurationFactor: 0.05, Runs: 2}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkScenario runs every registered spec's base point through
+// the flaresuite runner. Acceptance gates are not held at this scale
+// (a spec may report fail); a spec that produces neither notes nor
+// metrics fails the benchmark.
+func BenchmarkScenario(b *testing.B) {
+	for _, spec := range flaresuite.Default().Specs() {
+		b.Run(spec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sum, err := flaresuite.Run(context.Background(), flaresuite.Default(), flaresuite.Options{
+					Factor: 0.05, Runs: 2, Names: []string{spec.Name},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sc := sum.Scenarios[0]; len(sc.Notes) == 0 && len(sc.Metrics) == 0 {
+					b.Fatalf("%s produced no output: %s %v", spec.Name, sc.Status, sc.Failures)
+				}
+			}
+		})
 	}
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Tables) == 0 && len(rep.Series) == 0 {
-			b.Fatalf("%s produced no output", id)
-		}
-	}
 }
-
-func BenchmarkTable1StaticTestbed(b *testing.B)   { runExperiment(b, "table1") }
-func BenchmarkTable2DynamicTestbed(b *testing.B)  { runExperiment(b, "table2") }
-func BenchmarkFig4StaticTimeseries(b *testing.B)  { runExperiment(b, "fig4") }
-func BenchmarkFig5DynamicTimeseries(b *testing.B) { runExperiment(b, "fig5") }
-func BenchmarkFig6StaticCDF(b *testing.B)         { runExperiment(b, "fig6") }
-func BenchmarkFig7MobileCDF(b *testing.B)         { runExperiment(b, "fig7") }
-func BenchmarkFig8Relaxation(b *testing.B)        { runExperiment(b, "fig8") }
-func BenchmarkFig9SolverScaling(b *testing.B)     { runExperiment(b, "fig9") }
-func BenchmarkFig10Coexistence(b *testing.B)      { runExperiment(b, "fig10") }
-func BenchmarkFig11AlphaSweep(b *testing.B)       { runExperiment(b, "fig11") }
-func BenchmarkFig12DeltaSweep(b *testing.B)       { runExperiment(b, "fig12") }
 
 // --- Core solver micro-benchmarks (the Figure 9 measurement, isolated).
 
@@ -269,8 +258,3 @@ func BenchmarkGateApply(b *testing.B) {
 		g.Apply(i%16, 2, 3)
 	}
 }
-
-func BenchmarkExtCoexistence(b *testing.B)   { runExperiment(b, "ext-coexist") }
-func BenchmarkExtABRComparison(b *testing.B) { runExperiment(b, "ext-abr") }
-func BenchmarkExtFaults(b *testing.B)        { runExperiment(b, "ext-faults") }
-func BenchmarkExtSaturation(b *testing.B)    { runExperiment(b, "ext-saturation") }

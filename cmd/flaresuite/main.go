@@ -1,27 +1,31 @@
-// Command flaresuite lists and runs the declarative scenario registry:
-// named ScenarioSpecs over the channel x churn x faults x mix x ladder
-// axis space, expanded (-matrix) into cross-products and fanned out
-// across cores with a deterministic, input-index-ordered summary.
+// Command flaresuite lists and runs the scenario registry: the report
+// specs that reproduce the paper's tables and figures (table1 ... fig12)
+// and its extensions (ext-*), plus the matrix-native specs over the
+// channel x churn x faults x mix x ladder axis space, expanded
+// (-matrix) into cross-products. Scenarios run in sequence; each
+// point's seeded runs are fanned out across cores.
 //
 // Usage:
 //
 //	flaresuite list [-matrix] [-axis key=value,...] [-v]
 //	flaresuite run  [-scenario a,b] [-axis key=value,...] [-scale quick|full]
-//	                [-factor F] [-runs N] [-matrix] [-workers N] [-out dir]
+//	                [-factor F] [-runs N] [-matrix] [-out dir]
 //	flaresuite -version
 //
 // `run` writes per-scenario artifact directories (JSONL traces, report
-// tables/CSVs, logs) plus a machine-readable summary.json under -out,
-// and prints the summary table. summary.json is byte-identical at any
-// -workers value. SIGINT/SIGTERM drains gracefully: in-flight scenarios
-// finish and flush their artifacts, unstarted ones are marked skipped,
-// and summary.json is still written; a second signal kills the process.
+// tables/CSVs, logs) plus a machine-readable summary.json — stamped
+// with the scale, duration factor and run count — under -out, and
+// prints the summary table. SIGINT/SIGTERM drains gracefully: the
+// in-flight scenario finishes and flushes its artifacts, unstarted ones
+// are marked skipped, and summary.json is still written; a second
+// signal kills the process.
 //
 // Examples:
 //
 //	flaresuite list -v
 //	flaresuite run -scenario flash-crowd -scale quick -out suite-out
 //	flaresuite run -matrix -axis mix=flare -scale quick -out suite-out
+//	flaresuite run -scale full -scenario table1,fig6 -out results
 package main
 
 import (
@@ -69,7 +73,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   flaresuite list [-matrix] [-axis key=value,...] [-v]
   flaresuite run  [-scenario a,b] [-axis key=value,...] [-scale quick|full]
-                  [-factor F] [-runs N] [-matrix] [-workers N] [-out dir]
+                  [-factor F] [-runs N] [-matrix] [-out dir]
   flaresuite -version
 `)
 }
@@ -168,7 +172,6 @@ func runRun(args []string) int {
 		factor   = fs.Float64("factor", 0, "override the scale's duration factor (1 = paper scale)")
 		runs     = fs.Int("runs", 0, "override the scale's seeded repetitions per scenario")
 		matrix   = fs.Bool("matrix", false, "expand every spec's matrix cross-product")
-		workers  = fs.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS; summary is identical for every value)")
 		out      = fs.String("out", "", "artifact directory (per-scenario traces/reports + summary.json)")
 	)
 	fs.Parse(args)
@@ -182,7 +185,6 @@ func runRun(args []string) int {
 		Scale:      *scale,
 		Factor:     *factor,
 		Runs:       *runs,
-		Workers:    *workers,
 		OutDir:     *out,
 		Expand:     *matrix,
 		Names:      splitNames(*scenario),

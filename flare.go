@@ -16,8 +16,9 @@
 //   - internal/oneapi — the client/network coordination overlay (both
 //     in-process and JSON-over-HTTP);
 //   - internal/cellsim — the scenario runner tying everything together;
-//   - internal/experiments — one reproducible experiment per table and
-//     figure in the paper's evaluation;
+//   - internal/flaresuite — the experiment runner: one registered spec
+//     per table and figure in the paper's evaluation, plus the scenario
+//     matrix;
 //   - internal/testbed — the software femtocell used by the examples.
 //
 // Quick start:
@@ -34,7 +35,6 @@ import (
 
 	"github.com/flare-sim/flare/internal/cellsim"
 	"github.com/flare-sim/flare/internal/core"
-	"github.com/flare-sim/flare/internal/experiments"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/metrics"
 	"github.com/flare-sim/flare/internal/oneapi"
@@ -157,28 +157,6 @@ func OneAPIHandler(s *OneAPIServer) http.Handler {
 func NewOneAPIClient(baseURL string, cellID, flowID int, httpc *http.Client) *OneAPIClient {
 	return oneapi.NewClient(baseURL, cellID, flowID, httpc)
 }
-
-// Experiments (see internal/experiments) — the paper's tables & figures.
-type (
-	// Experiment is one reproducible paper artefact.
-	Experiment = experiments.Experiment
-	// ExperimentReport is an experiment's rendered outcome.
-	ExperimentReport = experiments.Report
-	// ExperimentScale shrinks durations/run counts for quick runs.
-	ExperimentScale = experiments.Scale
-)
-
-// Experiment registry and scales.
-var (
-	// AllExperiments returns every table/figure experiment.
-	AllExperiments = experiments.All
-	// ExperimentByID looks an experiment up ("table1", "fig6", ...).
-	ExperimentByID = experiments.ByID
-	// FullScale reproduces the paper's durations and 20 runs per point.
-	FullScale = experiments.Full
-	// QuickScale is sized for tests and benchmarks.
-	QuickScale = experiments.Quick
-)
 
 // Metrics helpers re-exported for downstream analysis.
 var (

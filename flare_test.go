@@ -49,21 +49,6 @@ func TestFacadeController(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentRegistry(t *testing.T) {
-	if len(AllExperiments()) != 15 {
-		t.Fatalf("%d experiments", len(AllExperiments()))
-	}
-	if _, err := ExperimentByID("table1"); err != nil {
-		t.Fatal(err)
-	}
-	if FullScale().Runs != 20 {
-		t.Fatal("full scale wrong")
-	}
-	if QuickScale().Runs < 1 {
-		t.Fatal("quick scale wrong")
-	}
-}
-
 func TestFacadeMetrics(t *testing.T) {
 	if j := JainIndex([]float64{1, 1, 1}); j != 1 {
 		t.Fatalf("Jain = %v", j)

@@ -292,7 +292,7 @@ func (m Matrix) Size() int {
 
 // Scenario sizing constants: base durations per churn profile, the
 // flash-crowd shape, and the steady/soak operating point (the Table I
-// cell, mirroring the ext-saturation derivation).
+// cell that ext-saturation sweeps).
 const (
 	baseDuration      = 600 * time.Second  // fixed-population profiles
 	churnDuration     = 480 * time.Second  // steady churn
@@ -417,7 +417,8 @@ func BuildConfig(a Axes, scale Scale) (cellsim.Config, error) {
 }
 
 // faultSeed seeds the fault injectors independently of the run seeds,
-// mirroring the ext-faults experiment.
+// so a fault schedule is reproducible across runs and sweep points (the
+// fault axis and ext-faults share it).
 const faultSeed uint64 = 0xfa_17_5eed
 
 // mixGroups maps the mix axis to a single scheme or mixed video groups.

@@ -1,4 +1,4 @@
-package experiments
+package flaresuite
 
 import (
 	"fmt"
@@ -7,44 +7,31 @@ import (
 	"github.com/flare-sim/flare/internal/metrics"
 )
 
-// coexistConfig is the ext-coexist scenario: one cell, half the video
-// population FLARE-coordinated and half running unmodified FESTIVE, as
-// a first-class mixed-scheme deployment (Config.VideoGroups). The FLARE
+// coexistAxes is the ext-coexist cell: half the video population
+// FLARE-coordinated and half running unmodified FESTIVE, as a
+// first-class mixed-scheme deployment (Config.VideoGroups). The FLARE
 // controller sees the FESTIVE flows as competing data traffic; the
 // radio serves FLARE's GBRs first and everything else proportionally
 // fair. The cell is the dynamic testbed scenario (2 s segments, cyclic
 // MCS) — the varying channel is what separates coordinated stability
 // from FESTIVE's throughput-chasing oscillation, exactly as in Table
-// II. Alpha is the Table IV default: the "data" reservation here exists
-// to keep the conventional players alive, not to favour them.
-func coexistConfig(scale Scale) cellsim.Config {
-	cfg := testbedConfig(cellsim.SchemeFLARE, true, scale)
-	cfg.NumVideo = 0
-	cfg.NumData = 0
-	cfg.Flare.Alpha = 1
-	cfg.VideoGroups = []cellsim.FlowGroup{
-		{Scheme: cellsim.SchemeFLARE, Count: 4},
-		{Scheme: cellsim.SchemeFESTIVE, Count: 4},
-	}
-	return cfg
-}
+// II. Alpha stays at the Table IV default: the "data" reservation here
+// exists to keep the conventional players alive, not to favour them.
+var coexistAxes = Axes{Channel: ChannelCyclic, Mix: MixFLAREFESTIVE, Ladder: LadderTestbed}
 
-// RunExtCoexist evaluates the paper's Section V deployment claim: FLARE
+// extCoexist evaluates the paper's Section V deployment claim: FLARE
 // "can coexist with conventional HAS players by servicing their traffic
 // like other data traffic without any bitrate guarantees", and FLARE
 // users "have an incentive to adopt FLARE in order to receive GBR video
 // rates". We run 4 coordinated and 4 conventional (FESTIVE) players in
 // one cell via the mixed-scheme driver machinery and compare the two
 // groups' outcomes.
-func RunExtCoexist(scale Scale) (*Report, error) {
+func extCoexist(t *T) *Report {
 	rep := &Report{
 		ID:    "ext-coexist",
 		Title: "Extension — FLARE + conventional players in one cell (Section V)",
 	}
-	results, err := runMany(coexistConfig(scale), scale)
-	if err != nil {
-		return nil, err
-	}
+	results := t.runs(t.build(coexistAxes))
 
 	var flareRates, flareChanges, flareStalls []float64
 	var legacyRates, legacyChanges, legacyStalls []float64
@@ -78,13 +65,13 @@ func RunExtCoexist(scale Scale) (*Report, error) {
 	rep.Notef("FLARE players: %.0f Kbps, %.1f changes, %.1f s stalled; FESTIVE players: %.0f Kbps, %.1f changes, %.1f s stalled — the adoption incentive is the gap",
 		metrics.Mean(flareRates)/1000, metrics.Mean(flareChanges), metrics.Mean(flareStalls),
 		metrics.Mean(legacyRates)/1000, metrics.Mean(legacyChanges), metrics.Mean(legacyStalls))
-	return rep, nil
+	return rep
 }
 
-// RunExtABR compares FLARE against the wider client-side ABR literature
+// extABR compares FLARE against the wider client-side ABR literature
 // the paper cites: FESTIVE and GOOGLE (the paper's baselines) plus
 // buffer-based BBA-0 and RobustMPC (extension baselines).
-func RunExtABR(scale Scale) (*Report, error) {
+func extABR(t *T) *Report {
 	rep := &Report{
 		ID:    "ext-abr",
 		Title: "Extension — FLARE vs the client-side ABR literature",
@@ -96,10 +83,7 @@ func RunExtABR(scale Scale) (*Report, error) {
 	tbl := metrics.NewTable("Mobile scenario, 8 clients",
 		"rate Kbps", "changes", "stall s", "QoE")
 	for _, scheme := range schemes {
-		results, err := runMany(simConfig(scheme, true, scale), scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(simConfig(scheme, true, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		changes := pooled(results, (*cellsim.Result).Changes)
 		var stalls, scores []float64
@@ -122,5 +106,5 @@ func RunExtABR(scale Scale) (*Report, error) {
 			scheme, metrics.Mean(rates)/1000, metrics.Mean(changes), metrics.Mean(stalls), metrics.Mean(scores))
 	}
 	rep.Tables = append(rep.Tables, tbl)
-	return rep, nil
+	return rep
 }

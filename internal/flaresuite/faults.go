@@ -1,4 +1,4 @@
-package experiments
+package flaresuite
 
 import (
 	"fmt"
@@ -9,17 +9,12 @@ import (
 	"github.com/flare-sim/flare/internal/metrics"
 )
 
-// faultSeed seeds the control-plane injectors independently of the
-// channel/run seeds, so the fault schedule is reproducible across the
-// sweep.
-const faultSeed uint64 = 0xfa_17_5eed
-
 // extFaultsLossRates is the control-plane loss sweep: from the paper's
 // implicit fault-free operating point up to a control plane losing half
 // of all exchanges.
 var extFaultsLossRates = []float64{0, 0.1, 0.3, 0.5}
 
-// RunExtFaults measures FLARE's graceful degradation under control-plane
+// extFaults measures FLARE's graceful degradation under control-plane
 // faults — the scenario the paper's OneAPI overlay deployment implies
 // but never evaluates. Statistics reports and assignment polls are
 // dropped at increasing rates (plus one total-blackout scenario); the
@@ -27,7 +22,7 @@ var extFaultsLossRates = []float64{0, 0.1, 0.3, 0.5}
 // lost. The claim under test: FLARE's QoE degrades toward — and never
 // below — a pure client-side baseline (FESTIVE), because a degraded
 // FLARE plugin *is* a conventional client-side player.
-func RunExtFaults(scale Scale) (*Report, error) {
+func extFaults(t *T) *Report {
 	rep := &Report{
 		ID:    "ext-faults",
 		Title: "Extension — QoE degradation under control-plane faults",
@@ -35,11 +30,8 @@ func RunExtFaults(scale Scale) (*Report, error) {
 
 	// The pure client-side baseline has no control plane to lose:
 	// one fault-free FESTIVE run set serves every sweep point.
-	baseCfg := simConfig(cellsim.SchemeFESTIVE, false, scale)
-	baseResults, err := runMany(baseCfg, scale)
-	if err != nil {
-		return nil, err
-	}
+	baseCfg := simConfig(cellsim.SchemeFESTIVE, false, t.scale)
+	baseResults := t.runs(baseCfg)
 	baselineQoE := meanQoE(baseResults)
 	baselineRate := metrics.Mean(pooled(baseResults, (*cellsim.Result).AvgRates))
 
@@ -48,12 +40,9 @@ func RunExtFaults(scale Scale) (*Report, error) {
 	var qoeCurve, fallbackCurve []metrics.Point
 
 	for _, loss := range extFaultsLossRates {
-		cfg := simConfig(cellsim.SchemeFLARE, false, scale)
+		cfg := simConfig(cellsim.SchemeFLARE, false, t.scale)
 		cfg.ControlFaults = faults.Config{Seed: faultSeed, DropRate: loss}
-		results, err := runMany(cfg, scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(cfg)
 		row := summarizeFaultRuns(results)
 		tbl.AddRow(fmt.Sprintf("FLARE %.0f%% loss", loss*100), row.cells()...)
 		qoeCurve = append(qoeCurve, metrics.Point{X: loss, Y: row.qoe})
@@ -68,16 +57,13 @@ func RunExtFaults(scale Scale) (*Report, error) {
 
 	// Total blackout through the middle third of the run: every plugin
 	// must degrade and recover.
-	blk := simConfig(cellsim.SchemeFLARE, false, scale)
+	blk := simConfig(cellsim.SchemeFLARE, false, t.scale)
 	third := blk.Duration / 3
 	blk.ControlFaults = faults.Config{
 		Seed:      faultSeed,
 		Blackouts: []faults.Window{{From: third, To: 2 * third}},
 	}
-	blkResults, err := runMany(blk, scale)
-	if err != nil {
-		return nil, err
-	}
+	blkResults := t.runs(blk)
 	blkRow := summarizeFaultRuns(blkResults)
 	tbl.AddRow(fmt.Sprintf("FLARE blackout %ds", int(third.Seconds())), blkRow.cells()...)
 	rep.Notef("blackout %v–%v: QoE %.0f, %d total mode transitions across runs",
@@ -98,7 +84,7 @@ func RunExtFaults(scale Scale) (*Report, error) {
 			{X: extFaultsLossRates[len(extFaultsLossRates)-1], Y: baselineQoE},
 		}},
 	)
-	return rep, nil
+	return rep
 }
 
 // faultRow aggregates one sweep point.

@@ -1,4 +1,4 @@
-package experiments
+package flaresuite
 
 import (
 	"fmt"
@@ -15,17 +15,14 @@ var simSchemes = []cellsim.Scheme{
 
 const cdfPoints = 80
 
-// runClientCDFs produces the Figure 6 / Figure 7 CDFs: per-client
+// clientCDFs produces the Figure 6 / Figure 7 CDFs: per-client
 // average bitrate and bitrate-change counts pooled across runs.
-func runClientCDFs(id, title string, mobile bool, scale Scale) (*Report, error) {
+func clientCDFs(t *T, id, title string, mobile bool) *Report {
 	rep := &Report{ID: id, Title: title}
 	means := map[cellsim.Scheme]float64{}
 	changeMeans := map[cellsim.Scheme]float64{}
 	for _, scheme := range simSchemes {
-		results, err := runMany(simConfig(scheme, mobile, scale), scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(simConfig(scheme, mobile, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		changes := pooled(results, (*cellsim.Result).Changes)
 		var jains []float64
@@ -53,36 +50,33 @@ func runClientCDFs(id, title string, mobile bool, scale Scale) (*Report, error) 
 			100*(fc/ac-1), 100*(fc/fec-1), rep.ID,
 			map[bool]string{false: "26%/66%", true: "85%/95%"}[mobile])
 	}
-	return rep, nil
+	return rep
 }
 
-// RunFig6 reproduces Figure 6 (static CDFs).
-func RunFig6(scale Scale) (*Report, error) {
-	return runClientCDFs("fig6", "Figure 6 — static scenario CDFs", false, scale)
+// fig6 reproduces Figure 6 (static CDFs).
+func fig6(t *T) *Report {
+	return clientCDFs(t, "fig6", "Figure 6 — static scenario CDFs", false)
 }
 
-// RunFig7 reproduces Figure 7 (mobile CDFs).
-func RunFig7(scale Scale) (*Report, error) {
-	return runClientCDFs("fig7", "Figure 7 — mobile scenario CDFs", true, scale)
+// fig7 reproduces Figure 7 (mobile CDFs).
+func fig7(t *T) *Report {
+	return clientCDFs(t, "fig7", "Figure 7 — mobile scenario CDFs", true)
 }
 
-// RunFig8 reproduces Figure 8: FLARE with the continuous-relaxation
+// fig8 reproduces Figure 8: FLARE with the continuous-relaxation
 // solver against exact FLARE, on the dense 100..1200 Kbps ladder, for
 // both the static and mobile scenarios.
-func RunFig8(scale Scale) (*Report, error) {
+func fig8(t *T) *Report {
 	rep := &Report{ID: "fig8", Title: "Figure 8 — continuous bitrate optimisation"}
 	for _, mobile := range []bool{false, true} {
 		label := map[bool]string{false: "static", true: "mobile"}[mobile]
 		var exactMean, relaxMean float64
 		var exactChanges, relaxChanges float64
 		for _, relaxed := range []bool{false, true} {
-			cfg := simConfig(cellsim.SchemeFLARE, mobile, scale)
+			cfg := simConfig(cellsim.SchemeFLARE, mobile, t.scale)
 			cfg.Ladder = has.FineLadder()
 			cfg.Flare.UseRelaxation = relaxed
-			results, err := runMany(cfg, scale)
-			if err != nil {
-				return nil, err
-			}
+			results := t.runs(cfg)
 			rates := pooled(results, (*cellsim.Result).AvgRates)
 			changes := pooled(results, (*cellsim.Result).Changes)
 			arm := map[bool]string{false: "exact", true: "relaxed"}[relaxed]
@@ -103,28 +97,23 @@ func RunFig8(scale Scale) (*Report, error) {
 		rep.Notef("%s: relaxation bitrate loss %.1f%% (paper: <=15%%); changes exact %.1f vs relaxed %.1f",
 			label, loss, exactChanges, relaxChanges)
 	}
-	return rep, nil
+	return rep
 }
 
-// RunFig9 reproduces Figure 9: CDFs of the per-BAI optimiser wall time
+// fig9 reproduces Figure 9: CDFs of the per-BAI optimiser wall time
 // with 32, 64, and 128 video clients, for both solvers.
-func RunFig9(scale Scale) (*Report, error) {
+func fig9(t *T) *Report {
 	rep := &Report{ID: "fig9", Title: "Figure 9 — bitrate-selection computation time"}
 	sizes := []int{32, 64, 128}
 	for _, relaxed := range []bool{true, false} {
 		arm := map[bool]string{false: "exact", true: "relaxed"}[relaxed]
 		for _, n := range sizes {
-			cfg := simConfig(cellsim.SchemeFLARE, false, scale)
+			cfg := simConfig(cellsim.SchemeFLARE, false, t.scale)
 			cfg.NumVideo = n
 			cfg.Ladder = has.FineLadder()
 			cfg.Flare.UseRelaxation = relaxed
 			// One run suffices: every BAI contributes a sample.
-			one := scale.normalized()
-			one.Runs = 1
-			results, err := runMany(cfg, one)
-			if err != nil {
-				return nil, err
-			}
+			results := t.runSeeded(cfg, 1, 1, "")
 			timesMs := make([]float64, 0, len(results[0].SolveTimesSec))
 			for _, s := range results[0].SolveTimesSec {
 				timesMs = append(timesMs, s*1000)
@@ -136,20 +125,17 @@ func RunFig9(scale Scale) (*Report, error) {
 				arm, n, cdf.Quantile(0.5), cdf.Quantile(0.99), cdf.Max(), cdf.Len())
 		}
 	}
-	return rep, nil
+	return rep
 }
 
-// RunFig10 reproduces Figure 10: 8 video + 8 data clients under FLARE;
+// fig10 reproduces Figure 10: 8 video + 8 data clients under FLARE;
 // CDFs of per-flow throughput by class and of video bitrate changes.
-func RunFig10(scale Scale) (*Report, error) {
+func fig10(t *T) *Report {
 	rep := &Report{ID: "fig10", Title: "Figure 10 — video/data coexistence under FLARE"}
-	cfg := simConfig(cellsim.SchemeFLARE, true, scale)
+	cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
 	cfg.NumData = 8
 	cfg.Ladder = has.FineLadder()
-	results, err := runMany(cfg, scale)
-	if err != nil {
-		return nil, err
-	}
+	results := t.runs(cfg)
 	videoTputs := pooled(results, (*cellsim.Result).AvgTputs)
 	dataTputs := pooled(results, (*cellsim.Result).DataTputs)
 	changes := pooled(results, (*cellsim.Result).Changes)
@@ -160,26 +146,23 @@ func RunFig10(scale Scale) (*Report, error) {
 	)
 	rep.Notef("video mean %.0f Kbps, data mean %.0f Kbps, video changes mean %.1f",
 		metrics.Mean(videoTputs)/1000, metrics.Mean(dataTputs)/1000, metrics.Mean(changes))
-	return rep, nil
+	return rep
 }
 
-// RunFig11 reproduces Figure 11: the alpha sweep trading data against
+// fig11 reproduces Figure 11: the alpha sweep trading data against
 // video throughput.
-func RunFig11(scale Scale) (*Report, error) {
+func fig11(t *T) *Report {
 	rep := &Report{ID: "fig11", Title: "Figure 11 — flow throughputs vs alpha"}
 	alphas := []float64{0.25, 0.5, 1, 2, 4}
 	var videoMean, videoStd, dataMean, dataStd metrics.Series
 	videoMean.Name, videoStd.Name = "video/mean_bps", "video/stdev_bps"
 	dataMean.Name, dataStd.Name = "data/mean_bps", "data/stdev_bps"
 	for _, alpha := range alphas {
-		cfg := simConfig(cellsim.SchemeFLARE, true, scale)
+		cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
 		cfg.NumData = 8
 		cfg.Ladder = has.FineLadder()
 		cfg.Flare.Alpha = alpha
-		results, err := runMany(cfg, scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(cfg)
 		v := pooled(results, (*cellsim.Result).AvgTputs)
 		d := pooled(results, (*cellsim.Result).DataTputs)
 		videoMean.Points = append(videoMean.Points, metrics.Point{X: alpha, Y: metrics.Mean(v)})
@@ -190,23 +173,20 @@ func RunFig11(scale Scale) (*Report, error) {
 			metrics.Mean(v)/1000, metrics.Mean(d)/1000)
 	}
 	rep.Series = append(rep.Series, videoMean, videoStd, dataMean, dataStd)
-	return rep, nil
+	return rep
 }
 
-// RunFig12 reproduces Figure 12: the delta sweep trading average bitrate
+// fig12 reproduces Figure 12: the delta sweep trading average bitrate
 // against stability.
-func RunFig12(scale Scale) (*Report, error) {
+func fig12(t *T) *Report {
 	rep := &Report{ID: "fig12", Title: "Figure 12 — bitrate and stability vs delta"}
 	var rateSeries, changeSeries metrics.Series
 	rateSeries.Name, changeSeries.Name = "avg_bitrate_bps", "bitrate_changes"
 	// delta=0 is the extra ablation arm: Algorithm 1's streak gate off.
 	for delta := 0; delta <= 12; delta++ {
-		cfg := simConfig(cellsim.SchemeFLARE, true, scale)
+		cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
 		cfg.Flare.Delta = delta
-		results, err := runMany(cfg, scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(cfg)
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		changes := pooled(results, (*cellsim.Result).Changes)
 		rateSeries.Points = append(rateSeries.Points, metrics.Point{X: float64(delta), Y: metrics.Mean(rates)})
@@ -215,5 +195,5 @@ func RunFig12(scale Scale) (*Report, error) {
 			delta, metrics.Mean(rates)/1000, metrics.Mean(changes))
 	}
 	rep.Series = append(rep.Series, rateSeries, changeSeries)
-	return rep, nil
+	return rep
 }

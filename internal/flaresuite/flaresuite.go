@@ -1,38 +1,45 @@
-// Package flaresuite is the declarative scenario harness: a registry of
-// named ScenarioSpecs (channel model x churn profile x fault profile x
-// scheme mix x ladder x cell count), a hivesim-style Suite/T API for
-// scenario bodies, and a matrix runner that expands axis cross-products
-// and fans scenarios out across cores with deterministic,
-// input-index-ordered result collection.
+// Package flaresuite is the one experiment runner: a registry of named
+// ScenarioSpecs, a hivesim-style Suite/T API for scenario bodies, and a
+// runner that executes the selected specs in sequence, each point's
+// seeded runs fanned out across cores by one worker pool with
+// deterministic, run-ordered result collection.
 //
-// The harness replaces hand-rolled experiment packages for workload
-// exploration: a new scenario is a ~20-line spec, not a new package.
-// Scenario axes compile into cellsim.Config via BuildConfig, scenario
-// bodies run against T (Fatalf/Errorf/Assert*, per-scenario artifacts,
-// JSONL traces via internal/obs), and a run emits a machine-readable
-// summary.json whose bytes are identical at any worker count.
+// Two kinds of spec share the registry. The report specs reproduce the
+// paper's evaluation (Tables I-II, Figures 4-12) and its extensions
+// (ext-coexist, ext-abr, ext-faults, ext-saturation): each body builds a
+// Report, written as <id>.txt plus <id>.csv, which is the results/ file
+// format. The matrix-native specs (flash-crowd, het-ladders,
+// churn-soak) exist only as points in the axis space (channel x churn x
+// faults x mix x ladder x cells): axes compile into cellsim.Config via
+// BuildConfig, and a -matrix run expands their cross-products.
 //
-// Layering: flaresuite drives the engine (cellsim) and reuses the
-// experiments package's report types for the migrated ext-* scenarios;
-// it never touches the OneAPI wire internals (oneapi, loadgen) — the
-// flarevet layering rules enforce both directions.
+// Every run emits a machine-readable summary.json that records the
+// scale, duration factor and run count it was taken at; apart from
+// fig9's wall-clock solve times its bytes do not depend on the core
+// count.
+//
+// Layering: flaresuite drives the engine (cellsim) and never touches
+// the OneAPI wire internals (oneapi, loadgen) — the flarevet layering
+// rules enforce it.
 package flaresuite
 
-import (
-	"time"
+import "time"
 
-	"github.com/flare-sim/flare/internal/experiments"
-)
-
-// Scale aliases the experiments scale so specs and the runner share one
-// sizing vocabulary (DurationFactor, Runs, Parallel).
-type Scale = experiments.Scale
+// Scale sizes a run: durations and seeded repetitions per data point.
+type Scale struct {
+	// DurationFactor multiplies scenario durations (1 = paper scale).
+	DurationFactor float64
+	// Runs is the number of seeded repetitions per data point (the
+	// paper uses 20).
+	Runs int
+}
 
 // QuickScale is the test/CI sizing (short durations, few runs).
-func QuickScale() Scale { return experiments.Quick() }
+func QuickScale() Scale { return Scale{DurationFactor: 0.1, Runs: 3} }
 
-// FullScale is the paper-scale sizing.
-func FullScale() Scale { return experiments.Full() }
+// FullScale is the paper-scale sizing: the paper's durations and 20
+// runs per point.
+func FullScale() Scale { return Scale{DurationFactor: 1, Runs: 20} }
 
 // ParseScale resolves the CLI scale names.
 func ParseScale(name string) (Scale, bool) {
@@ -45,9 +52,19 @@ func ParseScale(name string) (Scale, bool) {
 	return Scale{}, false
 }
 
-// suiteSeed is the base seed for every scenario run: scenario runs are
-// deterministic while each (run, cell) pair gets an independent stream.
-const suiteSeed uint64 = 0x5417e_5eed
+func (s Scale) normalized() Scale {
+	if s.DurationFactor <= 0 {
+		s.DurationFactor = 1
+	}
+	if s.Runs <= 0 {
+		s.Runs = 1
+	}
+	return s
+}
+
+// suiteSeed is the base seed for every run: runs are deterministic
+// while each (run, cell) pair gets an independent stream.
+const suiteSeed uint64 = 0x5eed_f1a2e
 
 // runSeed derives the seed for one (run, cell) pair.
 func runSeed(run, cell int) uint64 {
@@ -56,23 +73,11 @@ func runSeed(run, cell int) uint64 {
 
 // scaled shrinks a scenario duration by the scale's factor, clamped so
 // even tiny factors leave a run long enough to exercise the control
-// loop (matching the experiments package's floor).
+// loop.
 func scaled(d time.Duration, s Scale) time.Duration {
-	f := s.DurationFactor
-	if f <= 0 {
-		f = 1
-	}
-	out := time.Duration(float64(d) * f)
+	out := time.Duration(float64(d) * s.normalized().DurationFactor)
 	if out < 30*time.Second {
 		out = 30 * time.Second
 	}
 	return out
-}
-
-// normRuns returns the scale's run count, defaulting to 1.
-func normRuns(s Scale) int {
-	if s.Runs <= 0 {
-		return 1
-	}
-	return s.Runs
 }

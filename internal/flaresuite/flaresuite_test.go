@@ -3,6 +3,9 @@ package flaresuite_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,40 +161,53 @@ func TestExpandFilters(t *testing.T) {
 	}
 }
 
-// TestRunLockstepAcrossWorkers is the determinism gate: the same
-// selection of real scenarios, executed at 1 worker and at 4, must
-// produce byte-identical summary JSON — the matrix fan-out may change
-// wall-clock interleaving but never results or their order.
+// TestRunLockstepAcrossWorkers is the determinism gate for the
+// run-level worker pool: the same selection of real scenarios, executed
+// at GOMAXPROCS=1 (every run inline) and at GOMAXPROCS=4 (each point's
+// runs split across four workers), must produce byte-identical summary
+// JSON and report files — the fan-out may change wall-clock
+// interleaving but never results or their order.
 func TestRunLockstepAcrossWorkers(t *testing.T) {
 	opts := flaresuite.Options{
 		Scale:  "quick",
 		Factor: 0.02,
-		Runs:   1,
+		Runs:   2,
 		Expand: true,
-		Names:  []string{"flash-crowd", "het-ladders", "churn-soak"},
+		Names:  []string{"table1", "ext-faults", "flash-crowd", "het-ladders", "churn-soak"},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var out [][]byte
-	for _, workers := range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		o := opts
-		o.Workers = workers
+		o.OutDir = t.TempDir()
 		sum, err := flaresuite.Run(context.Background(), flaresuite.Default(), o)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !sum.Ok() {
-			t.Fatalf("workers=%d: %d failed, %d skipped: %+v", workers, sum.Failed, sum.Skipped, sum.Scenarios)
+		if len(sum.Scenarios) != 9 {
+			t.Fatalf("GOMAXPROCS=%d: %d instances, want 9", procs, len(sum.Scenarios))
 		}
-		if len(sum.Scenarios) != 7 {
-			t.Fatalf("workers=%d: %d instances, want 7", workers, len(sum.Scenarios))
+		for _, sc := range sum.Scenarios {
+			if sc.Status != flaresuite.StatusPass {
+				t.Fatalf("GOMAXPROCS=%d: %s %s: %v", procs, sc.Name, sc.Status, sc.Failures)
+			}
 		}
 		b, err := sum.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, f := range []string{"table1/table1.txt", "ext-faults/ext-faults.txt", "ext-faults/ext-faults.csv"} {
+			rep, err := os.ReadFile(filepath.Join(o.OutDir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(b, rep...)
+		}
 		out = append(out, b)
 	}
 	if !bytes.Equal(out[0], out[1]) {
-		t.Error("summary JSON differs between workers=1 and workers=4")
+		t.Error("summary JSON or report bytes differ between GOMAXPROCS=1 and GOMAXPROCS=4")
 	}
 }
 

@@ -1,22 +1,12 @@
-package experiments
+package flaresuite
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 )
-
-// baseSeed keeps all experiments deterministic while giving each run in
-// a sweep an independent stream.
-const baseSeed uint64 = 0x5eed_f1a2e
 
 // testbedConfig reproduces the femtocell scenarios of Section IV-A:
 // three video clients plus one iperf data flow, the 8-level testbed
@@ -82,74 +72,6 @@ func simConfig(scheme cellsim.Scheme, mobile bool, scale Scale) cellsim.Config {
 	}
 	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelMobility, Mobility: mob}
 	return cfg
-}
-
-func scaled(d time.Duration, scale Scale) time.Duration {
-	s := scale.normalized()
-	out := time.Duration(float64(d) * s.DurationFactor)
-	if out < 30*time.Second {
-		out = 30 * time.Second
-	}
-	return out
-}
-
-// runMany executes cfg Runs times with distinct seeds (in parallel) and
-// returns the results in run order. The first failure cancels every run
-// still in flight; a panicking run is converted to that run's error
-// instead of crashing the whole sweep.
-func runMany(cfg cellsim.Config, scale Scale) ([]*cellsim.Result, error) {
-	s := scale.normalized()
-	results := make([]*cellsim.Result, s.Runs)
-	errs := make([]error, s.Runs)
-	workers := s.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s.Runs {
-		workers = s.Runs
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for run := 0; run < s.Runs; run++ {
-		run := run
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[run] = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-					cancel()
-				}
-			}()
-			if ctx.Err() != nil {
-				errs[run] = ctx.Err()
-				return
-			}
-			c := cfg
-			c.Seed = baseSeed + uint64(run)*0x9e37
-			results[run], errs[run] = cellsim.RunContext(ctx, c)
-			if errs[run] != nil {
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	// Report the first real failure; cancellations are just its fallout.
-	for run, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, fmt.Errorf("experiments: run %d: %w", run, err)
-		}
-	}
-	for run, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: run %d: %w", run, err)
-		}
-	}
-	return results, nil
 }
 
 // pooled aggregates a per-client metric across runs (the paper's "over

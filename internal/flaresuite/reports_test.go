@@ -1,43 +1,69 @@
-package experiments
+package flaresuite
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/flare-sim/flare/internal/cellsim"
 	"github.com/flare-sim/flare/internal/metrics"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
-// tinyScale keeps experiment tests fast: 30 s scenarios, 1 run.
+// tinyScale keeps report tests fast: 30 s scenarios, 1 run.
 func tinyScale() Scale { return Scale{DurationFactor: 0.025, Runs: 1} }
+
+// within runs body as a scenario at scale, outside the registry and its
+// acceptance gates, and fails the test if the body fails.
+func within(tb testing.TB, scale Scale, body func(*T)) {
+	tb.Helper()
+	pool := sim.NewWorkerPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	inst := Instance{Spec: ScenarioSpec{Name: "test", Run: body}, Name: "test"}
+	if sc := runInstance(context.Background(), inst, scale, "", pool); sc.Status != StatusPass {
+		tb.Fatalf("scenario body failed: %v", sc.Failures)
+	}
+}
+
+// buildReport builds one report at scale without its spec's gates.
+func buildReport(tb testing.TB, build func(*T) *Report, scale Scale) *Report {
+	tb.Helper()
+	var rep *Report
+	within(tb, scale, func(t *T) { rep = build(t) })
+	return rep
+}
 
 func TestAllRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "ext-coexist", "ext-abr",
-		"ext-faults", "ext-saturation"}
-	all := All()
+		"ext-faults", "ext-saturation", "flash-crowd", "het-ladders", "churn-soak"}
+	all := Default().Specs()
 	if len(all) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
+		t.Fatalf("registry has %d specs, want %d", len(all), len(want))
 	}
-	for i, e := range all {
-		if e.ID != want[i] {
-			t.Errorf("experiment %d = %q, want %q", i, e.ID, want[i])
+	for i, s := range all {
+		if s.Name != want[i] {
+			t.Errorf("spec %d = %q, want %q", i, s.Name, want[i])
 		}
-		if e.Run == nil || e.Title == "" {
-			t.Errorf("experiment %q incomplete", e.ID)
+		if s.Run == nil || s.Description == "" {
+			t.Errorf("spec %q incomplete", s.Name)
 		}
+	}
+	if len(reports) != 15 {
+		t.Errorf("%d report specs, want 15", len(reports))
 	}
 }
 
 func TestByID(t *testing.T) {
-	e, err := ByID("fig6")
-	if err != nil || e.ID != "fig6" {
-		t.Fatalf("ByID(fig6) = %+v, %v", e, err)
+	s, ok := Default().Lookup("fig6")
+	if !ok || s.Name != "fig6" {
+		t.Fatalf("Lookup(fig6) = %+v, %v", s, ok)
 	}
-	if _, err := ByID("nope"); err == nil {
-		t.Fatal("unknown ID accepted")
+	if _, ok := Default().Lookup("nope"); ok {
+		t.Fatal("unknown name accepted")
 	}
 }
 
@@ -46,19 +72,16 @@ func TestScaleNormalization(t *testing.T) {
 	if s.DurationFactor != 1 || s.Runs != 1 {
 		t.Fatalf("normalized zero scale = %+v", s)
 	}
-	if f := Full(); f.Runs != 20 || f.DurationFactor != 1 {
-		t.Fatalf("Full = %+v", f)
+	if f := FullScale(); f.Runs != 20 || f.DurationFactor != 1 {
+		t.Fatalf("FullScale = %+v", f)
 	}
-	if q := Quick(); q.Runs < 1 {
-		t.Fatalf("Quick = %+v", q)
+	if q := QuickScale(); q.Runs < 1 {
+		t.Fatalf("QuickScale = %+v", q)
 	}
 }
 
 func TestTable1SmokeAndShape(t *testing.T) {
-	rep, err := RunTable1(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, table1, tinyScale())
 	if len(rep.Tables) != 1 {
 		t.Fatalf("%d tables", len(rep.Tables))
 	}
@@ -72,10 +95,7 @@ func TestTable1SmokeAndShape(t *testing.T) {
 }
 
 func TestFig4ProducesSeries(t *testing.T) {
-	rep, err := RunFig4(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, fig4, tinyScale())
 	// 3 schemes x (3 video rate + 3 buffer + 1 data) = 21 series.
 	if len(rep.Series) != 21 {
 		t.Fatalf("%d series, want 21", len(rep.Series))
@@ -88,10 +108,7 @@ func TestFig4ProducesSeries(t *testing.T) {
 }
 
 func TestFig6SmokeAndCDFShape(t *testing.T) {
-	rep, err := RunFig6(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, fig6, tinyScale())
 	if len(rep.Series) != 6 { // 3 schemes x 2 metrics
 		t.Fatalf("%d series, want 6", len(rep.Series))
 	}
@@ -108,10 +125,7 @@ func TestFig6SmokeAndCDFShape(t *testing.T) {
 
 func TestFig9RecordsSolveTimes(t *testing.T) {
 	// Short but real runs: several BAIs per size.
-	rep, err := RunFig9(Scale{DurationFactor: 0.05, Runs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, fig9, Scale{DurationFactor: 0.05, Runs: 1})
 	if len(rep.Series) != 6 { // 2 solvers x 3 sizes
 		t.Fatalf("%d series, want 6", len(rep.Series))
 	}
@@ -128,10 +142,7 @@ func TestFig9RecordsSolveTimes(t *testing.T) {
 }
 
 func TestFig12SweepShape(t *testing.T) {
-	rep, err := RunFig12(Scale{DurationFactor: 0.025, Runs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, fig12, Scale{DurationFactor: 0.025, Runs: 1})
 	if len(rep.Series) != 2 {
 		t.Fatalf("%d series", len(rep.Series))
 	}
@@ -171,35 +182,28 @@ func TestReportWriteFiles(t *testing.T) {
 	}
 }
 
+// TestRunManyDeterministicSeeds pins the seeded-run loop: the same
+// config run twice through the worker pool yields the same results in
+// the same run order.
 func TestRunManyDeterministicSeeds(t *testing.T) {
-	cfg := testbedConfig(2, false, tinyScale()) // FESTIVE
-	a, err := runMany(cfg, tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runMany(cfg, tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	scale := Scale{DurationFactor: 0.025, Runs: 2}
+	var a, b []*cellsim.Result
+	within(t, scale, func(t *T) {
+		cfg := testbedConfig(cellsim.SchemeFESTIVE, false, t.Scale())
+		a, b = t.runs(cfg), t.runs(cfg)
+	})
 	for i := range a {
 		if a[i].MeanClientRate() != b[i].MeanClientRate() {
-			t.Fatal("runMany not deterministic")
+			t.Fatal("seeded runs not deterministic")
 		}
 	}
 }
 
 func TestExtensionExperimentsSmoke(t *testing.T) {
-	for _, id := range []string{"ext-coexist", "ext-abr", "ext-faults", "ext-saturation"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.Run(tinyScale())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+	for _, build := range []func(*T) *Report{extCoexist, extABR, extFaults, extSaturation} {
+		rep := buildReport(t, build, tinyScale())
 		if len(rep.Tables) == 0 || len(rep.Series) == 0 {
-			t.Fatalf("%s produced no output", id)
+			t.Fatalf("%s produced no output", rep.ID)
 		}
 	}
 }
@@ -211,10 +215,8 @@ func TestExtensionExperimentsSmoke(t *testing.T) {
 // uncoordinated group chasing its own throughput estimates.
 func TestExtCoexistShape(t *testing.T) {
 	scale := Scale{DurationFactor: 0.2, Runs: 2}
-	results, err := runMany(coexistConfig(scale), scale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var results []*cellsim.Result
+	within(t, scale, func(t *T) { results = t.runs(t.build(coexistAxes)) })
 	var flareStalls, flareChanges, festiveChanges float64
 	var nFlare, nFestive int
 	for _, r := range results {
@@ -248,13 +250,10 @@ func TestExtCoexistShape(t *testing.T) {
 // TestExtFaultsNeverBelowBaseline is the acceptance gate for the
 // fault-tolerance story: under every swept control-plane loss rate the
 // degraded FLARE must hold a mean QoE at or above the pure client-side
-// baseline (a degraded plugin *is* a client-side player). RunExtFaults
+// baseline (a degraded plugin *is* a client-side player). extFaults
 // emits a WARNING note whenever a sweep point violates that.
 func TestExtFaultsNeverBelowBaseline(t *testing.T) {
-	rep, err := RunExtFaults(Scale{DurationFactor: 0.05, Runs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, extFaults, Scale{DurationFactor: 0.05, Runs: 2})
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "WARNING") {
 			t.Errorf("degradation floor violated: %s", n)
@@ -282,18 +281,14 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry smoke is not for -short")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			rep, err := e.Run(tinyScale())
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, r := range reports {
+		t.Run(r.id, func(t *testing.T) {
+			rep := buildReport(t, r.build, tinyScale())
 			if len(rep.Tables) == 0 && len(rep.Series) == 0 {
 				t.Fatal("no output")
 			}
-			if rep.ID != e.ID {
-				t.Fatalf("report ID %q != experiment ID %q", rep.ID, e.ID)
+			if rep.ID != r.id {
+				t.Fatalf("report ID %q != spec name %q", rep.ID, r.id)
 			}
 			if err := rep.WriteFiles(t.TempDir()); err != nil {
 				t.Fatal(err)
@@ -307,13 +302,10 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 // with admission control and the downgrade ladder must (a) keep every
 // admitted flow free of post-admission rebuffering and (b) deliver
 // strictly higher QoE among its admitted flows than naive FLARE does
-// among its universally admitted ones. RunExtSaturation emits a WARNING
+// among its universally admitted ones. extSaturation emits a WARNING
 // note whenever a sweep point at >=2x violates either clause.
 func TestExtSaturationGate(t *testing.T) {
-	rep, err := RunExtSaturation(Scale{DurationFactor: 0.15, Runs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := buildReport(t, extSaturation, Scale{DurationFactor: 0.15, Runs: 2})
 	for _, n := range rep.Notes {
 		if strings.Contains(n, "WARNING") {
 			t.Errorf("saturation gate violated: %s", n)
@@ -332,5 +324,30 @@ func TestExtSaturationGate(t *testing.T) {
 	// otherwise the zero-stall clause is vacuously testing an idle gate.
 	if last := share.Points[len(share.Points)-1]; last.Y >= 1 {
 		t.Errorf("no session was refused at %gx overload (admitted share %v)", last.X, last.Y)
+	}
+}
+
+// TestReportGolden pins report bytes: table1 and ext-faults at factor
+// 0.025 / 1 run, run through the registry, must reproduce
+// testdata/*.golden exactly.
+func TestReportGolden(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), Default(), Options{
+		Factor: 0.025, Runs: 1, OutDir: dir, Names: []string{"table1", "ext-faults"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"table1/table1.txt", "ext-faults/ext-faults.txt", "ext-faults/ext-faults.csv"} {
+		got, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", filepath.Base(f)+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s differs from testdata/%s.golden:\n%s", f, filepath.Base(f), got)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // SummarySchema versions the summary.json format.
-const SummarySchema = "flaresuite-summary/1"
+const SummarySchema = "flaresuite-summary/2"
 
 // Scenario statuses in summary.json.
 const (
@@ -32,11 +32,6 @@ type Options struct {
 	Factor float64
 	// Runs overrides the scale's repetition count when > 0.
 	Runs int
-	// Workers bounds how many scenarios run concurrently (0 =
-	// GOMAXPROCS). The summary is byte-identical for every value:
-	// scenarios are dispatched in input order and collected into
-	// input-index slots.
-	Workers int
 	// OutDir, when set, receives per-scenario artifact directories plus
 	// summary.json; empty runs artifact-free.
 	OutDir string
@@ -62,13 +57,15 @@ type ScenarioSummary struct {
 	Artifacts []string           `json:"artifacts,omitempty"`
 }
 
-// Summary is a whole run's machine-readable outcome — the contract is
-// that its JSON encoding is identical at every worker count.
+// Summary is a whole run's machine-readable outcome and its scale
+// stamp: the scale name plus the duration factor and run count actually
+// used, overrides applied. Its JSON encoding does not depend on the
+// core count.
 type Summary struct {
 	Schema    string            `json:"schema"`
 	Scale     string            `json:"scale"`
-	Factor    float64           `json:"factor,omitempty"`
-	Runs      int               `json:"runs,omitempty"`
+	Factor    float64           `json:"factor"`
+	Runs      int               `json:"runs"`
 	Passed    int               `json:"passed"`
 	Failed    int               `json:"failed"`
 	Skipped   int               `json:"skipped"`
@@ -170,30 +167,13 @@ func resolveScale(opts Options) (Scale, error) {
 	return scale, nil
 }
 
-// matrixRunner adapts the instance loop to sim.WorkerPool: each worker
-// owns a contiguous index range and writes only its own slots, so the
-// collected summary order is the input order by construction.
-type matrixRunner struct {
-	ctx       context.Context
-	instances []Instance
-	scale     Scale
-	outDir    string
-	slots     []ScenarioSummary
-}
-
-// RunRange implements sim.RangeRunner.
-func (m *matrixRunner) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		m.slots[i] = runInstance(m.ctx, m.instances[i], m.scale, m.outDir)
-	}
-}
-
-// Run expands the registry through opts and executes every instance,
-// fanning scenarios out across a bounded worker pool. Completed
-// scenarios flush their artifacts as they finish; when ctx is cancelled
-// (the graceful drain) instances not yet started are marked skipped,
-// in-flight ones finish or report interrupted, and the summary —
-// covering everything that did complete — is still written.
+// Run expands the registry through opts and executes every instance in
+// sequence; within an instance, each point's seeded runs share one
+// GOMAXPROCS-wide worker pool. Completed scenarios flush their
+// artifacts as they finish; when ctx is cancelled (the graceful drain)
+// instances not yet started are marked skipped, the in-flight one
+// finishes or reports interrupted, and the summary — covering
+// everything that did complete — is still written.
 func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 	scale, err := resolveScale(opts)
 	if err != nil {
@@ -212,24 +192,6 @@ func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(instances) {
-		workers = len(instances)
-	}
-	m := &matrixRunner{
-		ctx:       ctx,
-		instances: instances,
-		scale:     scale,
-		outDir:    opts.OutDir,
-		slots:     make([]ScenarioSummary, len(instances)),
-	}
-	pool := sim.NewWorkerPool(workers)
-	pool.Do(len(instances), m)
-	pool.Close()
-
 	scaleName := opts.Scale
 	if scaleName == "" {
 		scaleName = "quick"
@@ -237,11 +199,15 @@ func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 	sum := &Summary{
 		Schema:    SummarySchema,
 		Scale:     scaleName,
-		Factor:    opts.Factor,
-		Runs:      opts.Runs,
-		Scenarios: m.slots,
+		Factor:    scale.DurationFactor,
+		Runs:      scale.Runs,
+		Scenarios: make([]ScenarioSummary, len(instances)),
 	}
-	for _, sc := range m.slots {
+	pool := sim.NewWorkerPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	for i, inst := range instances {
+		sc := runInstance(ctx, inst, scale, opts.OutDir, pool)
+		sum.Scenarios[i] = sc
 		switch sc.Status {
 		case StatusPass:
 			sum.Passed++
@@ -266,13 +232,14 @@ func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 
 // runInstance executes one scenario instance, converting Fatalf unwinds
 // and body panics into failures instead of crashing the matrix.
-func runInstance(ctx context.Context, inst Instance, scale Scale, outRoot string) ScenarioSummary {
+func runInstance(ctx context.Context, inst Instance, scale Scale, outRoot string, pool *sim.WorkerPool) ScenarioSummary {
 	t := &T{
 		name:  inst.Name,
 		spec:  inst.Spec,
 		axes:  inst.Axes,
 		scale: scale,
 		ctx:   ctx,
+		pool:  pool,
 	}
 	if ctx.Err() != nil {
 		// The drain began before this slot started: skip, don't run.

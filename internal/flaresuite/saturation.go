@@ -1,12 +1,9 @@
-package experiments
+package flaresuite
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
-	"github.com/flare-sim/flare/internal/has"
-	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/metrics"
 )
 
@@ -16,41 +13,20 @@ import (
 // infeasible: no assignment keeps every flow at its floor.
 var extSatLoads = []float64{0.5, 1.0, 2.0, 3.0}
 
-const (
-	// extSatITbs pins the saturation cell at the paper's Table I
-	// operating point (~4.4 Mbit/s at 50 RBs) so the floor capacity is
-	// a small, quickly exceeded number of sessions.
-	extSatITbs = 2
-	// extSatMeanDuration is the mean churn session length. Short
-	// relative to the run so the Poisson/Pareto generator reaches and
-	// holds its steady-state concurrency within every scale.
-	extSatMeanDuration = 40 * time.Second
-)
+// saturationAxes is the ext-saturation cell: the steady-churn profile
+// at the Table I operating point (iTbs 2, ~4.4 Mbit/s at 50 RBs), so
+// the floor capacity is a small, quickly exceeded number of sessions.
+// Each sweep point sets Load.
+var saturationAxes = Axes{Channel: ChannelStatic, Churn: ChurnSteady, Mix: MixFLARE, Ladder: LadderTestbed, Load: 3}
 
-// saturationConfig builds one sweep point: a small static cell fed by
+// saturationConfig builds one sweep point: the saturation cell fed by
 // churn at `load` times its floor-carrying capacity. The robust arm
 // turns on the admission controller and the downgrade ladder; the naive
 // arm is plain FLARE admitting everyone.
-func saturationConfig(scale Scale, load float64, robust bool) cellsim.Config {
-	cfg := cellsim.DefaultConfig(cellsim.SchemeFLARE)
-	cfg.Duration = scaled(480*time.Second, scale)
-	cfg.NumVideo = 0 // the churn generator populates the cell
-	cfg.NumData = 0
-	cfg.Ladder = has.TestbedLadder()
-	cfg.SegmentDuration = 2 * time.Second
-	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: extSatITbs}
-
-	// Little's law: steady-state concurrency = duration/interarrival,
-	// so the gap that offers `load` x the floor capacity is
-	// mean-duration / (load x capacity-in-sessions).
-	floorSessions := lte.CellRateBps(extSatITbs) * cfg.Flare.CapacityMargin / cfg.Ladder.Min()
-	gap := extSatMeanDuration.Seconds() / (load * floorSessions)
-	cfg.Churn = cellsim.ChurnConfig{
-		Enabled:          true,
-		MeanInterarrival: time.Duration(gap * float64(time.Second)),
-		MeanDuration:     extSatMeanDuration,
-		MaxSessions:      2048,
-	}
+func saturationConfig(t *T, load float64, robust bool) cellsim.Config {
+	a := saturationAxes
+	a.Load = load
+	cfg := t.build(a)
 	if robust {
 		cfg.Flare.AdmissionControl = true
 		cfg.Flare.DowngradeLadder = true
@@ -58,7 +34,7 @@ func saturationConfig(scale Scale, load float64, robust bool) cellsim.Config {
 	return cfg
 }
 
-// RunExtSaturation measures saturation-grade robustness: a churn-driven
+// extSaturation measures saturation-grade robustness: a churn-driven
 // cell is pushed past its floor-carrying capacity and plain FLARE
 // (admit everyone, split the shortfall) is compared against FLARE with
 // admission control plus the downgrade ladder (refuse what cannot be
@@ -66,7 +42,7 @@ func saturationConfig(scale Scale, load float64, robust bool) cellsim.Config {
 // overload the robust arm keeps its admitted flows stall-free and
 // delivers strictly higher QoE among them than the naive arm does among
 // its (universally admitted) flows.
-func RunExtSaturation(scale Scale) (*Report, error) {
+func extSaturation(t *T) *Report {
 	rep := &Report{
 		ID:    "ext-saturation",
 		Title: "Extension — saturation: admission control and downgrade ladder under churn",
@@ -77,14 +53,8 @@ func RunExtSaturation(scale Scale) (*Report, error) {
 	var naiveQoE, robustQoE, admittedShare, naiveStall, robustStall []metrics.Point
 
 	for _, load := range extSatLoads {
-		naive, err := summarizeSatRuns(saturationConfig(scale, load, false), scale)
-		if err != nil {
-			return nil, err
-		}
-		robust, err := summarizeSatRuns(saturationConfig(scale, load, true), scale)
-		if err != nil {
-			return nil, err
-		}
+		naive := summarizeSatRuns(t.runs(saturationConfig(t, load, false)))
+		robust := summarizeSatRuns(t.runs(saturationConfig(t, load, true)))
 		tbl.AddRow(fmt.Sprintf("naive %.1fx", load), naive.cells()...)
 		tbl.AddRow(fmt.Sprintf("robust %.1fx", load), robust.cells()...)
 
@@ -117,7 +87,7 @@ func RunExtSaturation(scale Scale) (*Report, error) {
 		metrics.Series{Name: "flare-robust/stall_vs_load", Points: robustStall},
 		metrics.Series{Name: "flare-robust/admitted_share_vs_load", Points: admittedShare},
 	)
-	return rep, nil
+	return rep
 }
 
 // satRow aggregates one sweep point over the admitted population only —
@@ -150,11 +120,7 @@ func (r satRow) cells() []string {
 	}
 }
 
-func summarizeSatRuns(cfg cellsim.Config, scale Scale) (satRow, error) {
-	results, err := runMany(cfg, scale)
-	if err != nil {
-		return satRow{}, err
-	}
+func summarizeSatRuns(results []*cellsim.Result) satRow {
 	var row satRow
 	var qoes, stalls []float64
 	for _, r := range results {
@@ -183,5 +149,5 @@ func summarizeSatRuns(cfg cellsim.Config, scale Scale) (satRow, error) {
 	}
 	row.qoe = metrics.Mean(qoes)
 	row.stallSec = metrics.Mean(stalls)
-	return row, nil
+	return row
 }

@@ -2,15 +2,17 @@ package flaresuite
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 
 	"github.com/flare-sim/flare/internal/cellsim"
-	"github.com/flare-sim/flare/internal/experiments"
 	"github.com/flare-sim/flare/internal/metrics"
 	"github.com/flare-sim/flare/internal/obs"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // ScenarioSpec is one declarative scenario: a name, one point in the
@@ -82,6 +84,7 @@ type T struct {
 	axes  Axes
 	scale Scale
 	ctx   context.Context
+	pool  *sim.WorkerPool // the run's worker pool, shared by every point
 
 	outDir string // per-scenario artifact directory; "" disables artifacts
 
@@ -157,7 +160,7 @@ func (t *T) Metric(name string, v float64) {
 }
 
 // Config compiles the instance's axes (plus the spec's Tune hook) into
-// one cell's configuration. Seed is left zero; RunPoint assigns it.
+// one cell's configuration. Seed is left zero; the run loop assigns it.
 func (t *T) Config() (cellsim.Config, error) {
 	cfg, err := BuildConfig(t.axes, t.scale)
 	if err != nil {
@@ -169,71 +172,126 @@ func (t *T) Config() (cellsim.Config, error) {
 	return cfg, nil
 }
 
-// RunPoint executes the instance's point: Scale().Runs seeded
-// repetitions of Axes().Cells independent cells each, in input order,
-// and returns the per-cell results flattened run-major. The first
-// (run 0, cell 0) execution records a JSONL telemetry trace into the
-// scenario's artifact directory when one is attached — recording is
-// proven not to perturb results (PR 4), so traced and untraced runs
-// report identical outcomes.
-func (t *T) RunPoint() ([]*cellsim.Result, error) {
+// build compiles an axis point at the run's scale, failing the scenario
+// on an invalid point.
+func (t *T) build(a Axes) cellsim.Config {
+	cfg, err := BuildConfig(a, t.scale)
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	return cfg
+}
+
+// MustRunPoint executes the instance's point: Scale().Runs seeded
+// repetitions of Axes().Cells independent cells each, returned
+// run-major. The (run 0, cell 0) execution records a JSONL telemetry
+// trace into the scenario's artifact directory when one is attached —
+// recording is proven not to perturb results, so traced and untraced
+// runs report identical outcomes. Any failure fails the scenario.
+func (t *T) MustRunPoint() []*cellsim.Result {
 	cfg, err := t.Config()
 	if err != nil {
-		return nil, err
+		t.Fatalf("%v", err)
 	}
-	runs := normRuns(t.scale)
-	cells := t.axes.withDefaults().Cells
-	out := make([]*cellsim.Result, 0, runs*cells)
-	for run := 0; run < runs; run++ {
-		for cell := 0; cell < cells; cell++ {
-			if err := t.ctx.Err(); err != nil {
-				return nil, err
+	trace := ""
+	if t.outDir != "" {
+		trace = filepath.Join(t.outDir, "trace.jsonl")
+		t.artifact("trace.jsonl")
+	}
+	return t.runSeeded(cfg, t.scale.normalized().Runs, t.axes.withDefaults().Cells, trace)
+}
+
+// runs executes cfg at the scale's seeded repetitions (one cell each)
+// and returns the results in run order.
+func (t *T) runs(cfg cellsim.Config) []*cellsim.Result {
+	return t.runSeeded(cfg, t.scale.normalized().Runs, 1, "")
+}
+
+// runSeeded is the one seeded-run loop: runs x cells copies of cfg, the
+// copy at (run, cell) seeded runSeed(run, cell), fanned out across the
+// worker pool and returned run-major. The first failure cancels the
+// copies still in flight and fails the scenario; a panicking copy
+// becomes that copy's error. A non-empty trace path records (run 0,
+// cell 0) as JSONL telemetry.
+func (t *T) runSeeded(cfg cellsim.Config, runs, cells int, trace string) []*cellsim.Result {
+	ctx, cancel := context.WithCancel(t.ctx)
+	defer cancel()
+	n := runs * cells
+	s := &seededRuns{ctx: ctx, cancel: cancel, cfg: cfg, cells: cells, trace: trace,
+		results: make([]*cellsim.Result, n), errs: make([]error, n)}
+	t.pool.Do(n, s)
+	// Report the first real failure; cancellations are its fallout.
+	var cancelled error
+	for i, err := range s.errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled):
+			if cancelled == nil {
+				cancelled = fmt.Errorf("run %d cell %d: %w", i/cells, i%cells, err)
 			}
-			c := cfg
-			c.Seed = runSeed(run, cell)
-			var sink *obs.JSONLSink
-			if run == 0 && cell == 0 && t.outDir != "" {
-				path := filepath.Join(t.outDir, "trace.jsonl")
-				if sink, err = obs.CreateJSONLFile(path); err != nil {
-					return nil, fmt.Errorf("flaresuite: %s: %w", t.name, err)
-				}
-				c.Obs = obs.New(obs.Options{Sinks: []obs.Sink{sink}})
-				t.artifact("trace.jsonl")
-			}
-			res, err := cellsim.RunContext(t.ctx, c)
-			if sink != nil {
-				if cerr := c.Obs.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("flaresuite: %s: run %d cell %d: %w", t.name, run, cell, err)
-			}
-			out = append(out, res)
+		default:
+			t.Fatalf("run %d cell %d: %v", i/cells, i%cells, err)
 		}
 	}
-	return out, nil
+	if cancelled != nil {
+		t.Fatalf("%v", cancelled)
+	}
+	return s.results
 }
 
-// MustRunPoint is RunPoint, failing the scenario on error.
-func (t *T) MustRunPoint() []*cellsim.Result {
-	results, err := t.RunPoint()
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	return results
+// seededRuns adapts runSeeded to sim.WorkerPool: each worker owns a
+// contiguous index range and writes only its own slots, so the results
+// are in index order by construction.
+type seededRuns struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	cfg     cellsim.Config
+	cells   int
+	trace   string
+	results []*cellsim.Result
+	errs    []error
 }
 
-// MustReport bridges a migrated experiment into the harness: it runs
-// the experiment at the scenario's scale, attaches its tables and plot
-// series as artifacts (<id>.txt / <id>.csv, byte-identical to the
-// committed results/ outputs at the same scale), forwards its notes,
-// and fails the scenario on error.
-func (t *T) MustReport(run func(Scale) (*experiments.Report, error)) *experiments.Report {
-	rep, err := run(t.scale)
-	if err != nil {
-		t.Fatalf("%v", err)
+// RunRange implements sim.RangeRunner.
+func (s *seededRuns) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if s.errs[i] = s.run(i); s.errs[i] != nil {
+			s.cancel()
+		}
 	}
+}
+
+func (s *seededRuns) run(i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	c := s.cfg
+	c.Seed = runSeed(i/s.cells, i%s.cells)
+	if i == 0 && s.trace != "" {
+		var sink *obs.JSONLSink
+		if sink, err = obs.CreateJSONLFile(s.trace); err != nil {
+			return err
+		}
+		c.Obs = obs.New(obs.Options{Sinks: []obs.Sink{sink}})
+		defer func() {
+			if cerr := c.Obs.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+	}
+	s.results[i], err = cellsim.RunContext(s.ctx, c)
+	return err
+}
+
+// report attaches a built report: its notes join the summary and, with
+// an artifact directory, it is written as <id>.txt plus <id>.csv (the
+// results/ format).
+func (t *T) report(rep *Report) *Report {
 	t.notes = append(t.notes, rep.Notes...)
 	if t.outDir != "" {
 		if err := rep.WriteFiles(t.outDir); err != nil {

@@ -1,4 +1,4 @@
-package experiments
+package flaresuite
 
 import (
 	"fmt"
@@ -12,17 +12,14 @@ var testbedSchemes = []cellsim.Scheme{
 	cellsim.SchemeFESTIVE, cellsim.SchemeGOOGLE, cellsim.SchemeFLARE,
 }
 
-// runTestbedTable produces the Table I / Table II summary.
-func runTestbedTable(id, title string, dynamic bool, scale Scale) (*Report, error) {
+// testbedTable produces the Table I / Table II summary.
+func testbedTable(t *T, id, title string, dynamic bool) *Report {
 	rep := &Report{ID: id, Title: title}
 	tbl := metrics.NewTable(title, "FESTIVE", "GOOGLE", "FLARE")
 
 	var avgRate, stall, changes, jain, dataTput []float64
 	for _, scheme := range testbedSchemes {
-		results, err := runMany(testbedConfig(scheme, dynamic, scale), scale)
-		if err != nil {
-			return nil, err
-		}
+		results := t.runs(testbedConfig(scheme, dynamic, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		chs := pooled(results, (*cellsim.Result).Changes)
 		var stalls, jains, datas []float64
@@ -53,28 +50,29 @@ func runTestbedTable(id, title string, dynamic bool, scale Scale) (*Report, erro
 		stall[0], stall[1], stall[2])
 	rep.Notef("data flow: FESTIVE=%.0fK GOOGLE=%.0fK FLARE=%.0fK (paper: FESTIVE > FLARE > GOOGLE)",
 		dataTput[0], dataTput[1], dataTput[2])
-	return rep, nil
+	return rep
 }
 
-// RunTable1 reproduces Table I (static testbed).
-func RunTable1(scale Scale) (*Report, error) {
-	return runTestbedTable("table1", "Table I — static scenario summary", false, scale)
+// table1 reproduces Table I (static testbed).
+func table1(t *T) *Report {
+	return testbedTable(t, "table1", "Table I — static scenario summary", false)
 }
 
-// RunTable2 reproduces Table II (dynamic testbed).
-func RunTable2(scale Scale) (*Report, error) {
-	return runTestbedTable("table2", "Table II — dynamic scenario summary", true, scale)
+// table2 reproduces Table II (dynamic testbed).
+func table2(t *T) *Report {
+	return testbedTable(t, "table2", "Table II — dynamic scenario summary", true)
 }
 
-// runTimeseriesFigure produces the Figure 4 / Figure 5 per-second views.
-func runTimeseriesFigure(id, title string, dynamic bool, scale Scale) (*Report, error) {
+// timeseriesFigure produces the Figure 4 / Figure 5 per-second views
+// from one run per scheme.
+func timeseriesFigure(t *T, id, title string, dynamic bool) *Report {
 	rep := &Report{ID: id, Title: title}
 	for _, scheme := range testbedSchemes {
-		cfg := testbedConfig(scheme, dynamic, scale)
+		cfg := testbedConfig(scheme, dynamic, t.scale)
 		cfg.CollectSeries = true
-		res, err := cellsim.Run(cfg)
+		res, err := cellsim.RunContext(t.ctx, cfg)
 		if err != nil {
-			return nil, err
+			t.Fatalf("%v", err)
 		}
 		const maxPts = 600
 		for i, ts := range res.VideoRateSeries {
@@ -92,15 +90,15 @@ func runTimeseriesFigure(id, title string, dynamic bool, scale Scale) (*Report, 
 		rep.Notef("%s: mean rate %.0f Kbps, %.1f changes/client, %.1f s stalled",
 			scheme, res.MeanClientRate()/1000, res.MeanChanges(), res.TotalStallSeconds())
 	}
-	return rep, nil
+	return rep
 }
 
-// RunFig4 reproduces Figure 4 (static time series).
-func RunFig4(scale Scale) (*Report, error) {
-	return runTimeseriesFigure("fig4", "Figure 4 — static scenario time series", false, scale)
+// fig4 reproduces Figure 4 (static time series).
+func fig4(t *T) *Report {
+	return timeseriesFigure(t, "fig4", "Figure 4 — static scenario time series", false)
 }
 
-// RunFig5 reproduces Figure 5 (dynamic time series).
-func RunFig5(scale Scale) (*Report, error) {
-	return runTimeseriesFigure("fig5", "Figure 5 — dynamic scenario time series", true, scale)
+// fig5 reproduces Figure 5 (dynamic time series).
+func fig5(t *T) *Report {
+	return timeseriesFigure(t, "fig5", "Figure 5 — dynamic scenario time series", true)
 }

@@ -38,7 +38,7 @@ func TestAnalyzerHelpCoversRegistry(t *testing.T) {
 	for _, path := range []string{
 		lint.ModulePath + "/internal/cellsim",
 		lint.ModulePath + "/internal/oneapi",
-		lint.ModulePath + "/cmd/flarebench",
+		lint.ModulePath + "/cmd/flaresuite",
 	} {
 		for _, a := range lint.AnalyzersFor(path) {
 			if !seen[a.Name] {

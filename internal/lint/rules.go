@@ -144,12 +144,12 @@ var LayerRules = []LayerRule{
 		Forbid: []string{ModulePath},
 		Except: []string{
 			internalPrefix + "flaresuite",
-			internalPrefix + "cellsim", internalPrefix + "experiments",
+			internalPrefix + "cellsim",
 			internalPrefix + "faults", internalPrefix + "has",
 			internalPrefix + "lte", internalPrefix + "metrics",
 			internalPrefix + "obs", internalPrefix + "sim",
 		},
-		Reason: "the scenario harness compiles axes to engine configs and wraps experiment reports; it must never see oneapi wire internals or the load driver",
+		Reason: "the experiment runner compiles axes to engine configs and builds the paper's reports; it must never see oneapi wire internals or the load driver",
 	},
 	{
 		Scope:  ModulePath + "/cmd/flaresuite",
@@ -159,7 +159,7 @@ var LayerRules = []LayerRule{
 			internalPrefix + "flaresuite",
 			internalPrefix + "buildinfo", internalPrefix + "graceful",
 		},
-		Reason: "the suite CLI is flag parsing over the flaresuite API (plus -version and signal drain); engine or experiment imports belong behind the harness",
+		Reason: "the suite CLI is flag parsing over the flaresuite API (plus -version and signal drain); engine imports belong behind the runner",
 	},
 }
 

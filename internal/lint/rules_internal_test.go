@@ -24,7 +24,6 @@ func TestLayerRulesTable(t *testing.T) {
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/oneapi", true},
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/loadgen", true},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/cellsim", true},
-		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/experiments", true},
 		{ModulePath + "/internal/core", ModulePath + "/internal/obs", false},
 		{ModulePath + "/internal/oneapi", ModulePath + "/internal/sim", false},
 		{ModulePath + "/internal/oneapi", ModulePath + "/internal/obs", false},
@@ -34,7 +33,6 @@ func TestLayerRulesTable(t *testing.T) {
 		{ModulePath + "/internal/lte", ModulePath + "/internal/sim", false},
 		{ModulePath + "/internal/has", ModulePath + "/internal/transport", false},
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/cellsim", false},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/experiments", false},
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/obs", false},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/flaresuite", false},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/buildinfo", false},

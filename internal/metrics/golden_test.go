@@ -66,13 +66,3 @@ func TestTableGolden(t *testing.T) {
 	tbl.AddRow("cyclic", "1108") // short row: missing cells render empty
 	checkGolden(t, "table.txt.golden", []byte(tbl.String()))
 }
-
-func TestAsciiPlotGolden(t *testing.T) {
-	checkGolden(t, "ascii.txt.golden", []byte(AsciiPlot(48, 10, goldenSeries()...)))
-}
-
-func TestAsciiPlotEmpty(t *testing.T) {
-	if got := AsciiPlot(40, 8); got != "(no data)\n" {
-		t.Fatalf("empty plot = %q", got)
-	}
-}

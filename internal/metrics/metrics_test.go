@@ -304,31 +304,3 @@ func TestFormatKbps(t *testing.T) {
 		t.Errorf("FormatKbps = %q", got)
 	}
 }
-
-func TestAsciiPlotBasics(t *testing.T) {
-	s1 := Series{Name: "up", Points: []Point{{0, 0}, {1, 1}, {2, 2}}}
-	s2 := Series{Name: "down", Points: []Point{{0, 2}, {1, 1}, {2, 0}}}
-	out := AsciiPlot(40, 10, s1, s2)
-	if !strings.Contains(out, "*") || !strings.Contains(out, "o") {
-		t.Fatalf("glyphs missing:\n%s", out)
-	}
-	if !strings.Contains(out, "up") || !strings.Contains(out, "down") {
-		t.Fatalf("legend missing:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	if len(lines) < 12 {
-		t.Fatalf("plot too short: %d lines", len(lines))
-	}
-}
-
-func TestAsciiPlotEdgeCases(t *testing.T) {
-	if out := AsciiPlot(40, 10); !strings.Contains(out, "no data") {
-		t.Fatalf("empty plot: %q", out)
-	}
-	// Degenerate ranges must not divide by zero.
-	flat := Series{Name: "flat", Points: []Point{{1, 5}, {1, 5}}}
-	out := AsciiPlot(5, 2, flat) // also exercises size clamping
-	if !strings.Contains(out, "flat") {
-		t.Fatalf("degenerate plot broken:\n%s", out)
-	}
-}

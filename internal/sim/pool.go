@@ -13,7 +13,7 @@ type RangeRunner interface {
 }
 
 // WorkerPool is a bounded pool of persistent worker goroutines used to
-// split an indexed loop (the flaresuite scenario matrix) across cores
+// split an indexed loop (the flaresuite seeded-run loop) across cores
 // without perturbing determinism. The pool itself never reorders
 // anything observable: it only partitions [0, n) into contiguous
 // chunks, and every reduction over the results happens in the caller,
