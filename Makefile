@@ -51,12 +51,13 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each of the 13 fuzz targets a short adversarial
+# fuzz-smoke gives each of the 14 fuzz targets a short adversarial
 # budget on top of the committed seed corpora (which every plain
 # `go test` run replays).
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzMCKP -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzGateApply -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzControllerOps -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAdmission -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactSolverStaysFeasible -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
@@ -119,11 +120,14 @@ trace-demo:
 PAPER_SPECS = table1,table2,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,ext-coexist,ext-abr,ext-faults,ext-saturation
 
 # results regenerates results/ at full (paper) scale: results/<id>/<id>.txt
-# and .csv per report spec, plus summary.json recording the scale,
-# duration factor and run count. It exits non-zero when any spec's
-# acceptance clauses fail; the files are written either way.
+# and .csv per report spec, plus summary.json recording the build, scale,
+# duration factor and run count. It builds the binary rather than using
+# `go run`, whose builds carry no VCS stamp (their version reads
+# "devel"). It exits non-zero when any spec's acceptance clauses fail;
+# the files are written either way.
 results:
-	$(GO) run ./cmd/flaresuite run -scale full -scenario $(PAPER_SPECS) -out results
+	$(GO) build -o flaresuite ./cmd/flaresuite
+	./flaresuite run -scale full -scenario $(PAPER_SPECS) -out results
 
 # suite-quick runs every spec at quick scale through the flaresuite CLI,
 # the scenario matrix expanded, writing per-scenario traces/reports plus

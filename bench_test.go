@@ -253,8 +253,8 @@ func BenchmarkMixedCell(b *testing.B) {
 // reported via the gate's direct cost.
 
 func BenchmarkGateApply(b *testing.B) {
-	g := core.NewGate(4)
+	streak := 0
 	for i := 0; i < b.N; i++ {
-		g.Apply(i%16, 2, 3)
+		_, streak, _ = core.GateStep(4, streak, 2, 3)
 	}
 }

@@ -15,9 +15,9 @@ import (
 // is nearly all of it — a TTI, a BAI round, a completed segment, a
 // pacing or loss timer and a session's arrival or departure allocate
 // nothing in steady state (TestRunAllocsIndependentOfDuration), and
-// wiring a session allocates nothing beyond the controller's flow
-// record — so the bounds sit about 10 % above the 150 and 349–351
-// measured over seeds 1–3, and one allocation more per BAI (60, 400),
+// wiring a session allocates nothing (the controller keeps it as a row
+// of its flow table) — so the bounds sit about 10 % above the 116 and
+// 117–118 measured over seeds 1–3, and one allocation more per BAI (60, 400),
 // per session (20, 200) or per TTI crosses them. Both are deterministic
 // counts, unlike the wall-clock rates the ledger records for the same
 // cells.
@@ -27,8 +27,8 @@ func TestEngineRunAllocs(t *testing.T) {
 		cfg   func(seed uint64) cellsim.Config
 		bound float64
 	}{
-		{"tick", EngineTickConfig, 165},
-		{"churn", EngineChurnConfig, 386},
+		{"tick", EngineTickConfig, 128},
+		{"churn", EngineChurnConfig, 129},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {

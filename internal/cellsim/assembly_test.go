@@ -57,11 +57,12 @@ func churnConfig(seed uint64, sessions int, duration time.Duration, live float64
 // costs cellsim.New in heap allocations. The per-session objects (bearer,
 // transport flow, player, driver flow, plugin and its history) come out
 // of per-cell slabs, the MPD and its ladder are shared (the controller
-// keeps the ladder it is registered with), and every event and delivery
-// hook is a pointer view of its slab slot, so all that is left per
-// session is the controller's flow record (core.ctrlFlow) plus amortised
-// map growth. A per-session method value, Sprintf, Errorf or ladder
-// copy creeping back shows up here as a whole number.
+// keeps the ladder it is registered with), every event and delivery
+// hook is a pointer view of its slab slot, and the controller keeps a
+// session as a row of its flow table, so nothing is left per session
+// but the amortised doublings of slices that grow with the cell. A
+// per-session record, method value, Sprintf, Errorf or ladder copy
+// creeping back shows up here as a whole number.
 func TestCellAssemblyAllocsPerSession(t *testing.T) {
 	allocs := func(sessions int) float64 {
 		cfg := churnConfig(1, sessions, 400*time.Second, 12)
@@ -74,13 +75,14 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 	small, large := allocs(20), allocs(200)
 	perSession := (large - small) / 180
 	t.Logf("cellsim.New: %.0f allocs at 20 sessions, %.0f at 200, %.2f per added session", small, large, perSession)
-	// Measured 1.03: the controller's flow record and a little map
-	// growth. A per-session method value or closure adds a whole one.
-	if perSession > 1.5 {
-		t.Errorf("each added session costs %.2f allocations in cellsim.New, want <= 1.5", perSession)
+	// Measured 0.02: slice doublings. A per-session object of any kind
+	// adds a whole one.
+	if perSession > 0.1 {
+		t.Errorf("each added session costs %.2f allocations in cellsim.New, want <= 0.1", perSession)
 	}
-	if large > 600 {
-		t.Errorf("cellsim.New on the 200-session churn cell makes %.0f allocations, want <= 600", large)
+	// Measured 86.
+	if large > 100 {
+		t.Errorf("cellsim.New on the 200-session churn cell makes %.0f allocations, want <= 100", large)
 	}
 }
 
@@ -101,12 +103,12 @@ func metroCell(seed uint64, duration time.Duration) Config {
 // TestMultiCellAllocsPerCell pins the heap objects of a whole multi-cell
 // run: four metro-shaped cells through RunMultiConfig on one shared
 // server, assembly included — the path the ledger's metro_shared
-// figure measures. Measured 121.5 per cell; the bound leaves about
+// figure measures. Measured 80.5 per cell; the bound leaves about
 // 10 % headroom, so one object more per session (26 per cell) or per
 // BAI (20) crosses it.
 func TestMultiCellAllocsPerCell(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const cells, bound = 4, 135
+	const cells, bound = 4, 89
 	cfgs := make([]Config, cells)
 	for c := range cfgs {
 		cfgs[c] = metroCell(uint64(1+c), 20*time.Second)

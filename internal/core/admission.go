@@ -10,8 +10,7 @@ import (
 // predicate (can one more flow hold its floor level inside the BAI's RB
 // budget?) and the downgrade-ladder shedding state machine. Both sit
 // off the per-TTI hot path — they run at session-open and once-per-BAI
-// cadence only — and both are allocation-free except for the sorted
-// flow-ID scratch in FloorDemandRBs.
+// cadence only — and both are allocation-free.
 
 // budgetRBs is N in Eq. 4: the RB budget the optimiser plans against
 // over one BAI, after the capacity margin.
@@ -27,13 +26,12 @@ func (c *Controller) floorCostRBs(ladder has.Ladder, rbsPerByte float64) float64
 
 // FloorDemandRBs returns the RBs all registered flows together need to
 // hold their floor levels this BAI, using the controller's current
-// EWMA radio-cost estimates. Flows are summed in sorted-ID order so
-// the float result is deterministic.
+// EWMA radio-cost estimates. Flows are summed in the flow table's
+// ascending-ID order so the float result is deterministic.
 func (c *Controller) FloorDemandRBs() float64 {
 	var sum float64
-	for _, id := range c.sortedIDs() {
-		f := c.flows[id]
-		sum += c.floorCostRBs(f.ladder, f.rbsPerByte)
+	for i := range c.rows {
+		sum += c.floorCostRBs(c.rows[i].ladder, c.rows[i].rbsPerByte)
 	}
 	return sum
 }
@@ -61,7 +59,7 @@ func (c *Controller) ShedLevel() int { return c.shed }
 // minus shed (floored at level 0), combined with the client's own cap.
 // With the ladder disabled or idle this is exactly effectiveMaxBps, so
 // the default path is byte-identical to the pre-ladder controller.
-func (c *Controller) shedCap(f *ctrlFlow) float64 {
+func (c *Controller) shedCap(f *flowRow) float64 {
 	eff := f.effectiveMaxBps()
 	if !c.cfg.DowngradeLadder || c.shed == 0 {
 		return eff

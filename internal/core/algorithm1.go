@@ -1,66 +1,35 @@
 package core
 
-// Gate implements the stability rule of Algorithm 1: a flow's level may
-// rise by at most one step per BAI, and only after the optimiser has
-// recommended that step for delta*(L+1) consecutive BAIs (L being the
-// current 1-indexed level — higher levels climb more slowly, following
-// FESTIVE's delayed-update idea). Drops are applied immediately:
-// L^i = min(L^{i-1}, L^{i*}).
-type Gate struct {
-	delta   int
-	streaks map[int]int
-}
-
-// NewGate builds a gate with the given delta (Table IV default: 4).
-// delta <= 0 disables the streak requirement (up-switches apply
-// immediately), which is the ablation arm of Figure 12.
-func NewGate(delta int) *Gate {
-	return &Gate{delta: delta, streaks: make(map[int]int)}
-}
-
-// Delta returns the configured stability parameter.
-func (g *Gate) Delta() int { return g.delta }
-
-// required returns the recommendation streak needed to step up from
-// prevLevel (0-indexed): delta * (L+1) with L = prevLevel+1 (1-indexed).
-func (g *Gate) required(prevLevel int) int {
-	return g.delta * (prevLevel + 2)
-}
-
-// Apply resolves the final level for one flow given the previous level
-// and this BAI's recommendation. prevLevel -1 means the flow has no
-// assignment yet; the first recommendation is applied directly (the
-// optimiser already restricts new flows to the lowest level).
-func (g *Gate) Apply(flowID, prevLevel, recommended int) int {
-	final, _, _ := g.ApplyDetail(flowID, prevLevel, recommended)
-	return final
-}
-
-// ApplyDetail is Apply plus the gate's internal state for telemetry:
-// streak is the up-recommendation streak after this BAI (0 whenever it
-// was reset or consumed) and need is the streak length a pending
-// up-switch from prevLevel must reach (0 when no up-step is pending).
-func (g *Gate) ApplyDetail(flowID, prevLevel, recommended int) (final, streak, need int) {
+// GateStep is the stability rule of Algorithm 1 for one flow and one
+// BAI: a flow's level may rise by at most one step per BAI, and only
+// after the optimiser has recommended that step for delta*(L+1)
+// consecutive BAIs (L being the current 1-indexed level — higher levels
+// climb more slowly, following FESTIVE's delayed-update idea). Drops are
+// applied immediately: L^i = min(L^{i-1}, L^{i*}).
+//
+// streak is the flow's up-recommendation streak going in; GateStep
+// returns it updated (0 whenever it was reset or consumed), with the
+// final level and need, the streak length a pending up-switch from
+// prevLevel must reach (0 when no up-step is pending). prevLevel -1
+// means the flow has no assignment yet: the first recommendation is
+// applied directly (the optimiser already restricts new flows to the
+// lowest level). delta <= 0 disables the streak requirement (up-switches
+// apply immediately), which is the ablation arm of Figure 12.
+func GateStep(delta, streak, prevLevel, recommended int) (final, nextStreak, need int) {
 	if prevLevel < 0 {
-		g.streaks[flowID] = 0
 		return recommended, 0, 0
 	}
 	if recommended == prevLevel+1 {
-		g.streaks[flowID]++
-		if g.delta <= 0 || g.streaks[flowID] >= g.required(prevLevel) {
-			g.streaks[flowID] = 0
+		streak++
+		// delta * (L+1) with L = prevLevel+1 (1-indexed).
+		required := delta * (prevLevel + 2)
+		if delta <= 0 || streak >= required {
 			return prevLevel + 1, 0, 0
 		}
-		return prevLevel, g.streaks[flowID], g.required(prevLevel)
+		return prevLevel, streak, required
 	}
-	g.streaks[flowID] = 0
 	if recommended < prevLevel {
 		return recommended, 0, 0
 	}
 	return prevLevel, 0, 0
-}
-
-// Forget drops the streak state of a departed flow.
-func (g *Gate) Forget(flowID int) {
-	delete(g.streaks, flowID)
 }

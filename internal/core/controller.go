@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/flare-sim/flare/internal/has"
@@ -137,23 +136,37 @@ type Assignment struct {
 	RateBps float64 `json:"rate_bps"`
 }
 
-type ctrlFlow struct {
+// flowRow is one registered flow's row in the controller's flow table:
+// everything the cell tracks per flow, held by value.
+type flowRow struct {
 	id         int
 	ladder     has.Ladder
 	beta       float64
 	theta      float64
 	maxBps     float64
+	rbsPerByte float64 // EWMA radio cost
+	level      int     // current assigned level, -1 before first BAI
+	streak     int     // Algorithm 1's up-recommendation streak
+	// installed is the assignment the OneAPI server last published for
+	// the flow and installSeq the cell BAI sequence of its last
+	// successful install; hasInstall is false before the first.
+	installed  Assignment
+	installSeq int64
+	hasInstall bool
 	skimming   bool
-	level      int // current assigned level, -1 before first BAI
-	rbsPerByte float64
 }
 
 // effectiveMaxBps folds the skimming pin into the client cap.
-func (f *ctrlFlow) effectiveMaxBps() float64 {
+func (f *flowRow) effectiveMaxBps() float64 {
 	if f.skimming {
 		return f.ladder.Min()
 	}
 	return f.maxBps
+}
+
+// prefs returns the flow's preferences as they stand, defaults resolved.
+func (f *flowRow) prefs() Preferences {
+	return Preferences{MaxBps: f.maxBps, Beta: f.beta, ThetaBps: f.theta, Skimming: f.skimming}
 }
 
 // Controller is the OneAPI server's per-cell decision engine: it tracks
@@ -164,8 +177,11 @@ type Controller struct {
 	obj   Objective
 	exact *ExactSolver
 	relax *RelaxedSolver
-	gate  *Gate
-	flows map[int]*ctrlFlow
+	// rows is the flow table, in ascending flow-ID order: the order
+	// every per-flow pass uses, so float sums and outputs follow IDs.
+	// Sessions come and go by inserting and removing rows in place, so
+	// under churn the table's capacity is reused.
+	rows []flowRow
 
 	// Downgrade-ladder state (cfg.DowngradeLadder): shed is how many
 	// ladder steps are currently shaved off every flow's ceiling, and
@@ -190,12 +206,11 @@ type Controller struct {
 
 	// Per-BAI buffers reused across RunBAI calls (the solvers never
 	// retain the Problem, and a Controller's BAIs are serialised by its
-	// caller): the sorted flow IDs, the optimisation instance, the
-	// solver's answer and the assignments RunBAI returns.
-	scratchIDs []int
-	prob       Problem
-	sol        Solution
-	out        []Assignment
+	// caller): the optimisation instance, the solver's answer and the
+	// assignments RunBAI returns.
+	prob Problem
+	sol  Solution
+	out  []Assignment
 }
 
 // NewController builds a controller. Invalid config fields fall back to
@@ -232,8 +247,6 @@ func NewController(cfg Config) *Controller {
 		obj:   obj,
 		exact: NewExactSolver(),
 		relax: NewRelaxedSolver(),
-		gate:  NewGate(cfg.Delta),
-		flows: make(map[int]*ctrlFlow),
 		now:   time.Now, //flare:allow solver-latency timing is observational: DurNs/SolveTimes never feed an assignment decision, and tests inject a fake via SetWallClock
 	}
 }
@@ -272,10 +285,11 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	if err := ladder.Validate(); err != nil {
 		return fmt.Errorf("core: register flow %d: %w", flowID, err)
 	}
-	if _, exists := c.flows[flowID]; exists {
+	i, exists := c.find(flowID)
+	if exists {
 		return fmt.Errorf("core: flow %d already registered", flowID)
 	}
-	f := &ctrlFlow{
+	f := flowRow{
 		id:         flowID,
 		ladder:     ladder,
 		beta:       c.cfg.Beta,
@@ -291,7 +305,33 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	if prefs.ThetaBps > 0 {
 		f.theta = prefs.ThetaBps
 	}
-	c.flows[flowID] = f
+	c.rows = append(c.rows, flowRow{})
+	copy(c.rows[i+1:], c.rows[i:])
+	c.rows[i] = f
+	return nil
+}
+
+// find returns the index of flowID's row and whether it is registered;
+// when it is not, the index is where its row would be inserted.
+func (c *Controller) find(flowID int) (int, bool) {
+	lo, hi := 0, len(c.rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.rows[m].id < flowID {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.rows) && c.rows[lo].id == flowID
+}
+
+// row returns flowID's row, or nil when the flow is not registered. The
+// pointer is good until the next Register or Unregister.
+func (c *Controller) row(flowID int) *flowRow {
+	if i, ok := c.find(flowID); ok {
+		return &c.rows[i]
+	}
 	return nil
 }
 
@@ -299,7 +339,7 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 // the existence probe, costing neither Snapshot's ladder copy nor its
 // error value on a miss.
 func (c *Controller) Registered(flowID int) bool {
-	_, ok := c.flows[flowID]
+	_, ok := c.find(flowID)
 	return ok
 }
 
@@ -312,34 +352,51 @@ type SessionSnapshot struct {
 
 // Snapshot returns a flow's portable session state.
 func (c *Controller) Snapshot(flowID int) (SessionSnapshot, error) {
-	f, ok := c.flows[flowID]
-	if !ok {
+	f := c.row(flowID)
+	if f == nil {
 		return SessionSnapshot{}, fmt.Errorf("core: flow %d not registered", flowID)
 	}
-	return SessionSnapshot{
-		Ladder: f.ladder.Clone(),
-		Preferences: Preferences{
-			MaxBps:   f.maxBps,
-			Beta:     f.beta,
-			ThetaBps: f.theta,
-			Skimming: f.skimming,
-		},
-	}, nil
+	return SessionSnapshot{Ladder: f.ladder.Clone(), Preferences: f.prefs()}, nil
 }
 
 // Unregister removes a departed session.
 func (c *Controller) Unregister(flowID int) {
-	delete(c.flows, flowID)
-	c.gate.Forget(flowID)
+	i, ok := c.find(flowID)
+	if !ok {
+		return
+	}
+	n := len(c.rows) - 1
+	copy(c.rows[i:], c.rows[i+1:])
+	c.rows[n] = flowRow{} // drop the ladder reference
+	c.rows = c.rows[:n]
+}
+
+// MoveTo hands a session over to dst: the flow is registered there with
+// its ladder (shared, as Register keeps it) and preferences, exactly as
+// Register with its Snapshot would, and then unregistered here. Nothing
+// else moves — radio cost, level, streak and install record are this
+// cell's — so the two halves copy no ladder and allocate nothing while
+// both tables have room. A flow not registered here, or already
+// registered at dst, is an error and changes nothing.
+func (c *Controller) MoveTo(dst *Controller, flowID int) error {
+	f := c.row(flowID)
+	if f == nil {
+		return fmt.Errorf("core: flow %d not registered", flowID)
+	}
+	if err := dst.Register(flowID, f.ladder, f.prefs()); err != nil {
+		return err
+	}
+	c.Unregister(flowID)
+	return nil
 }
 
 // NumFlows returns the number of registered video sessions.
-func (c *Controller) NumFlows() int { return len(c.flows) }
+func (c *Controller) NumFlows() int { return len(c.rows) }
 
 // SetPreferences updates a registered flow's client preferences.
 func (c *Controller) SetPreferences(flowID int, prefs Preferences) error {
-	f, ok := c.flows[flowID]
-	if !ok {
+	f := c.row(flowID)
+	if f == nil {
 		return fmt.Errorf("core: flow %d not registered", flowID)
 	}
 	f.maxBps = prefs.MaxBps
@@ -353,21 +410,25 @@ func (c *Controller) SetPreferences(flowID int, prefs Preferences) error {
 	return nil
 }
 
-// sortedIDs returns the registered flow IDs in ascending order — the
-// order every per-flow pass uses, so float sums and outputs never see
-// map order — in the controller's buffer, good until the next call.
-func (c *Controller) sortedIDs() []int {
-	ids := c.scratchIDs[:0]
-	if cap(ids) < len(c.flows) {
-		ids = make([]int, 0, len(c.flows))
+// Installed returns the assignment last recorded for a flow with
+// SetInstalled and the install sequence recorded with it. ok is false
+// when the flow is not registered or has no record yet: a flow's record
+// goes with its session, so a re-registered flow starts without one.
+func (c *Controller) Installed(flowID int) (a Assignment, seq int64, ok bool) {
+	f := c.row(flowID)
+	if f == nil || !f.hasInstall {
+		return Assignment{}, 0, false
 	}
-	//flare:allow key-collection loop: the keys are sorted on the next line, so iteration order cannot reach state or output
-	for id := range c.flows {
-		ids = append(ids, id)
+	return f.installed, f.installSeq, true
+}
+
+// SetInstalled records a flow's published assignment and its install
+// sequence (the OneAPI server's bookkeeping, which the controller only
+// stores). It is a no-op for a flow that is not registered.
+func (c *Controller) SetInstalled(flowID int, a Assignment, seq int64) {
+	if f := c.row(flowID); f != nil {
+		f.installed, f.installSeq, f.hasInstall = a, seq, true
 	}
-	sort.Ints(ids)
-	c.scratchIDs = ids
-	return ids
 }
 
 // maxSolveTimes bounds the solve-latency history (32 KB a cell) above the
@@ -396,16 +457,16 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 	if numDataFlows < 0 {
 		return nil, fmt.Errorf("core: negative data flow count %d", numDataFlows)
 	}
-	ids := c.sortedIDs()
-	if len(ids) == 0 {
+	n := len(c.rows)
+	if n == 0 {
 		return nil, nil
 	}
 
 	// Refresh radio costs from the report (EWMA-smoothed; see Config).
 	w := c.cfg.CostSmoothing
-	for _, id := range ids {
-		f := c.flows[id]
-		s, ok := stats[id]
+	for i := range c.rows {
+		f := &c.rows[i]
+		s, ok := stats[f.id]
 		var sample float64
 		switch {
 		case ok && s.Bytes > 0 && s.RBs > 0:
@@ -419,11 +480,11 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 	}
 
 	prob := &c.prob
-	if cap(prob.Flows) < len(ids) {
-		prob.Flows = make([]VideoFlow, len(ids))
+	if cap(prob.Flows) < n {
+		prob.Flows = make([]VideoFlow, n)
 	}
 	*prob = Problem{
-		Flows:           prob.Flows[:len(ids)],
+		Flows:           prob.Flows[:n],
 		Objective:       c.obj,
 		NumDataFlows:    numDataFlows,
 		Alpha:           c.cfg.Alpha,
@@ -431,10 +492,10 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		BAISeconds:      c.cfg.BAI.Seconds(),
 		StickinessBonus: c.cfg.StickinessBonus,
 	}
-	for i, id := range ids {
-		f := c.flows[id]
+	for i := range c.rows {
+		f := &c.rows[i]
 		prob.Flows[i] = VideoFlow{
-			ID:         id,
+			ID:         f.id,
 			Ladder:     f.ladder,
 			Beta:       f.beta,
 			ThetaBps:   f.theta,
@@ -483,22 +544,22 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		c.updateShed(*sol, maxShed)
 	}
 
-	if cap(c.out) < len(ids) {
-		c.out = make([]Assignment, len(ids))
+	if cap(c.out) < n {
+		c.out = make([]Assignment, n)
 	}
-	out := c.out[:len(ids)]
-	for i, id := range ids {
-		f := c.flows[id]
-		final, streak, need := c.gate.ApplyDetail(id, f.level, sol.Levels[i])
+	out := c.out[:n]
+	for i := range c.rows {
+		f := &c.rows[i]
+		final, streak, need := GateStep(c.cfg.Delta, f.streak, f.level, sol.Levels[i])
 		if c.rec.Enabled() {
-			s := stats[id]
-			c.rec.Emit(obs.Clamp(c.cellID, int32(id), c.baiSeq,
+			s := stats[f.id]
+			c.rec.Emit(obs.Clamp(c.cellID, int32(f.id), c.baiSeq,
 				int32(sol.Levels[i]), int32(final), int32(f.level),
 				int32(streak), int32(need), s.Bytes, s.RBs, f.ladder.Rate(final)))
 		}
-		f.level = final
+		f.level, f.streak = final, streak
 		out[i] = Assignment{
-			FlowID:  id,
+			FlowID:  f.id,
 			Level:   final,
 			RateBps: f.ladder.Rate(final),
 		}

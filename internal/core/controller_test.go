@@ -7,34 +7,44 @@ import (
 	"github.com/flare-sim/flare/internal/has"
 )
 
+// gateFlow drives GateStep the way the controller drives it for one
+// flow's row: the streak carries from one BAI to the next.
+type gateFlow struct{ delta, streak int }
+
+func (g *gateFlow) apply(prevLevel, recommended int) int {
+	final, streak, _ := GateStep(g.delta, g.streak, prevLevel, recommended)
+	g.streak = streak
+	return final
+}
+
 func TestGateInitialAssignment(t *testing.T) {
-	g := NewGate(4)
-	if got := g.Apply(1, -1, 0); got != 0 {
+	g := &gateFlow{delta: 4}
+	if got := g.apply(-1, 0); got != 0 {
 		t.Fatalf("initial assignment = %d, want 0", got)
 	}
 }
 
 func TestGateDelaysUpSwitch(t *testing.T) {
-	g := NewGate(4)
+	g := &gateFlow{delta: 4}
 	// From level 0 (1-indexed 1), stepping to 1 requires 4*(1+1)=8
 	// consecutive recommendations.
 	for i := 1; i <= 7; i++ {
-		if got := g.Apply(1, 0, 1); got != 0 {
+		if got := g.apply(0, 1); got != 0 {
 			t.Fatalf("up-switch granted after %d recs", i)
 		}
 	}
-	if got := g.Apply(1, 0, 1); got != 1 {
+	if got := g.apply(0, 1); got != 1 {
 		t.Fatal("up-switch denied after 8 recs")
 	}
 }
 
 func TestGateStreakResetsOnOtherRecommendation(t *testing.T) {
-	g := NewGate(2)
-	g.Apply(1, 0, 1)
-	g.Apply(1, 0, 1)
-	g.Apply(1, 0, 0) // streak broken
+	g := &gateFlow{delta: 2}
+	g.apply(0, 1)
+	g.apply(0, 1)
+	g.apply(0, 0) // streak broken
 	for i := 1; i <= 3; i++ {
-		if got := g.Apply(1, 0, 1); got == 1 && i < 4 {
+		if got := g.apply(0, 1); got == 1 && i < 4 {
 			// required = 2*(0+2) = 4
 			t.Fatalf("up-switch after broken streak at %d", i)
 		}
@@ -42,20 +52,20 @@ func TestGateStreakResetsOnOtherRecommendation(t *testing.T) {
 }
 
 func TestGateDropsImmediately(t *testing.T) {
-	g := NewGate(4)
-	if got := g.Apply(1, 4, 1); got != 1 {
+	g := &gateFlow{delta: 4}
+	if got := g.apply(4, 1); got != 1 {
 		t.Fatalf("drop to 1 returned %d", got)
 	}
-	if got := g.Apply(1, 3, 0); got != 0 {
+	if got := g.apply(3, 0); got != 0 {
 		t.Fatalf("drop to 0 returned %d", got)
 	}
 }
 
 func TestGateNeverExceedsPrevPlusOne(t *testing.T) {
-	g := NewGate(1)
+	g := &gateFlow{delta: 1}
 	for prev := 0; prev < 5; prev++ {
 		for rec := 0; rec <= prev+1; rec++ {
-			got := g.Apply(7, prev, rec)
+			got := g.apply(prev, rec)
 			if got > prev+1 {
 				t.Fatalf("gate returned %d from prev %d", got, prev)
 			}
@@ -64,12 +74,12 @@ func TestGateNeverExceedsPrevPlusOne(t *testing.T) {
 }
 
 func TestGateHigherLevelsClimbSlower(t *testing.T) {
-	g := NewGate(2)
+	g := &gateFlow{delta: 2}
 	climb := func(prev int) int {
 		n := 0
 		for {
 			n++
-			if g.Apply(9, prev, prev+1) == prev+1 {
+			if g.apply(prev, prev+1) == prev+1 {
 				return n
 			}
 		}
@@ -82,21 +92,41 @@ func TestGateHigherLevelsClimbSlower(t *testing.T) {
 }
 
 func TestGateDeltaZeroDisables(t *testing.T) {
-	g := NewGate(0)
-	if got := g.Apply(1, 2, 3); got != 3 {
+	g := &gateFlow{delta: 0}
+	if got := g.apply(2, 3); got != 3 {
 		t.Fatalf("delta=0 gate delayed the up-switch: %d", got)
 	}
 }
 
+// TestGateForget: a flow's streak and install record live on its row,
+// so a departed flow that registers again starts from a fresh one.
 func TestGateForget(t *testing.T) {
-	g := NewGate(1)
-	g.Apply(1, 0, 1) // streak 1 of 2
-	g.Forget(1)
-	if got := g.Apply(1, 0, 1); got != 0 {
-		t.Fatal("forgotten streak persisted")
+	cfg := DefaultConfig() // delta 4: a climb from level 0 needs 8 BAIs
+	cfg.CostSmoothing = 1
+	c := controllerForTest(t, cfg, 2)
+	// Pin the first assignment low with a terrible radio report, then let
+	// the channel recover: the gate holds the climb while the streak builds.
+	if _, err := c.RunBAI(map[int]FlowStats{1: {Bytes: 10_000, RBs: 100_000}}, 0); err != nil {
+		t.Fatal(err)
 	}
-	if g.Delta() != 1 {
-		t.Fatal("Delta accessor wrong")
+	for bai := 0; bai < 3; bai++ {
+		if _, err := c.RunBAI(map[int]FlowStats{1: {Bytes: 1_000_000, RBs: 40_000}}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := c.row(1); f == nil || f.streak == 0 {
+		t.Fatalf("no up-streak built for flow 1 after the channel recovered: %+v", f)
+	}
+	c.SetInstalled(1, Assignment{FlowID: 1, Level: 2, RateBps: 1e6}, 3)
+	c.Unregister(1)
+	if err := c.Register(1, has.SimLadder(), Preferences{}); err != nil {
+		t.Fatal(err)
+	}
+	if f := c.row(1); f.streak != 0 || f.level != -1 {
+		t.Fatalf("re-registered flow kept its streak or level: %+v", f)
+	}
+	if _, _, ok := c.Installed(1); ok {
+		t.Fatal("re-registered flow kept its install record")
 	}
 }
 

@@ -17,8 +17,16 @@ func FuzzGateApply(f *testing.F) {
 		if prev < -1 {
 			prev = -1
 		}
-		g := NewGate(delta)
-		got := g.Apply(flowID, prev, rec)
+		// flowID picks the streak the flow carries in, as a row of the
+		// flow table would: any streak short of the climb's requirement.
+		streak := 0
+		if need := delta * (prev + 2); need > 1 {
+			streak = int(uint(flowID) % uint(need))
+		}
+		got, next, _ := GateStep(delta, streak, prev, rec)
+		if next < 0 || (next > 0 && rec != prev+1) {
+			t.Fatalf("streak %d after prev %d rec %d", next, prev, rec)
+		}
 		if prev < 0 {
 			if got != rec {
 				t.Fatalf("first assignment %d != recommendation %d", got, rec)

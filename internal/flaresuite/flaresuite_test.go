@@ -193,6 +193,10 @@ func TestRunLockstepAcrossWorkers(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %s %s: %v", procs, sc.Name, sc.Status, sc.Failures)
 			}
 		}
+		if sum.Version == "" {
+			t.Fatal("summary carries no build stamp")
+		}
+		sum.Version = "" // the build, not the run: not compared
 		b, err := sum.JSON()
 		if err != nil {
 			t.Fatal(err)

@@ -9,12 +9,13 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"github.com/flare-sim/flare/internal/buildinfo"
 	"github.com/flare-sim/flare/internal/metrics"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
 // SummarySchema versions the summary.json format.
-const SummarySchema = "flaresuite-summary/2"
+const SummarySchema = "flaresuite-summary/3"
 
 // Scenario statuses in summary.json.
 const (
@@ -57,12 +58,14 @@ type ScenarioSummary struct {
 	Artifacts []string           `json:"artifacts,omitempty"`
 }
 
-// Summary is a whole run's machine-readable outcome and its scale
-// stamp: the scale name plus the duration factor and run count actually
-// used, overrides applied. Its JSON encoding does not depend on the
-// core count.
+// Summary is a whole run's machine-readable outcome and its stamp: the
+// build that ran it (buildinfo.Version: a built binary's commit, "devel"
+// under `go run`) and the scale name plus the duration factor and run
+// count actually used, overrides applied. Its JSON encoding does not
+// depend on the core count.
 type Summary struct {
 	Schema    string            `json:"schema"`
+	Version   string            `json:"version"`
 	Scale     string            `json:"scale"`
 	Factor    float64           `json:"factor"`
 	Runs      int               `json:"runs"`
@@ -198,6 +201,7 @@ func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 	}
 	sum := &Summary{
 		Schema:    SummarySchema,
+		Version:   buildinfo.Version(),
 		Scale:     scaleName,
 		Factor:    scale.DurationFactor,
 		Runs:      scale.Runs,

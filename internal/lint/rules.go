@@ -144,7 +144,7 @@ var LayerRules = []LayerRule{
 		Forbid: []string{ModulePath},
 		Except: []string{
 			internalPrefix + "flaresuite",
-			internalPrefix + "cellsim",
+			internalPrefix + "buildinfo", internalPrefix + "cellsim",
 			internalPrefix + "faults", internalPrefix + "has",
 			internalPrefix + "lte", internalPrefix + "metrics",
 			internalPrefix + "obs", internalPrefix + "sim",

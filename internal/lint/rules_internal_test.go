@@ -34,6 +34,7 @@ func TestLayerRulesTable(t *testing.T) {
 		{ModulePath + "/internal/has", ModulePath + "/internal/transport", false},
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/cellsim", false},
 		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/obs", false},
+		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/buildinfo", false},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/flaresuite", false},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/buildinfo", false},
 		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/graceful", false},

@@ -68,12 +68,13 @@ type cellState struct {
 	rec  *obs.Recorder
 	pcef PCEF
 
+	// baiSeq counts the cell's BAI rounds. What a poll answers is kept
+	// on the flow's row in the controller (Controller.Installed): the
+	// flow's current assignment and the BAI sequence at which it was
+	// last successfully installed. The sequence lags baiSeq for flows
+	// whose PCEF installs failed, which is how polling plugins detect
+	// their own staleness.
 	baiSeq int64
-	// installed is, per flow, what a poll answers: the flow's current
-	// assignment and the BAI sequence at which it was last successfully
-	// installed. The sequence lags baiSeq for flows whose PCEF installs
-	// failed, which is how polling plugins detect their own staleness.
-	installed map[int]installation
 	// lastReportSeq is the highest accepted StatsReport.Seq (0 before
 	// the first sequenced report).
 	lastReportSeq int64
@@ -86,12 +87,6 @@ type cellState struct {
 	// installs is the batch handed to the PCEF (installGBRs), reused
 	// from round to round under mu.
 	installs []GBRInstall
-}
-
-// installation is one flow's entry in cellState.installed.
-type installation struct {
-	assignment core.Assignment
-	seq        int64
 }
 
 // cellIndex maps cell IDs to their state within one shard. It is
@@ -212,7 +207,6 @@ func (s *Server) cell(cellID int) *cellState {
 		controller: core.NewController(s.cfg),
 		rec:        s.rec,
 		pcef:       s.pcef,
-		installed:  make(map[int]installation),
 	}
 	c.controller.SetRecorder(s.rec, cellID)
 	if s.wallClock != nil {
@@ -478,7 +472,6 @@ func (s *Server) CloseSession(cellID, flowID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.controller.Unregister(flowID)
-	delete(c.installed, flowID)
 	s.dequeueLocked(c, flowID)
 	c.rec.Emit(obs.SessionClose(int32(cellID), int32(flowID)))
 	s.promoteLocked(cellID, c)
@@ -519,26 +512,24 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 	second.mu.Lock()
 	defer second.mu.Unlock()
 
-	snap, err := from.controller.Snapshot(flowID)
-	if err != nil {
+	if !from.controller.Registered(flowID) {
 		return fmt.Errorf("oneapi: handover flow %d from cell %d: %w", flowID, fromCell, ErrUnknownSession)
 	}
-	if err := to.controller.Register(flowID, snap.Ladder, snap.Preferences); err != nil {
+	in, seq, installed := from.controller.Installed(flowID)
+	if err := from.controller.MoveTo(to.controller, flowID); err != nil {
 		return fmt.Errorf("oneapi: handover: %w", err)
 	}
-	if in, ok := from.installed[flowID]; ok {
-		age := from.baiSeq - in.seq
-		in.seq = to.baiSeq - age
-		if in.seq < 0 {
+	if installed {
+		age := from.baiSeq - seq
+		seq = to.baiSeq - age
+		if seq < 0 {
 			// The target cell is younger than the assignment's age:
 			// clamp — the age signal saturates at the target's own
 			// BAI count, which is every BAI the new shard can vouch for.
-			in.seq = 0
+			seq = 0
 		}
-		to.installed[flowID] = in
+		to.controller.SetInstalled(flowID, in, seq)
 	}
-	from.controller.Unregister(flowID)
-	delete(from.installed, flowID)
 	s.dequeueLocked(from, flowID)
 	s.promoteLocked(fromCell, from)
 	to.rec.Emit(obs.Handover(int32(fromCell), int32(toCell), int32(flowID)))
@@ -653,12 +644,12 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 			// lagging (the staleness signal stays intact).
 			resp.Failed = append(resp.Failed, EnforcementFailure{FlowID: a.FlowID, Reason: installErrs[i].Error()})
 			c.rec.Emit(obs.InstallFail(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
-			if prev, ok := c.installed[a.FlowID]; ok && a.RateBps < prev.assignment.RateBps {
-				c.installed[a.FlowID] = installation{a, prev.seq}
+			if prev, seq, ok := c.controller.Installed(a.FlowID); ok && a.RateBps < prev.RateBps {
+				c.controller.SetInstalled(a.FlowID, a, seq)
 			}
 			continue
 		}
-		c.installed[a.FlowID] = installation{a, c.baiSeq}
+		c.controller.SetInstalled(a.FlowID, a, c.baiSeq)
 		resp.Assignments = append(resp.Assignments, a)
 		c.rec.Emit(obs.Install(int32(cellID), int32(a.FlowID), c.baiSeq, int32(a.Level), a.RateBps))
 	}
@@ -743,7 +734,7 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.installed[flowID]
+	a, seq, ok := c.controller.Installed(flowID)
 	if !ok {
 		if !c.controller.Registered(flowID) {
 			return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrUnknownSession)
@@ -751,10 +742,10 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 		return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrNoAssignment)
 	}
 	return AssignmentResponse{
-		FlowID:  in.assignment.FlowID,
-		RateBps: in.assignment.RateBps,
-		Level:   in.assignment.Level,
-		BAISeq:  in.seq,
+		FlowID:  a.FlowID,
+		RateBps: a.RateBps,
+		Level:   a.Level,
+		BAISeq:  seq,
 		CellSeq: c.baiSeq,
 	}, nil
 }
