@@ -19,6 +19,7 @@ import (
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/obs"
+	"github.com/flare-sim/flare/internal/oneapi"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
@@ -192,6 +193,26 @@ func BenchmarkCellAssemble(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cellsim.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMultiCellRun runs four metro_shared cells (120 simulated
+// seconds each) through RunMultiConfig on one shared OneAPI server, one
+// worker: assembly and run together, the window the ledger's
+// metro_shared allocation figure covers. `make profile` writes its
+// allocations site by site to multi-mem.prof.
+func BenchmarkMultiCellRun(b *testing.B) {
+	cfgs := make([]cellsim.Config, 4)
+	for c := range cfgs {
+		cfgs[c] = benchmarks.MetroCellConfig(uint64(1+c), 120*time.Second)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		server := oneapi.NewServer(core.DefaultConfig(), nil)
+		if _, err := cellsim.RunMultiConfig(context.Background(), cellsim.MultiConfig{Workers: 1}, server, cfgs...); err != nil {
 			b.Fatal(err)
 		}
 	}

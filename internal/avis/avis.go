@@ -90,6 +90,10 @@ func (a *Allocator) Config() Config { return a.cfg }
 // Register admits a video flow. AVIS learns the ladder by inspecting the
 // (unencrypted) video traffic in-network; here it is handed over
 // directly.
+//
+// The allocator keeps the ladder it is handed, without copying it, and
+// never writes to it; from then on the caller must not write to it
+// either. Many flows may share one ladder.
 func (a *Allocator) Register(flowID int, ladder has.Ladder) error {
 	if err := ladder.Validate(); err != nil {
 		return fmt.Errorf("avis: register flow %d: %w", flowID, err)
@@ -99,7 +103,7 @@ func (a *Allocator) Register(flowID int, ladder has.Ladder) error {
 	}
 	a.flows[flowID] = &avisFlow{
 		id:         flowID,
-		ladder:     ladder.Clone(),
+		ladder:     ladder,
 		bytesPerRB: core.DefaultBytesPerRB,
 	}
 	return nil

@@ -1,7 +1,8 @@
 // Package benchmarks defines the canonical engine workloads, shared by
 // the go-test benchmarks (bench_test.go), the whole-run allocation pins
 // in this package's tests, and the perf ledger (bench/ builds cell_busy
-// on EngineTickConfig and records CPUModel in its env block).
+// on EngineTickConfig and records CPUModel in its env block;
+// MetroCellConfig mirrors its metro_shared cell).
 package benchmarks
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/flare-sim/flare/internal/cellsim"
+	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
@@ -35,6 +37,21 @@ func EngineTickConfig(seed uint64) cellsim.Config {
 	cfg.Flare.BAI = 1 * time.Second
 	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: 12}
 	cfg.Seed = seed
+	return cfg
+}
+
+// MetroCellConfig returns one cell of the perf ledger's metro_shared
+// workload: 24 video and 2 greedy data flows on the 12-rung ladder,
+// FLARE on a static channel with a 1 s BAI, for d of simulated time.
+func MetroCellConfig(seed uint64, d time.Duration) cellsim.Config {
+	cfg := cellsim.DefaultConfig(cellsim.SchemeFLARE)
+	cfg.Seed = seed
+	cfg.Duration = d
+	cfg.NumVideo, cfg.NumData = 24, 2
+	cfg.Ladder = has.FineLadder()
+	cfg.SegmentDuration = 2 * time.Second
+	cfg.Flare.BAI = time.Second
+	cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: 16}
 	return cfg
 }
 

@@ -66,7 +66,7 @@ func (d *avisDriver) Init(e Engine, flows []*Flow) error {
 	d.e = e
 	d.flows = flows
 	for _, f := range flows {
-		if err := d.alloc.Register(f.ID, f.Player.MPD().Ladder()); err != nil {
+		if err := d.alloc.Register(f.ID, f.Player.MPD().SharedLadder()); err != nil {
 			return err
 		}
 	}

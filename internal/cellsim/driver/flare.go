@@ -32,11 +32,6 @@ type flareDriver struct {
 	// plugins is the group's plugin slab, parallel to flows: NewAdapter(i)
 	// hands out &plugins[i].
 	plugins []abr.FlarePlugin
-	// ladder is the bitrate ladder of ladderMPD, extracted once and put
-	// in every session request of the flows streaming that MPD (the
-	// server clones what it keeps).
-	ladder    has.Ladder
-	ladderMPD *has.MPD
 
 	// Control-plane fault injection (nil when disabled): independent
 	// decision streams for the eNodeB's stats reports and the plugins'
@@ -175,11 +170,10 @@ func (d *flareDriver) NewAdapter(i int) (has.Adapter, error) {
 }
 
 // sessionRequest builds the open request for one of the driver's flows.
+// It carries the presentation's shared read-only ladder: the session
+// keeps it without copying and never writes to it.
 func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
-	if m := f.Player.MPD(); m != d.ladderMPD {
-		d.ladderMPD, d.ladder = m, m.Ladder()
-	}
-	return oneapi.SessionRequest{FlowID: f.ID, LadderBps: d.ladder}
+	return oneapi.SessionRequest{FlowID: f.ID, LadderBps: f.Player.MPD().SharedLadder()}
 }
 
 // Init implements Controller: open a OneAPI session per flow and

@@ -25,7 +25,7 @@ type env struct {
 	clock  sim.Clock
 	events sim.EventQueue
 
-	// tickDirty marks the Sim's tick list stale (see Sim.allFlows). It
+	// tickDirty marks the Sim's tick list stale (see Sim.tickList). It
 	// lives here so that FlowActivated, the transport.Waker hook, sets
 	// it directly.
 	tickDirty bool
@@ -83,8 +83,6 @@ type Sim struct {
 	cellID  int
 
 	groups []*simGroup
-	// video is every group's flows concatenated, in flow-ID order.
-	video []*driver.Flow
 
 	// mpd is the cell's one media description: every player (video and
 	// legacy) streams the same presentation, so they share it — and the
@@ -94,29 +92,22 @@ type Sim struct {
 	// (players: video flows, then legacy), instead of one allocation per
 	// object per session. The slabs are never reallocated: the objects
 	// hold pointers to one another and to themselves (their event and
-	// delivery handlers).
+	// delivery handlers). Flow IDs are canonical: video (videoSlab is
+	// every group's flows in that order), then data, then legacy, so the
+	// slabs are also the cell's lists of each kind (see dataFlows).
 	bearerSlab []lte.Bearer
 	flowSlab   []transport.Flow
 	playerSlab []has.Player
 	videoSlab  []driver.Flow
 
-	dataBearers []*lte.Bearer
-	dataFlows   []*transport.Flow
-
-	legacyBearers []*lte.Bearer
-	legacyFlows   []*transport.Flow
-	legacyPlayers []*has.Player
-
-	// allFlows is every transport flow in canonical (flow-ID) order:
-	// video, then data, then legacy. tickList is the subset with bytes to
-	// send — the only flows whose Tick can act. env.tickDirty marks the
+	// tickList is the transport flows with bytes to send, in flow-ID
+	// order — the only flows whose Tick can act. env.tickDirty marks the
 	// list stale: set when a flow activates (the env's Waker hook) or
 	// when a listed flow is observed inactive, and serviced by rebuilding
-	// from allFlows, which keeps the tick order canonical. Tick order
+	// from flowSlab, which keeps the tick order canonical. Tick order
 	// across flows is immaterial for byte-exactness (a flow's Tick
 	// touches only its own state and bearer, and draws no RNG), but a
 	// canonical order keeps the engine easy to reason about.
-	allFlows []*transport.Flow
 	tickList []*transport.Flow
 
 	// series state
@@ -179,12 +170,10 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 
 	s.bearerSlab = make([]lte.Bearer, numUEs)
 	s.flowSlab = make([]transport.Flow, numUEs)
-	s.allFlows = make([]*transport.Flow, 0, numUEs)
 	s.tickList = make([]*transport.Flow, 0, numUEs)
 	if players := cfg.NumVideo + cfg.NumLegacy; players > 0 {
 		s.playerSlab = make([]has.Player, players)
 		s.videoSlab = make([]driver.Flow, cfg.NumVideo)
-		s.video = make([]*driver.Flow, 0, cfg.NumVideo)
 		segs := int(cfg.Duration/cfg.SegmentDuration) + 16
 		if s.mpd, err = has.NewMPD(cfg.Ladder, cfg.SegmentDuration, segs); err != nil {
 			return nil, err
@@ -358,7 +347,6 @@ func (s *Sim) buildVideo() error {
 				}
 			}
 			g.flows = append(g.flows, f)
-			s.video = append(s.video, f)
 			id++
 		}
 	}
@@ -370,8 +358,8 @@ func groupCount(g *simGroup) int { return g.count }
 
 // newFlow builds flow `id` of the cell — its bearer, registered with
 // the eNodeB, and the transport flow over it, both carved from the
-// cell's slabs — and appends the flow to allFlows. Must be called in
-// canonical flow order: IDs index the slabs.
+// cell's slabs. Must be called in canonical flow order, so that the
+// eNodeB's bearers are in flow-ID order too.
 func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Flow, error) {
 	b := &s.bearerSlab[id]
 	*b = lte.Bearer{ID: id, UE: id, Class: class}
@@ -382,21 +370,28 @@ func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Fl
 	if err := f.Init(&s.env, b, s.cfg.Transport); err != nil {
 		return nil, nil, err
 	}
-	s.allFlows = append(s.allFlows, f)
 	return b, f, nil
 }
 
 func (s *Sim) buildData() error {
 	for i := 0; i < s.cfg.NumData; i++ {
-		b, flow, err := s.newFlow(s.cfg.NumVideo+i, lte.ClassData)
-		if err != nil {
+		if _, _, err := s.newFlow(s.cfg.NumVideo+i, lte.ClassData); err != nil {
 			return err
 		}
-		s.dataBearers = append(s.dataBearers, b)
-		s.dataFlows = append(s.dataFlows, flow)
 	}
 	return nil
 }
+
+// dataFlows returns the cell's data flows, in flow-ID order.
+func (s *Sim) dataFlows() []transport.Flow {
+	return s.flowSlab[s.cfg.NumVideo : s.cfg.NumVideo+s.cfg.NumData]
+}
+
+// legacyID is the flow ID of legacy player i.
+func (s *Sim) legacyID(i int) int { return s.cfg.NumVideo + s.cfg.NumData + i }
+
+// legacyPlayers returns the cell's legacy players, in flow-ID order.
+func (s *Sim) legacyPlayers() []has.Player { return s.playerSlab[s.cfg.NumVideo:] }
 
 // buildLegacy adds the conventional (non-FLARE) players of the Section
 // V coexistence deployment: FESTIVE adaptation over best-effort (data
@@ -405,7 +400,7 @@ func (s *Sim) buildData() error {
 // attribution, prefer Config.VideoGroups.)
 func (s *Sim) buildLegacy() error {
 	for i := 0; i < s.cfg.NumLegacy; i++ {
-		b, flow, err := s.newFlow(s.cfg.NumVideo+s.cfg.NumData+i, lte.ClassData)
+		_, flow, err := s.newFlow(s.legacyID(i), lte.ClassData)
 		if err != nil {
 			return err
 		}
@@ -413,9 +408,6 @@ func (s *Sim) buildLegacy() error {
 		if err := player.Init(&s.env, flow, s.mpd, abr.NewFestive(s.cfg.Festive, s.rng), s.cfg.Player); err != nil {
 			return err
 		}
-		s.legacyBearers = append(s.legacyBearers, b)
-		s.legacyFlows = append(s.legacyFlows, flow)
-		s.legacyPlayers = append(s.legacyPlayers, player)
 	}
 	return nil
 }
@@ -450,7 +442,8 @@ func (s *Sim) SetMBR(flowID int, bps float64) error { return s.enb.SetMBR(flowID
 func (s *Sim) RNG() *sim.RNG { return s.rng }
 
 func (s *Sim) sample(tSec float64) {
-	for i, f := range s.video {
+	for i := range s.videoSlab {
+		f := &s.videoSlab[i]
 		rate := 0.0
 		if q := f.Player.State().LastQuality; q >= 0 {
 			rate = s.cfg.Ladder.Rate(q)
@@ -458,8 +451,9 @@ func (s *Sim) sample(tSec float64) {
 		s.rateSeries[i].Add(tSec, rate)
 		s.bufSeries[i].Add(tSec, f.Player.BufferSeconds())
 	}
-	for i, f := range s.dataFlows {
-		delivered := f.DeliveredTotal()
+	data := s.dataFlows()
+	for i := range data {
+		delivered := data[i].DeliveredTotal()
 		delta := delivered - s.lastDataBytes[i]
 		s.lastDataBytes[i] = delivered
 		s.dataSeries[i].Add(tSec, float64(delta)*8/s.cfg.SampleEvery.Seconds())
@@ -487,17 +481,17 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 	}
 	sampleTTIs := sim.DurationToTTIs(s.cfg.SampleEvery)
 	if s.cfg.CollectSeries {
-		s.rateSeries = make([]*metrics.TimeSeries, len(s.video))
-		s.bufSeries = make([]*metrics.TimeSeries, len(s.video))
-		for i := range s.video {
+		s.rateSeries = make([]*metrics.TimeSeries, s.cfg.NumVideo)
+		s.bufSeries = make([]*metrics.TimeSeries, s.cfg.NumVideo)
+		for i := range s.rateSeries {
 			s.rateSeries[i] = &metrics.TimeSeries{}
 			s.bufSeries[i] = &metrics.TimeSeries{}
 		}
-		s.dataSeries = make([]*metrics.TimeSeries, len(s.dataFlows))
-		for i := range s.dataFlows {
+		s.dataSeries = make([]*metrics.TimeSeries, s.cfg.NumData)
+		for i := range s.dataSeries {
 			s.dataSeries[i] = &metrics.TimeSeries{}
 		}
-		s.lastDataBytes = make([]int64, len(s.dataFlows))
+		s.lastDataBytes = make([]int64, s.cfg.NumData)
 	}
 
 	var err error
@@ -530,21 +524,21 @@ func (s *Sim) scheduleStarts() {
 	// argument: a declared flow costs the run no allocation until it
 	// arrives.
 	arrive, depart := (*arrival)(s), (*departure)(s)
-	for _, f := range s.video {
+	for id := 0; id < s.cfg.NumVideo; id++ {
 		startTTI := int64(s.rng.Intn(2000))
 		if len(s.cfg.VideoArrivals) > 0 {
-			startTTI = sim.DurationToTTIs(s.cfg.VideoArrivals[f.ID])
+			startTTI = sim.DurationToTTIs(s.cfg.VideoArrivals[id])
 		}
-		s.env.events.ScheduleHandlerArg(startTTI, arrive, int64(f.ID))
-		if len(s.cfg.VideoDepartures) > 0 && s.cfg.VideoDepartures[f.ID] > 0 {
-			s.env.events.ScheduleHandlerArg(sim.DurationToTTIs(s.cfg.VideoDepartures[f.ID]), depart, int64(f.ID))
+		s.env.events.ScheduleHandlerArg(startTTI, arrive, int64(id))
+		if len(s.cfg.VideoDepartures) > 0 && s.cfg.VideoDepartures[id] > 0 {
+			s.env.events.ScheduleHandlerArg(sim.DurationToTTIs(s.cfg.VideoDepartures[id]), depart, int64(id))
 		}
 	}
-	for i := range s.legacyPlayers {
-		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyBearers[i].ID))
+	for i := 0; i < s.cfg.NumLegacy; i++ {
+		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyID(i)))
 	}
-	for i := range s.dataFlows {
-		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.dataBearers[i].ID))
+	for i := 0; i < s.cfg.NumData; i++ {
+		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.cfg.NumVideo+i))
 	}
 }
 
@@ -574,15 +568,15 @@ func (s *Sim) groupOf(id int) *simGroup {
 // announces itself to its group's controller and starts playing; a data
 // flow turns greedy; a legacy player starts.
 func (s *Sim) flowArrives(id int64) {
-	if i := int(id) - len(s.video); i >= 0 {
-		if i < len(s.dataFlows) {
-			s.dataFlows[i].SetGreedy(true)
+	if i := int(id) - s.cfg.NumVideo; i >= 0 {
+		if i < s.cfg.NumData {
+			s.flowSlab[id].SetGreedy(true)
 		} else {
-			s.legacyPlayers[i-len(s.dataFlows)].Start()
+			s.legacyPlayers()[i-s.cfg.NumData].Start()
 		}
 		return
 	}
-	f := s.video[id]
+	f := &s.videoSlab[id]
 	s.rec.Emit(obs.FlowStart(int32(s.cellID), int32(f.ID)))
 	if aa, ok := s.groupOf(f.ID).ctrl.(driver.ArrivalAware); ok {
 		aa.OnFlowArrival(f)
@@ -592,7 +586,7 @@ func (s *Sim) flowArrives(id int64) {
 
 // flowDeparts is the departure event of video flow id.
 func (s *Sim) flowDeparts(id int64) {
-	f := s.video[id]
+	f := &s.videoSlab[id]
 	f.Player.Stop()
 	s.groupOf(f.ID).ctrl.OnFlowDeparture(f)
 	s.rec.Emit(obs.FlowDepart(int32(s.cellID), int32(f.ID)))
@@ -630,8 +624,8 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 			return ctx.Err()
 		}
 		s.env.events.RunDue(tti)
-		for _, f := range s.allFlows {
-			f.Tick()
+		for i := range s.flowSlab {
+			s.flowSlab[i].Tick()
 		}
 		s.enb.RunTTI(tti)
 		if err := s.runHooks(tti, sampleTTIs); err != nil {
@@ -695,8 +689,8 @@ func (s *Sim) runFast(ctx context.Context, durTTIs, sampleTTIs int64) error {
 // rebuildTickList recomputes the active-flow subset in canonical order.
 func (s *Sim) rebuildTickList() {
 	s.tickList = s.tickList[:0]
-	for _, f := range s.allFlows {
-		if f.Active() {
+	for i := range s.flowSlab {
+		if f := &s.flowSlab[i]; f.Active() {
 			s.tickList = append(s.tickList, f)
 		}
 	}
@@ -753,9 +747,9 @@ func (s *Sim) buildResult() *Result {
 	// result's JSON tells nil from empty.
 	res := &Result{
 		Scheme:  s.cfg.Scheme,
-		Clients: slices.Grow([]ClientResult(nil), len(s.video)),
-		Data:    slices.Grow([]DataResult(nil), len(s.dataFlows)),
-		Legacy:  slices.Grow([]ClientResult(nil), len(s.legacyPlayers)),
+		Clients: slices.Grow([]ClientResult(nil), s.cfg.NumVideo),
+		Data:    slices.Grow([]DataResult(nil), s.cfg.NumData),
+		Legacy:  slices.Grow([]ClientResult(nil), s.cfg.NumLegacy),
 	}
 	for _, g := range s.groups {
 		telemetry, _ := g.ctrl.(driver.FlowTelemetry)
@@ -772,15 +766,18 @@ func (s *Sim) buildResult() *Result {
 			res.Clients = append(res.Clients, cr)
 		}
 	}
-	for i, f := range s.dataFlows {
+	data := s.dataFlows()
+	for i := range data {
 		res.Data = append(res.Data, DataResult{
-			FlowID:     s.dataBearers[i].ID,
-			AvgTputBps: float64(f.DeliveredTotal()) * 8 / durSec,
+			FlowID:     s.cfg.NumVideo + i,
+			AvgTputBps: float64(data[i].DeliveredTotal()) * 8 / durSec,
 		})
 	}
-	for i, p := range s.legacyPlayers {
+	legacy := s.legacyPlayers()
+	for i := range legacy {
+		id := s.legacyID(i)
 		res.Legacy = append(res.Legacy,
-			clientResult(s.legacyBearers[i].ID, SchemeFESTIVE, p, s.legacyFlows[i], durSec))
+			clientResult(id, SchemeFESTIVE, &legacy[i], &s.flowSlab[id], durSec))
 	}
 	for _, g := range s.groups {
 		if ct, ok := g.ctrl.(driver.ControlTelemetry); ok {

@@ -176,11 +176,12 @@ type Controller struct {
 	cfg   Config
 	obj   Objective
 	exact *ExactSolver
-	relax *RelaxedSolver
+	relax *RelaxedSolver // built by the first relaxed solve
 	// rows is the flow table, in ascending flow-ID order: the order
 	// every per-flow pass uses, so float sums and outputs follow IDs.
 	// Sessions come and go by inserting and removing rows in place, so
-	// under churn the table's capacity is reused.
+	// under churn the table's capacity is reused. The first Register
+	// sizes it for minRows.
 	rows []flowRow
 
 	// Downgrade-ladder state (cfg.DowngradeLadder): shed is how many
@@ -246,7 +247,6 @@ func NewController(cfg Config) *Controller {
 		cfg:   cfg,
 		obj:   obj,
 		exact: NewExactSolver(),
-		relax: NewRelaxedSolver(),
 		now:   time.Now, //flare:allow solver-latency timing is observational: DurNs/SolveTimes never feed an assignment decision, and tests inject a fake via SetWallClock
 	}
 }
@@ -305,11 +305,20 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	if prefs.ThetaBps > 0 {
 		f.theta = prefs.ThetaBps
 	}
+	if c.rows == nil {
+		c.rows = make([]flowRow, 0, minRows)
+	}
 	c.rows = append(c.rows, flowRow{})
 	copy(c.rows[i+1:], c.rows[i:])
 	c.rows[i] = f
 	return nil
 }
+
+// minRows is the flow table's first capacity: a cell of a few sessions
+// never regrows it, and a larger one doubles from here rather than from
+// one. Not more: a server holds hundreds of small cells, and their spare
+// rows would add up.
+const minRows = 8
 
 // find returns the index of flowID's row and whether it is registered;
 // when it is not, the index is where its row would be inserted.
@@ -436,12 +445,18 @@ func (c *Controller) SetInstalled(flowID int, a Assignment, seq int64) {
 // It is the history's first 64 entries doubled six times.
 const maxSolveTimes = 4096
 
-// SolveTimes returns the wall-clock duration of each of the most recent
-// maxSolveTimes BAIs' optimisation, oldest first — the Figure 9 measurement.
-func (c *Controller) SolveTimes() []time.Duration {
-	out := make([]time.Duration, 0, len(c.solveTimes))
-	out = append(out, c.solveTimes[c.solveNext:]...)
-	return append(out, c.solveTimes[:c.solveNext]...)
+// SolveTimes returns the wall-clock duration in seconds of each of the
+// most recent maxSolveTimes BAIs' optimisation, oldest first — the
+// Figure 9 measurement, in a slice the caller owns.
+func (c *Controller) SolveTimes() []float64 {
+	out := make([]float64, 0, len(c.solveTimes))
+	for _, d := range c.solveTimes[c.solveNext:] {
+		out = append(out, d.Seconds())
+	}
+	for _, d := range c.solveTimes[:c.solveNext] {
+		out = append(out, d.Seconds())
+	}
+	return out
 }
 
 // RunBAI executes one bitrate assignment interval: update radio costs
@@ -509,6 +524,9 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 	sol := &c.sol
 	var err error
 	if c.cfg.UseRelaxation {
+		if c.relax == nil {
+			c.relax = NewRelaxedSolver()
+		}
 		*sol, err = c.relax.Solve(prob)
 	} else {
 		err = c.exact.SolveInto(prob, sol)

@@ -315,8 +315,8 @@ func TestControllerSolveTimesBounded(t *testing.T) {
 		t.Fatalf("history holds %d (cap %d) after %d BAIs, want %d", len(times), cap(c.solveTimes), total, maxSolveTimes)
 	}
 	for i, d := range times {
-		if want := time.Duration(total - maxSolveTimes + 1 + i); d != want {
-			t.Fatalf("times[%d] = %v, want %v (most recent %d, oldest first)", i, d, want, maxSolveTimes)
+		if want := time.Duration(total - maxSolveTimes + 1 + i).Seconds(); d != want {
+			t.Fatalf("times[%d] = %v s, want %v s (most recent %d, oldest first)", i, d, want, maxSolveTimes)
 		}
 	}
 }

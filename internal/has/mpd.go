@@ -87,9 +87,10 @@ func (m *MPD) Ladder() Ladder {
 	return l
 }
 
-// sharedLadder returns the ladder players stream by: the read-only one
-// NewMPD derived, or a fresh extraction when there is none.
-func (m *MPD) sharedLadder() Ladder {
+// SharedLadder returns the ladder players stream by: the read-only one
+// NewMPD derived, shared by every caller, or a fresh extraction when
+// there is none. Callers must not modify it.
+func (m *MPD) SharedLadder() Ladder {
 	if m.ladder != nil {
 		return m.ladder
 	}

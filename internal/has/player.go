@@ -110,7 +110,7 @@ type Player struct {
 	env  transport.Env
 	flow *transport.Flow
 	mpd  *MPD
-	// ladder is mpd's bitrate ladder (MPD.sharedLadder: one read-only
+	// ladder is mpd's bitrate ladder (MPD.SharedLadder: one read-only
 	// slice for every player of the presentation): state snapshots and
 	// per-segment accounting read it every decision, and MPD.Ladder()
 	// allocates per call. Adapters receive it in State and must not
@@ -166,7 +166,7 @@ func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	ladder := mpd.sharedLadder()
+	ladder := mpd.SharedLadder()
 	if err := ladder.Validate(); err != nil {
 		return err
 	}

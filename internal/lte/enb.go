@@ -1,6 +1,7 @@
 package lte
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -12,8 +13,11 @@ type ENodeB struct {
 	channel  Channel
 	sched    Scheduler
 	bearers  []*Bearer
-	byID     map[int]*Bearer
-	rbgSizes []int
+	rbgSizes []int // the package's RBGSizes table, read-only
+
+	// index is the bearers in ascending ID order, the first registration
+	// of each ID only: BearerByID binary-searches it.
+	index []*Bearer
 
 	// live holds the bearers that are not settled. A bearer is settled
 	// (Bearer.settled) when it has no backlog and an idle tick provably
@@ -28,6 +32,10 @@ type ENodeB struct {
 	// slices have room for every bearer (NewENodeB sizes them for one
 	// bearer per UE, AddBearer keeps them at least that large), so
 	// neither grows during a run.
+	//
+	// bearers, live, stirred and index are quarters of one backing
+	// array, each capped at its quarter: a table that outgrows it moves
+	// to storage of its own rather than writing into its neighbour.
 	live    []*Bearer
 	stirred []*Bearer
 
@@ -47,13 +55,14 @@ type ENodeB struct {
 // busy TTIs regrow them.
 func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 	n := ch.NumUEs()
+	tables := make([]*Bearer, 4*n)
 	return &ENodeB{
 		channel:    ch,
 		sched:      sched,
-		bearers:    make([]*Bearer, 0, n),
-		byID:       make(map[int]*Bearer, n),
-		live:       make([]*Bearer, 0, n),
-		stirred:    make([]*Bearer, 0, n),
+		bearers:    tables[0:0:n],
+		live:       tables[n : n : 2*n],
+		stirred:    tables[2*n : 2*n : 3*n],
+		index:      tables[3*n : 3*n : 4*n],
 		flowStates: make([]FlowState, 0, n),
 		active:     make([]*FlowState, 0, n),
 		rbgSizes:   RBGSizes(),
@@ -71,9 +80,9 @@ func (e *ENodeB) Channel() Channel { return e.channel }
 
 // AddBearer registers a bearer with the cell and returns it. The UE
 // index must be valid for the channel model. The bearer is indexed by ID
-// so BearerByID (the PCEF pathway, hit on every GBR update) stays O(1);
-// on a duplicate ID the first registration wins, preserving the old
-// linear-scan semantics.
+// so BearerByID (the PCEF pathway, hit on every GBR update) is a binary
+// search; on a duplicate ID the first registration wins, preserving the
+// old linear-scan semantics.
 func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	if b.UE < 0 || b.UE >= e.channel.NumUEs() {
 		return nil, fmt.Errorf("lte: bearer %d references UE %d, channel has %d UEs", b.ID, b.UE, e.channel.NumUEs())
@@ -85,22 +94,28 @@ func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	// A new bearer starts live; its first accounting pass settles it if
 	// it is idle.
 	e.live = append(e.live, b)
-	if e.byID == nil {
-		e.byID = make(map[int]*Bearer)
-	}
-	if _, dup := e.byID[b.ID]; !dup {
-		e.byID[b.ID] = b
+	if i, dup := e.find(b.ID); !dup {
+		e.index = slices.Insert(e.index, i, b)
 	}
 	return b, nil
+}
+
+// find returns the position in index of the bearer with the given ID,
+// or where one would be inserted, and whether there is one.
+func (e *ENodeB) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(e.index, id, func(b *Bearer, id int) int { return cmp.Compare(b.ID, id) })
 }
 
 // Bearers returns the registered bearers. The slice must not be modified.
 func (e *ENodeB) Bearers() []*Bearer { return e.bearers }
 
-// BearerByID returns the bearer with the given ID, or nil. O(1) via the
-// index maintained by AddBearer.
+// BearerByID returns the bearer with the given ID, or nil: a binary
+// search of the index AddBearer maintains.
 func (e *ENodeB) BearerByID(id int) *Bearer {
-	return e.byID[id]
+	if i, ok := e.find(id); ok {
+		return e.index[i]
+	}
+	return nil
 }
 
 // SetGBR updates a bearer's guaranteed bit rate — the PCEF/Continuous GBR

@@ -63,9 +63,11 @@ func buildPerRBBits() [MaxITbs + 1]float64 {
 	return tbl
 }
 
-// RBGSizes returns the RB width of each of the NumRBG resource block
-// groups. The slice is freshly allocated; callers may modify it.
-func RBGSizes() []int {
+// rbgSizes is the RB width of each of the NumRBG resource block groups:
+// RBGSize each, the last one what is left of NumRB.
+var rbgSizes = buildRBGSizes()
+
+func buildRBGSizes() []int {
 	sizes := make([]int, NumRBG)
 	total := 0
 	for i := range sizes {
@@ -77,6 +79,11 @@ func RBGSizes() []int {
 	}
 	return sizes
 }
+
+// RBGSizes returns the RB width of each of the NumRBG resource block
+// groups. The slice is one package-wide table that every cell hands its
+// scheduler: callers must not modify it.
+func RBGSizes() []int { return rbgSizes }
 
 // ClampITbs limits an iTbs index to the valid range [MinITbs, MaxITbs].
 func ClampITbs(i int) int {

@@ -758,10 +758,5 @@ func (s *Server) SolveTimes(cellID int) []float64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	times := c.controller.SolveTimes()
-	out := make([]float64, len(times))
-	for i, d := range times {
-		out[i] = d.Seconds()
-	}
-	return out
+	return c.controller.SolveTimes()
 }

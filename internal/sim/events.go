@@ -209,8 +209,13 @@ func (q *EventQueue) RunDue(now int64) int {
 	}
 }
 
-// push adds ev to the heap.
+// push adds ev to the heap. Its first growth goes straight to
+// eventSlabSize entries, the events one slab carves, instead of
+// doubling up from one.
 func (q *EventQueue) push(ev *event) {
+	if q.heap == nil {
+		q.heap = make([]*event, 0, eventSlabSize)
+	}
 	h := append(q.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
