@@ -126,7 +126,8 @@ type ArrivalAware interface {
 
 // SliceSizer is implemented by drivers whose SchedulerPolicy is
 // PolicySliced: it sizes the static video share of the cell given the
-// total video and background (data + legacy) populations.
+// managed video and background populations. Background is the data
+// flows plus every video group no network controller manages.
 type SliceSizer interface {
 	VideoFraction(numVideo, numBackground int) float64
 }

@@ -1,11 +1,14 @@
 package cellsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/flare-sim/flare/internal/core"
+	"github.com/flare-sim/flare/internal/lte"
+	"github.com/flare-sim/flare/internal/obs"
 	"github.com/flare-sim/flare/internal/oneapi"
 )
 
@@ -180,5 +183,99 @@ func TestMixedCellInMulti(t *testing.T) {
 	}
 	if n := len(server.SolveTimes(1)); n != 0 {
 		t.Errorf("pure FESTIVE cell ran %d solves", n)
+	}
+}
+
+// unmanagedWatch is a trace sink that checks, at every event of a run,
+// that no bearer from flow ID `from` on holds a GBR and that no install
+// names such a flow.
+type unmanagedWatch struct {
+	s        *Sim
+	from     int
+	installs int
+	err      error
+}
+
+func (w *unmanagedWatch) Write(e *obs.Event) error {
+	if w.err != nil || w.s == nil {
+		return nil
+	}
+	if e.Kind == obs.KindInstall {
+		w.installs++
+		if int(e.Flow) >= w.from {
+			w.err = fmt.Errorf("TTI %d: install names unmanaged flow %d", e.TTI, e.Flow)
+		}
+	}
+	for i := w.from; i < len(w.s.videoSlab); i++ {
+		if b := w.s.videoSlab[i].Bearer; b.GBRBits != 0 {
+			w.err = fmt.Errorf("TTI %d: unmanaged flow %d holds a %.0f bps GBR", e.TTI, i, b.GBRBits)
+		}
+	}
+	return nil
+}
+
+func (w *unmanagedWatch) Close() error { return nil }
+
+// TestSectionVCoexistence is the paper's Section V deployment: a
+// conventional player that no network controller manages is "serviced
+// like other data traffic without any bitrate guarantees". Next to a
+// FLARE group and next to an AVIS group, a FESTIVE group's bearers are
+// data-class, never hold a GBR and are never named by an install, and
+// AVIS's video slice is sized from the AVIS group alone.
+func TestSectionVCoexistence(t *testing.T) {
+	const nManaged, nFestive, nData = 3, 2, 1
+	for _, managed := range []Scheme{SchemeFLARE, SchemeAVIS} {
+		t.Run(managed.String(), func(t *testing.T) {
+			cfg := quickConfig(managed, 0, nData)
+			cfg.Duration = 60 * time.Second
+			cfg.VideoGroups = []FlowGroup{
+				{Scheme: managed, Count: nManaged},
+				{Scheme: SchemeFESTIVE, Count: nFestive},
+			}
+			watch := &unmanagedWatch{from: nManaged}
+			cfg.Obs = obs.New(obs.Options{RingSize: -1, Sinks: []obs.Sink{watch}})
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			watch.s = s
+			for i := range s.videoSlab {
+				want := lte.ClassVideo
+				if i >= nManaged {
+					want = lte.ClassData
+				}
+				if got := s.videoSlab[i].Bearer.Class; got != want {
+					t.Errorf("flow %d rides a %v bearer, want %v", i, got, want)
+				}
+			}
+			if managed == SchemeAVIS {
+				sliced, ok := s.enb.Scheduler().(lte.SlicedScheduler)
+				want := float64(nManaged) / float64(nManaged+nFestive+nData)
+				if !ok || sliced.VideoFraction != want {
+					t.Errorf("AVIS cell scheduler %#v, want a video slice of %.3f (the AVIS group alone)",
+						s.enb.Scheduler(), want)
+				}
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if watch.err != nil {
+				t.Fatal(watch.err)
+			}
+			if managed == SchemeFLARE && watch.installs == 0 {
+				t.Fatal("the FLARE group saw no installs")
+			}
+			for i := nManaged; i < len(s.videoSlab); i++ {
+				if b := s.videoSlab[i].Bearer; b.GBRBits != 0 {
+					t.Errorf("unmanaged flow %d ends holding a %.0f bps GBR", i, b.GBRBits)
+				}
+			}
+			for _, c := range res.ClientsByScheme(SchemeFESTIVE) {
+				if c.Segments < 10 {
+					t.Errorf("FESTIVE client %d starved: %d segments", c.FlowID, c.Segments)
+				}
+			}
+		})
 	}
 }

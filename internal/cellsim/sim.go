@@ -297,7 +297,8 @@ func (s *Sim) buildScheduler() lte.Scheduler {
 	case driver.PolicySliced:
 		frac := 0.0
 		if sizer != nil {
-			frac = sizer.VideoFraction(s.cfg.NumVideo, s.cfg.NumData+s.cfg.NumLegacy)
+			managed := s.managedVideo()
+			frac = sizer.VideoFraction(managed, s.cfg.NumVideo-managed+s.cfg.NumData+s.cfg.NumLegacy)
 		}
 		if frac > 1 {
 			frac = 1
@@ -308,13 +309,37 @@ func (s *Sim) buildScheduler() lte.Scheduler {
 	}
 }
 
+// managed reports whether a network controller (FLARE's GBR installs,
+// AVIS's slice) manages the group's flows. An unmanaged group is the
+// paper's Section V conventional player, "serviced like other data
+// traffic without any bitrate guarantees": its flows ride data bearers
+// and count as background wherever the cell is partitioned.
+func (g *simGroup) managed() bool {
+	return g.ctrl.SchedulerPolicy() != driver.PolicyBestEffort
+}
+
+// managedVideo counts the video flows of managed groups.
+func (s *Sim) managedVideo() int {
+	n := 0
+	for _, g := range s.groups {
+		if g.managed() {
+			n += g.count
+		}
+	}
+	return n
+}
+
 func (s *Sim) buildVideo() error {
 	id := 0
 	for _, g := range s.groups {
 		g := g
+		class := lte.ClassData
+		if g.managed() {
+			class = lte.ClassVideo
+		}
 		g.flows = make([]*driver.Flow, 0, groupCount(g))
 		for i := 0; i < groupCount(g); i++ {
-			b, flow, err := s.newFlow(id, lte.ClassVideo)
+			b, flow, err := s.newFlow(id, class)
 			if err != nil {
 				return err
 			}
