@@ -228,7 +228,12 @@ func TestSharedMPDIsNeverWritten(t *testing.T) {
 	before := make([]mpdContent, cells)
 	for c := range sims {
 		cfg := churnConfig(uint64(10+c), 40, 60*time.Second, 8)
-		cfg.NumLegacy = 1
+		// One conventional player beside the FLARE sessions, there
+		// from the start to the end.
+		cfg.NumVideo = 0
+		cfg.VideoGroups = []FlowGroup{{Scheme: SchemeFLARE, Count: 40}, {Scheme: SchemeFESTIVE, Count: 1}}
+		cfg.VideoArrivals = append(cfg.VideoArrivals, 0)
+		cfg.VideoDepartures = append(cfg.VideoDepartures, 0)
 		cfg.VBRJitter = 0.2
 		s, err := NewInCell(cfg, server, c)
 		if err != nil {

@@ -148,22 +148,22 @@ func TestLegacyCoexistence(t *testing.T) {
 	// FLARE cell with 2 coordinated and 2 legacy (FESTIVE) players:
 	// the coordinated flows get GBR treatment and must stream smoothly;
 	// the legacy flows still make progress as best-effort traffic.
-	cfg := quickConfig(SchemeFLARE, 2, 0)
-	cfg.NumLegacy = 2
+	cfg := mixedConfig(2, 2)
 	cfg.Duration = 180 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Legacy) != 2 {
-		t.Fatalf("%d legacy results", len(res.Legacy))
+	legacy := res.ClientsByScheme(SchemeFESTIVE)
+	if len(legacy) != 2 {
+		t.Fatalf("%d legacy results", len(legacy))
 	}
-	for _, c := range res.Clients {
+	for _, c := range res.ClientsByScheme(SchemeFLARE) {
 		if c.StallSeconds > 0 {
 			t.Errorf("coordinated client %d stalled %.1fs", c.FlowID, c.StallSeconds)
 		}
 	}
-	for _, c := range res.Legacy {
+	for _, c := range legacy {
 		if c.Segments < 10 {
 			t.Errorf("legacy client %d starved: %d segments", c.FlowID, c.Segments)
 		}
@@ -171,22 +171,11 @@ func TestLegacyCoexistence(t *testing.T) {
 	// The controller saw the legacy flows as data: with alpha > 0 it
 	// must have left them real capacity.
 	var legacyTput float64
-	for _, c := range res.Legacy {
+	for _, c := range legacy {
 		legacyTput += c.AvgTputBps
 	}
 	if legacyTput < 200_000 {
 		t.Fatalf("legacy flows squeezed to %.0f bps total", legacyTput)
-	}
-}
-
-func TestLegacyOnlyCellValidates(t *testing.T) {
-	cfg := quickConfig(SchemeFLARE, 0, 0)
-	cfg.NumLegacy = 2
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("legacy-only cell rejected: %v", err)
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

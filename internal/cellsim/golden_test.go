@@ -12,9 +12,10 @@ import (
 
 // The golden-determinism gate: fixed-seed single-scheme runs must produce
 // byte-identical results across refactors of the engine. The files under
-// testdata/golden were generated from the pre-driver (switch-dispatch)
-// engine; any change to flow construction order, RNG draw order, or
-// control-plane tick placement shows up here as a diff.
+// testdata/golden were last re-recorded when the conventional player
+// moved from its own population into a FESTIVE video group; any change
+// to flow construction order, RNG draw order, or control-plane tick
+// placement shows up here as a diff.
 //
 // Regenerate (only when a behaviour change is intended and understood):
 //
@@ -57,7 +58,6 @@ type goldenResult struct {
 	Scheme       string
 	Clients      []goldenClient
 	Data         []goldenData
-	Legacy       []goldenClient
 	ControlPlane goldenControl
 	// NumBAIs is the count of solver invocations; the wall times
 	// themselves are the one legitimately non-deterministic output.
@@ -96,23 +96,25 @@ func toGolden(r *Result) goldenResult {
 	for _, d := range r.Data {
 		g.Data = append(g.Data, goldenData{FlowID: d.FlowID, AvgTputBps: d.AvgTputBps})
 	}
-	for _, c := range r.Legacy {
-		g.Legacy = append(g.Legacy, toGoldenClient(c))
-	}
 	return g
 }
 
 // goldenConfig is the fixed scenario each scheme is pinned on: a busy
-// little cell exercising video, data, AND legacy populations, the cyclic
-// channel (so client-side estimators actually adapt), and fast control
+// little cell exercising the scheme's video group, a data flow and a
+// conventional FESTIVE player (the Section V coexistence deployment;
+// the FESTIVE cell is simply four FESTIVE players), the cyclic channel
+// (so client-side estimators actually adapt), and fast control
 // intervals.
 func goldenConfig(scheme Scheme) Config {
 	cfg := DefaultConfig(scheme)
 	cfg.Seed = 0x601d // arbitrary fixed seed
 	cfg.Duration = 90 * time.Second
-	cfg.NumVideo = 3
+	cfg.NumVideo = 4
+	if scheme != SchemeFESTIVE {
+		cfg.NumVideo = 0
+		cfg.VideoGroups = []FlowGroup{{Scheme: scheme, Count: 3}, {Scheme: SchemeFESTIVE, Count: 1}}
+	}
 	cfg.NumData = 1
-	cfg.NumLegacy = 1
 	cfg.SegmentDuration = 2 * time.Second
 	cfg.Flare.BAI = 2 * time.Second
 	cfg.Flare.Delta = 1

@@ -78,22 +78,35 @@ func TestMixedSchemeCellDeterministic(t *testing.T) {
 }
 
 func TestVideoGroupsValidation(t *testing.T) {
-	bad := []struct {
+	rows := []struct {
 		name string
 		mut  func(*Config)
-		want string
+		want string // "" = accepted, and the cell runs
 	}{
 		{"zero count", func(c *Config) { c.VideoGroups[0].Count = 0 }, "positive count"},
 		{"negative count", func(c *Config) { c.VideoGroups[1].Count = -3 }, "positive count"},
 		{"unknown scheme", func(c *Config) { c.VideoGroups[0].Scheme = Scheme(42) }, "no driver registered"},
 		{"duplicate scheme", func(c *Config) { c.VideoGroups[1].Scheme = SchemeFLARE }, "more than one video group"},
 		{"numvideo mismatch", func(c *Config) { c.NumVideo = 7 }, "disagrees"},
+		{"numvideo match", func(c *Config) { c.NumVideo = 4 }, ""},
+		// A FLARE cell whose only video is conventional players: nothing
+		// for the controller to manage, and nothing to refuse.
+		{"festive only", func(c *Config) { c.VideoGroups = []FlowGroup{{Scheme: SchemeFESTIVE, Count: 2}} }, ""},
 	}
-	for _, tt := range bad {
+	for _, tt := range rows {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := mixedConfig(2, 2)
 			tt.mut(&cfg)
 			err := cfg.Validate()
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -101,12 +114,6 @@ func TestVideoGroupsValidation(t *testing.T) {
 				t.Fatalf("error %q missing %q", err, tt.want)
 			}
 		})
-	}
-	// NumVideo equal to the groups' total is fine.
-	cfg := mixedConfig(2, 2)
-	cfg.NumVideo = 4
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("matching NumVideo rejected: %v", err)
 	}
 }
 
