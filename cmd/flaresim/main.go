@@ -90,7 +90,6 @@ func run() int {
 		duration    = flag.Duration("duration", 1200*time.Second, "simulated duration")
 		videos      = flag.Int("videos", 8, "number of video clients")
 		data        = flag.Int("data", 0, "number of greedy data flows")
-		legacy      = flag.Int("legacy", 0, "number of conventional (non-coordinated) HAS players")
 		channelName = flag.String("channel", "mobility", "channel model: static, cyclic, mobility")
 		iTbs        = flag.Int("itbs", 12, "iTbs for the static channel")
 		ladderName  = flag.String("ladder", "sim", "bitrate ladder: sim, testbed, fine")
@@ -199,7 +198,6 @@ func run() int {
 		cfg.NumVideo = 0
 	}
 	cfg.NumData = *data
-	cfg.NumLegacy = *legacy
 	cfg.Ladder = ladder
 	cfg.SegmentDuration = *segDur
 	cfg.Flare.Alpha = *alpha
@@ -342,9 +340,6 @@ func run() int {
 			kind = strings.ToLower(c.Scheme.String())
 		}
 		addClient(kind, c)
-	}
-	for _, c := range res.Legacy {
-		addClient("legacy", c)
 	}
 	for _, d := range res.Data {
 		tbl.AddRow(fmt.Sprintf("data %d", d.FlowID),

@@ -16,8 +16,8 @@ import (
 // pacing or loss timer and a session's arrival or departure allocate
 // nothing in steady state (TestRunAllocsIndependentOfDuration), and
 // wiring a session allocates nothing (the controller keeps it as a row
-// of its flow table) — so the bounds sit about 10 % above the 90–91 and
-// 94 measured over seeds 1–3 (92–93 and 95 under -race), and one
+// of its flow table) — so the bounds sit about 10 % above the 89 and
+// 93–94 measured over seeds 1–3 (91 and 94–95 under -race), and one
 // allocation more per BAI (60, 400), per session (20, 200) or per TTI
 // crosses them. Both are deterministic counts, unlike the wall-clock
 // rates the ledger records for the same cells.

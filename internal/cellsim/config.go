@@ -125,12 +125,6 @@ type Config struct {
 	Duration time.Duration
 	// NumVideo and NumData are the flow populations (one UE each).
 	NumVideo, NumData int
-	// NumLegacy adds conventional (FESTIVE) HAS players that are NOT
-	// FLARE-coordinated: the paper's Section V deployment story, where
-	// unmodified players coexist by being "serviced like other data
-	// traffic without any bitrate guarantees". Their flows ride
-	// best-effort bearers and count as data flows at the PCRF.
-	NumLegacy int
 	// Ladder is the video encoding ladder.
 	Ladder has.Ladder
 	// SegmentDuration is the video segment length (Table III: 10 s).
@@ -257,9 +251,8 @@ func (c *Config) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("cellsim: duration must be positive, got %v", c.Duration)
 	}
-	if c.NumVideo < 0 || c.NumData < 0 || c.NumLegacy < 0 {
-		return fmt.Errorf("cellsim: negative flow counts (%d video, %d data, %d legacy)",
-			c.NumVideo, c.NumData, c.NumLegacy)
+	if c.NumVideo < 0 || c.NumData < 0 {
+		return fmt.Errorf("cellsim: negative flow counts (%d video, %d data)", c.NumVideo, c.NumData)
 	}
 	if c.ControlShards < 0 {
 		return fmt.Errorf("cellsim: ControlShards must be >= 0, got %d", c.ControlShards)
@@ -287,10 +280,10 @@ func (c *Config) Validate() error {
 				c.NumVideo, numVideo)
 		}
 	}
-	if numVideo+c.NumData+c.NumLegacy == 0 {
+	if numVideo+c.NumData == 0 {
 		return fmt.Errorf("cellsim: no flows configured")
 	}
-	if numVideo > 0 || c.NumLegacy > 0 {
+	if numVideo > 0 {
 		if err := c.Ladder.Validate(); err != nil {
 			return fmt.Errorf("cellsim: %w", err)
 		}

@@ -57,7 +57,7 @@ type Config struct {
 	ControlShards int
 
 	// BackgroundFlows counts the cell's flows NOT in this driver's group
-	// (data + legacy + other video groups) — the competing population a
+	// (data + other video groups) — the competing population a
 	// network-side allocator must budget for.
 	BackgroundFlows int
 	// BackgroundFlowIDs are those flows' bearer IDs, for drivers that

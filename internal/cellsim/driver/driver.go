@@ -36,8 +36,9 @@ type Flow struct {
 	UE int
 	// Bearer is the LTE bearer carrying the flow.
 	Bearer *lte.Bearer
-	// Player is the HAS client state machine.
-	Player *has.Player
+	// Player is the HAS client state machine. It lives in the flow, in
+	// the engine's never-reallocated slab: its handlers point at it.
+	Player has.Player
 	// Transport is the flow's transport-level pipe (ticked by the engine;
 	// drivers normally only read delivery totals from it).
 	Transport *transport.Flow

@@ -177,7 +177,7 @@ func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
 }
 
 // Init implements Controller: open a OneAPI session per flow and
-// register the cell's background traffic (data, legacy, and co-resident
+// register the cell's background traffic (data flows and co-resident
 // video groups of other schemes) as data flows at the PCRF — to the
 // FLARE controller they are all just competing traffic.
 func (d *flareDriver) Init(e Engine, flows []*Flow) error {

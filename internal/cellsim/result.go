@@ -77,9 +77,6 @@ type Result struct {
 	Clients []ClientResult
 	// Data holds the per-data-flow outcomes.
 	Data []DataResult
-	// Legacy holds the outcomes of non-coordinated conventional HAS
-	// players (the Section V coexistence deployment).
-	Legacy []ClientResult
 	// SolveTimesSec are the FLARE optimiser wall times per BAI
 	// (empty for the other schemes) — the Figure 9 measurement.
 	SolveTimesSec []float64
@@ -169,15 +166,6 @@ func (r *Result) JainOfTputs() float64 {
 // JainOfRates returns Jain's fairness index over the average video rates.
 func (r *Result) JainOfRates() float64 {
 	return metrics.JainIndex(r.AvgRates())
-}
-
-// MeanQoE returns the across-client mean QoE score.
-func (r *Result) MeanQoE() float64 {
-	scores := make([]float64, len(r.Clients))
-	for i, c := range r.Clients {
-		scores[i] = c.QoEScore
-	}
-	return metrics.Mean(scores)
 }
 
 // TotalFallbackTransitions sums coordination-mode switches across

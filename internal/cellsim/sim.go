@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"github.com/flare-sim/flare/internal/abr"
 	"github.com/flare-sim/flare/internal/cellsim/driver"
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/has"
@@ -84,20 +83,20 @@ type Sim struct {
 
 	groups []*simGroup
 
-	// mpd is the cell's one media description: every player (video and
-	// legacy) streams the same presentation, so they share it — and the
-	// ladder derived from it — read-only. nil in a cell without players.
+	// mpd is the cell's one media description: every player streams the
+	// same presentation, so they share it — and the ladder derived from
+	// it — read-only. nil in a cell without players.
 	mpd *has.MPD
-	// Per-session state lives in per-cell slabs, indexed by flow ID
-	// (players: video flows, then legacy), instead of one allocation per
-	// object per session. The slabs are never reallocated: the objects
-	// hold pointers to one another and to themselves (their event and
-	// delivery handlers). Flow IDs are canonical: video (videoSlab is
-	// every group's flows in that order), then data, then legacy, so the
-	// slabs are also the cell's lists of each kind (see dataFlows).
+	// Per-session state lives in per-cell slabs, indexed by flow ID,
+	// instead of one allocation per object per session. The slabs are
+	// never reallocated: the objects hold pointers to one another and to
+	// themselves (their event and delivery handlers; a video flow's
+	// player lives inside its videoSlab entry). Flow IDs are canonical:
+	// video (videoSlab is every group's flows in that order), then data,
+	// so the slabs are also the cell's lists of each kind (see
+	// dataFlows).
 	bearerSlab []lte.Bearer
 	flowSlab   []transport.Flow
-	playerSlab []has.Player
 	videoSlab  []driver.Flow
 
 	// tickList is the transport flows with bytes to send, in flow-ID
@@ -156,7 +155,7 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	}
 	s.env.tickDirty = true
 
-	numUEs := cfg.NumVideo + cfg.NumData + cfg.NumLegacy
+	numUEs := cfg.NumVideo + cfg.NumData
 	ch, err := s.buildChannel(numUEs)
 	if err != nil {
 		return nil, err
@@ -171,8 +170,7 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	s.bearerSlab = make([]lte.Bearer, numUEs)
 	s.flowSlab = make([]transport.Flow, numUEs)
 	s.tickList = make([]*transport.Flow, 0, numUEs)
-	if players := cfg.NumVideo + cfg.NumLegacy; players > 0 {
-		s.playerSlab = make([]has.Player, players)
+	if cfg.NumVideo > 0 {
 		s.videoSlab = make([]driver.Flow, cfg.NumVideo)
 		segs := int(cfg.Duration/cfg.SegmentDuration) + 16
 		if s.mpd, err = has.NewMPD(cfg.Ladder, cfg.SegmentDuration, segs); err != nil {
@@ -187,9 +185,6 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	if err := s.buildData(); err != nil {
 		return nil, err
 	}
-	if err := s.buildLegacy(); err != nil {
-		return nil, err
-	}
 	for _, g := range s.groups {
 		if err := g.ctrl.Init(s, g.flows); err != nil {
 			return nil, err
@@ -200,18 +195,15 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 
 // buildDrivers instantiates one registered driver per video group, with
 // the engine-computed context each needs: its share of the configuration
-// plus the competing background population (data + legacy + the other
-// groups' video flows).
+// plus the competing background population (data + the other groups'
+// video flows).
 func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int) error {
 	totalVideo := totalCount(groups)
 	offset := 0
 	for _, fg := range groups {
-		background := make([]int, 0, s.cfg.NumData+s.cfg.NumLegacy+totalVideo-fg.Count)
+		background := make([]int, 0, s.cfg.NumData+totalVideo-fg.Count)
 		for i := 0; i < s.cfg.NumData; i++ {
 			background = append(background, totalVideo+i)
-		}
-		for i := 0; i < s.cfg.NumLegacy; i++ {
-			background = append(background, totalVideo+s.cfg.NumData+i)
 		}
 		for id := 0; id < totalVideo; id++ {
 			if id < offset || id >= offset+fg.Count {
@@ -298,7 +290,7 @@ func (s *Sim) buildScheduler() lte.Scheduler {
 		frac := 0.0
 		if sizer != nil {
 			managed := s.managedVideo()
-			frac = sizer.VideoFraction(managed, s.cfg.NumVideo-managed+s.cfg.NumData+s.cfg.NumLegacy)
+			frac = sizer.VideoFraction(managed, s.cfg.NumVideo-managed+s.cfg.NumData)
 		}
 		if frac > 1 {
 			frac = 1
@@ -347,23 +339,24 @@ func (s *Sim) buildVideo() error {
 			if err != nil {
 				return err
 			}
-			player := &s.playerSlab[id]
-			if err := player.Init(&s.env, flow, s.mpd, adapter, s.cfg.Player); err != nil {
-				return err
-			}
+			// The entry is set first and its player initialised in
+			// place: Init points the transport's delivery hook at the
+			// player, so the player must not move afterwards.
 			f := &s.videoSlab[id]
 			*f = driver.Flow{
 				ID:        id,
 				Index:     i,
 				UE:        id,
 				Bearer:    b,
-				Player:    player,
 				Adapter:   adapter,
 				Transport: flow,
 			}
+			if err := f.Player.Init(&s.env, flow, s.mpd, adapter, s.cfg.Player); err != nil {
+				return err
+			}
 			if s.rec.Enabled() {
 				flowID := int32(f.ID)
-				player.OnStall = func(started bool) {
+				f.Player.OnStall = func(started bool) {
 					if started {
 						s.rec.Emit(obs.StallStart(int32(s.cellID), flowID))
 					} else {
@@ -410,31 +403,6 @@ func (s *Sim) buildData() error {
 // dataFlows returns the cell's data flows, in flow-ID order.
 func (s *Sim) dataFlows() []transport.Flow {
 	return s.flowSlab[s.cfg.NumVideo : s.cfg.NumVideo+s.cfg.NumData]
-}
-
-// legacyID is the flow ID of legacy player i.
-func (s *Sim) legacyID(i int) int { return s.cfg.NumVideo + s.cfg.NumData + i }
-
-// legacyPlayers returns the cell's legacy players, in flow-ID order.
-func (s *Sim) legacyPlayers() []has.Player { return s.playerSlab[s.cfg.NumVideo:] }
-
-// buildLegacy adds the conventional (non-FLARE) players of the Section
-// V coexistence deployment: FESTIVE adaptation over best-effort (data
-// class) bearers, invisible to any network-side controller except as
-// data flows. (For first-class mixed populations with per-scheme result
-// attribution, prefer Config.VideoGroups.)
-func (s *Sim) buildLegacy() error {
-	for i := 0; i < s.cfg.NumLegacy; i++ {
-		_, flow, err := s.newFlow(s.legacyID(i), lte.ClassData)
-		if err != nil {
-			return err
-		}
-		player := &s.playerSlab[s.cfg.NumVideo+i]
-		if err := player.Init(&s.env, flow, s.mpd, abr.NewFestive(s.cfg.Festive, s.rng), s.cfg.Player); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CollectStats implements driver.Engine: drain the given flows'
@@ -559,9 +527,6 @@ func (s *Sim) scheduleStarts() {
 			s.env.events.ScheduleHandlerArg(sim.DurationToTTIs(s.cfg.VideoDepartures[id]), depart, int64(id))
 		}
 	}
-	for i := 0; i < s.cfg.NumLegacy; i++ {
-		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.legacyID(i)))
-	}
 	for i := 0; i < s.cfg.NumData; i++ {
 		s.env.events.ScheduleHandlerArg(int64(s.rng.Intn(2000)), arrive, int64(s.cfg.NumVideo+i))
 	}
@@ -591,14 +556,10 @@ func (s *Sim) groupOf(id int) *simGroup {
 
 // flowArrives is the arrival event of flow id. A video session
 // announces itself to its group's controller and starts playing; a data
-// flow turns greedy; a legacy player starts.
+// flow turns greedy.
 func (s *Sim) flowArrives(id int64) {
-	if i := int(id) - s.cfg.NumVideo; i >= 0 {
-		if i < s.cfg.NumData {
-			s.flowSlab[id].SetGreedy(true)
-		} else {
-			s.legacyPlayers()[i-s.cfg.NumData].Start()
-		}
+	if int(id) >= s.cfg.NumVideo {
+		s.flowSlab[id].SetGreedy(true)
 		return
 	}
 	f := &s.videoSlab[id]
@@ -774,12 +735,11 @@ func (s *Sim) buildResult() *Result {
 		Scheme:  s.cfg.Scheme,
 		Clients: slices.Grow([]ClientResult(nil), s.cfg.NumVideo),
 		Data:    slices.Grow([]DataResult(nil), s.cfg.NumData),
-		Legacy:  slices.Grow([]ClientResult(nil), s.cfg.NumLegacy),
 	}
 	for _, g := range s.groups {
 		telemetry, _ := g.ctrl.(driver.FlowTelemetry)
 		for _, f := range g.flows {
-			cr := clientResult(f.ID, g.scheme, f.Player, f.Transport, durSec)
+			cr := clientResult(f.ID, g.scheme, &f.Player, f.Transport, durSec)
 			cr.Admitted = true
 			if telemetry != nil {
 				ex := telemetry.FlowExtras(f)
@@ -797,12 +757,6 @@ func (s *Sim) buildResult() *Result {
 			FlowID:     s.cfg.NumVideo + i,
 			AvgTputBps: float64(data[i].DeliveredTotal()) * 8 / durSec,
 		})
-	}
-	legacy := s.legacyPlayers()
-	for i := range legacy {
-		id := s.legacyID(i)
-		res.Legacy = append(res.Legacy,
-			clientResult(id, SchemeFESTIVE, &legacy[i], &s.flowSlab[id], durSec))
 	}
 	for _, g := range s.groups {
 		if ct, ok := g.ctrl.(driver.ControlTelemetry); ok {
