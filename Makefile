@@ -51,7 +51,7 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each of the 14 fuzz targets a short adversarial
+# fuzz-smoke gives each of the 15 fuzz targets a short adversarial
 # budget on top of the committed seed corpora (which every plain
 # `go test` run replays).
 fuzz-smoke:
@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAdmission -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactSolverStaysFeasible -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime 10s
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzDirective -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsReportDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsResponseDecode -fuzztime 10s

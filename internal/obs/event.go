@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -11,7 +12,16 @@ import (
 // silently misinterpreting fields. Bump on any field rename or semantic
 // change; adding new optional fields is backward compatible and does
 // not require a bump.
-const SchemaVersion = "flare-trace/1"
+//
+// Version 2 writes a non-finite float field (an infeasible solve's -Inf
+// objective) as one of the JSON strings "NaN", "+Inf" and "-Inf";
+// version 1 wrote it as a bare token no JSON parser accepts. Every other
+// byte is unchanged, so a version-1 trace still reads (readableSchemas).
+const SchemaVersion = "flare-trace/2"
+
+// readableSchemas are the schema versions ReadJSONL accepts: this
+// build's, and the version-1 traces it is a superset of.
+var readableSchemas = [...]string{SchemaVersion, "flare-trace/1"}
 
 // Kind enumerates the event taxonomy: every decision point of the
 // FLARE coordination loop (and the engine around it) that operators
@@ -319,38 +329,74 @@ func appendInt(dst []byte, key string, v int64, include bool) []byte {
 	return strconv.AppendInt(dst, v, 10)
 }
 
+// appendFloat writes a non-zero float field. JSON has no literal for
+// the non-finite values, so they are written as strings, which
+// wireFloat turns back into the same values.
 func appendFloat(dst []byte, key string, v float64) []byte {
 	if v == 0 {
 		return dst
 	}
 	dst = append(dst, key...)
+	switch {
+	case math.IsNaN(v):
+		return append(dst, `"NaN"`...)
+	case math.IsInf(v, 1):
+		return append(dst, `"+Inf"`...)
+	case math.IsInf(v, -1):
+		return append(dst, `"-Inf"`...)
+	}
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// wireFloat decodes a float field: a JSON number, or one of the strings
+// appendFloat writes for the non-finite values.
+type wireFloat float64
+
+// UnmarshalJSON implements json.Unmarshaler. The decoder has already
+// checked that b is one well-formed JSON value.
+func (f *wireFloat) UnmarshalJSON(b []byte) error {
+	switch s := string(b); s {
+	case `"NaN"`:
+		*f = wireFloat(math.NaN())
+	case `"+Inf"`:
+		*f = wireFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = wireFloat(math.Inf(-1))
+	case "null": // encoding/json's rule: null leaves the field as it is
+	default:
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return fmt.Errorf("obs: %s is not a number", s)
+		}
+		*f = wireFloat(v)
+	}
+	return nil
 }
 
 // wireEvent is the JSON-decoding mirror of Event (string enums).
 // Encoding never goes through it — AppendJSON is the write path — but
 // readers (flaretrace) get full stdlib-json convenience.
 type wireEvent struct {
-	Kind    string  `json:"kind"`
-	TTI     int64   `json:"tti"`
-	Wall    int64   `json:"wall"`
-	Cell    int32   `json:"cell"`
-	Flow    int32   `json:"flow"`
-	Seq     int64   `json:"seq"`
-	Level   int32   `json:"level"`
-	Prev    int32   `json:"prev"`
-	Reco    int32   `json:"reco"`
-	Streak  int32   `json:"streak"`
-	Need    int32   `json:"need"`
-	Bytes   int64   `json:"bytes"`
-	RBs     int64   `json:"rbs"`
-	Bps     float64 `json:"bps"`
-	Value   float64 `json:"value"`
-	DurNs   int64   `json:"dur_ns"`
-	To      int64   `json:"to"`
-	Site    string  `json:"site"`
-	Outcome uint8   `json:"outcome"`
-	Reason  string  `json:"reason"`
+	Kind    string    `json:"kind"`
+	TTI     int64     `json:"tti"`
+	Wall    int64     `json:"wall"`
+	Cell    int32     `json:"cell"`
+	Flow    int32     `json:"flow"`
+	Seq     int64     `json:"seq"`
+	Level   int32     `json:"level"`
+	Prev    int32     `json:"prev"`
+	Reco    int32     `json:"reco"`
+	Streak  int32     `json:"streak"`
+	Need    int32     `json:"need"`
+	Bytes   int64     `json:"bytes"`
+	RBs     int64     `json:"rbs"`
+	Bps     wireFloat `json:"bps"`
+	Value   wireFloat `json:"value"`
+	DurNs   int64     `json:"dur_ns"`
+	To      int64     `json:"to"`
+	Site    string    `json:"site"`
+	Outcome uint8     `json:"outcome"`
+	Reason  string    `json:"reason"`
 }
 
 func (w *wireEvent) event() Event {
@@ -360,7 +406,7 @@ func (w *wireEvent) event() Event {
 		Level: w.Level, Prev: w.Prev, Reco: w.Reco,
 		Streak: w.Streak, Need: w.Need,
 		Bytes: w.Bytes, RBs: w.RBs,
-		Bps: w.Bps, Value: w.Value, DurNs: w.DurNs, To: w.To,
+		Bps: float64(w.Bps), Value: float64(w.Value), DurNs: w.DurNs, To: w.To,
 		Outcome: w.Outcome,
 	}
 	switch w.Site {

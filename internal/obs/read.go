@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
 // ReadJSONL decodes a JSONL trace (as written by JSONLSink or
 // Recorder.Dump) into events. The schema header line is validated when
-// present: a trace from a different major schema version is rejected,
-// a headerless stream (hand-cut traces, old dumps) is accepted as-is.
+// present: a trace of a schema version this build cannot read (see
+// readableSchemas) is rejected, a headerless stream (hand-cut traces,
+// old dumps) is accepted as-is.
 // Records whose kind is unknown to this build are skipped, not fatal —
 // newer writers may emit kinds an older reader has no use for.
 func ReadJSONL(r io.Reader) ([]Event, error) {
@@ -30,8 +32,8 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 				Schema string `json:"schema"`
 			}
 			if err := json.Unmarshal([]byte(raw), &hdr); err == nil && hdr.Schema != "" {
-				if hdr.Schema != SchemaVersion {
-					return nil, fmt.Errorf("obs: trace schema %q; this build reads %q", hdr.Schema, SchemaVersion)
+				if !slices.Contains(readableSchemas[:], hdr.Schema) {
+					return nil, fmt.Errorf("obs: trace schema %q; this build reads %q", hdr.Schema, readableSchemas)
 				}
 				continue
 			}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -55,7 +57,7 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("re-read diverged: %d events err=%v vs %d events", len(again), err2, len(evs))
 		}
 		for i := range evs {
-			if evs[i] != again[i] {
+			if !sameEvent(evs[i], again[i]) {
 				t.Fatalf("re-read event %d differs: %+v vs %+v", i, evs[i], again[i])
 			}
 		}
@@ -76,7 +78,7 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("round trip %d events, want %d", len(back), len(evs))
 		}
 		for i := range evs {
-			if back[i] != evs[i] {
+			if !sameEvent(back[i], evs[i]) {
 				t.Fatalf("round trip event %d: %+v != %+v", i, back[i], evs[i])
 			}
 		}
@@ -84,14 +86,28 @@ func FuzzReadJSONL(f *testing.F) {
 }
 
 // TestReadJSONLRejectsForeignSchema pins the header rule outside the
-// fuzzer: a different major schema version is an error, a headerless
-// stream is accepted.
+// fuzzer: a different major schema version is an error, a version-1
+// trace and a headerless stream are accepted.
 func TestReadJSONLRejectsForeignSchema(t *testing.T) {
 	if _, err := ReadJSONL(bytes.NewReader([]byte(`{"schema":"flare-trace/999"}`))); err == nil {
 		t.Fatal("foreign schema accepted")
 	}
+	v1 := `{"schema":"flare-trace/1"}` + "\n" + `{"kind":"install","cell":0,"flow":1,"bps":1e6}`
+	if evs, err := ReadJSONL(bytes.NewReader([]byte(v1))); err != nil || len(evs) != 1 || evs[0].Bps != 1e6 {
+		t.Fatalf("version-1 trace: %+v, err=%v", evs, err)
+	}
 	evs, err := ReadJSONL(bytes.NewReader([]byte(`{"kind":"install","cell":0,"flow":1}`)))
 	if err != nil || len(evs) != 1 {
 		t.Fatalf("headerless stream: %d events, err=%v", len(evs), err)
+	}
+}
+
+// TestNonFiniteFloatIsJSON pins the schema's encoding of a non-finite
+// float: an infeasible solve's -Inf objective is the JSON string "-Inf".
+func TestNonFiniteFloatIsJSON(t *testing.T) {
+	e := BAISolve(0, 1, 0, 500, math.Inf(-1), 10)
+	line := e.AppendJSON(nil)
+	if !json.Valid(line) || !bytes.Contains(line, []byte(`"value":"-Inf"`)) {
+		t.Fatalf("infeasible solve encodes as %s", line)
 	}
 }

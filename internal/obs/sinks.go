@@ -21,7 +21,7 @@ type Sink interface {
 
 // JSONLSink streams events as one JSON object per line — the trace
 // format cmd/flaretrace ingests. The first line is a schema header
-// ({"schema":"flare-trace/1"}). Encoding is allocation-free on the
+// ({"schema":"flare-trace/2"}). Encoding is allocation-free on the
 // steady state: a hand-rolled encoder appends into a reused buffer
 // behind a bufio.Writer.
 type JSONLSink struct {
