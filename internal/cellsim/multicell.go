@@ -51,16 +51,11 @@ func RunMulti(server *oneapi.Server, cells ...Config) (*MultiResult, error) {
 	return RunMultiConfig(context.Background(), MultiConfig{}, server, cells...)
 }
 
-// RunMultiContext is RunMulti with cooperative cancellation: every
-// cell's TTI loop watches ctx, and the first cell failure cancels the
-// cells still running.
-func RunMultiContext(ctx context.Context, server *oneapi.Server, cells ...Config) (*MultiResult, error) {
-	return RunMultiConfig(ctx, MultiConfig{}, server, cells...)
-}
-
-// RunMultiConfig is RunMultiContext with an explicit execution
-// configuration: cells are fanned out to a bounded pool of mc.Workers
-// goroutines (default GOMAXPROCS) instead of one goroutine per cell.
+// RunMultiConfig is RunMulti with cooperative cancellation and an
+// explicit execution configuration: every cell's TTI loop watches ctx,
+// the first cell failure cancels the cells still running, and cells are
+// fanned out to a bounded pool of mc.Workers goroutines (default
+// GOMAXPROCS) instead of one goroutine per cell.
 //
 // Error contract: assembly problems are reported together for every
 // bad cell (errors.Join, in cell order). Run failures are reported as

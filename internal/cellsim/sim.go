@@ -272,10 +272,14 @@ func (s *Sim) buildChannel(numUEs int) (lte.Channel, error) {
 func (s *Sim) buildScheduler() lte.Scheduler {
 	policy := driver.PolicyBestEffort
 	var sizer driver.SliceSizer
+	managed := 0 // video flows of managed groups; the rest is background
 	for _, g := range s.groups {
 		p := g.ctrl.SchedulerPolicy()
 		if p > policy {
 			policy = p
+		}
+		if g.managed() {
+			managed += g.count
 		}
 		if p == driver.PolicySliced && sizer == nil {
 			if sz, ok := g.ctrl.(driver.SliceSizer); ok {
@@ -289,7 +293,6 @@ func (s *Sim) buildScheduler() lte.Scheduler {
 	case driver.PolicySliced:
 		frac := 0.0
 		if sizer != nil {
-			managed := s.managedVideo()
 			frac = sizer.VideoFraction(managed, s.cfg.NumVideo-managed+s.cfg.NumData)
 		}
 		if frac > 1 {
@@ -310,27 +313,15 @@ func (g *simGroup) managed() bool {
 	return g.ctrl.SchedulerPolicy() != driver.PolicyBestEffort
 }
 
-// managedVideo counts the video flows of managed groups.
-func (s *Sim) managedVideo() int {
-	n := 0
-	for _, g := range s.groups {
-		if g.managed() {
-			n += g.count
-		}
-	}
-	return n
-}
-
 func (s *Sim) buildVideo() error {
 	id := 0
 	for _, g := range s.groups {
-		g := g
 		class := lte.ClassData
 		if g.managed() {
 			class = lte.ClassVideo
 		}
-		g.flows = make([]*driver.Flow, 0, groupCount(g))
-		for i := 0; i < groupCount(g); i++ {
+		g.flows = make([]*driver.Flow, 0, g.count)
+		for i := 0; i < g.count; i++ {
 			b, flow, err := s.newFlow(id, class)
 			if err != nil {
 				return err
@@ -370,9 +361,6 @@ func (s *Sim) buildVideo() error {
 	}
 	return nil
 }
-
-// groupCount returns the number of flows a group was configured for.
-func groupCount(g *simGroup) int { return g.count }
 
 // newFlow builds flow `id` of the cell — its bearer, registered with
 // the eNodeB, and the transport flow over it, both carved from the

@@ -4,7 +4,7 @@
 // (no map ranges, wall clock or global math/rand, any of which a test
 // run can pass by luck), the layering DAG (observer hooks never import
 // obs, drivers see the engine only through the narrow view), the
-// single-sourced flare-trace/1 event schema, and the lock hierarchy.
+// single-sourced flare-trace event schema, and the lock hierarchy.
 //
 // Runtime invariants are not guessed from syntax here: the zero-alloc
 // hot path is held by the AllocsPerRun/MemStats pins; seeding, shared

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// ObsDiscipline keeps the flare-trace/1 schema single-sourced: an
+// ObsDiscipline keeps the flare-trace schema single-sourced: an
 // obs.Event may be built as a composite literal only inside the
 // internal/obs subtree. Every other layer goes through the typed
 // constructors obs exports (obs.BAISolve, obs.Clamp, obs.Install, ...),
@@ -20,7 +20,7 @@ var ObsDiscipline = NewObsDiscipline(ObsPackage, ObsPackage)
 func NewObsDiscipline(eventPkg, allowedPkg string) *Analyzer {
 	a := &Analyzer{
 		Name: "obsdiscipline",
-		Doc:  "obs.Event composite literals are legal only inside internal/obs; everywhere else use the typed constructors so the flare-trace/1 schema stays single-sourced",
+		Doc:  "obs.Event composite literals are legal only inside internal/obs; everywhere else use the typed constructors so the flare-trace schema stays single-sourced",
 	}
 	a.Run = func(pass *Pass) {
 		if pathMatches(allowedPkg, pass.PkgPath) {

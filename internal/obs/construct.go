@@ -2,7 +2,7 @@ package obs
 
 // Typed event constructors. Every layer outside internal/obs builds
 // its Events through these functions — never as composite literals —
-// so the flare-trace/1 schema has exactly one authoring site. The rule
+// so the flare-trace schema has exactly one authoring site. The rule
 // is mechanical law: flarevet's obsdiscipline analyzer rejects an
 // obs.Event{...} literal anywhere outside this package.
 //

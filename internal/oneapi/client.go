@@ -547,9 +547,8 @@ func drainClose(rc io.ReadCloser) {
 // matching sentinel, so HTTP-side callers can use errors.Is just like
 // in-process ones.
 type httpError struct {
-	status     int
-	envelope   ErrorResponse
-	retryAfter time.Duration
+	status   int
+	envelope ErrorResponse
 }
 
 func (e *httpError) Error() string {
@@ -565,22 +564,5 @@ func (e *httpError) Unwrap() error { return errorForCode(e.envelope.Code) }
 func respErr(resp *http.Response) error {
 	var env ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&env)
-	e := &httpError{status: resp.StatusCode, envelope: env}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			e.retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return e
-}
-
-// RetryAfterHint extracts the server's Retry-After delay from an error
-// returned by this package's HTTP paths (typically an admission
-// rejection), or 0 when the error carries no hint.
-func RetryAfterHint(err error) time.Duration {
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.retryAfter
-	}
-	return 0
+	return &httpError{status: resp.StatusCode, envelope: env}
 }

@@ -439,18 +439,6 @@ func (s *Server) promoteLocked(cellID int, c *cellState) {
 	}
 }
 
-// QueueDepth returns the number of sessions waiting for admission in a
-// cell (0 for unknown cells).
-func (s *Server) QueueDepth(cellID int) int {
-	c := s.lookup(cellID)
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 func sameLadder(a, b has.Ladder) bool {
 	if len(a) != len(b) {
 		return false
