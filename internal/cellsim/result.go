@@ -77,6 +77,11 @@ type Result struct {
 	Clients []ClientResult
 	// Data holds the per-data-flow outcomes.
 	Data []DataResult
+	// Legacy is always nil: conventional players are a video group
+	// now, reported in Clients. It only keeps a Result's JSON encoding,
+	// which the perf ledger's stored digests hash, byte-identical, and
+	// goes when bench/baseline.json is next re-recorded.
+	Legacy *struct{}
 	// SolveTimesSec are the FLARE optimiser wall times per BAI
 	// (empty for the other schemes) — the Figure 9 measurement.
 	SolveTimesSec []float64
