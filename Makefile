@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest ledger profile trace-demo clean
+.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest ledger pairs profile trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -103,16 +103,31 @@ ledger:
 	$(GO) run -C bench . -repeats 1
 	! grep -q sim_digest_changed bench/out/results.json
 
+# pairs compares one ledger workload at BASE and at HEAD (committed
+# trees only) in N alternating pairs of runs: both medians, BASE's
+# interquartile range and the pairs HEAD won, per end-to-end metric —
+# the evidence a claimed gain needs. The revisions are built in
+# temporary git worktrees, removed afterwards.
+#   make pairs W=cell_churn BASE=HEAD~1 N=10
+N ?= 10
+pairs:
+	@test -n "$(W)" -a -n "$(BASE)" || { echo "usage: make pairs W=<workload> BASE=<rev> [N=10]"; exit 2; }
+	$(GO) run ./cmd/benchpairs -workload $(W) -base $(BASE) -n $(N)
+
 # profile runs the engine benchmark with pprof output (cpu.prof,
 # mem.prof) for `go tool pprof`, then the four-cell metro_shared run
-# (BenchmarkMultiCellRun) into multi-mem.prof. The memory profiles
-# sample every allocation, so `go tool pprof -sample_index=alloc_objects
-# mem.prof` counts a run's allocations site by site.
+# (BenchmarkMultiCellRun) into multi-mem.prof, then cellsim.New on the
+# 200-session churn cell (BenchmarkCellAssemble) into assemble-cpu.prof.
+# The memory profiles sample every allocation, so `go tool pprof
+# -sample_index=alloc_objects mem.prof` counts a run's allocations site
+# by site.
 profile:
 	$(GO) test -run '^$$' -bench BenchmarkEngineTick -benchtime 10x \
 		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 1 .
 	$(GO) test -run '^$$' -bench '^BenchmarkMultiCellRun$$' -benchtime 1x \
 		-memprofile multi-mem.prof -memprofilerate 1 .
+	$(GO) test -run '^$$' -bench '^BenchmarkCellAssemble$$' -benchtime 20000x \
+		-cpuprofile assemble-cpu.prof .
 
 # trace-demo records a faulted run (the ext-faults blackout shape) with
 # telemetry on, then replays its decision narrative — solver summaries,

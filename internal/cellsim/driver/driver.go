@@ -99,7 +99,8 @@ type Controller interface {
 	NewAdapter(i int) (has.Adapter, error)
 	// Init binds the driver to the engine and the flows of its group.
 	// Flows are in group order; flows[i].Adapter is the value NewAdapter
-	// returned for i.
+	// returned for i. Every player of a cell streams the cell's one
+	// presentation, so the flows share one MPD.
 	Init(e Engine, flows []*Flow) error
 	// Interval is the driver's control-plane tick period; 0 disables
 	// ticks (pure client-side schemes).

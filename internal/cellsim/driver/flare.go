@@ -47,8 +47,11 @@ type flareDriver struct {
 	bufferCaps []float64
 
 	// Admission-mode state, parallel to flows; nil when the controller
-	// runs without admission control (sessions then open at Init, the
-	// paper's behaviour). See OnFlowArrival.
+	// runs without admission control. Sessions then all open at Init.
+	// The paper's plugin registers a session when it starts, so that
+	// matches the paper only when every client starts together: under
+	// churn a flow that arrives late is registered, solved for and
+	// budgeted RBs from t=0. See OnFlowArrival.
 	admission []flowAdmission
 	baiCount  int64 // OnBAI ordinal, the clock for admission re-tries
 
@@ -176,7 +179,8 @@ func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
 	return oneapi.SessionRequest{FlowID: f.ID, LadderBps: f.Player.MPD().SharedLadder()}
 }
 
-// Init implements Controller: open a OneAPI session per flow and
+// Init implements Controller: open a OneAPI session per flow, as one
+// group (admission control defers each to its arrival instead), and
 // register the cell's background traffic (data flows and co-resident
 // video groups of other schemes) as data flows at the PCRF — to the
 // FLARE controller they are all just competing traffic.
@@ -189,11 +193,15 @@ func (d *flareDriver) Init(e Engine, flows []*Flow) error {
 		// here would charge the admission predicate for flows that have
 		// not started yet.
 		d.admission = make([]flowAdmission, len(flows))
-	} else {
-		for _, f := range flows {
-			if err := d.server.OpenSession(d.cellID, d.sessionRequest(f)); err != nil {
-				return err
-			}
+	} else if len(flows) > 0 {
+		// The group's players all stream the cell's one presentation,
+		// so its sessions share one ladder and open as one group.
+		ids := make([]int, len(flows))
+		for i, f := range flows {
+			ids[i] = f.ID
+		}
+		if err := d.server.OpenGroup(d.cellID, flows[0].Player.MPD().SharedLadder(), ids); err != nil {
+			return err
 		}
 	}
 	for _, id := range d.cfg.BackgroundFlowIDs {

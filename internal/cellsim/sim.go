@@ -109,6 +109,13 @@ type Sim struct {
 	// canonical order keeps the engine easy to reason about.
 	tickList []*transport.Flow
 
+	// departing is the video sessions that have departed but whose
+	// bearers are not yet retired: each is retired (lte.ENodeB.Retire)
+	// at the end of the first TTI in which it has nothing left to send
+	// (see retireDrained). It shares one backing array with the groups'
+	// flow lists and never outgrows its room, a slot per video flow.
+	departing []*driver.Flow
+
 	// series state
 	rateSeries    []*metrics.TimeSeries
 	bufSeries     []*metrics.TimeSeries
@@ -314,13 +321,18 @@ func (g *simGroup) managed() bool {
 }
 
 func (s *Sim) buildVideo() error {
+	// One backing array holds every group's flow list, then the
+	// departing list, each capped at its own window.
+	n := s.cfg.NumVideo
+	lists := make([]*driver.Flow, 2*n)
+	s.departing = lists[n : n : 2*n]
 	id := 0
 	for _, g := range s.groups {
 		class := lte.ClassData
 		if g.managed() {
 			class = lte.ClassVideo
 		}
-		g.flows = make([]*driver.Flow, 0, g.count)
+		g.flows = lists[id : id : id+g.count]
 		for i := 0; i < g.count; i++ {
 			b, flow, err := s.newFlow(id, class)
 			if err != nil {
@@ -330,18 +342,13 @@ func (s *Sim) buildVideo() error {
 			if err != nil {
 				return err
 			}
-			// The entry is set first and its player initialised in
-			// place: Init points the transport's delivery hook at the
-			// player, so the player must not move afterwards.
+			// The entry is set first, in place (the slab is zeroed
+			// already), and its player initialised there: Init points
+			// the transport's delivery hook at the player, so the
+			// player must not move afterwards.
 			f := &s.videoSlab[id]
-			*f = driver.Flow{
-				ID:        id,
-				Index:     i,
-				UE:        id,
-				Bearer:    b,
-				Adapter:   adapter,
-				Transport: flow,
-			}
+			f.ID, f.Index, f.UE = id, i, id
+			f.Bearer, f.Adapter, f.Transport = b, adapter, flow
 			if err := f.Player.Init(&s.env, flow, s.mpd, adapter, s.cfg.Player); err != nil {
 				return err
 			}
@@ -367,8 +374,8 @@ func (s *Sim) buildVideo() error {
 // cell's slabs. Must be called in canonical flow order, so that the
 // eNodeB's bearers are in flow-ID order too.
 func (s *Sim) newFlow(id int, class lte.BearerClass) (*lte.Bearer, *transport.Flow, error) {
-	b := &s.bearerSlab[id]
-	*b = lte.Bearer{ID: id, UE: id, Class: class}
+	b := &s.bearerSlab[id] // zeroed already: set in place
+	b.ID, b.UE, b.Class = id, id, class
 	if _, err := s.enb.AddBearer(b); err != nil {
 		return nil, nil, err
 	}
@@ -558,16 +565,39 @@ func (s *Sim) flowArrives(id int64) {
 	f.Player.Start()
 }
 
-// flowDeparts is the departure event of video flow id.
+// flowDeparts is the departure event of video flow id. The flow's
+// bearer is retired once the session has drained (retireDrained).
 func (s *Sim) flowDeparts(id int64) {
 	f := &s.videoSlab[id]
 	f.Player.Stop()
 	s.groupOf(f.ID).ctrl.OnFlowDeparture(f)
 	s.rec.Emit(obs.FlowDepart(int32(s.cellID), int32(f.ID)))
+	s.departing = append(s.departing, f)
+}
+
+// retireDrained retires the bearer of every departed session that can
+// never send again: its player has stopped with no segment in progress
+// (so it issues no request and no response is on its way), its
+// transport flow holds no bytes for the radio, and the bearer's queue
+// is empty. From then on the bearer is out of every per-TTI pass. No
+// scheduler will read its frozen averages or credits, because nothing
+// can enqueue into it again.
+func (s *Sim) retireDrained() {
+	n := 0
+	for _, f := range s.departing {
+		if f.Player.Ended() && !f.Transport.Active() && f.Bearer.Backlog() == 0 {
+			s.enb.Retire(f.Bearer)
+			continue
+		}
+		s.departing[n] = f
+		n++
+	}
+	s.departing = s.departing[:n]
 }
 
 // runHooks runs the post-radio per-TTI work shared by both loops: group
-// control ticks (BAIs) and series sampling.
+// control ticks (BAIs), series sampling and the retirement of drained
+// departed sessions' bearers.
 func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	for _, g := range s.groups {
 		if g.tickTTIs > 0 && tti > 0 && tti%g.tickTTIs == 0 {
@@ -578,6 +608,9 @@ func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	}
 	if s.cfg.CollectSeries && tti > 0 && tti%sampleTTIs == 0 {
 		s.sample(float64(tti) / lte.TTIsPerSecond)
+	}
+	if len(s.departing) > 0 {
+		s.retireDrained()
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/flare-sim/flare/internal/has"
@@ -180,8 +181,9 @@ type Controller struct {
 	// rows is the flow table, in ascending flow-ID order: the order
 	// every per-flow pass uses, so float sums and outputs follow IDs.
 	// Sessions come and go by inserting and removing rows in place, so
-	// under churn the table's capacity is reused. The first Register
-	// sizes it for minRows.
+	// under churn the table's capacity is reused. Grow sizes it for a
+	// group of sessions; otherwise the first Register sizes it for
+	// minRows.
 	rows []flowRow
 
 	// Downgrade-ladder state (cfg.DowngradeLadder): shed is how many
@@ -312,6 +314,13 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 	copy(c.rows[i+1:], c.rows[i:])
 	c.rows[i] = f
 	return nil
+}
+
+// Grow makes room for n more rows, so the next n Registers do not
+// regrow the flow table: a caller that registers a group of sessions
+// at once sizes the table for it once.
+func (c *Controller) Grow(n int) {
+	c.rows = slices.Grow(c.rows, n)
 }
 
 // minRows is the flow table's first capacity: a cell of a few sessions

@@ -173,16 +173,17 @@ func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter
 	if adapter == nil {
 		return fmt.Errorf("has: nil adapter")
 	}
-	*p = Player{
-		cfg:         cfg,
-		env:         env,
-		flow:        flow,
-		mpd:         mpd,
-		ladder:      ladder,
-		adapter:     adapter,
-		lastQuality: -1,
-		startupTTI:  -1,
-	}
+	// Zeroed, then set field by field: a composite literal would be
+	// built aside and copied into p whole.
+	*p = Player{}
+	p.cfg = cfg
+	p.env = env
+	p.flow = flow
+	p.mpd = mpd
+	p.ladder = ladder
+	p.adapter = adapter
+	p.lastQuality = -1
+	p.startupTTI = -1
 	flow.OnDelivered = (*segmentBytes)(p)
 	return nil
 }
@@ -272,6 +273,11 @@ func (p *Player) Tally() qoe.Tally { return p.tally }
 // Done reports whether the presentation finished downloading or the
 // session was stopped.
 func (p *Player) Done() bool { return p.done }
+
+// Ended reports whether the player will never send another byte: it
+// is done (stopped, or past the last segment) with no segment in
+// progress, so no request is pending and no response is on its way.
+func (p *Player) Ended() bool { return p.done && !p.downloading }
 
 // Stop ends the session: no further segment requests are issued (an
 // in-flight download completes and is still recorded). Used for

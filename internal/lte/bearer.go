@@ -111,6 +111,9 @@ type Bearer struct {
 	// settled marks a bearer that has left its cell's per-TTI passes
 	// (see ENodeB.live); stir clears it.
 	settled bool
+	// retired marks a bearer that has left the passes for good
+	// (ENodeB.Retire). It is never settled, so stir passes it by.
+	retired bool
 
 	// enb is the cell the bearer is registered with and idx its position
 	// in that cell's bearer slice (both set by ENodeB.AddBearer).
@@ -128,6 +131,9 @@ func (b *Bearer) Enqueue(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
 	}
+	if b.retired {
+		panic(fmt.Sprintf("lte: enqueue on retired bearer %d", b.ID))
+	}
 	accepted := bytes
 	if b.QueueLimit > 0 && b.queue+bytes > b.QueueLimit {
 		accepted = b.QueueLimit - b.queue
@@ -140,13 +146,15 @@ func (b *Bearer) Enqueue(bytes int64) int64 {
 	return accepted
 }
 
-// SetGBR updates the guaranteed bit rate (0 = non-GBR).
+// SetGBR updates the guaranteed bit rate (0 = non-GBR). On a retired
+// bearer it only records the rate.
 func (b *Bearer) SetGBR(gbrBits float64) {
 	b.GBRBits = gbrBits
 	b.stir()
 }
 
-// SetMBR updates the maximum bit rate (0 = unlimited).
+// SetMBR updates the maximum bit rate (0 = unlimited). On a retired
+// bearer it only records the rate.
 func (b *Bearer) SetMBR(mbrBits float64) {
 	b.MBRBits = mbrBits
 	b.stir()

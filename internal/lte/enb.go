@@ -28,7 +28,8 @@ type ENodeB struct {
 	// order (the scheduler must see the active set in that order). A
 	// settled bearer is a flag and costs a pass nothing: Enqueue, SetGBR
 	// and SetMBR stir it — append it to stirred, once (stir clears the
-	// flag) — and readmit moves the listed ones back into live. Both
+	// flag) — and readmit moves the listed ones back into live. A
+	// retired bearer (Retire) has left both lists for good. Both
 	// slices have room for every bearer (NewENodeB sizes them for one
 	// bearer per UE, AddBearer keeps them at least that large), so
 	// neither grows during a run.
@@ -233,6 +234,36 @@ func (e *ENodeB) readmit() {
 		e.live[i] = b
 	}
 	e.stirred = e.stirred[:0]
+}
+
+// Retire takes a bearer out of the cell's per-TTI passes for good: its
+// flow has ended and will never enqueue another byte, so no scheduler
+// will see it again. Its accounting state (the throughput averages and
+// the GBR/MBR credits) freezes where it stands; only the scheduler reads
+// that state, and only for a backlogged bearer. Nothing re-admits a
+// retired bearer: SetGBR and SetMBR record the rate and stir nothing,
+// and Enqueue panics. Idle and FastForwardIdle walk live, so they skip
+// it, and the fast-forward replay no longer decays it. b must have no
+// backlog. The window and total statistics stay readable.
+func (e *ENodeB) Retire(b *Bearer) {
+	if b.queue > 0 {
+		panic(fmt.Sprintf("lte: retire bearer %d with %d bytes queued", b.ID, b.queue))
+	}
+	if !b.settled {
+		// Unsettled, b is in live or (stirred since the last pass)
+		// waiting in stirred; settled, it is in neither.
+		e.live = removeBearer(e.live, b)
+		e.stirred = removeBearer(e.stirred, b)
+	}
+	b.settled, b.retired = false, true
+}
+
+// removeBearer deletes b from list, keeping the order of the rest.
+func removeBearer(list []*Bearer, b *Bearer) []*Bearer {
+	if i := slices.Index(list, b); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // Idle reports whether no bearer has queued bytes — together with an

@@ -332,18 +332,59 @@ func (s *Server) OpenSession(cellID int, req SessionRequest) error {
 // idempotently (the HTTP binding maps these to 201 vs 200). The session
 // keeps req.LadderBps without copying it (see SessionRequest).
 func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) {
-	ladder := has.Ladder(req.LadderBps)
-	// Validate before the admission predicate, which prices the
-	// candidate by its floor rung and so assumes a non-empty ladder.
-	if err := ladder.Validate(); err != nil {
-		return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, err)
-	}
-	if s.draining.Load() {
-		return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrDraining)
+	if err := s.checkOpen(req.FlowID, has.Ladder(req.LadderBps)); err != nil {
+		return false, err
 	}
 	c := s.cell(cellID)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return s.openLocked(c, req)
+}
+
+// OpenGroup opens a session in one cell for each of flowIDs, sessions
+// that stream one presentation: each keeps ladderBps (without copying
+// it, as Open does) and default preferences. It is one Open per flow in
+// slice order, with the same refusals, idempotence and events, stopping
+// at the first error (the sessions opened before it stay open) — but
+// the pre-lock refusals are checked once, the cell is locked once and
+// its flow table is sized once for the whole group.
+func (s *Server) OpenGroup(cellID int, ladderBps []float64, flowIDs []int) error {
+	if len(flowIDs) == 0 {
+		return nil
+	}
+	if err := s.checkOpen(flowIDs[0], has.Ladder(ladderBps)); err != nil {
+		return err
+	}
+	c := s.cell(cellID)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.controller.Grow(len(flowIDs))
+	for _, id := range flowIDs {
+		if _, err := s.openLocked(c, SessionRequest{FlowID: id, LadderBps: ladderBps}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkOpen is the refusals an open meets before it touches a cell: an
+// invalid ladder, then a draining server. The ladder is validated ahead
+// of the admission predicate, which prices the candidate by its floor
+// rung and so assumes a non-empty ladder.
+func (s *Server) checkOpen(flowID int, ladder has.Ladder) error {
+	if err := ladder.Validate(); err != nil {
+		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, err)
+	}
+	if s.draining.Load() {
+		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, ErrDraining)
+	}
+	return nil
+}
+
+// openLocked registers req's session in c, whose lock the caller holds
+// and whose refusals before the lock (checkOpen) it has already passed.
+func (s *Server) openLocked(c *cellState, req SessionRequest) (created bool, err error) {
+	ladder := has.Ladder(req.LadderBps)
 	if c.controller.Registered(req.FlowID) {
 		// The flow is already registered: idempotent when the ladder
 		// matches (preferences are simply refreshed), conflict when it
@@ -359,16 +400,16 @@ func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) 
 	}
 	if s.cfg.AdmissionControl && !c.controller.CanAdmit(ladder) {
 		queued := s.enqueueLocked(c, req)
-		c.rec.Emit(obs.Reject(int32(cellID), int32(req.FlowID), queued))
+		c.rec.Emit(obs.Reject(int32(c.id), int32(req.FlowID), queued))
 		return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrAdmissionRejected)
 	}
 	if err := c.controller.Register(req.FlowID, ladder, req.Preferences); err != nil {
 		return false, fmt.Errorf("oneapi: open session: %w", err)
 	}
 	s.dequeueLocked(c, req.FlowID)
-	c.rec.Emit(obs.SessionOpen(int32(cellID), int32(req.FlowID)))
+	c.rec.Emit(obs.SessionOpen(int32(c.id), int32(req.FlowID)))
 	if s.cfg.AdmissionControl {
-		c.rec.Emit(obs.Admit(int32(cellID), int32(req.FlowID), false))
+		c.rec.Emit(obs.Admit(int32(c.id), int32(req.FlowID), false))
 	}
 	return true, nil
 }

@@ -172,15 +172,16 @@ func (f *Flow) Init(env Env, bearer *lte.Bearer, cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	*f = Flow{
-		env:         env,
-		bearer:      bearer,
-		cfg:         cfg,
-		cwnd:        float64(cfg.InitialWindow * cfg.MSS),
-		ssthresh:    1 << 30,
-		lastAckTTI:  -1,
-		lastSentTTI: -1,
-	}
+	// Zeroed, then set field by field: a composite literal would be
+	// built aside and copied into f whole.
+	*f = Flow{}
+	f.env = env
+	f.bearer = bearer
+	f.cfg = cfg
+	f.cwnd = float64(cfg.InitialWindow * cfg.MSS)
+	f.ssthresh = 1 << 30
+	f.lastAckTTI = -1
+	f.lastSentTTI = -1
 	if w, ok := env.(Waker); ok {
 		f.waker = w
 	}
