@@ -51,7 +51,7 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each of the 15 fuzz targets a short adversarial
+# fuzz-smoke gives each of the 16 fuzz targets a short adversarial
 # budget on top of the committed seed corpora (which every plain
 # `go test` run replays).
 fuzz-smoke:
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsResponseDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzAssignmentDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzWireEncode -fuzztime 10s
+	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzServerOps -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzTallyMatchesSlices -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzHighestAtMost -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzSegmentBytesAt -fuzztime 10s
