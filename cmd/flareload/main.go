@@ -18,7 +18,7 @@
 //
 // Example — the 10k-session acceptance run:
 //
-//	oneapiserver -addr :8480 -shards 16 &
+//	oneapiserver -addr :8480 &
 //	flareload -url http://127.0.0.1:8480 -cells 100 -sessions 100 -rounds 30
 package main
 

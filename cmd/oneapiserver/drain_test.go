@@ -23,7 +23,7 @@ import (
 func TestShutdownDrainsBAIRounds(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
-	handler, _, server := buildHandler(cfg, faults.Config{}, 0, 4)
+	handler, _, server := buildHandler(cfg, faults.Config{}, 0)
 
 	// A PCEF that parks the first install until released: the in-flight
 	// round the shutdown must wait for.

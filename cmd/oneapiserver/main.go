@@ -75,7 +75,6 @@ func run() int {
 		admission = flag.Bool("admission", false, "refuse session opens that would break the floor-bitrate budget (503 + Retry-After)")
 		admQueue  = flag.Int("admission-queue", 0, "bounded wait queue for refused opens (0 = refuse immediately)")
 		downgrade = flag.Bool("downgrade", false, "shed ladder ceilings under sustained overload instead of stalling flows")
-		shards    = flag.Int("shards", 0, "control-plane shard count (0 = default; results are identical at any count, only contention changes)")
 		ring      = flag.Int("ring", 0, "flight-recorder ring size in events (0 = default 4096, negative = disabled)")
 		version   = flag.Bool("version", false, "print version and exit")
 
@@ -129,14 +128,14 @@ func run() int {
 		return 2
 	}
 
-	handler, _, server := buildHandler(cfg, faultCfg, *ring, *shards)
+	handler, _, server := buildHandler(cfg, faultCfg, *ring)
 	if faultCfg.Enabled() {
 		fmt.Printf("oneapiserver: fault injection ON (drop=%.2f fail=%.2f delay=%.2f blackouts=%d)\n",
 			*faultDrop, *faultFail, *faultDelay, len(faultCfg.Blackouts))
 	}
 
-	fmt.Printf("oneapiserver: listening on %s (alpha=%.2f delta=%d bai=%v relax=%v shards=%d)\n",
-		*addr, *alpha, *delta, *bai, *relax, server.Shards())
+	fmt.Printf("oneapiserver: listening on %s (alpha=%.2f delta=%d bai=%v relax=%v)\n",
+		*addr, *alpha, *delta, *bai, *relax)
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	logf := func(format string, args ...any) {
 		fmt.Printf("oneapiserver: "+format+"\n", args...)
@@ -162,16 +161,10 @@ func run() int {
 // (wrapped in the fault middleware when configured) plus the /metrics
 // and /debug/flare observability endpoints, which bypass fault
 // injection. It returns the root handler, the server's flight recorder,
-// and the server itself (for the shutdown drain). shards <= 0 uses the
-// oneapi default.
-func buildHandler(cfg core.Config, faultCfg faults.Config, ringSize, shards int) (http.Handler, *obs.Recorder, *oneapi.Server) {
+// and the server itself (for the shutdown drain).
+func buildHandler(cfg core.Config, faultCfg faults.Config, ringSize int) (http.Handler, *obs.Recorder, *oneapi.Server) {
 	rec := obs.New(obs.Options{RingSize: ringSize})
-	var server *oneapi.Server
-	if shards > 0 {
-		server = oneapi.NewServerSharded(cfg, nil, shards)
-	} else {
-		server = oneapi.NewServer(cfg, nil)
-	}
+	server := oneapi.NewServer(cfg, nil)
 	server.SetRecorder(rec)
 
 	api := oneapi.Handler(server)

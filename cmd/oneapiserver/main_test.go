@@ -22,7 +22,7 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
-	handler, rec, _ := buildHandler(cfg, faults.Config{}, 0, 0)
+	handler, rec, _ := buildHandler(cfg, faults.Config{}, 0)
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
@@ -95,7 +95,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsReachableDuringBlackout(t *testing.T) {
 	cfg := core.DefaultConfig()
 	fc := faults.Config{Seed: 1, Blackouts: []faults.Window{{From: 0, To: 1 << 40}}}
-	handler, _, _ := buildHandler(cfg, fc, 0, 0)
+	handler, _, _ := buildHandler(cfg, fc, 0)
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 

@@ -214,14 +214,6 @@ type Config struct {
 	// either way, which the equivalence tests assert — so this knob
 	// exists for those tests and for debugging, not for correctness.
 	DisableFastForward bool
-
-	// ControlShards sets the shard count of the OneAPI control server a
-	// FLARE cell creates for itself (0 = the oneapi default; ignored
-	// when the run supplies a shared server via NewInCell). It is purely
-	// a contention knob: results are byte-identical for every value,
-	// which the shards=1 ≡ shards=N lockstep tests pin across all six
-	// schemes.
-	ControlShards int
 }
 
 // DefaultConfig returns a baseline configuration for the given scheme:
@@ -253,9 +245,6 @@ func (c *Config) Validate() error {
 	}
 	if c.NumVideo < 0 || c.NumData < 0 {
 		return fmt.Errorf("cellsim: negative flow counts (%d video, %d data)", c.NumVideo, c.NumData)
-	}
-	if c.ControlShards < 0 {
-		return fmt.Errorf("cellsim: ControlShards must be >= 0, got %d", c.ControlShards)
 	}
 	numVideo := c.NumVideo
 	if len(c.VideoGroups) > 0 {

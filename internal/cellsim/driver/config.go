@@ -49,12 +49,6 @@ type Config struct {
 	// driver creates a private one). CellID is this cell's ID on it.
 	OneAPI *oneapi.Server
 	CellID int
-	// ControlShards sets the shard count of a driver-created private
-	// server (0 = the oneapi default). Shard count never changes
-	// results — the shards=1 ≡ shards=N lockstep tests pin that — so
-	// this is a contention knob for live deployments and a lever for
-	// the equivalence tests. Ignored when OneAPI is non-nil.
-	ControlShards int
 
 	// BackgroundFlows counts the cell's flows NOT in this driver's group
 	// (data + other video groups) — the competing population a

@@ -124,11 +124,7 @@ func newFlareDriver(cfg Config) (Controller, error) {
 	d := &flareDriver{cfg: cfg, server: cfg.OneAPI, cellID: cfg.CellID, rec: cfg.Obs}
 	d.plugins = abr.NewFlarePlugins(cfg.Count, cfg.Fallback)
 	if d.server == nil {
-		if cfg.ControlShards > 0 {
-			d.server = oneapi.NewServerSharded(cfg.Flare, nil, cfg.ControlShards)
-		} else {
-			d.server = oneapi.NewServer(cfg.Flare, nil)
-		}
+		d.server = oneapi.NewServer(cfg.Flare, nil)
 	}
 	if cfg.Obs != nil {
 		// Never clobber a shared server's recorder with nil.

@@ -231,7 +231,6 @@ func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int
 			LowBufferCapSeconds: s.cfg.LowBufferCapSeconds,
 			OneAPI:              server,
 			CellID:              cellID,
-			ControlShards:       s.cfg.ControlShards,
 			BackgroundFlows:     len(background),
 			BackgroundFlowIDs:   background,
 			Obs:                 s.cfg.Obs,

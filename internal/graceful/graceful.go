@@ -47,8 +47,8 @@ func Serve(srv *http.Server, grace time.Duration, logf func(format string, args 
 // first signal, before the HTTP listener shuts down, drain (optional)
 // is invoked with the grace budget. Servers use it to refuse new work
 // and wait for in-flight application operations — e.g. the OneAPI
-// server stops accepting BAI rounds and waits per shard for running
-// rounds to finish, so none is dropped mid-install. The hook shares
+// server stops accepting BAI rounds and waits for running rounds to
+// finish, so none is dropped mid-install. The hook shares
 // the grace budget with the HTTP drain, so it must return within it.
 func ServeDrain(srv *http.Server, grace time.Duration, logf func(format string, args ...any), drain func(grace time.Duration)) error {
 	if grace <= 0 {

@@ -14,7 +14,7 @@
 // Calls propagate: at a call site with a non-empty held set, the
 // callee's transitive acquisition set (memoized over the intra-package
 // call graph) is checked against every held class, so a helper that
-// takes shard.mu is flagged when invoked under cellState.mu even
+// takes Server.mu is flagged when invoked under cellState.mu even
 // though neither function is wrong in isolation. Interface and
 // func-value calls are an explicit frontier: they contribute nothing,
 // which is sound for the tree because the control plane never hands a
@@ -24,9 +24,9 @@
 // silence: branches are walked with a copy of the held set and their
 // effects discarded afterwards (lock/unlock is balanced within a
 // branch in this tree), goroutine bodies start empty, and function
-// literals are walked with the held set at their definition point —
-// the forEachCell pattern, where the closure runs under the caller's
-// optMu, is exactly why.
+// literals are walked with the held set at their definition point,
+// because a closure handed to a visitor runs under the locks its
+// definer holds.
 package lint
 
 import (
@@ -156,7 +156,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[int]token.Pos, fnName string) {
 			case *ast.FuncLit:
 				// Walked with the held set at the definition point:
 				// closures here are typically invoked on the caller's
-				// behalf while its locks are held (forEachCell).
+				// behalf while its locks are held (a visitor).
 				w.stmt(n.Body, clonePos(held), fnName)
 				return false
 			case ast.Stmt:
@@ -292,7 +292,7 @@ func (w *lockWalker) lockOpOf(call *ast.CallExpr) (int, lockOp) {
 func (w *lockWalker) classOf(x ast.Expr) (int, bool) {
 	switch x := unparen(x).(type) {
 	case *ast.SelectorExpr:
-		// A struct field: s.optMu, sh.mu, s.shards[i].mu, ...
+		// A struct field: s.mu, c.mu, s.cells[id].mu, ...
 		named := namedOf(w.pass.Info.TypeOf(x.X))
 		if named == nil || named.Obj().Pkg() == nil {
 			return 0, false

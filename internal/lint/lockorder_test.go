@@ -1,6 +1,9 @@
 package lint_test
 
 import (
+	"go/types"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/flare-sim/flare/internal/lint"
@@ -27,16 +30,15 @@ func TestLockOrder(t *testing.T) {
 	linttest.Run(t, "testdata/lockorder", "fixture/lockfix", lint.NewLockOrder(ranks))
 }
 
-// TestLockRanksTable pins the real hierarchy: the three control-plane
-// classes and the solver's scratch freelist exist, with distinct ranks
-// in the documented order optMu > shard.mu > cellState.mu >
-// scratchPool.mu, and every entry documents what it protects.
+// TestLockRanksTable pins the real hierarchy: the two control-plane
+// classes and the solver's scratch freelist, with distinct ranks in the
+// documented order Server.mu > cellState.mu > scratchPool.mu, every
+// entry documenting what it protects and naming a mutex that exists.
 func TestLockRanksTable(t *testing.T) {
 	want := []struct {
 		typ, field string
 	}{
-		{"Server", "optMu"},
-		{"shard", "mu"},
+		{"Server", "mu"},
 		{"cellState", "mu"},
 		{"scratchPool", "mu"},
 	}
@@ -56,5 +58,52 @@ func TestLockRanksTable(t *testing.T) {
 			t.Errorf("LockRanks[%d] (%s) has no Doc", i, c)
 		}
 		prev = c.Rank
+	}
+	resolveLockRanks(t, lint.LockRanks)
+}
+
+// resolveLockRanks loads each class's package and fails for a class
+// whose mutex does not exist: a type or package-level variable that is
+// missing, a field that is missing, or one that is not a sync.Mutex or
+// sync.RWMutex. The analyzer only ever matches ranks against the locks
+// it meets, so without this a rank for a deleted lock stays green.
+func resolveLockRanks(t *testing.T, ranks []lint.LockClass) {
+	t.Helper()
+	var patterns []string
+	for _, c := range ranks {
+		if p := "./" + strings.TrimPrefix(c.Pkg, lint.ModulePath+"/"); !slices.Contains(patterns, p) {
+			patterns = append(patterns, p)
+		}
+	}
+	pkgs, err := lint.LoadPackages("../..", patterns...)
+	if err != nil {
+		t.Fatalf("load %v: %v", patterns, err)
+	}
+	for _, c := range ranks {
+		i := slices.IndexFunc(pkgs, func(p *lint.Package) bool { return p.Path == c.Pkg })
+		if i < 0 {
+			t.Errorf("%s: package %s not loaded", c, c.Pkg)
+			continue
+		}
+		var mu types.Type
+		if c.Type == "" {
+			if v, ok := pkgs[i].Types.Scope().Lookup(c.Field).(*types.Var); ok {
+				mu = v.Type()
+			}
+		} else if tn, ok := pkgs[i].Types.Scope().Lookup(c.Type).(*types.TypeName); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for j := 0; j < st.NumFields(); j++ {
+					if st.Field(j).Name() == c.Field {
+						mu = st.Field(j).Type()
+					}
+				}
+			}
+		}
+		switch s := types.TypeString(mu, nil); {
+		case mu == nil:
+			t.Errorf("%s: no such mutex in %s", c, c.Pkg)
+		case s != "sync.Mutex" && s != "sync.RWMutex":
+			t.Errorf("%s is a %s, not a sync.Mutex or sync.RWMutex", c, s)
+		}
 	}
 }

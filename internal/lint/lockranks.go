@@ -1,6 +1,5 @@
-// The declared lock hierarchy. PR 8 sharded the OneAPI control plane
-// and established, by convention and comment, a strict acquisition
-// order for its mutexes; this table is that convention made
+// The declared lock hierarchy. The OneAPI control plane acquires its
+// mutexes in a strict order; this table is that order made
 // machine-readable, and the lockorder analyzer enforces it: while any
 // ranked lock is held, only strictly lower-ranked locks may be
 // acquired. Acquiring an equal rank is also a finding — that is
@@ -36,16 +35,12 @@ func (c LockClass) String() string {
 }
 
 // LockRanks is the control plane's declared hierarchy, outermost
-// first: optMu > shard.mu > cellState.mu > core's scratchPool.mu.
+// first: Server.mu > cellState.mu > core's scratchPool.mu.
 // cmd/flarevet, the tree test, and DESIGN.md §12 all read this table.
 var LockRanks = []LockClass{
 	{
-		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "optMu", Rank: 30,
-		Doc: "guards creation-time defaults (recorder, PCEF, wall clock) and orders Set* against cell creation; taken before any shard or cell lock",
-	},
-	{
-		Pkg: internalPrefix + "oneapi", Type: "shard", Field: "mu", Rank: 20,
-		Doc: "serializes mutation of one shard's copy-on-write cell index; reads are lock-free, writers take it under optMu and above cell locks",
+		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "mu", Rank: 30,
+		Doc: "guards the cell index and the creation-time defaults (recorder, PCEF, wall clock); read-locked to look a cell up and released before the cell is locked, write-locked for cell creation and for Set*, which re-point every cell under it",
 	},
 	{
 		Pkg: internalPrefix + "oneapi", Type: "cellState", Field: "mu", Rank: 10,

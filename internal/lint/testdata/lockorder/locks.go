@@ -123,8 +123,8 @@ func goFresh(sh *Shard, c *Cell) {
 }
 
 // closureInherits defines a closure at a point where the cell lock is
-// held (the forEachCell pattern): the closure's shard acquisition is
-// an inversion.
+// held, as a visitor run under its caller's lock is: the closure's
+// shard acquisition is an inversion.
 func closureInherits(sh *Shard, c *Cell) {
 	c.mu.Lock()
 	f := func() {

@@ -10,21 +10,21 @@ import (
 	"github.com/flare-sim/flare/internal/oneapi"
 )
 
-func newTestServer(t *testing.T, shards int) (*oneapi.Server, *httptest.Server) {
+func newTestServer(t *testing.T) (*oneapi.Server, *httptest.Server) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Delta = 1
-	s := oneapi.NewServerSharded(cfg, nil, shards)
+	s := oneapi.NewServer(cfg, nil)
 	srv := httptest.NewServer(oneapi.Handler(s))
 	t.Cleanup(srv.Close)
 	return s, srv
 }
 
 // TestRunPerCell drives the per-cell stats path end to end against an
-// in-process sharded server: every open, round, and poll must succeed
+// in-process server: every open, round, and poll must succeed
 // and the summary must account for all of them.
 func TestRunPerCell(t *testing.T) {
-	_, srv := newTestServer(t, 8)
+	_, srv := newTestServer(t)
 	cfg := loadgen.Config{
 		BaseURL:         srv.URL,
 		Cells:           4,
@@ -77,7 +77,7 @@ func TestRunPerCell(t *testing.T) {
 // TestRunBatch drives the aggregated stats path: one batch POST per
 // round fans every cell's BAI across the server's worker pool.
 func TestRunBatch(t *testing.T) {
-	_, srv := newTestServer(t, 8)
+	_, srv := newTestServer(t)
 	res, err := loadgen.Run(loadgen.Config{
 		BaseURL:         srv.URL,
 		Cells:           5,

@@ -183,7 +183,7 @@ func Restore(cell int32, seq int64, shed int32, share float64) Event {
 }
 
 // Handover records a live session moving from one cell to another as a
-// shard-to-shard state transfer (oneapi.Server).
+// state transfer (oneapi.Server).
 func Handover(fromCell, toCell, flow int32) Event {
 	return Event{Kind: KindHandover, Cell: fromCell, Flow: flow, To: int64(toCell)}
 }

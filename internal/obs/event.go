@@ -123,7 +123,7 @@ const (
 	KindRestore
 
 	// KindHandover is a live session moving between cells as one
-	// shard-to-shard state transfer (oneapi.Server): Cell = source
+	// state transfer (oneapi.Server): Cell = source
 	// cell, To = destination cell, Flow = the session that moved.
 	KindHandover
 
