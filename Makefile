@@ -78,8 +78,8 @@ race:
 # check is the full verification gate: build, lint (flarevet +
 # staticcheck-if-present), vet, then race-enabled tests. These subsume
 # the plain test run except for the allocation pins: under -race a pin
-# counts a few objects more (the four-cell multi-cell run 57.5 per cell
-# against 55.5), so each bound is set to hold under both, and only a
+# counts a few objects more (the four-cell multi-cell run 53.8 per cell
+# against 50.8), so each bound is set to hold under both, and only a
 # plain `go test ./...` checks the figures the pins' comments quote.
 check: build lint vet race
 

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	flareload -url http://127.0.0.1:8480 [-cells 100] [-sessions 100]
-//	          [-rounds 30] [-interval 0] [-churn-every 0] [-batch]
+//	          [-rounds 30] [-interval 0] [-churn-every 0]
 //	          [-first-cell 0] [-metrics :9480] [-out results.json] [-version]
 //
 // Example — the 10k-session acceptance run:
@@ -47,7 +47,6 @@ func run() int {
 		rounds     = flag.Int("rounds", 30, "BAI rounds per cell")
 		interval   = flag.Duration("interval", 0, "pacing between a cell's rounds (0 = back-to-back, the bench mode)")
 		churnEvery = flag.Int("churn-every", 0, "close+reopen one session per cell every N rounds (0 = off)")
-		batch      = flag.Bool("batch", false, "drive stats through /oneapi/v4/stats/batch (one aggregation site per round)")
 		metrics    = flag.String("metrics", "", "serve live counters at this address (e.g. :9480) during the run")
 		out        = flag.String("out", "", "write the JSON result to this file")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -66,7 +65,6 @@ func run() int {
 		Rounds:          *rounds,
 		Interval:        *interval,
 		ChurnEvery:      *churnEvery,
-		Batch:           *batch,
 	}
 	tr := &loadgen.Tracker{}
 	if *metrics != "" {
@@ -80,8 +78,8 @@ func run() int {
 		fmt.Printf("flareload: serving /metrics on %s\n", *metrics)
 	}
 
-	fmt.Printf("flareload: %d cells x %d sessions = %d concurrent sessions, %d rounds (batch=%v interval=%v) against %s\n",
-		*cells, *sessions, *cells**sessions, *rounds, *batch, *interval, *url)
+	fmt.Printf("flareload: %d cells x %d sessions = %d concurrent sessions, %d rounds (interval=%v) against %s\n",
+		*cells, *sessions, *cells**sessions, *rounds, *interval, *url)
 	start := time.Now()
 	res, err := loadgen.Run(cfg, tr)
 	if err != nil {

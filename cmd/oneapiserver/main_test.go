@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -35,7 +36,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Flows:        map[int]core.FlowStats{1: {Bytes: 2_000_000, RBs: 8000}},
 		NumDataFlows: 0,
 	}
-	if _, err := oneapi.ReportStats(srv.Client(), srv.URL, 0, report); err != nil {
+	if _, err := oneapi.ReportStatsContext(context.Background(), srv.Client(), srv.URL, 0, report); err != nil {
 		t.Fatalf("report: %v", err)
 	}
 	if _, ok, err := client.Poll(); err != nil || !ok {

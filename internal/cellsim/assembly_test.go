@@ -72,9 +72,9 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 		scheme            Scheme
 		perSession, total float64 // bounds
 	}{
-		// Measured 0.00 and 67 (68 under -race). A per-session object
+		// Measured 0.00 and 32 (33 under -race). A per-session object
 		// of any kind adds a whole one, a regrown table a fraction.
-		{SchemeFLARE, 0, 68},
+		{SchemeFLARE, 0, 33},
 		// Measured 4.03 and 835: each client's throughput adapter and
 		// its history, and the allocator's record of the flow.
 		{SchemeAVIS, 4.1, 900},
@@ -132,22 +132,22 @@ func TestMetroCellAssemblyAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("cellsim.New on a metro cell: %.0f allocations", allocs)
-	// Measured 71 (72 under -race).
-	if allocs > 72 {
-		t.Errorf("cellsim.New on a metro cell makes %.0f allocations, want <= 72", allocs)
+	// Measured 36 (37 under -race).
+	if allocs > 37 {
+		t.Errorf("cellsim.New on a metro cell makes %.0f allocations, want <= 37", allocs)
 	}
 }
 
 // TestMultiCellAllocsPerCell pins the heap objects of a whole multi-cell
 // run: four metro-shaped cells through RunMultiConfig on one shared
 // server, assembly included — the path the ledger's metro_shared
-// figure measures. Measured 54.5–54.8 per cell (57.5 under -race); the
+// figure measures. Measured 50.8 per cell (53.8 under -race); the
 // bound sits half an object above the -race figure, so one object more
 // per cell fails it, and one more per session (26 per cell) or per BAI
 // (20) by far.
 func TestMultiCellAllocsPerCell(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const cells, bound = 4, 58
+	const cells, bound = 4, 54.3
 	cfgs := make([]Config, cells)
 	for c := range cfgs {
 		cfgs[c] = metroCell(uint64(1+c), 20*time.Second)

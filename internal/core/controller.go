@@ -176,7 +176,7 @@ func (f *flowRow) prefs() Preferences {
 type Controller struct {
 	cfg   Config
 	obj   Objective
-	exact *ExactSolver
+	exact ExactSolver
 	relax *RelaxedSolver // built by the first relaxed solve
 	// rows is the flow table, in ascending flow-ID order: the order
 	// every per-flow pass uses, so float sums and outputs follow IDs.
@@ -248,7 +248,7 @@ func NewController(cfg Config) *Controller {
 	return &Controller{
 		cfg:   cfg,
 		obj:   obj,
-		exact: NewExactSolver(),
+		exact: *NewExactSolver(),
 		now:   time.Now, //flare:allow solver-latency timing is observational: DurNs/SolveTimes never feed an assignment decision, and tests inject a fake via SetWallClock
 	}
 }

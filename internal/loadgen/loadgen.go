@@ -52,10 +52,6 @@ type Config struct {
 	// cell every that many rounds, exercising the session lifecycle
 	// under load.
 	ChurnEvery int
-	// Batch drives the stats path through /oneapi/v4/stats/batch — one
-	// aggregation site reporting every cell per round, exercising the
-	// server's worker-pool fan-out — instead of per-cell stats POSTs.
-	Batch bool
 	// Ladder is the bitrate ladder sessions register (nil = has.SimLadder).
 	Ladder []float64
 	// HTTPClient overrides the tuned default transport.
@@ -84,8 +80,7 @@ type Tracker struct {
 	OpenErrors atomic.Int64
 	Rounds     atomic.Int64
 	// RoundErrors counts failed stats exchanges (transport errors or
-	// non-enforcement server errors). In batch mode each cell's slot in
-	// the batch counts separately, so the two modes are comparable.
+	// non-enforcement server errors).
 	RoundErrors atomic.Int64
 	Polls       atomic.Int64
 	PollErrors  atomic.Int64
@@ -134,7 +129,6 @@ type Result struct {
 	SessionsPerCell int     `json:"sessions_per_cell"`
 	Sessions        int     `json:"sessions"`
 	Rounds          int     `json:"rounds"`
-	Batch           bool    `json:"batch,omitempty"`
 	OpenedSessions  int64   `json:"opened_sessions"`
 	OpenErrors      int64   `json:"open_errors,omitempty"`
 	OpenSeconds     float64 `json:"open_seconds"`
@@ -219,18 +213,14 @@ func Run(cfg Config, tr *Tracker) (Result, error) {
 	// Phase 2 — BAI rounds: per round, each cell's eNodeB reports stats
 	// (timed: this is the BAI round-trip) and its plugins poll.
 	roundStart := time.Now()
-	if cfg.Batch {
-		runBatchRounds(cfg, httpc, workers, tr)
-	} else {
-		forEach(workers, func(w *cellWorker) {
-			for r := 1; r <= cfg.Rounds; r++ {
-				w.round(cfg, httpc, tr, r)
-				if cfg.Interval > 0 {
-					time.Sleep(cfg.Interval)
-				}
+	forEach(workers, func(w *cellWorker) {
+		for r := 1; r <= cfg.Rounds; r++ {
+			w.round(cfg, httpc, tr, r)
+			if cfg.Interval > 0 {
+				time.Sleep(cfg.Interval)
 			}
-		})
-	}
+		}
+	})
 	roundSeconds := time.Since(roundStart).Seconds()
 
 	res := Result{
@@ -238,7 +228,6 @@ func Run(cfg Config, tr *Tracker) (Result, error) {
 		SessionsPerCell: cfg.SessionsPerCell,
 		Sessions:        cfg.Cells * cfg.SessionsPerCell,
 		Rounds:          cfg.Rounds,
-		Batch:           cfg.Batch,
 		OpenedSessions:  tr.Opens.Load(),
 		OpenErrors:      tr.OpenErrors.Load(),
 		OpenSeconds:     openSeconds,
@@ -314,44 +303,6 @@ func (w *cellWorker) report(r int) oneapi.StatsReport {
 		}
 	}
 	return oneapi.StatsReport{Flows: flows, NumDataFlows: 0, Seq: int64(r)}
-}
-
-// runBatchRounds drives the stats path through the batch endpoint: one
-// aggregation site reports every cell per round (the whole batch POST
-// is one observation — the fan-out happens server-side), while polls
-// still fan out per cell.
-func runBatchRounds(cfg Config, httpc *http.Client, workers []*cellWorker, tr *Tracker) {
-	for r := 1; r <= cfg.Rounds; r++ {
-		reports := make([]oneapi.CellReport, len(workers))
-		for i, w := range workers {
-			reports[i] = oneapi.CellReport{CellID: w.cellID, Report: w.report(r)}
-		}
-		t0 := time.Now()
-		resp, err := oneapi.ReportStatsBatch(context.Background(), httpc, cfg.BaseURL, reports)
-		tr.RoundLatency.Observe(time.Since(t0).Nanoseconds())
-		tr.Rounds.Add(int64(len(workers)))
-		if err != nil {
-			tr.RoundErrors.Add(int64(len(workers)))
-		} else {
-			for _, res := range resp.Results {
-				if res.Code != "" {
-					tr.RoundErrors.Add(1)
-				}
-			}
-		}
-		forEach(workers, func(w *cellWorker) {
-			w.churn(cfg, tr, r)
-			for _, cl := range w.clients {
-				tr.Polls.Add(1)
-				if _, _, err := cl.Poll(); err != nil {
-					tr.PollErrors.Add(1)
-				}
-			}
-		})
-		if cfg.Interval > 0 {
-			time.Sleep(cfg.Interval)
-		}
-	}
 }
 
 // forEach runs fn per worker concurrently and waits for all.

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) (*oneapi.Server, *httptest.Server) {
 	return s, srv
 }
 
-// TestRunPerCell drives the per-cell stats path end to end against an
+// TestRunPerCell drives each cell's stats path end to end against an
 // in-process server: every open, round, and poll must succeed
 // and the summary must account for all of them.
 func TestRunPerCell(t *testing.T) {
@@ -71,31 +71,6 @@ func TestRunPerCell(t *testing.T) {
 		if !strings.Contains(body.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body.String())
 		}
-	}
-}
-
-// TestRunBatch drives the aggregated stats path: one batch POST per
-// round fans every cell's BAI across the server's worker pool.
-func TestRunBatch(t *testing.T) {
-	_, srv := newTestServer(t)
-	res, err := loadgen.Run(loadgen.Config{
-		BaseURL:         srv.URL,
-		Cells:           5,
-		SessionsPerCell: 2,
-		Rounds:          4,
-		Batch:           true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpenErrors != 0 || res.RoundErrors != 0 || res.PollErrors != 0 {
-		t.Fatalf("errors in clean batch run: %+v", res)
-	}
-	if res.RoundsTotal != 20 {
-		t.Errorf("rounds = %d, want 20 (5 cells x 4)", res.RoundsTotal)
-	}
-	if res.Polls != 40 {
-		t.Errorf("polls = %d, want 40", res.Polls)
 	}
 }
 

@@ -364,67 +364,3 @@ func TestBatchPCEFBrokenContract(t *testing.T) {
 		}
 	}
 }
-
-// TestRunBAIRoundsMatchesSequential: the batch entry point must
-// produce, per cell, exactly what sequential RunBAIReport calls produce,
-// in input order. The 64 cells differ in session count, ladder and
-// data-flow count, so differently shaped problems pass through the
-// solver's shared scratch one after another.
-func TestRunBAIRoundsMatchesSequential(t *testing.T) {
-	const cells = 64
-	flowsOf := func(c int) []int {
-		ids := make([]int, 1+c%8)
-		for f := range ids {
-			ids[f] = c*10 + f
-		}
-		return ids
-	}
-	build := func() *Server {
-		s := serverForTest()
-		for c := 0; c < cells; c++ {
-			ladder := has.SimLadder()
-			if c%2 == 1 {
-				ladder = has.FineLadder()
-			}
-			for _, id := range flowsOf(c) {
-				if err := s.OpenSession(c, SessionRequest{FlowID: id, LadderBps: ladder}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return s
-	}
-	reports := make([]CellReport, cells)
-	for c := 0; c < cells; c++ {
-		reports[c] = CellReport{CellID: c, Report: healthyReport(flowsOf(c)...)}
-		reports[c].Report.NumDataFlows = c % 5
-	}
-
-	seq := build()
-	want := make([]StatsResponse, cells)
-	for c, r := range reports {
-		resp, err := seq.RunBAIReport(r.CellID, r.Report, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[c] = resp
-	}
-
-	pooled := build()
-	outcomes := pooled.RunBAIRounds(reports, nil)
-	if len(outcomes) != cells {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), cells)
-	}
-	for i, o := range outcomes {
-		if o.CellID != reports[i].CellID {
-			t.Errorf("outcome %d is cell %d, want %d (index slotting broken)", i, o.CellID, reports[i].CellID)
-		}
-		if o.Err != nil {
-			t.Errorf("cell %d: %v", o.CellID, o.Err)
-			continue
-		}
-		if fmt.Sprintf("%+v", o.Resp) != fmt.Sprintf("%+v", want[i]) {
-			t.Errorf("cell %d diverged from sequential\n got: %+v\nwant: %+v", o.CellID, o.Resp, want[i])
-		}
-	}
-}

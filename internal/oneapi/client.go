@@ -441,22 +441,11 @@ func (c *cancelOnClose) Close() error {
 	return err
 }
 
-// ReportStats is the eNodeB Communication Module's client side: POST the
-// report, receive the GBR assignments to enforce. Kept for callers that
-// do not need cancellation; it delegates to ReportStatsContext with a
-// background context and the default request timeout.
-func ReportStats(httpc *http.Client, baseURL string, cellID int, report StatsReport) ([]core.Assignment, error) {
-	resp, err := ReportStatsContext(context.Background(), httpc, baseURL, cellID, report)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Assignments, nil
-}
-
-// ReportStatsContext POSTs one statistics report under ctx (plus the
-// default per-request timeout) and returns the full response, including
-// the BAI sequence and any partial-enforcement failures. A stale
-// sequenced report surfaces as ErrStaleReport.
+// ReportStatsContext is the eNodeB Communication Module's client side:
+// it POSTs one statistics report under ctx (plus the default
+// per-request timeout) and returns the GBR assignments to enforce,
+// together with the BAI sequence and any partial-enforcement failures.
+// A stale sequenced report surfaces as ErrStaleReport.
 func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string, cellID int, report StatsReport) (StatsResponse, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -492,54 +481,46 @@ func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string,
 	return sr, nil
 }
 
-// ReportStatsBatch POSTs many cells' reports in one exchange — the
-// aggregation-site client side of /oneapi/v4/stats/batch. The server
-// runs the BAI rounds in request order; results come back in that order
-// with per-cell errors inside the envelope (one stale cell cannot fail
-// its neighbours).
-func ReportStatsBatch(ctx context.Context, httpc *http.Client, baseURL string, reports []CellReport) (BatchStatsResponse, error) {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	body, err := json.Marshal(BatchStatsRequest{Reports: reports})
-	if err != nil {
-		return BatchStatsResponse{}, fmt.Errorf("oneapi: marshal batch stats request: %w", err)
-	}
-	reqCtx, cancel := context.WithTimeout(ctx, DefaultClientConfig().RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, baseURL+"/oneapi/v4/stats/batch", bytes.NewReader(body))
-	if err != nil {
-		return BatchStatsResponse{}, fmt.Errorf("oneapi: build batch stats request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return BatchStatsResponse{}, fmt.Errorf("oneapi: report stats batch: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return BatchStatsResponse{}, fmt.Errorf("oneapi: report stats batch: %w", respErr(resp))
-	}
-	var br BatchStatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return BatchStatsResponse{}, fmt.Errorf("oneapi: decode batch stats response: %w", err)
-	}
-	return br, nil
-}
+// maxResponseBytes bounds every response body the client reads. The
+// largest legitimate one is the stats response to a report of
+// maxBodyBytes. Each flow member this package encodes into a report is
+// at least 24 bytes (`"0":{"bytes":0,"rbs":0},`), so such a report
+// names at most 2^20 / 24 = 43,690 flows. Each flow comes back as one
+// assignment of at most 100 bytes with its comma (34 bytes of keys and
+// punctuation, two 20-digit integers, a 25-byte float) and at most one
+// failure of 45 bytes plus its reason, so 256 bytes a flow leave the
+// reason 111. The envelope around them (keys, a 20-digit bai_seq, the
+// newline) is 62 bytes. 64 + 43,690 * 256 = 11,184,704 bytes.
+const maxResponseBytes = 64 + maxBodyBytes/24*256
+
+// maxDrainBytes is how much of an unread body drainClose discards so
+// that the connection can be reused; a longer rest closes it.
+const maxDrainBytes = 4 << 10
+
+var errResponseTooLarge = fmt.Errorf("response body over %d bytes", maxResponseBytes)
 
 // readResponse reads a response body in one piece, sized by the
-// server's Content-Length where it sent a plausible one.
+// server's Content-Length where it sent one, and fails on a body over
+// maxResponseBytes.
 func readResponse(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxBatchBodyBytes {
+	n := resp.ContentLength
+	if n > maxResponseBytes {
+		return nil, errResponseTooLarge
+	}
+	if n >= 0 {
 		body := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, body)
 		return body, err
 	}
-	return io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	if err == nil && len(body) > maxResponseBytes {
+		err = errResponseTooLarge
+	}
+	return body, err
 }
 
 func drainClose(rc io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, rc)
+	_, _ = io.CopyN(io.Discard, rc, maxDrainBytes)
 	_ = rc.Close()
 }
 
@@ -560,9 +541,15 @@ func (e *httpError) Error() string {
 
 func (e *httpError) Unwrap() error { return errorForCode(e.envelope.Code) }
 
-// respErr decodes a non-success response into an httpError.
+// respErr decodes a non-success response into an httpError. A body
+// that is not an ErrorResponse leaves the envelope empty; one over
+// maxResponseBytes is an error of its own.
 func respErr(resp *http.Response) error {
+	raw, err := readResponse(resp)
+	if err != nil {
+		return fmt.Errorf("HTTP %d: %w", resp.StatusCode, err)
+	}
 	var env ErrorResponse
-	_ = json.NewDecoder(resp.Body).Decode(&env)
+	_ = json.Unmarshal(raw, &env)
 	return &httpError{status: resp.StatusCode, envelope: env}
 }

@@ -13,14 +13,10 @@ import (
 	"github.com/flare-sim/flare/internal/core"
 )
 
-// Request bodies are bounded: a single-cell route never legitimately
-// carries more than a report for a few thousand flows, a batch carries
-// one such report per cell of an aggregation site. A larger body is
-// answered 413 before it is read.
-const (
-	maxBodyBytes      = 1 << 20
-	maxBatchBodyBytes = 16 << 20
-)
+// Request bodies are bounded: no route legitimately carries more than
+// a report for a few thousand flows. A larger body is answered 413
+// before it is read.
+const maxBodyBytes = 1 << 20
 
 // route is one row of the binding's route table.
 type route uint8
@@ -32,7 +28,6 @@ const (
 	routePreferences
 	routeHandover
 	routeStats
-	routeBatch
 	routePoll
 )
 
@@ -44,7 +39,6 @@ var routeMethods = [...]struct{ method, allow string }{
 	routePreferences: {http.MethodPut, "PUT"},
 	routeHandover:    {http.MethodPost, "POST"},
 	routeStats:       {http.MethodPost, "POST"},
-	routeBatch:       {http.MethodPost, "POST"},
 	routePoll:        {http.MethodGet, "GET, HEAD"},
 }
 
@@ -56,9 +50,6 @@ func matchRoute(path string) (rt route, cell, flow string) {
 	rest, ok := strings.CutPrefix(path, "/oneapi/v4/")
 	if !ok {
 		return routeNone, "", ""
-	}
-	if rest == "stats/batch" {
-		return routeBatch, "", ""
 	}
 	if rest, ok = strings.CutPrefix(rest, "cells/"); !ok {
 		return routeNone, "", ""
@@ -97,7 +88,6 @@ func matchRoute(path string) (rt route, cell, flow string) {
 //	POST   /oneapi/v4/cells/{cell}/sessions            open a session
 //	DELETE /oneapi/v4/cells/{cell}/sessions/{flow}     close a session
 //	POST   /oneapi/v4/cells/{cell}/stats               eNB report -> BAI
-//	POST   /oneapi/v4/stats/batch                      many cells' reports -> parallel BAIs
 //	GET    /oneapi/v4/cells/{cell}/assignments/{flow}  plugin poll
 //	POST   /oneapi/v4/cells/{cell}/sessions/{flow}/handover  move session to another cell
 //	PUT    /oneapi/v4/cells/{cell}/sessions/{flow}/preferences  replace client preferences
@@ -126,13 +116,10 @@ func (h handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
 		return
 	}
-	var cellID, flowID int
-	if rt != routeBatch {
-		var err error
-		if cellID, flowID, err = pathIDs(cellSeg, flowSeg); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
+	cellID, flowID, err := pathIDs(cellSeg, flowSeg)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	switch rt {
 	case routeSessions:
@@ -146,8 +133,6 @@ func (h handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.handover(w, r, cellID, flowID)
 	case routeStats:
 		h.stats(w, r, cellID)
-	case routeBatch:
-		h.batch(w, r)
 	case routePoll:
 		h.poll(w, cellID, flowID)
 	}
@@ -172,7 +157,7 @@ func pathIDs(cell, flow string) (cellID, flowID int, err error) {
 
 func (h handler) open(w http.ResponseWriter, r *http.Request, cellID int) {
 	var req SessionRequest
-	if !readJSON(w, r, maxBodyBytes, "session request", &req) {
+	if !readJSON(w, r, "session request", &req) {
 		return
 	}
 	created, err := h.s.Open(cellID, req)
@@ -198,7 +183,7 @@ func (h handler) open(w http.ResponseWriter, r *http.Request, cellID int) {
 
 func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flowID int) {
 	var prefs core.Preferences
-	if !readJSON(w, r, maxBodyBytes, "preferences", &prefs) {
+	if !readJSON(w, r, "preferences", &prefs) {
 		return
 	}
 	if err := h.s.SetPreferences(cellID, flowID, prefs); err != nil {
@@ -210,7 +195,7 @@ func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flo
 
 func (h handler) handover(w http.ResponseWriter, r *http.Request, fromCell, flowID int) {
 	var req HandoverRequest
-	if !readJSON(w, r, maxBodyBytes, "handover request", &req) {
+	if !readJSON(w, r, "handover request", &req) {
 		return
 	}
 	if err := h.s.Handover(fromCell, req.ToCell, flowID); err != nil {
@@ -227,7 +212,7 @@ func (h handler) handover(w http.ResponseWriter, r *http.Request, fromCell, flow
 
 func (h handler) stats(w http.ResponseWriter, r *http.Request, cellID int) {
 	var report StatsReport
-	body, err := readBody(w, r, maxBodyBytes)
+	body, err := readBody(w, r)
 	if err == nil {
 		err = decodeStatsReport(body, &report)
 	}
@@ -258,27 +243,6 @@ func (h handler) stats(w http.ResponseWriter, r *http.Request, cellID int) {
 	writeEncoded(w, out, err)
 }
 
-func (h handler) batch(w http.ResponseWriter, r *http.Request) {
-	var req BatchStatsRequest
-	if !readJSON(w, r, maxBatchBodyBytes, "batch stats request", &req) {
-		return
-	}
-	outcomes := h.s.RunBAIRounds(req.Reports, nil)
-	resp := BatchStatsResponse{Results: make([]BatchStatsResult, len(outcomes))}
-	for i, o := range outcomes {
-		res := BatchStatsResult{CellID: o.CellID, StatsResponse: o.Resp}
-		// Per-cell errors ride inside the 200 envelope: one stale
-		// or draining cell must not fail the other cells' rounds.
-		var enforceErr *EnforceError
-		if o.Err != nil && !errors.As(o.Err, &enforceErr) {
-			res.Error = o.Err.Error()
-			res.Code = codeFor(o.Err)
-		}
-		resp.Results[i] = res
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (h handler) poll(w http.ResponseWriter, cellID, flowID int) {
 	a, err := h.s.AssignmentErr(cellID, flowID)
 	if err != nil {
@@ -303,16 +267,16 @@ func retryAfterSeconds(s *Server) int {
 	return secs
 }
 
-// readBody reads a request body of at most limit bytes in one piece. A
-// declared length over the limit is refused before anything is
+// readBody reads a request body of at most maxBodyBytes in one piece.
+// A declared length over the limit is refused before anything is
 // allocated or read; an undeclared one (chunked) is cut off at the
 // limit as it streams.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	if r.ContentLength > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
 	}
 	if r.ContentLength < 0 {
-		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	}
 	body := make([]byte, r.ContentLength)
 	_, err := io.ReadFull(r.Body, body)
@@ -322,8 +286,8 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 // readJSON decodes a cold route's bounded request body with
 // encoding/json, answering the failure itself: it reports whether v
 // holds the message.
-func readJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+func readJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	if err != nil {
 		writeDecodeErr(w, what, err)
 	}
@@ -360,18 +324,14 @@ func writeEncoded(w http.ResponseWriter, body []byte, err error) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-// writeJSON sends a cold message through encoding/json.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	// As in writeEncoded: only a broken connection fails here.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
+// writeErr sends the error envelope through encoding/json.
 func writeErr(w http.ResponseWriter, status int, err error) {
 	code := codeFor(err)
 	if code == CodeInternal && (status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge) {
 		code = CodeBadRequest
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	// As in writeEncoded: only a broken connection fails here.
+	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Code: code})
 }

@@ -93,30 +93,6 @@ type HandoverRequest struct {
 	ToCell int `json:"to_cell"`
 }
 
-// BatchStatsRequest carries many cells' statistics reports in one POST
-// — the aggregation-site wire format. The server runs the BAI rounds in
-// request order (RunBAIRounds).
-type BatchStatsRequest struct {
-	Reports []CellReport `json:"reports"`
-}
-
-// BatchStatsResult is one cell's outcome in a batched stats exchange.
-// Per-cell failures ride inside the 200 envelope — Error/Code are set
-// and the embedded response empty — so one stale cell cannot fail its
-// neighbours' rounds.
-type BatchStatsResult struct {
-	CellID int `json:"cell_id"`
-	StatsResponse
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-}
-
-// BatchStatsResponse is the reply to a BatchStatsRequest, results in
-// request order.
-type BatchStatsResponse struct {
-	Results []BatchStatsResult `json:"results"`
-}
-
 // Wire codecs for the messages that carry the traffic: the plugin poll
 // (AssignmentResponse) and the eNodeB statistics exchange (StatsReport,
 // StatsResponse). Each append function emits the bytes json.Marshal

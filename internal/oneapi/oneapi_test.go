@@ -1,6 +1,7 @@
 package oneapi
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -221,11 +222,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	report := StatsReport{
 		Flows: map[int]core.FlowStats{3: {Bytes: 1_000_000, RBs: 50_000}},
 	}
-	as, err := ReportStats(ts.Client(), ts.URL, 0, report)
+	resp, err := ReportStatsContext(context.Background(), ts.Client(), ts.URL, 0, report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 1 || as[0].FlowID != 3 {
+	if as := resp.Assignments; len(as) != 1 || as[0].FlowID != 3 {
 		t.Fatalf("assignments %v", as)
 	}
 	// The plugin now sees its assignment.
@@ -430,18 +431,17 @@ func TestHTTPBodyLimits(t *testing.T) {
 	h := Handler(s)
 	for _, tc := range []struct {
 		name, method, path, doc string
-		limit, atLimit          int
+		atLimit                 int
 	}{
-		{"open", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":2,"ladder_bps":[200000,400000]}`, maxBodyBytes, 201},
-		{"preferences", "PUT", "/oneapi/v4/cells/0/sessions/1/preferences", `{"max_bps":250000}`, maxBodyBytes, 204},
-		{"handover", "POST", "/oneapi/v4/cells/0/sessions/1/handover", `{"to_cell":0}`, maxBodyBytes, 400},
-		{"stats", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000,"rbs":100}}}`, maxBodyBytes, 200},
-		{"batch", "POST", "/oneapi/v4/stats/batch", `{"reports":[]}`, maxBatchBodyBytes, 200},
+		{"open", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":2,"ladder_bps":[200000,400000]}`, 201},
+		{"preferences", "PUT", "/oneapi/v4/cells/0/sessions/1/preferences", `{"max_bps":250000}`, 204},
+		{"handover", "POST", "/oneapi/v4/cells/0/sessions/1/handover", `{"to_cell":0}`, 400},
+		{"stats", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000,"rbs":100}}}`, 200},
 	} {
 		for _, chunked := range []bool{false, true} {
 			for _, over := range []int{0, 1} {
 				s.CloseSession(0, 2) // so that every at-limit open creates
-				req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(padded(tc.doc, tc.limit+over)))
+				req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(padded(tc.doc, maxBodyBytes+over)))
 				if chunked {
 					req.ContentLength = -1
 				}

@@ -646,33 +646,6 @@ func (c *cellState) installGBRs(pcef PCEF, assignments []core.Assignment) []erro
 	return errs
 }
 
-// CellReport pairs a cell with one statistics report, for batched BAI
-// rounds (RunBAIRounds and the stats/batch HTTP endpoint).
-type CellReport struct {
-	CellID int         `json:"cell_id"`
-	Report StatsReport `json:"report"`
-}
-
-// RoundOutcome is one cell's result in a batched BAI round.
-type RoundOutcome struct {
-	CellID int
-	Resp   StatsResponse
-	Err    error
-}
-
-// RunBAIRounds executes one BAI per report, in input order, and returns
-// the outcomes in that order. Duplicate cell IDs within one batch run
-// in input order too (a sequenced report repeated later in the batch is
-// rejected as stale).
-func (s *Server) RunBAIRounds(reports []CellReport, pcef PCEF) []RoundOutcome {
-	out := make([]RoundOutcome, len(reports))
-	for i, cr := range reports {
-		resp, err := s.RunBAIReport(cr.CellID, cr.Report, pcef)
-		out[i] = RoundOutcome{CellID: cr.CellID, Resp: resp, Err: err}
-	}
-	return out
-}
-
 // Assignment returns a flow's most recent assignment, for polling
 // plugins. ok is false before the flow's first BAI.
 func (s *Server) Assignment(cellID, flowID int) (AssignmentResponse, bool) {

@@ -87,18 +87,6 @@ func wireScenes() []wireScene {
 			},
 		},
 		{
-			name:    "batch",
-			prepare: mustOpen(0, 1, 2),
-			exchanges: []wireExchange{
-				{"batch two cells", "POST", "/oneapi/v4/stats/batch",
-					`{"reports":[{"cell_id":0,"report":{"flows":{"1":{"bytes":500000,"rbs":20000},"2":{"bytes":900000,"rbs":30000}},"seq":1}},{"cell_id":4,"report":{"flows":{}}}]}`},
-				{"batch one stale", "POST", "/oneapi/v4/stats/batch",
-					`{"reports":[{"cell_id":0,"report":{"flows":{"1":{"bytes":500000,"rbs":20000}},"seq":1}},{"cell_id":4,"report":{}}]}`},
-				{"batch empty", "POST", "/oneapi/v4/stats/batch", `{}`},
-				{"batch malformed", "POST", "/oneapi/v4/stats/batch", `{"reports":7}`},
-			},
-		},
-		{
 			name: "routing",
 			exchanges: []wireExchange{
 				{"sessions wrong method", "GET", "/oneapi/v4/cells/0/sessions", ""},
@@ -106,7 +94,6 @@ func wireScenes() []wireScene {
 				{"preferences wrong method", "POST", "/oneapi/v4/cells/0/sessions/1/preferences", `{}`},
 				{"handover wrong method", "GET", "/oneapi/v4/cells/0/sessions/1/handover", ""},
 				{"stats wrong method", "GET", "/oneapi/v4/cells/0/stats", ""},
-				{"batch wrong method", "PUT", "/oneapi/v4/stats/batch", `{}`},
 				{"poll wrong method", "POST", "/oneapi/v4/cells/0/assignments/1", ""},
 				{"wrong method beats bad id", "GET", "/oneapi/v4/cells/abc/stats", ""},
 				{"unknown path root", "GET", "/", ""},
@@ -116,6 +103,7 @@ func wireScenes() []wireScene {
 				{"unknown path no flow", "GET", "/oneapi/v4/cells/0/assignments", ""},
 				{"unknown path trailing slash", "POST", "/oneapi/v4/cells/0/stats/", `{}`},
 				{"unknown path extra segment", "GET", "/oneapi/v4/cells/0/assignments/1/extra", ""},
+				{"unknown path stats batch", "POST", "/oneapi/v4/stats/batch", `{}`},
 				{"unknown path batch leaf", "POST", "/oneapi/v4/stats/batches", `{}`},
 				{"sessions non-integer cell", "POST", "/oneapi/v4/cells/abc/sessions", ""},
 				{"stats non-integer cell", "POST", "/oneapi/v4/cells/1.5/stats", `{}`},
@@ -134,7 +122,6 @@ func wireScenes() []wireScene {
 			exchanges: []wireExchange{
 				{"open while draining", "POST", "/oneapi/v4/cells/0/sessions", open(2)},
 				{"stats while draining", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1,"rbs":1}}}`},
-				{"batch while draining", "POST", "/oneapi/v4/stats/batch", `{"reports":[{"cell_id":0,"report":{}}]}`},
 				{"poll while draining", "GET", "/oneapi/v4/cells/0/assignments/1", ""},
 				{"close while draining", "DELETE", "/oneapi/v4/cells/0/sessions/1", ""},
 			},
@@ -160,7 +147,6 @@ func wireScenes() []wireScene {
 			exchanges: []wireExchange{
 				{"stats with failed install", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000000,"rbs":25000},"2":{"bytes":1000000,"rbs":25000}}}`},
 				{"poll failed flow", "GET", "/oneapi/v4/cells/0/assignments/2", ""},
-				{"batch with failed install", "POST", "/oneapi/v4/stats/batch", `{"reports":[{"cell_id":0,"report":{"flows":{"1":{"bytes":1000000,"rbs":25000},"2":{"bytes":1000000,"rbs":25000}}}}]}`},
 			},
 		},
 	}

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -218,19 +219,19 @@ func (e *ENodeB) reportStats() {
 	if e.cfg.OneAPIBaseURL == "" {
 		return
 	}
-	assignments, err := oneapi.ReportStats(e.cfg.HTTPClient, e.cfg.OneAPIBaseURL, e.cfg.CellID, report)
+	resp, err := oneapi.ReportStatsContext(context.Background(), e.cfg.HTTPClient, e.cfg.OneAPIBaseURL, e.cfg.CellID, report)
 	if err != nil {
 		// The next BAI retries; a lost report only delays adaptation.
 		return
 	}
 	e.mu.Lock()
-	for _, a := range assignments {
+	for _, a := range resp.Assignments {
 		_ = e.radio.SetGBR(a.FlowID, a.RateBps)
 	}
 	cb := e.OnAssignments
 	e.mu.Unlock()
 	if cb != nil {
-		cb(assignments)
+		cb(resp.Assignments)
 	}
 }
 
