@@ -76,11 +76,12 @@ race:
 	$(GO) test -race ./...
 
 # check is the full verification gate: build, lint (flarevet +
-# staticcheck-if-present), vet, then race-enabled tests. These subsume
-# the plain test run except for the allocation pins: under -race a pin
-# counts a few objects more (the four-cell multi-cell run 53.8 per cell
-# against 50.8), so each bound is set to hold under both, and only a
-# plain `go test ./...` checks the figures the pins' comments quote.
+# staticcheck-if-present), vet, then race-enabled tests. Under -race an
+# allocation pin counts a few objects more (the four-cell multi-cell run
+# 53.8 per cell against 50.8), so each pin's bound is set per build in
+# a build-tagged pair of files (allocbounds_race_test.go and
+# allocbounds_norace_test.go): this run checks the -race figures and a
+# plain `go test ./...` the plain ones, each to the pin's own margin.
 check: build lint vet race
 
 # bench-quick runs every benchmark exactly once — a smoke pass proving
@@ -118,7 +119,11 @@ pairs:
 # profile runs the engine benchmark with pprof output (cpu.prof,
 # mem.prof) for `go tool pprof`, then the four-cell metro_shared run
 # (BenchmarkMultiCellRun) into multi-mem.prof, then cellsim.New on the
-# 200-session churn cell (BenchmarkCellAssemble) into assemble-cpu.prof.
+# 200-session churn cell (BenchmarkCellAssemble) into assemble-cpu.prof,
+# then metro_shared's set-up sample, sixteen metro cells through
+# NewInCell (BenchmarkMetroCellAssemble), into metro-assemble-cpu.prof
+# (its runtime.GC between ops is in the profile: read it with
+# `-focus NewInCell`).
 # The memory profiles sample every allocation, so `go tool pprof
 # -sample_index=alloc_objects mem.prof` counts a run's allocations site
 # by site.
@@ -129,6 +134,8 @@ profile:
 		-memprofile multi-mem.prof -memprofilerate 1 .
 	$(GO) test -run '^$$' -bench '^BenchmarkCellAssemble$$' -benchtime 20000x \
 		-cpuprofile assemble-cpu.prof .
+	$(GO) test -run '^$$' -bench '^BenchmarkMetroCellAssemble$$' -benchtime 5000x \
+		-cpuprofile metro-assemble-cpu.prof .
 
 # trace-demo records a faulted run (the ext-faults blackout shape) with
 # telemetry on, then replays its decision narrative — solver summaries,

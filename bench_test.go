@@ -9,6 +9,7 @@ package flare
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -194,6 +195,32 @@ func BenchmarkCellAssemble(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cellsim.New(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMetroCellAssemble is the ledger's metro_shared set-up
+// sample: sixteen metro cells assembled through NewInCell on a fresh
+// shared OneAPI server, nothing run. The heap is collected before each
+// op, outside the timer, as the ledger does before each sample. `make
+// profile` writes its CPU profile to metro-assemble-cpu.prof.
+func BenchmarkMetroCellAssemble(b *testing.B) {
+	const cells = 16
+	cfgs := make([]cellsim.Config, cells)
+	for c := range cfgs {
+		cfgs[c] = benchmarks.MetroCellConfig(uint64(1+c), 120*time.Second)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		server := oneapi.NewServer(core.DefaultConfig(), nil)
+		for c, cfg := range cfgs {
+			if _, err := cellsim.NewInCell(cfg, server, c); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -282,12 +282,20 @@ func (c *Controller) BAI() time.Duration { return c.cfg.BAI }
 //
 // The controller keeps the ladder it is handed, without copying it, and
 // never writes to it; from then on the caller must not write to it
-// either. Many sessions may share one ladder. Snapshot hands out a copy.
+// either. Many sessions may share one ladder, so a ladder that is the
+// very slice a neighbouring row holds — the next session of a group
+// streaming one presentation — was checked when that row registered and
+// is not checked again. Snapshot hands out a copy.
 func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) error {
-	if err := ladder.Validate(); err != nil {
-		return fmt.Errorf("core: register flow %d: %w", flowID, err)
-	}
 	i, exists := c.find(flowID)
+	if !c.neighbourHolds(i, ladder) {
+		if err := ladder.Validate(); err != nil {
+			return fmt.Errorf("core: register flow %d: %w", flowID, err)
+		}
+		if len(ladder) > MaxLevels {
+			return fmt.Errorf("core: register flow %d: ladder of %d levels, more than %d", flowID, len(ladder), MaxLevels)
+		}
+	}
 	if exists {
 		return fmt.Errorf("core: flow %d already registered", flowID)
 	}
@@ -342,6 +350,20 @@ func (c *Controller) find(flowID int) (int, bool) {
 		}
 	}
 	return lo, lo < len(c.rows) && c.rows[lo].id == flowID
+}
+
+// neighbourHolds reports whether the row before index i, or the row at
+// it, holds ladder itself: the same backing array and length.
+func (c *Controller) neighbourHolds(i int, ladder has.Ladder) bool {
+	if len(ladder) == 0 {
+		return false
+	}
+	for j := max(i-1, 0); j <= i && j < len(c.rows); j++ {
+		if l := c.rows[j].ladder; len(l) == len(ladder) && &l[0] == &ladder[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // row returns flowID's row, or nil when the flow is not registered. The

@@ -42,6 +42,11 @@ type mckpScratch struct {
 	choice []int8 // n rows of one band width each (see solve)
 }
 
+// MaxLevels is the longest ladder the exact solver can index: choice
+// records a level in an int8. Problem.Validate and Controller.Register
+// refuse a longer one.
+const MaxLevels = math.MaxInt8 + 1
+
 // scratchPool is the freelist ExactSolver.Solve borrows from: a mutex-
 // guarded stack, not a sync.Pool, whose drops at every GC would tie
 // allocation counts to collector timing. mu is the innermost ranked lock
@@ -136,9 +141,8 @@ func (s *ExactSolver) SolveInto(p *Problem, sol *Solution) error {
 		bins = 10
 	}
 	sc, logs := solverScratch.borrow(bins)
-	err := sc.solve(p, bins, logs, sol)
-	solverScratch.giveBack(sc)
-	return err
+	defer solverScratch.giveBack(sc) // a panicking objective must not leak the set
+	return sc.solve(p, bins, logs, sol)
 }
 
 // solve is the DP proper on a borrowed set; logs is the curve for bins.
@@ -178,8 +182,14 @@ func (s *mckpScratch) solve(p *Problem, bins int, logs []float64, sol *Solution)
 		utils[u] = s.utilsB[off : off+maxL+1 : off+maxL+1]
 		off += maxL + 1
 		for l := 0; l <= maxL; l++ {
-			c := p.CostRBs(u, f.Ladder.Rate(l))
-			costs[u][l] = int(math.Ceil(c / binRBs))
+			// A cost beyond the cell, or NaN, saturates at bins+1:
+			// it never fits, and sums of such costs cannot overflow.
+			c := math.Ceil(p.CostRBs(u, f.Ladder.Rate(l)) / binRBs)
+			if c <= float64(bins) {
+				costs[u][l] = int(c)
+			} else {
+				costs[u][l] = bins + 1
+			}
 			utils[u][l] = p.UtilityAt(u, l)
 		}
 		if c0 := costs[u][0]; feasible && c0 <= bins-lo {

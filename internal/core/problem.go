@@ -107,6 +107,9 @@ func (p *Problem) Validate() error {
 		if err := f.Ladder.Validate(); err != nil {
 			return fmt.Errorf("core: flow %d: %w", f.ID, err)
 		}
+		if len(f.Ladder) > MaxLevels {
+			return fmt.Errorf("core: flow %d: ladder of %d levels, more than %d", f.ID, len(f.Ladder), MaxLevels)
+		}
 		if f.Beta <= 0 {
 			return fmt.Errorf("core: flow %d: beta must be positive, got %v", f.ID, f.Beta)
 		}

@@ -10,6 +10,7 @@ package has
 
 import (
 	"fmt"
+	"math"
 )
 
 // Ladder is an ascending list of available video bitrates in bits/s —
@@ -47,14 +48,17 @@ func FineLadder() Ladder {
 	return NewLadderKbps(kbps...)
 }
 
-// Validate checks that the ladder is non-empty, positive, and strictly
-// ascending.
+// Validate checks that the ladder is non-empty, finite, positive, and
+// strictly ascending.
 func (l Ladder) Validate() error {
 	if len(l) == 0 {
 		return fmt.Errorf("has: empty ladder")
 	}
 	for i, r := range l {
-		if r <= 0 {
+		if !(r > 0 && r <= math.MaxFloat64) { // one test for <= 0, NaN and +Inf
+			if r > 0 || math.IsNaN(r) {
+				return fmt.Errorf("has: ladder rate %d is not finite (%v)", i, r)
+			}
 			return fmt.Errorf("has: ladder rate %d is non-positive (%v)", i, r)
 		}
 		if i > 0 && r <= l[i-1] {

@@ -2,6 +2,7 @@ package has
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,7 +39,11 @@ func TestLadderValidate(t *testing.T) {
 		{"zero", Ladder{0, 5}, false},
 		{"descending", Ladder{5, 3}, false},
 		{"duplicate", Ladder{5, 5}, false},
+		{"NaN", Ladder{1, math.NaN(), 3}, false},
+		{"+Inf", Ladder{1, math.Inf(1)}, false},
+		{"-Inf", Ladder{math.Inf(-1), 1}, false},
 		{"valid", Ladder{1, 2, 3}, true},
+		{"largest finite", Ladder{1, math.MaxFloat64}, true},
 		{"single", Ladder{7}, true},
 	}
 	for _, tc := range cases {
@@ -132,9 +137,34 @@ func TestNewMPD(t *testing.T) {
 	if m.SegmentSeconds() != 10 {
 		t.Fatalf("SegmentSeconds = %v", m.SegmentSeconds())
 	}
-	// Every ID is the rate in kbps as %.0f formats it, ties and
-	// sub-kbps rungs included.
-	for _, l := range []Ladder{SimLadder(), FineLadder(), {400, 500, 1500, 2500, 999_500, 1_000_500, 123_456_789.5, 1e12}} {
+}
+
+// TestNewMPDIDs: every representation ID is the rate in kbps as %.0f
+// formats it — rounded exactly, ties to even — on the integer path
+// below 2^62 kbps and on AppendFloat's at and above it.
+func TestNewMPDIDs(t *testing.T) {
+	const k62 = 1 << 62 // kbps
+	for _, c := range []struct {
+		bps  float64
+		want string // "" where only the %.0f oracle is checked
+	}{
+		{500, "0k"}, {1500, "2k"}, {2500, "2k"}, {3500, "4k"}, // half-way rungs
+		{999_500, "1000k"}, {1_000_500, "1000k"}, {123_456_789.5, "123457k"},
+		{1, "0k"}, {499.999, "0k"}, {500.001, "1k"}, {math.SmallestNonzeroFloat64, "0k"}, // sub-kbps
+		{100_000, "100k"}, {790_000, "790k"}, {1e12, "1000000000k"},
+		{(k62 - 1024) * 1000, ""}, {k62 * 1000, "4611686018427387904k"}, // the last float below 2^62 kbps, and 2^62
+		{2 * k62 * 1000, "9223372036854775808k"}, {1e300, ""}, {math.MaxFloat64, ""}, // at and above 2^63
+	} {
+		m, err := NewMPD(Ladder{c.bps}, time.Second, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := m.Representations[0].ID, fmt.Sprintf("%.0fk", c.bps/1000)
+		if got != want || (c.want != "" && got != c.want) {
+			t.Errorf("rung %v bps: ID %q, want %q", c.bps, got, want)
+		}
+	}
+	for _, l := range []Ladder{SimLadder(), FineLadder(), TestbedLadder()} {
 		m, err := NewMPD(l, time.Second, 0)
 		if err != nil {
 			t.Fatal(err)

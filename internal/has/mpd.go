@@ -2,6 +2,7 @@ package has
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -57,10 +58,17 @@ func NewMPD(ladder Ladder, segDur time.Duration, totalSegments int) (*MPD, error
 	// The IDs ("790k": the rate in kbps, as %.0f rounds it) are
 	// formatted into one buffer and cut from one string, not allocated
 	// one per rung. A formatted rate holds no 'k', so each ID runs to
-	// the next one.
+	// the next one. Below 2^62 kbps the rate is rounded as an integer:
+	// %.0f rounds exactly, ties to even, as RoundToEven does, without
+	// the big-decimal path AppendFloat takes at a fixed precision.
 	buf := make([]byte, 0, 128)
 	for _, r := range ladder {
-		buf = append(strconv.AppendFloat(buf, r/1000, 'f', 0, 64), 'k')
+		if k := r / 1000; k < 1<<62 {
+			buf = strconv.AppendInt(buf, int64(math.RoundToEven(k)), 10)
+		} else {
+			buf = strconv.AppendFloat(buf, k, 'f', 0, 64)
+		}
+		buf = append(buf, 'k')
 	}
 	ids := string(buf)
 	reps := make([]Representation, len(ladder))

@@ -166,9 +166,13 @@ func (p *Player) Init(env transport.Env, flow *transport.Flow, mpd *MPD, adapter
 	if err := cfg.validate(); err != nil {
 		return err
 	}
+	// NewMPD validated the ladder it derived; only an MPD built any
+	// other way (decoded from JSON) is checked here.
 	ladder := mpd.SharedLadder()
-	if err := ladder.Validate(); err != nil {
-		return err
+	if mpd.ladder == nil {
+		if err := ladder.Validate(); err != nil {
+			return err
+		}
 	}
 	if adapter == nil {
 		return fmt.Errorf("has: nil adapter")

@@ -1,6 +1,7 @@
 package has
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -131,6 +132,16 @@ func TestNewPlayerValidation(t *testing.T) {
 	bad.RequestLatencyTTIs = -1
 	if _, err := NewPlayer(env, f, mpd, &fixedAdapter{}, bad); err == nil {
 		t.Error("negative request latency accepted")
+	}
+	// NewMPD's ladder was checked when it was built; an MPD decoded
+	// from JSON was not, and Init checks it.
+	var decoded MPD
+	doc := `{"segment_duration":2000000000,"representations":[{"id":"500k","bandwidth_bps":500000},{"id":"250k","bandwidth_bps":250000}]}`
+	if err := json.Unmarshal([]byte(doc), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPlayer(env, f, &decoded, &fixedAdapter{}, DefaultPlayerConfig()); err == nil {
+		t.Error("decoded MPD with a descending ladder accepted")
 	}
 }
 
