@@ -72,9 +72,10 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 		scheme            Scheme
 		perSession, total float64 // bounds
 	}{
-		// Measured 0.00 and flareAssemblyAllocs (a per-build bound:
-		// allocbounds_*_test.go). A per-session object of any kind
-		// adds a whole one, a regrown table a fraction.
+		// Measured 0.00 per added session; the total's bound is the
+		// build's own figure (allocbounds_*_test.go). A per-session
+		// object of any kind adds a whole one, a regrown table a
+		// fraction.
 		{SchemeFLARE, 0, flareAssemblyAllocs},
 		// Measured 4.03 and 835: each client's throughput adapter and
 		// its history, and the allocator's record of the flow.

@@ -55,7 +55,7 @@ func (l Ladder) Validate() error {
 		return fmt.Errorf("has: empty ladder")
 	}
 	for i, r := range l {
-		if !(r > 0 && r <= math.MaxFloat64) { // one test for <= 0, NaN and +Inf
+		if !(r > 0 && r <= math.MaxFloat64) { // rules out <= 0, NaN and +Inf
 			if r > 0 || math.IsNaN(r) {
 				return fmt.Errorf("has: ladder rate %d is not finite (%v)", i, r)
 			}
