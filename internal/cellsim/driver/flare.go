@@ -60,6 +60,12 @@ type flareDriver struct {
 	// every round is written into (read only until the next round).
 	pcef oneapi.PCEF
 	resp oneapi.StatsResponse
+
+	// solveTimes is the history of the cell's solve wall times in
+	// seconds (ControlTelemetry.SolveTimes): the server keeps only the
+	// last, and solves is the count of it this driver has read.
+	solveTimes []float64
+	solves     int64
 }
 
 // flowAdmission tracks one flow's session through the admission state
@@ -374,7 +380,9 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 	} else {
 		d.sendBufferFeedback()
 		report := oneapi.StatsReport{Flows: d.e.CollectStats(d.flows), NumDataFlows: -1}
-		if err := d.server.RunBAIInto(d.cellID, report, d.pcef, &d.resp); err != nil {
+		err := d.server.RunBAIInto(d.cellID, report, d.pcef, &d.resp)
+		d.readSolveTime()
+		if err != nil {
 			// Declared here, not above: errors.As makes its target escape.
 			var enforceErr *oneapi.EnforceError
 			if !errors.As(err, &enforceErr) {
@@ -467,8 +475,31 @@ func (d *flareDriver) Close() error { return nil }
 // ControlStats implements ControlTelemetry.
 func (d *flareDriver) ControlStats() ControlStats { return d.ctrl }
 
-// SolveTimes implements ControlTelemetry.
-func (d *flareDriver) SolveTimes() []float64 { return d.server.SolveTimes(d.cellID) }
+// readSolveTime appends the round's solve wall time to the history, if
+// the round ran a solve.
+func (d *flareDriver) readSolveTime() {
+	n, dur, err := d.server.LastSolve(d.cellID)
+	if err != nil || n == d.solves {
+		return
+	}
+	d.solves = n
+	if k := len(d.solveTimes); k == cap(d.solveTimes) {
+		// 64 entries at the first solve (a simulated minute of 1 s BAIs),
+		// then doubled, not append's gentler growth past 256 entries: a
+		// run four times as long regrows the history twice more.
+		d.solveTimes = append(make([]float64, 0, max(2*k, 64)), d.solveTimes...)
+	}
+	d.solveTimes = append(d.solveTimes, dur.Seconds())
+}
+
+// SolveTimes implements ControlTelemetry. A cell the server knows
+// reports an empty history, not none, when it never solved.
+func (d *flareDriver) SolveTimes() []float64 {
+	if _, _, err := d.server.LastSolve(d.cellID); d.solveTimes == nil && err == nil {
+		return []float64{}
+	}
+	return d.solveTimes
+}
 
 // FlowExtras implements FlowTelemetry: the plugin's coordination-mode
 // counters.

@@ -145,11 +145,11 @@ func TestRunMultiMixedSchemes(t *testing.T) {
 	}
 	// Cell 0 (FLARE) used the shared control plane; cells 1 and 2 never
 	// touched it.
-	if len(server.SolveTimes(0)) == 0 {
+	if n, _, _ := server.LastSolve(0); n == 0 {
 		t.Error("FLARE cell ran no solves on the shared server")
 	}
 	for _, cell := range []int{1, 2} {
-		if n := len(server.SolveTimes(cell)); n != 0 {
+		if n, _, _ := server.LastSolve(cell); n != 0 {
 			t.Errorf("non-FLARE cell %d ran %d solves on the shared server", cell, n)
 		}
 	}
@@ -185,10 +185,10 @@ func TestMixedCellInMulti(t *testing.T) {
 		len(res.Cells[0].ClientsByScheme(SchemeFESTIVE)) != 1 {
 		t.Fatalf("mixed cell group shapes wrong: %+v", res.Cells[0].Clients)
 	}
-	if len(server.SolveTimes(0)) == 0 {
+	if n, _, _ := server.LastSolve(0); n == 0 {
 		t.Error("mixed cell's FLARE group ran no solves")
 	}
-	if n := len(server.SolveTimes(1)); n != 0 {
+	if n, _, _ := server.LastSolve(1); n != 0 {
 		t.Errorf("pure FESTIVE cell ran %d solves", n)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"github.com/flare-sim/flare/internal/has"
 )
@@ -372,14 +374,8 @@ func TestControllerSolveTimesRecorded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	times := c.SolveTimes()
-	if len(times) != 5 {
-		t.Fatalf("%d solve times, want 5", len(times))
-	}
-	for _, d := range times {
-		if d < 0 || d > 1 {
-			t.Fatalf("implausible solve time %v s", d)
-		}
+	if n, d := c.LastSolve(); n != 5 || d < 0 || d > time.Second {
+		t.Fatalf("LastSolve = %d, %v; want 5 solves of a plausible time", n, d)
 	}
 }
 
@@ -485,5 +481,23 @@ func TestControllerSnapshot(t *testing.T) {
 	}
 	if _, err := c.Snapshot(99); err == nil {
 		t.Fatal("snapshot of unknown flow accepted")
+	}
+}
+
+// TestRegisterReportsExistingRow: Register refuses a flow that is
+// already registered with an error wrapping ErrRegistered, so the
+// OneAPI server's open learns of an idempotent re-open from Register's
+// one search instead of searching the flow table first.
+func TestRegisterReportsExistingRow(t *testing.T) {
+	c := NewController(DefaultConfig())
+	if err := c.Register(1, has.SimLadder(), Preferences{}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Register(1, has.SimLadder(), Preferences{})
+	if !errors.Is(err, ErrRegistered) || err.Error() != "core: flow 1 already registered" {
+		t.Fatalf("re-register: %v, want core: flow 1 already registered wrapping ErrRegistered", err)
+	}
+	if err := c.Register(2, has.SimLadder(), Preferences{}); errors.Is(err, ErrRegistered) {
+		t.Fatalf("new flow refused as registered: %v", err)
 	}
 }

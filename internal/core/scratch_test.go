@@ -291,9 +291,9 @@ func TestConcurrentControllersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestControllerSolveTimesBounded runs maxSolveTimes+100 BAIs through a
-// fake clock that makes BAI i take i nanoseconds, and requires the
-// history to hold exactly the most recent maxSolveTimes, oldest first.
+// TestControllerSolveTimesBounded runs 4,196 BAIs, more than the 4,096
+// a controller once kept, through a fake clock that makes BAI i take i
+// nanoseconds: the controller holds the count and the latest time only.
 func TestControllerSolveTimesBounded(t *testing.T) {
 	c := controllerForTest(t, DefaultConfig(), 1)
 	now := time.Unix(1_000_000, 0)
@@ -304,19 +304,13 @@ func TestControllerSolveTimesBounded(t *testing.T) {
 		}
 		return now
 	})
-	const total = maxSolveTimes + 100
+	const total = 4196
 	for bai = 1; bai <= total; bai++ {
 		if _, err := c.RunBAI(nil, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	times := c.SolveTimes()
-	if len(times) != maxSolveTimes || cap(c.solveTimes) > 2*maxSolveTimes {
-		t.Fatalf("history holds %d (cap %d) after %d BAIs, want %d", len(times), cap(c.solveTimes), total, maxSolveTimes)
-	}
-	for i, d := range times {
-		if want := time.Duration(total - maxSolveTimes + 1 + i).Seconds(); d != want {
-			t.Fatalf("times[%d] = %v s, want %v s (most recent %d, oldest first)", i, d, want, maxSolveTimes)
+		if n, d := c.LastSolve(); n != int64(bai) || d != time.Duration(bai) {
+			t.Fatalf("after BAI %d: LastSolve = %d, %v; want %d, %v", bai, n, d, bai, time.Duration(bai))
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // TestSetWallClockDrivesSolveTimes pins the wall-clock seam: solver
 // latency is measured through the injected clock, so a fake that steps
-// 5ms per reading must yield exactly 5ms per BAI in SolveTimes.
+// 5ms per reading must yield exactly 5ms per BAI in LastSolve.
 func TestSetWallClockDrivesSolveTimes(t *testing.T) {
 	c := controllerForTest(t, DefaultConfig(), 2)
 	fake := time.Unix(1_000_000, 0)
@@ -17,20 +17,13 @@ func TestSetWallClockDrivesSolveTimes(t *testing.T) {
 		return fake
 	})
 
-	const baIs = 3
-	for i := 0; i < baIs; i++ {
+	for i := 1; i <= 3; i++ {
 		if _, err := c.RunBAI(map[int]FlowStats{}, 0); err != nil {
 			t.Fatal(err)
 		}
-	}
-	times := c.SolveTimes()
-	if len(times) != baIs {
-		t.Fatalf("%d solve times, want %d", len(times), baIs)
-	}
-	for i, d := range times {
 		// Each RunBAI reads the clock twice (start, end): one 5ms step.
-		if d != (5 * time.Millisecond).Seconds() {
-			t.Fatalf("solve %d took %v s through the fake clock, want exactly 5ms", i, d)
+		if n, d := c.LastSolve(); n != int64(i) || d != 5*time.Millisecond {
+			t.Fatalf("solve %d: LastSolve = %d, %v through the fake clock, want %d, exactly 5ms", i, n, d, i)
 		}
 	}
 }
@@ -43,9 +36,8 @@ func TestSetWallClockNilRestoresDefault(t *testing.T) {
 	if _, err := c.RunBAI(map[int]FlowStats{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	times := c.SolveTimes()
-	if len(times) != 1 || times[0] < 0 {
-		t.Fatalf("solve times after nil restore: %v", times)
+	if n, d := c.LastSolve(); n != 1 || d < 0 {
+		t.Fatalf("LastSolve after nil restore: %d, %v", n, d)
 	}
 }
 

@@ -256,8 +256,8 @@ func TestRunBAIRejectsStaleReports(t *testing.T) {
 	if _, err := s.RunBAIReport(0, report, nil); err != nil {
 		t.Fatal(err)
 	}
-	if times := s.SolveTimes(0); len(times) != 3 {
-		t.Fatalf("%d BAIs ran, want 3 (stale reports must not solve)", len(times))
+	if n, _, _ := s.LastSolve(0); n != 3 {
+		t.Fatalf("%d BAIs ran, want 3 (stale reports must not solve)", n)
 	}
 }
 

@@ -161,11 +161,11 @@ func TestServerClimbsOverBAIs(t *testing.T) {
 	if last.Level != has.SimLadder().Len()-1 {
 		t.Fatalf("flow stuck at level %d", last.Level)
 	}
-	if times := s.SolveTimes(0); len(times) != 40 {
-		t.Fatalf("%d solve times", len(times))
+	if n, _, err := s.LastSolve(0); n != 40 || err != nil {
+		t.Fatalf("%d solves, %v; want 40", n, err)
 	}
-	if times := s.SolveTimes(5); times != nil {
-		t.Fatal("solve times for unknown cell")
+	if _, _, err := s.LastSolve(5); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("solve count for unknown cell: %v, want ErrUnknownCell", err)
 	}
 }
 

@@ -67,3 +67,38 @@ func TestOutsideInputKeepsCellServing(t *testing.T) {
 		t.Errorf("solver scratch sets %d -> %d over four more rounds of one cell", sets0, sets)
 	}
 }
+
+// TestLongLadderRefusedBeforeAdmission: with admission on, a ladder
+// longer than the controller registers is refused at the open (400),
+// not priced by the admission predicate and parked on a full cell's
+// queue, whose promotion could never register it.
+func TestLongLadderRefusedBeforeAdmission(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.AdmissionControl = true
+	s := NewServer(cfg, nil)
+	h := Handler(s)
+	serve := func(body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/oneapi/v4/cells/0/sessions", strings.NewReader(body)))
+		return rr
+	}
+	// One 3 Mbps floor fills the cell's admission budget.
+	if rr := serve(`{"flow_id":1,"ladder_bps":[3000000,4500000]}`); rr.Code != http.StatusCreated {
+		t.Fatalf("first open: %d %s", rr.Code, rr.Body)
+	}
+	if rr := serve(`{"flow_id":2,"ladder_bps":[3000000,4500000]}`); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("open into the full cell: %d %s, want 503", rr.Code, rr.Body)
+	}
+	s.CloseSession(0, 2) // leave the queue empty
+	long := make([]string, core.MaxLevels+1)
+	for i := range long {
+		long[i] = fmt.Sprint(3_000_000 + i*1000)
+	}
+	rr := serve(`{"flow_id":3,"ladder_bps":[` + strings.Join(long, ",") + `]}`)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"code":"bad_request"`) {
+		t.Errorf("open with a %d-level ladder into a full cell: %d %s, want 400 bad_request", len(long), rr.Code, rr.Body)
+	}
+	if q := len(s.lookup(0).queue); q != 0 {
+		t.Errorf("wait queue holds %d sessions after the refusal, want 0", q)
+	}
+}

@@ -1,6 +1,7 @@
 package oneapi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -297,12 +298,17 @@ func (s *Server) OpenGroup(cellID int, ladderBps []float64, flowIDs []int) error
 }
 
 // checkOpen is the refusals an open meets before it touches a cell: an
-// invalid ladder, then a draining server. The ladder is validated ahead
-// of the admission predicate, which prices the candidate by its floor
-// rung and so assumes a non-empty ladder.
+// invalid ladder or one longer than the controller registers, then a
+// draining server. The ladder is checked ahead of the admission
+// predicate, which prices the candidate by its floor rung and so
+// assumes a non-empty ladder, and would otherwise queue a session that
+// its promotion could never register.
 func (s *Server) checkOpen(flowID int, ladder has.Ladder) error {
 	if err := ladder.Validate(); err != nil {
 		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, err)
+	}
+	if len(ladder) > core.MaxLevels {
+		return fmt.Errorf("oneapi: open session flow %d: ladder of %d levels, more than %d", flowID, len(ladder), core.MaxLevels)
 	}
 	if s.draining.Load() {
 		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, ErrDraining)
@@ -312,9 +318,20 @@ func (s *Server) checkOpen(flowID int, ladder has.Ladder) error {
 
 // openLocked registers req's session in c, whose lock the caller holds
 // and whose refusals before the lock (checkOpen) it has already passed.
+//
+// Without admission control the flow table is searched once, by
+// Register, which also reports a flow that is already registered. The
+// admission predicate must not price a flow that is, so under it the
+// table is searched first.
 func (s *Server) openLocked(c *cellState, req SessionRequest) (created bool, err error) {
 	ladder := has.Ladder(req.LadderBps)
-	if c.controller.Registered(req.FlowID) {
+	if s.cfg.AdmissionControl && !c.controller.Registered(req.FlowID) && !c.controller.CanAdmit(ladder) {
+		queued := s.enqueueLocked(c, req)
+		c.rec.Emit(obs.Reject(int32(c.id), int32(req.FlowID), queued))
+		return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrAdmissionRejected)
+	}
+	err = c.controller.Register(req.FlowID, ladder, req.Preferences)
+	if errors.Is(err, core.ErrRegistered) {
 		// The flow is already registered: idempotent when the ladder
 		// matches (preferences are simply refreshed), conflict when it
 		// does not.
@@ -327,12 +344,7 @@ func (s *Server) openLocked(c *cellState, req SessionRequest) (created bool, err
 		}
 		return false, nil
 	}
-	if s.cfg.AdmissionControl && !c.controller.CanAdmit(ladder) {
-		queued := s.enqueueLocked(c, req)
-		c.rec.Emit(obs.Reject(int32(c.id), int32(req.FlowID), queued))
-		return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrAdmissionRejected)
-	}
-	if err := c.controller.Register(req.FlowID, ladder, req.Preferences); err != nil {
+	if err != nil {
 		return false, fmt.Errorf("oneapi: open session: %w", err)
 	}
 	s.dequeueLocked(c, req.FlowID)
@@ -680,13 +692,17 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 	}, nil
 }
 
-// SolveTimes returns the per-BAI optimiser wall times for a cell.
-func (s *Server) SolveTimes(cellID int) []float64 {
+// LastSolve returns how many BAIs a cell's controller has solved and
+// the wall time of the most recent solve (core.Controller.LastSolve),
+// or ErrUnknownCell. The server keeps no history of solve times; a
+// caller that wants one keeps what it reads after each round.
+func (s *Server) LastSolve(cellID int) (n int64, d time.Duration, err error) {
 	c := s.lookup(cellID)
 	if c == nil {
-		return nil
+		return 0, 0, ErrUnknownCell
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.controller.SolveTimes()
+	n, d = c.controller.LastSolve()
+	return n, d, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestServerSetWallClockPropagates: the server-level injection must
-// reach controllers created before AND after the call, so SolveTimes
+// reach controllers created before AND after the call, so LastSolve
 // reflects the fake clock for every cell.
 func TestServerSetWallClockPropagates(t *testing.T) {
 	s := serverForTest()
@@ -36,14 +36,9 @@ func TestServerSetWallClockPropagates(t *testing.T) {
 		}
 	}
 	for _, cell := range []int{0, 1} {
-		times := s.SolveTimes(cell)
-		if len(times) != 1 {
-			t.Fatalf("cell %d: %d solve times, want 1", cell, len(times))
-		}
-		// SolveTimes reports seconds; each RunBAI reads the fake twice,
-		// so exactly one 2ms step.
-		if times[0] != 0.002 {
-			t.Fatalf("cell %d: solve time %vs through fake clock, want 0.002s", cell, times[0])
+		// Each RunBAI reads the fake twice, so exactly one 2ms step.
+		if n, d, err := s.LastSolve(cell); err != nil || n != 1 || d != 2*time.Millisecond {
+			t.Fatalf("cell %d: LastSolve = %d, %v, %v through fake clock, want 1 solve of 2ms", cell, n, d, err)
 		}
 	}
 }

@@ -131,6 +131,7 @@ func wireScenes() []wireScene {
 			cfg:  func(c *core.Config) { c.AdmissionControl = true; c.BAI = 2500_000_000 },
 			exchanges: []wireExchange{
 				{"open refused by admission", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":1,"ladder_bps":[4000000000,8000000000]}`},
+				{"open ladder too long", "POST", "/oneapi/v4/cells/0/sessions", longLadderOpen(2, 4_000_000_000)},
 			},
 		},
 		{
@@ -149,7 +150,26 @@ func wireScenes() []wireScene {
 				{"poll failed flow", "GET", "/oneapi/v4/cells/0/assignments/2", ""},
 			},
 		},
+		{
+			name:    "unusable stats rows",
+			prepare: mustOpen(0, 1, 2),
+			exchanges: []wireExchange{
+				{"stats", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000000,"rbs":50000},"2":{"bytes":1000000,"rbs":50000}}}`},
+				{"stats row of more RBs per byte than a TTI holds", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000000,"rbs":50000},"2":{"bytes":1,"rbs":9000000000000000000}}}`},
+				{"stats hint of fewer bytes per RB than a TTI holds", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000000,"rbs":50000},"2":{"bytes":0,"rbs":0,"bytes_per_rb_hint":1e-300}}}`},
+			},
+		},
 	}
+}
+
+// longLadderOpen is an open request for flow whose ladder has one level
+// more than the controller registers, rising by 1 kbps from floor.
+func longLadderOpen(flow, floor int) string {
+	rates := make([]string, core.MaxLevels+1)
+	for i := range rates {
+		rates[i] = fmt.Sprint(floor + i*1000)
+	}
+	return fmt.Sprintf(`{"flow_id":%d,"ladder_bps":[%s]}`, flow, strings.Join(rates, ","))
 }
 
 // playWireScenes renders the transcript the golden file holds.
