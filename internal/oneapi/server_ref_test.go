@@ -1,8 +1,10 @@
 package oneapi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -62,7 +64,7 @@ func (m *refServer) cell(id int) *refCell {
 
 func (m *refServer) open(cellID int, req SessionRequest) error {
 	ladder := has.Ladder(req.LadderBps)
-	if ladder.Validate() != nil {
+	if ladder.Validate() != nil || len(ladder) > core.MaxLevels {
 		return errRefOther
 	}
 	if m.draining {
@@ -158,7 +160,16 @@ func (m *refServer) report(cellID int, rep StatsReport, fail func(int) bool) (St
 	if rep.Seq > 0 && rep.Seq <= c.lastSeq {
 		return StatsResponse{}, ErrStaleReport
 	}
-	as, err := c.ctrl.RunBAI(rep.Flows, rep.NumDataFlows)
+	// A row saying a byte took more RBs than a cell has in a TTI is no
+	// measurement: the model drops it before the controller sees it.
+	flows := make(map[int]core.FlowStats, len(rep.Flows))
+	for id, st := range rep.Flows {
+		if st.Bytes > 0 && st.RBs > 0 && float64(st.RBs)/float64(st.Bytes) > core.MaxRBsPerByte {
+			continue
+		}
+		flows[id] = st
+	}
+	as, err := c.ctrl.RunBAI(flows, rep.NumDataFlows)
 	if err != nil {
 		return StatsResponse{}, errRefOther
 	}
@@ -227,9 +238,10 @@ const (
 	refFlows = 6
 )
 
-// refLadders are what opens pick from: a light ladder, two whose floors
-// fill the admission budget three and one session deep at the default
-// radio cost, and an invalid one.
+// refLadders are what half the opens pick from: a light ladder, two
+// whose floors fill the admission budget three and one session deep at
+// the default radio cost, and an invalid one. The other half draw any
+// ladder the codec accepts (opReader.ladder).
 var refLadders = [][]float64{
 	has.SimLadder(),
 	has.NewLadderKbps(1200, 2400),
@@ -249,6 +261,62 @@ func (r *opReader) next() byte {
 	}
 	r.i++
 	return r.data[r.i-1]
+}
+
+// u64 reads eight op bytes as one word.
+func (r *opReader) u64() uint64 {
+	var b [8]byte
+	for i := range b {
+		b[i] = r.next()
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// ladderScales are the floors and steps an arbitrary ladder is drawn
+// from: zero and one (refused, or a rung of 1 bps), the ladder's own
+// scale, floors that fill or overflow the admission budget, and 1e300.
+var ladderScales = []float64{0, 1, 1e3, 1e5, 3e6, 4e9, 1e300}
+
+// ladder draws an open's ladder: one of refLadders, or 1 to 300 levels
+// from a floor by a step, one rung possibly replaced by any finite
+// float — every shape the codec accepts, valid or not, and longer than
+// the controller registers more often than not.
+func (r *opReader) ladder() []float64 {
+	sel := r.next()
+	if sel%2 == 0 {
+		return refLadders[int(sel/2)%len(refLadders)]
+	}
+	n := 1 + (int(r.next())<<8|int(r.next()))%300
+	floor := ladderScales[int(r.next())%len(ladderScales)]
+	step := ladderScales[int(r.next())%len(ladderScales)]
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = floor + float64(i)*step
+	}
+	if sel&2 != 0 {
+		if v := math.Float64frombits(r.u64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			out[int(r.next())%n] = v
+		}
+	}
+	return out
+}
+
+// stats draws a report row: usually a plausible one, otherwise any
+// Bytes and RBs — extremes such as 9e18 RBs for one byte included.
+func (r *opReader) stats() core.FlowStats {
+	b := r.next()
+	if b&0x80 == 0 {
+		q := int64(b%16) + 1
+		return core.FlowStats{Bytes: q * 40_000, RBs: (17 - q) * 3_000}
+	}
+	extremes := []int64{0, 1, -1, 50_000, 9e18, math.MaxInt64, math.MinInt64}
+	pick := func(sel byte) int64 {
+		if sel%8 == 7 {
+			return int64(r.u64())
+		}
+		return extremes[sel%8]
+	}
+	return core.FlowStats{Bytes: pick(b), RBs: pick(b >> 3)}
 }
 
 func (r *opReader) cell() int { return int(r.next() % refCells) }
@@ -278,7 +346,7 @@ func runServerOps(t *testing.T, data []byte) {
 		switch op := r.next() % 8; op {
 		case 0, 1:
 			cell, req := r.cell(), SessionRequest{FlowID: r.flow()}
-			req.LadderBps = refLadders[r.next()%uint8(len(refLadders))]
+			req.LadderBps = r.ladder()
 			req.Preferences = r.prefs()
 			what = fmt.Sprintf("open cell %d flow %d", cell, req.FlowID)
 			want, got = m.open(cell, req), s.OpenSession(cell, req)
@@ -297,8 +365,7 @@ func runServerOps(t *testing.T, data []byte) {
 			lastSeq = max(lastSeq, rep.Seq)
 			for f := 1; f <= refFlows; f++ {
 				if mask&(1<<f) != 0 {
-					q := int64(r.next()%16) + 1
-					rep.Flows[f] = core.FlowStats{Bytes: q * 40_000, RBs: (17 - q) * 3_000}
+					rep.Flows[f] = r.stats()
 				}
 			}
 			fail := func(flowID int) bool { return failMask&1 != 0 && failMask&(1<<flowID) != 0 }
