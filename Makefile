@@ -21,9 +21,9 @@ vet:
 	$(GO) vet ./...
 
 # flarevet is this repo's own analyzer suite (internal/lint): the
-# determinism, layering, obsdiscipline, lockorder and directive
-# analyzers, enforced mechanically. Zero third-party dependencies, so it
-# always runs.
+# lockorder and directive analyzers, the invariants no runtime or plain
+# test holds (DESIGN.md §12 has the injection table). Zero third-party
+# dependencies, so it always runs.
 flarevet:
 	$(GO) run ./cmd/flarevet ./...
 
@@ -93,7 +93,9 @@ bench-quick:
 # of its own (BENCHMARK.json's command is `go run -C bench .`), so the
 # root module's ./... patterns — and therefore `make check` — never
 # reach it; this target is the only thing that vets, tests and
-# flarevets it.
+# flarevets it (the directive audit; lockorder's ranked locks are
+# unexported fields of oneapi and core, which bench/ cannot take).
+# internal/lint's TestObsDiscipline scans bench/'s sources too.
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run github.com/flare-sim/flare/cmd/flarevet ./...
 

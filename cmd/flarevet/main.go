@@ -1,7 +1,7 @@
 // Command flarevet is the project's multichecker: it runs the
-// internal/lint analyzer suite — determinism, layering, obsdiscipline,
-// lockorder, and the directive audit — over the packages matching its
-// arguments and exits non-zero if any invariant is violated.
+// internal/lint analyzer suite — lockorder and the directive audit —
+// over the packages matching its arguments and exits non-zero if any
+// invariant is violated.
 //
 // Usage:
 //
@@ -10,10 +10,8 @@
 //	flarevet -json ./...             # findings as a JSON array on stdout
 //	flarevet -help-analyzers         # analyzer documentation
 //
-// Analyzer applicability is governed by the declarative ruleset in
-// internal/lint/rules.go: determinism runs only inside the sim-clock
-// domain; the other four run everywhere. Each package is analyzed on
-// its own, so a narrow pattern reports exactly what the whole-module run
+// Both analyzers run on every package. Each package is analyzed on its
+// own, so a narrow pattern reports exactly what the whole-module run
 // reports for the same packages, stale waivers included (narrow runs
 // type-check the in-module dependency closure too, but report only the
 // requested packages). Findings are suppressed only by
@@ -59,7 +57,7 @@ func main() {
 	var diags []lint.Diagnostic
 	for _, pkg := range pkgs {
 		if pkg.Target {
-			diags = append(diags, lint.Run(pkg, lint.AnalyzersFor(pkg.Path))...)
+			diags = append(diags, lint.Run(pkg, lint.Analyzers())...)
 		}
 	}
 	lint.SortDiagnostics(diags)

@@ -60,7 +60,6 @@ func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	out := make([]string, 0, len(registry))
-	//flare:allow key-collection loop: the names are sorted below before returning, so map iteration order never escapes
 	for name := range registry {
 		out = append(out, name)
 	}

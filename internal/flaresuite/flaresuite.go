@@ -19,8 +19,8 @@
 // count.
 //
 // Layering: flaresuite drives the engine (cellsim) and never touches
-// the OneAPI wire internals (oneapi, loadgen) — the flarevet layering
-// rules enforce it.
+// the OneAPI wire internals (oneapi, loadgen) — internal/lint's
+// TestLayering holds it.
 package flaresuite
 
 import "time"

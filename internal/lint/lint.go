@@ -1,15 +1,15 @@
 // Package lint is flarevet's analyzer suite: mechanical enforcement of
-// the invariants the tree keeps by convention and no runtime test can
-// hold — byte-exact deterministic replay inside the sim-clock domain
-// (no map ranges, wall clock or global math/rand, any of which a test
-// run can pass by luck), the layering DAG (observer hooks never import
-// obs, drivers see the engine only through the narrow view), the
-// single-sourced flare-trace event schema, and the lock hierarchy.
+// the control plane's lock hierarchy, the one invariant the tree keeps
+// by convention that neither a runtime test nor a plain test holds — a
+// lock taken out of order deadlocks only under a contention no test
+// arranges — and the audit of the waivers that excuse its findings.
 //
-// Runtime invariants are not guessed from syntax here: the zero-alloc
-// hot path is held by the AllocsPerRun/MemStats pins; seeding, shared
-// RNGs and the worker pools' fold order by the goldens, the lockstep
-// suites and -race.
+// Everything else is held by tests: deterministic replay by the
+// goldens, the lockstep suites and the fast-forward equivalence suites;
+// the zero-alloc hot path by the AllocsPerRun/MemStats pins; the import
+// DAG and the single-sourced flare-trace schema by TestLayering and
+// TestObsDiscipline in this package's tests. DESIGN.md §12 has the
+// injection table each decision rests on.
 //
 // The suite is modelled on golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Diagnostic, analysistest-style fixtures) but is implemented on

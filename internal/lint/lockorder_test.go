@@ -3,7 +3,6 @@ package lint_test
 import (
 	"go/types"
 	"slices"
-	"strings"
 	"testing"
 
 	"github.com/flare-sim/flare/internal/lint"
@@ -62,23 +61,14 @@ func TestLockRanksTable(t *testing.T) {
 	resolveLockRanks(t, lint.LockRanks)
 }
 
-// resolveLockRanks loads each class's package and fails for a class
-// whose mutex does not exist: a type or package-level variable that is
-// missing, a field that is missing, or one that is not a sync.Mutex or
-// sync.RWMutex. The analyzer only ever matches ranks against the locks
-// it meets, so without this a rank for a deleted lock stays green.
+// resolveLockRanks fails for a class whose mutex does not exist in the
+// module: a type or package-level variable that is missing, a field
+// that is missing, or one that is not a sync.Mutex or sync.RWMutex. The
+// analyzer only ever matches ranks against the locks it meets, so
+// without this a rank for a deleted lock stays green.
 func resolveLockRanks(t *testing.T, ranks []lint.LockClass) {
 	t.Helper()
-	var patterns []string
-	for _, c := range ranks {
-		if p := "./" + strings.TrimPrefix(c.Pkg, lint.ModulePath+"/"); !slices.Contains(patterns, p) {
-			patterns = append(patterns, p)
-		}
-	}
-	pkgs, err := lint.LoadPackages("../..", patterns...)
-	if err != nil {
-		t.Fatalf("load %v: %v", patterns, err)
-	}
+	pkgs := loadModule(t)
 	for _, c := range ranks {
 		i := slices.IndexFunc(pkgs, func(p *lint.Package) bool { return p.Path == c.Pkg })
 		if i < 0 {

@@ -13,5 +13,7 @@ import (
 // suppression, so a stale waiver can never excuse its own staleness —
 // and any other //flare: comment is an unknown directive.
 func TestStaleWaiver(t *testing.T) {
-	linttest.Run(t, "testdata/stalewaiver", "fixture/stalefix", lint.Determinism)
+	ranks := []lint.LockClass{{Pkg: "fixture/stalefix", Type: "Cell", Field: "mu", Rank: 10,
+		Doc: "fixture: the one ranked lock"}}
+	linttest.Run(t, "testdata/stalewaiver", "fixture/stalefix", lint.NewLockOrder(ranks))
 }

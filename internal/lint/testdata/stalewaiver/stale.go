@@ -5,14 +5,18 @@
 // and a //flare: comment other than allow is an unknown directive.
 package stalefix
 
-// consumed: the waiver excuses the map-range finding below it.
-func withWaiver(m map[string]int) int {
-	n := 0
-	//flare:allow fixture: a count is the same in every iteration order
-	for range m {
-		n++
-	}
-	return n
+import "sync"
+
+// Cell's mu is the fixture's one ranked lock (see stalewaiver_test.go).
+type Cell struct{ mu sync.Mutex }
+
+// consumed: the waiver excuses the equal-rank acquisition below it.
+func pair(a, b *Cell) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	//flare:allow fixture: every caller passes the two cells in one global order
+	b.mu.Lock()
+	defer b.mu.Unlock()
 }
 
 // orphaned: nothing is reported at the line below this waiver.
@@ -28,7 +32,7 @@ func marked() {
 }
 
 var (
-	_ = withWaiver
+	_ = pair
 	_ = calm
 	_ = marked
 )

@@ -3,7 +3,7 @@ package obs
 // Typed event constructors. Every layer outside internal/obs builds
 // its Events through these functions — never as composite literals —
 // so the flare-trace schema has exactly one authoring site. The rule
-// is mechanical law: flarevet's obsdiscipline analyzer rejects an
+// is mechanical law: internal/lint's TestObsDiscipline rejects an
 // obs.Event{...} literal anywhere outside this package.
 //
 // Each constructor returns the Event by value: the caller's copy lives

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/has"
@@ -110,6 +113,53 @@ func TestConcurrentCellsRaceHammer(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestHandoversBothWaysDoNotDeadlock: two goroutines hand sessions
+// between the same two cells in opposite directions. Handover locks both
+// cells, in cell-ID order; locked in argument order instead, each
+// goroutine can hold its source cell while waiting for the other's, and
+// the two deadlock. The lockorder analyzer cannot see that regression:
+// the both-cells lock is its sanctioned equal-rank waiver.
+func TestHandoversBothWaysDoNotDeadlock(t *testing.T) {
+	s := serverForTest()
+	done := make(chan error, 2)
+	var ready atomic.Int32
+	for g, cell := range []int{0, 1} {
+		flow := 700_000 + g
+		if err := s.OpenSession(cell, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			// Both goroutines are running before either hands over.
+			for ready.Add(1); ready.Load() < 2; {
+				runtime.Gosched()
+			}
+			// Half a second of handovers, not a count: on a loaded
+			// host the two may share one CPU, and only a preemption
+			// between a handover's two locks lets the other in.
+			from, to := cell, 1-cell
+			for end := time.Now().Add(500 * time.Millisecond); time.Now().Before(end); {
+				if err := s.Handover(from, to, flow); err != nil {
+					done <- err
+					return
+				}
+				from, to = to, from
+			}
+			done <- nil
+		}()
+	}
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("handovers between cells 0 and 1 still running after 30 s: deadlocked")
+		}
 	}
 }
 
