@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test vet lint flarevet vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest ledger pairs profile trace-demo clean
+.PHONY: build test vet lint vuln fuzz-smoke tools race check results suite-quick loc bench-quick bench-selftest ledger pairs profile trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -20,17 +20,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# flarevet is this repo's own analyzer suite (internal/lint): the
-# lockorder and directive analyzers, the invariants no runtime or plain
-# test holds (DESIGN.md §12 has the injection table). Zero third-party
-# dependencies, so it always runs.
-flarevet:
-	$(GO) run ./cmd/flarevet ./...
-
-# lint = flarevet always, plus staticcheck when the binary is available
-# (CI installs the pinned version via `make tools`; a dev container
-# without network access skips it rather than failing the gate).
-lint: flarevet
+# lint runs staticcheck when the binary is available (CI installs the
+# pinned version via `make tools`; a dev container without network
+# access skips it rather than failing the gate). The lock hierarchy is
+# held by internal/lint's TestLockOrder, part of every `go test ./...`.
+lint:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -51,7 +45,7 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each of the 16 fuzz targets a short adversarial
+# fuzz-smoke gives each of the 15 fuzz targets a short adversarial
 # budget on top of the committed seed corpora (which every plain
 # `go test` run replays).
 fuzz-smoke:
@@ -62,7 +56,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzExactSolverStaysFeasible -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime 10s
-	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzDirective -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsReportDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzStatsResponseDecode -fuzztime 10s
 	$(GO) test ./internal/oneapi -run '^$$' -fuzz FuzzAssignmentDecode -fuzztime 10s
@@ -75,8 +68,8 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
-# check is the full verification gate: build, lint (flarevet +
-# staticcheck-if-present), vet, then race-enabled tests. Under -race an
+# check is the full verification gate: build, lint
+# (staticcheck-if-present), vet, then race-enabled tests. Under -race an
 # allocation pin counts a few objects more (the four-cell multi-cell run
 # 53.8 per cell against 50.8), so each pin's bound is set per build in
 # a build-tagged pair of files (allocbounds_race_test.go and
@@ -92,12 +85,10 @@ bench-quick:
 # bench-selftest runs the perf ledger's own checks. bench/ is a module
 # of its own (BENCHMARK.json's command is `go run -C bench .`), so the
 # root module's ./... patterns — and therefore `make check` — never
-# reach it; this target is the only thing that vets, tests and
-# flarevets it (the directive audit; lockorder's ranked locks are
-# unexported fields of oneapi and core, which bench/ cannot take).
+# reach it; this target is the only thing that vets and tests it.
 # internal/lint's TestObsDiscipline scans bench/'s sources too.
 bench-selftest:
-	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run github.com/flare-sim/flare/cmd/flarevet ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # ledger is the perf ledger's correctness gate: every workload once at
 # seed 1 and 15 s (BENCHMARK.json's command), failing on any incorrect
@@ -169,7 +160,7 @@ suite-quick:
 
 # loc prints the non-test Go line count ROADMAP item 1's deletion PRs
 # are gated on (bench/ is its own module and moves only under a ledger
-# PR; testdata is analyzer fixtures).
+# PR; testdata is test fixtures).
 loc:
 	@git ls-files '*.go' ':!:*_test.go' ':!:bench/*' ':!:*/testdata/*' | xargs cat | wc -l
 

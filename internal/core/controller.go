@@ -26,6 +26,14 @@ const DefaultBytesPerRB = 10.0
 // neighbour is handed its lowest level.
 const MaxRBsPerByte = lte.NumRB
 
+// PeakCellRateBps is the most one cell carries: lte.NumRB RBs every TTI
+// at lte.MaxITbs, 36 Mbps (lte.CellRateBps(lte.MaxITbs)). A ladder
+// whose floor rung is above it asks for more than any cell can give, so
+// Register refuses it: admitted, its floor would price the flow past
+// the whole cell at every BAI, and every neighbour would be handed its
+// lowest level.
+const PeakCellRateBps = 36e6
+
 // Config parameterises the FLARE controller. Defaults follow Table IV.
 type Config struct {
 	// Alpha is the data-vs-video priority (Table IV: 1.0).
@@ -120,15 +128,43 @@ type Preferences struct {
 	// MaxBps caps the assigned bitrate (0 = none). Clients use it to
 	// bound mobile-data cost or to refill a low buffer quickly.
 	MaxBps float64 `json:"max_bps,omitempty"`
-	// Beta overrides the default video importance (0 = default).
+	// Beta overrides the default video importance (0 = default; at
+	// most MaxBeta).
 	Beta float64 `json:"beta,omitempty"`
-	// ThetaBps overrides the default screen parameter (0 = default).
+	// ThetaBps overrides the default screen parameter (0 = default; at
+	// most MaxThetaBps).
 	ThetaBps float64 `json:"theta_bps,omitempty"`
 	// Skimming marks a viewer scrubbing through the video (frequent
 	// forward/backward clicks in a shared clickstream); the server then
 	// pins the flow to its minimum bitrate, as Section II-B suggests,
 	// instead of spending cell capacity on content that will be skipped.
 	Skimming bool `json:"skimming,omitempty"`
+}
+
+// MaxBeta and MaxThetaBps bound what Preferences may ask: each at most
+// 10^4 times its Table IV default (β 10, θ 0.2 Mbps). The rule: a
+// flow's utility is β(1−θ/r), so within the bounds a client scales its
+// utility at most 10^8 times a default flow's on the same ladder, and
+// the solver's float64 sum of every flow's utility (~16 significant
+// digits) keeps ~8 digits below the client's scale — enough that a
+// default neighbour's rung-to-rung steps (~10^-2 of its utility on the
+// fine ladder) stay ~10^5 units in the last place wide. Far past them
+// (β 1e17 or θ 1e300, by ladder) those steps drop below the sum's
+// resolution and the neighbour is left on its lowest levels.
+const (
+	MaxBeta     = 1e4 * 10
+	MaxThetaBps = 1e4 * 0.2e6
+)
+
+// Validate refuses preferences beyond MaxBeta or MaxThetaBps.
+func (p Preferences) Validate() error {
+	if p.Beta > MaxBeta {
+		return fmt.Errorf("core: preference beta %g above %g", p.Beta, MaxBeta)
+	}
+	if p.ThetaBps > MaxThetaBps {
+		return fmt.Errorf("core: preference theta_bps %g above %g", p.ThetaBps, MaxThetaBps)
+	}
+	return nil
 }
 
 // FlowStats is the per-flow eNodeB report for one BAI: bytes transmitted
@@ -309,6 +345,9 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 		}
 		if len(ladder) > MaxLevels {
 			return fmt.Errorf("core: register flow %d: ladder of %d levels, more than %d", flowID, len(ladder), MaxLevels)
+		}
+		if ladder[0] > PeakCellRateBps {
+			return fmt.Errorf("core: register flow %d: floor rung %g bps is above the peak cell rate (%g bps)", flowID, ladder[0], PeakCellRateBps)
 		}
 	}
 	if exists {

@@ -50,7 +50,8 @@ const MaxLevels = math.MaxInt8 + 1
 // scratchPool is the freelist ExactSolver.Solve borrows from: a mutex-
 // guarded stack, not a sync.Pool, whose drops at every GC would tie
 // allocation counts to collector timing. mu is the innermost ranked lock
-// (lint.LockRanks): taken under oneapi's cellState.mu for one push or pop.
+// (internal/lint's lockRanks): taken under oneapi's cellState.mu for one
+// push or pop.
 type scratchPool struct {
 	mu sync.Mutex
 	// free is LIFO: back-to-back solves of different cells reuse the set

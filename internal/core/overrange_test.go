@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/flare-sim/flare/internal/has"
+	"github.com/flare-sim/flare/internal/lte"
 )
 
 // overrangeProblem is a two-flow cell whose second flow carries the
@@ -126,5 +127,67 @@ func TestLadderLevelLimit(t *testing.T) {
 	}
 	if err := NewController(DefaultConfig()).Register(1, ladder(MaxLevels), Preferences{}); err != nil {
 		t.Errorf("%d-level ladder: Register refused it: %v", MaxLevels, err)
+	}
+}
+
+// TestFloorAbovePeakCellRate: PeakCellRateBps is lte's own peak (every
+// RB at the top iTbs), and Register refuses a ladder whose floor rung is
+// above it — admitted, a 1e300 floor held every neighbour in its cell at
+// level 0 — while a floor at the peak registers.
+func TestFloorAbovePeakCellRate(t *testing.T) {
+	if peak := lte.CellRateBps(lte.MaxITbs); math.Abs(peak-PeakCellRateBps) > 1e-6*PeakCellRateBps {
+		t.Fatalf("PeakCellRateBps = %g, lte's peak is %g", float64(PeakCellRateBps), peak)
+	}
+	c := NewController(DefaultConfig())
+	for id, floor := range []float64{math.Nextafter(PeakCellRateBps, math.Inf(1)), 4e9, 1e300} {
+		if err := c.Register(id, has.Ladder{floor}, Preferences{}); err == nil || !strings.Contains(err.Error(), "peak cell rate") {
+			t.Errorf("floor %g: Register error %v, want a peak-rate refusal", floor, err)
+		}
+	}
+	if err := c.Register(9, has.Ladder{PeakCellRateBps}, Preferences{}); err != nil {
+		t.Errorf("floor at the peak: Register refused it: %v", err)
+	}
+}
+
+// TestPreferenceBounds: Validate refuses a Beta or ThetaBps past its
+// bound, and a flow at both bounds at once still leaves a default
+// neighbour its top level in a cell that fits both there: two 4-level
+// flows on a closely spaced ladder, 40 BAIs. Past the bounds the
+// neighbour's utility steps fall below the float64 sum's resolution:
+// on this ladder β 1e17 alone, or β 1e9 with θ 2e13, holds it at 0.
+func TestPreferenceBounds(t *testing.T) {
+	for _, p := range []Preferences{
+		{Beta: math.Nextafter(MaxBeta, math.Inf(1))},
+		{ThetaBps: math.Nextafter(MaxThetaBps, math.Inf(1))},
+		{Beta: 1e17}, {ThetaBps: 1e300}, {Beta: math.Inf(1)},
+	} {
+		if p.Validate() == nil {
+			t.Errorf("%+v: Validate accepted it", p)
+		}
+	}
+	atBounds := Preferences{Beta: MaxBeta, ThetaBps: MaxThetaBps}
+	if err := atBounds.Validate(); err != nil {
+		t.Fatalf("%+v: %v", atBounds, err)
+	}
+	c := NewController(DefaultConfig())
+	ladder := has.NewLadderKbps(1100, 1200, 1300, 1400)
+	if err := c.Register(1, ladder, atBounds); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(2, ladder, Preferences{}); err != nil {
+		t.Fatal(err)
+	}
+	stats := map[int]FlowStats{1: {Bytes: 1_000_000, RBs: 50_000}, 2: {Bytes: 1_000_000, RBs: 50_000}}
+	var as []Assignment
+	for range 40 {
+		var err error
+		if as, err = c.RunBAI(stats, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, a := range as {
+		if a.Level != 3 {
+			t.Errorf("flow %d at level %d after 40 BAIs, want 3", a.FlowID, a.Level)
+		}
 	}
 }

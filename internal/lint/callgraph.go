@@ -6,9 +6,9 @@
 // concrete methods), identified as an interface method call (the callee
 // set is open; lockorder ignores that frontier explicitly), or
 // dynamic (function values, builtins, conversions) and skipped. No
-// points-to analysis is attempted: the invariants flarevet enforces are
-// conventions about how this tree is written, and the tree is written
-// to be resolvable.
+// points-to analysis is attempted: the lock hierarchy is a convention
+// about how this tree is written, and the tree is written to be
+// resolvable.
 package lint
 
 import (
@@ -26,16 +26,16 @@ type callGraph struct {
 	declOf map[*types.Func]*ast.FuncDecl
 }
 
-// buildCallGraph indexes the pass's package.
-func buildCallGraph(pass *Pass) *callGraph {
+// buildCallGraph indexes pkg.
+func buildCallGraph(pkg *checkedPackage) *callGraph {
 	g := &callGraph{declOf: make(map[*types.Func]*ast.FuncDecl)}
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}

@@ -84,33 +84,33 @@ func TestLayerRulesTable(t *testing.T) {
 		pkg, imp string
 		bad      bool
 	}{
-		{ModulePath + "/internal/has", ModulePath + "/internal/obs", true},
-		{ModulePath + "/internal/abr", ModulePath + "/internal/obs", true},
-		{ModulePath + "/internal/faults", ModulePath + "/internal/obs", true},
-		{ModulePath + "/internal/obs", ModulePath + "/internal/sim", true},
-		{ModulePath + "/internal/cellsim/driver", ModulePath + "/internal/cellsim", true},
-		{ModulePath + "/internal/oneapi", ModulePath + "/internal/cellsim", true},
-		{ModulePath + "/internal/oneapi", ModulePath + "/internal/cellsim/driver", true},
-		{ModulePath + "/internal/oneapi", ModulePath + "/internal/loadgen", true},
-		{ModulePath + "/internal/loadgen", ModulePath + "/internal/cellsim", true},
-		{ModulePath + "/internal/loadgen", ModulePath + "/internal/sim", true},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/oneapi", true},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/loadgen", true},
-		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/cellsim", true},
-		{ModulePath + "/internal/core", ModulePath + "/internal/obs", false},
-		{ModulePath + "/internal/oneapi", ModulePath + "/internal/sim", false},
-		{ModulePath + "/internal/oneapi", ModulePath + "/internal/obs", false},
-		{ModulePath + "/internal/loadgen", ModulePath + "/internal/oneapi", false},
-		{ModulePath + "/internal/loadgen", ModulePath + "/internal/obs", false},
-		{ModulePath + "/internal/cellsim/driver", ModulePath + "/internal/cellsim/driver/sub", false},
-		{ModulePath + "/internal/lte", ModulePath + "/internal/sim", false},
-		{ModulePath + "/internal/has", ModulePath + "/internal/transport", false},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/cellsim", false},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/obs", false},
-		{ModulePath + "/internal/flaresuite", ModulePath + "/internal/buildinfo", false},
-		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/flaresuite", false},
-		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/buildinfo", false},
-		{ModulePath + "/cmd/flaresuite", ModulePath + "/internal/graceful", false},
+		{modulePath + "/internal/has", modulePath + "/internal/obs", true},
+		{modulePath + "/internal/abr", modulePath + "/internal/obs", true},
+		{modulePath + "/internal/faults", modulePath + "/internal/obs", true},
+		{modulePath + "/internal/obs", modulePath + "/internal/sim", true},
+		{modulePath + "/internal/cellsim/driver", modulePath + "/internal/cellsim", true},
+		{modulePath + "/internal/oneapi", modulePath + "/internal/cellsim", true},
+		{modulePath + "/internal/oneapi", modulePath + "/internal/cellsim/driver", true},
+		{modulePath + "/internal/oneapi", modulePath + "/internal/loadgen", true},
+		{modulePath + "/internal/loadgen", modulePath + "/internal/cellsim", true},
+		{modulePath + "/internal/loadgen", modulePath + "/internal/sim", true},
+		{modulePath + "/internal/flaresuite", modulePath + "/internal/oneapi", true},
+		{modulePath + "/internal/flaresuite", modulePath + "/internal/loadgen", true},
+		{modulePath + "/cmd/flaresuite", modulePath + "/internal/cellsim", true},
+		{modulePath + "/internal/core", modulePath + "/internal/obs", false},
+		{modulePath + "/internal/oneapi", modulePath + "/internal/sim", false},
+		{modulePath + "/internal/oneapi", modulePath + "/internal/obs", false},
+		{modulePath + "/internal/loadgen", modulePath + "/internal/oneapi", false},
+		{modulePath + "/internal/loadgen", modulePath + "/internal/obs", false},
+		{modulePath + "/internal/cellsim/driver", modulePath + "/internal/cellsim/driver/sub", false},
+		{modulePath + "/internal/lte", modulePath + "/internal/sim", false},
+		{modulePath + "/internal/has", modulePath + "/internal/transport", false},
+		{modulePath + "/internal/flaresuite", modulePath + "/internal/cellsim", false},
+		{modulePath + "/internal/flaresuite", modulePath + "/internal/obs", false},
+		{modulePath + "/internal/flaresuite", modulePath + "/internal/buildinfo", false},
+		{modulePath + "/cmd/flaresuite", modulePath + "/internal/flaresuite", false},
+		{modulePath + "/cmd/flaresuite", modulePath + "/internal/buildinfo", false},
+		{modulePath + "/cmd/flaresuite", modulePath + "/internal/graceful", false},
 	}
 	for _, c := range cases {
 		got := false
@@ -144,61 +144,61 @@ type layerRule struct {
 var layerRules = []layerRule{
 	{
 		Scope:  internalPrefix + "sim",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "sim"},
 		Reason: "the event kernel is the bottom layer and imports nothing in-module",
 	},
 	{
 		Scope:  internalPrefix + "lte",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "lte", internalPrefix + "sim"},
 		Reason: "the radio model sits directly on the kernel",
 	},
 	{
 		Scope:  internalPrefix + "transport",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "transport", internalPrefix + "lte", internalPrefix + "sim"},
 		Reason: "transport rides on the radio model only",
 	},
 	{
 		Scope:  internalPrefix + "has",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "has", internalPrefix + "transport", internalPrefix + "lte", internalPrefix + "sim", internalPrefix + "qoe"},
 		Reason: "players know segments, flows and the QoE sums they tally, not schemes or telemetry",
 	},
 	{
 		Scope:  internalPrefix + "abr",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "abr", internalPrefix + "has", internalPrefix + "lte", internalPrefix + "metrics", internalPrefix + "sim"},
 		Reason: "client ABR logic must stay engine- and telemetry-free",
 	},
 	{
 		Scope:  internalPrefix + "faults",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "faults", internalPrefix + "sim"},
 		Reason: "the fault injector publishes through observer hooks, not obs",
 	},
 	{
 		Scope:  internalPrefix + "core",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "core", internalPrefix + "has", internalPrefix + "lte", internalPrefix + "obs", internalPrefix + "sim"},
 		Reason: "the controller consumes ladders and radio constants; it never reaches up into engines or servers",
 	},
 	{
 		Scope:  internalPrefix + "obs",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "obs"},
 		Reason: "obs is pure telemetry: importing a sim package would invert the observer direction and invite cycles",
 	},
 	{
 		Scope:  internalPrefix + "metrics",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "metrics"},
 		Reason: "metrics renderers are a leaf utility",
 	},
 	{
 		Scope:  internalPrefix + "qoe",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "qoe"},
 		Reason: "the QoE model is a leaf utility",
 	},
@@ -210,19 +210,19 @@ var layerRules = []layerRule{
 	},
 	{
 		Scope:  internalPrefix + "oneapi",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "oneapi", internalPrefix + "core", internalPrefix + "has", internalPrefix + "obs", internalPrefix + "sim"},
 		Reason: "the control plane serves simulations and live clients alike: the controller, ladders, telemetry, and the worker pool — never the engine (cellsim reaching in would make the server simulation-shaped)",
 	},
 	{
 		Scope:  internalPrefix + "loadgen",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{internalPrefix + "loadgen", internalPrefix + "oneapi", internalPrefix + "core", internalPrefix + "has", internalPrefix + "obs"},
 		Reason: "the load driver speaks to the control plane over its wire client only; importing cellsim would entangle load generation with the engine",
 	},
 	{
 		Scope:  internalPrefix + "flaresuite",
-		Forbid: []string{ModulePath},
+		Forbid: []string{modulePath},
 		Except: []string{
 			internalPrefix + "flaresuite",
 			internalPrefix + "buildinfo", internalPrefix + "cellsim",
@@ -233,10 +233,10 @@ var layerRules = []layerRule{
 		Reason: "the experiment runner compiles axes to engine configs and builds the paper's reports; it must never see oneapi wire internals or the load driver",
 	},
 	{
-		Scope:  ModulePath + "/cmd/flaresuite",
-		Forbid: []string{ModulePath},
+		Scope:  modulePath + "/cmd/flaresuite",
+		Forbid: []string{modulePath},
 		Except: []string{
-			ModulePath + "/cmd/flaresuite",
+			modulePath + "/cmd/flaresuite",
 			internalPrefix + "flaresuite",
 			internalPrefix + "buildinfo", internalPrefix + "graceful",
 		},

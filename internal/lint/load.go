@@ -1,18 +1,17 @@
-// Package loading. flarevet needs parsed-with-comments ASTs plus full
-// type information, without depending on golang.org/x/tools/go/packages.
-// The loader therefore drives the stock toolchain directly:
+// Package loading. The lock-order walk needs full type information, and
+// this module depends on nothing outside the standard library, so the
+// loader drives the stock toolchain directly:
 //
-//  1. `go list -json <patterns>` enumerates the packages (and their
+//  1. `go list -json ./...` enumerates the module's packages (and their
 //     import edges) exactly as the build would,
 //  2. each package is parsed with go/parser and type-checked with
 //     go/types in dependency order, and
-//  3. imports outside the loaded set (the standard library, and module
-//     packages a narrow pattern did not select) are satisfied by the
-//     stdlib source importer (go/importer "source" mode), which
-//     type-checks them from source on demand and caches the results.
+//  3. the standard library is served by the source importer
+//     (go/importer "source" mode), which type-checks it from source on
+//     demand and caches the results.
 //
 // The whole module checks in a few seconds; positions and types are the
-// compiler's own, so analyzer findings match what `go build` sees.
+// compiler's own, so findings match what `go build` sees.
 package lint
 
 import (
@@ -28,89 +27,45 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
-// A Package is one loaded, type-checked package ready for analysis.
-type Package struct {
-	// Path is the import path (or the fixture name under linttest).
+// A checkedPackage is one loaded, type-checked package.
+type checkedPackage struct {
+	// Path is the import path (or the fixture name under loadDir).
 	Path string
-	// Dir is the package directory.
-	Dir string
 	// Fset is the file set shared by every package of one load.
 	Fset *token.FileSet
 	// Files are the parsed sources, comments included. Test files are
-	// deliberately excluded: the invariants flarevet enforces concern
-	// shipped code, and tests routinely (and legitimately) use
-	// time.Now, map ranges, and hand-built events.
+	// deliberately excluded: the lock hierarchy concerns shipped code.
 	Files []*ast.File
 	// Types and Info are the type-checker outputs.
 	Types *types.Package
 	Info  *types.Info
-	// Target reports whether the package matched the load patterns, as
-	// opposed to being loaded only as an in-module dependency of one
-	// that did. Only targets are analyzed.
-	Target bool
 }
 
 // listedPackage is the subset of `go list -json` output the loader uses.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Imports    []string
 	Error      *struct{ Err string }
 }
 
-// LoadPackages loads, parses, and type-checks the packages matching the
-// `go list` patterns, rooted at dir (the module root for "./...").
-// Packages are returned in dependency order.
-//
-// For narrow patterns (anything but the whole module), the in-module
-// dependency closure is loaded too, marked Target=false, for type
-// identity: a module package reached both directly and through the
-// source importer would otherwise be type-checked twice, and its types
-// (sim.RNG passed from cellsim/driver into abr, say) would not match
-// their own copies. Analyzers look at one package at a time, so a
-// narrow run reports exactly what the whole-module run reports for the
-// same packages.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wholeModule := len(patterns) == 1 && patterns[0] == "./..."
-
-	listed, err := goList(dir, false, patterns)
+// loadModule loads, parses, and type-checks every package of the module
+// rooted at dir, in dependency order.
+func loadModule(dir string) ([]*checkedPackage, error) {
+	listed, err := goList(dir)
 	if err != nil {
 		return nil, err
 	}
-	targets := make(map[string]bool, len(listed))
-	for _, lp := range listed {
-		targets[lp.ImportPath] = true
-	}
-	if !wholeModule {
-		// Widen to the in-module dependency closure.
-		deps, err := goList(dir, true, patterns)
-		if err != nil {
-			return nil, err
-		}
-		merged := listed[:0]
-		for _, lp := range deps {
-			if strings.HasPrefix(lp.ImportPath, ModulePath) {
-				merged = append(merged, lp)
-			}
-		}
-		listed = merged
-	}
-
 	byPath := make(map[string]*listedPackage, len(listed))
 	for _, lp := range listed {
 		byPath[lp.ImportPath] = lp
 	}
 
-	// Topological order over the in-target import edges, so a chained
-	// importer can always serve in-target dependencies from cache.
+	// Topological order over the module's import edges, so a chained
+	// importer can always serve module dependencies from cache.
 	var order []*listedPackage
 	state := make(map[string]int, len(listed)) // 0 new, 1 visiting, 2 done
 	var visit func(lp *listedPackage) error
@@ -144,25 +99,22 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		local:    make(map[string]*types.Package, len(order)),
 		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
-	out := make([]*Package, 0, len(order))
+	out := make([]*checkedPackage, 0, len(order))
 	for _, lp := range order {
 		pkg, err := checkPackage(fset, chain, lp)
 		if err != nil {
 			return nil, err
 		}
-		pkg.Target = targets[lp.ImportPath]
 		chain.local[lp.ImportPath] = pkg.Types
 		out = append(out, pkg)
 	}
 	return out, nil
 }
 
-// LoadDir loads a single directory as a standalone package named
-// pkgPath — the analysistest-style entry point for fixture packages
-// under testdata (which `go list` cannot see). Imports resolve through
-// the source importer, so fixtures may import both the standard library
-// and real module packages.
-func LoadDir(dir, pkgPath string) (*Package, error) {
+// loadDir loads a single directory as a standalone package named
+// pkgPath — the entry point for fixture packages under testdata (which
+// `go list` cannot see). Imports resolve through the source importer.
+func loadDir(dir, pkgPath string) (*checkedPackage, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
@@ -176,37 +128,23 @@ func LoadDir(dir, pkgPath string) (*Package, error) {
 		files = append(files, filepath.Base(m))
 	}
 	fset := token.NewFileSet()
-	chain := &chainImporter{
-		local:    map[string]*types.Package{},
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
-	pkg, err := checkPackage(fset, chain, &listedPackage{
+	return checkPackage(fset, importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), &listedPackage{
 		ImportPath: pkgPath,
 		Dir:        dir,
 		GoFiles:    files,
 	})
-	if err != nil {
-		return nil, err
-	}
-	pkg.Target = true
-	return pkg, nil
 }
 
-// goList shells out to `go list -json` (optionally -deps for the
-// transitive closure) and decodes the package stream.
-func goList(dir string, deps bool, patterns []string) ([]*listedPackage, error) {
-	args := []string{"list", "-json=ImportPath,Dir,Name,GoFiles,Imports,Error"}
-	if deps {
-		args = append(args, "-deps")
-	}
-	args = append(append(args, "--"), patterns...)
-	cmd := exec.Command("go", args...)
+// goList shells out to `go list -json ./...` and decodes the package
+// stream.
+func goList(dir string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Imports,Error", "./...")
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %w\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("lint: go list: %w\n%s", err, stderr.String())
 	}
 	dec := json.NewDecoder(&stdout)
 	var out []*listedPackage
@@ -229,7 +167,7 @@ func goList(dir string, deps bool, patterns []string) ([]*listedPackage, error) 
 }
 
 // checkPackage parses and type-checks one package.
-func checkPackage(fset *token.FileSet, imp types.ImporterFrom, lp *listedPackage) (*Package, error) {
+func checkPackage(fset *token.FileSet, imp types.ImporterFrom, lp *listedPackage) (*checkedPackage, error) {
 	files := make([]*ast.File, 0, len(lp.GoFiles))
 	for _, name := range lp.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -250,9 +188,8 @@ func checkPackage(fset *token.FileSet, imp types.ImporterFrom, lp *listedPackage
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", lp.ImportPath, err)
 	}
-	return &Package{
+	return &checkedPackage{
 		Path:  lp.ImportPath,
-		Dir:   lp.Dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
@@ -260,9 +197,8 @@ func checkPackage(fset *token.FileSet, imp types.ImporterFrom, lp *listedPackage
 	}, nil
 }
 
-// chainImporter serves already-checked target packages from cache and
-// everything else (stdlib, unselected module packages) from the source
-// importer.
+// chainImporter serves already-checked module packages from cache and
+// the standard library from the source importer.
 type chainImporter struct {
 	local    map[string]*types.Package
 	fallback types.ImporterFrom

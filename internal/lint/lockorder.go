@@ -1,7 +1,14 @@
-// The lockorder analyzer: enforces the declared mutex hierarchy in
-// lockranks.go over an intra-package lock-acquisition graph.
+// Package lint holds the checks on this module's source that no
+// runtime test can make. The one in non-test code is the lock-order
+// walk, the control plane's mutex hierarchy (lockranks.go): a lock
+// taken out of order deadlocks only under a contention no test
+// arranges, so TestLockOrder type-checks the module (load.go) and walks
+// every function. The import DAG and the single-sourced flare-trace
+// schema are plain tests in this package (TestLayering,
+// TestObsDiscipline). DESIGN.md §12 has the injection table each check
+// rests on.
 //
-// For every function the analyzer simulates the held-lock set along a
+// The walk: for every function it simulates the held-lock set along a
 // source-order walk of the body: sync.Mutex/RWMutex Lock/RLock sites
 // on ranked mutexes push their class, Unlock/RUnlock sites pop it, and
 // a deferred unlock holds the class to function exit. Acquiring a
@@ -9,7 +16,7 @@
 // hierarchy demands strictly descending acquisition, and equal rank is
 // the self-deadlock/AB-BA shape that two cellState locks produce
 // unless the code imposes a global order itself (Handover does, by
-// cell ID, and says so with a waiver).
+// cell ID, and lockExceptions says so).
 //
 // Calls propagate: at a call site with a non-empty held set, the
 // callee's transitive acquisition set (memoized over the intra-package
@@ -30,24 +37,74 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// LockOrder enforces LockRanks over the real tree.
-var LockOrder = NewLockOrder(LockRanks)
+// A lockFinding is one acquisition against the hierarchy: Acquired
+// taken while Held was, in function Func of package Pkg.
+type lockFinding struct {
+	Pos            token.Position
+	Pkg, Func      string
+	Acquired, Held lockClass
+	Msg            string
+}
 
-// NewLockOrder builds a lockorder analyzer over a rank table (fixtures
-// supply their own).
-func NewLockOrder(ranks []LockClass) *Analyzer {
-	return &Analyzer{
-		Name: "lockorder",
-		Doc: "enforces the declared mutex hierarchy (lockranks.go): while a ranked lock is held, " +
-			"only strictly lower-ranked locks may be acquired, directly or via any statically " +
-			"resolvable callee",
-		Run: func(pass *Pass) { runLockOrder(pass, ranks) },
+func (f lockFinding) String() string { return fmt.Sprintf("%s: %s", f.Pos, f.Msg) }
+
+// lockOrder walks every function of pkg against ranks and returns the
+// findings in source order.
+func lockOrder(pkg *checkedPackage, ranks []lockClass) []lockFinding {
+	w := &lockWalker{
+		pkg:   pkg,
+		ranks: ranks,
+		graph: buildCallGraph(pkg),
+		acq:   make(map[*types.Func]map[int]token.Pos),
 	}
+	for _, fd := range w.graph.decls {
+		w.stmt(fd.Body, map[int]token.Pos{}, funcName(pkg.Info.Defs[fd.Name].(*types.Func)))
+	}
+	return w.findings
+}
+
+// excuse splits findings into those no exception covers and the
+// exceptions that cover none.
+func excuse(findings []lockFinding, exceptions []lockException) (uncovered []lockFinding, stale []lockException) {
+	used := make([]bool, len(exceptions))
+	for _, f := range findings {
+		covered := false
+		for i, e := range exceptions {
+			if e.Pkg == f.Pkg && e.Func == f.Func && e.Class == f.Acquired.String() && e.Class == f.Held.String() {
+				used[i], covered = true, true
+			}
+		}
+		if !covered {
+			uncovered = append(uncovered, f)
+		}
+	}
+	for i, e := range exceptions {
+		if !used[i] {
+			stale = append(stale, e)
+		}
+	}
+	return uncovered, stale
+}
+
+// funcName names a declared function "F", "T.M" or "(*T).M", the form
+// a lockException's Func takes.
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t := types.TypeString(recv.Type(), func(*types.Package) string { return "" })
+	if strings.HasPrefix(t, "*") {
+		t = "(" + t + ")"
+	}
+	return t + "." + fn.Name()
 }
 
 // lockOp classifies a call as a lock acquisition or release.
@@ -60,25 +117,27 @@ const (
 )
 
 type lockWalker struct {
-	pass  *Pass
-	ranks []LockClass
+	pkg   *checkedPackage
+	ranks []lockClass
 	graph *callGraph
 	// acq memoizes each function's transitive acquisition set:
 	// class index -> position of the acquiring Lock call. A nil entry
 	// marks in-progress computation (recursion breaks to empty).
-	acq map[*types.Func]map[int]token.Pos
+	acq      map[*types.Func]map[int]token.Pos
+	findings []lockFinding
 }
 
-func runLockOrder(pass *Pass, ranks []LockClass) {
-	w := &lockWalker{
-		pass:  pass,
-		ranks: ranks,
-		graph: buildCallGraph(pass),
-		acq:   make(map[*types.Func]map[int]token.Pos),
-	}
-	for _, fd := range w.graph.decls {
-		w.stmt(fd.Body, map[int]token.Pos{}, fd.Name.Name)
-	}
+// report records that fnName acquires class idx at pos while holding
+// class h.
+func (w *lockWalker) report(pos token.Pos, fnName string, idx, h int, format string, args ...any) {
+	w.findings = append(w.findings, lockFinding{
+		Pos:      w.pkg.Fset.Position(pos),
+		Pkg:      w.pkg.Path,
+		Func:     fnName,
+		Acquired: w.ranks[idx],
+		Held:     w.ranks[h],
+		Msg:      fmt.Sprintf(format, args...),
+	})
 }
 
 // stmt walks one statement, mutating held (class index -> acquisition
@@ -196,7 +255,7 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[int]token.Pos, fnName str
 		case opLock:
 			for h := range held {
 				if w.ranks[h].Rank <= w.ranks[idx].Rank {
-					w.pass.Reportf(call.Pos(),
+					w.report(call.Pos(), fnName, idx, h,
 						"lock order inversion in %s: acquiring %s (rank %d) while holding %s (rank %d); the declared order acquires strictly higher ranks first",
 						fnName, w.ranks[idx], w.ranks[idx].Rank, w.ranks[h], w.ranks[h].Rank)
 				}
@@ -210,14 +269,14 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[int]token.Pos, fnName str
 	if len(held) == 0 {
 		return
 	}
-	fn, kind := classifyCall(w.pass.Info, call)
+	fn, kind := classifyCall(w.pkg.Info, call)
 	if kind != callStatic {
 		return
 	}
 	for idx := range w.transAcquires(fn) {
 		for h := range held {
 			if w.ranks[h].Rank <= w.ranks[idx].Rank {
-				w.pass.Reportf(call.Pos(),
+				w.report(call.Pos(), fnName, idx, h,
 					"lock order inversion in %s: call to %s acquires %s (rank %d) while holding %s (rank %d)",
 					fnName, fn.Name(), w.ranks[idx], w.ranks[idx].Rank, w.ranks[h], w.ranks[h].Rank)
 			}
@@ -245,7 +304,7 @@ func (w *lockWalker) transAcquires(fn *types.Func) map[int]token.Pos {
 				}
 				return true
 			}
-			if callee, kind := classifyCall(w.pass.Info, call); kind == callStatic {
+			if callee, kind := classifyCall(w.pkg.Info, call); kind == callStatic {
 				for idx, pos := range w.transAcquires(callee) {
 					if _, seen := out[idx]; !seen {
 						out[idx] = pos
@@ -276,7 +335,7 @@ func (w *lockWalker) lockOpOf(call *ast.CallExpr) (int, lockOp) {
 	default:
 		return 0, opNone
 	}
-	fn, ok := w.pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := w.pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return 0, opNone
 	}
@@ -293,14 +352,14 @@ func (w *lockWalker) classOf(x ast.Expr) (int, bool) {
 	switch x := unparen(x).(type) {
 	case *ast.SelectorExpr:
 		// A struct field: s.mu, c.mu, s.cells[id].mu, ...
-		named := namedOf(w.pass.Info.TypeOf(x.X))
+		named := namedOf(w.pkg.Info.TypeOf(x.X))
 		if named == nil || named.Obj().Pkg() == nil {
 			return 0, false
 		}
 		return w.lookup(named.Obj().Pkg().Path(), named.Obj().Name(), x.Sel.Name)
 	case *ast.Ident:
 		// A package-level mutex variable.
-		v, ok := w.pass.Info.Uses[x].(*types.Var)
+		v, ok := w.pkg.Info.Uses[x].(*types.Var)
 		if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 			return 0, false
 		}

@@ -1,22 +1,68 @@
-package lint_test
+package lint
 
 import (
+	"fmt"
 	"go/types"
+	"regexp"
 	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
-
-	"github.com/flare-sim/flare/internal/lint"
-	"github.com/flare-sim/flare/internal/lint/linttest"
 )
 
-// TestLockOrder runs the analyzer under a fixture-local rank table
+// module is the whole module, type-checked once for the tests that read
+// it (TestLockOrder, TestLockRanksTable): the load is most of their
+// time.
+var module struct {
+	once sync.Once
+	pkgs []*checkedPackage
+	err  error
+}
+
+func modulePackages(t *testing.T) []*checkedPackage {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = loadModule("../..") })
+	if module.err != nil {
+		t.Fatalf("load module: %v", module.err)
+	}
+	return module.pkgs
+}
+
+// TestLockOrder holds the whole module to lockRanks: every acquisition
+// against the hierarchy fails unless a lockExceptions row excuses it,
+// and a row that excuses nothing fails too.
+func TestLockOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is seconds of work; skipped in -short")
+	}
+	pkgs := modulePackages(t)
+	if len(pkgs) < 20 {
+		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+	}
+	var findings []lockFinding
+	for _, pkg := range pkgs {
+		findings = append(findings, lockOrder(pkg, lockRanks)...)
+	}
+	uncovered, stale := excuse(findings, lockExceptions)
+	for _, f := range uncovered {
+		t.Error(f)
+	}
+	for _, e := range stale {
+		t.Errorf("lock-order exception %s in %s excuses no finding; delete the row or restore the code it was written for", e.Func, e.Pkg)
+	}
+}
+
+// TestLockOrderFixture runs the walk under a fixture-local rank table
 // shaped like the real one (lockranks.go): a package-level registry
 // mutex above a Server/Shard/Cell struct hierarchy. The fixture covers
 // descending acquisition, direct and transitive inversions, the
-// equal-rank Handover shape and its global-order waiver, deferred
-// unlocks, goroutine-fresh held sets, and closure inheritance.
-func TestLockOrder(t *testing.T) {
-	ranks := []lint.LockClass{
+// equal-rank Handover shape and its global-order exception, deferred
+// unlocks, goroutine-fresh held sets, and closure inheritance. Each
+// `// want` comment is a regexp for a finding on its line; a second
+// exception row, for a function with no finding, must come back stale.
+func TestLockOrderFixture(t *testing.T) {
+	ranks := []lockClass{
 		{Pkg: "fixture/lockfix", Field: "regMu", Rank: 50,
 			Doc: "fixture: package-level registry lock, outermost"},
 		{Pkg: "fixture/lockfix", Type: "Server", Field: "optMu", Rank: 30,
@@ -26,13 +72,71 @@ func TestLockOrder(t *testing.T) {
 		{Pkg: "fixture/lockfix", Type: "Cell", Field: "mu", Rank: 10,
 			Doc: "fixture: one cell's state lock, innermost"},
 	}
-	linttest.Run(t, "testdata/lockorder", "fixture/lockfix", lint.NewLockOrder(ranks))
+	exceptions := []lockException{
+		{Pkg: "fixture/lockfix", Func: "handoverOrdered", Class: "lockfix.Cell.mu",
+			Reason: "fixture: callers pass cells in global ID order"},
+		{Pkg: "fixture/lockfix", Func: "releasedEarly", Class: "lockfix.Cell.mu",
+			Reason: "fixture: excuses nothing"},
+	}
+	pkg, err := loadDir("testdata/lockorder", "fixture/lockfix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncovered, stale := excuse(lockOrder(pkg, ranks), exceptions)
+	if len(stale) != 1 || stale[0].Func != "releasedEarly" {
+		t.Errorf("stale exceptions = %+v, want the releasedEarly row alone", stale)
+	}
+
+	wants := fixtureWants(t, pkg)
+	for _, f := range uncovered {
+		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
+		i := slices.IndexFunc(wants[key], func(re *regexp.Regexp) bool { return re.MatchString(f.Msg) })
+		if i < 0 {
+			t.Errorf("unexpected finding:\n  %s", f)
+			continue
+		}
+		wants[key] = slices.Delete(wants[key], i, i+1)
+	}
+	for key, res := range wants {
+		for _, re := range res {
+			t.Errorf("%s: no finding matching %q", key, re)
+		}
+	}
+}
+
+// fixtureWants reads each `// want "re"...` comment of pkg into its
+// regexps, keyed by file:line.
+func fixtureWants(t *testing.T, pkg *checkedPackage) map[string][]*regexp.Regexp {
+	out := map[string][]*regexp.Regexp{}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				_, rest, ok := strings.Cut(c.Text, "// want ")
+				if !ok {
+					continue
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+				for rest = strings.TrimSpace(rest); rest != ""; {
+					q, err := strconv.QuotedPrefix(rest)
+					if err != nil {
+						t.Fatalf("%s: malformed want %q", key, rest)
+					}
+					pat, _ := strconv.Unquote(q)
+					out[key] = append(out[key], regexp.MustCompile(pat))
+					rest = strings.TrimSpace(rest[len(q):])
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestLockRanksTable pins the real hierarchy: the two control-plane
 // classes and the solver's scratch freelist, with distinct ranks in the
 // documented order Server.mu > cellState.mu > scratchPool.mu, every
-// entry documenting what it protects and naming a mutex that exists.
+// entry documenting what it protects and naming a mutex that exists,
+// and every exception giving its reason and naming a ranked class.
 func TestLockRanksTable(t *testing.T) {
 	want := []struct {
 		typ, field string
@@ -41,36 +145,44 @@ func TestLockRanksTable(t *testing.T) {
 		{"cellState", "mu"},
 		{"scratchPool", "mu"},
 	}
-	if len(lint.LockRanks) != len(want) {
-		t.Fatalf("LockRanks has %d classes, want %d", len(lint.LockRanks), len(want))
+	if len(lockRanks) != len(want) {
+		t.Fatalf("lockRanks has %d classes, want %d", len(lockRanks), len(want))
 	}
 	prev := int(^uint(0) >> 1) // MaxInt
 	for i, w := range want {
-		c := lint.LockRanks[i]
+		c := lockRanks[i]
 		if c.Type != w.typ || c.Field != w.field {
-			t.Errorf("LockRanks[%d] = %s, want %s.%s", i, c, w.typ, w.field)
+			t.Errorf("lockRanks[%d] = %s, want %s.%s", i, c, w.typ, w.field)
 		}
 		if c.Rank >= prev {
-			t.Errorf("LockRanks[%d] (%s) rank %d not strictly below its predecessor %d", i, c, c.Rank, prev)
+			t.Errorf("lockRanks[%d] (%s) rank %d not strictly below its predecessor %d", i, c, c.Rank, prev)
 		}
 		if c.Doc == "" {
-			t.Errorf("LockRanks[%d] (%s) has no Doc", i, c)
+			t.Errorf("lockRanks[%d] (%s) has no Doc", i, c)
 		}
 		prev = c.Rank
 	}
-	resolveLockRanks(t, lint.LockRanks)
+	for _, e := range lockExceptions {
+		if e.Reason == "" {
+			t.Errorf("lock-order exception %s has no Reason", e.Func)
+		}
+		if !slices.ContainsFunc(lockRanks, func(c lockClass) bool { return c.String() == e.Class }) {
+			t.Errorf("lock-order exception %s names %s, which lockRanks does not rank", e.Func, e.Class)
+		}
+	}
+	resolveLockRanks(t, lockRanks)
 }
 
 // resolveLockRanks fails for a class whose mutex does not exist in the
 // module: a type or package-level variable that is missing, a field
 // that is missing, or one that is not a sync.Mutex or sync.RWMutex. The
-// analyzer only ever matches ranks against the locks it meets, so
-// without this a rank for a deleted lock stays green.
-func resolveLockRanks(t *testing.T, ranks []lint.LockClass) {
+// walk only ever matches ranks against the locks it meets, so without
+// this a rank for a deleted lock stays green.
+func resolveLockRanks(t *testing.T, ranks []lockClass) {
 	t.Helper()
-	pkgs := loadModule(t)
+	pkgs := modulePackages(t)
 	for _, c := range ranks {
-		i := slices.IndexFunc(pkgs, func(p *lint.Package) bool { return p.Path == c.Pkg })
+		i := slices.IndexFunc(pkgs, func(p *checkedPackage) bool { return p.Path == c.Pkg })
 		if i < 0 {
 			t.Errorf("%s: package %s not loaded", c, c.Pkg)
 			continue

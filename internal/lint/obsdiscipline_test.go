@@ -133,7 +133,7 @@ func obsEventLiterals(root string) ([]token.Position, int, error) {
 // obsImportName is the name a file imports internal/obs under, or "".
 func obsImportName(f *ast.File) string {
 	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p != ModulePath+"/internal/obs" {
+		if p, _ := strconv.Unquote(imp.Path.Value); p != modulePath+"/internal/obs" {
 			continue
 		}
 		if imp.Name != nil {

@@ -187,7 +187,11 @@ func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flo
 		return
 	}
 	if err := h.s.SetPreferences(cellID, flowID, prefs); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		status := http.StatusNotFound
+		if prefs.Validate() != nil {
+			status = http.StatusBadRequest
+		}
+		writeErr(w, status, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -11,11 +11,12 @@ import (
 )
 
 // TestOutsideInputKeepsCellServing: what a client or an eNodeB can send
-// must not take a cell down. A session whose only rung is 1e300 is a
-// valid ladder, and a stats row of 9e18 RBs for one byte is a valid
-// report; both used to make every later BAI of the cell panic in the
-// exact solver, leaking a scratch set each time. A ladder longer than
-// the solver can index is refused at the open with a 400.
+// must not take a cell down. A stats row of 9e18 RBs for one byte is a
+// valid report; it used to make every later BAI of the cell panic in
+// the exact solver, leaking a scratch set each time. A ladder longer
+// than the solver can index, or whose floor rung no cell can carry
+// (1e300 bps), is refused at the open with a 400: the 1e300 floor used
+// to be admitted and to hold every neighbour in its cell at level 0.
 func TestOutsideInputKeepsCellServing(t *testing.T) {
 	h := Handler(serverForTest())
 	serve := func(method, path, body string) (rr *httptest.ResponseRecorder) {
@@ -31,7 +32,7 @@ func TestOutsideInputKeepsCellServing(t *testing.T) {
 	const sessions = "/oneapi/v4/cells/0/sessions"
 	for _, body := range []string{
 		`{"flow_id":1,"ladder_bps":[100000,250000,500000,1000000]}`,
-		`{"flow_id":2,"ladder_bps":[1e300]}`,
+		`{"flow_id":2,"ladder_bps":[100000]}`,
 	} {
 		if rr := serve("POST", sessions, body); rr.Code != http.StatusCreated {
 			t.Fatalf("open %s: %d %s", body, rr.Code, rr.Body)
@@ -44,6 +45,24 @@ func TestOutsideInputKeepsCellServing(t *testing.T) {
 	body := `{"flow_id":3,"ladder_bps":[` + strings.Join(long, ",") + `]}`
 	if rr := serve("POST", "/oneapi/v4/cells/1/sessions", body); rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"code":"bad_request"`) {
 		t.Errorf("open with a %d-level ladder: %d %s, want 400 bad_request", len(long), rr.Code, rr.Body)
+	}
+
+	// A SimLadder session climbs in a cell where a 1e300 floor was
+	// refused.
+	if rr := serve("POST", "/oneapi/v4/cells/2/sessions", `{"flow_id":4,"ladder_bps":[100000,250000,500000,1000000,2000000,3000000]}`); rr.Code != http.StatusCreated {
+		t.Fatalf("open the SimLadder session: %d %s", rr.Code, rr.Body)
+	}
+	if rr := serve("POST", "/oneapi/v4/cells/2/sessions", `{"flow_id":5,"ladder_bps":[1e300]}`); rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"code":"bad_request"`) {
+		t.Errorf("open with a 1e300 floor: %d %s, want 400 bad_request", rr.Code, rr.Body)
+	}
+	for seq := 1; seq <= 5; seq++ {
+		report := fmt.Sprintf(`{"flows":{"4":{"bytes":1000000,"rbs":50000},"5":{"bytes":1000000,"rbs":50000}},"seq":%d}`, seq)
+		if rr := serve("POST", "/oneapi/v4/cells/2/stats", report); rr.Code != http.StatusOK {
+			t.Fatalf("cell 2 stats round %d: %d %s", seq, rr.Code, rr.Body)
+		}
+	}
+	if rr := serve("GET", "/oneapi/v4/cells/2/assignments/4", ""); rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), `"level":0`) {
+		t.Errorf("SimLadder session after five rounds: %d %s, want a level above 0", rr.Code, rr.Body)
 	}
 
 	var sets0 int

@@ -262,7 +262,7 @@ func (s *Server) OpenSession(cellID int, req SessionRequest) error {
 // idempotently (the HTTP binding maps these to 201 vs 200). The session
 // keeps req.LadderBps without copying it (see SessionRequest).
 func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) {
-	if err := s.checkOpen(req.FlowID, has.Ladder(req.LadderBps)); err != nil {
+	if err := s.checkOpen(req.FlowID, has.Ladder(req.LadderBps), req.Preferences); err != nil {
 		return false, err
 	}
 	c := s.cell(cellID)
@@ -282,7 +282,7 @@ func (s *Server) OpenGroup(cellID int, ladderBps []float64, flowIDs []int) error
 	if len(flowIDs) == 0 {
 		return nil
 	}
-	if err := s.checkOpen(flowIDs[0], has.Ladder(ladderBps)); err != nil {
+	if err := s.checkOpen(flowIDs[0], has.Ladder(ladderBps), core.Preferences{}); err != nil {
 		return err
 	}
 	c := s.cell(cellID)
@@ -298,17 +298,24 @@ func (s *Server) OpenGroup(cellID int, ladderBps []float64, flowIDs []int) error
 }
 
 // checkOpen is the refusals an open meets before it touches a cell: an
-// invalid ladder or one longer than the controller registers, then a
-// draining server. The ladder is checked ahead of the admission
-// predicate, which prices the candidate by its floor rung and so
-// assumes a non-empty ladder, and would otherwise queue a session that
-// its promotion could never register.
-func (s *Server) checkOpen(flowID int, ladder has.Ladder) error {
+// invalid ladder, one longer than the controller registers or whose
+// floor rung no cell can carry (core.PeakCellRateBps), preferences
+// beyond their bounds, then a draining server. The ladder is checked
+// ahead of the admission predicate, which prices the candidate by its
+// floor rung and so assumes a non-empty ladder, and would otherwise
+// queue a session that its promotion could never register.
+func (s *Server) checkOpen(flowID int, ladder has.Ladder, prefs core.Preferences) error {
 	if err := ladder.Validate(); err != nil {
 		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, err)
 	}
 	if len(ladder) > core.MaxLevels {
 		return fmt.Errorf("oneapi: open session flow %d: ladder of %d levels, more than %d", flowID, len(ladder), core.MaxLevels)
+	}
+	if ladder[0] > core.PeakCellRateBps {
+		return fmt.Errorf("oneapi: open session flow %d: floor rung %g bps is above the peak cell rate (%g bps)", flowID, ladder[0], core.PeakCellRateBps)
+	}
+	if err := prefs.Validate(); err != nil {
+		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, err)
 	}
 	if s.draining.Load() {
 		return fmt.Errorf("oneapi: open session flow %d: %w", flowID, ErrDraining)
@@ -478,7 +485,8 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 	}
 	first.mu.Lock()
 	defer first.mu.Unlock()
-	//flare:allow lockorder: equal-rank by design — both cells are locked in global cell-ID order (first/second above), so concurrent handovers cannot form a cycle
+	// Equal rank by design: the cell-ID order above rules out a cycle
+	// (internal/lint's lockExceptions holds this one acquisition).
 	second.mu.Lock()
 	defer second.mu.Unlock()
 
@@ -506,8 +514,12 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 	return nil
 }
 
-// SetPreferences updates a session's client preferences.
+// SetPreferences updates a session's client preferences. Preferences
+// beyond their bounds (core.Preferences.Validate) are refused first.
 func (s *Server) SetPreferences(cellID, flowID int, prefs core.Preferences) error {
+	if err := prefs.Validate(); err != nil {
+		return fmt.Errorf("oneapi: preferences flow %d: %w", flowID, err)
+	}
 	c := s.lookup(cellID)
 	if c == nil {
 		return fmt.Errorf("oneapi: unknown cell %d", cellID)

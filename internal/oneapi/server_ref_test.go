@@ -62,9 +62,15 @@ func (m *refServer) cell(id int) *refCell {
 	return c
 }
 
+// refPrefsOK is the preferences bound: neither Beta nor ThetaBps past
+// its maximum.
+func refPrefsOK(p core.Preferences) bool {
+	return p.Beta <= core.MaxBeta && p.ThetaBps <= core.MaxThetaBps
+}
+
 func (m *refServer) open(cellID int, req SessionRequest) error {
 	ladder := has.Ladder(req.LadderBps)
-	if ladder.Validate() != nil || len(ladder) > core.MaxLevels {
+	if ladder.Validate() != nil || len(ladder) > core.MaxLevels || ladder[0] > core.PeakCellRateBps || !refPrefsOK(req.Preferences) {
 		return errRefOther
 	}
 	if m.draining {
@@ -121,7 +127,7 @@ func (m *refServer) close(cellID, flowID int) {
 
 func (m *refServer) setPreferences(cellID, flowID int, prefs core.Preferences) error {
 	c, ok := m.cells[cellID]
-	if !ok || c.ctrl.SetPreferences(flowID, prefs) != nil {
+	if !refPrefsOK(prefs) || !ok || c.ctrl.SetPreferences(flowID, prefs) != nil {
 		return errRefOther
 	}
 	return nil
@@ -274,8 +280,9 @@ func (r *opReader) u64() uint64 {
 
 // ladderScales are the floors and steps an arbitrary ladder is drawn
 // from: zero and one (refused, or a rung of 1 bps), the ladder's own
-// scale, floors that fill or overflow the admission budget, and 1e300.
-var ladderScales = []float64{0, 1, 1e3, 1e5, 3e6, 4e9, 1e300}
+// scale, floors that fill or overflow the admission budget (the peak
+// cell rate the largest a cell takes), and floors past it (refused).
+var ladderScales = []float64{0, 1, 1e3, 1e5, 3e6, core.PeakCellRateBps, 4e9, 1e300}
 
 // ladder draws an open's ladder: one of refLadders, or 1 to 300 levels
 // from a floor by a step, one rung possibly replaced by any finite
@@ -322,9 +329,22 @@ func (r *opReader) stats() core.FlowStats {
 func (r *opReader) cell() int { return int(r.next() % refCells) }
 func (r *opReader) flow() int { return 1 + int(r.next()%refFlows) }
 
+// prefBetas and prefThetas are what preferences draw Beta and ThetaBps
+// from: mostly the default (0) and ordinary values, then each bound
+// exactly, then one value past it (refused).
+var (
+	prefBetas  = []float64{0, 0, 0, 1, 3, 20, core.MaxBeta, 1e17}
+	prefThetas = []float64{0, 0, 0, 0, 0.4e6, 1e6, core.MaxThetaBps, 1e300}
+)
+
 func (r *opReader) prefs() core.Preferences {
-	b := r.next()
-	return core.Preferences{MaxBps: float64(b%4) * 600_000, Beta: float64(b >> 6), Skimming: b&0x30 == 0x30}
+	b, c := r.next(), r.next()
+	return core.Preferences{
+		MaxBps:   float64(b%4) * 600_000,
+		Beta:     prefBetas[c%8],
+		ThetaBps: prefThetas[c>>3%8],
+		Skimming: b&0x30 == 0x30,
+	}
 }
 
 // runServerOps decodes data into ops and applies each to a Server and

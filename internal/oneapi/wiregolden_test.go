@@ -61,6 +61,7 @@ func wireScenes() []wireScene {
 				{"open conflict", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":3,"ladder_bps":[100000,900000]}`},
 				{"open empty ladder", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id": 1, "ladder_bps": []}`},
 				{"open malformed", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":`},
+				{"open beta past its bound", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":1,"ladder_bps":[200000,400000],"preferences":{"beta":1e17}}`},
 				{"poll before first BAI", "GET", "/oneapi/v4/cells/0/assignments/3", ""},
 				{"stats unsequenced", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"3":{"bytes":1000000,"rbs":50000}},"num_data_flows":0}`},
 				{"stats sequenced with hint", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"3":{"bytes":1000000,"rbs":50000,"bytes_per_rb_hint":21.5}},"num_data_flows":2,"seq":5}`},
@@ -75,6 +76,7 @@ func wireScenes() []wireScene {
 				{"preferences unknown session", "PUT", "/oneapi/v4/cells/0/sessions/4/preferences", `{"max_bps":1}`},
 				{"preferences unknown cell", "PUT", "/oneapi/v4/cells/99/sessions/4/preferences", `{}`},
 				{"preferences malformed", "PUT", "/oneapi/v4/cells/0/sessions/3/preferences", `[`},
+				{"preferences theta past its bound", "PUT", "/oneapi/v4/cells/0/sessions/3/preferences", `{"theta_bps":1e300}`},
 				{"handover", "POST", "/oneapi/v4/cells/0/sessions/3/handover", `{"to_cell":1}`},
 				{"poll after handover", "GET", "/oneapi/v4/cells/1/assignments/3", ""},
 				{"handover unknown session", "POST", "/oneapi/v4/cells/0/sessions/3/handover", `{"to_cell":1}`},
@@ -130,7 +132,8 @@ func wireScenes() []wireScene {
 			name: "admission",
 			cfg:  func(c *core.Config) { c.AdmissionControl = true; c.BAI = 2500_000_000 },
 			exchanges: []wireExchange{
-				{"open refused by admission", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":1,"ladder_bps":[4000000000,8000000000]}`},
+				{"open refused by admission", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":1,"ladder_bps":[30000000,36000000]}`},
+				{"open floor no cell can carry", "POST", "/oneapi/v4/cells/0/sessions", `{"flow_id":1,"ladder_bps":[4000000000,8000000000]}`},
 				{"open ladder too long", "POST", "/oneapi/v4/cells/0/sessions", longLadderOpen(2, 4_000_000_000)},
 			},
 		},
