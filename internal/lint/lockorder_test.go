@@ -12,7 +12,7 @@ import (
 )
 
 // module is the whole module, type-checked once for the tests that read
-// it (TestLockOrder, TestLockRanksTable): the load is most of their
+// it (TestLockOrder, TestTreeClean, TestLockRanksTable): the load is most of their
 // time.
 var module struct {
 	once sync.Once
@@ -50,6 +50,26 @@ func TestLockOrder(t *testing.T) {
 	}
 	for _, e := range stale {
 		t.Errorf("lock-order exception %s in %s excuses no finding; delete the row or restore the code it was written for", e.Func, e.Pkg)
+	}
+}
+
+// TestTreeClean holds the module's shipped code free of `//flare:`
+// directive comments. Exceptions are lockExceptions rows now, so such a
+// comment would read as a waiver and excuse nothing.
+func TestTreeClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is seconds of work; skipped in -short")
+	}
+	for _, pkg := range modulePackages(t) {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if strings.HasPrefix(c.Text, "//flare:") {
+						t.Errorf("%s: %s: a comment waives nothing; add a lockExceptions row", pkg.Fset.Position(c.Pos()), c.Text)
+					}
+				}
+			}
+		}
 	}
 }
 
