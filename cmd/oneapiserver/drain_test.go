@@ -30,13 +30,13 @@ func TestShutdownDrainsBAIRounds(t *testing.T) {
 	inInstall := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	server.SetPCEF(oneapi.PCEFFunc(func(int, float64) error {
+	server.SetPCEF(func([]oneapi.GBRInstall) []error {
 		once.Do(func() { close(inInstall) })
 		<-release
 		return nil
-	}))
+	})
 
-	if err := server.OpenSession(0, oneapi.SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := server.Open(0, oneapi.SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	report := oneapi.StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 2_000_000, RBs: 8000}}}

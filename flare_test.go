@@ -84,7 +84,7 @@ func TestFacadeOneAPIHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plugin.Close()
-	if _, err := server.RunBAI(0, oneapi.StatsReport{
+	if _, err := server.RunBAIReport(0, oneapi.StatsReport{
 		Flows: map[int]FlowStats{1: {Bytes: 100_000, RBs: 10_000}},
 	}, nil); err != nil {
 		t.Fatal(err)

@@ -63,9 +63,8 @@ type flareDriver struct {
 
 	// solveTimes is the history of the cell's solve wall times in
 	// seconds (ControlTelemetry.SolveTimes): the server keeps only the
-	// last, and solves is the count of it this driver has read.
+	// last.
 	solveTimes []float64
-	solves     int64
 }
 
 // flowAdmission tracks one flow's session through the admission state
@@ -189,7 +188,7 @@ func (d *flareDriver) sessionRequest(f *Flow) oneapi.SessionRequest {
 func (d *flareDriver) Init(e Engine, flows []*Flow) error {
 	d.e = e
 	d.flows = flows
-	d.pcef = oneapi.PCEFBatchFunc(d.installGBRs)
+	d.pcef = d.installGBRs
 	if d.cfg.Flare.AdmissionControl {
 		// Sessions open at arrival time instead (OnFlowArrival): opening
 		// here would charge the admission predicate for flows that have
@@ -299,7 +298,7 @@ func (d *flareDriver) OnFlowArrival(f *Flow) {
 // tryOpen attempts one admission-mode session open and advances the
 // flow's re-try schedule.
 func (d *flareDriver) tryOpen(f *Flow, st *flowAdmission) {
-	err := d.server.OpenSession(d.cellID, d.sessionRequest(f))
+	_, err := d.server.Open(d.cellID, d.sessionRequest(f))
 	switch {
 	case err == nil:
 		st.opened = true
@@ -381,8 +380,10 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 		d.sendBufferFeedback()
 		report := oneapi.StatsReport{Flows: d.e.CollectStats(d.flows), NumDataFlows: -1}
 		err := d.server.RunBAIInto(d.cellID, report, d.pcef, &d.resp)
-		d.readSolveTime()
-		if err != nil {
+		// The server holds no cell without a session or a queued open —
+		// before the first admission-mode open, after the last departure
+		// — and such a round has nothing to solve.
+		if err != nil && !errors.Is(err, oneapi.ErrUnknownCell) {
 			// Declared here, not above: errors.As makes its target escape.
 			var enforceErr *oneapi.EnforceError
 			if !errors.As(err, &enforceErr) {
@@ -393,6 +394,7 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 			// plugins will see the assignment age until they degrade.
 			d.ctrl.EnforceFailures += len(enforceErr.Failed)
 		}
+		d.readSolveTime()
 	}
 
 	// Downstream: each live plugin polls its assignment. The server
@@ -414,7 +416,7 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 				// session from its wait queue — upgrade to coordinated
 				// on the spot; otherwise feed the fallback detector so
 				// the plugin degrades promptly.
-				if a, ok := d.server.Assignment(d.cellID, f.ID); ok {
+				if a, err := d.server.AssignmentErr(d.cellID, f.ID); err == nil {
 					st.opened = true
 					st.everOpened = true
 					st.gap = 0
@@ -444,8 +446,8 @@ func (d *flareDriver) OnBAI(now time.Duration) error {
 			plugin.PollFailed()
 			continue
 		}
-		a, ok := d.server.Assignment(d.cellID, f.ID)
-		if !ok {
+		a, err := d.server.AssignmentErr(d.cellID, f.ID)
+		if err != nil {
 			// No BAI has covered the flow yet (or its session closed):
 			// nothing to deliver, nothing failed.
 			continue
@@ -476,13 +478,15 @@ func (d *flareDriver) Close() error { return nil }
 func (d *flareDriver) ControlStats() ControlStats { return d.ctrl }
 
 // readSolveTime appends the round's solve wall time to the history, if
-// the round ran a solve.
+// the round ran a solve: one that assigned any flow, installed or not.
 func (d *flareDriver) readSolveTime() {
-	n, dur, err := d.server.LastSolve(d.cellID)
-	if err != nil || n == d.solves {
+	if len(d.resp.Assignments)+len(d.resp.Failed) == 0 {
 		return
 	}
-	d.solves = n
+	_, dur, err := d.server.LastSolve(d.cellID)
+	if err != nil {
+		return
+	}
 	if k := len(d.solveTimes); k == cap(d.solveTimes) {
 		// 64 entries at the first solve (a simulated minute of 1 s BAIs),
 		// then doubled, not append's gentler growth past 256 entries: a

@@ -45,7 +45,7 @@ func (c lockClass) String() string {
 var lockRanks = []lockClass{
 	{
 		Pkg: internalPrefix + "oneapi", Type: "Server", Field: "mu", Rank: 30,
-		Doc: "guards the cell index and the creation-time defaults (recorder, PCEF, wall clock); read-locked to look a cell up and released before the cell is locked, write-locked for cell creation and for Set*, which re-point every cell under it",
+		Doc: "guards the cell index and the creation-time defaults (recorder, PCEF, wall clock); read-locked to look a cell up and released before the cell is locked, write-locked for cell creation, for a cell's drop (which then locks the cell under it) and for Set*, which re-point every cell under it",
 	},
 	{
 		Pkg: internalPrefix + "oneapi", Type: "cellState", Field: "mu", Rank: 10,

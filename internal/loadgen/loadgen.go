@@ -14,7 +14,6 @@ package loadgen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,8 +78,9 @@ type Tracker struct {
 	Opens      atomic.Int64
 	OpenErrors atomic.Int64
 	Rounds     atomic.Int64
-	// RoundErrors counts failed stats exchanges (transport errors or
-	// non-enforcement server errors).
+	// RoundErrors counts failed stats exchanges: transport errors and
+	// refusals. A partially enforced round is an answer (its failures
+	// ride in the response), not an error.
 	RoundErrors atomic.Int64
 	Polls       atomic.Int64
 	PollErrors  atomic.Int64
@@ -258,10 +258,7 @@ func (w *cellWorker) round(cfg Config, httpc *http.Client, tr *Tracker, r int) {
 	tr.RoundLatency.Observe(time.Since(t0).Nanoseconds())
 	tr.Rounds.Add(1)
 	if err != nil {
-		var enforceErr *oneapi.EnforceError
-		if !errors.As(err, &enforceErr) {
-			tr.RoundErrors.Add(1)
-		}
+		tr.RoundErrors.Add(1)
 	}
 	w.churn(cfg, tr, r)
 	for _, cl := range w.clients {

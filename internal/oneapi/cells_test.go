@@ -28,17 +28,21 @@ func healthyReport(flows ...int) StatsReport {
 }
 
 // TestConcurrentCellsRaceHammer exercises the whole per-cell surface —
-// OpenSession, RunBAIReport, Assignment polls, SetPreferences,
+// Open, RunBAIReport, AssignmentErr polls, SetPreferences,
 // CloseSession, and cross-cell Handover — concurrently across many
-// cells, each created concurrently on first contact. It asserts nothing beyond "no unexpected error": its real
-// teeth are the race detector (make check runs the package under
-// -race) and the deadlock timeout.
+// cells, each created concurrently on first contact, and some dropped
+// and created again as their last session closes and a new one opens.
+// Beyond "no unexpected error" it asserts only that an open racing a
+// drop lands in the cell the server holds; its other teeth are the
+// race detector (make check runs the package under -race) and the
+// deadlock timeout.
 func TestConcurrentCellsRaceHammer(t *testing.T) {
 	const (
 		cells    = 48
 		flows    = 4
 		rounds   = 6
 		handoffs = 64
+		churns   = 200
 	)
 	s := serverForTest()
 	errc := make(chan error, 256)
@@ -53,7 +57,7 @@ func TestConcurrentCellsRaceHammer(t *testing.T) {
 			ids := make([]int, flows)
 			for i := range ids {
 				ids[i] = base + i
-				if err := s.OpenSession(c, SessionRequest{FlowID: ids[i], LadderBps: has.SimLadder()}); err != nil {
+				if _, err := s.Open(c, SessionRequest{FlowID: ids[i], LadderBps: has.SimLadder()}); err != nil {
 					errc <- fmt.Errorf("cell %d open %d: %w", c, ids[i], err)
 					return
 				}
@@ -78,7 +82,7 @@ func TestConcurrentCellsRaceHammer(t *testing.T) {
 			}
 			// Churn the last flow: close then re-open.
 			s.CloseSession(c, ids[flows-1])
-			if err := s.OpenSession(c, SessionRequest{FlowID: ids[flows-1], LadderBps: has.SimLadder()}); err != nil {
+			if _, err := s.Open(c, SessionRequest{FlowID: ids[flows-1], LadderBps: has.SimLadder()}); err != nil {
 				errc <- fmt.Errorf("cell %d re-open: %w", c, err)
 			}
 		}(c)
@@ -95,7 +99,7 @@ func TestConcurrentCellsRaceHammer(t *testing.T) {
 				return
 			}
 			flow := 500_000 + h
-			if err := s.OpenSession(from, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+			if _, err := s.Open(from, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 				errc <- fmt.Errorf("handover open %d: %w", flow, err)
 				return
 			}
@@ -107,6 +111,33 @@ func TestConcurrentCellsRaceHammer(t *testing.T) {
 				from, to = to, from
 			}
 		}(h)
+	}
+
+	// Cells that empty and come back under load: in each, two goroutines
+	// open, poll and close a session of their own, over and over, so
+	// either one's close may drop the cell while the other opens. An
+	// open that races a drop must land in the cell the server holds:
+	// the session is then there for the poll that follows, answered "no
+	// assignment yet", never as an unknown cell or session.
+	for c := 0; c < cells; c++ {
+		cell := 10_000 + c
+		for flow := 1; flow <= 2; flow++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < churns; i++ {
+					if _, err := s.Open(cell, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+						errc <- fmt.Errorf("cell %d churn open %d: %w", cell, flow, err)
+						return
+					}
+					if _, err := s.AssignmentErr(cell, flow); !errors.Is(err, ErrNoAssignment) {
+						errc <- fmt.Errorf("cell %d poll %d after its open: %v, want ErrNoAssignment", cell, flow, err)
+						return
+					}
+					s.CloseSession(cell, flow)
+				}
+			}()
+		}
 	}
 
 	wg.Wait()
@@ -128,7 +159,7 @@ func TestHandoversBothWaysDoNotDeadlock(t *testing.T) {
 	var ready atomic.Int32
 	for g, cell := range []int{0, 1} {
 		flow := 700_000 + g
-		if err := s.OpenSession(cell, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(cell, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 		go func() {
@@ -173,18 +204,18 @@ func TestHandoverContinuity(t *testing.T) {
 	const flow = 1
 
 	// Source cell 0: first BAI installs the flow at the ladder top...
-	if err := s.OpenSession(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunBAI(0, healthyReport(flow), nil); err != nil {
+	if _, err := s.RunBAIReport(0, healthyReport(flow), nil); err != nil {
 		t.Fatal(err)
 	}
 	// ...then two rounds of PCEF failure age it: the re-offered rate is
 	// not lower, so the previous assignment is kept and its install
 	// sequence lags.
-	failing := PCEFFunc(func(int, float64) error { return errors.New("pcef down") })
+	failing := perFlow(func(int, float64) error { return errors.New("pcef down") })
 	for i := 0; i < 2; i++ {
-		if _, err := s.RunBAI(0, healthyReport(flow), failing); err == nil {
+		if _, err := s.RunBAIReport(0, healthyReport(flow), failing); err == nil {
 			t.Fatal("failing PCEF round reported success")
 		}
 	}
@@ -197,11 +228,11 @@ func TestHandoverContinuity(t *testing.T) {
 	}
 
 	// Target cell 33 has its own BAI history, deeper than the assignment's age.
-	if err := s.OpenSession(33, SessionRequest{FlowID: 9, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(33, SessionRequest{FlowID: 9, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := s.RunBAI(33, healthyReport(9), nil); err != nil {
+		if _, err := s.RunBAIReport(33, healthyReport(9), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,17 +254,18 @@ func TestHandoverContinuity(t *testing.T) {
 		t.Fatalf("age not preserved: CellSeq=%d age=%d, want 5 and 2", after.CellSeq, after.AgeBAIs())
 	}
 
-	// The source cell no longer knows the session...
-	if _, err := s.AssignmentErr(0, flow); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("source poll after handover: %v, want ErrUnknownSession", err)
+	// The source no longer knows the session: it was the cell's last,
+	// so the server no longer holds the cell either...
+	if _, err := s.AssignmentErr(0, flow); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("source poll after handover: %v, want ErrUnknownCell", err)
 	}
-	if err := s.Handover(0, 33, flow); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("repeat handover: %v, want ErrUnknownSession", err)
+	if err := s.Handover(0, 33, flow); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("repeat handover: %v, want ErrUnknownCell", err)
 	}
 	// ...and the target's next BAI re-optimises the flow with a fresh
 	// install (history restarts: the source cell's radio costs are
 	// meaningless at the new eNodeB).
-	if _, err := s.RunBAI(33, healthyReport(9, flow), nil); err != nil {
+	if _, err := s.RunBAIReport(33, healthyReport(9, flow), nil); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := s.AssignmentErr(33, flow)
@@ -250,15 +282,15 @@ func TestHandoverContinuity(t *testing.T) {
 // target cell can only vouch for BAIs it ran.
 func TestHandoverToFreshCell(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunBAI(0, healthyReport(1), nil); err != nil {
+	if _, err := s.RunBAIReport(0, healthyReport(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	failing := PCEFFunc(func(int, float64) error { return errors.New("pcef down") })
+	failing := perFlow(func(int, float64) error { return errors.New("pcef down") })
 	for i := 0; i < 3; i++ {
-		if _, err := s.RunBAI(0, healthyReport(1), failing); err == nil {
+		if _, err := s.RunBAIReport(0, healthyReport(1), failing); err == nil {
 			t.Fatal("failing PCEF round reported success")
 		}
 	}
@@ -281,7 +313,7 @@ func TestHandoverHTTP(t *testing.T) {
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	if err := s.OpenSession(0, SessionRequest{FlowID: 4, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 4, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	post := func(cell, flow, toCell int) *http.Response {
@@ -311,21 +343,22 @@ func TestHandoverHTTP(t *testing.T) {
 }
 
 // TestBatchPCEFEquivalence runs the same session population and report
-// stream through a per-flow PCEF and a batch PCEF with the same
-// per-flow outcomes, asserting identical responses, identical
-// published assignments, and the identical downgrade/upgrade fold —
-// batching must be an amortisation, never a semantic change.
+// stream through a PCEF that installs flow by flow (perFlow) and one
+// written for the whole batch, with the same per-flow outcomes,
+// asserting identical responses, identical published assignments, and
+// the identical downgrade/upgrade fold — how a PCEF walks its batch
+// must never change what the server publishes.
 func TestBatchPCEFEquivalence(t *testing.T) {
 	// fail marks which flows' installs fail each round.
 	fail := func(flowID int) bool { return flowID == 2 }
-	perFlow := PCEFFunc(func(flowID int, _ float64) error {
+	single := perFlow(func(flowID int, _ float64) error {
 		if fail(flowID) {
 			return errors.New("bearer busy")
 		}
 		return nil
 	})
 	var batchCalls int
-	batch := PCEFBatchFunc(func(installs []GBRInstall) []error {
+	batch := PCEF(func(installs []GBRInstall) []error {
 		batchCalls++
 		errs := make([]error, len(installs))
 		any := false
@@ -344,7 +377,7 @@ func TestBatchPCEFEquivalence(t *testing.T) {
 	run := func(pcef PCEF) (responses []StatsResponse, views []AssignmentResponse) {
 		s := serverForTest()
 		for _, f := range []int{1, 2, 3} {
-			if err := s.OpenSession(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
+			if _, err := s.Open(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -374,7 +407,7 @@ func TestBatchPCEFEquivalence(t *testing.T) {
 		return responses, views
 	}
 
-	wantResp, wantViews := run(perFlow)
+	wantResp, wantViews := run(single)
 	gotResp, gotViews := run(batch)
 	if fmt.Sprintf("%+v", gotResp) != fmt.Sprintf("%+v", wantResp) {
 		t.Errorf("batch responses diverged\n got: %+v\nwant: %+v", gotResp, wantResp)
@@ -393,11 +426,11 @@ func TestBatchPCEFEquivalence(t *testing.T) {
 func TestBatchPCEFBrokenContract(t *testing.T) {
 	s := serverForTest()
 	for _, f := range []int{1, 2} {
-		if err := s.OpenSession(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	broken := PCEFBatchFunc(func(installs []GBRInstall) []error {
+	broken := PCEF(func(installs []GBRInstall) []error {
 		return make([]error, len(installs)+1)
 	})
 	resp, err := s.RunBAIReport(0, healthyReport(1, 2), broken)

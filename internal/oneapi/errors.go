@@ -3,6 +3,7 @@ package oneapi
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 )
 
@@ -18,7 +19,8 @@ var (
 	// after a server restart this is the client's signal to re-open.
 	ErrUnknownSession = errors.New("oneapi: unknown session")
 
-	// ErrUnknownCell marks a cell the server has never seen.
+	// ErrUnknownCell marks a cell the server does not hold: one it has
+	// never seen, or one whose last session has gone.
 	ErrUnknownCell = errors.New("oneapi: unknown cell")
 
 	// ErrNoAssignment marks a live session that no BAI has assigned
@@ -60,49 +62,46 @@ const (
 	CodeInternal        = "internal"
 )
 
-// codeFor maps a server error to its wire code.
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, ErrStaleReport):
-		return CodeStaleReport
-	case errors.Is(err, ErrUnknownSession):
-		return CodeUnknownSession
-	case errors.Is(err, ErrUnknownCell):
-		return CodeUnknownCell
-	case errors.Is(err, ErrNoAssignment):
-		return CodeNoAssignment
-	case errors.Is(err, ErrSessionConflict):
-		return CodeConflict
-	case errors.Is(err, ErrAdmissionRejected):
-		return CodeAdmissionReject
-	case errors.Is(err, ErrDraining):
-		return CodeDraining
-	default:
-		return CodeInternal
+// refusal is one row of the refusal table: a sentinel, the wire code
+// the HTTP binding answers it with, and the status.
+type refusal struct {
+	err    error
+	code   string
+	status int
+}
+
+// refusals decides every refusal a sentinel names, on every route; a 503
+// also carries Retry-After (writeErr). An error that wraps none of them
+// gets its route's fallback status instead.
+var refusals = [...]refusal{
+	{ErrStaleReport, CodeStaleReport, http.StatusConflict},
+	{ErrUnknownSession, CodeUnknownSession, http.StatusNotFound},
+	{ErrUnknownCell, CodeUnknownCell, http.StatusNotFound},
+	{ErrNoAssignment, CodeNoAssignment, http.StatusNotFound},
+	{ErrSessionConflict, CodeConflict, http.StatusConflict},
+	{ErrAdmissionRejected, CodeAdmissionReject, http.StatusServiceUnavailable},
+	{ErrDraining, CodeDraining, http.StatusServiceUnavailable},
+}
+
+// refusalFor finds err's row in the refusal table.
+func refusalFor(err error) (refusal, bool) {
+	for _, r := range refusals {
+		if errors.Is(err, r.err) {
+			return r, true
+		}
 	}
+	return refusal{}, false
 }
 
 // errorForCode maps a wire code back to the sentinel, so HTTP clients
 // get the same errors.Is behaviour as in-process callers.
 func errorForCode(code string) error {
-	switch code {
-	case CodeStaleReport:
-		return ErrStaleReport
-	case CodeUnknownSession:
-		return ErrUnknownSession
-	case CodeUnknownCell:
-		return ErrUnknownCell
-	case CodeNoAssignment:
-		return ErrNoAssignment
-	case CodeConflict:
-		return ErrSessionConflict
-	case CodeAdmissionReject:
-		return ErrAdmissionRejected
-	case CodeDraining:
-		return ErrDraining
-	default:
-		return nil
+	for _, r := range refusals {
+		if r.code == code {
+			return r.err
+		}
 	}
+	return nil
 }
 
 // EnforcementFailure records one flow whose GBR install failed during a

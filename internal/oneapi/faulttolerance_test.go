@@ -33,7 +33,7 @@ func fastClientConfig() ClientConfig {
 func TestRunBAIPartialPCEFFailure(t *testing.T) {
 	s := serverForTest()
 	for _, flow := range []int{1, 2} {
-		if err := s.OpenSession(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func TestRunBAIPartialPCEFFailure(t *testing.T) {
 	}}
 
 	// BAI 1: both installs succeed.
-	healthy := PCEFFunc(func(int, float64) error { return nil })
+	healthy := perFlow(func(int, float64) error { return nil })
 	if _, err := s.RunBAIReport(0, report, healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunBAIPartialPCEFFailure(t *testing.T) {
 	}
 
 	// BAIs 2 and 3: flow 2's GBR install fails at the PCEF.
-	flaky := PCEFFunc(func(flowID int, gbr float64) error {
+	flaky := perFlow(func(flowID int, gbr float64) error {
 		if flowID == 2 {
 			return fmt.Errorf("pcef: bearer modify rejected")
 		}
@@ -115,7 +115,7 @@ func TestRunBAIPartialPCEFFailure(t *testing.T) {
 // previous (lower) assignment, as before.
 func TestRunBAIFailedDowngradePublished(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	solo := StatsReport{Flows: map[int]core.FlowStats{
@@ -131,7 +131,7 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 	}}
 
 	// BAI 1: flow 1 alone in the cell, healthy PCEF — a high assignment.
-	healthy := PCEFFunc(func(int, float64) error { return nil })
+	healthy := perFlow(func(int, float64) error { return nil })
 	if _, err := s.RunBAIReport(0, solo, healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, flow := range []int{2, 3} {
-		if err := s.OpenSession(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,14 +149,14 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 	// reports through a healthy PCEF reveals the assignment flow 1
 	// *would* have gotten — that is what the broken server must publish.
 	mirror := serverForTest()
-	if err := mirror.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := mirror.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mirror.RunBAIReport(0, solo, healthy); err != nil {
 		t.Fatal(err)
 	}
 	for _, flow := range []int{2, 3} {
-		if err := mirror.OpenSession(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := mirror.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 	}
 
 	// BAI 2: the cell fills up, flow 1's (now lower) install fails.
-	broken := PCEFFunc(func(flowID int, gbr float64) error {
+	broken := perFlow(func(flowID int, gbr float64) error {
 		if flowID == 1 {
 			return fmt.Errorf("pcef: bearer modify rejected")
 		}
@@ -228,7 +228,7 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 // the legacy behaviour.
 func TestRunBAIRejectsStaleReports(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	report := StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 500_000, RBs: 20_000}}}
@@ -269,7 +269,7 @@ func TestHTTPStaleReportConflict(t *testing.T) {
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	report := StatsReport{
@@ -293,7 +293,7 @@ func TestHTTPStaleReportConflict(t *testing.T) {
 // not install.
 func TestHTTPPartialEnforcementOnWire(t *testing.T) {
 	s := serverForTest()
-	s.SetPCEF(PCEFFunc(func(flowID int, gbr float64) error {
+	s.SetPCEF(perFlow(func(flowID int, gbr float64) error {
 		if flowID == 2 {
 			return fmt.Errorf("pcef: down")
 		}
@@ -303,7 +303,7 @@ func TestHTTPPartialEnforcementOnWire(t *testing.T) {
 	defer ts.Close()
 
 	for _, flow := range []int{1, 2} {
-		if err := s.OpenSession(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestClientBlackoutAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 500_000, RBs: 20_000}}}
-	if _, err := s.RunBAI(0, report, nil); err != nil {
+	if _, err := s.RunBAIReport(0, report, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := c.Poll(); err != nil || !ok {
@@ -500,7 +500,7 @@ func TestClientReopensAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 500_000, RBs: 20_000}}}
-	if _, err := s1.RunBAI(0, report, nil); err != nil {
+	if _, err := s1.RunBAIReport(0, report, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := c.Poll(); err != nil || !ok {
@@ -523,14 +523,14 @@ func TestClientReopensAfterServerRestart(t *testing.T) {
 	// The re-opened session kept its preferences: the 700 kbps cap binds.
 	var last core.Assignment
 	for i := 0; i < 20; i++ {
-		as, err := s2.RunBAI(0, report, nil)
+		resp, err := s2.RunBAIReport(0, report, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(as) != 1 {
-			t.Fatalf("new server sees %d sessions after re-open", len(as))
+		if len(resp.Assignments) != 1 {
+			t.Fatalf("new server sees %d sessions after re-open", len(resp.Assignments))
 		}
-		last = as[0]
+		last = resp.Assignments[0]
 	}
 	if last.RateBps > 700_000 {
 		t.Fatalf("re-open lost preferences: assigned %v", last.RateBps)

@@ -21,15 +21,15 @@ func TestWarmCellSessionChurnAllocatesNothing(t *testing.T) {
 	ladder := has.FineLadder()
 	report := StatsReport{Flows: make(map[int]core.FlowStats, sessions)}
 	for f := 0; f < sessions; f++ {
-		if err := s.OpenSession(0, SessionRequest{FlowID: f, LadderBps: ladder}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: f, LadderBps: ladder}); err != nil {
 			t.Fatal(err)
 		}
 		report.Flows[f] = core.FlowStats{Bytes: int64(40_000 + 500*f), RBs: int64(5_000 + 20*f)}
 	}
-	if err := s.OpenSession(1, SessionRequest{FlowID: 1000, LadderBps: ladder}); err != nil {
+	if _, err := s.Open(1, SessionRequest{FlowID: 1000, LadderBps: ladder}); err != nil {
 		t.Fatal(err)
 	}
-	pcef := PCEFBatchFunc(func([]GBRInstall) []error { return nil })
+	pcef := PCEF(func([]GBRInstall) []error { return nil })
 	var resp StatsResponse
 	cycle := func() {
 		s.CloseSession(0, 64)

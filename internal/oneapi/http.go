@@ -118,7 +118,7 @@ func (h handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	cellID, flowID, err := pathIDs(cellSeg, flowSeg)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		h.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	switch rt {
@@ -157,22 +157,13 @@ func pathIDs(cell, flow string) (cellID, flowID int, err error) {
 
 func (h handler) open(w http.ResponseWriter, r *http.Request, cellID int) {
 	var req SessionRequest
-	if !readJSON(w, r, "session request", &req) {
+	if !h.readJSON(w, r, "session request", &req) {
 		return
 	}
 	created, err := h.s.Open(cellID, req)
 	switch {
-	case errors.Is(err, ErrSessionConflict):
-		writeErr(w, http.StatusConflict, err)
-	case errors.Is(err, ErrAdmissionRejected), errors.Is(err, ErrDraining):
-		// Overload refusal or graceful drain, not failure: 503 with
-		// a Retry-After of one BAI — for admission, the earliest
-		// moment the predicate can re-evaluate; for a drain, a sane
-		// fail-over pause.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(h.s)))
-		writeErr(w, http.StatusServiceUnavailable, err)
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
+		h.writeErr(w, http.StatusBadRequest, err)
 	case created:
 		w.WriteHeader(http.StatusCreated)
 	default:
@@ -183,15 +174,11 @@ func (h handler) open(w http.ResponseWriter, r *http.Request, cellID int) {
 
 func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flowID int) {
 	var prefs core.Preferences
-	if !readJSON(w, r, "preferences", &prefs) {
+	if !h.readJSON(w, r, "preferences", &prefs) {
 		return
 	}
 	if err := h.s.SetPreferences(cellID, flowID, prefs); err != nil {
-		status := http.StatusNotFound
-		if prefs.Validate() != nil {
-			status = http.StatusBadRequest
-		}
-		writeErr(w, status, err)
+		h.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -199,16 +186,11 @@ func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flo
 
 func (h handler) handover(w http.ResponseWriter, r *http.Request, fromCell, flowID int) {
 	var req HandoverRequest
-	if !readJSON(w, r, "handover request", &req) {
+	if !h.readJSON(w, r, "handover request", &req) {
 		return
 	}
 	if err := h.s.Handover(fromCell, req.ToCell, flowID); err != nil {
-		switch {
-		case errors.Is(err, ErrUnknownSession), errors.Is(err, ErrUnknownCell):
-			writeErr(w, http.StatusNotFound, err)
-		default:
-			writeErr(w, http.StatusBadRequest, err)
-		}
+		h.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -221,48 +203,41 @@ func (h handler) stats(w http.ResponseWriter, r *http.Request, cellID int) {
 		err = decodeStatsReport(body, &report)
 	}
 	if err != nil {
-		writeDecodeErr(w, "stats report", err)
+		h.writeDecodeErr(w, "stats report", err)
 		return
 	}
 	resp, err := h.s.RunBAIReport(cellID, report, nil)
 	if err != nil {
+		// Declared here, not above: errors.As makes its target escape.
+		// Partial enforcement is an answer, not a refusal: the BAI ran,
+		// and the response carries both the committed assignments and
+		// the failures.
 		var enforceErr *EnforceError
-		switch {
-		case errors.Is(err, ErrStaleReport):
-			writeErr(w, http.StatusConflict, err)
-			return
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(h.s)))
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.As(err, &enforceErr):
-			// Partial enforcement: the BAI ran; the response carries
-			// both the committed assignments and the failures.
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
+		if !errors.As(err, &enforceErr) {
+			h.writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
 	out, err := appendStatsResponse(make([]byte, 0, statsResponseSize(resp)), resp)
-	writeEncoded(w, out, err)
+	h.writeEncoded(w, out, err)
 }
 
 func (h handler) poll(w http.ResponseWriter, cellID, flowID int) {
 	a, err := h.s.AssignmentErr(cellID, flowID)
 	if err != nil {
-		// 404 either way, but the code disambiguates "no BAI yet"
-		// (keep polling) from "no such session" (re-open): after a
-		// server restart the second tells clients to recover.
-		writeErr(w, http.StatusNotFound, err)
+		// Every poll refusal is a 404, but the code disambiguates "no
+		// BAI yet" (keep polling) from "no such session" (re-open):
+		// after a server restart the second tells clients to recover.
+		h.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	// 128 B holds every poll short of 20-digit ids and sequences.
 	out, err := appendAssignmentResponse(make([]byte, 0, 128), a)
-	writeEncoded(w, out, err)
+	h.writeEncoded(w, out, err)
 }
 
-// retryAfterSeconds is the Retry-After hint for admission rejections:
-// one BAI rounded up to a whole second (the header's granularity).
+// retryAfterSeconds is the Retry-After hint a 503 carries: one BAI
+// rounded up to a whole second (the header's granularity).
 func retryAfterSeconds(s *Server) int {
 	secs := int(s.cfg.BAI / time.Second)
 	if s.cfg.BAI%time.Second != 0 || secs == 0 {
@@ -290,23 +265,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // readJSON decodes a cold route's bounded request body with
 // encoding/json, answering the failure itself: it reports whether v
 // holds the message.
-func readJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+func (h handler) readJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 	if err != nil {
-		writeDecodeErr(w, what, err)
+		h.writeDecodeErr(w, what, err)
 	}
 	return err == nil
 }
 
 // writeDecodeErr answers a request body that could not be read as the
 // message what: 413 if it was over its limit, 400 otherwise.
-func writeDecodeErr(w http.ResponseWriter, what string, err error) {
+func (h handler) writeDecodeErr(w http.ResponseWriter, what string, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeErr(w, status, fmt.Errorf("decode %s: %w", what, err))
+	h.writeErr(w, status, fmt.Errorf("decode %s: %w", what, err))
 }
 
 // jsonContentType is the one Content-Type value every response shares;
@@ -316,9 +291,9 @@ var jsonContentType = []string{"application/json"}
 // writeEncoded sends a hot message the codecs have encoded into body,
 // adding the newline json.Encoder ends a value with — or a 500 if the
 // value had no JSON encoding.
-func writeEncoded(w http.ResponseWriter, body []byte, err error) {
+func (h handler) writeEncoded(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		h.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header()["Content-Type"] = jsonContentType
@@ -328,11 +303,23 @@ func writeEncoded(w http.ResponseWriter, body []byte, err error) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-// writeErr sends the error envelope through encoding/json.
-func writeErr(w http.ResponseWriter, status int, err error) {
-	code := codeFor(err)
-	if code == CodeInternal && (status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge) {
+// writeErr answers a refusal with the error envelope, sent through
+// encoding/json. The refusal table decides the status and code of every
+// error it names; any other error gets fallback, the route's status for
+// what the table does not name, with code bad_request for a 4xx and
+// internal otherwise. A 503 tells the client when to retry: one BAI —
+// for admission, the earliest moment the predicate can re-evaluate; for
+// a drain, a sane fail-over pause.
+func (h handler) writeErr(w http.ResponseWriter, fallback int, err error) {
+	status, code := fallback, CodeInternal
+	if status < http.StatusInternalServerError {
 		code = CodeBadRequest
+	}
+	if r, ok := refusalFor(err); ok {
+		status, code = r.status, r.code
+	}
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(h.s)))
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)

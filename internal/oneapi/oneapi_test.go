@@ -65,39 +65,56 @@ func serverForTest() *Server {
 func TestServerSessionLifecycle(t *testing.T) {
 	s := serverForTest()
 	req := SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}
-	if err := s.OpenSession(0, req); err != nil {
+	if _, err := s.Open(0, req); err != nil {
 		t.Fatal(err)
 	}
 	// Re-opening the same flow with the same ladder is idempotent: a
 	// client retry/restart must not conflict with its own session.
-	if err := s.OpenSession(0, req); err != nil {
+	if _, err := s.Open(0, req); err != nil {
 		t.Fatalf("idempotent re-open rejected: %v", err)
 	}
 	// Re-opening with a *different* ladder is a real conflict.
 	other := SessionRequest{FlowID: 1, LadderBps: []float64{100_000, 900_000}}
-	if err := s.OpenSession(0, other); !errors.Is(err, ErrSessionConflict) {
+	if _, err := s.Open(0, other); !errors.Is(err, ErrSessionConflict) {
 		t.Fatalf("conflicting re-open: err = %v", err)
 	}
 	// Same flow ID in a different cell is a separate controller.
-	if err := s.OpenSession(1, req); err != nil {
+	if _, err := s.Open(1, req); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseSession(0, 1)
-	if err := s.OpenSession(0, req); err != nil {
+	if _, err := s.Open(0, req); err != nil {
 		t.Fatalf("re-open after close failed: %v", err)
 	}
-	if err := s.OpenSession(0, SessionRequest{FlowID: 9, LadderBps: []float64{}}); err == nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 9, LadderBps: []float64{}}); err == nil {
 		t.Fatal("empty ladder accepted")
+	}
+}
+
+// perFlow adapts a per-flow install function to a PCEF: each install
+// of a batch is one call, in batch order.
+func perFlow(install func(flowID int, gbrBps float64) error) PCEF {
+	return func(installs []GBRInstall) []error {
+		var errs []error
+		for i, in := range installs {
+			if err := install(in.FlowID, in.GBRBps); err != nil {
+				if errs == nil {
+					errs = make([]error, len(installs))
+				}
+				errs[i] = err
+			}
+		}
+		return errs
 	}
 }
 
 func TestServerRunBAIEnforcesGBR(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	gbrs := map[int]float64{}
-	pcef := PCEFFunc(func(flowID int, gbr float64) error {
+	pcef := perFlow(func(flowID int, gbr float64) error {
 		gbrs[flowID] = gbr
 		return nil
 	})
@@ -105,46 +122,46 @@ func TestServerRunBAIEnforcesGBR(t *testing.T) {
 		Flows:        map[int]core.FlowStats{1: {Bytes: 1_000_000, RBs: 50_000}},
 		NumDataFlows: 0,
 	}
-	as, err := s.RunBAI(0, report, pcef)
+	resp, err := s.RunBAIReport(0, report, pcef)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The flow is alone in an empty cell with a healthy radio report:
 	// the unconstrained first BAI places it at the ladder top.
-	if len(as) != 1 || as[0].RateBps != 3_000_000 {
-		t.Fatalf("first BAI assignments %v", as)
+	if len(resp.Assignments) != 1 || resp.Assignments[0].RateBps != 3_000_000 {
+		t.Fatalf("first BAI assignments %v", resp.Assignments)
 	}
 	if gbrs[1] != 3_000_000 {
 		t.Fatalf("PCEF got GBR %v", gbrs[1])
 	}
 	// Polling view matches.
-	a, ok := s.Assignment(0, 1)
-	if !ok || a.RateBps != 3_000_000 || a.BAISeq != 1 {
-		t.Fatalf("Assignment = %+v, %v", a, ok)
+	a, err := s.AssignmentErr(0, 1)
+	if err != nil || a.RateBps != 3_000_000 || a.BAISeq != 1 {
+		t.Fatalf("AssignmentErr = %+v, %v", a, err)
 	}
-	if _, ok := s.Assignment(0, 99); ok {
-		t.Fatal("assignment for unknown flow")
+	if _, err := s.AssignmentErr(0, 99); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("assignment for unknown flow: %v", err)
 	}
-	if _, ok := s.Assignment(9, 1); ok {
-		t.Fatal("assignment for unknown cell")
+	if _, err := s.AssignmentErr(9, 1); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("assignment for unknown cell: %v", err)
 	}
 }
 
 func TestServerUsesPCRFWhenReportDefers(t *testing.T) {
 	s := serverForTest()
 	s.PCRF().RegisterDataFlow(0, 100)
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	// NumDataFlows -1 defers to the PCRF; just verify it runs.
-	if _, err := s.RunBAI(0, StatsReport{NumDataFlows: -1}, nil); err != nil {
+	if _, err := s.RunBAIReport(0, StatsReport{NumDataFlows: -1}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestServerClimbsOverBAIs(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	report := StatsReport{
@@ -152,11 +169,11 @@ func TestServerClimbsOverBAIs(t *testing.T) {
 	}
 	var last core.Assignment
 	for i := 0; i < 40; i++ {
-		as, err := s.RunBAI(0, report, nil)
+		resp, err := s.RunBAIReport(0, report, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = as[0]
+		last = resp.Assignments[0]
 	}
 	if last.Level != has.SimLadder().Len()-1 {
 		t.Fatalf("flow stuck at level %d", last.Level)
@@ -174,7 +191,7 @@ func TestServerSetPreferences(t *testing.T) {
 	if err := s.SetPreferences(0, 1, core.Preferences{}); err == nil {
 		t.Fatal("preferences for unknown cell accepted")
 	}
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetPreferences(0, 1, core.Preferences{MaxBps: 250_000}); err != nil {
@@ -183,11 +200,11 @@ func TestServerSetPreferences(t *testing.T) {
 	report := StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 2_000_000, RBs: 50_000}}}
 	var last core.Assignment
 	for i := 0; i < 30; i++ {
-		as, err := s.RunBAI(0, report, nil)
+		resp, err := s.RunBAIReport(0, report, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = as[0]
+		last = resp.Assignments[0]
 	}
 	if last.RateBps > 250_000 {
 		t.Fatalf("preference cap violated: %v", last.RateBps)
@@ -296,15 +313,15 @@ func TestServerConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cell := i % 2
-			if err := s.OpenSession(cell, SessionRequest{FlowID: i, LadderBps: has.SimLadder()}); err != nil {
+			if _, err := s.Open(cell, SessionRequest{FlowID: i, LadderBps: has.SimLadder()}); err != nil {
 				t.Error(err)
 				return
 			}
 			report := StatsReport{Flows: map[int]core.FlowStats{i: {Bytes: 100_000, RBs: 10_000}}}
-			if _, err := s.RunBAI(cell, report, nil); err != nil {
+			if _, err := s.RunBAIReport(cell, report, nil); err != nil {
 				t.Error(err)
 			}
-			s.Assignment(cell, i)
+			_, _ = s.AssignmentErr(cell, i)
 		}(i)
 	}
 	wg.Wait()
@@ -330,11 +347,11 @@ func TestHTTPPreferencesUpdate(t *testing.T) {
 	report := StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 2_000_000, RBs: 50_000}}}
 	var last core.Assignment
 	for i := 0; i < 20; i++ {
-		as, err := s.RunBAI(0, report, nil)
+		resp, err := s.RunBAIReport(0, report, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = as[0]
+		last = resp.Assignments[0]
 	}
 	if last.RateBps > 250_000 {
 		t.Fatalf("HTTP preference cap ignored: %v", last.RateBps)
@@ -343,23 +360,23 @@ func TestHTTPPreferencesUpdate(t *testing.T) {
 	if err := plugin.UpdatePreferences(core.Preferences{Skimming: true}); err != nil {
 		t.Fatal(err)
 	}
-	as, err := s.RunBAI(0, report, nil)
+	resp, err := s.RunBAIReport(0, report, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as[0].Level != 0 {
-		t.Fatalf("skimming session assigned level %d", as[0].Level)
+	if resp.Assignments[0].Level != 0 {
+		t.Fatalf("skimming session assigned level %d", resp.Assignments[0].Level)
 	}
 }
 
 func TestHandoverMovesSessionBetweenCells(t *testing.T) {
 	s := serverForTest()
 	prefs := core.Preferences{MaxBps: 500_000}
-	if err := s.OpenSession(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder(), Preferences: prefs}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder(), Preferences: prefs}); err != nil {
 		t.Fatal(err)
 	}
 	report := StatsReport{Flows: map[int]core.FlowStats{7: {Bytes: 1_000_000, RBs: 50_000}}}
-	if _, err := s.RunBAI(0, report, nil); err != nil {
+	if _, err := s.RunBAIReport(0, report, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Move the session to cell 1.
@@ -367,23 +384,24 @@ func TestHandoverMovesSessionBetweenCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Gone from the source cell.
-	if _, ok := s.Assignment(0, 7); ok {
-		t.Fatal("assignment survived handover at the source")
+	// Gone with it is the source cell: the session was its last.
+	if _, err := s.AssignmentErr(0, 7); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("poll at the emptied source: %v, want ErrUnknownCell", err)
 	}
-	if _, err := s.RunBAI(0, StatsReport{}, nil); err != nil {
-		t.Fatal(err)
+	if _, err := s.RunBAIReport(0, StatsReport{}, nil); !errors.Is(err, ErrUnknownCell) {
+		t.Fatalf("report to the emptied source: %v, want ErrUnknownCell", err)
 	}
 	// Live in the target cell, preferences intact (the 500k cap binds).
 	var last core.Assignment
 	for i := 0; i < 10; i++ {
-		as, err := s.RunBAI(1, report, nil)
+		resp, err := s.RunBAIReport(1, report, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(as) != 1 {
-			t.Fatalf("target cell has %d sessions", len(as))
+		if len(resp.Assignments) != 1 {
+			t.Fatalf("target cell has %d sessions", len(resp.Assignments))
 		}
-		last = as[0]
+		last = resp.Assignments[0]
 	}
 	if last.RateBps > 500_000 {
 		t.Fatalf("preferences lost in handover: assigned %v", last.RateBps)
@@ -396,7 +414,7 @@ func TestHandoverMovesSessionBetweenCells(t *testing.T) {
 		t.Fatal("handover of unknown flow accepted")
 	}
 	// Handover onto a cell where the ID is taken conflicts.
-	if err := s.OpenSession(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 7, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Handover(1, 0, 7); err == nil {
@@ -425,7 +443,7 @@ func (unreadBody) Close() error { return nil }
 // that is exactly at the cap.
 func TestHTTPBodyLimits(t *testing.T) {
 	s := serverForTest()
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 	h := Handler(s)

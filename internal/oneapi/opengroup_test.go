@@ -112,7 +112,7 @@ func TestOpenGroupMatchesOpens(t *testing.T) {
 		// Flow 6 is open already, with the group's ladder: its open is
 		// the idempotent one, which adds no session and no event.
 		p.both(func(s *Server) {
-			if err := s.OpenSession(0, SessionRequest{FlowID: 6, LadderBps: ladder}); err != nil {
+			if _, err := s.Open(0, SessionRequest{FlowID: 6, LadderBps: ladder}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -134,7 +134,7 @@ func TestOpenGroupMatchesOpens(t *testing.T) {
 		// Flow 9 is open with another ladder: both ways open the flows
 		// before it and stop there.
 		p.both(func(s *Server) {
-			if err := s.OpenSession(0, SessionRequest{FlowID: 9, LadderBps: []float64{100_000, 900_000}}); err != nil {
+			if _, err := s.Open(0, SessionRequest{FlowID: 9, LadderBps: []float64{100_000, 900_000}}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -19,7 +19,7 @@ func TestSolverMemoryIndependentOfCellCount(t *testing.T) {
 		flows := make([]int, sessions)
 		for f := range flows {
 			flows[f] = cell*sessions + f
-			if err := s.OpenSession(cell, SessionRequest{FlowID: flows[f], LadderBps: has.SimLadder()}); err != nil {
+			if _, err := s.Open(cell, SessionRequest{FlowID: flows[f], LadderBps: has.SimLadder()}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -70,7 +70,7 @@ func TestServedCellMemoryIndependentOfBAIs(t *testing.T) {
 	flows := make([]int, sessions)
 	for f := range flows {
 		flows[f] = f
-		if err := s.OpenSession(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
+		if _, err := s.Open(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
 			t.Fatal(err)
 		}
 	}

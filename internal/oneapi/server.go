@@ -3,6 +3,7 @@ package oneapi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,7 @@ import (
 	"github.com/flare-sim/flare/internal/obs"
 )
 
-// PCEF is the enforcement interface: the policy-and-charging enforcement
+// PCEF is the enforcement hook: the policy-and-charging enforcement
 // pathway through which the OneAPI server installs each video flow's GBR
 // at the eNodeB (the Continuous GBR Updater in the testbed MAC). A BAI
 // round's GBRs go down in one grouped call. installs is the server's
@@ -21,9 +22,7 @@ import (
 // every install succeeded. The server folds the results per flow:
 // failed downgrades are published to polls, failed upgrades keep the
 // previous assignment.
-type PCEF interface {
-	SetGBRBatch(installs []GBRInstall) []error
-}
+type PCEF func(installs []GBRInstall) []error
 
 // GBRInstall is one entry of a PCEF install: the GBR a BAI round wants
 // enforced for one bearer.
@@ -31,30 +30,6 @@ type GBRInstall struct {
 	FlowID int     `json:"flow_id"`
 	GBRBps float64 `json:"gbr_bps"`
 }
-
-// PCEFFunc adapts a per-flow install function to PCEF: each install of
-// a batch is one call, in batch order.
-type PCEFFunc func(flowID int, gbrBps float64) error
-
-// SetGBRBatch implements PCEF.
-func (f PCEFFunc) SetGBRBatch(installs []GBRInstall) []error {
-	var errs []error
-	for i, in := range installs {
-		if err := f(in.FlowID, in.GBRBps); err != nil {
-			if errs == nil {
-				errs = make([]error, len(installs))
-			}
-			errs[i] = err
-		}
-	}
-	return errs
-}
-
-// PCEFBatchFunc adapts a batch install function to PCEF.
-type PCEFBatchFunc func(installs []GBRInstall) []error
-
-// SetGBRBatch implements PCEF.
-func (f PCEFBatchFunc) SetGBRBatch(installs []GBRInstall) []error { return f(installs) }
 
 type cellState struct {
 	// mu serializes operations on this cell only: BAI rounds, session
@@ -88,6 +63,14 @@ type cellState struct {
 	// installs is the batch handed to the PCEF (installGBRs), reused
 	// from round to round under mu.
 	installs []GBRInstall
+	// dropped marks a cell the server has removed from its index (drop).
+	dropped bool
+}
+
+// idle reports whether the cell holds no session and no queued open,
+// the state in which the server drops it. The caller holds c.mu.
+func (c *cellState) idle() bool {
+	return c.controller.NumFlows() == 0 && len(c.queue) == 0
 }
 
 // Server is the OneAPI server: one FLARE controller per managed cell
@@ -96,14 +79,17 @@ type cellState struct {
 // concurrent use — the HTTP binding serves it from multiple goroutines.
 // One index maps cell IDs to their state; each cell's operations take
 // that cell's own lock, so work on distinct cells proceeds in parallel.
+// A cell is held while it has a session or a queued open: an open
+// creates it, the operation that leaves it with neither drops it, and
+// every other operation only looks it up (ErrUnknownCell).
 type Server struct {
 	cfg  core.Config
 	pcrf *PCRF
 
 	// mu guards cells and the creation-time defaults below (the values
 	// copied into each new cellState), and orders Set* re-pointing
-	// against cell creation. Per-cell work holds it only to look its
-	// cell up.
+	// against cell creation and drop. Per-cell work holds it only to
+	// look its cell up.
 	mu    sync.RWMutex
 	cells map[int]*cellState
 	// pcef is the server-side enforcement hook, used by BAIs whose
@@ -147,7 +133,8 @@ func (s *Server) lookup(cellID int) *cellState {
 	return s.cells[cellID]
 }
 
-// cell returns the cell's state, creating it on first contact.
+// cell returns the cell's state, creating it when the server does not
+// hold it.
 func (s *Server) cell(cellID int) *cellState {
 	if c := s.lookup(cellID); c != nil {
 		return c
@@ -169,6 +156,48 @@ func (s *Server) cell(cellID int) *cellState {
 	}
 	s.cells[cellID] = c
 	return c
+}
+
+// lockCell returns cellID's state locked, or nil when the server does
+// not hold the cell (with create, it creates it). A cell dropped between
+// the lookup and the lock is looked up again.
+func (s *Server) lockCell(cellID int, create bool) *cellState {
+	for {
+		var c *cellState
+		if create {
+			c = s.cell(cellID)
+		} else if c = s.lookup(cellID); c == nil {
+			return nil
+		}
+		c.mu.Lock()
+		if !c.dropped {
+			return c
+		}
+		c.mu.Unlock()
+	}
+}
+
+// unlockCell releases a cell locked by lockCell, dropping it when the
+// operation left it idle.
+func (s *Server) unlockCell(c *cellState) {
+	idle := c.idle()
+	c.mu.Unlock()
+	if idle {
+		s.drop(c)
+	}
+}
+
+// drop removes c from the index if it is still idle. The caller holds
+// neither lock: the index lock ranks above the cell's.
+func (s *Server) drop(c *cellState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.dropped && c.idle() {
+		c.dropped = true
+		delete(s.cells, c.id)
+	}
 }
 
 // PCRF exposes the server's flow registry.
@@ -247,27 +276,17 @@ func (s *Server) DrainWait(d time.Duration) int {
 	}
 }
 
-// OpenSession registers a video flow in a cell. Re-registering an
-// already-open flow with the same ladder is idempotent and succeeds —
-// a client retrying after a control-plane timeout, or re-opening after
-// its own restart, must not be rejected. Re-registering with a
-// different ladder returns ErrSessionConflict.
-func (s *Server) OpenSession(cellID int, req SessionRequest) error {
-	_, err := s.Open(cellID, req)
-	return err
-}
-
-// Open is OpenSession with an extra created flag: true when the call
-// registered a new session, false when it matched an existing one
-// idempotently (the HTTP binding maps these to 201 vs 200). The session
+// Open registers a video flow in a cell. created is false when it
+// matched an open session idempotently (the HTTP binding's 200 vs 201):
+// a client retrying or re-opening after its own restart must not be
+// rejected, while a different ladder is ErrSessionConflict. The session
 // keeps req.LadderBps without copying it (see SessionRequest).
 func (s *Server) Open(cellID int, req SessionRequest) (created bool, err error) {
 	if err := s.checkOpen(req.FlowID, has.Ladder(req.LadderBps), req.Preferences); err != nil {
 		return false, err
 	}
-	c := s.cell(cellID)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c := s.lockCell(cellID, true)
+	defer s.unlockCell(c)
 	return s.openLocked(c, req)
 }
 
@@ -285,9 +304,8 @@ func (s *Server) OpenGroup(cellID int, ladderBps []float64, flowIDs []int) error
 	if err := s.checkOpen(flowIDs[0], has.Ladder(ladderBps), core.Preferences{}); err != nil {
 		return err
 	}
-	c := s.cell(cellID)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c := s.lockCell(cellID, true)
+	defer s.unlockCell(c)
 	c.controller.Grow(len(flowIDs))
 	for _, id := range flowIDs {
 		if _, err := s.openLocked(c, SessionRequest{FlowID: id, LadderBps: ladderBps}); err != nil {
@@ -343,7 +361,7 @@ func (s *Server) openLocked(c *cellState, req SessionRequest) (created bool, err
 		// matches (preferences are simply refreshed), conflict when it
 		// does not.
 		snap, _ := c.controller.Snapshot(req.FlowID) // cannot miss: registered, and c.mu is held
-		if !sameLadder(snap.Ladder, ladder) {
+		if !slices.Equal(snap.Ladder, ladder) {
 			return false, fmt.Errorf("oneapi: open session flow %d: %w", req.FlowID, ErrSessionConflict)
 		}
 		if err := c.controller.SetPreferences(req.FlowID, req.Preferences); err != nil {
@@ -365,14 +383,10 @@ func (s *Server) openLocked(c *cellState, req SessionRequest) (created bool, err
 // queueCap resolves Config.AdmissionQueue: 0 means the default depth,
 // negative disables queueing.
 func (s *Server) queueCap() int {
-	switch {
-	case s.cfg.AdmissionQueue > 0:
-		return s.cfg.AdmissionQueue
-	case s.cfg.AdmissionQueue < 0:
-		return 0
-	default:
+	if s.cfg.AdmissionQueue == 0 {
 		return 8
 	}
+	return max(s.cfg.AdmissionQueue, 0)
 }
 
 // enqueueLocked parks a rejected session on the cell's wait queue,
@@ -428,26 +442,13 @@ func (s *Server) promoteLocked(cellID int, c *cellState) {
 	}
 }
 
-func sameLadder(a, b has.Ladder) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CloseSession removes a video flow.
 func (s *Server) CloseSession(cellID, flowID int) {
-	c := s.lookup(cellID)
+	c := s.lockCell(cellID, false)
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer s.unlockCell(c)
 	c.controller.Unregister(flowID)
 	s.dequeueLocked(c, flowID)
 	c.rec.Emit(obs.SessionClose(int32(cellID), int32(flowID)))
@@ -472,26 +473,49 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 	if fromCell == toCell {
 		return fmt.Errorf("oneapi: handover: flow %d is already in cell %d", flowID, toCell)
 	}
-	from := s.lookup(fromCell)
-	if from == nil {
-		return fmt.Errorf("oneapi: handover: unknown source cell %d", fromCell)
+	var from, to *cellState
+	for {
+		if from = s.lookup(fromCell); from == nil {
+			return fmt.Errorf("oneapi: handover flow %d from cell %d: %w", flowID, fromCell, ErrUnknownCell)
+		}
+		to = s.cell(toCell)
+		// Both cells are locked for the transfer; global cell-ID order
+		// keeps concurrent handovers deadlock-free.
+		first, second := from, to
+		if toCell < fromCell {
+			first, second = to, from
+		}
+		first.mu.Lock()
+		// Equal rank by design: the cell-ID order above rules out a
+		// cycle (internal/lint's lockExceptions holds this one
+		// acquisition).
+		second.mu.Lock()
+		if !from.dropped && !to.dropped {
+			break
+		}
+		second.mu.Unlock()
+		first.mu.Unlock()
+		s.drop(to) // a target created for nothing, if the source is gone
 	}
-	to := s.cell(toCell)
-	// Both cells are locked for the transfer; global cell-ID order keeps
-	// concurrent handovers deadlock-free.
-	first, second := from, to
-	if toCell < fromCell {
-		first, second = to, from
+	err := s.handoverLocked(from, to, flowID)
+	// Both cells are released before either is dropped (see drop).
+	fromIdle, toIdle := from.idle(), to.idle()
+	from.mu.Unlock()
+	to.mu.Unlock()
+	if fromIdle {
+		s.drop(from)
 	}
-	first.mu.Lock()
-	defer first.mu.Unlock()
-	// Equal rank by design: the cell-ID order above rules out a cycle
-	// (internal/lint's lockExceptions holds this one acquisition).
-	second.mu.Lock()
-	defer second.mu.Unlock()
+	if toIdle {
+		s.drop(to)
+	}
+	return err
+}
 
+// handoverLocked moves flowID's session from one cell to the other,
+// whose locks the caller holds.
+func (s *Server) handoverLocked(from, to *cellState, flowID int) error {
 	if !from.controller.Registered(flowID) {
-		return fmt.Errorf("oneapi: handover flow %d from cell %d: %w", flowID, fromCell, ErrUnknownSession)
+		return fmt.Errorf("oneapi: handover flow %d from cell %d: %w", flowID, from.id, ErrUnknownSession)
 	}
 	in, seq, installed := from.controller.Installed(flowID)
 	if err := from.controller.MoveTo(to.controller, flowID); err != nil {
@@ -509,47 +533,40 @@ func (s *Server) Handover(fromCell, toCell, flowID int) error {
 		to.controller.SetInstalled(flowID, in, seq)
 	}
 	s.dequeueLocked(from, flowID)
-	s.promoteLocked(fromCell, from)
-	to.rec.Emit(obs.Handover(int32(fromCell), int32(toCell), int32(flowID)))
+	s.promoteLocked(from.id, from)
+	to.rec.Emit(obs.Handover(int32(from.id), int32(to.id), int32(flowID)))
 	return nil
 }
 
 // SetPreferences updates a session's client preferences. Preferences
-// beyond their bounds (core.Preferences.Validate) are refused first.
+// beyond their bounds (core.Preferences.Validate) are refused first,
+// then a cell the server does not hold (ErrUnknownCell) and a flow with
+// no session there (ErrUnknownSession).
 func (s *Server) SetPreferences(cellID, flowID int, prefs core.Preferences) error {
 	if err := prefs.Validate(); err != nil {
 		return fmt.Errorf("oneapi: preferences flow %d: %w", flowID, err)
 	}
-	c := s.lookup(cellID)
+	c := s.lockCell(cellID, false)
 	if c == nil {
-		return fmt.Errorf("oneapi: unknown cell %d", cellID)
+		return fmt.Errorf("oneapi: cell %d: %w", cellID, ErrUnknownCell)
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.controller.SetPreferences(flowID, prefs)
+	if c.controller.SetPreferences(flowID, prefs) != nil {
+		// The controller's one refusal: the flow is not registered.
+		return fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, ErrUnknownSession)
+	}
+	return nil
 }
 
-// RunBAI consumes one statistics report for a cell, runs the bitrate
-// optimisation, installs GBRs through the PCEF (when non-nil), and
-// returns the committed assignments. A report's NumDataFlows of -1
-// defers to the PCRF registry.
-//
-// Enforcement is crash-safe and per-flow atomic: a SetGBR failure for
-// one flow no longer abandons the remaining flows mid-loop. Every flow
-// is attempted; flows whose install fails keep their previous
-// assignment (and previous install sequence), and the failures are
-// reported collectively via a *EnforceError returned alongside the
-// successfully committed assignments — callers decide whether partial
-// enforcement is fatal.
-func (s *Server) RunBAI(cellID int, report StatsReport, pcef PCEF) ([]core.Assignment, error) {
-	resp, err := s.RunBAIReport(cellID, report, pcef)
-	return resp.Assignments, err
-}
-
-// RunBAIReport is RunBAI returning the full wire-shaped outcome: the
-// committed assignments, the BAI sequence they belong to, and any
-// per-flow enforcement failures, in a response of its own. It is
-// RunBAIInto handed a fresh StatsResponse; see there for the errors.
+// RunBAIReport consumes one statistics report for a cell, runs the
+// bitrate optimisation, installs GBRs through the PCEF (when non-nil),
+// and returns the committed assignments, their BAI sequence and any
+// per-flow enforcement failures in a response of its own. A report's
+// NumDataFlows of -1 defers to the PCRF registry. Every flow's install
+// is attempted; a failed one keeps its previous assignment, and the
+// failures also come back as a *EnforceError — callers decide whether
+// partial enforcement is fatal. It is RunBAIInto handed a fresh
+// StatsResponse; see there for the errors.
 func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsResponse, error) {
 	var resp StatsResponse
 	err := s.RunBAIInto(cellID, report, pcef, &resp)
@@ -564,9 +581,10 @@ func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsR
 // aliases server or controller state. err is *EnforceError (with resp
 // still valid, and sharing resp.Failed) on partial enforcement,
 // ErrStaleReport for an out-of-order sequenced report, ErrDraining
-// during a graceful shutdown, or another error when the optimisation
-// itself failed; in the last three cases no state changed and resp is
-// empty.
+// during a graceful shutdown, ErrUnknownCell (unwrapped, so that it
+// allocates nothing) for a cell the server does not hold, or another
+// error when the optimisation itself failed; in the last four cases no
+// state changed and resp is empty.
 //
 // The round's installs go down in one grouped PCEF call — one install
 // sequence bump, one round trip — and the per-flow results are folded
@@ -582,9 +600,11 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 	if s.draining.Load() {
 		return fmt.Errorf("oneapi: cell %d: %w", cellID, ErrDraining)
 	}
-	c := s.cell(cellID)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c := s.lockCell(cellID, false)
+	if c == nil {
+		return ErrUnknownCell
+	}
+	defer s.unlockCell(c)
 	if pcef == nil {
 		pcef = c.pcef // server-side hook (may still be nil)
 	}
@@ -659,7 +679,7 @@ func (c *cellState) installGBRs(pcef PCEF, assignments []core.Assignment) []erro
 	for i, a := range assignments {
 		installs[i] = GBRInstall{FlowID: a.FlowID, GBRBps: a.RateBps}
 	}
-	errs := pcef.SetGBRBatch(installs)
+	errs := pcef(installs)
 	if errs != nil && len(errs) != n {
 		bad := fmt.Errorf("oneapi: batch pcef returned %d results for %d installs", len(errs), n)
 		errs = make([]error, n)
@@ -670,23 +690,16 @@ func (c *cellState) installGBRs(pcef PCEF, assignments []core.Assignment) []erro
 	return errs
 }
 
-// Assignment returns a flow's most recent assignment, for polling
-// plugins. ok is false before the flow's first BAI.
-func (s *Server) Assignment(cellID, flowID int) (AssignmentResponse, bool) {
-	a, err := s.AssignmentErr(cellID, flowID)
-	return a, err == nil
-}
-
-// AssignmentErr is Assignment with typed failure modes: ErrUnknownCell,
-// ErrUnknownSession (the flow has no live session — after a server
-// restart this tells the client to re-open), or ErrNoAssignment (the
-// session is live but no BAI has assigned it yet).
+// AssignmentErr returns a flow's most recent assignment, for polling
+// plugins, or why there is none: ErrUnknownCell, ErrUnknownSession (the
+// flow has no live session — after a server restart this tells the
+// client to re-open), or ErrNoAssignment (the session is live but no
+// BAI has assigned it yet).
 func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
-	c := s.lookup(cellID)
+	c := s.lockCell(cellID, false)
 	if c == nil {
 		return AssignmentResponse{}, fmt.Errorf("oneapi: cell %d: %w", cellID, ErrUnknownCell)
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, seq, ok := c.controller.Installed(flowID)
 	if !ok {
@@ -709,11 +722,10 @@ func (s *Server) AssignmentErr(cellID, flowID int) (AssignmentResponse, error) {
 // or ErrUnknownCell. The server keeps no history of solve times; a
 // caller that wants one keeps what it reads after each round.
 func (s *Server) LastSolve(cellID int) (n int64, d time.Duration, err error) {
-	c := s.lookup(cellID)
+	c := s.lockCell(cellID, false)
 	if c == nil {
 		return 0, 0, ErrUnknownCell
 	}
-	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, d = c.controller.LastSolve()
 	return n, d, nil

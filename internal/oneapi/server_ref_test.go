@@ -17,10 +17,20 @@ import (
 // bookkeeping — one core.Controller per cell in a plain map, everything
 // else written out from the documented contract — and drives it and a
 // real Server through the same op sequences, comparing every answer.
-// The model shares only the solver with the server: cell creation on
-// first contact, open idempotence and conflict, the admission FIFO and
-// its promotion, report sequencing, the install record and its age
-// across a handover, and the drain refusals are its own.
+// The model shares only the solver with the server: the cell lifecycle,
+// open idempotence and conflict, the admission FIFO and its promotion,
+// report sequencing, the install record and its age across a handover,
+// and every refusal are its own.
+//
+// The cell lifecycle: a cell exists while it holds a session or a queued
+// open. An open (or a handover into it) creates it; the operation that
+// leaves it with neither deletes it. Nothing else creates a cell, so a
+// report, a poll, a preferences update or a handover out of a cell that
+// does not exist is ErrUnknownCell, and a report creates nothing. A
+// cell that comes back is new: its BAI count (baiSeq) and its highest
+// accepted report sequence (lastSeq) start again from zero, as after a
+// server restart — so a report whose sequence the old cell had already
+// accepted is fresh to the new one.
 
 // refServer is the model: cells by ID, and the drain flag.
 type refServer struct {
@@ -52,7 +62,7 @@ func newRefServer(cfg core.Config) *refServer {
 	return &refServer{cfg: cfg, cells: make(map[int]*refCell)}
 }
 
-// cell returns a cell, creating it on first contact.
+// cell returns a cell, creating it when it does not exist.
 func (m *refServer) cell(id int) *refCell {
 	c, ok := m.cells[id]
 	if !ok {
@@ -60,6 +70,13 @@ func (m *refServer) cell(id int) *refCell {
 		m.cells[id] = c
 	}
 	return c
+}
+
+// dropIdle deletes a cell that holds no session and no queued open.
+func (m *refServer) dropIdle(id int) {
+	if c, ok := m.cells[id]; ok && c.ctrl.NumFlows() == 0 && len(c.queue) == 0 {
+		delete(m.cells, id)
+	}
 }
 
 // refPrefsOK is the preferences bound: neither Beta nor ThetaBps past
@@ -76,6 +93,7 @@ func (m *refServer) open(cellID int, req SessionRequest) error {
 	if m.draining {
 		return ErrDraining
 	}
+	defer m.dropIdle(cellID)
 	c := m.cell(cellID)
 	if snap, err := c.ctrl.Snapshot(req.FlowID); err == nil {
 		if !slices.Equal(snap.Ladder, ladder) {
@@ -123,21 +141,33 @@ func (m *refServer) close(cellID, flowID int) {
 	delete(c.installed, flowID)
 	c.dequeue(flowID)
 	m.promote(c)
+	m.dropIdle(cellID)
 }
 
 func (m *refServer) setPreferences(cellID, flowID int, prefs core.Preferences) error {
-	c, ok := m.cells[cellID]
-	if !refPrefsOK(prefs) || !ok || c.ctrl.SetPreferences(flowID, prefs) != nil {
+	if !refPrefsOK(prefs) {
 		return errRefOther
+	}
+	c, ok := m.cells[cellID]
+	if !ok {
+		return ErrUnknownCell
+	}
+	if c.ctrl.SetPreferences(flowID, prefs) != nil {
+		return ErrUnknownSession
 	}
 	return nil
 }
 
 func (m *refServer) handover(fromID, toID, flowID int) error {
-	from, ok := m.cells[fromID]
-	if fromID == toID || !ok {
+	if fromID == toID {
 		return errRefOther
 	}
+	from, ok := m.cells[fromID]
+	if !ok {
+		return ErrUnknownCell
+	}
+	defer m.dropIdle(fromID)
+	defer m.dropIdle(toID)
 	to := m.cell(toID)
 	snap, err := from.ctrl.Snapshot(flowID)
 	if err != nil {
@@ -162,7 +192,10 @@ func (m *refServer) report(cellID int, rep StatsReport, fail func(int) bool) (St
 	if m.draining {
 		return StatsResponse{}, ErrDraining
 	}
-	c := m.cell(cellID)
+	c, ok := m.cells[cellID]
+	if !ok {
+		return StatsResponse{}, ErrUnknownCell
+	}
 	if rep.Seq > 0 && rep.Seq <= c.lastSeq {
 		return StatsResponse{}, ErrStaleReport
 	}
@@ -196,6 +229,7 @@ func (m *refServer) report(cellID int, rep StatsReport, fail func(int) bool) (St
 		resp.Assignments = append(resp.Assignments, a)
 	}
 	m.promote(c)
+	m.dropIdle(cellID)
 	if len(resp.Failed) > 0 {
 		return resp, &EnforceError{}
 	}
@@ -369,7 +403,8 @@ func runServerOps(t *testing.T, data []byte) {
 			req.LadderBps = r.ladder()
 			req.Preferences = r.prefs()
 			what = fmt.Sprintf("open cell %d flow %d", cell, req.FlowID)
-			want, got = m.open(cell, req), s.OpenSession(cell, req)
+			_, err := s.Open(cell, req)
+			want, got = m.open(cell, req), err
 		case 2:
 			cell, sel, mask, failMask := r.cell(), r.next(), r.next(), r.next()
 			rep := StatsReport{Flows: map[int]core.FlowStats{}, NumDataFlows: int(sel>>2) % 4}
@@ -391,7 +426,7 @@ func runServerOps(t *testing.T, data []byte) {
 			fail := func(flowID int) bool { return failMask&1 != 0 && failMask&(1<<flowID) != 0 }
 			what = fmt.Sprintf("report cell %d seq %d", cell, rep.Seq)
 			wresp, werr := m.report(cell, rep, fail)
-			gresp, gerr := s.RunBAIReport(cell, rep, PCEFFunc(func(flowID int, _ float64) error {
+			gresp, gerr := s.RunBAIReport(cell, rep, perFlow(func(flowID int, _ float64) error {
 				if fail(flowID) {
 					return errRefOther
 				}

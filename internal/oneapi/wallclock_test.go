@@ -14,7 +14,7 @@ func TestServerSetWallClockPropagates(t *testing.T) {
 	s := serverForTest()
 
 	// Cell 0's controller exists before the injection...
-	if err := s.OpenSession(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(0, SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -25,13 +25,13 @@ func TestServerSetWallClockPropagates(t *testing.T) {
 	})
 
 	// ...cell 1's only after.
-	if err := s.OpenSession(1, SessionRequest{FlowID: 2, LadderBps: has.SimLadder()}); err != nil {
+	if _, err := s.Open(1, SessionRequest{FlowID: 2, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatal(err)
 	}
 
-	pcef := PCEFFunc(func(int, float64) error { return nil })
+	pcef := perFlow(func(int, float64) error { return nil })
 	for _, cell := range []int{0, 1} {
-		if _, err := s.RunBAI(cell, StatsReport{}, pcef); err != nil {
+		if _, err := s.RunBAIReport(cell, StatsReport{}, pcef); err != nil {
 			t.Fatalf("cell %d: %v", cell, err)
 		}
 	}

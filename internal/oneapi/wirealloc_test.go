@@ -69,7 +69,7 @@ func TestHandlerAllocationBudget(t *testing.T) {
 		direct, served := serverForTest(), serverForTest()
 		for _, s := range []*Server{direct, served} {
 			for f := 0; f < sessions; f++ {
-				if err := s.OpenSession(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
+				if _, err := s.Open(0, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
 					t.Fatal(err)
 				}
 			}

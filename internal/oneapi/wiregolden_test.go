@@ -46,7 +46,7 @@ func wireScenes() []wireScene {
 	mustOpen := func(cell int, flows ...int) func(*testing.T, *Server) {
 		return func(t *testing.T, s *Server) {
 			for _, f := range flows {
-				if err := s.OpenSession(cell, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
+				if _, err := s.Open(cell, SessionRequest{FlowID: f, LadderBps: has.SimLadder()}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -77,6 +77,7 @@ func wireScenes() []wireScene {
 				{"preferences unknown cell", "PUT", "/oneapi/v4/cells/99/sessions/4/preferences", `{}`},
 				{"preferences malformed", "PUT", "/oneapi/v4/cells/0/sessions/3/preferences", `[`},
 				{"preferences theta past its bound", "PUT", "/oneapi/v4/cells/0/sessions/3/preferences", `{"theta_bps":1e300}`},
+				{"open a second session, so the handover leaves cell 0 held", "POST", "/oneapi/v4/cells/0/sessions", open(5)},
 				{"handover", "POST", "/oneapi/v4/cells/0/sessions/3/handover", `{"to_cell":1}`},
 				{"poll after handover", "GET", "/oneapi/v4/cells/1/assignments/3", ""},
 				{"handover unknown session", "POST", "/oneapi/v4/cells/0/sessions/3/handover", `{"to_cell":1}`},
@@ -141,7 +142,7 @@ func wireScenes() []wireScene {
 			name: "partial enforcement",
 			prepare: func(t *testing.T, s *Server) {
 				mustOpen(0, 1, 2)(t, s)
-				s.SetPCEF(PCEFFunc(func(flow int, _ float64) error {
+				s.SetPCEF(perFlow(func(flow int, _ float64) error {
 					if flow == 2 {
 						return fmt.Errorf("pcef: bearer <2> modify \"rejected\" & dropped\t\u2028(caf\u00e9 \xff)")
 					}
