@@ -139,17 +139,9 @@ func run() int {
 		}
 	}()
 
-	schemes := map[string]cellsim.Scheme{
-		"flare":   cellsim.SchemeFLARE,
-		"festive": cellsim.SchemeFESTIVE,
-		"google":  cellsim.SchemeGOOGLE,
-		"avis":    cellsim.SchemeAVIS,
-		"bba":     cellsim.SchemeBBA,
-		"mpc":     cellsim.SchemeMPC,
-	}
-	scheme, ok := schemes[*schemeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "flaresim: unknown scheme %q\n", *schemeName)
+	scheme, err := cellsim.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flaresim: -scheme: %v\n", err)
 		return 2
 	}
 	var groups []cellsim.FlowGroup
@@ -160,9 +152,9 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "flaresim: -mix group %q: want \"scheme:count\"\n", part)
 				return 2
 			}
-			gs, ok := schemes[strings.ToLower(strings.TrimSpace(name))]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "flaresim: -mix: unknown scheme %q\n", name)
+			gs, err := cellsim.ParseScheme(strings.ToLower(strings.TrimSpace(name)))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "flaresim: -mix: %v\n", err)
 				return 2
 			}
 			count, err := strconv.Atoi(strings.TrimSpace(countStr))

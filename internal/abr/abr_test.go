@@ -248,7 +248,7 @@ func TestFlarePluginFollowsAssignment(t *testing.T) {
 	if q := p.NextQuality(state(l, -1, 0)); q != 0 {
 		t.Fatalf("pre-assignment pick = %d, want 0", q)
 	}
-	p.SetAssignedBps(1_000_000)
+	p.Deliver(1_000_000, 1)
 	if q := p.NextQuality(state(l, 0, 10)); q != 3 {
 		t.Fatalf("quality = %d, want 3", q)
 	}
@@ -256,32 +256,9 @@ func TestFlarePluginFollowsAssignment(t *testing.T) {
 		t.Fatal("AssignedBps accessor wrong")
 	}
 	// Assignment between rungs rounds down.
-	p.SetAssignedBps(1_500_000)
+	p.Deliver(1_500_000, 2)
 	if q := p.NextQuality(state(l, 3, 10)); q != 3 {
 		t.Fatalf("quality = %d, want 3 (round down)", q)
-	}
-}
-
-func TestFlarePluginClientCap(t *testing.T) {
-	p := NewFlarePlugin()
-	l := has.SimLadder()
-	p.SetAssignedBps(3_000_000)
-	p.SetMaxBps(500_000)
-	if q := p.NextQuality(state(l, 0, 10)); q != 2 {
-		t.Fatalf("quality = %d, want 2 (client cap 500k)", q)
-	}
-	if p.MaxBps() != 500_000 {
-		t.Fatal("MaxBps accessor wrong")
-	}
-	p.SetMaxBps(0)
-	if q := p.NextQuality(state(l, 0, 10)); q != 5 {
-		t.Fatalf("quality = %d, want 5 after cap removal", q)
-	}
-	// Cap with no assignment yet also binds.
-	p2 := NewFlarePlugin()
-	p2.SetMaxBps(250_000)
-	if q := p2.NextQuality(state(l, -1, 0)); q != 1 {
-		t.Fatalf("quality = %d, want 1 (cap only)", q)
 	}
 }
 

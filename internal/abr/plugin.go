@@ -117,9 +117,9 @@ func (c FallbackConfig) normalized() FallbackConfig {
 
 // FlarePlugin is the FLARE client-side plugin's adaptation behaviour:
 // the player uses the bitrate most recently assigned by the OneAPI
-// server, optionally clipped by a client-side preference cap (e.g. a
-// mobile-data budget). Before the first assignment arrives it streams
-// at the lowest rate.
+// server. Before the first assignment arrives it streams at the lowest
+// rate. A client-side cap (e.g. a mobile-data budget) is a preference
+// the server folds into the assignment (core.Preferences.MaxBps).
 //
 // Strict enforcement is FLARE's key coordination property, but it only
 // holds while coordination *works*: the plugin tracks poll failures and
@@ -129,7 +129,6 @@ func (c FallbackConfig) normalized() FallbackConfig {
 // the simulator's Result.
 type FlarePlugin struct {
 	assignedBps float64
-	maxBps      float64 // 0 = no client cap
 
 	fb   FallbackConfig
 	hist History
@@ -149,13 +148,7 @@ var _ has.Adapter = (*FlarePlugin)(nil)
 // NewFlarePlugin builds a plugin adapter with no assignment yet and the
 // default fallback policy.
 func NewFlarePlugin() *FlarePlugin {
-	return NewFlarePluginWithFallback(FallbackConfig{})
-}
-
-// NewFlarePluginWithFallback builds a plugin with an explicit
-// degradation policy.
-func NewFlarePluginWithFallback(fb FallbackConfig) *FlarePlugin {
-	return &NewFlarePlugins(1, fb)[0]
+	return &NewFlarePlugins(1, FallbackConfig{})[0]
 }
 
 // NewFlarePlugins builds n plugins sharing one degradation policy as
@@ -189,11 +182,6 @@ func (p *FlarePlugin) notify(reason TransitionReason, count int) {
 		p.onTransition(p.mode, reason, count)
 	}
 }
-
-// SetAssignedBps installs the bitrate assigned by the OneAPI server
-// without sequence bookkeeping — the legacy push path. Prefer Deliver,
-// which also feeds the staleness detector.
-func (p *FlarePlugin) SetAssignedBps(bps float64) { p.assignedBps = bps }
 
 // AssignedBps returns the current assignment (0 before the first one).
 func (p *FlarePlugin) AssignedBps() float64 { return p.assignedBps }
@@ -258,14 +246,6 @@ func (p *FlarePlugin) Transitions() int { return p.transitions }
 // spent degraded.
 func (p *FlarePlugin) FallbackIntervals() int { return p.fallbackOps }
 
-// SetMaxBps installs a client-side bitrate cap; 0 removes it. The cap is
-// one of the optional client preferences Section II-B describes ("the
-// client can specify an upper bound on its bitrate").
-func (p *FlarePlugin) SetMaxBps(bps float64) { p.maxBps = bps }
-
-// MaxBps returns the client-side cap (0 = none).
-func (p *FlarePlugin) MaxBps() float64 { return p.maxBps }
-
 // OnSegmentComplete implements has.Adapter. Coordinated FLARE does not
 // estimate bandwidth — the network knows the radio state better than
 // the client — but the plugin keeps a small throughput history warm so
@@ -281,9 +261,6 @@ func (p *FlarePlugin) NextQuality(s has.State) int {
 		return p.fallbackQuality(s)
 	}
 	bps := p.assignedBps
-	if p.maxBps > 0 && (bps == 0 || p.maxBps < bps) {
-		bps = p.maxBps
-	}
 	if bps <= 0 {
 		return 0
 	}
@@ -291,16 +268,13 @@ func (p *FlarePlugin) NextQuality(s has.State) int {
 }
 
 // fallbackQuality is the degraded-mode ABR: harmonic-mean throughput of
-// the recent segments, discounted by the safety factor, clipped by the
-// client cap. With no history yet it plays safe at the lowest level.
+// the recent segments, discounted by the safety factor. With no history
+// yet it plays safe at the lowest level.
 func (p *FlarePlugin) fallbackQuality(s has.State) int {
 	if p.hist.Len() == 0 {
 		return 0
 	}
 	bps := p.fb.SafetyFactor * p.hist.HarmonicMean(0)
-	if p.maxBps > 0 && p.maxBps < bps {
-		bps = p.maxBps
-	}
 	if bps <= 0 {
 		return 0
 	}

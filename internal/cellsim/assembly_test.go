@@ -80,7 +80,7 @@ func TestCellAssemblyAllocsPerSession(t *testing.T) {
 		// Measured 4.03 and 835: each client's throughput adapter and
 		// its history, and the allocator's record of the flow.
 		{SchemeAVIS, 4.1, 900},
-		// Measured 5.00 and 1,022: each client's FESTIVE adapter, its
+		// Measured 5.00 and 1,020: each client's FESTIVE adapter, its
 		// history and its RNG stream.
 		{SchemeFESTIVE, 5.1, 1100},
 	} {

@@ -7,6 +7,8 @@ package cellsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/flare-sim/flare/internal/abr"
@@ -35,24 +37,57 @@ const (
 	SchemeMPC
 )
 
+// schemeRow is one scheme's row of the scheme table.
+type schemeRow struct {
+	// name is the display name: String, Result JSON and reports.
+	name string
+	// cli is the lower-case name the command-line tools accept.
+	cli string
+	// build constructs the scheme's driver for one video group.
+	build func(driver.Config) driver.Controller
+}
+
+// schemes is the scheme table: every Scheme a cell can run, with its
+// names and its driver. Adding a scheme is one constant above and one
+// row here.
+var schemes = map[Scheme]schemeRow{
+	SchemeFLARE:   {"FLARE", "flare", driver.NewFLARE},
+	SchemeFESTIVE: {"FESTIVE", "festive", driver.NewFESTIVE},
+	SchemeGOOGLE:  {"GOOGLE", "google", driver.NewGOOGLE},
+	SchemeAVIS:    {"AVIS", "avis", driver.NewAVIS},
+	SchemeBBA:     {"BBA", "bba", driver.NewBBA},
+	SchemeMPC:     {"MPC", "mpc", driver.NewMPC},
+}
+
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeFLARE:
-		return "FLARE"
-	case SchemeFESTIVE:
-		return "FESTIVE"
-	case SchemeGOOGLE:
-		return "GOOGLE"
-	case SchemeAVIS:
-		return "AVIS"
-	case SchemeBBA:
-		return "BBA"
-	case SchemeMPC:
-		return "MPC"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
+	if row, ok := schemes[s]; ok {
+		return row.name
 	}
+	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ParseScheme resolves a scheme's lower-case command-line name
+// ("flare", "festive", ...).
+func ParseScheme(name string) (Scheme, error) {
+	var names []string
+	for _, s := range knownSchemes() {
+		if schemes[s].cli == name {
+			return s, nil
+		}
+		names = append(names, schemes[s].cli)
+	}
+	return 0, fmt.Errorf("cellsim: unknown scheme %q (known: %s)", name, strings.Join(names, ", "))
+}
+
+// knownSchemes lists the table's schemes in numbering order.
+func knownSchemes() []Scheme {
+	out := make([]Scheme, 0, len(schemes))
+	for s := range schemes {
+		out = append(out, s)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // FlowGroup assigns a contiguous block of video clients to one scheme's
@@ -254,9 +289,8 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("cellsim: video group %d (%s) needs a positive count, got %d",
 					i, g.Scheme, g.Count)
 			}
-			if !driver.Known(g.Scheme.String()) {
-				return fmt.Errorf("cellsim: video group %d: no driver registered for scheme %q (registered: %v)",
-					i, g.Scheme.String(), driver.Names())
+			if _, ok := schemes[g.Scheme]; !ok {
+				return fmt.Errorf("cellsim: video group %d: unknown scheme %v (known: %v)", i, g.Scheme, knownSchemes())
 			}
 			if seen[g.Scheme] {
 				return fmt.Errorf("cellsim: scheme %s appears in more than one video group", g.Scheme)
@@ -280,9 +314,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("cellsim: segment duration must be positive, got %v", c.SegmentDuration)
 		}
 	}
-	if !driver.Known(c.Scheme.String()) {
-		return fmt.Errorf("cellsim: no driver registered for scheme %q (registered: %v)",
-			c.Scheme.String(), driver.Names())
+	if _, ok := schemes[c.Scheme]; !ok {
+		return fmt.Errorf("cellsim: unknown scheme %v (known: %v)", c.Scheme, knownSchemes())
 	}
 	if err := c.ControlFaults.Validate(); err != nil {
 		return fmt.Errorf("cellsim: control faults: %w", err)

@@ -8,10 +8,6 @@ import (
 	"github.com/flare-sim/flare/internal/has"
 )
 
-func init() {
-	Register("AVIS", newAvisDriver)
-}
-
 // avisDriver runs the network-only baseline: a cell-level allocator
 // recomputes GBR/MBR assignments every epoch from the eNodeB accounting,
 // while each client adapts with its own throughput-based ABR — the
@@ -30,12 +26,10 @@ var (
 	_ SliceSizer = (*avisDriver)(nil)
 )
 
-func newAvisDriver(cfg Config) (Controller, error) {
-	return &avisDriver{cfg: cfg, alloc: avis.NewAllocator(cfg.Avis)}, nil
+// NewAVIS builds the AVIS baseline's driver.
+func NewAVIS(cfg Config) Controller {
+	return &avisDriver{cfg: cfg, alloc: avis.NewAllocator(cfg.Avis)}
 }
-
-// Name implements Controller.
-func (d *avisDriver) Name() string { return d.cfg.Scheme }
 
 // SchedulerPolicy implements Controller: AVIS statically slices the cell.
 func (d *avisDriver) SchedulerPolicy() SchedulerPolicy { return PolicySliced }

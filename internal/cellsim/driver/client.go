@@ -1,58 +1,53 @@
 package driver
 
 import (
-	"fmt"
-
 	"github.com/flare-sim/flare/internal/abr"
 	"github.com/flare-sim/flare/internal/has"
 )
 
-func init() {
-	for _, name := range []string{"FESTIVE", "GOOGLE", "BBA", "MPC"} {
-		name := name
-		Register(name, func(cfg Config) (Controller, error) {
-			return newClientDriver(cfg)
-		})
-	}
-}
-
 // clientDriver runs the client-only ABR family: no network control
 // plane, no scheduler demands — each flow's adapter picks bitrates from
-// its own measurements. One implementation serves every registered
-// client scheme; the adapter constructor is the only varying part.
+// its own measurements. One implementation serves every client scheme;
+// the adapter constructor is the only varying part.
 type clientDriver struct {
 	Base
 	cfg        Config
-	newAdapter func() has.Adapter
+	newAdapter func(cfg *Config) has.Adapter
 }
 
 var _ Controller = (*clientDriver)(nil)
 
-func newClientDriver(cfg Config) (*clientDriver, error) {
-	d := &clientDriver{cfg: cfg}
-	switch cfg.Scheme {
-	case "FESTIVE":
-		d.newAdapter = func() has.Adapter { return abr.NewFestive(cfg.Festive, cfg.RNG) }
-	case "GOOGLE":
-		d.newAdapter = func() has.Adapter { return abr.NewGoogle(cfg.Google) }
-	case "BBA":
-		d.newAdapter = func() has.Adapter { return abr.NewBBA(abr.DefaultBBAConfig()) }
-	case "MPC":
-		d.newAdapter = func() has.Adapter {
-			mcfg := abr.DefaultMPCConfig()
-			mcfg.SegmentSeconds = cfg.SegmentSeconds
-			return abr.NewMPC(mcfg)
-		}
-	default:
-		return nil, fmt.Errorf("driver: client driver cannot serve scheme %q", cfg.Scheme)
-	}
-	return d, nil
+// NewFESTIVE builds the FESTIVE client baseline's driver.
+func NewFESTIVE(cfg Config) Controller {
+	return &clientDriver{cfg: cfg, newAdapter: func(cfg *Config) has.Adapter {
+		return abr.NewFestive(cfg.Festive, cfg.RNG)
+	}}
 }
 
-// Name implements Controller.
-func (d *clientDriver) Name() string { return d.cfg.Scheme }
+// NewGOOGLE builds the GOOGLE client baseline's driver.
+func NewGOOGLE(cfg Config) Controller {
+	return &clientDriver{cfg: cfg, newAdapter: func(cfg *Config) has.Adapter {
+		return abr.NewGoogle(cfg.Google)
+	}}
+}
+
+// NewBBA builds the buffer-based adaptation baseline's driver.
+func NewBBA(cfg Config) Controller {
+	return &clientDriver{cfg: cfg, newAdapter: func(*Config) has.Adapter {
+		return abr.NewBBA(abr.DefaultBBAConfig())
+	}}
+}
+
+// NewMPC builds the model-predictive-control baseline's driver.
+func NewMPC(cfg Config) Controller {
+	return &clientDriver{cfg: cfg, newAdapter: func(cfg *Config) has.Adapter {
+		mcfg := abr.DefaultMPCConfig()
+		mcfg.SegmentSeconds = cfg.SegmentSeconds
+		return abr.NewMPC(mcfg)
+	}}
+}
 
 // NewAdapter implements Controller.
 func (d *clientDriver) NewAdapter(int) (has.Adapter, error) {
-	return d.newAdapter(), nil
+	return d.newAdapter(&d.cfg), nil
 }

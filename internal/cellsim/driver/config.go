@@ -11,15 +11,12 @@ import (
 	"github.com/flare-sim/flare/internal/sim"
 )
 
-// Config is the engine-assembled view a driver factory receives: the
+// Config is the engine-assembled view a driver constructor receives: the
 // slice of the cell configuration one scheme's driver needs, plus the
 // cell-level context (shared control server, background populations)
 // the engine computes for it. It deliberately does not reference the
 // cellsim package — the dependency points the other way.
 type Config struct {
-	// Scheme is the registry name the driver is being built for (one
-	// driver implementation may serve several names).
-	Scheme string
 	// Count is the number of video flows in this driver's group.
 	Count int
 	// Ladder is the cell's encoding ladder.

@@ -4,14 +4,14 @@
 // rate-adaptation systems under test (FLARE, AVIS, and the client-only
 // ABR family).
 //
-// A driver is a Controller implementation registered under one or more
-// scheme names in the package registry. The engine never dispatches on
-// the scheme itself: it looks the driver up by name, asks it for per-flow
-// adapters and a radio-scheduler policy, hands it the built flows via
-// Init, ticks it at its own control interval via OnBAI, and forwards
-// early departures. Adding a new scheme is one file in this package:
-// implement Controller (embedding Base for the hooks you don't need) and
-// Register it in an init function.
+// A driver is a Controller implementation built by one exported
+// constructor per scheme (NewFLARE, NewAVIS, NewFESTIVE, ...). The
+// engine's scheme table names each constructor; the engine itself never
+// dispatches on the scheme: it asks the driver for per-flow adapters and
+// a radio-scheduler policy, hands it the built flows via Init, ticks it
+// at its own control interval via OnBAI, and forwards early departures.
+// A new scheme's driver implements Controller, embedding Base for the
+// hooks it does not need.
 package driver
 
 import (
@@ -88,10 +88,8 @@ const (
 //
 // Call order: NewAdapter (once per flow, during cell assembly) →
 // Init (once, after every flow in the cell exists) → any interleaving of
-// OnBAI / OnFlowDeparture during the run → Close.
+// OnBAI / OnFlowDeparture during the run.
 type Controller interface {
-	// Name returns the scheme name the driver was registered under.
-	Name() string
 	// SchedulerPolicy declares the radio scheduler the scheme needs.
 	SchedulerPolicy() SchedulerPolicy
 	// NewAdapter builds the rate-adaptation adapter for the i-th flow of
@@ -111,8 +109,6 @@ type Controller interface {
 	// OnFlowDeparture tells the driver one of its flows ended its
 	// session early, so network-side state can be released.
 	OnFlowDeparture(f *Flow)
-	// Close releases driver resources at the end of the run.
-	Close() error
 }
 
 // ArrivalAware is implemented by drivers that need to know the moment a
@@ -184,7 +180,7 @@ type FlowTelemetry interface {
 }
 
 // Base provides no-op implementations of the optional Controller hooks,
-// so a minimal scheme only implements Name, NewAdapter, and whatever it
+// so a minimal scheme only implements NewAdapter and whatever it
 // actually needs.
 type Base struct{}
 
@@ -202,9 +198,6 @@ func (Base) OnBAI(time.Duration) error { return nil }
 
 // OnFlowDeparture implements Controller: ignored.
 func (Base) OnFlowDeparture(*Flow) {}
-
-// Close implements Controller: nothing held.
-func (Base) Close() error { return nil }
 
 // clampedInterval converts a requested control period to the engine's
 // tick grid, enforcing a floor in TTIs.

@@ -13,15 +13,14 @@ import (
 	"github.com/flare-sim/flare/internal/oneapi"
 )
 
-func init() {
-	Register("FLARE", newFlareDriver)
-}
-
 // flareDriver runs the paper's system: a OneAPI server (shared or
 // private) computes per-BAI bitrate assignments from eNodeB statistics
 // reports, installs them as GBRs through the PCEF, and the per-flow
 // plugins poll their assignments — with the control-plane fault
-// injectors and the plugins' graceful degradation in the loop.
+// injectors and the plugins' graceful degradation in the loop. Sessions
+// are left open when the run ends: a shared OneAPI server outlives the
+// run (re-opening is idempotent), and solve-time telemetry is read after
+// it.
 type flareDriver struct {
 	cfg    Config
 	server *oneapi.Server
@@ -125,7 +124,10 @@ var (
 	_ ArrivalAware     = (*flareDriver)(nil)
 )
 
-func newFlareDriver(cfg Config) (Controller, error) {
+// NewFLARE builds the FLARE driver. Its BAI and the private server's
+// controller read the one normalised controller configuration.
+func NewFLARE(cfg Config) Controller {
+	cfg.Flare = cfg.Flare.Normalized()
 	d := &flareDriver{cfg: cfg, server: cfg.OneAPI, cellID: cfg.CellID, rec: cfg.Obs}
 	d.plugins = abr.NewFlarePlugins(cfg.Count, cfg.Fallback)
 	if d.server == nil {
@@ -147,7 +149,7 @@ func newFlareDriver(cfg Config) (Controller, error) {
 			d.pollFaults.SetObserver(faultObserver(cfg.Obs, cfg.CellID, obs.SitePoll))
 		}
 	}
-	return d, nil
+	return d
 }
 
 // faultObserver adapts injected fault decisions into telemetry events
@@ -157,9 +159,6 @@ func faultObserver(rec *obs.Recorder, cellID int, site obs.Site) faults.Observer
 		rec.Emit(obs.Fault(int32(cellID), site, uint8(dec.Outcome)))
 	}
 }
-
-// Name implements Controller.
-func (d *flareDriver) Name() string { return d.cfg.Scheme }
 
 // SchedulerPolicy implements Controller: FLARE needs GBR enforcement.
 func (d *flareDriver) SchedulerPolicy() SchedulerPolicy { return PolicyGBR }
@@ -468,11 +467,6 @@ func (d *flareDriver) OnFlowDeparture(f *Flow) {
 		st.opened = false
 	}
 }
-
-// Close implements Controller. Sessions are deliberately left open: a
-// shared OneAPI server outlives the run (re-opening is idempotent), and
-// solve-time telemetry is read after the run ends.
-func (d *flareDriver) Close() error { return nil }
 
 // ControlStats implements ControlTelemetry.
 func (d *flareDriver) ControlStats() ControlStats { return d.ctrl }

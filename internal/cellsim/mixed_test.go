@@ -85,7 +85,7 @@ func TestVideoGroupsValidation(t *testing.T) {
 	}{
 		{"zero count", func(c *Config) { c.VideoGroups[0].Count = 0 }, "positive count"},
 		{"negative count", func(c *Config) { c.VideoGroups[1].Count = -3 }, "positive count"},
-		{"unknown scheme", func(c *Config) { c.VideoGroups[0].Scheme = Scheme(42) }, "no driver registered"},
+		{"unknown scheme", func(c *Config) { c.VideoGroups[0].Scheme = Scheme(42) }, "unknown scheme"},
 		{"duplicate scheme", func(c *Config) { c.VideoGroups[1].Scheme = SchemeFLARE }, "more than one video group"},
 		{"numvideo mismatch", func(c *Config) { c.NumVideo = 7 }, "disagrees"},
 		{"numvideo match", func(c *Config) { c.NumVideo = 4 }, ""},

@@ -23,9 +23,7 @@ const failScheme = Scheme(97)
 var errBAIBoom = errors.New("control interval deliberately failed")
 
 func init() {
-	driver.Register(failScheme.String(), func(cfg driver.Config) (driver.Controller, error) {
-		return &failingDriver{}, nil
-	})
+	schemes[failScheme] = schemeRow{"FAIL", "fail", func(driver.Config) driver.Controller { return &failingDriver{} }}
 }
 
 type fixedAdapter struct{}
@@ -36,7 +34,6 @@ func (fixedAdapter) OnSegmentComplete(has.SegmentRecord) {}
 
 type failingDriver struct{ driver.Base }
 
-func (*failingDriver) Name() string                        { return failScheme.String() }
 func (*failingDriver) NewAdapter(int) (has.Adapter, error) { return fixedAdapter{}, nil }
 func (*failingDriver) Interval() time.Duration             { return time.Second }
 func (*failingDriver) OnBAI(time.Duration) error           { return errBAIBoom }

@@ -169,9 +169,7 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	}
 	s.channel = ch
 
-	if err := s.buildDrivers(groups, server, cellID); err != nil {
-		return nil, err
-	}
+	s.buildDrivers(groups, server, cellID)
 	s.enb = lte.NewENodeB(ch, s.buildScheduler())
 
 	s.bearerSlab = make([]lte.Bearer, numUEs)
@@ -200,11 +198,11 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	return s, nil
 }
 
-// buildDrivers instantiates one registered driver per video group, with
+// buildDrivers builds the scheme table's driver for each video group, with
 // the engine-computed context each needs: its share of the configuration
 // plus the competing background population (data + the other groups'
 // video flows).
-func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int) error {
+func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int) {
 	totalVideo := totalCount(groups)
 	offset := 0
 	for _, fg := range groups {
@@ -235,14 +233,10 @@ func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int
 			BackgroundFlowIDs:   background,
 			Obs:                 s.cfg.Obs,
 		}
-		ctrl, err := driver.New(fg.Scheme.String(), dcfg)
-		if err != nil {
-			return err
-		}
+		ctrl := schemes[fg.Scheme].build(dcfg)
 		s.groups = append(s.groups, &simGroup{scheme: fg.Scheme, count: fg.Count, ctrl: ctrl})
 		offset += fg.Count
 	}
-	return nil
 }
 
 func (s *Sim) buildChannel(numUEs int) (lte.Channel, error) {
@@ -493,14 +487,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 		s.rec.DumpOnError(err)
 		return nil, err
 	}
-	res := s.buildResult()
-	for _, g := range s.groups {
-		if err := g.ctrl.Close(); err != nil {
-			s.rec.DumpOnError(err)
-			return res, err
-		}
-	}
-	return res, nil
+	return s.buildResult(), nil
 }
 
 // scheduleStarts queues the run's opening events. Player and data-flow

@@ -1,11 +1,14 @@
 package cellsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/flare-sim/flare/internal/cellsim/driver"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // quickConfig returns a fast-running scenario: 2 s segments, 2 s BAI,
@@ -47,18 +50,70 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestSchemeString: every Scheme constant has a row of the scheme table.
+// Its names round-trip through String and ParseScheme, and its driver
+// builds with the scheduler policy and control interval of its family.
+// Names and numbers outside the table are refused, naming the known ones.
 func TestSchemeString(t *testing.T) {
-	names := map[Scheme]string{
-		SchemeFLARE: "FLARE", SchemeFESTIVE: "FESTIVE",
-		SchemeGOOGLE: "GOOGLE", SchemeAVIS: "AVIS",
+	rows := []struct {
+		scheme   Scheme
+		name     string
+		policy   driver.SchedulerPolicy
+		interval time.Duration
+	}{
+		// A zero controller configuration: the BAI falls back to 1 s,
+		// in the driver's ticks as in its controller.
+		{SchemeFLARE, "FLARE", driver.PolicyGBR, time.Second},
+		{SchemeFESTIVE, "FESTIVE", driver.PolicyBestEffort, 0},
+		{SchemeGOOGLE, "GOOGLE", driver.PolicyBestEffort, 0},
+		// The allocator's default 150 ms epoch.
+		{SchemeAVIS, "AVIS", driver.PolicySliced, 150 * time.Millisecond},
+		{SchemeBBA, "BBA", driver.PolicyBestEffort, 0},
+		{SchemeMPC, "MPC", driver.PolicyBestEffort, 0},
 	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", int(s), s.String())
+	covered := map[Scheme]bool{failScheme: true}
+	for _, r := range rows {
+		covered[r.scheme] = true
+		if got := r.scheme.String(); got != r.name {
+			t.Errorf("%d.String() = %q, want %q", int(r.scheme), got, r.name)
+		}
+		if got, err := ParseScheme(strings.ToLower(r.name)); err != nil || got != r.scheme {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", strings.ToLower(r.name), got, err, r.scheme)
+		}
+		c := schemes[r.scheme].build(driver.Config{Count: 1, SegmentSeconds: 2, RNG: sim.NewRNG(1)})
+		if p := c.SchedulerPolicy(); p != r.policy {
+			t.Errorf("%v driver demands policy %d, want %d", r.scheme, p, r.policy)
+		}
+		if d := c.Interval(); d != r.interval {
+			t.Errorf("%v driver ticks every %v, want %v", r.scheme, d, r.interval)
+		}
+		if a, err := c.NewAdapter(0); err != nil || a == nil {
+			t.Errorf("%v adapter: %v %v", r.scheme, a, err)
+		}
+	}
+	for _, s := range knownSchemes() {
+		if !covered[s] {
+			t.Errorf("scheme %v has a table row but no case here", s)
 		}
 	}
 	if Scheme(0).String() != "Scheme(0)" {
-		t.Error("unknown scheme string")
+		t.Errorf("Scheme(0).String() = %q", Scheme(0).String())
+	}
+	// Command-line names are the lower-case ones, exactly.
+	for _, name := range []string{"", "NOPE", "FLARE", "flare "} {
+		_, err := ParseScheme(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown scheme") || !strings.Contains(err.Error(), "flare") {
+			t.Errorf("ParseScheme(%q): %v, want an unknown-scheme error naming the known ones", name, err)
+		}
+	}
+	cfg := quickConfig(Scheme(42), 2, 1)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "unknown scheme") || !strings.Contains(err.Error(), "FLARE") {
+		t.Errorf("Validate with Scheme(42): %v, want an unknown-scheme error naming the known ones", err)
+	}
+	cfg = quickConfig(SchemeFLARE, 0, 1)
+	cfg.VideoGroups = []FlowGroup{{Scheme: Scheme(42), Count: 2}}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "unknown scheme") || !strings.Contains(err.Error(), "FLARE") {
+		t.Errorf("Validate with a Scheme(42) group: %v, want an unknown-scheme error naming the known ones", err)
 	}
 }
 

@@ -51,7 +51,7 @@ type Config struct {
 	UseRelaxation bool
 	// StickinessBonus is the keep-previous-level utility bonus passed to
 	// the solvers (see Problem.StickinessBonus). 0 falls back to the
-	// default (0.1); negative disables.
+	// default (0.2); negative disables.
 	StickinessBonus float64
 	// CapacityMargin scales the RB budget the optimiser may plan
 	// against (N in Eq. 4). Planning to exactly 100% leaves the
@@ -263,10 +263,12 @@ type Controller struct {
 	out  []Assignment
 }
 
-// NewController builds a controller. Invalid config fields fall back to
-// defaults rather than erroring: the controller is long-lived and the
-// defaults are always safe.
-func NewController(cfg Config) *Controller {
+// Normalized returns the configuration with each invalid field replaced
+// by its default: the controller is long-lived and the defaults are
+// always safe, so bad values fall back rather than erroring. Normalizing
+// twice changes nothing, so the server, its controllers and the driver's
+// BAI all read one value.
+func (cfg Config) Normalized() Config {
 	def := DefaultConfig()
 	if cfg.Alpha < 0 {
 		cfg.Alpha = def.Alpha
@@ -285,12 +287,16 @@ func NewController(cfg Config) *Controller {
 	}
 	if cfg.StickinessBonus == 0 {
 		cfg.StickinessBonus = def.StickinessBonus
-	} else if cfg.StickinessBonus < 0 {
-		cfg.StickinessBonus = 0
 	}
 	if cfg.CapacityMargin <= 0 || cfg.CapacityMargin > 1 {
 		cfg.CapacityMargin = def.CapacityMargin
 	}
+	return cfg
+}
+
+// NewController builds a controller on the normalized configuration.
+func NewController(cfg Config) *Controller {
+	cfg = cfg.Normalized()
 	obj, _ := ObjectiveByName(cfg.Objective)
 	return &Controller{
 		cfg:   cfg,

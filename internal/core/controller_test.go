@@ -501,3 +501,18 @@ func TestRegisterReportsExistingRow(t *testing.T) {
 		t.Fatalf("new flow refused as registered: %v", err)
 	}
 }
+
+// TestNormalizedIsIdempotent: the server normalizes its configuration
+// and each controller it creates normalizes it again, so a second pass
+// must keep every value the first chose — a negative StickinessBonus
+// (disabled) included.
+func TestNormalizedIsIdempotent(t *testing.T) {
+	bad := Config{Alpha: -1, BAI: -3 * time.Second, CostSmoothing: 2, StickinessBonus: -1, CapacityMargin: 5}
+	once := bad.Normalized()
+	if twice := once.Normalized(); twice != once {
+		t.Errorf("Normalized twice = %+v, once = %+v", twice, once)
+	}
+	if once.BAI != time.Second || once.StickinessBonus >= 0 {
+		t.Errorf("Normalized(%+v) = %+v: want a 1 s BAI and the bonus left disabled", bad, once)
+	}
+}

@@ -84,7 +84,7 @@ type Problem struct {
 	// almost no objective gain; the bonus suppresses that churn while
 	// still permitting any genuinely profitable reassignment — the
 	// optimisation-side half of the paper's "stateful approach to rate
-	// selection". 0 disables it.
+	// selection". 0 or negative disables it.
 	StickinessBonus float64
 }
 

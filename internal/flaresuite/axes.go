@@ -422,25 +422,16 @@ func BuildConfig(a Axes, scale Scale) (cellsim.Config, error) {
 const faultSeed uint64 = 0xfa_17_5eed
 
 // mixGroups maps the mix axis to a single scheme or mixed video groups.
+// A single-scheme value is the scheme's command-line name.
 func mixGroups(mix string) (cellsim.Scheme, []cellsim.FlowGroup) {
-	switch mix {
-	case MixFLARE:
-		return cellsim.SchemeFLARE, nil
-	case MixFESTIVE:
-		return cellsim.SchemeFESTIVE, nil
-	case MixGOOGLE:
-		return cellsim.SchemeGOOGLE, nil
-	case MixAVIS:
-		return cellsim.SchemeAVIS, nil
-	case MixBBA:
-		return cellsim.SchemeBBA, nil
-	case MixMPC:
-		return cellsim.SchemeMPC, nil
-	case MixFLAREFESTIVE:
+	if mix == MixFLAREFESTIVE {
 		return cellsim.SchemeFLARE, []cellsim.FlowGroup{
 			{Scheme: cellsim.SchemeFLARE, Count: 4},
 			{Scheme: cellsim.SchemeFESTIVE, Count: 4},
 		}
+	}
+	if scheme, err := cellsim.ParseScheme(mix); err == nil {
+		return scheme, nil
 	}
 	return cellsim.SchemeFLARE, nil
 }

@@ -89,9 +89,11 @@ func TestChurnSoakBoundedMemory(t *testing.T) {
 // TestUnheldCellsRetainNothing: distinct cell IDs leave state in
 // proportion to the cells held, not to the IDs ever named. 20,000
 // statistics reports to distinct cells the server does not hold create
-// nothing, and 20,000 sessions, each opened and closed in a cell of its
-// own, leave no cell behind: each run retains a constant, where a
-// cell's state (controller and all) is some 560 bytes.
+// nothing, 20,000 sessions, each opened and closed in a cell of its
+// own, leave no cell behind, and neither do 20,000 data flows, each
+// registered and unregistered at the PCRF in a cell of its own: each
+// run retains a constant, where a cell's state (controller and all) is
+// some 560 bytes.
 func TestUnheldCellsRetainNothing(t *testing.T) {
 	const n = 20_000
 	for _, tc := range []struct {
@@ -111,6 +113,10 @@ func TestUnheldCellsRetainNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.CloseSession(cell, cell)
+		}},
+		{"data flows in fresh cells", func(_ *testing.T, s *Server, _ http.Handler, cell int) {
+			s.PCRF().RegisterDataFlow(cell, 1)
+			s.PCRF().UnregisterDataFlow(cell, 1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +150,12 @@ func TestUnheldCellsRetainNothing(t *testing.T) {
 			s.mu.RUnlock()
 			if held != 0 {
 				t.Errorf("%d cells held, want 0", held)
+			}
+			s.pcrf.mu.Lock()
+			pcrfHeld := len(s.pcrf.cells)
+			s.pcrf.mu.Unlock()
+			if pcrfHeld != 0 {
+				t.Errorf("PCRF holds %d cells, want 0", pcrfHeld)
 			}
 		})
 	}

@@ -239,11 +239,7 @@ func (h handler) poll(w http.ResponseWriter, cellID, flowID int) {
 // retryAfterSeconds is the Retry-After hint a 503 carries: one BAI
 // rounded up to a whole second (the header's granularity).
 func retryAfterSeconds(s *Server) int {
-	secs := int(s.cfg.BAI / time.Second)
-	if s.cfg.BAI%time.Second != 0 || secs == 0 {
-		secs++
-	}
-	return secs
+	return int((s.cfg.BAI + time.Second - 1) / time.Second)
 }
 
 // readBody reads a request body of at most maxBodyBytes in one piece.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/flare-sim/flare/internal/core"
 )
@@ -84,6 +85,34 @@ func TestOutsideInputKeepsCellServing(t *testing.T) {
 	}
 	if sets, _ := core.SolverScratchStats(); sets != sets0 {
 		t.Errorf("solver scratch sets %d -> %d over four more rounds of one cell", sets0, sets)
+	}
+}
+
+// TestRetryAfterReadsTheNormalizedBAI: a BAI the controllers replace
+// by the default (1 s) is replaced in a refusal's Retry-After hint too,
+// never sent as a negative or zero wait.
+func TestRetryAfterReadsTheNormalizedBAI(t *testing.T) {
+	for _, bai := range []time.Duration{-3 * time.Second, 0} {
+		cfg := core.DefaultConfig()
+		cfg.AdmissionControl = true
+		cfg.BAI = bai
+		h := Handler(NewServer(cfg, nil))
+		serve := func(body string) *httptest.ResponseRecorder {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest("POST", "/oneapi/v4/cells/0/sessions", strings.NewReader(body)))
+			return rr
+		}
+		// One 3 Mbps floor fills the cell's admission budget.
+		if rr := serve(`{"flow_id":1,"ladder_bps":[3000000,4500000]}`); rr.Code != http.StatusCreated {
+			t.Fatalf("BAI %v: first open: %d %s", bai, rr.Code, rr.Body)
+		}
+		rr := serve(`{"flow_id":2,"ladder_bps":[3000000,4500000]}`)
+		if rr.Code != http.StatusServiceUnavailable {
+			t.Fatalf("BAI %v: open into the full cell: %d %s, want 503", bai, rr.Code, rr.Body)
+		}
+		if got := rr.Header().Get("Retry-After"); got != "1" {
+			t.Errorf("BAI %v: Retry-After %q, want \"1\"", bai, got)
+		}
 	}
 }
 

@@ -27,11 +27,17 @@ func (p *PCRF) RegisterDataFlow(cellID, flowID int) {
 	c[flowID] = struct{}{}
 }
 
-// UnregisterDataFlow removes a departed data flow.
+// UnregisterDataFlow removes a departed data flow. A cell whose last
+// data flow departs is dropped, so the registry holds only cells with
+// data flows.
 func (p *PCRF) UnregisterDataFlow(cellID, flowID int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.cells[cellID], flowID)
+	c := p.cells[cellID]
+	delete(c, flowID)
+	if len(c) == 0 {
+		delete(p.cells, cellID)
+	}
 }
 
 // NumDataFlows returns the live data-flow count for a cell.

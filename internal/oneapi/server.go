@@ -113,12 +113,14 @@ type Server struct {
 	inflight atomic.Int64
 }
 
-// NewServer builds a OneAPI server that creates controllers with cfg.
+// NewServer builds a OneAPI server that creates controllers with cfg,
+// normalized once (core.Config.Normalized): the Retry-After hint and the
+// controllers read the same BAI.
 func NewServer(cfg core.Config, pcrf *PCRF) *Server {
 	if pcrf == nil {
 		pcrf = NewPCRF()
 	}
-	return &Server{cfg: cfg, pcrf: pcrf, cells: make(map[int]*cellState)}
+	return &Server{cfg: cfg.Normalized(), pcrf: pcrf, cells: make(map[int]*cellState)}
 }
 
 // NewServerSharded is NewServer; the shard count is ignored.
