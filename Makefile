@@ -71,7 +71,7 @@ race:
 # check is the full verification gate: build, lint
 # (staticcheck-if-present), vet, then race-enabled tests. Under -race an
 # allocation pin counts a few objects more (the four-cell multi-cell run
-# 53.8 per cell against 50.8), so each pin's bound is set per build in
+# 52.8 per cell against 49.8), so each pin's bound is set per build in
 # a build-tagged pair of files (allocbounds_race_test.go and
 # allocbounds_norace_test.go): this run checks the -race figures and a
 # plain `go test ./...` the plain ones, each to the pin's own margin.

@@ -1,6 +1,6 @@
 package flare
 
-// One sub-benchmark per registered flaresuite spec (every table and
+// One sub-benchmark per shipped flaresuite scenario (every table and
 // figure in the paper's evaluation, the extensions and the matrix-native
 // scenarios), plus micro-benchmarks and ablations of the core design
 // choices. The spec benchmarks run the whole runner at a benchmark
@@ -24,15 +24,15 @@ import (
 	"github.com/flare-sim/flare/internal/sim"
 )
 
-// BenchmarkScenario runs every registered spec's base point through
+// BenchmarkScenario runs every shipped spec's base point through
 // the flaresuite runner. Acceptance gates are not held at this scale
 // (a spec may report fail); a spec that produces neither notes nor
 // metrics fails the benchmark.
 func BenchmarkScenario(b *testing.B) {
-	for _, spec := range flaresuite.Default().Specs() {
+	for _, spec := range flaresuite.Scenarios() {
 		b.Run(spec.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sum, err := flaresuite.Run(context.Background(), flaresuite.Default(), flaresuite.Options{
+				sum, err := flaresuite.Run(context.Background(), flaresuite.Scenarios(), flaresuite.Options{
 					Factor: 0.05, Runs: 2, Names: []string{spec.Name},
 				})
 				if err != nil {

@@ -58,6 +58,12 @@ import (
 	"github.com/flare-sim/flare/internal/profiling"
 )
 
+// parseScheme resolves a -scheme or -mix scheme name in any case and
+// with surrounding space ("FLARE", " festive").
+func parseScheme(name string) (cellsim.Scheme, error) {
+	return cellsim.ParseScheme(strings.ToLower(strings.TrimSpace(name)))
+}
+
 // parseWindows parses comma-separated "from-to" blackout windows, e.g.
 // "60s-90s,300s-330s".
 func parseWindows(s string) ([]faults.Window, error) {
@@ -139,7 +145,7 @@ func run() int {
 		}
 	}()
 
-	scheme, err := cellsim.ParseScheme(*schemeName)
+	scheme, err := parseScheme(*schemeName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flaresim: -scheme: %v\n", err)
 		return 2
@@ -152,7 +158,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "flaresim: -mix group %q: want \"scheme:count\"\n", part)
 				return 2
 			}
-			gs, err := cellsim.ParseScheme(strings.ToLower(strings.TrimSpace(name)))
+			gs, err := parseScheme(name)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "flaresim: -mix: %v\n", err)
 				return 2
@@ -236,10 +242,8 @@ func run() int {
 
 	// Churn: -churn gives the mean session length, -offered-load the
 	// arrival rate as a multiple of the cell's floor-carrying capacity
-	// (how many sessions the RB budget holds at the ladder's lowest
-	// encoding). Little's law turns the pair into a Poisson
-	// interarrival gap. The capacity estimate needs a fixed link, so
-	// churn is pinned to the static channel.
+	// (Config.OfferedChurn). The capacity estimate needs a fixed link,
+	// so churn is pinned to the static channel.
 	if *churnDur > 0 || *offeredLoad > 0 {
 		if *churnDur <= 0 || *offeredLoad <= 0 {
 			fmt.Fprintln(os.Stderr, "flaresim: -churn and -offered-load go together")
@@ -253,14 +257,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "flaresim: -churn does not support -mix")
 			return 2
 		}
-		floorSessions := lte.CellRateBps(*iTbs) * cfg.Flare.CapacityMargin / cfg.Ladder.Min()
-		gap := churnDur.Seconds() / (*offeredLoad * floorSessions)
 		cfg.NumVideo = 0 // the generator populates the cell
-		cfg.Churn = cellsim.ChurnConfig{
-			Enabled:          true,
-			MeanInterarrival: time.Duration(gap * float64(time.Second)),
-			MeanDuration:     *churnDur,
-		}
+		cfg.Churn = cfg.OfferedChurn(*offeredLoad, *churnDur)
 	}
 
 	// Telemetry: -trace streams the event log as JSONL, -metrics-dump

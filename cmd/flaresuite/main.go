@@ -1,4 +1,4 @@
-// Command flaresuite lists and runs the scenario registry: the report
+// Command flaresuite lists and runs the scenario table: the report
 // specs that reproduce the paper's tables and figures (table1 ... fig12)
 // and its extensions (ext-*), plus the matrix-native specs over the
 // channel x churn x faults x mix x ladder axis space, expanded
@@ -127,7 +127,7 @@ func runList(args []string) int {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
-	instances, err := flaresuite.Expand(flaresuite.Default(), flaresuite.Options{
+	instances, err := flaresuite.Expand(flaresuite.Scenarios(), flaresuite.Options{
 		Expand: *matrix, AxisFilter: filter, Names: splitNames(fs.Arg(0)),
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func runRun(args []string) int {
 	}
 
 	ctx := graceful.NotifyContext(context.Background())
-	sum, err := flaresuite.Run(ctx, flaresuite.Default(), opts)
+	sum, err := flaresuite.Run(ctx, flaresuite.Scenarios(), opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 1

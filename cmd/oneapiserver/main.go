@@ -134,8 +134,7 @@ func run() int {
 			*faultDrop, *faultFail, *faultDelay, len(faultCfg.Blackouts))
 	}
 
-	fmt.Printf("oneapiserver: listening on %s (alpha=%.2f delta=%d bai=%v relax=%v)\n",
-		*addr, *alpha, *delta, *bai, *relax)
+	fmt.Print(banner(*addr, cfg))
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	logf := func(format string, args ...any) {
 		fmt.Printf("oneapiserver: "+format+"\n", args...)
@@ -155,6 +154,14 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// banner is the start-up line. It shows the configuration the server
+// runs on, normalised: a -bai of -3s prints the 1 s BAI it falls back to.
+func banner(addr string, cfg core.Config) string {
+	cfg = cfg.Normalized()
+	return fmt.Sprintf("oneapiserver: listening on %s (alpha=%.2f delta=%d bai=%v relax=%v)\n",
+		addr, cfg.Alpha, cfg.Delta, cfg.BAI, cfg.UseRelaxation)
 }
 
 // buildHandler assembles the full HTTP surface: the OneAPI handler

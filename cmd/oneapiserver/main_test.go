@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/faults"
@@ -108,6 +109,22 @@ func TestMetricsReachableDuringBlackout(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics during blackout: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestBannerShowsNormalizedConfig pins the start-up line to the
+// configuration the server runs on: a negative BAI falls back to the
+// 1 s default, and so does a negative alpha, so the line must say so
+// rather than echo the flags.
+func TestBannerShowsNormalizedConfig(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Alpha = -2
+	cfg.Delta = 3
+	cfg.BAI = -3 * time.Second
+	got := banner("127.0.0.1:8491", cfg)
+	want := "oneapiserver: listening on 127.0.0.1:8491 (alpha=1.00 delta=3 bai=1s relax=false)\n"
+	if got != want {
+		t.Errorf("banner = %q, want %q", got, want)
 	}
 }
 

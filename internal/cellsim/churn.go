@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/flare-sim/flare/internal/lte"
 	"github.com/flare-sim/flare/internal/sim"
 )
 
@@ -36,6 +37,22 @@ type ChurnConfig struct {
 	// MaxSessions bounds the generated population (0 = default 256) so
 	// a misconfigured load cannot allocate an unbounded cell.
 	MaxSessions int
+}
+
+// OfferedChurn returns the churn generator that offers load times the
+// cell's floor-carrying capacity — the sessions its RB budget, scaled
+// by Flare.CapacityMargin, holds at the ladder's lowest encoding on the
+// static channel at Channel.StaticITbs — with sessions of meanDuration:
+// Little's law turns the pair into the Poisson interarrival gap. The
+// estimate needs a fixed link, so cfg's channel must be static.
+func (cfg *Config) OfferedChurn(load float64, meanDuration time.Duration) ChurnConfig {
+	floorSessions := lte.CellRateBps(cfg.Channel.StaticITbs) * cfg.Flare.CapacityMargin / cfg.Ladder.Min()
+	gap := meanDuration.Seconds() / (load * floorSessions)
+	return ChurnConfig{
+		Enabled:          true,
+		MeanInterarrival: time.Duration(gap * float64(time.Second)),
+		MeanDuration:     meanDuration,
+	}
 }
 
 // validate checks the generator parameters (only when enabled).

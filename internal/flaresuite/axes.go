@@ -15,7 +15,7 @@ import (
 // The axis taxonomy. Every scenario is one point (or, with a Matrix, a
 // cross-product of points) in this space; BuildConfig compiles a point
 // into a cellsim.Config. Unknown values are errors, not silent
-// defaults — the registry validates every spec at registration time.
+// defaults — Expand validates every spec before it lists or runs one.
 const (
 	// Channel axis: the link model under the cell.
 	ChannelStatic     = "static"     // fixed MCS for every UE
@@ -371,17 +371,8 @@ func BuildConfig(a Axes, scale Scale) (cellsim.Config, error) {
 		cfg.Duration = scaled(base, scale)
 		cfg.Channel = cellsim.ChannelSpec{Kind: cellsim.ChannelStatic, StaticITbs: churnITbs}
 		cfg.NumVideo = 0
-		// Little's law: the interarrival gap that offers Load x the
-		// floor-carrying capacity (sessions the RB budget holds at the
-		// ladder's lowest encoding) at the churn mean duration.
-		floorSessions := lte.CellRateBps(churnITbs) * cfg.Flare.CapacityMargin / cfg.Ladder.Min()
-		gap := churnMeanDuration.Seconds() / (a.Load * floorSessions)
-		cfg.Churn = cellsim.ChurnConfig{
-			Enabled:          true,
-			MeanInterarrival: time.Duration(gap * float64(time.Second)),
-			MeanDuration:     churnMeanDuration,
-			MaxSessions:      2048,
-		}
+		cfg.Churn = cfg.OfferedChurn(a.Load, churnMeanDuration)
+		cfg.Churn.MaxSessions = 2048
 	case ChurnFlash:
 		n := a.Videos
 		if n == 0 {

@@ -1,10 +1,11 @@
-// Package flaresuite is the one experiment runner: a registry of named
-// ScenarioSpecs, a hivesim-style Suite/T API for scenario bodies, and a
-// runner that executes the selected specs in sequence, each point's
-// seeded runs fanned out across cores by one worker pool with
-// deterministic, run-ordered result collection.
+// Package flaresuite is the one experiment runner: one ordered table of
+// named ScenarioSpecs (Scenarios), a hivesim-style T API for scenario
+// bodies, and a runner that validates a table, then executes the
+// selected specs in sequence, each point's seeded runs fanned out
+// across cores by one worker pool with deterministic, run-ordered
+// result collection.
 //
-// Two kinds of spec share the registry. The report specs reproduce the
+// Two kinds of spec share the table. The report specs reproduce the
 // paper's evaluation (Tables I-II, Figures 4-12) and its extensions
 // (ext-coexist, ext-abr, ext-faults, ext-saturation): each body builds a
 // Report, written as <id>.txt plus <id>.csv, which is the results/ file

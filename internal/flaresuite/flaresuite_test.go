@@ -12,43 +12,22 @@ import (
 	"github.com/flare-sim/flare/internal/flaresuite"
 )
 
-// noopSpec returns a registrable spec with an empty body.
+// noopSpec returns a valid spec with an empty body.
 func noopSpec(name string) flaresuite.ScenarioSpec {
 	return flaresuite.ScenarioSpec{Name: name, Run: func(t *flaresuite.T) {}}
 }
 
-// mustPanic runs fn and asserts it panics with a message containing want.
-func mustPanic(t *testing.T, want string, fn func()) {
-	t.Helper()
-	defer func() {
-		t.Helper()
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic; want one containing %q", want)
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic %v; want message containing %q", r, want)
-		}
-	}()
-	fn()
-}
-
-// TestRegisterDuplicatePanics pins the database/sql-style registration
-// contract: the second registration of a name is a programming error.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	reg := flaresuite.NewRegistry()
-	reg.Register(noopSpec("dup"))
-	mustPanic(t, "registered twice", func() { reg.Register(noopSpec("dup")) })
-}
-
-// TestRegisterRejectsInvalidSpecs pins that bad names, bad axis values,
-// and bad matrices all surface at registration time, not at run time.
+// TestRegisterRejectsInvalidSpecs pins that a table with a duplicate
+// name, a bad name, bad axis values or a bad matrix is refused by
+// Expand — the door both `flaresuite list` and `run` go through —
+// before anything is listed or run, whichever specs are selected.
 func TestRegisterRejectsInvalidSpecs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec flaresuite.ScenarioSpec
 		want string
 	}{
+		{"duplicate name", noopSpec("ok"), `scenario "ok" listed twice`},
 		{"bad name", flaresuite.ScenarioSpec{Name: "Bad Name"}, "invalid scenario name"},
 		{"unknown channel", flaresuite.ScenarioSpec{
 			Name: "s", Axes: flaresuite.Axes{Channel: "warp"},
@@ -67,8 +46,12 @@ func TestRegisterRejectsInvalidSpecs(t *testing.T) {
 		}, `unknown axis "bogus"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := flaresuite.NewRegistry()
-			mustPanic(t, tc.want, func() { reg.Register(tc.spec) })
+			specs := []flaresuite.ScenarioSpec{noopSpec("ok"), tc.spec}
+			for _, opts := range []flaresuite.Options{{}, {Expand: true}, {Names: []string{"ok"}}} {
+				if _, err := flaresuite.Expand(specs, opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("Expand(%+v): got %v, want an error containing %q", opts, err, tc.want)
+				}
+			}
 		})
 	}
 }
@@ -141,16 +124,15 @@ func TestMatrixExpansion(t *testing.T) {
 // TestExpandFilters pins the runner-level selection: unknown names are
 // errors, axis filters subset the expansion.
 func TestExpandFilters(t *testing.T) {
-	reg := flaresuite.NewRegistry()
 	spec := noopSpec("sweep")
 	spec.Matrix = flaresuite.Matrix{"mix": {flaresuite.MixFLARE, flaresuite.MixFESTIVE}}
-	reg.Register(spec)
+	specs := []flaresuite.ScenarioSpec{spec}
 
-	if _, err := flaresuite.Expand(reg, flaresuite.Options{Names: []string{"nope"}}); err == nil ||
+	if _, err := flaresuite.Expand(specs, flaresuite.Options{Names: []string{"nope"}}); err == nil ||
 		!strings.Contains(err.Error(), `unknown scenario "nope"`) {
 		t.Errorf("unknown name: got %v, want unknown-scenario error", err)
 	}
-	insts, err := flaresuite.Expand(reg, flaresuite.Options{
+	insts, err := flaresuite.Expand(specs, flaresuite.Options{
 		Expand: true, AxisFilter: map[string]string{"mix": flaresuite.MixFESTIVE},
 	})
 	if err != nil {
@@ -181,7 +163,7 @@ func TestRunLockstepAcrossWorkers(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		o := opts
 		o.OutDir = t.TempDir()
-		sum, err := flaresuite.Run(context.Background(), flaresuite.Default(), o)
+		sum, err := flaresuite.Run(context.Background(), flaresuite.Scenarios(), o)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -220,15 +202,13 @@ func TestRunLockstepAcrossWorkers(t *testing.T) {
 // run) and the summary still reports them — and a skipped matrix is
 // not Ok.
 func TestRunCancelledContextSkips(t *testing.T) {
-	reg := flaresuite.NewRegistry()
 	ran := false
 	spec := noopSpec("never")
 	spec.Run = func(*flaresuite.T) { ran = true }
-	reg.Register(spec)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sum, err := flaresuite.Run(ctx, reg, flaresuite.Options{Scale: "quick"})
+	sum, err := flaresuite.Run(ctx, []flaresuite.ScenarioSpec{spec}, flaresuite.Options{Scale: "quick"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // tinyScale keeps report tests fast: 30 s scenarios, 1 run.
 func tinyScale() Scale { return Scale{DurationFactor: 0.025, Runs: 1} }
 
-// within runs body as a scenario at scale, outside the registry and its
+// within runs body as a scenario at scale, outside the table and its
 // acceptance gates, and fails the test if the body fails.
 func within(tb testing.TB, scale Scale, body func(*T)) {
 	tb.Helper()
@@ -36,13 +36,30 @@ func buildReport(tb testing.TB, build func(*T) *Report, scale Scale) *Report {
 	return rep
 }
 
-func TestAllRegistryComplete(t *testing.T) {
+// reportBuilders lists the report specs' builders in table order, so
+// their reports can be built without the specs' acceptance gates.
+var reportBuilders = []struct {
+	name  string
+	build func(*T) *Report
+}{
+	{"table1", table1}, {"table2", table2}, {"fig4", fig4}, {"fig5", fig5},
+	{"fig6", fig6}, {"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
+	{"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12},
+	{"ext-coexist", extCoexist}, {"ext-abr", extABR},
+	{"ext-faults", extFaults}, {"ext-saturation", extSaturation},
+}
+
+// TestScenarioTable pins the shipped table: the 15 report specs in
+// paper order, then the three matrix-native ones, each complete and
+// valid (Expand checks names, uniqueness, axes and matrices), and the
+// full matrix expansion's 22 instances.
+func TestScenarioTable(t *testing.T) {
 	want := []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "ext-coexist", "ext-abr",
 		"ext-faults", "ext-saturation", "flash-crowd", "het-ladders", "churn-soak"}
-	all := Default().Specs()
+	all := Scenarios()
 	if len(all) != len(want) {
-		t.Fatalf("registry has %d specs, want %d", len(all), len(want))
+		t.Fatalf("table has %d specs, want %d", len(all), len(want))
 	}
 	for i, s := range all {
 		if s.Name != want[i] {
@@ -52,17 +69,28 @@ func TestAllRegistryComplete(t *testing.T) {
 			t.Errorf("spec %q incomplete", s.Name)
 		}
 	}
-	if len(reports) != 15 {
-		t.Errorf("%d report specs, want 15", len(reports))
+	for i, r := range reportBuilders {
+		if r.name != want[i] {
+			t.Errorf("report builder %d = %q, want %q", i, r.name, want[i])
+		}
+	}
+	insts, err := Expand(all, Options{Expand: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(insts) != 22 {
+		t.Errorf("Expand(matrix): %d instances, want 22 (15 report specs + 7 matrix points)", len(insts))
 	}
 }
 
+// TestByID pins selection by name: Expand picks the named spec alone
+// and refuses a name the table does not hold.
 func TestByID(t *testing.T) {
-	s, ok := Default().Lookup("fig6")
-	if !ok || s.Name != "fig6" {
-		t.Fatalf("Lookup(fig6) = %+v, %v", s, ok)
+	insts, err := Expand(Scenarios(), Options{Names: []string{"fig6"}})
+	if err != nil || len(insts) != 1 || insts[0].Spec.Name != "fig6" {
+		t.Fatalf("Expand(fig6) = %+v, %v", insts, err)
 	}
-	if _, ok := Default().Lookup("nope"); ok {
+	if _, err := Expand(Scenarios(), Options{Names: []string{"nope"}}); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 }
@@ -189,7 +217,7 @@ func TestRunManyDeterministicSeeds(t *testing.T) {
 	scale := Scale{DurationFactor: 0.025, Runs: 2}
 	var a, b []*cellsim.Result
 	within(t, scale, func(t *T) {
-		cfg := testbedConfig(cellsim.SchemeFESTIVE, false, t.Scale())
+		cfg := testbedConfig(cellsim.SchemeFESTIVE, false, t.scale)
 		a, b = t.runs(cfg), t.runs(cfg)
 	})
 	for i := range a {
@@ -279,16 +307,16 @@ func TestExtFaultsNeverBelowBaseline(t *testing.T) {
 
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-registry smoke is not for -short")
+		t.Skip("the every-report smoke is not for -short")
 	}
-	for _, r := range reports {
-		t.Run(r.id, func(t *testing.T) {
+	for _, r := range reportBuilders {
+		t.Run(r.name, func(t *testing.T) {
 			rep := buildReport(t, r.build, tinyScale())
 			if len(rep.Tables) == 0 && len(rep.Series) == 0 {
 				t.Fatal("no output")
 			}
-			if rep.ID != r.id {
-				t.Fatalf("report ID %q != spec name %q", rep.ID, r.id)
+			if rep.ID != r.name {
+				t.Fatalf("report ID %q != spec name %q", rep.ID, r.name)
 			}
 			if err := rep.WriteFiles(t.TempDir()); err != nil {
 				t.Fatal(err)
@@ -328,11 +356,11 @@ func TestExtSaturationGate(t *testing.T) {
 }
 
 // TestReportGolden pins report bytes: table1 and ext-faults at factor
-// 0.025 / 1 run, run through the registry, must reproduce
+// 0.025 / 1 run, run through the scenario table, must reproduce
 // testdata/*.golden exactly.
 func TestReportGolden(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), Default(), Options{
+	if _, err := Run(context.Background(), Scenarios(), Options{
 		Factor: 0.025, Runs: 1, OutDir: dir, Names: []string{"table1", "ext-faults"},
 	}); err != nil {
 		t.Fatal(err)

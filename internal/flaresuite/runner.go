@@ -108,15 +108,22 @@ func (s *Summary) Table() string {
 // an interrupted matrix is not a green matrix).
 func (s *Summary) Ok() bool { return s.Failed == 0 && s.Skipped == 0 }
 
-// Expand resolves the registry's specs through the options' name
-// filter, matrix expansion, and axis filter, in registration order.
-func Expand(reg *Registry, opts Options) ([]Instance, error) {
-	specs := reg.Specs()
-	if len(opts.Names) > 0 {
-		byName := make(map[string]ScenarioSpec, len(specs))
-		for _, s := range specs {
-			byName[s.Name] = s
+// Expand validates every spec of the table (a safe, unique name, valid
+// base axes, a matrix that expands), then resolves the specs through
+// the options' name filter, matrix expansion, and axis filter, in table
+// order.
+func Expand(specs []ScenarioSpec, opts Options) ([]Instance, error) {
+	byName := make(map[string]ScenarioSpec, len(specs))
+	for _, s := range specs {
+		if err := s.validate(); err != nil {
+			return nil, err
 		}
+		if _, dup := byName[s.Name]; dup {
+			return nil, fmt.Errorf("flaresuite: scenario %q listed twice", s.Name)
+		}
+		byName[s.Name] = s
+	}
+	if len(opts.Names) > 0 {
 		picked := make([]ScenarioSpec, 0, len(opts.Names))
 		for _, name := range opts.Names {
 			s, ok := byName[name]
@@ -170,19 +177,19 @@ func resolveScale(opts Options) (Scale, error) {
 	return scale, nil
 }
 
-// Run expands the registry through opts and executes every instance in
+// Run expands the table through opts and executes every instance in
 // sequence; within an instance, each point's seeded runs share one
 // GOMAXPROCS-wide worker pool. Completed scenarios flush their
 // artifacts as they finish; when ctx is cancelled (the graceful drain)
 // instances not yet started are marked skipped, the in-flight one
 // finishes or reports interrupted, and the summary — covering
 // everything that did complete — is still written.
-func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
+func Run(ctx context.Context, specs []ScenarioSpec, opts Options) (*Summary, error) {
 	scale, err := resolveScale(opts)
 	if err != nil {
 		return nil, err
 	}
-	instances, err := Expand(reg, opts)
+	instances, err := Expand(specs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,11 +242,11 @@ func Run(ctx context.Context, reg *Registry, opts Options) (*Summary, error) {
 }
 
 // runInstance executes one scenario instance, converting Fatalf unwinds
-// and body panics into failures instead of crashing the matrix.
+// and body panics (a nil Run among them) into failures instead of
+// crashing the matrix.
 func runInstance(ctx context.Context, inst Instance, scale Scale, outRoot string, pool *sim.WorkerPool) ScenarioSummary {
 	t := &T{
 		name:  inst.Name,
-		spec:  inst.Spec,
 		axes:  inst.Axes,
 		scale: scale,
 		ctx:   ctx,
@@ -266,11 +273,7 @@ func runInstance(ctx context.Context, inst Instance, scale Scale, outRoot string
 				}
 			}
 		}()
-		body := inst.Spec.Run
-		if body == nil {
-			body = defaultBody
-		}
-		body(t)
+		inst.Spec.Run(t)
 	}()
 	switch {
 	case t.failed && ctx.Err() != nil:

@@ -1,7 +1,8 @@
 // The matrix-native scenarios: workloads that exist only as axis
 // points, with no bespoke experiment code behind them. Each body is the
 // declarative pattern the harness is for — compile the axes, run the
-// point, assert the claim, record the standard metrics.
+// point, assert the claim, record the standard metrics. Their names,
+// axes and matrices sit in the scenario table (specs.go).
 package flaresuite
 
 import (
@@ -10,102 +11,85 @@ import (
 	"github.com/flare-sim/flare/internal/metrics"
 )
 
-func init() {
-	Register(ScenarioSpec{
-		Name:        "flash-crowd",
-		Description: "a synchronized arrival burst hits a static cell; residents keep their floors (FLARE) and the whole crowd reaches playback",
-		Axes:        Axes{Channel: ChannelStatic, Churn: ChurnFlash, Mix: MixFLARE},
-		Matrix:      Matrix{"mix": {MixFLARE, MixFESTIVE}},
-		Run: func(t *T) {
-			results := t.MustRunPoint()
-			t.RecordStandard(results)
-			var residentStalls float64
-			for _, r := range results {
-				n := len(r.Clients)
-				residents := FlashResidents(n)
-				started := 0
-				for i, c := range r.Clients {
-					t.AssertTrue(c.Segments > 0, "client %d downloaded nothing through the burst", c.FlowID)
-					if c.StartupDelaySeconds >= 0 {
-						started++
-					}
-					if i < residents {
-						residentStalls += c.StallSeconds
-					}
-				}
-				t.AssertTrue(started == n, "only %d/%d clients reached playback after the burst", started, n)
+// flashCrowd is the flash-crowd body: every client of the burst reaches
+// playback and, under FLARE, the resident cohort never rebuffers.
+func flashCrowd(t *T) {
+	results := t.MustRunPoint()
+	t.RecordStandard(results)
+	var residentStalls float64
+	for _, r := range results {
+		n := len(r.Clients)
+		residents := FlashResidents(n)
+		started := 0
+		for i, c := range r.Clients {
+			t.AssertTrue(c.Segments > 0, "client %d downloaded nothing through the burst", c.FlowID)
+			if c.StartupDelaySeconds >= 0 {
+				started++
 			}
-			t.Metric("resident_stall_s", residentStalls)
-			if t.Axes().Mix == MixFLARE {
-				t.AssertTrue(residentStalls == 0,
-					"resident cohort rebuffered %.1f s under the burst; coordination should hold their floors", residentStalls)
+			if i < residents {
+				residentStalls += c.StallSeconds
 			}
-		},
-	})
+		}
+		t.AssertTrue(started == n, "only %d/%d clients reached playback after the burst", started, n)
+	}
+	t.Metric("resident_stall_s", residentStalls)
+	if t.Axes().Mix == MixFLARE {
+		t.AssertTrue(residentStalls == 0,
+			"resident cohort rebuffered %.1f s under the burst; coordination should hold their floors", residentStalls)
+	}
+}
 
-	Register(ScenarioSpec{
-		Name:        "het-ladders",
-		Description: "one static FLARE cell swept across heterogeneous encoding ladders (coarse/testbed/fine grain)",
-		Axes:        Axes{Channel: ChannelStatic, Mix: MixFLARE, Ladder: LadderSim},
-		Matrix:      Matrix{"ladder": {LadderSim, LadderTestbed, LadderFine}},
-		Run: func(t *T) {
-			results := t.MustRunPoint()
-			t.RecordStandard(results)
-			cfg, err := t.Config()
-			if err != nil {
-				t.Fatalf("%v", err)
-			}
-			for _, r := range results {
-				for _, c := range r.Clients {
-					t.AssertTrue(c.Segments > 0, "client %d downloaded nothing", c.FlowID)
-					t.AssertInRange(fmt.Sprintf("client %d mean encoding rate", c.FlowID),
-						c.AvgRateBps, cfg.Ladder.Min(), cfg.Ladder.Max())
-				}
-			}
-		},
-	})
+// hetLadders is the het-ladders body: every client streams, at a mean
+// encoding rate inside its ladder.
+func hetLadders(t *T) {
+	results := t.MustRunPoint()
+	t.RecordStandard(results)
+	cfg := t.build(t.axes)
+	for _, r := range results {
+		for _, c := range r.Clients {
+			t.AssertTrue(c.Segments > 0, "client %d downloaded nothing", c.FlowID)
+			t.AssertInRange(fmt.Sprintf("client %d mean encoding rate", c.FlowID),
+				c.AvgRateBps, cfg.Ladder.Min(), cfg.Ladder.Max())
+		}
+	}
+}
 
-	Register(ScenarioSpec{
-		Name:        "churn-soak",
-		Description: "long-horizon Poisson/Pareto churn at the floor operating point; per-cohort rates stay stationary across thirds of the arrival sequence",
-		Axes:        Axes{Channel: ChannelStatic, Churn: ChurnSoak, Mix: MixFLARE, Load: 0.7},
-		Matrix:      Matrix{"load": {"0.7", "1.0"}},
-		Run: func(t *T) {
-			results := t.MustRunPoint()
-			t.RecordStandard(results)
-			maxDev := 0.0
-			for _, r := range results {
-				// Clients are in arrival order (the churn generator's
-				// schedule); stationarity = each third of the arrival
-				// sequence sees the same mean encoding rate, i.e. the
-				// soak neither drifts nor starves late arrivals.
-				var rates []float64
-				for _, c := range r.Clients {
-					if c.Segments > 0 {
-						rates = append(rates, c.AvgRateBps)
-					}
-				}
-				if len(rates) < 9 {
-					t.Errorf("only %d sessions completed a segment; the soak needs a sustained population", len(rates))
-					continue
-				}
-				overall := metrics.Mean(rates)
-				third := len(rates) / 3
-				for k := 0; k < 3; k++ {
-					lo, hi := k*third, (k+1)*third
-					if k == 2 {
-						hi = len(rates)
-					}
-					dev := metrics.Mean(rates[lo:hi]) / overall
-					if d := absDev(dev); d > maxDev {
-						maxDev = d
-					}
-					t.AssertInRange(fmt.Sprintf("arrival-third %d mean rate vs overall", k+1), dev, 0.5, 1.5)
-				}
+// churnSoak is the churn-soak body: each third of the arrival sequence
+// sees the same mean encoding rate.
+func churnSoak(t *T) {
+	results := t.MustRunPoint()
+	t.RecordStandard(results)
+	maxDev := 0.0
+	for _, r := range results {
+		// Clients are in arrival order (the churn generator's schedule);
+		// stationarity = each third of the arrival sequence sees the
+		// same mean encoding rate, i.e. the soak neither drifts nor
+		// starves late arrivals.
+		var rates []float64
+		for _, c := range r.Clients {
+			if c.Segments > 0 {
+				rates = append(rates, c.AvgRateBps)
 			}
-			t.Metric("stationarity_max_dev", maxDev)
-		},
-	})
+		}
+		if len(rates) < 9 {
+			t.Errorf("only %d sessions completed a segment; the soak needs a sustained population", len(rates))
+			continue
+		}
+		overall := metrics.Mean(rates)
+		third := len(rates) / 3
+		for k := 0; k < 3; k++ {
+			lo, hi := k*third, (k+1)*third
+			if k == 2 {
+				hi = len(rates)
+			}
+			dev := metrics.Mean(rates[lo:hi]) / overall
+			if d := absDev(dev); d > maxDev {
+				maxDev = d
+			}
+			t.AssertInRange(fmt.Sprintf("arrival-third %d mean rate vs overall", k+1), dev, 0.5, 1.5)
+		}
+	}
+	t.Metric("stationarity_max_dev", maxDev)
 }
 
 // absDev returns |ratio - 1|.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime/debug"
 	"sort"
 
@@ -16,11 +17,9 @@ import (
 )
 
 // ScenarioSpec is one declarative scenario: a name, one point in the
-// axis space, an optional matrix of axis sweeps, and an optional body.
-// A nil Run gets the default body: run the point and record the
-// standard QoE/rate/stall/fairness metrics.
+// axis space, an optional matrix of axis sweeps, and a body.
 type ScenarioSpec struct {
-	// Name identifies the scenario (registry key, CLI filter token,
+	// Name identifies the scenario (table key, CLI filter token,
 	// artifact directory name).
 	Name string
 	// Description is the one-line intent shown by `flaresuite list`.
@@ -30,12 +29,27 @@ type ScenarioSpec struct {
 	// Matrix optionally sweeps axes; `flaresuite run -matrix` expands
 	// the cross-product into one instance per point.
 	Matrix Matrix
-	// Tune optionally adjusts the compiled config after BuildConfig —
-	// the escape hatch for knobs outside the axis taxonomy (alpha,
-	// admission control, buffer caps). It runs once per (run, cell).
-	Tune func(*cellsim.Config)
-	// Run is the scenario body. Nil uses the default body.
+	// Run is the scenario body.
 	Run func(t *T)
+}
+
+// scenarioName constrains spec names to safe artifact-directory and
+// filter tokens.
+var scenarioName = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
+
+// validate checks what Expand requires of every spec in a table: a
+// safe name, valid base axes, and a matrix that expands over them.
+func (s ScenarioSpec) validate() error {
+	if !scenarioName.MatchString(s.Name) {
+		return fmt.Errorf("flaresuite: invalid scenario name %q", s.Name)
+	}
+	if err := s.Axes.Validate(); err != nil {
+		return fmt.Errorf("flaresuite: scenario %q: %w", s.Name, err)
+	}
+	if _, _, err := s.Matrix.expand(s.Axes.withDefaults()); err != nil {
+		return fmt.Errorf("flaresuite: scenario %q: %w", s.Name, err)
+	}
+	return nil
 }
 
 // Instance is one runnable point of a spec: the spec itself with its
@@ -75,12 +89,11 @@ func (s ScenarioSpec) Instances(expand bool) ([]Instance, error) {
 type failNow struct{}
 
 // T is a running scenario, handed to spec bodies — a testing.T-shaped
-// surface (Fatalf/Errorf/Logf/Assert*) plus the harness hooks: the
-// compiled axes, seeded engine runs, per-scenario artifacts, and the
-// metrics/notes that land in summary.json.
+// surface (Fatalf/Errorf/Assert*) plus the harness hooks: the compiled
+// axes, seeded engine runs, per-scenario artifacts, and the metrics and
+// report notes that land in summary.json.
 type T struct {
 	name  string
-	spec  ScenarioSpec
 	axes  Axes
 	scale Scale
 	ctx   context.Context
@@ -90,31 +103,13 @@ type T struct {
 
 	failed    bool
 	failures  []string
-	logs      []string
 	notes     []string
 	metricsM  map[string]float64
 	artifacts []string
 }
 
-// Name returns the instance name (matrix suffix included).
-func (t *T) Name() string { return t.name }
-
 // Axes returns the instance's fully-applied axis point.
 func (t *T) Axes() Axes { return t.axes }
-
-// Scale returns the run's scale.
-func (t *T) Scale() Scale { return t.scale }
-
-// Logf records a log line (artifact log only; not in summary.json).
-func (t *T) Logf(format string, args ...any) {
-	t.logs = append(t.logs, fmt.Sprintf(format, args...))
-}
-
-// Notef records a headline note, surfaced in summary.json and the
-// summary table.
-func (t *T) Notef(format string, args ...any) {
-	t.notes = append(t.notes, fmt.Sprintf(format, args...))
-}
 
 // Errorf records a failure and keeps the body running.
 func (t *T) Errorf(format string, args ...any) {
@@ -133,9 +128,6 @@ func (t *T) FailNow() {
 	t.failed = true
 	panic(failNow{})
 }
-
-// Failed reports whether the scenario has recorded any failure.
-func (t *T) Failed() bool { return t.failed }
 
 // AssertTrue records a failure unless cond holds.
 func (t *T) AssertTrue(cond bool, format string, args ...any) {
@@ -159,21 +151,9 @@ func (t *T) Metric(name string, v float64) {
 	t.metricsM[name] = v
 }
 
-// Config compiles the instance's axes (plus the spec's Tune hook) into
-// one cell's configuration. Seed is left zero; the run loop assigns it.
-func (t *T) Config() (cellsim.Config, error) {
-	cfg, err := BuildConfig(t.axes, t.scale)
-	if err != nil {
-		return cellsim.Config{}, err
-	}
-	if t.spec.Tune != nil {
-		t.spec.Tune(&cfg)
-	}
-	return cfg, nil
-}
-
-// build compiles an axis point at the run's scale, failing the scenario
-// on an invalid point.
+// build compiles an axis point into one cell's configuration at the
+// run's scale, failing the scenario on an invalid point. Seed is left
+// zero; the run loop assigns it.
 func (t *T) build(a Axes) cellsim.Config {
 	cfg, err := BuildConfig(a, t.scale)
 	if err != nil {
@@ -182,17 +162,14 @@ func (t *T) build(a Axes) cellsim.Config {
 	return cfg
 }
 
-// MustRunPoint executes the instance's point: Scale().Runs seeded
+// MustRunPoint executes the instance's point: the scale's Runs seeded
 // repetitions of Axes().Cells independent cells each, returned
 // run-major. The (run 0, cell 0) execution records a JSONL telemetry
 // trace into the scenario's artifact directory when one is attached —
 // recording is proven not to perturb results, so traced and untraced
 // runs report identical outcomes. Any failure fails the scenario.
 func (t *T) MustRunPoint() []*cellsim.Result {
-	cfg, err := t.Config()
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
+	cfg := t.build(t.axes)
 	trace := ""
 	if t.outDir != "" {
 		trace = filepath.Join(t.outDir, "trace.jsonl")
@@ -333,21 +310,12 @@ func (t *T) artifact(rel string) {
 	t.artifacts = append(t.artifacts, rel)
 }
 
-// defaultBody is the body used when a spec declares no Run: execute the
-// point and record the standard metrics.
-func defaultBody(t *T) {
-	t.RecordStandard(t.MustRunPoint())
-}
-
-// finish flushes the scenario log artifact and returns the summary
-// entry. Artifact paths are sorted for a stable summary.
+// finish flushes the scenario's failures to its log artifact and
+// returns the summary entry. Artifact paths are sorted for a stable
+// summary.
 func (t *T) finish(status string) ScenarioSummary {
-	if t.outDir != "" && (len(t.logs) > 0 || len(t.failures) > 0) {
+	if t.outDir != "" && len(t.failures) > 0 {
 		var b []byte
-		for _, l := range t.logs {
-			b = append(b, l...)
-			b = append(b, '\n')
-		}
 		for _, f := range t.failures {
 			b = append(b, "FAIL: "...)
 			b = append(b, f...)
