@@ -128,7 +128,6 @@ func benchScheduler(b *testing.B, sched lte.Scheduler, nFlows int) {
 func BenchmarkSchedulerPF8(b *testing.B)       { benchScheduler(b, lte.PFScheduler{}, 8) }
 func BenchmarkSchedulerPF64(b *testing.B)      { benchScheduler(b, lte.PFScheduler{}, 64) }
 func BenchmarkSchedulerTwoPhase8(b *testing.B) { benchScheduler(b, lte.TwoPhaseGBRScheduler{}, 8) }
-func BenchmarkSchedulerPSS8(b *testing.B)      { benchScheduler(b, lte.PrioritySetScheduler{}, 8) }
 
 // --- End-to-end cell simulation throughput (simulated seconds per
 // wall second is the figure of merit: ns/op divided by 60 virtual s).

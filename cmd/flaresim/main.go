@@ -64,28 +64,6 @@ func parseScheme(name string) (cellsim.Scheme, error) {
 	return cellsim.ParseScheme(strings.ToLower(strings.TrimSpace(name)))
 }
 
-// parseWindows parses comma-separated "from-to" blackout windows, e.g.
-// "60s-90s,300s-330s".
-func parseWindows(s string) ([]faults.Window, error) {
-	var out []faults.Window
-	for _, part := range strings.Split(s, ",") {
-		from, to, ok := strings.Cut(strings.TrimSpace(part), "-")
-		if !ok {
-			return nil, fmt.Errorf("blackout %q: want \"from-to\" (e.g. 60s-90s)", part)
-		}
-		f, err := time.ParseDuration(from)
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: %w", part, err)
-		}
-		t, err := time.ParseDuration(to)
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: %w", part, err)
-		}
-		out = append(out, faults.Window{From: f, To: t})
-	}
-	return out, nil
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -204,12 +182,16 @@ func run() int {
 	cfg.VBRJitter = *vbr
 	cfg.ControlFaults = faults.Config{Seed: *ctrlSeed, DropRate: *ctrlLoss}
 	if *ctrlBlackout != "" {
-		windows, err := parseWindows(*ctrlBlackout)
+		windows, err := faults.ParseWindows(*ctrlBlackout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flaresim: %v\n", err)
 			return 2
 		}
 		cfg.ControlFaults.Blackouts = windows
+	}
+	if err := cfg.ControlFaults.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "flaresim: %v\n", err)
+		return 2
 	}
 	cfg.Fallback = abr.FallbackConfig{AfterFailedPolls: *fbPolls, MaxAssignmentAgeBAIs: *fbAge}
 	cfg.Flare.AdmissionControl = *admission

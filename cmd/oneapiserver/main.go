@@ -116,7 +116,7 @@ func run() int {
 		faultCfg.DelayBy = *faultDelayBy
 	}
 	if *faultBlackout != "" {
-		windows, err := parseWindows(*faultBlackout)
+		windows, err := faults.ParseWindows(*faultBlackout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "oneapiserver: %v\n", err)
 			return 2
@@ -225,25 +225,4 @@ func writeProcessGauges(w io.Writer) {
 		// A failed write means the scraper hung up; there is no one to tell.
 		_, _ = fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", g.name, g.typ, g.name, g.v)
 	}
-}
-
-// parseWindows parses comma-separated "from-to" blackout windows.
-func parseWindows(s string) ([]faults.Window, error) {
-	var out []faults.Window
-	for _, part := range strings.Split(s, ",") {
-		from, to, ok := strings.Cut(strings.TrimSpace(part), "-")
-		if !ok {
-			return nil, fmt.Errorf("blackout %q: want \"from-to\" (e.g. 60s-90s)", part)
-		}
-		f, err := time.ParseDuration(from)
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: %w", part, err)
-		}
-		t, err := time.ParseDuration(to)
-		if err != nil {
-			return nil, fmt.Errorf("blackout %q: %w", part, err)
-		}
-		out = append(out, faults.Window{From: f, To: t})
-	}
-	return out, nil
 }

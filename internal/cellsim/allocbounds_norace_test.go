@@ -14,4 +14,7 @@ const (
 	// TestMultiCellAllocsPerCell: measured 49.8 per cell, half an
 	// object of margin.
 	multiCellAllocsPerCell = 50.3
+	// TestAdmissionRunAllocs: measured 4,442, some 10 % of margin;
+	// feedback to flows not yet arrived makes it 27,169.
+	admissionRunAllocs = 4900
 )

@@ -13,6 +13,10 @@ import (
 // run's primary stream (both derive from Config.Seed).
 const churnSalt = 0x243f6a8885a308d3
 
+// paretoShape is the session-duration tail exponent α: a heavy tail
+// whose mean still exists (α > 1).
+const paretoShape = 1.5
+
 // ChurnConfig generates a session-churn schedule: video clients arrive
 // as a Poisson process and stay for heavy-tailed (Pareto) durations —
 // the classical VoD workload shape, and the proving ground for the
@@ -31,9 +35,6 @@ type ChurnConfig struct {
 	MeanInterarrival time.Duration
 	// MeanDuration is the mean session length. Required when Enabled.
 	MeanDuration time.Duration
-	// ParetoShape is the duration tail exponent α (must be > 1 for the
-	// mean to exist; 0 uses the default 1.5, a heavy tail).
-	ParetoShape float64
 	// MaxSessions bounds the generated population (0 = default 256) so
 	// a misconfigured load cannot allocate an unbounded cell.
 	MaxSessions int
@@ -66,20 +67,10 @@ func (c *ChurnConfig) validate() error {
 	if c.MeanDuration <= 0 {
 		return fmt.Errorf("cellsim: churn MeanDuration must be positive, got %v", c.MeanDuration)
 	}
-	if c.ParetoShape != 0 && c.ParetoShape <= 1 {
-		return fmt.Errorf("cellsim: churn ParetoShape must exceed 1 (got %v): the duration mean would diverge", c.ParetoShape)
-	}
 	if c.MaxSessions < 0 {
 		return fmt.Errorf("cellsim: negative churn MaxSessions %d", c.MaxSessions)
 	}
 	return nil
-}
-
-func (c *ChurnConfig) shape() float64 {
-	if c.ParetoShape == 0 {
-		return 1.5
-	}
-	return c.ParetoShape
 }
 
 func (c *ChurnConfig) maxSessions() int {
@@ -113,7 +104,7 @@ func (cfg *Config) expandChurn() error {
 	horizon := cfg.Duration.Seconds()
 	meanGap := cfg.Churn.MeanInterarrival.Seconds()
 	meanDur := cfg.Churn.MeanDuration.Seconds()
-	alpha := cfg.Churn.shape()
+	alpha := float64(paretoShape)
 	// Pareto with the requested mean: xm*α/(α-1) = mean ⇒ scale xm.
 	xm := meanDur * (alpha - 1) / alpha
 

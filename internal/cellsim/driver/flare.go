@@ -274,7 +274,12 @@ func (d *flareDriver) sendBufferFeedback() {
 		case d.bufferCaps[i] > 0 && buf > 2*threshold:
 			d.bufferCaps[i] = 0
 		}
-		// Departed sessions are unregistered; ignore their errors.
+		// A flow that has not arrived under admission control has no
+		// session to update; departed sessions are unregistered, so
+		// their errors are ignored.
+		if d.admission != nil && !d.admission[i].arrived {
+			continue
+		}
 		_ = d.server.SetPreferences(d.cellID, f.ID,
 			core.Preferences{MaxBps: d.bufferCaps[i]})
 	}

@@ -117,3 +117,41 @@ func TestRunHeapIndependentOfDuration(t *testing.T) {
 			diff, long, short, budget)
 	}
 }
+
+// TestAdmissionRunAllocs pins what an admission-mode churn run
+// allocates (Run alone, New not counted): the saturation shape — twice
+// the cell's floor-carrying load on the testbed ladder at iTbs 2, with
+// admission control and the downgrade ladder — for 90 s. The buffer
+// feedback must skip declared flows that have not arrived: with no
+// session to update, each call builds two wrapped errors, every BAI,
+// which would put the run at 27,169 objects. What is left is mostly the
+// refusals the waiting flows still get: the opens admission rejects and
+// the polls of sessions not yet admitted.
+func TestAdmissionRunAllocs(t *testing.T) {
+	cfg := DefaultConfig(SchemeFLARE)
+	cfg.Duration = 90 * time.Second
+	cfg.Ladder = has.TestbedLadder()
+	cfg.SegmentDuration = 2 * time.Second
+	cfg.Channel = ChannelSpec{Kind: ChannelStatic, StaticITbs: 2}
+	cfg.Flare.AdmissionControl = true
+	cfg.Flare.DowngradeLadder = true
+	cfg.Churn = cfg.OfferedChurn(2, 30*time.Second)
+	best := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ { // best of three: the first run also warms process-wide scratch
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("Run allocates %d times", best)
+	if best > admissionRunAllocs {
+		t.Errorf("an admission-mode churn run allocates %d times, want <= %d", best, admissionRunAllocs)
+	}
+}

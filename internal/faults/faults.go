@@ -19,6 +19,7 @@ package faults
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,6 +76,29 @@ type Window struct {
 // Contains reports whether t falls inside the window.
 func (w Window) Contains(t time.Duration) bool {
 	return t >= w.From && t < w.To
+}
+
+// ParseWindows parses comma-separated "from-to" blackout windows, e.g.
+// "60s-90s, 300s-330s". It checks only the syntax: Config.Validate
+// refuses an empty window.
+func ParseWindows(s string) ([]Window, error) {
+	var out []Window
+	for _, part := range strings.Split(s, ",") {
+		from, to, ok := strings.Cut(strings.TrimSpace(part), "-")
+		if !ok {
+			return nil, fmt.Errorf("blackout %q: want \"from-to\" (e.g. 60s-90s)", part)
+		}
+		f, err := time.ParseDuration(from)
+		if err != nil {
+			return nil, fmt.Errorf("blackout %q: %w", part, err)
+		}
+		t, err := time.ParseDuration(to)
+		if err != nil {
+			return nil, fmt.Errorf("blackout %q: %w", part, err)
+		}
+		out = append(out, Window{From: f, To: t})
+	}
+	return out, nil
 }
 
 // Config describes a fault schedule. The zero value injects nothing.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 )
@@ -102,6 +103,48 @@ func TestConfigValidate(t *testing.T) {
 		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("case %d: Validate() = %v, want ok=%v", i, err, tc.ok)
 		}
+	}
+}
+
+// TestParseWindows: the blackout flag's syntax, and the split between
+// the parser (syntax) and Config.Validate (an empty window).
+func TestParseWindows(t *testing.T) {
+	cases := []struct {
+		name string
+		in   string
+		want []Window // nil: a parse error
+		// valid is whether Config.Validate accepts the parsed windows.
+		valid bool
+	}{
+		{"one", "60s-90s", []Window{{60 * time.Second, 90 * time.Second}}, true},
+		{"spaced list", " 60s-90s , 300s-330s", []Window{{60 * time.Second, 90 * time.Second}, {300 * time.Second, 330 * time.Second}}, true},
+		{"missing dash", "60s", nil, false},
+		{"missing dash in a list", "60s-90s,100s", nil, false},
+		{"bad from", "x-90s", nil, false},
+		{"bad to", "60s-90", nil, false},
+		{"empty string", "", nil, false},
+		{"empty window", "60s-60s", []Window{{60 * time.Second, 60 * time.Second}}, false},
+		{"reversed window", "90s-60s", []Window{{90 * time.Second, 60 * time.Second}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ParseWindows(tc.in)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("ParseWindows(%q) = %v, want an error", tc.in, got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParseWindows(%q): %v", tc.in, err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("ParseWindows(%q) = %v, want %v", tc.in, got, tc.want)
+			}
+			if err := (Config{Blackouts: got}).Validate(); (err == nil) != tc.valid {
+				t.Fatalf("Validate(%v) = %v, want valid=%v", got, err, tc.valid)
+			}
+		})
 	}
 }
 

@@ -70,9 +70,6 @@ func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 	}
 }
 
-// SetScheduler swaps the scheduler, e.g. between experiment arms.
-func (e *ENodeB) SetScheduler(s Scheduler) { e.sched = s }
-
 // Scheduler returns the active scheduler.
 func (e *ENodeB) Scheduler() Scheduler { return e.sched }
 

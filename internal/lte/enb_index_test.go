@@ -168,7 +168,7 @@ func TestBearerTablesOutgrowTheirQuarters(t *testing.T) {
 // then still be what buildRBGSizes computes.
 func TestRBGTableSharedAndUnchanged(t *testing.T) {
 	want := buildRBGSizes()
-	for _, sched := range []Scheduler{PFScheduler{}, PrioritySetScheduler{}, TwoPhaseGBRScheduler{}, SlicedScheduler{VideoFraction: 0.5}} {
+	for _, sched := range []Scheduler{PFScheduler{}, TwoPhaseGBRScheduler{}, SlicedScheduler{VideoFraction: 0.5}} {
 		enb := NewENodeB(NewUniformStaticChannel(8, 12), sched)
 		if &enb.rbgSizes[0] != &RBGSizes()[0] {
 			t.Fatalf("%s: the cell holds a private RBG table", sched.Name())

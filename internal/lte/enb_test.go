@@ -129,14 +129,10 @@ func TestENodeBWindowStatsMatchTotals(t *testing.T) {
 	}
 }
 
-func TestENodeBSchedulerSwap(t *testing.T) {
+func TestENodeBAccessors(t *testing.T) {
 	enb := NewENodeB(NewUniformStaticChannel(1, 10), PFScheduler{})
 	if enb.Scheduler().Name() != "pf" {
-		t.Fatal("wrong initial scheduler")
-	}
-	enb.SetScheduler(TwoPhaseGBRScheduler{})
-	if enb.Scheduler().Name() != "gbr2p" {
-		t.Fatal("scheduler swap failed")
+		t.Fatal("wrong scheduler")
 	}
 	if enb.Channel().NumUEs() != 1 {
 		t.Fatal("channel accessor broken")

@@ -142,52 +142,6 @@ func pickMaxPF(flows []*FlowState, filter func(*FlowState) bool) *FlowState {
 	return best
 }
 
-// PrioritySetScheduler reproduces the ns-3 Priority Set Scheduler (PSS)
-// the paper's Table III lists, extended with the MBR assignment the
-// authors added: flows whose short-window throughput is below their GBR
-// (the "target bit rate") form a priority set scheduled first in time
-// domain; remaining RBGs are shared proportionally fair. Flows at or
-// above their MBR are never scheduled.
-type PrioritySetScheduler struct{}
-
-var _ Scheduler = (*PrioritySetScheduler)(nil)
-
-// Name implements Scheduler.
-func (PrioritySetScheduler) Name() string { return "pss" }
-
-// Allocate implements Scheduler.
-func (PrioritySetScheduler) Allocate(_ int64, flows []*FlowState, rbgSizes []int) {
-	cachePF(flows)
-	// Priority-set membership is frozen within the TTI (FastTputBits
-	// only moves in Bearer.tick), so both the priority pick and the PF
-	// fallback are sticky: rescan only when the cached winner goes
-	// ineligible, and remember when a set has drained — it cannot
-	// refill before the next TTI.
-	inPrioritySet := func(f *FlowState) bool {
-		return f.Bearer.GBRBits > 0 && f.Bearer.FastTputBits() < f.Bearer.GBRBits
-	}
-	var bestPrio, bestAny *FlowState
-	prioDry, anyDry := false, false
-	for _, size := range rbgSizes {
-		if !prioDry && (bestPrio == nil || !bestPrio.eligible()) {
-			bestPrio = pickMaxPF(flows, inPrioritySet)
-			prioDry = bestPrio == nil
-		}
-		best := bestPrio
-		if best == nil {
-			if !anyDry && (bestAny == nil || !bestAny.eligible()) {
-				bestAny = pickMaxPF(flows, nil)
-				anyDry = bestAny == nil
-			}
-			best = bestAny
-		}
-		if best == nil {
-			break
-		}
-		grant(best, size)
-	}
-}
-
 // TwoPhaseGBRScheduler is the FLARE testbed scheduler from Section III-B:
 // Phase 1 serves video flows up to their GBR (tracked with a per-flow
 // byte credit), Phase 2 hands the remaining RBGs to both video and data
@@ -286,7 +240,7 @@ func (s SlicedScheduler) Allocate(_ int64, flows []*FlowState, rbgSizes []int) {
 	// All three filters are frozen within the TTI (class is static,
 	// FastTputBits only moves in Bearer.tick), so each pick is sticky:
 	// rescan only when the cached winner goes ineligible, and remember
-	// drained sets (see PrioritySetScheduler.Allocate).
+	// drained sets: a set that drains cannot refill before the next TTI.
 	var bestGBR, bestVid, bestData *FlowState
 	gbrDry, vidDry, dataDry := false, false, false
 	for i, size := range rbgSizes {

@@ -117,43 +117,6 @@ func TestPFRespectsMBR(t *testing.T) {
 	}
 }
 
-func TestPSSMeetsGBRUnderContention(t *testing.T) {
-	// One GBR video flow and three greedy data flows; PSS must hold the
-	// video flow near its GBR while PF alone would give it ~1/4.
-	ch := NewUniformStaticChannel(4, 10) // cell rate ~9.0 Mbps at iTbs 10
-	enb := NewENodeB(ch, PrioritySetScheduler{})
-	video := &Bearer{ID: 0, UE: 0, Class: ClassVideo, GBRBits: 4e6}
-	if _, err := enb.AddBearer(video); err != nil {
-		t.Fatal(err)
-	}
-	var data []*Bearer
-	for i := 1; i < 4; i++ {
-		b := &Bearer{ID: i, UE: i, Class: ClassData}
-		if _, err := enb.AddBearer(b); err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, b)
-	}
-	const ttis = 20000
-	for tti := int64(0); tti < ttis; tti++ {
-		video.Enqueue(1 << 16)
-		for _, b := range data {
-			b.Enqueue(1 << 16)
-		}
-		enb.RunTTI(tti)
-	}
-	videoBits := float64(video.TotalStats().Bytes) * 8 / (ttis / 1000)
-	if videoBits < 3.5e6 {
-		t.Fatalf("PSS failed to protect GBR: video got %v bits/s, GBR 4e6", videoBits)
-	}
-	// Data flows should share what's left, not starve completely.
-	for _, b := range data {
-		if b.TotalStats().Bytes == 0 {
-			t.Fatal("PSS starved a data flow entirely")
-		}
-	}
-}
-
 func TestTwoPhaseGBRProtectsVideoAndSharesRest(t *testing.T) {
 	ch := NewUniformStaticChannel(3, 10)
 	enb := NewENodeB(ch, TwoPhaseGBRScheduler{})
@@ -242,7 +205,6 @@ func TestSlicedSchedulerDoesNotBorrow(t *testing.T) {
 func TestSchedulersNeverOverAllocateProperty(t *testing.T) {
 	scheds := []Scheduler{
 		PFScheduler{},
-		PrioritySetScheduler{},
 		TwoPhaseGBRScheduler{},
 		SlicedScheduler{VideoFraction: 0.5},
 	}

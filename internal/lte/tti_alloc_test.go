@@ -38,7 +38,7 @@ func TestRunTTIAllocatesNothing(t *testing.T) {
 			return NewMobilityChannel(DefaultMobilityConfig(bearers), sim.NewRNG(1))
 		}},
 	}
-	schedulers := []Scheduler{PFScheduler{}, PrioritySetScheduler{}, TwoPhaseGBRScheduler{}, SlicedScheduler{VideoFraction: 0.5}}
+	schedulers := []Scheduler{PFScheduler{}, TwoPhaseGBRScheduler{}, SlicedScheduler{VideoFraction: 0.5}}
 	for _, ch := range channels {
 		for _, sched := range schedulers {
 			t.Run(ch.name+"/"+sched.Name(), func(t *testing.T) {

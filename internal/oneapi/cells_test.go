@@ -223,8 +223,8 @@ func TestHandoverContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.AgeBAIs() != 2 {
-		t.Fatalf("pre-handover age = %d, want 2", before.AgeBAIs())
+	if before.CellSeq-before.BAISeq != 2 {
+		t.Fatalf("pre-handover age = %d, want 2", before.CellSeq-before.BAISeq)
 	}
 
 	// Target cell 33 has its own BAI history, deeper than the assignment's age.
@@ -250,8 +250,8 @@ func TestHandoverContinuity(t *testing.T) {
 	if after.FlowID != flow || after.RateBps != before.RateBps || after.Level != before.Level {
 		t.Fatalf("assignment changed across handover: %+v -> %+v", before, after)
 	}
-	if after.CellSeq != 5 || after.AgeBAIs() != 2 {
-		t.Fatalf("age not preserved: CellSeq=%d age=%d, want 5 and 2", after.CellSeq, after.AgeBAIs())
+	if after.CellSeq != 5 || after.BAISeq != 3 {
+		t.Fatalf("age not preserved: CellSeq=%d BAISeq=%d, want 5 and 3", after.CellSeq, after.BAISeq)
 	}
 
 	// The source no longer knows the session: it was the cell's last,
@@ -272,8 +272,8 @@ func TestHandoverContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.AgeBAIs() != 0 {
-		t.Fatalf("post-BAI age = %d, want 0 (fresh install)", fresh.AgeBAIs())
+	if fresh.BAISeq != fresh.CellSeq {
+		t.Fatalf("post-BAI BAISeq=%d CellSeq=%d, want equal (fresh install)", fresh.BAISeq, fresh.CellSeq)
 	}
 }
 
@@ -302,7 +302,7 @@ func TestHandoverToFreshCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.BAISeq != 0 || a.CellSeq != 0 || a.AgeBAIs() != 0 {
+	if a.BAISeq != 0 || a.CellSeq != 0 {
 		t.Fatalf("fresh-cell handover: %+v, want clamped zero age", a)
 	}
 }

@@ -32,18 +32,15 @@ type ClientConfig struct {
 	MaxRetries int
 	// BackoffBase is the first retry's delay (default 100 ms); each
 	// subsequent retry doubles it up to BackoffMax (default 2 s), with
-	// ±50% deterministic jitter drawn from JitterSeed.
+	// ±50% jitter from a private stream seeded with jitterSeed.
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff.
 	BackoffMax time.Duration
-	// JitterSeed seeds the client's private jitter stream, keeping
-	// retry timing reproducible in tests and simulations.
-	JitterSeed uint64
-	// StaleAfterBAIs is the assignment-age threshold M: an assignment
-	// whose install sequence lags the cell sequence by at least M BAIs
-	// is reported stale by Poll (default 4).
-	StaleAfterBAIs int64
 }
+
+// jitterSeed seeds every client's jitter stream, keeping retry timing
+// reproducible in tests and simulations.
+const jitterSeed = 0
 
 // DefaultClientConfig returns the production retry/timeout parameters.
 func DefaultClientConfig() ClientConfig {
@@ -52,7 +49,6 @@ func DefaultClientConfig() ClientConfig {
 		MaxRetries:     3,
 		BackoffBase:    100 * time.Millisecond,
 		BackoffMax:     2 * time.Second,
-		StaleAfterBAIs: 4,
 	}
 }
 
@@ -71,9 +67,6 @@ func (c ClientConfig) normalized() ClientConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = d.BackoffMax
-	}
-	if c.StaleAfterBAIs <= 0 {
-		c.StaleAfterBAIs = d.StaleAfterBAIs
 	}
 	return c
 }
@@ -104,7 +97,6 @@ type Client struct {
 	ladder   has.Ladder
 	prefs    core.Preferences
 	opened   bool
-	lastSeq  int64
 	reopens  int
 	retries  int
 	failures int
@@ -117,8 +109,8 @@ func NewClient(baseURL string, cellID, flowID int, httpc *http.Client) *Client {
 	return NewClientWithConfig(baseURL, cellID, flowID, httpc, ClientConfig{})
 }
 
-// NewClientWithConfig creates a plugin client with explicit retry,
-// timeout, and staleness parameters.
+// NewClientWithConfig creates a plugin client with explicit retry and
+// timeout parameters.
 func NewClientWithConfig(baseURL string, cellID, flowID int, httpc *http.Client, cfg ClientConfig) *Client {
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -128,7 +120,7 @@ func NewClientWithConfig(baseURL string, cellID, flowID int, httpc *http.Client,
 	session := cell + "/sessions/" + strconv.Itoa(flowID)
 	return &Client{
 		http: httpc, cellID: cellID, flowID: flowID,
-		cfg: cfg, rng: sim.NewRNG(cfg.JitterSeed),
+		cfg: cfg, rng: sim.NewRNG(jitterSeed),
 		openURL:    cell + "/sessions",
 		sessionURL: session,
 		prefsURL:   session + "/preferences",
@@ -160,11 +152,6 @@ func (c *Client) Stats() ClientStats {
 // Open registers the session with the flow's ladder and preferences,
 // remembering both for automatic re-open after a server restart.
 func (c *Client) Open(ladder has.Ladder, prefs core.Preferences) error {
-	return c.OpenContext(context.Background(), ladder, prefs)
-}
-
-// OpenContext is Open bounded by ctx.
-func (c *Client) OpenContext(ctx context.Context, ladder has.Ladder, prefs core.Preferences) error {
 	body, err := json.Marshal(SessionRequest{
 		FlowID:      c.flowID,
 		LadderBps:   ladder,
@@ -173,7 +160,7 @@ func (c *Client) OpenContext(ctx context.Context, ladder has.Ladder, prefs core.
 	if err != nil {
 		return fmt.Errorf("oneapi: marshal session request: %w", err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, c.openURL, body)
+	resp, err := c.do(http.MethodPost, c.openURL, body)
 	if err != nil {
 		return fmt.Errorf("oneapi: open session: %w", err)
 	}
@@ -191,10 +178,10 @@ func (c *Client) OpenContext(ctx context.Context, ladder has.Ladder, prefs core.
 	return nil
 }
 
-// Reopen re-registers the session with the ladder and preferences
+// reopen re-registers the session with the ladder and preferences
 // remembered from the last successful Open — the recovery step after a
 // OneAPI server restart loses its session table.
-func (c *Client) Reopen(ctx context.Context) error {
+func (c *Client) reopen() error {
 	c.mu.Lock()
 	if !c.opened {
 		c.mu.Unlock()
@@ -204,30 +191,20 @@ func (c *Client) Reopen(ctx context.Context) error {
 	c.reopens++
 	c.mu.Unlock()
 	c.rec.Emit(obs.Reopen(int32(c.cellID), int32(c.flowID)))
-	return c.OpenContext(ctx, ladder, prefs)
+	return c.Open(ladder, prefs)
 }
 
 // Poll fetches the flow's current assignment. ok is false (without
-// error) when no BAI has assigned this flow yet.
-func (c *Client) Poll() (AssignmentResponse, bool, error) {
-	return c.PollContext(context.Background())
-}
-
-// PollContext is Poll bounded by ctx. If the server answers "unknown
-// session" — its state was lost in a restart — and the session was
-// opened through this client, the client re-opens automatically and
+// error) when no BAI has assigned this flow yet. If the server answers
+// "unknown session" — its state was lost in a restart — and the session
+// was opened through this client, the client re-opens automatically and
 // retries the poll once.
-func (c *Client) PollContext(ctx context.Context) (AssignmentResponse, bool, error) {
-	a, ok, err := c.pollOnce(ctx)
+func (c *Client) Poll() (AssignmentResponse, bool, error) {
+	a, ok, err := c.pollOnce()
 	if err != nil && errorIsRecoverable(err) && c.canReopen() {
-		if rerr := c.Reopen(ctx); rerr == nil {
-			a, ok, err = c.pollOnce(ctx)
+		if rerr := c.reopen(); rerr == nil {
+			a, ok, err = c.pollOnce()
 		}
-	}
-	if err == nil && ok {
-		c.mu.Lock()
-		c.lastSeq = a.BAISeq
-		c.mu.Unlock()
 	}
 	return a, ok, err
 }
@@ -244,8 +221,8 @@ func (c *Client) canReopen() bool {
 	return c.opened
 }
 
-func (c *Client) pollOnce(ctx context.Context) (AssignmentResponse, bool, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.pollURL, nil)
+func (c *Client) pollOnce() (AssignmentResponse, bool, error) {
+	resp, err := c.do(http.MethodGet, c.pollURL, nil)
 	if err != nil {
 		return AssignmentResponse{}, false, fmt.Errorf("oneapi: poll: %w", err)
 	}
@@ -273,27 +250,14 @@ func (c *Client) pollOnce(ctx context.Context) (AssignmentResponse, bool, error)
 	}
 }
 
-// Stale reports whether an assignment previously returned by Poll has
-// aged past the configured StaleAfterBAIs threshold — the signal for
-// the plugin's fallback policy when the control plane still answers but
-// this flow's assignment stopped advancing.
-func (c *Client) Stale(a AssignmentResponse) bool {
-	return a.AgeBAIs() >= c.cfg.StaleAfterBAIs
-}
-
 // UpdatePreferences replaces the session's client preferences — e.g. a
 // bitrate cap while on a metered plan, or the skimming signal.
 func (c *Client) UpdatePreferences(prefs core.Preferences) error {
-	return c.UpdatePreferencesContext(context.Background(), prefs)
-}
-
-// UpdatePreferencesContext is UpdatePreferences bounded by ctx.
-func (c *Client) UpdatePreferencesContext(ctx context.Context, prefs core.Preferences) error {
 	body, err := json.Marshal(prefs)
 	if err != nil {
 		return fmt.Errorf("oneapi: marshal preferences: %w", err)
 	}
-	resp, err := c.do(ctx, http.MethodPut, c.prefsURL, body)
+	resp, err := c.do(http.MethodPut, c.prefsURL, body)
 	if err != nil {
 		return fmt.Errorf("oneapi: update preferences: %w", err)
 	}
@@ -309,12 +273,7 @@ func (c *Client) UpdatePreferencesContext(ctx context.Context, prefs core.Prefer
 
 // Close tears down the session.
 func (c *Client) Close() error {
-	return c.CloseContext(context.Background())
-}
-
-// CloseContext is Close bounded by ctx.
-func (c *Client) CloseContext(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodDelete, c.sessionURL, nil)
+	resp, err := c.do(http.MethodDelete, c.sessionURL, nil)
 	if err != nil {
 		return fmt.Errorf("oneapi: close session: %w", err)
 	}
@@ -331,7 +290,7 @@ func (c *Client) CloseContext(ctx context.Context) error {
 // do issues one HTTP request with per-attempt timeouts and bounded
 // exponential backoff with jitter on transient failures (transport
 // errors, 5xx, 408, 429). The final response (or error) is returned.
-func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
+func (c *Client) do(method, url string, body []byte) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -340,21 +299,13 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http
 			delay := c.backoffLocked(attempt)
 			c.mu.Unlock()
 			c.rec.Emit(obs.Retry(int32(c.cellID), int32(c.flowID), int64(attempt)))
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				c.countFailure()
-				return nil, fmt.Errorf("backoff interrupted: %w", ctx.Err())
-			}
+			time.Sleep(delay)
 		}
-		attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+		attemptCtx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
 		resp, err := c.attempt(attemptCtx, method, url, body)
 		if err != nil {
 			cancel()
 			lastErr = err
-			if ctx.Err() != nil {
-				break // caller's context is gone; stop retrying
-			}
 			continue
 		}
 		if retryableStatus(resp.StatusCode) && !terminalReject(resp) {

@@ -100,8 +100,8 @@ func TestRunBAIPartialPCEFFailure(t *testing.T) {
 	if a2.BAISeq != 1 || a2.RateBps != before.RateBps {
 		t.Fatalf("failed flow lost its previous assignment: %+v (was %+v)", a2, before)
 	}
-	if a2.CellSeq != 3 || a2.AgeBAIs() != 2 {
-		t.Fatalf("staleness not exposed: %+v age %d", a2, a2.AgeBAIs())
+	if a2.CellSeq != 3 {
+		t.Fatalf("staleness not exposed: %+v", a2)
 	}
 }
 
@@ -202,8 +202,8 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 		t.Fatalf("failed downgrade not published: polls see %.0f bps, want %.0f (stale high was %.0f)",
 			a1.RateBps, want.RateBps, high.RateBps)
 	}
-	if a1.BAISeq != 1 || a1.CellSeq != 2 || a1.AgeBAIs() != 1 {
-		t.Fatalf("staleness signal lost on published downgrade: %+v age %d", a1, a1.AgeBAIs())
+	if a1.BAISeq != 1 || a1.CellSeq != 2 {
+		t.Fatalf("staleness signal lost on published downgrade: %+v", a1)
 	}
 
 	// BAI 3: flow 2 leaves, flow 1's assignment rises again — but the
@@ -218,7 +218,7 @@ func TestRunBAIFailedDowngradePublished(t *testing.T) {
 	if a1.RateBps != want.RateBps {
 		t.Fatalf("failed upgrade leaked to polls: %.0f bps, want still %.0f", a1.RateBps, want.RateBps)
 	}
-	if a1.BAISeq != 1 || a1.AgeBAIs() != 2 {
+	if a1.BAISeq != 1 || a1.CellSeq != 3 {
 		t.Fatalf("install sequence advanced without an install: %+v", a1)
 	}
 }
@@ -538,20 +538,6 @@ func TestClientReopensAfterServerRestart(t *testing.T) {
 	a, ok, err := c.Poll()
 	if err != nil || !ok || a.RateBps <= 0 {
 		t.Fatalf("post-recovery poll: %+v ok=%v err=%v", a, ok, err)
-	}
-}
-
-// TestClientStaleDetection: the client flags assignments whose install
-// sequence lags the cell's BAI sequence by the configured threshold.
-func TestClientStaleDetection(t *testing.T) {
-	c := NewClientWithConfig("http://unused", 0, 1, nil, ClientConfig{StaleAfterBAIs: 4})
-	fresh := AssignmentResponse{BAISeq: 10, CellSeq: 12}
-	if c.Stale(fresh) {
-		t.Fatal("age-2 assignment flagged stale at threshold 4")
-	}
-	old := AssignmentResponse{BAISeq: 10, CellSeq: 14}
-	if !c.Stale(old) {
-		t.Fatal("age-4 assignment not flagged stale")
 	}
 }
 

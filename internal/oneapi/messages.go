@@ -71,15 +71,6 @@ type AssignmentResponse struct {
 	CellSeq int64   `json:"cell_seq,omitempty"`
 }
 
-// AgeBAIs is how many BAIs have run in the cell since this assignment
-// was installed (0 = fresh).
-func (a AssignmentResponse) AgeBAIs() int64 {
-	if a.CellSeq <= a.BAISeq {
-		return 0
-	}
-	return a.CellSeq - a.BAISeq
-}
-
 // ErrorResponse is the JSON error envelope of the HTTP binding. Code is
 // machine-readable (see the Code* constants); Error is human-readable.
 type ErrorResponse struct {

@@ -79,23 +79,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Perm returns a random permutation of [0, n), like math/rand.Perm.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided
-// swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -128,27 +128,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		size := int(n%32) + 1
-		p := NewRNG(seed).Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRNGUniformRange(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := NewRNG(seed)
@@ -270,18 +249,5 @@ func TestEventQueueManyEventsStaySorted(t *testing.T) {
 		}
 		last = tti
 		q.RunDue(tti)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(21)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

@@ -9,12 +9,10 @@ import (
 // OverrideChannel is the testbed's iTbs Override Module: it lets the
 // operator force each UE's MCS at runtime — the mechanism the paper uses
 // to "emulate time-varying link bandwidth by changing the index of the
-// Transport Block Size". An optional per-UE program automates the
-// dynamic-scenario cycles. Safe for concurrent use.
+// Transport Block Size". Safe for concurrent use.
 type OverrideChannel struct {
-	mu      sync.Mutex
-	values  []int
-	program func(ue int, tti int64) (iTbs int, ok bool)
+	mu     sync.Mutex
+	values []int
 }
 
 var _ lte.Channel = (*OverrideChannel)(nil)
@@ -38,28 +36,8 @@ func (c *OverrideChannel) SetITbs(ue, iTbs int) {
 	}
 }
 
-// SetProgram installs an automatic override: on every Update, program is
-// consulted per UE and, when ok, its value is applied (the dynamic
-// scenario's 1->12->1 cycling). A nil program disables automation.
-func (c *OverrideChannel) SetProgram(program func(ue int, tti int64) (int, bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.program = program
-}
-
-// Update implements lte.Channel.
-func (c *OverrideChannel) Update(tti int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.program == nil {
-		return
-	}
-	for ue := range c.values {
-		if v, ok := c.program(ue, tti); ok {
-			c.values[ue] = lte.ClampITbs(v)
-		}
-	}
-}
+// Update implements lte.Channel: values change only through SetITbs.
+func (c *OverrideChannel) Update(int64) {}
 
 // ITbs implements lte.Channel.
 func (c *OverrideChannel) ITbs(ue int) int {
@@ -73,26 +51,4 @@ func (c *OverrideChannel) NumUEs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.values)
-}
-
-// CycleProgram returns a program reproducing the paper's dynamic
-// scenario: iTbs ramps min->max over half the period and back, with each
-// UE offset by offsetTTIs*ue ("each UE starts the cycle with a different
-// offset").
-func CycleProgram(minITbs, maxITbs int, periodTTIs, offsetTTIs int64) func(int, int64) (int, bool) {
-	span := float64(maxITbs - minITbs)
-	half := periodTTIs / 2
-	return func(ue int, tti int64) (int, bool) {
-		if periodTTIs <= 0 {
-			return 0, false
-		}
-		phase := (tti + offsetTTIs*int64(ue)) % periodTTIs
-		var frac float64
-		if phase < half {
-			frac = float64(phase) / float64(half)
-		} else {
-			frac = float64(periodTTIs-phase) / float64(periodTTIs-half)
-		}
-		return minITbs + int(frac*span+0.5), true
-	}
 }
