@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	flaresim [-scheme flare|festive|google|avis] [-duration 1200s]
+//	flaresim [-scheme flare|festive|google|avis|bba|mpc] [-duration 1200s]
 //	         [-videos 8] [-data 0] [-channel static|cyclic|mobility]
-//	         [-itbs 12] [-ladder sim|testbed|fine] [-seed 1]
+//	         [-itbs 12] [-ladder sim|testbed|fine] [-segment 10s]
+//	         [-vbr 0.3] [-seed 1]
 //	         [-alpha 1.0] [-delta 4] [-relax]
 //	         [-mix "flare:4,festive:4"]
 //	         [-churn 40s -offered-load 2.0] [-admission] [-admission-queue 8]
 //	         [-downgrade] [-objective eq2|upf]
-//	         [-ctrl-loss 0.3] [-ctrl-blackout 60s-90s]
+//	         [-ctrl-loss 0.3] [-ctrl-seed 64023] [-ctrl-blackout 60s-90s]
 //	         [-fallback-polls 3] [-fallback-age 4]
 //	         [-trace run.jsonl] [-metrics-dump]
 //	         [-cpuprofile cpu.prof] [-memprofile mem.prof] [-version]
@@ -23,6 +24,8 @@
 // the saturation machinery: sessions the budget cannot floor are
 // refused (and queued), and overload sheds per-flow ceilings down the
 // ladder with hysteresis.
+//
+// -itbs must lie in [0, 26]; a value outside it exits 2.
 //
 // -mix runs a mixed-scheme cell: a comma-separated list of
 // scheme:count groups that overrides -scheme/-videos for the video
@@ -219,6 +222,10 @@ func run() int {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "flaresim: unknown channel %q\n", *channelName)
+		return 2
+	}
+	if err := cfg.Channel.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "flaresim: -itbs: %v\n", err)
 		return 2
 	}
 

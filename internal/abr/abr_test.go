@@ -83,7 +83,7 @@ func TestHistoryClampsCapacity(t *testing.T) {
 // --- FESTIVE ---
 
 func newTestFestive() *Festive {
-	return NewFestive(DefaultFestiveConfig(), sim.NewRNG(1))
+	return NewFestive(sim.NewRNG(1))
 }
 
 func TestFestiveStartsLowest(t *testing.T) {
@@ -137,7 +137,7 @@ func TestFestiveStepsDownQuickly(t *testing.T) {
 
 func TestFestiveNeverJumpsLevels(t *testing.T) {
 	check := func(seed uint64, tputsRaw []uint32) bool {
-		f := NewFestive(DefaultFestiveConfig(), sim.NewRNG(seed))
+		f := NewFestive(sim.NewRNG(seed))
 		l := has.SimLadder()
 		cur := 0
 		for _, tp := range tputsRaw {
@@ -172,14 +172,14 @@ func TestFestivePacingDelaysWhenBufferHigh(t *testing.T) {
 // --- GOOGLE ---
 
 func TestGoogleStartsLowest(t *testing.T) {
-	g := NewGoogle(DefaultGoogleConfig())
+	g := NewGoogle()
 	if got := g.NextQuality(state(has.SimLadder(), -1, 0)); got != 0 {
 		t.Fatalf("first pick = %d", got)
 	}
 }
 
 func TestGoogleUsesMinOfEstimates(t *testing.T) {
-	g := NewGoogle(DefaultGoogleConfig())
+	g := NewGoogle()
 	l := has.SimLadder()
 	// Long history high, recent collapse: short-term must dominate.
 	for i := 0; i < 8; i++ {
@@ -196,7 +196,7 @@ func TestGoogleUsesMinOfEstimates(t *testing.T) {
 }
 
 func TestGoogleJumpsDirectlyToEstimate(t *testing.T) {
-	g := NewGoogle(DefaultGoogleConfig())
+	g := NewGoogle()
 	l := has.SimLadder()
 	for i := 0; i < 10; i++ {
 		g.OnSegmentComplete(rec(0, 4e6))
@@ -204,14 +204,6 @@ func TestGoogleJumpsDirectlyToEstimate(t *testing.T) {
 	// 0.85*4e6 = 3.4e6 -> top level immediately, no gradual climb.
 	if q := g.NextQuality(state(l, 0, 10)); q != l.Len()-1 {
 		t.Fatalf("quality = %d, want top %d", q, l.Len()-1)
-	}
-}
-
-func TestGoogleConfigClamping(t *testing.T) {
-	g := NewGoogle(GoogleConfig{P: 0.85, LongSegments: 0, ShortSegments: 9})
-	g.OnSegmentComplete(rec(0, 1e6))
-	if q := g.NextQuality(state(has.SimLadder(), 0, 5)); q < 0 {
-		t.Fatal("clamped config broke selection")
 	}
 }
 
@@ -266,8 +258,11 @@ func TestAdapterNames(t *testing.T) {
 	if newTestFestive().Name() != "festive" {
 		t.Error("festive name")
 	}
-	if NewGoogle(DefaultGoogleConfig()).Name() != "google" {
+	if NewGoogle().Name() != "google" {
 		t.Error("google name")
+	}
+	if NewBBA().Name() != "bba" {
+		t.Error("bba name")
 	}
 	if NewThroughput(3).Name() != "throughput" {
 		t.Error("throughput name")
@@ -280,7 +275,7 @@ func TestAdapterNames(t *testing.T) {
 func TestFestivePacingJittersTargets(t *testing.T) {
 	// The randomized scheduler must not use a fixed buffer target —
 	// resampling after each delay is what de-synchronises clients.
-	f := NewFestive(DefaultFestiveConfig(), sim.NewRNG(5))
+	f := NewFestive(sim.NewRNG(5))
 	l := has.SimLadder()
 	seen := map[int64]bool{}
 	for i := 0; i < 16; i++ {
@@ -300,16 +295,5 @@ func TestFestiveIgnoresEmptyHistory(t *testing.T) {
 	// LastQuality set but no throughput samples yet: conservative start.
 	if q := f.NextQuality(state(has.SimLadder(), 3, 10)); q != 0 {
 		t.Fatalf("pick %d with empty history", q)
-	}
-}
-
-func TestGoogleShortWindowNeverExceedsLong(t *testing.T) {
-	g := NewGoogle(GoogleConfig{P: 0.85, LongSegments: 5, ShortSegments: 10})
-	// Short window is clamped to the long one; selection still works.
-	for i := 0; i < 10; i++ {
-		g.OnSegmentComplete(rec(0, 1e6))
-	}
-	if q := g.NextQuality(state(has.SimLadder(), 0, 5)); q != 2 {
-		t.Fatalf("pick %d, want 2 (0.85 MBps -> 500k rung)", q)
 	}
 }

@@ -2,21 +2,17 @@ package abr
 
 import "github.com/flare-sim/flare/internal/has"
 
-// BBAConfig parameterises the buffer-based adapter.
-type BBAConfig struct {
-	// ReservoirSeconds is the buffer level below which the lowest rate
-	// is selected.
-	ReservoirSeconds float64
-	// CushionSeconds is the buffer level above which the highest rate
-	// is selected; between reservoir and cushion the rate map is linear.
-	CushionSeconds float64
-}
-
-// DefaultBBAConfig returns the classic BBA-0 operating points scaled to
-// the 30 s buffers used in this reproduction.
-func DefaultBBAConfig() BBAConfig {
-	return BBAConfig{ReservoirSeconds: 5, CushionSeconds: 22}
-}
+// The classic BBA-0 operating points scaled to the 30 s buffers used in
+// this reproduction.
+const (
+	// bbaReservoirSeconds is the buffer level below which the lowest
+	// rate is selected.
+	bbaReservoirSeconds float64 = 5
+	// bbaCushionSeconds is the buffer level above which the highest
+	// rate is selected; between reservoir and cushion the rate map is
+	// linear.
+	bbaCushionSeconds float64 = 22
+)
 
 // BBA implements the buffer-based rate adaptation of Huang et al.
 // (SIGCOMM'14), the BBA-0 variant: the bitrate is a function of the
@@ -26,21 +22,15 @@ func DefaultBBAConfig() BBAConfig {
 // makes an instructive contrast with FLARE (both avoid throughput-
 // estimation noise, by entirely different means).
 type BBA struct {
-	cfg BBAConfig
+	// BBA-0 keeps no state. This byte only gives each flow's adapter
+	// an address of its own: pointers to a zero-size type may be equal.
+	_ byte
 }
 
 var _ has.Adapter = (*BBA)(nil)
 
 // NewBBA builds a BBA-0 adapter.
-func NewBBA(cfg BBAConfig) *BBA {
-	if cfg.ReservoirSeconds <= 0 {
-		cfg.ReservoirSeconds = DefaultBBAConfig().ReservoirSeconds
-	}
-	if cfg.CushionSeconds <= cfg.ReservoirSeconds {
-		cfg.CushionSeconds = cfg.ReservoirSeconds + 10
-	}
-	return &BBA{cfg: cfg}
-}
+func NewBBA() *BBA { return &BBA{} }
 
 // Name implements has.Adapter.
 func (b *BBA) Name() string { return "bba" }
@@ -71,13 +61,13 @@ func (b *BBA) NextQuality(s has.State) int {
 func (b *BBA) mappedRate(s has.State) float64 {
 	minR, maxR := s.Ladder.Min(), s.Ladder.Max()
 	switch {
-	case s.BufferSeconds <= b.cfg.ReservoirSeconds:
+	case s.BufferSeconds <= bbaReservoirSeconds:
 		return minR
-	case s.BufferSeconds >= b.cfg.CushionSeconds:
+	case s.BufferSeconds >= bbaCushionSeconds:
 		return maxR
 	default:
-		frac := (s.BufferSeconds - b.cfg.ReservoirSeconds) /
-			(b.cfg.CushionSeconds - b.cfg.ReservoirSeconds)
+		frac := (s.BufferSeconds - bbaReservoirSeconds) /
+			(bbaCushionSeconds - bbaReservoirSeconds)
 		return minR + frac*(maxR-minR)
 	}
 }

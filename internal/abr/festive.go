@@ -8,57 +8,45 @@ import (
 	"github.com/flare-sim/flare/internal/sim"
 )
 
-// FestiveConfig holds the FESTIVE parameters. The paper's Table IV uses
-// k=4, p=0.85, alpha=12.
-type FestiveConfig struct {
-	// K is the delayed-update factor: an up-switch from level L is
-	// applied only after the target has stayed above the current level
-	// for K*(L+1) consecutive segments ("slower increase for higher
-	// bitrates").
-	K int
-	// P is the bandwidth safety factor (target rate <= P * estimate).
-	P float64
-	// Alpha weights efficiency against stability in the combined score.
-	Alpha float64
-	// HistorySegments is the harmonic-mean estimation window.
-	HistorySegments int
-	// SwitchWindow is how many recent segments count toward the
-	// stability (switch-count) score.
-	SwitchWindow int
-	// TargetBufferSeconds is the randomized-scheduling buffer target;
-	// requests are paced so the buffer hovers around it.
-	TargetBufferSeconds float64
-}
-
-// DefaultFestiveConfig returns the Table IV parameters (k=4, p=0.85,
-// alpha=12). The estimation window is 5 segments: with the multi-second
+// FESTIVE's parameters. The paper's Table IV gives k=4, p=0.85 and
+// alpha=12. The estimation window is 5 segments: with the multi-second
 // segments of the FLARE scenarios, a longer window averages across
 // several radio coherence times and hides exactly the LTE bandwidth
 // variability whose mishandling the paper documents for FESTIVE.
-func DefaultFestiveConfig() FestiveConfig {
-	return FestiveConfig{
-		K:                   4,
-		P:                   0.85,
-		Alpha:               12,
-		HistorySegments:     5,
-		SwitchWindow:        10,
-		TargetBufferSeconds: 25,
-	}
-}
+const (
+	// festiveK is the delayed-update factor: an up-switch from level L
+	// is applied only after the target has stayed above the current
+	// level for festiveK*(L+1) consecutive segments ("slower increase
+	// for higher bitrates").
+	festiveK = 4
+	// festiveP is the bandwidth safety factor (target rate <= p *
+	// estimate).
+	festiveP float64 = 0.85
+	// festiveAlpha weights efficiency against stability in the
+	// combined score.
+	festiveAlpha float64 = 12
+	// festiveHistorySegments is the harmonic-mean estimation window.
+	festiveHistorySegments = 5
+	// festiveSwitchWindow is how many recent segments count toward the
+	// stability (switch-count) score.
+	festiveSwitchWindow = 10
+	// festiveTargetBufferSeconds is the randomized-scheduling buffer
+	// target; requests are paced so the buffer hovers around it.
+	festiveTargetBufferSeconds float64 = 25
+)
 
 // Festive implements the FESTIVE rate-adaptation algorithm: harmonic-mean
 // bandwidth estimation, gradual (one-level) switching with delayed
 // up-switches, a stability-vs-efficiency score to suppress oscillation,
 // and randomized chunk scheduling.
 type Festive struct {
-	cfg  FestiveConfig
 	hist *History
 	rng  *sim.RNG
 
 	upStreak int
-	// lastQs holds the most recent SwitchWindow+1 selected levels, oldest
-	// first, for the switch count. Its backing array is sized once in
-	// NewFestive and never re-allocated.
+	// lastQs holds the most recent festiveSwitchWindow+1 selected
+	// levels, oldest first, for the switch count. Its backing array is
+	// sized once in NewFestive and never re-allocated.
 	lastQs    []int
 	bufTarget float64
 }
@@ -69,21 +57,11 @@ var (
 )
 
 // NewFestive builds a FESTIVE adapter with its own RNG stream.
-func NewFestive(cfg FestiveConfig, rng *sim.RNG) *Festive {
-	if cfg.K < 1 {
-		cfg.K = 1
-	}
-	if cfg.HistorySegments < 1 {
-		cfg.HistorySegments = 1
-	}
-	if cfg.SwitchWindow < 1 {
-		cfg.SwitchWindow = 1
-	}
+func NewFestive(rng *sim.RNG) *Festive {
 	f := &Festive{
-		cfg:    cfg,
-		hist:   NewHistory(cfg.HistorySegments),
+		hist:   NewHistory(festiveHistorySegments),
 		rng:    rng.Split(),
-		lastQs: make([]int, 0, cfg.SwitchWindow+1),
+		lastQs: make([]int, 0, festiveSwitchWindow+1),
 	}
 	f.resampleBufferTarget()
 	return f
@@ -95,7 +73,7 @@ func (f *Festive) Name() string { return "festive" }
 // OnSegmentComplete implements has.Adapter.
 func (f *Festive) OnSegmentComplete(rec has.SegmentRecord) {
 	f.hist.Add(rec.ThroughputBps)
-	if len(f.lastQs) == f.cfg.SwitchWindow+1 {
+	if len(f.lastQs) == festiveSwitchWindow+1 {
 		// Window full: drop the oldest by copying down, in place.
 		f.lastQs = f.lastQs[:copy(f.lastQs, f.lastQs[1:])]
 	}
@@ -120,7 +98,7 @@ func (f *Festive) NextQuality(s has.State) int {
 	}
 	cur := s.Ladder.Clamp(s.LastQuality)
 	w := f.hist.HarmonicMean(0)
-	bref := s.Ladder.HighestAtMost(f.cfg.P * w)
+	bref := s.Ladder.HighestAtMost(festiveP * w)
 
 	// Gradual switching: down-switches are immediate (the estimate says
 	// the current rate is unsustainable), up-switches are delayed.
@@ -131,7 +109,7 @@ func (f *Festive) NextQuality(s has.State) int {
 	candidate := cur
 	if bref > cur {
 		f.upStreak++
-		if f.upStreak >= f.cfg.K*(cur+1) {
+		if f.upStreak >= festiveK*(cur+1) {
 			candidate = cur + 1
 			f.upStreak = 0
 		}
@@ -151,7 +129,7 @@ func (f *Festive) NextQuality(s has.State) int {
 }
 
 // score is FESTIVE's combined score: 2^(switch count) stability cost plus
-// Alpha times the bandwidth-mismatch efficiency cost. Lower is better.
+// alpha times the bandwidth-mismatch efficiency cost. Lower is better.
 // The efficiency term uses the symmetric ratio max(r/t, t/r) - 1 rather
 // than the paper's |r/t - 1|: the latter saturates at 1 when the current
 // rate is far below the fair share, which would let the stability term
@@ -164,11 +142,11 @@ func (f *Festive) score(l has.Ladder, b, cur int, w float64) float64 {
 	}
 	stability := math.Pow(2, float64(switches))
 	eff := 0.0
-	if target := f.cfg.P * w; target > 0 {
+	if target := festiveP * w; target > 0 {
 		r := l.Rate(b)
 		eff = math.Max(r/target, target/r) - 1
 	}
-	return stability + f.cfg.Alpha*eff
+	return stability + festiveAlpha*eff
 }
 
 // RequestDelay implements has.RequestPacer: FESTIVE's randomized chunk
@@ -184,8 +162,5 @@ func (f *Festive) RequestDelay(s has.State) int64 {
 }
 
 func (f *Festive) resampleBufferTarget() {
-	f.bufTarget = f.cfg.TargetBufferSeconds * f.rng.Uniform(0.85, 1.15)
-	if f.bufTarget < 1 {
-		f.bufTarget = 1
-	}
+	f.bufTarget = festiveTargetBufferSeconds * f.rng.Uniform(0.85, 1.15)
 }

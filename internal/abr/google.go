@@ -2,45 +2,31 @@ package abr
 
 import "github.com/flare-sim/flare/internal/has"
 
-// GoogleConfig parameterises the MPEG-DASH / Media Source demo player
-// heuristic the paper calls GOOGLE: two bandwidth estimates from the
-// long- and short-term histories, selecting the highest rate at or below
-// P * min(long, short).
-type GoogleConfig struct {
-	// P is the safety factor (the paper uses 0.85).
-	P float64
-	// LongSegments and ShortSegments are the two estimation windows.
-	LongSegments, ShortSegments int
-}
-
-// DefaultGoogleConfig returns the demo player's settings.
-func DefaultGoogleConfig() GoogleConfig {
-	return GoogleConfig{P: 0.85, LongSegments: 10, ShortSegments: 3}
-}
+// The MPEG-DASH / Media Source demo player's settings: two bandwidth
+// estimates from the long- and short-term histories, selecting the
+// highest rate at or below googleP * min(long, short).
+const (
+	// googleP is the safety factor (the paper uses 0.85).
+	googleP float64 = 0.85
+	// googleLongSegments and googleShortSegments are the two
+	// estimation windows.
+	googleLongSegments  = 10
+	googleShortSegments = 3
+)
 
 // Google implements the GOOGLE baseline. Unlike FESTIVE it has no
 // gradual-switching or stability logic — it jumps straight to the
 // estimated rate, which is why the paper observes aggressive selections
 // and frequent rebuffering.
 type Google struct {
-	cfg  GoogleConfig
 	hist *History
 }
 
 var _ has.Adapter = (*Google)(nil)
 
 // NewGoogle builds a GOOGLE adapter.
-func NewGoogle(cfg GoogleConfig) *Google {
-	if cfg.LongSegments < 1 {
-		cfg.LongSegments = 1
-	}
-	if cfg.ShortSegments < 1 {
-		cfg.ShortSegments = 1
-	}
-	if cfg.ShortSegments > cfg.LongSegments {
-		cfg.ShortSegments = cfg.LongSegments
-	}
-	return &Google{cfg: cfg, hist: NewHistory(cfg.LongSegments)}
+func NewGoogle() *Google {
+	return &Google{hist: NewHistory(googleLongSegments)}
 }
 
 // Name implements has.Adapter.
@@ -56,11 +42,11 @@ func (g *Google) NextQuality(s has.State) int {
 	if g.hist.Len() == 0 {
 		return 0
 	}
-	long := g.hist.Mean(g.cfg.LongSegments)
-	short := g.hist.Mean(g.cfg.ShortSegments)
+	long := g.hist.Mean(googleLongSegments)
+	short := g.hist.Mean(googleShortSegments)
 	est := long
 	if short < est {
 		est = short
 	}
-	return s.Ladder.HighestAtMost(g.cfg.P * est)
+	return s.Ladder.HighestAtMost(googleP * est)
 }

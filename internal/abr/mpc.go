@@ -4,37 +4,29 @@ import (
 	"math"
 
 	"github.com/flare-sim/flare/internal/has"
+	"github.com/flare-sim/flare/internal/qoe"
+)
+
+// The standard RobustMPC settings. The objective's weights are qoe's:
+// the switch penalty qoe.LambdaSwitch and the rebuffering penalty
+// qoe.MuRebufferPerSec (~3x the top utility per second of stall).
+const (
+	// mpcHorizon is the look-ahead in segments.
+	mpcHorizon = 5
+	// mpcHistorySegments is the throughput-prediction window.
+	mpcHistorySegments = 5
 )
 
 // MPCConfig parameterises the model-predictive-control adapter.
 type MPCConfig struct {
-	// Horizon is the look-ahead in segments.
-	Horizon int
 	// SegmentSeconds is the segment play length (needed to predict
 	// download times and rebuffering).
 	SegmentSeconds float64
-	// LambdaSwitch weights the bitrate-change penalty.
-	LambdaSwitch float64
-	// MuRebuffer weights the predicted rebuffering penalty (per second).
-	MuRebuffer float64
-	// HistorySegments is the throughput-prediction window.
-	HistorySegments int
-	// Robust discounts the throughput prediction by the maximum recent
-	// relative prediction error (the RobustMPC variant).
-	Robust bool
 }
 
-// DefaultMPCConfig returns the standard RobustMPC settings for 10 s
-// segments.
+// DefaultMPCConfig returns the settings for 10 s segments.
 func DefaultMPCConfig() MPCConfig {
-	return MPCConfig{
-		Horizon:         5,
-		SegmentSeconds:  10,
-		LambdaSwitch:    1,
-		MuRebuffer:      3000, // ~3x the top utility per second of stall
-		HistorySegments: 5,
-		Robust:          true,
-	}
+	return MPCConfig{SegmentSeconds: 10}
 }
 
 // MPC implements the control-theoretic adapter of Yin et al.
@@ -42,7 +34,9 @@ func DefaultMPCConfig() MPCConfig {
 // client-side adaptation: choose the bitrate sequence over a short
 // horizon that maximises a QoE objective (bitrate utility − switching
 // penalty − rebuffering penalty) under a throughput prediction, then
-// apply only the first decision. Included as an extension baseline.
+// apply only the first decision. The throughput prediction is discounted
+// by the maximum recent relative prediction error (the RobustMPC
+// variant). Included as an extension baseline.
 type MPC struct {
 	cfg  MPCConfig
 	hist *History
@@ -55,17 +49,10 @@ var _ has.Adapter = (*MPC)(nil)
 
 // NewMPC builds an MPC adapter.
 func NewMPC(cfg MPCConfig) *MPC {
-	def := DefaultMPCConfig()
-	if cfg.Horizon < 1 {
-		cfg.Horizon = def.Horizon
-	}
 	if cfg.SegmentSeconds <= 0 {
-		cfg.SegmentSeconds = def.SegmentSeconds
+		cfg.SegmentSeconds = DefaultMPCConfig().SegmentSeconds
 	}
-	if cfg.HistorySegments < 1 {
-		cfg.HistorySegments = def.HistorySegments
-	}
-	return &MPC{cfg: cfg, hist: NewHistory(cfg.HistorySegments)}
+	return &MPC{cfg: cfg, hist: NewHistory(mpcHistorySegments)}
 }
 
 // Name implements has.Adapter.
@@ -90,7 +77,7 @@ func (m *MPC) NextQuality(s has.State) int {
 		return 0
 	}
 	pred := m.hist.HarmonicMean(0)
-	if m.cfg.Robust && m.maxErr > 0 {
+	if m.maxErr > 0 {
 		pred /= 1 + m.maxErr
 	}
 	m.lastPrediction = pred
@@ -105,7 +92,7 @@ func (m *MPC) NextQuality(s has.State) int {
 	// step); the remaining horizon steps move at most one level, which
 	// prunes the search the way MPC's fast-table variant does.
 	paths := 1
-	for i := 1; i < m.cfg.Horizon; i++ {
+	for i := 1; i < mpcHorizon; i++ {
 		paths *= 3
 	}
 	for first := 0; first < s.Ladder.Len(); first++ {
@@ -126,7 +113,7 @@ func (m *MPC) scorePath(s has.State, cur, first int, pred float64, path int) flo
 	level := first
 	prev := cur
 	score := 0.0
-	for k := 0; k < m.cfg.Horizon; k++ {
+	for k := 0; k < mpcHorizon; k++ {
 		if k > 0 {
 			delta := path%3 - 1
 			path /= 3
@@ -137,16 +124,10 @@ func (m *MPC) scorePath(s has.State, cur, first int, pred float64, path int) flo
 		rebuf := math.Max(0, dl-buffer)
 		buffer = math.Max(0, buffer-dl) + m.cfg.SegmentSeconds
 
-		score += qoe(rate) -
-			m.cfg.LambdaSwitch*math.Abs(qoe(rate)-qoe(s.Ladder.Rate(prev))) -
-			m.cfg.MuRebuffer*rebuf
+		score += qoe.Quality(rate) -
+			qoe.LambdaSwitch*math.Abs(qoe.Quality(rate)-qoe.Quality(s.Ladder.Rate(prev))) -
+			qoe.MuRebufferPerSec*rebuf
 		prev = level
 	}
 	return score
-}
-
-// qoe is the per-segment bitrate utility (log-scaled, in "quality
-// points" comparable across ladders).
-func qoe(rateBps float64) float64 {
-	return 1000 * math.Log(rateBps/1e5)
 }

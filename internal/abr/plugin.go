@@ -78,25 +78,24 @@ type FallbackConfig struct {
 	// GBR installs keep failing, or the server stopped running BAIs —
 	// also triggers fallback (default 4).
 	MaxAssignmentAgeBAIs int
-	// SafetyFactor discounts the fallback throughput estimate before
-	// picking a level, absorbing estimate noise without the network's
-	// radio knowledge (default 0.85).
-	SafetyFactor float64
-	// WindowSegments is the throughput-history window for the local
-	// estimator (default 3, matching the AVIS companion client).
-	WindowSegments int
 }
 
 // DefaultFallbackConfig returns the paper-plausible degradation
 // parameters: fall back after 3 lost polls or a 4-BAI-stale assignment.
 func DefaultFallbackConfig() FallbackConfig {
-	return FallbackConfig{
-		AfterFailedPolls:     3,
-		MaxAssignmentAgeBAIs: 4,
-		SafetyFactor:         0.85,
-		WindowSegments:       3,
-	}
+	return FallbackConfig{AfterFailedPolls: 3, MaxAssignmentAgeBAIs: 4}
 }
+
+// The fallback ABR's estimator.
+const (
+	// fallbackSafetyFactor discounts the fallback throughput estimate
+	// before picking a level, absorbing estimate noise without the
+	// network's radio knowledge.
+	fallbackSafetyFactor float64 = 0.85
+	// fallbackWindowSegments is the throughput-history window for the
+	// local estimator, matching the AVIS companion client.
+	fallbackWindowSegments = 3
+)
 
 func (c FallbackConfig) normalized() FallbackConfig {
 	d := DefaultFallbackConfig()
@@ -105,12 +104,6 @@ func (c FallbackConfig) normalized() FallbackConfig {
 	}
 	if c.MaxAssignmentAgeBAIs <= 0 {
 		c.MaxAssignmentAgeBAIs = d.MaxAssignmentAgeBAIs
-	}
-	if c.SafetyFactor <= 0 || c.SafetyFactor > 1 {
-		c.SafetyFactor = d.SafetyFactor
-	}
-	if c.WindowSegments <= 0 {
-		c.WindowSegments = d.WindowSegments
 	}
 	return c
 }
@@ -158,7 +151,7 @@ func NewFlarePlugin() *FlarePlugin {
 // per session. Use the elements in place (&ps[i]).
 func NewFlarePlugins(n int, fb FallbackConfig) []FlarePlugin {
 	fb = fb.normalized()
-	w := fb.WindowSegments
+	const w = fallbackWindowSegments
 	samples := make([]float64, n*w)
 	ps := make([]FlarePlugin, n)
 	for i := range ps {
@@ -274,7 +267,7 @@ func (p *FlarePlugin) fallbackQuality(s has.State) int {
 	if p.hist.Len() == 0 {
 		return 0
 	}
-	bps := p.fb.SafetyFactor * p.hist.HarmonicMean(0)
+	bps := fallbackSafetyFactor * p.hist.HarmonicMean(0)
 	if bps <= 0 {
 		return 0
 	}

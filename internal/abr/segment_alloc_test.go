@@ -38,7 +38,7 @@ func TestCompletedSegmentAllocatesNothing(t *testing.T) {
 		adapter has.Adapter
 	}{
 		{"flare-plugin", plugin},
-		{"festive", NewFestive(DefaultFestiveConfig(), sim.NewRNG(1))},
+		{"festive", NewFestive(sim.NewRNG(1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := &segmentEnv{}
@@ -79,17 +79,16 @@ func TestCompletedSegmentAllocatesNothing(t *testing.T) {
 }
 
 // TestFestiveSwitchWindowStaysInPlace: the switch window holds the most
-// recent SwitchWindow+1 levels, oldest first, in the array NewFestive
+// recent festiveSwitchWindow+1 levels, oldest first, in the array NewFestive
 // sized — never a re-allocated one, however long the session.
 func TestFestiveSwitchWindowStaysInPlace(t *testing.T) {
-	cfg := DefaultFestiveConfig()
-	f := NewFestive(cfg, sim.NewRNG(1))
+	f := NewFestive(sim.NewRNG(1))
 	first := &f.lastQs[:1][0]
 	var want []int
 	for i := 0; i < 1000; i++ {
 		q := (i * 7) % 5
 		f.OnSegmentComplete(has.SegmentRecord{Quality: q, ThroughputBps: 1e6})
-		if want = append(want, q); len(want) > cfg.SwitchWindow+1 {
+		if want = append(want, q); len(want) > festiveSwitchWindow+1 {
 			want = want[1:]
 		}
 		if len(f.lastQs) != len(want) {

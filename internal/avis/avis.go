@@ -19,34 +19,20 @@ package avis
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/has"
 	"github.com/flare-sim/flare/internal/lte"
 )
 
-// Config parameterises the AVIS allocator. Table IV: alpha=0.01, W=150.
-type Config struct {
-	// Alpha is the EWMA step for the per-flow radio-cost estimate.
-	Alpha float64
-	// WindowMs is the allocation epoch length in milliseconds.
-	WindowMs int
-	// VideoFraction is the static share of the cell reserved for video;
-	// 0 lets the allocator derive it from the flow counts at Partition.
-	VideoFraction float64
-	// MBRHeadroom scales the enforced MBR relative to the target
-	// encoding. AVIS pins MBR to the assigned rate (headroom 1.0): the
-	// client's measured throughput then sits at or below the target
-	// encoding rate, so its own adaptation tends to request one level
-	// below the network's assignment — the client/network mismatch the
-	// paper documents for AVIS.
-	MBRHeadroom float64
-}
-
-// DefaultConfig returns the paper's Table IV AVIS parameters.
-func DefaultConfig() Config {
-	return Config{Alpha: 0.01, WindowMs: 150, MBRHeadroom: 1.0}
-}
+// The AVIS parameters of the paper's Table IV: alpha=0.01, W=150.
+const (
+	// alpha is the EWMA step for the per-flow radio-cost estimate.
+	alpha float64 = 0.01
+	// Window is the allocation epoch length W.
+	Window = 150 * time.Millisecond
+)
 
 // Assignment is one epoch's enforcement decision for a video flow.
 type Assignment struct {
@@ -65,27 +51,13 @@ type avisFlow struct {
 
 // Allocator is the AVIS cell-level resource manager.
 type Allocator struct {
-	cfg   Config
 	flows map[int]*avisFlow
 }
 
 // NewAllocator builds an AVIS allocator.
-func NewAllocator(cfg Config) *Allocator {
-	def := DefaultConfig()
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.WindowMs <= 0 {
-		cfg.WindowMs = def.WindowMs
-	}
-	if cfg.MBRHeadroom < 1 {
-		cfg.MBRHeadroom = def.MBRHeadroom
-	}
-	return &Allocator{cfg: cfg, flows: make(map[int]*avisFlow)}
+func NewAllocator() *Allocator {
+	return &Allocator{flows: make(map[int]*avisFlow)}
 }
-
-// Config returns the allocator configuration.
-func (a *Allocator) Config() Config { return a.cfg }
 
 // Register admits a video flow. AVIS learns the ladder by inspecting the
 // (unencrypted) video traffic in-network; here it is handed over
@@ -115,17 +87,9 @@ func (a *Allocator) Unregister(flowID int) { delete(a.flows, flowID) }
 // NumFlows returns the number of managed video flows.
 func (a *Allocator) NumFlows() int { return len(a.flows) }
 
-// Partition returns the static video share of the cell. A configured
-// VideoFraction wins; otherwise the share is the video flows' head-count
-// fraction, the natural static split for the scenario.
+// Partition returns the static video share of the cell: the video
+// flows' head-count fraction, the natural static split for the scenario.
 func (a *Allocator) Partition(numDataFlows int) float64 {
-	if a.cfg.VideoFraction > 0 {
-		f := a.cfg.VideoFraction
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
 	n := len(a.flows)
 	if n == 0 {
 		return 0
@@ -160,7 +124,7 @@ func (a *Allocator) RunEpoch(stats map[int]core.FlowStats, numDataFlows int) []A
 		default:
 			continue
 		}
-		f.bytesPerRB += a.cfg.Alpha * (sample - f.bytesPerRB)
+		f.bytesPerRB += alpha * (sample - f.bytesPerRB)
 	}
 
 	videoRBsPerSec := a.Partition(numDataFlows) * lte.NumRB * lte.TTIsPerSecond
@@ -172,10 +136,15 @@ func (a *Allocator) RunEpoch(stats map[int]core.FlowStats, numDataFlows int) []A
 		sustainableBps := perFlowRBs * f.bytesPerRB * 8
 		level := f.ladder.HighestAtMost(sustainableBps)
 		rate := f.ladder.Rate(level)
+		// AVIS pins MBR to the assigned rate: the client's measured
+		// throughput then sits at or below the target encoding rate, so
+		// its own adaptation tends to request one level below the
+		// network's assignment — the client/network mismatch the paper
+		// documents for AVIS.
 		out = append(out, Assignment{
 			FlowID:      id,
 			GBRBps:      rate,
-			MBRBps:      rate * a.cfg.MBRHeadroom,
+			MBRBps:      rate,
 			TargetLevel: level,
 		})
 	}

@@ -8,9 +8,9 @@ import (
 	"github.com/flare-sim/flare/internal/has"
 )
 
-func allocatorWithFlows(t *testing.T, cfg Config, n int) *Allocator {
+func allocatorWithFlows(t *testing.T, n int) *Allocator {
 	t.Helper()
-	a := NewAllocator(cfg)
+	a := NewAllocator()
 	for id := 0; id < n; id++ {
 		if err := a.Register(id, has.SimLadder()); err != nil {
 			t.Fatal(err)
@@ -20,7 +20,7 @@ func allocatorWithFlows(t *testing.T, cfg Config, n int) *Allocator {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	a := NewAllocator(DefaultConfig())
+	a := NewAllocator()
 	if err := a.Register(1, has.Ladder{}); err == nil {
 		t.Error("empty ladder accepted")
 	}
@@ -36,38 +36,22 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	a := NewAllocator(Config{Alpha: -1, WindowMs: 0, MBRHeadroom: 0.5})
-	got := a.Config()
-	def := DefaultConfig()
-	if got.Alpha != def.Alpha || got.WindowMs != def.WindowMs || got.MBRHeadroom != def.MBRHeadroom {
-		t.Fatalf("defaults not applied: %+v", got)
-	}
-}
-
 func TestPartition(t *testing.T) {
-	a := allocatorWithFlows(t, DefaultConfig(), 3)
+	a := allocatorWithFlows(t, 3)
 	if got := a.Partition(1); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("Partition(1) = %v, want 0.75", got)
 	}
 	if got := a.Partition(0); got != 1 {
 		t.Errorf("Partition(0) = %v, want 1", got)
 	}
-	// Configured fraction wins and is clamped.
-	cfg := DefaultConfig()
-	cfg.VideoFraction = 2.5
-	b := allocatorWithFlows(t, cfg, 2)
-	if got := b.Partition(5); got != 1 {
-		t.Errorf("clamped fraction = %v", got)
-	}
-	empty := NewAllocator(DefaultConfig())
+	empty := NewAllocator()
 	if got := empty.Partition(3); got != 0 {
 		t.Errorf("empty Partition = %v", got)
 	}
 }
 
 func TestRunEpochSnapsToLadder(t *testing.T) {
-	a := allocatorWithFlows(t, DefaultConfig(), 2)
+	a := allocatorWithFlows(t, 2)
 	// Rich stats: 32 bytes/RB. With 2 flows and 2 data flows the video
 	// slice is half the cell: 12500 RB/s each -> 3.2 Mbps sustainable
 	// -> snapped down to the 3 Mbps ladder top.
@@ -93,7 +77,7 @@ func TestRunEpochSnapsToLadder(t *testing.T) {
 }
 
 func TestRunEpochPoorChannelGetsLowRate(t *testing.T) {
-	a := allocatorWithFlows(t, DefaultConfig(), 4)
+	a := allocatorWithFlows(t, 4)
 	stats := map[int]core.FlowStats{}
 	for id := 0; id < 4; id++ {
 		stats[id] = core.FlowStats{Bytes: 20_000, RBs: 40_000} // 0.5 B/RB
@@ -111,7 +95,7 @@ func TestRunEpochPoorChannelGetsLowRate(t *testing.T) {
 }
 
 func TestRunEpochEwmaIsSlow(t *testing.T) {
-	a := allocatorWithFlows(t, DefaultConfig(), 1)
+	a := allocatorWithFlows(t, 1)
 	good := map[int]core.FlowStats{0: {Bytes: 3_000_000, RBs: 100_000}}
 	for i := 0; i < 2000; i++ {
 		a.RunEpoch(good, 0)
@@ -127,7 +111,7 @@ func TestRunEpochEwmaIsSlow(t *testing.T) {
 }
 
 func TestRunEpochUsesHintWhenIdle(t *testing.T) {
-	a := allocatorWithFlows(t, DefaultConfig(), 1)
+	a := allocatorWithFlows(t, 1)
 	stats := map[int]core.FlowStats{0: {BytesPerRBHint: 40}}
 	var out []Assignment
 	for i := 0; i < 2000; i++ {
@@ -139,7 +123,7 @@ func TestRunEpochUsesHintWhenIdle(t *testing.T) {
 }
 
 func TestRunEpochEmpty(t *testing.T) {
-	a := NewAllocator(DefaultConfig())
+	a := NewAllocator()
 	if out := a.RunEpoch(nil, 3); out != nil {
 		t.Fatalf("assignments for empty allocator: %v", out)
 	}
@@ -149,8 +133,8 @@ func TestRunEpochMoreDataFlowsShrinksVideo(t *testing.T) {
 	mkstats := func() map[int]core.FlowStats {
 		return map[int]core.FlowStats{0: {Bytes: 1_000_000, RBs: 100_000}}
 	}
-	few := allocatorWithFlows(t, DefaultConfig(), 1)
-	many := allocatorWithFlows(t, DefaultConfig(), 1)
+	few := allocatorWithFlows(t, 1)
+	many := allocatorWithFlows(t, 1)
 	var fewOut, manyOut []Assignment
 	for i := 0; i < 2000; i++ {
 		fewOut = few.RunEpoch(mkstats(), 1)

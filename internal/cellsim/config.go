@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/flare-sim/flare/internal/abr"
-	"github.com/flare-sim/flare/internal/avis"
 	"github.com/flare-sim/flare/internal/cellsim/driver"
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/faults"
@@ -145,11 +144,44 @@ type ChannelSpec struct {
 	// paper's "each UE starts the cycle with a different offset".
 	CyclicMin, CyclicMax int
 	CyclicPeriod         time.Duration
-	// Mobility parameterises ChannelMobility (NumUEs is overridden).
+	// Mobility parameterises ChannelMobility (NumUEs is overridden); a
+	// zero value, NumUEs aside, selects lte.DefaultMobilityConfig.
 	Mobility lte.MobilityConfig
 	// Traces are per-UE iTbs traces for ChannelTrace.
 	Traces    [][]int
 	TraceStep time.Duration
+}
+
+// Validate checks the link model: its kind, and each parameter that
+// kind reads. An iTbs must lie in [lte.MinITbs, lte.MaxITbs].
+func (c ChannelSpec) Validate() error {
+	switch c.Kind {
+	case ChannelStatic:
+		return checkITbs("static", c.StaticITbs)
+	case ChannelCyclic:
+		if c.CyclicPeriod <= 0 {
+			return fmt.Errorf("cellsim: cyclic channel needs a positive period")
+		}
+		if err := checkITbs("cyclic min", c.CyclicMin); err != nil {
+			return err
+		}
+		return checkITbs("cyclic max", c.CyclicMax)
+	case ChannelMobility:
+	case ChannelTrace:
+		if len(c.Traces) == 0 || c.TraceStep <= 0 {
+			return fmt.Errorf("cellsim: trace channel needs traces and a positive step")
+		}
+	default:
+		return fmt.Errorf("cellsim: unknown channel kind %d", int(c.Kind))
+	}
+	return nil
+}
+
+func checkITbs(what string, iTbs int) error {
+	if iTbs < lte.MinITbs || iTbs > lte.MaxITbs {
+		return fmt.Errorf("cellsim: %s iTbs %d out of [%d, %d]", what, iTbs, lte.MinITbs, lte.MaxITbs)
+	}
+	return nil
 }
 
 // Config describes one simulation run.
@@ -201,11 +233,6 @@ type Config struct {
 
 	// Flare configures the FLARE controller (BAI, alpha, delta, solver).
 	Flare core.Config
-	// Avis configures the AVIS allocator.
-	Avis avis.Config
-	// Festive and Google configure the client baselines.
-	Festive abr.FestiveConfig
-	Google  abr.GoogleConfig
 	// Player configures the HAS player (buffer cap per the scenario).
 	Player has.PlayerConfig
 	// Transport configures the TCP model.
@@ -230,10 +257,9 @@ type Config struct {
 	VideoDepartures []time.Duration
 
 	// CollectSeries enables per-second time-series collection (the
-	// Figure 4/5 views); off by default to keep large sweeps lean.
+	// Figure 4/5 views, sampled every sampleEvery); off by default to
+	// keep large sweeps lean.
 	CollectSeries bool
-	// SampleEvery is the series sampling period (default 1 s).
-	SampleEvery time.Duration
 
 	// Obs attaches a telemetry recorder to the run: the engine stamps
 	// events with the simulated clock, the drivers and control plane
@@ -264,12 +290,8 @@ func DefaultConfig(scheme Scheme) Config {
 		Scheme:          scheme,
 		Channel:         ChannelSpec{Kind: ChannelStatic, StaticITbs: 12},
 		Flare:           core.DefaultConfig(),
-		Avis:            avis.DefaultConfig(),
-		Festive:         abr.DefaultFestiveConfig(),
-		Google:          abr.DefaultGoogleConfig(),
 		Player:          has.DefaultPlayerConfig(),
 		Transport:       transport.DefaultConfig(),
-		SampleEvery:     time.Second,
 	}
 }
 
@@ -326,19 +348,5 @@ func (c *Config) Validate() error {
 	if len(c.VideoDepartures) > 0 && len(c.VideoDepartures) != numVideo {
 		return fmt.Errorf("cellsim: %d departures for %d video clients", len(c.VideoDepartures), numVideo)
 	}
-	switch c.Channel.Kind {
-	case ChannelStatic:
-	case ChannelCyclic:
-		if c.Channel.CyclicPeriod <= 0 {
-			return fmt.Errorf("cellsim: cyclic channel needs a positive period")
-		}
-	case ChannelMobility:
-	case ChannelTrace:
-		if len(c.Channel.Traces) == 0 || c.Channel.TraceStep <= 0 {
-			return fmt.Errorf("cellsim: trace channel needs traces and a positive step")
-		}
-	default:
-		return fmt.Errorf("cellsim: unknown channel kind %d", int(c.Channel.Kind))
-	}
-	return nil
+	return c.Channel.Validate()
 }

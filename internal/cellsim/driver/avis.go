@@ -28,18 +28,15 @@ var (
 
 // NewAVIS builds the AVIS baseline's driver.
 func NewAVIS(cfg Config) Controller {
-	return &avisDriver{cfg: cfg, alloc: avis.NewAllocator(cfg.Avis)}
+	return &avisDriver{cfg: cfg, alloc: avis.NewAllocator()}
 }
 
 // SchedulerPolicy implements Controller: AVIS statically slices the cell.
 func (d *avisDriver) SchedulerPolicy() SchedulerPolicy { return PolicySliced }
 
-// VideoFraction implements SliceSizer: a configured fraction wins;
-// otherwise the video flows' head-count share of the whole population.
+// VideoFraction implements SliceSizer: the video flows' head-count share
+// of the whole population.
 func (d *avisDriver) VideoFraction(numVideo, numBackground int) float64 {
-	if frac := d.cfg.Avis.VideoFraction; frac > 0 {
-		return frac
-	}
 	total := numVideo + numBackground
 	if total == 0 {
 		return 0
@@ -67,16 +64,13 @@ func (d *avisDriver) Init(e Engine, flows []*Flow) error {
 	return nil
 }
 
-// Interval implements Controller: the allocation epoch, floored at 10
-// TTIs.
-func (d *avisDriver) Interval() time.Duration {
-	return clampedInterval(time.Duration(d.alloc.Config().WindowMs)*time.Millisecond, 10)
-}
+// Interval implements Controller: the allocation epoch.
+func (d *avisDriver) Interval() time.Duration { return avis.Window }
 
 // OnBAI implements Controller: one allocation epoch — drain the window
 // accounting, rerun the allocator, and install the GBR/MBR pairs.
 func (d *avisDriver) OnBAI(time.Duration) error {
-	assignments := d.alloc.RunEpoch(d.e.CollectStats(d.flows), d.cfg.BackgroundFlows)
+	assignments := d.alloc.RunEpoch(d.e.CollectStats(d.flows), len(d.cfg.BackgroundFlowIDs))
 	for _, a := range assignments {
 		if err := d.e.SetGBR(a.FlowID, a.GBRBps); err != nil {
 			return err

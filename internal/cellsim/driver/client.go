@@ -20,21 +20,21 @@ var _ Controller = (*clientDriver)(nil)
 // NewFESTIVE builds the FESTIVE client baseline's driver.
 func NewFESTIVE(cfg Config) Controller {
 	return &clientDriver{cfg: cfg, newAdapter: func(cfg *Config) has.Adapter {
-		return abr.NewFestive(cfg.Festive, cfg.RNG)
+		return abr.NewFestive(cfg.RNG)
 	}}
 }
 
 // NewGOOGLE builds the GOOGLE client baseline's driver.
 func NewGOOGLE(cfg Config) Controller {
-	return &clientDriver{cfg: cfg, newAdapter: func(cfg *Config) has.Adapter {
-		return abr.NewGoogle(cfg.Google)
+	return &clientDriver{cfg: cfg, newAdapter: func(*Config) has.Adapter {
+		return abr.NewGoogle()
 	}}
 }
 
 // NewBBA builds the buffer-based adaptation baseline's driver.
 func NewBBA(cfg Config) Controller {
 	return &clientDriver{cfg: cfg, newAdapter: func(*Config) has.Adapter {
-		return abr.NewBBA(abr.DefaultBBAConfig())
+		return abr.NewBBA()
 	}}
 }
 

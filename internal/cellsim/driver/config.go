@@ -2,7 +2,6 @@ package driver
 
 import (
 	"github.com/flare-sim/flare/internal/abr"
-	"github.com/flare-sim/flare/internal/avis"
 	"github.com/flare-sim/flare/internal/core"
 	"github.com/flare-sim/flare/internal/faults"
 	"github.com/flare-sim/flare/internal/has"
@@ -29,11 +28,6 @@ type Config struct {
 
 	// Flare configures the FLARE controller (BAI, alpha, delta, solver).
 	Flare core.Config
-	// Avis configures the AVIS allocator.
-	Avis avis.Config
-	// Festive and Google configure the client baselines.
-	Festive abr.FestiveConfig
-	Google  abr.GoogleConfig
 	// Fallback parameterises FLARE-plugin graceful degradation.
 	Fallback abr.FallbackConfig
 	// ControlFaults injects faults into the driver's control plane.
@@ -47,12 +41,10 @@ type Config struct {
 	OneAPI *oneapi.Server
 	CellID int
 
-	// BackgroundFlows counts the cell's flows NOT in this driver's group
-	// (data + other video groups) — the competing population a
-	// network-side allocator must budget for.
-	BackgroundFlows int
-	// BackgroundFlowIDs are those flows' bearer IDs, for drivers that
-	// register competing traffic with their control plane (FLARE's PCRF).
+	// BackgroundFlowIDs are the bearer IDs of the cell's flows NOT in
+	// this driver's group (data + other video groups): the competing
+	// population a network-side allocator must budget for (AVIS counts
+	// them) and FLARE registers with its PCRF.
 	BackgroundFlowIDs []int
 
 	// Obs is the telemetry recorder for this cell's control plane (nil =

@@ -90,7 +90,7 @@ type Result struct {
 
 	// Per-flow time series, populated when Config.CollectSeries is set:
 	// selected video rate (bps), playout buffer (s), and data flow
-	// throughput (bps), sampled every SampleEvery.
+	// throughput (bps), sampled every second.
 	VideoRateSeries []*metrics.TimeSeries
 	BufferSeries    []*metrics.TimeSeries
 	DataTputSeries  []*metrics.TimeSeries

@@ -13,7 +13,6 @@ import (
 	"github.com/flare-sim/flare/internal/metrics"
 	"github.com/flare-sim/flare/internal/obs"
 	"github.com/flare-sim/flare/internal/oneapi"
-	"github.com/flare-sim/flare/internal/qoe"
 	"github.com/flare-sim/flare/internal/sim"
 	"github.com/flare-sim/flare/internal/transport"
 )
@@ -150,9 +149,6 @@ func NewInCell(cfg Config, server *oneapi.Server, cellID int) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = time.Second
-	}
 	groups := cfg.videoGroups()
 	cfg.NumVideo = totalCount(groups)
 
@@ -221,15 +217,11 @@ func (s *Sim) buildDrivers(groups []FlowGroup, server *oneapi.Server, cellID int
 			SegmentSeconds:      s.cfg.SegmentDuration.Seconds(),
 			RNG:                 s.rng,
 			Flare:               s.cfg.Flare,
-			Avis:                s.cfg.Avis,
-			Festive:             s.cfg.Festive,
-			Google:              s.cfg.Google,
 			Fallback:            s.cfg.Fallback,
 			ControlFaults:       s.cfg.ControlFaults,
 			LowBufferCapSeconds: s.cfg.LowBufferCapSeconds,
 			OneAPI:              server,
 			CellID:              cellID,
-			BackgroundFlows:     len(background),
 			BackgroundFlowIDs:   background,
 			Obs:                 s.cfg.Obs,
 		}
@@ -253,10 +245,10 @@ func (s *Sim) buildChannel(numUEs int) (lte.Channel, error) {
 		return lte.NewCyclicChannel(spec.CyclicMin, spec.CyclicMax, period, offsets)
 	case ChannelMobility:
 		mcfg := spec.Mobility
-		if mcfg.AreaMeters == 0 {
+		mcfg.NumUEs = numUEs
+		if mcfg == (lte.MobilityConfig{NumUEs: numUEs}) {
 			mcfg = lte.DefaultMobilityConfig(numUEs)
 		}
-		mcfg.NumUEs = numUEs
 		return lte.NewMobilityChannel(mcfg, s.rng)
 	case ChannelTrace:
 		return lte.NewTraceChannel(spec.Traces, sim.DurationToTTIs(spec.TraceStep))
@@ -422,6 +414,9 @@ func (s *Sim) SetMBR(flowID int, bps float64) error { return s.enb.SetMBR(flowID
 // RNG implements driver.Engine.
 func (s *Sim) RNG() *sim.RNG { return s.rng }
 
+// sampleEvery is the period of the series CollectSeries records.
+const sampleEvery = time.Second
+
 func (s *Sim) sample(tSec float64) {
 	for i := range s.videoSlab {
 		f := &s.videoSlab[i]
@@ -437,7 +432,7 @@ func (s *Sim) sample(tSec float64) {
 		delivered := data[i].DeliveredTotal()
 		delta := delivered - s.lastDataBytes[i]
 		s.lastDataBytes[i] = delivered
-		s.dataSeries[i].Add(tSec, float64(delta)*8/s.cfg.SampleEvery.Seconds())
+		s.dataSeries[i].Add(tSec, float64(delta)*8/sampleEvery.Seconds())
 	}
 }
 
@@ -460,7 +455,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 			g.tickTTIs = sim.DurationToTTIs(iv)
 		}
 	}
-	sampleTTIs := sim.DurationToTTIs(s.cfg.SampleEvery)
+	sampleTTIs := sim.DurationToTTIs(sampleEvery)
 	if s.cfg.CollectSeries {
 		s.rateSeries = make([]*metrics.TimeSeries, s.cfg.NumVideo)
 		s.bufSeries = make([]*metrics.TimeSeries, s.cfg.NumVideo)
@@ -793,7 +788,7 @@ func clientResult(flowID int, scheme Scheme, p *has.Player, flow *transport.Flow
 		StallSeconds:        p.StallSeconds(),
 		StallCount:          p.StallCount(),
 		StartupDelaySeconds: p.StartupDelaySeconds(),
-		QoEScore:            tally.Score(p.StallSeconds(), p.StartupDelaySeconds(), qoe.DefaultWeights()),
+		QoEScore:            tally.Score(p.StallSeconds(), p.StartupDelaySeconds()),
 	}
 }
 

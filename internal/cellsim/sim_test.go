@@ -1,6 +1,7 @@
 package cellsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,9 +27,22 @@ func quickConfig(scheme Scheme, nVideo, nData int) Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := quickConfig(SchemeFLARE, 2, 1)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	cyclic := func(lo, hi int) ChannelSpec {
+		return ChannelSpec{Kind: ChannelCyclic, CyclicMin: lo, CyclicMax: hi, CyclicPeriod: time.Minute}
+	}
+	good := []func(*Config){
+		func(*Config) {},
+		// An iTbs at either end of [lte.MinITbs, lte.MaxITbs].
+		func(c *Config) { c.Channel.StaticITbs = lte.MinITbs },
+		func(c *Config) { c.Channel.StaticITbs = lte.MaxITbs },
+		func(c *Config) { c.Channel = cyclic(lte.MinITbs, lte.MaxITbs) },
+	}
+	for i, mutate := range good {
+		cfg := quickConfig(SchemeFLARE, 2, 1)
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("good mutation %d rejected: %v", i, err)
+		}
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.Duration = 0 },
@@ -40,6 +54,13 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Channel.Kind = ChannelKind(99) },
 		func(c *Config) { c.Channel = ChannelSpec{Kind: ChannelCyclic} },
 		func(c *Config) { c.Channel = ChannelSpec{Kind: ChannelTrace} },
+		// An iTbs outside [lte.MinITbs, lte.MaxITbs] is refused, not
+		// clamped.
+		func(c *Config) { c.Channel.StaticITbs = lte.MinITbs - 1 },
+		func(c *Config) { c.Channel.StaticITbs = lte.MaxITbs + 1 },
+		func(c *Config) { c.Channel.StaticITbs = 99 },
+		func(c *Config) { c.Channel = cyclic(lte.MinITbs-1, 12) },
+		func(c *Config) { c.Channel = cyclic(1, lte.MaxITbs+1) },
 	}
 	for i, mutate := range bad {
 		cfg := quickConfig(SchemeFLARE, 2, 1)
@@ -66,7 +87,7 @@ func TestSchemeString(t *testing.T) {
 		{SchemeFLARE, "FLARE", driver.PolicyGBR, time.Second},
 		{SchemeFESTIVE, "FESTIVE", driver.PolicyBestEffort, 0},
 		{SchemeGOOGLE, "GOOGLE", driver.PolicyBestEffort, 0},
-		// The allocator's default 150 ms epoch.
+		// AVIS's 150 ms epoch (Table IV's W).
 		{SchemeAVIS, "AVIS", driver.PolicySliced, 150 * time.Millisecond},
 		{SchemeBBA, "BBA", driver.PolicyBestEffort, 0},
 		{SchemeMPC, "MPC", driver.PolicyBestEffort, 0},
@@ -331,6 +352,32 @@ func TestMobilityScenarioRuns(t *testing.T) {
 	}
 }
 
+// TestZeroMobilitySpecIsTheDefault: a mobility channel given no
+// parameters (examples/mobility's spec) runs exactly as one given
+// lte.DefaultMobilityConfig, and a non-default one does not.
+func TestZeroMobilitySpecIsTheDefault(t *testing.T) {
+	run := func(mob lte.MobilityConfig) *Result {
+		t.Helper()
+		cfg := quickConfig(SchemeFLARE, 3, 1)
+		cfg.Duration = 60 * time.Second
+		cfg.Channel = ChannelSpec{Kind: ChannelMobility, Mobility: mob}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stripWallClock(res)
+	}
+	zero := run(lte.MobilityConfig{})
+	if def := run(lte.DefaultMobilityConfig(4)); !reflect.DeepEqual(zero, def) {
+		t.Fatalf("zero mobility spec diverged from the default:\nzero    %+v\ndefault %+v", zero, def)
+	}
+	slow := lte.DefaultMobilityConfig(4)
+	slow.MinSpeed, slow.MaxSpeed = 0.8, 1.5
+	if reflect.DeepEqual(zero, run(slow)) {
+		t.Fatal("pedestrian speeds gave the default's result: the comparison sees nothing")
+	}
+}
+
 func TestCyclicScenarioRuns(t *testing.T) {
 	cfg := quickConfig(SchemeGOOGLE, 2, 1)
 	cfg.Channel = ChannelSpec{
@@ -386,16 +433,23 @@ func TestBadMobilitySpecPropagates(t *testing.T) {
 	}
 }
 
-func TestSampleEveryDefaulted(t *testing.T) {
+// TestSeriesSampledEverySecond: CollectSeries records one point per
+// simulated second, at each whole second inside the run.
+func TestSeriesSampledEverySecond(t *testing.T) {
 	cfg := quickConfig(SchemeFLARE, 1, 0)
-	cfg.SampleEvery = -5
 	cfg.CollectSeries = true
 	cfg.Duration = 30 * time.Second
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VideoRateSeries[0].Len() < 20 {
-		t.Fatalf("default sampling broken: %d samples", res.VideoRateSeries[0].Len())
+	pts := res.VideoRateSeries[0].Points()
+	if len(pts) != 29 {
+		t.Fatalf("%d samples over 30 s, want 29 (at 1 s .. 29 s)", len(pts))
+	}
+	for i, p := range pts {
+		if p.X != float64(i+1) {
+			t.Fatalf("sample %d at %v s, want %d s", i, p.X, i+1)
+		}
 	}
 }

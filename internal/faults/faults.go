@@ -40,9 +40,6 @@ const (
 	Fail
 	// Delay holds the exchange for Decision.Delay before delivery.
 	Delay
-	// Duplicate delivers the exchange twice (a retransmitted request
-	// reaching the server after the original) — an idempotency probe.
-	Duplicate
 )
 
 // String implements fmt.Stringer.
@@ -56,8 +53,6 @@ func (o Outcome) String() string {
 		return "fail"
 	case Delay:
 		return "delay"
-	case Duplicate:
-		return "duplicate"
 	default:
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}
@@ -114,8 +109,6 @@ type Config struct {
 	DelayRate float64
 	// DelayBy is how long delayed exchanges are held.
 	DelayBy time.Duration
-	// DuplicateRate is the probability an exchange is delivered twice.
-	DuplicateRate float64
 	// Blackouts are scheduled total outages; inside a window every
 	// exchange drops regardless of the rates.
 	Blackouts []Window
@@ -124,7 +117,7 @@ type Config struct {
 // Enabled reports whether the configuration can ever inject a fault.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.FailRate > 0 || c.DelayRate > 0 ||
-		c.DuplicateRate > 0 || len(c.Blackouts) > 0
+		len(c.Blackouts) > 0
 }
 
 // Validate checks rates and windows.
@@ -133,8 +126,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"drop", c.DropRate}, {"fail", c.FailRate},
-		{"delay", c.DelayRate}, {"duplicate", c.DuplicateRate},
+		{"drop", c.DropRate}, {"fail", c.FailRate}, {"delay", c.DelayRate},
 	}
 	sum := 0.0
 	for _, r := range rates {
@@ -171,7 +163,7 @@ func (d Decision) Lost() bool { return d.Outcome == Drop || d.Outcome == Fail }
 
 // Counts aggregates injector activity for reports and tests.
 type Counts struct {
-	Total, Passed, Dropped, Failed, Delayed, Duplicated int64
+	Total, Passed, Dropped, Failed, Delayed int64
 	// BlackoutDrops is the subset of Dropped caused by a schedule
 	// window rather than the random rate.
 	BlackoutDrops int64
@@ -262,9 +254,6 @@ func (in *Injector) decideLocked(now time.Duration) Decision {
 	case u < in.cfg.DropRate+in.cfg.FailRate+in.cfg.DelayRate:
 		in.counts.Delayed++
 		return Decision{Outcome: Delay, Delay: in.cfg.DelayBy}
-	case u < in.cfg.DropRate+in.cfg.FailRate+in.cfg.DelayRate+in.cfg.DuplicateRate:
-		in.counts.Duplicated++
-		return Decision{Outcome: Duplicate}
 	default:
 		in.counts.Passed++
 		return Decision{Outcome: Pass}

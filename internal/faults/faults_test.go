@@ -28,7 +28,7 @@ func TestZeroConfigAlwaysPasses(t *testing.T) {
 
 func TestDecisionsAreDeterministic(t *testing.T) {
 	cfg := Config{Seed: 42, DropRate: 0.2, FailRate: 0.1, DelayRate: 0.05,
-		DelayBy: time.Millisecond, DuplicateRate: 0.05}
+		DelayBy: time.Millisecond}
 	a, b := New(cfg), New(cfg)
 	for i := 0; i < 5000; i++ {
 		da, db := a.Decide(0), b.Decide(0)
@@ -190,19 +190,6 @@ func TestRoundTripperOutcomes(t *testing.T) {
 	resp.Body.Close()
 	if hits != 1 {
 		t.Fatalf("pass outcome hits = %d", hits)
-	}
-
-	// Duplicate: one logical request, two deliveries.
-	hits = 0
-	in = New(Config{DuplicateRate: 1})
-	client = &http.Client{Transport: NewRoundTripper(ts.Client().Transport, in, nil)}
-	resp, err = client.Get(ts.URL)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate outcome: %v %v", resp, err)
-	}
-	resp.Body.Close()
-	if hits != 2 {
-		t.Fatalf("duplicate delivered %d times", hits)
 	}
 }
 

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,7 @@ var ErrInjected = errors.New("faults: injected control-plane failure")
 
 // RoundTripper wraps an http.RoundTripper with fault injection, so the
 // real JSON/HTTP OneAPI binding can be exercised against loss, error,
-// delay, duplication, and scheduled blackouts without touching the
+// delay and scheduled blackouts without touching the
 // server or client code under test.
 type RoundTripper struct {
 	inner http.RoundTripper
@@ -54,36 +53,9 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 			rt.sleep(d.Delay)
 		}
 		return rt.inner.RoundTrip(req)
-	case Duplicate:
-		// Deliver the request twice — the first delivery models a
-		// retransmission that already reached the server; its response
-		// is discarded and the caller sees the second, probing
-		// server-side idempotency.
-		if first, err := rt.inner.RoundTrip(cloneRequest(req)); err == nil {
-			_, _ = io.Copy(io.Discard, first.Body)
-			_ = first.Body.Close()
-		}
-		return rt.inner.RoundTrip(req)
 	default:
 		return rt.inner.RoundTrip(req)
 	}
-}
-
-// cloneRequest copies req with a replayable body (when GetBody is
-// available, as it is for all bytes.Reader-backed client requests).
-func cloneRequest(req *http.Request) *http.Request {
-	c := req.Clone(req.Context())
-	if req.Body == nil || req.GetBody == nil {
-		return c
-	}
-	if body, err := req.GetBody(); err == nil {
-		c.Body = body
-	}
-	// Rewind the original for the second delivery.
-	if body, err := req.GetBody(); err == nil {
-		req.Body = body
-	}
-	return c
 }
 
 func syntheticError(req *http.Request) *http.Response {
@@ -105,8 +77,7 @@ func syntheticError(req *http.Request) *http.Response {
 // dropped exchanges are answered 503 after the handler is skipped
 // (an HTTP server cannot truly lose a request, but the client-visible
 // effect — no useful response — matches), failed exchanges 503, and
-// delayed ones are held before handling. Duplicate replays the request
-// into the handler twice, body permitting.
+// delayed ones are held before handling.
 func Middleware(inj *Injector, next http.Handler) http.Handler {
 	start := time.Now()
 	return MiddlewareClock(inj, func() time.Duration { return time.Since(start) }, next)
@@ -127,24 +98,8 @@ func MiddlewareClock(inj *Injector, now func() time.Duration, next http.Handler)
 				time.Sleep(d.Delay)
 			}
 			next.ServeHTTP(w, r)
-		case Duplicate:
-			body, err := io.ReadAll(r.Body)
-			if err == nil {
-				first := r.Clone(r.Context())
-				first.Body = io.NopCloser(bytes.NewReader(body))
-				next.ServeHTTP(&discardResponseWriter{h: make(http.Header)}, first)
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			next.ServeHTTP(w, r)
 		default:
 			next.ServeHTTP(w, r)
 		}
 	})
 }
-
-// discardResponseWriter swallows the duplicate delivery's response.
-type discardResponseWriter struct{ h http.Header }
-
-func (d *discardResponseWriter) Header() http.Header         { return d.h }
-func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardResponseWriter) WriteHeader(int)             {}

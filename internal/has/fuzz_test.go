@@ -100,8 +100,7 @@ func FuzzTallyMatchesSlices(f *testing.F) {
 		if got, want := tally.Changes(), metrics.CountChanges(rates); got != want {
 			t.Fatalf("Changes() = %d, metrics.CountChanges = %d", got, want)
 		}
-		w := qoe.DefaultWeights()
-		if got, want := tally.Score(stallSec, startupSec, w), qoe.Score(rates, stallSec, startupSec, w); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := tally.Score(stallSec, startupSec), qoe.Score(rates, stallSec, startupSec); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Tally.Score = %v, qoe.Score = %v", got, want)
 		}
 	})

@@ -60,38 +60,32 @@ type RequestPacer interface {
 	RequestDelay(s State) int64
 }
 
+// The player's fixed behaviour.
+const (
+	// startupSegments is how many segments must be buffered before
+	// playback starts (and resumes after a stall).
+	startupSegments = 2
+	// requestLatencyTTIs is the HTTP GET propagation delay (20 ms)
+	// before the server starts sending the response.
+	requestLatencyTTIs = 20
+)
+
 // PlayerConfig parameterises the player state machine.
 type PlayerConfig struct {
-	// StartupSegments is how many segments must be buffered before
-	// playback starts (and resumes after a stall).
-	StartupSegments int
 	// MaxBufferSeconds pauses segment requests while the buffer is at
 	// or above this level.
 	MaxBufferSeconds float64
-	// RequestLatencyTTIs is the HTTP GET propagation delay before the
-	// server starts sending the response.
-	RequestLatencyTTIs int64
 }
 
-// DefaultPlayerConfig returns the standard player settings: start after 2
-// segments, cap the buffer at 30 s, 20 ms request latency.
+// DefaultPlayerConfig returns the standard player settings: cap the
+// buffer at 30 s.
 func DefaultPlayerConfig() PlayerConfig {
-	return PlayerConfig{
-		StartupSegments:    2,
-		MaxBufferSeconds:   30,
-		RequestLatencyTTIs: 20,
-	}
+	return PlayerConfig{MaxBufferSeconds: 30}
 }
 
 func (c PlayerConfig) validate() error {
-	if c.StartupSegments <= 0 {
-		return fmt.Errorf("has: StartupSegments must be positive, got %d", c.StartupSegments)
-	}
 	if c.MaxBufferSeconds <= 0 {
 		return fmt.Errorf("has: MaxBufferSeconds must be positive, got %v", c.MaxBufferSeconds)
-	}
-	if c.RequestLatencyTTIs < 0 {
-		return fmt.Errorf("has: negative request latency %d", c.RequestLatencyTTIs)
 	}
 	return nil
 }
@@ -336,7 +330,7 @@ func (p *Player) totalSegments() int {
 // maybeStartPlayback starts or resumes playback once enough segments are
 // buffered.
 func (p *Player) maybeStartPlayback() {
-	threshold := float64(p.cfg.StartupSegments) * p.mpd.SegmentSeconds()
+	threshold := startupSegments * p.mpd.SegmentSeconds()
 	if !p.playing && p.buffer >= threshold {
 		wasStalled := p.stalled
 		p.playing = true
@@ -386,11 +380,7 @@ func (p *Player) requestNext() {
 	p.segRecv = 0
 	p.segStartTTI = now
 	p.downloading = true
-	if p.cfg.RequestLatencyTTIs > 0 {
-		p.env.ScheduleHandlerArg(p.cfg.RequestLatencyTTIs, (*sendTimer)(p), p.segBytes)
-	} else {
-		p.flow.Send(p.segBytes)
-	}
+	p.env.ScheduleHandlerArg(requestLatencyTTIs, (*sendTimer)(p), p.segBytes)
 }
 
 // stateLocked builds a State without re-advancing (advance already ran).

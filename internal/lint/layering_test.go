@@ -105,6 +105,7 @@ func TestLayerRulesTable(t *testing.T) {
 		{modulePath + "/internal/cellsim/driver", modulePath + "/internal/cellsim/driver/sub", false},
 		{modulePath + "/internal/lte", modulePath + "/internal/sim", false},
 		{modulePath + "/internal/has", modulePath + "/internal/transport", false},
+		{modulePath + "/internal/abr", modulePath + "/internal/qoe", false},
 		{modulePath + "/internal/flaresuite", modulePath + "/internal/cellsim", false},
 		{modulePath + "/internal/flaresuite", modulePath + "/internal/obs", false},
 		{modulePath + "/internal/flaresuite", modulePath + "/internal/buildinfo", false},
@@ -169,7 +170,7 @@ var layerRules = []layerRule{
 	{
 		Scope:  internalPrefix + "abr",
 		Forbid: []string{modulePath},
-		Except: []string{internalPrefix + "abr", internalPrefix + "has", internalPrefix + "lte", internalPrefix + "metrics", internalPrefix + "sim"},
+		Except: []string{internalPrefix + "abr", internalPrefix + "has", internalPrefix + "lte", internalPrefix + "metrics", internalPrefix + "qoe", internalPrefix + "sim"},
 		Reason: "client ABR logic must stay engine- and telemetry-free",
 	},
 	{

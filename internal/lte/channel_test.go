@@ -152,20 +152,10 @@ func TestMobilityChannelValidation(t *testing.T) {
 		t.Error("zero UEs accepted")
 	}
 	bad = DefaultMobilityConfig(2)
-	bad.AreaMeters = -1
-	if _, err := NewMobilityChannel(bad, rng); err == nil {
-		t.Error("negative area accepted")
-	}
-	bad = DefaultMobilityConfig(2)
 	bad.MinSpeed = 5
 	bad.MaxSpeed = 1
 	if _, err := NewMobilityChannel(bad, rng); err == nil {
 		t.Error("inverted speed range accepted")
-	}
-	bad = DefaultMobilityConfig(2)
-	bad.PositionStepTTIs = 0
-	if _, err := NewMobilityChannel(bad, rng); err == nil {
-		t.Error("zero position step accepted")
 	}
 }
 
@@ -186,7 +176,7 @@ func TestMobilityChannelMovesUEs(t *testing.T) {
 	// Position stays inside the area.
 	for ue := 0; ue < 4; ue++ {
 		x, y := c.Position(ue)
-		if x < 0 || x > cfg.AreaMeters || y < 0 || y > cfg.AreaMeters {
+		if x < 0 || x > mobilityAreaMeters || y < 0 || y > mobilityAreaMeters {
 			t.Fatalf("UE %d escaped area: (%v, %v)", ue, x, y)
 		}
 	}

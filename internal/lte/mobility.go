@@ -7,29 +7,44 @@ import (
 	"github.com/flare-sim/flare/internal/sim"
 )
 
+// The paper's Table III mobile cell: a 2000 m x 2000 m area with the
+// eNodeB at the centre.
+const (
+	// mobilityAreaMeters is the side length of the square simulation
+	// area.
+	mobilityAreaMeters float64 = 2000
+	// mobilityTxPowerDBm is the eNodeB transmit power: 30 dBm, the
+	// default TxPower of ns-3's LteEnbPhy, which the paper's 2000 m
+	// ns-3 scenario runs with. (The JL-620's 20 dBm applies only to
+	// the indoor femtocell testbed.)
+	mobilityTxPowerDBm float64 = 30
+	// mobilityNoiseDBm is the receiver noise floor over 10 MHz.
+	mobilityNoiseDBm float64 = -95
+	// mobilityShadowingStdevDB is the log-normal shadowing standard
+	// deviation.
+	mobilityShadowingStdevDB float64 = 6
+	// mobilityShadowingCorrDistance is the decorrelation distance in
+	// meters for the shadowing process.
+	mobilityShadowingCorrDistance float64 = 50
+	// mobilityPositionStepTTIs is how often UE positions and SINR are
+	// updated (100 ms).
+	mobilityPositionStepTTIs int64 = 100
+	// mobilityWaypointMargin keeps waypoints (and initial positions)
+	// inside the central (1-2*margin) fraction of the area, modelling
+	// UEs that stay within radio coverage rather than roaming to the
+	// dead corner of the cell.
+	mobilityWaypointMargin float64 = 0.25
+)
+
 // MobilityConfig parameterises the random-waypoint mobility channel used
-// for the paper's mobile (vehicular) scenarios: a 2000 m x 2000 m cell
-// with the eNodeB at the centre.
+// for the paper's mobile (vehicular) scenarios.
 type MobilityConfig struct {
 	// NumUEs is the number of UEs to model.
 	NumUEs int
-	// AreaMeters is the side length of the square simulation area.
-	AreaMeters float64
 	// MinSpeed and MaxSpeed bound each waypoint leg's speed in m/s.
 	// The paper's mobile scenario puts UEs in vehicles; 10-20 m/s
 	// (36-72 km/h) is the usual vehicular setting.
 	MinSpeed, MaxSpeed float64
-	// TxPowerDBm is the eNodeB transmit power (the JL-620 uses 20 dBm).
-	TxPowerDBm float64
-	// NoiseDBm is the receiver noise floor over 10 MHz.
-	NoiseDBm float64
-	// ShadowingStdevDB is the log-normal shadowing standard deviation.
-	ShadowingStdevDB float64
-	// ShadowingCorrDistance is the decorrelation distance in meters for
-	// the shadowing process.
-	ShadowingCorrDistance float64
-	// PositionStepTTIs is how often UE positions and SINR are updated.
-	PositionStepTTIs int64
 	// FadingStdevDB is the standard deviation of the multipath fading
 	// process in dB.
 	FadingStdevDB float64
@@ -38,31 +53,16 @@ type MobilityConfig struct {
 	// fades persist across consecutive segments instead of averaging
 	// out. 0 makes fading independent per position step.
 	FadingTauSeconds float64
-	// WaypointMargin keeps waypoints (and initial positions) inside the
-	// central (1-2*margin) fraction of the area, modelling UEs that
-	// stay within radio coverage rather than roaming to the dead corner
-	// of the cell. 0 uses the whole area.
-	WaypointMargin float64
 }
 
 // DefaultMobilityConfig returns the paper's Table III mobile settings.
 func DefaultMobilityConfig(numUEs int) MobilityConfig {
 	return MobilityConfig{
-		NumUEs:     numUEs,
-		AreaMeters: 2000,
-		MinSpeed:   10,
-		MaxSpeed:   20,
-		// The 2000 m ns-3 scenario implies a macro eNodeB; 43 dBm is
-		// the ns-3 LTE default transmit power (the 20 dBm JL-620 figure
-		// applies only to the indoor femtocell testbed).
-		TxPowerDBm:            30,
-		NoiseDBm:              -95,
-		ShadowingStdevDB:      6,
-		ShadowingCorrDistance: 50,
-		PositionStepTTIs:      100, // 100 ms
-		FadingStdevDB:         2,
-		FadingTauSeconds:      2,
-		WaypointMargin:        0.25,
+		NumUEs:           numUEs,
+		MinSpeed:         10,
+		MaxSpeed:         20,
+		FadingStdevDB:    2,
+		FadingTauSeconds: 2,
 	}
 }
 
@@ -98,17 +98,8 @@ func NewMobilityChannel(cfg MobilityConfig, rng *sim.RNG) (*MobilityChannel, err
 	if cfg.NumUEs <= 0 {
 		return nil, fmt.Errorf("lte: mobility channel needs at least one UE, got %d", cfg.NumUEs)
 	}
-	if cfg.AreaMeters <= 0 {
-		return nil, fmt.Errorf("lte: mobility area must be positive, got %v", cfg.AreaMeters)
-	}
-	if cfg.PositionStepTTIs <= 0 {
-		return nil, fmt.Errorf("lte: position step must be positive, got %d", cfg.PositionStepTTIs)
-	}
 	if cfg.MinSpeed <= 0 || cfg.MaxSpeed < cfg.MinSpeed {
 		return nil, fmt.Errorf("lte: invalid speed range [%v, %v]", cfg.MinSpeed, cfg.MaxSpeed)
-	}
-	if cfg.WaypointMargin < 0 || cfg.WaypointMargin >= 0.5 {
-		return nil, fmt.Errorf("lte: waypoint margin %v out of [0, 0.5)", cfg.WaypointMargin)
 	}
 	c := &MobilityChannel{cfg: cfg, rng: rng.Split(), lastTTI: -1}
 	c.ues = make([]ueState, cfg.NumUEs)
@@ -117,7 +108,7 @@ func NewMobilityChannel(cfg MobilityConfig, rng *sim.RNG) (*MobilityChannel, err
 		u.x = c.sampleCoord()
 		u.y = c.sampleCoord()
 		u.lastX, u.lastY = u.x, u.y
-		u.shadowDB = c.rng.Norm(0, cfg.ShadowingStdevDB)
+		u.shadowDB = c.rng.Norm(0, mobilityShadowingStdevDB)
 		c.pickWaypoint(u)
 		c.refreshITbs(u)
 	}
@@ -125,8 +116,8 @@ func NewMobilityChannel(cfg MobilityConfig, rng *sim.RNG) (*MobilityChannel, err
 }
 
 func (c *MobilityChannel) sampleCoord() float64 {
-	m := c.cfg.WaypointMargin * c.cfg.AreaMeters
-	return c.rng.Uniform(m, c.cfg.AreaMeters-m)
+	const m = mobilityWaypointMargin * mobilityAreaMeters
+	return c.rng.Uniform(m, mobilityAreaMeters-m)
 }
 
 func (c *MobilityChannel) pickWaypoint(u *ueState) {
@@ -136,10 +127,10 @@ func (c *MobilityChannel) pickWaypoint(u *ueState) {
 }
 
 // Update implements Channel. Positions and SINR are refreshed every
-// PositionStepTTIs; intermediate TTIs reuse the last computed iTbs
+// mobilityPositionStepTTIs; intermediate TTIs reuse the last computed iTbs
 // (block fading).
 func (c *MobilityChannel) Update(tti int64) {
-	step := c.cfg.PositionStepTTIs
+	const step = mobilityPositionStepTTIs
 	cur := tti / step
 	if c.lastTTI >= 0 && cur == c.lastTTI/step && tti != 0 {
 		c.lastTTI = tti
@@ -178,13 +169,12 @@ func (c *MobilityChannel) moveUE(u *ueState, dt float64) {
 func (c *MobilityChannel) updateShadowing(u *ueState) {
 	moved := math.Hypot(u.x-u.lastX, u.y-u.lastY)
 	u.lastX, u.lastY = u.x, u.y
-	rho := math.Exp(-moved / c.cfg.ShadowingCorrDistance)
-	sigma := c.cfg.ShadowingStdevDB
-	u.shadowDB = rho*u.shadowDB + math.Sqrt(1-rho*rho)*c.rng.Norm(0, sigma)
+	rho := math.Exp(-moved / mobilityShadowingCorrDistance)
+	u.shadowDB = rho*u.shadowDB + math.Sqrt(1-rho*rho)*c.rng.Norm(0, mobilityShadowingStdevDB)
 }
 
 func (c *MobilityChannel) refreshITbs(u *ueState) {
-	half := c.cfg.AreaMeters / 2
+	const half = mobilityAreaMeters / 2
 	distKm := math.Hypot(u.x-half, u.y-half) / 1000
 	if distKm < 0.01 {
 		distKm = 0.01 // path-loss model validity floor (10 m)
@@ -193,7 +183,7 @@ func (c *MobilityChannel) refreshITbs(u *ueState) {
 	if sigma := c.cfg.FadingStdevDB; sigma > 0 {
 		if tau := c.cfg.FadingTauSeconds; tau > 0 {
 			// AR(1) fading with coherence time tau.
-			dt := float64(c.cfg.PositionStepTTIs) / TTIsPerSecond
+			dt := float64(mobilityPositionStepTTIs) / TTIsPerSecond
 			rho := math.Exp(-dt / tau)
 			u.fadeDB = rho*u.fadeDB + math.Sqrt(1-rho*rho)*c.rng.Norm(0, sigma)
 		} else {
@@ -202,7 +192,7 @@ func (c *MobilityChannel) refreshITbs(u *ueState) {
 	} else {
 		u.fadeDB = 0
 	}
-	sinr := c.cfg.TxPowerDBm - pathLossDB - c.cfg.NoiseDBm + u.shadowDB + u.fadeDB
+	sinr := mobilityTxPowerDBm - pathLossDB - mobilityNoiseDBm + u.shadowDB + u.fadeDB
 	u.currentITb = ITbsForSINR(sinr)
 }
 
@@ -212,7 +202,7 @@ func (c *MobilityChannel) refreshITbs(u *ueState) {
 // (fromTTI, toTTI) exclusive. Intermediate non-boundary TTIs only
 // advance lastTTI, which the boundary replays subsume.
 func (c *MobilityChannel) CatchUp(fromTTI, toTTI int64) {
-	step := c.cfg.PositionStepTTIs
+	const step = mobilityPositionStepTTIs
 	for b := (fromTTI/step + 1) * step; b < toTTI; b += step {
 		c.Update(b)
 	}

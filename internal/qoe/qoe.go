@@ -8,27 +8,18 @@ package qoe
 
 import "math"
 
-// Weights parameterises the score.
-type Weights struct {
-	// LambdaSwitch scales the |q(R_k) - q(R_{k-1})| switching penalty.
-	LambdaSwitch float64
-	// MuRebufferPerSec penalises each second of rebuffering.
-	MuRebufferPerSec float64
-	// MuStartupPerSec penalises each second of startup delay (weighted
-	// lower than rebuffering, per the literature).
-	MuStartupPerSec float64
-}
-
-// DefaultWeights returns the conventional weighting: switching at parity
+// The score's weights, the conventional weighting: switching at parity
 // with quality deltas, rebuffering at the quality value of a top-rate
-// segment per second, startup at a third of that.
-func DefaultWeights() Weights {
-	return Weights{
-		LambdaSwitch:     1,
-		MuRebufferPerSec: 3000,
-		MuStartupPerSec:  1000,
-	}
-}
+// segment per second, startup at a third of that (weighted lower than
+// rebuffering, per the literature).
+const (
+	// LambdaSwitch scales the |q(R_k) - q(R_{k-1})| switching penalty.
+	LambdaSwitch float64 = 1
+	// MuRebufferPerSec penalises each second of rebuffering.
+	MuRebufferPerSec float64 = 3000
+	// MuStartupPerSec penalises each second of startup delay.
+	MuStartupPerSec float64 = 1000
+)
 
 // Quality maps a bitrate to quality points: log-scaled (doubling the
 // rate adds a constant), anchored so 100 kbps = 0.
@@ -43,7 +34,7 @@ func Quality(rateBps float64) float64 {
 // the rebuffering time, and the startup delay (seconds; pass 0 for an
 // unknown or never-started startup). The result is normalised per
 // segment so sessions of different lengths compare.
-func Score(ratesBps []float64, stallSec, startupSec float64, w Weights) float64 {
+func Score(ratesBps []float64, stallSec, startupSec float64) float64 {
 	var quality, switching float64
 	for i, r := range ratesBps {
 		quality += Quality(r)
@@ -51,21 +42,21 @@ func Score(ratesBps []float64, stallSec, startupSec float64, w Weights) float64 
 			switching += math.Abs(Quality(r) - Quality(ratesBps[i-1]))
 		}
 	}
-	return score(quality, switching, len(ratesBps), stallSec, startupSec, w)
+	return score(quality, switching, len(ratesBps), stallSec, startupSec)
 }
 
 // score folds the two per-segment sums and the session penalties into
 // the per-segment score — the one copy of the formula, shared by the
 // slice form and the Tally.
-func score(quality, switching float64, segments int, stallSec, startupSec float64, w Weights) float64 {
+func score(quality, switching float64, segments int, stallSec, startupSec float64) float64 {
 	if segments == 0 {
 		return 0
 	}
 	if startupSec < 0 {
 		startupSec = 0
 	}
-	total := quality - w.LambdaSwitch*switching -
-		w.MuRebufferPerSec*stallSec - w.MuStartupPerSec*startupSec
+	total := quality - LambdaSwitch*switching -
+		MuRebufferPerSec*stallSec - MuStartupPerSec*startupSec
 	return total / float64(segments)
 }
 
@@ -118,6 +109,6 @@ func (t Tally) AvgRateBps() float64 {
 }
 
 // Score is the package-level Score of the rates added so far.
-func (t Tally) Score(stallSec, startupSec float64, w Weights) float64 {
-	return score(t.sumQuality, t.sumSwitch, t.segments, stallSec, startupSec, w)
+func (t Tally) Score(stallSec, startupSec float64) float64 {
+	return score(t.sumQuality, t.sumSwitch, t.segments, stallSec, startupSec)
 }

@@ -30,51 +30,48 @@ func TestQualityAnchorsAndMonotone(t *testing.T) {
 }
 
 func TestScoreComponents(t *testing.T) {
-	w := DefaultWeights()
 	steady := []float64{1e6, 1e6, 1e6, 1e6}
-	base := Score(steady, 0, 0, w)
+	base := Score(steady, 0, 0)
 	if base <= 0 {
 		t.Fatalf("steady 1 Mbps session scored %v", base)
 	}
 	// Switching hurts.
 	flappy := []float64{1e6, 250_000, 1e6, 250_000}
-	if s := Score(flappy, 0, 0, w); s >= base {
+	if s := Score(flappy, 0, 0); s >= base {
 		t.Fatalf("flapping session scored %v >= steady %v", s, base)
 	}
 	// Rebuffering hurts.
-	if s := Score(steady, 5, 0, w); s >= base {
+	if s := Score(steady, 5, 0); s >= base {
 		t.Fatalf("stalled session scored %v >= clean %v", s, base)
 	}
 	// Startup delay hurts less than the same rebuffering time.
-	sStall := Score(steady, 3, 0, w)
-	sStart := Score(steady, 0, 3, w)
+	sStall := Score(steady, 3, 0)
+	sStart := Score(steady, 0, 3)
 	if sStart <= sStall {
 		t.Fatalf("startup penalty %v should be milder than rebuffer %v", sStart, sStall)
 	}
 	// Negative startup (never played) is treated as zero.
-	if s := Score(steady, 0, -1, w); s != base {
+	if s := Score(steady, 0, -1); s != base {
 		t.Fatalf("negative startup changed score: %v vs %v", s, base)
 	}
-	if Score(nil, 10, 10, w) != 0 {
+	if Score(nil, 10, 10) != 0 {
 		t.Fatal("empty session should score 0")
 	}
 }
 
 func TestScoreLengthNormalised(t *testing.T) {
-	w := DefaultWeights()
 	short := []float64{1e6, 1e6}
 	long := make([]float64, 100)
 	for i := range long {
 		long[i] = 1e6
 	}
-	a, b := Score(short, 0, 0, w), Score(long, 0, 0, w)
+	a, b := Score(short, 0, 0), Score(long, 0, 0)
 	if math.Abs(a-b) > 1e-9 {
 		t.Fatalf("per-segment normalisation broken: %v vs %v", a, b)
 	}
 }
 
 func TestScoreHigherRateWinsProperty(t *testing.T) {
-	w := DefaultWeights()
 	check := func(nRaw uint8, lowRaw, hiRaw uint32) bool {
 		n := int(nRaw)%20 + 1
 		low := float64(lowRaw%2_000_000) + 100_000
@@ -86,7 +83,7 @@ func TestScoreHigherRateWinsProperty(t *testing.T) {
 			}
 			return xs
 		}
-		return Score(mk(hi), 0, 0, w) >= Score(mk(low), 0, 0, w)
+		return Score(mk(hi), 0, 0) >= Score(mk(low), 0, 0)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)

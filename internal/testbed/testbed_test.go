@@ -190,7 +190,7 @@ func TestUEPlayerStreamsWithFestive(t *testing.T) {
 	player, err := NewUEPlayer(UEPlayerConfig{
 		MediaBaseURL:     srv.URL,
 		MaxBufferSeconds: 20,
-	}, client, abr.NewFestive(abr.DefaultFestiveConfig(), testRNG()), enb.Clock())
+	}, client, abr.NewFestive(testRNG()), enb.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
