@@ -14,7 +14,8 @@ const (
 	// TestMultiCellAllocsPerCell: measured 49.8 per cell, half an
 	// object of margin.
 	multiCellAllocsPerCell = 50.3
-	// TestAdmissionRunAllocs: measured 4,442, some 10 % of margin;
-	// feedback to flows not yet arrived makes it 27,169.
-	admissionRunAllocs = 4900
+	// TestAdmissionRunAllocs: measured 723, some 10 % of margin;
+	// refusals that build errors for flows waiting for a session made
+	// it 4,442.
+	admissionRunAllocs = 795
 )

@@ -15,7 +15,8 @@ const (
 	// TestMultiCellAllocsPerCell: measured 52.8 per cell, half an
 	// object of margin.
 	multiCellAllocsPerCell = 53.3
-	// TestAdmissionRunAllocs: measured 6,943 to 7,053, some 10 % of
-	// margin; feedback to flows not yet arrived makes it 42,801.
-	admissionRunAllocs = 7700
+	// TestAdmissionRunAllocs: measured 1,022, some 10 % of margin;
+	// refusals that build errors for flows waiting for a session made
+	// it 6,943 to 7,053.
+	admissionRunAllocs = 1125
 )

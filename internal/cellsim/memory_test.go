@@ -121,12 +121,11 @@ func TestRunHeapIndependentOfDuration(t *testing.T) {
 // TestAdmissionRunAllocs pins what an admission-mode churn run
 // allocates (Run alone, New not counted): the saturation shape — twice
 // the cell's floor-carrying load on the testbed ladder at iTbs 2, with
-// admission control and the downgrade ladder — for 90 s. The buffer
-// feedback must skip declared flows that have not arrived: with no
-// session to update, each call builds two wrapped errors, every BAI,
-// which would put the run at 27,169 objects. What is left is mostly the
-// refusals the waiting flows still get: the opens admission rejects and
-// the polls of sessions not yet admitted.
+// admission control and the downgrade ladder — for 90 s. The driver
+// must skip declared flows that have not arrived, and the server must
+// refuse a waiting flow's preferences and polls with bare sentinels:
+// when those refusals built errors, the run took 4,442 objects. What
+// is left is mostly the opens admission rejects.
 func TestAdmissionRunAllocs(t *testing.T) {
 	cfg := DefaultConfig(SchemeFLARE)
 	cfg.Duration = 90 * time.Second

@@ -49,9 +49,13 @@ func TestChurnTraceUnchangedByRetirement(t *testing.T) {
 		sha256 string
 	}{
 		// The ledger's cell_churn shape: 200 declared FLARE sessions,
-		// about 12 live, over 400 s.
+		// about 12 live, over 400 s. Re-recorded when sessions began to
+		// open at their flows' arrival instead of all at t=0: each BAI
+		// now solves, clamps and installs only the sessions playing
+		// (133,966 events before). The engine with retirement switched
+		// off records this hash too.
 		{"FLARE", churnConfig(1, 200, 400*time.Second, 12),
-			133966, "255159cca73f71ea52da7d77ed645efdfbf9f9a71dd9c26e2bdc663e08c510f0"},
+			13951, "43246cb4f18d833aa8f1974583c27f9445b331bcc653b7992f62efc490a1980c"},
 		{"AVIS", withScheme(churnConfig(2, 60, 120*time.Second, 8), SchemeAVIS),
 			118, "0d006b97e44ecf0dee6ee203313327fa79afd845e6f22b8ee6d73cde49dea6b8"},
 		{"FESTIVE", withScheme(churnConfig(3, 60, 120*time.Second, 8), SchemeFESTIVE),

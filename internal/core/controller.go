@@ -389,8 +389,9 @@ func (c *Controller) Register(flowID int, ladder has.Ladder, prefs Preferences) 
 var ErrRegistered = errors.New("already registered")
 
 // Grow makes room for n more rows, so the next n Registers do not
-// regrow the flow table: a caller that registers a group of sessions
-// at once sizes the table for it once.
+// regrow the flow table: a caller that expects a group of sessions
+// sizes the table for it once. Each round's buffers follow the table's
+// capacity (RunBAI).
 func (c *Controller) Grow(n int) {
 	c.rows = slices.Grow(c.rows, n)
 }
@@ -581,9 +582,12 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 		f.rbsPerByte += w * (sample - f.rbsPerByte)
 	}
 
+	// The round's buffers are sized from the flow table's capacity, not
+	// from the live count, so a cell whose sessions arrive one by one
+	// sizes them once instead of at every new peak.
 	prob := &c.prob
 	if cap(prob.Flows) < n {
-		prob.Flows = make([]VideoFlow, n)
+		prob.Flows = make([]VideoFlow, cap(c.rows))
 	}
 	*prob = Problem{
 		Flows:           prob.Flows[:n],
@@ -639,7 +643,7 @@ func (c *Controller) RunBAI(stats map[int]FlowStats, numDataFlows int) ([]Assign
 	}
 
 	if cap(c.out) < n {
-		c.out = make([]Assignment, n)
+		c.out = make([]Assignment, cap(c.rows))
 	}
 	out := c.out[:n]
 	for i := range c.rows {

@@ -206,12 +206,13 @@ func (p *Problem) solutionFor(levels []int, feasible bool) Solution {
 	return sol
 }
 
-// fill makes sol the Solution for levels (which it keeps): rates — into
-// sol.RatesBps's own storage when that is large enough — RB share and
+// fill makes sol the Solution for levels (which it keeps, parallel to
+// p.Flows): rates — into sol.RatesBps's own storage when that is large
+// enough, else into storage sized for p.Flows's capacity — RB share and
 // objective.
 func (p *Problem) fill(sol *Solution, levels []int, feasible bool) {
 	if cap(sol.RatesBps) < len(levels) {
-		sol.RatesBps = make([]float64, len(levels))
+		sol.RatesBps = make([]float64, cap(p.Flows))
 	}
 	sol.Levels, sol.RatesBps = levels, sol.RatesBps[:len(levels)]
 	for u, l := range levels {

@@ -178,7 +178,7 @@ func (h handler) preferences(w http.ResponseWriter, r *http.Request, cellID, flo
 		return
 	}
 	if err := h.s.SetPreferences(cellID, flowID, prefs); err != nil {
-		h.writeErr(w, http.StatusBadRequest, err)
+		h.writeErr(w, http.StatusBadRequest, flowRefusal(cellID, flowID, err))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -228,12 +228,24 @@ func (h handler) poll(w http.ResponseWriter, cellID, flowID int) {
 		// Every poll refusal is a 404, but the code disambiguates "no
 		// BAI yet" (keep polling) from "no such session" (re-open):
 		// after a server restart the second tells clients to recover.
-		h.writeErr(w, http.StatusInternalServerError, err)
+		h.writeErr(w, http.StatusInternalServerError, flowRefusal(cellID, flowID, err))
 		return
 	}
 	// 128 B holds every poll short of 20-digit ids and sequences.
 	out, err := appendAssignmentResponse(make([]byte, 0, 128), a)
 	h.writeEncoded(w, out, err)
+}
+
+// flowRefusal names the cell, and the flow where it has one, in the
+// bare sentinels SetPreferences and AssignmentErr refuse with.
+func flowRefusal(cellID, flowID int, err error) error {
+	switch err {
+	case ErrUnknownCell:
+		return fmt.Errorf("oneapi: cell %d: %w", cellID, err)
+	case ErrUnknownSession, ErrNoAssignment:
+		return fmt.Errorf("oneapi: cell %d flow %d: %w", cellID, flowID, err)
+	}
+	return err
 }
 
 // retryAfterSeconds is the Retry-After hint a 503 carries: one BAI
