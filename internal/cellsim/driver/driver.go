@@ -115,9 +115,9 @@ type Controller interface {
 // flow's session actually starts playing (as opposed to cell assembly,
 // when every flow of the run is built ahead of time). The engine calls
 // OnFlowArrival from the flow's arrival event, before its first
-// download. Admission-controlled schemes open their network sessions
-// here — opening at Init would charge the cell for flows that have not
-// arrived yet.
+// download. FLARE opens its network sessions here — opening at Init
+// would have the controller solve, budget and admit for flows that have
+// not arrived yet. The engine resolves the extension once, at assembly.
 type ArrivalAware interface {
 	OnFlowArrival(f *Flow)
 }
