@@ -45,7 +45,7 @@ vuln:
 		echo "govulncheck not installed; skipping (run 'make tools' where network is available)"; \
 	fi
 
-# fuzz-smoke gives each of the 15 fuzz targets a short adversarial
+# fuzz-smoke gives each of the 16 fuzz targets a short adversarial
 # budget on top of the committed seed corpora (which every plain
 # `go test` run replays).
 fuzz-smoke:
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzTallyMatchesSlices -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzHighestAtMost -fuzztime 10s
 	$(GO) test ./internal/has -run '^$$' -fuzz FuzzSegmentBytesAt -fuzztime 10s
+	$(GO) test ./internal/lte -run '^$$' -fuzz FuzzLazyAging -fuzztime 10s
 
 race:
 	$(GO) test -race ./...

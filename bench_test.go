@@ -173,7 +173,7 @@ func BenchmarkEngineTick(b *testing.B) {
 // BenchmarkEngineChurn measures the engine under session churn: 200
 // declared sessions of which about 12 are live at any instant, over 400
 // simulated seconds. What it prices is the declared-but-idle session —
-// per TTI (settled bearers must stay out of the radio loop) and at
+// per TTI (idle bearers must stay out of the radio loop) and at
 // assembly (timed here too: Run builds the cell).
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
@@ -183,6 +183,40 @@ func BenchmarkEngineChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(benchmarks.EngineChurnSimSeconds/float64(b.Elapsed().Seconds()/float64(b.N)), "simsec/sec")
+}
+
+// BenchmarkFastForward times the two engine loops on the paper
+// scenarios of ROADMAP's fast-forward table, one full-scale run (seed 1)
+// per op: "naive" runs every TTI, "fast" lets the kernel skip the idle
+// ones. The speedup is naive time over fast time; compare them at
+// -cpu 1, best of several interleaved runs.
+func BenchmarkFastForward(b *testing.B) {
+	full := flaresuite.FullScale()
+	scenarios := []struct {
+		name string
+		cfg  cellsim.Config
+	}{
+		{"table1-FLARE", flaresuite.TestbedConfig(cellsim.SchemeFLARE, false, full)},
+		{"table1-FESTIVE", flaresuite.TestbedConfig(cellsim.SchemeFESTIVE, false, full)},
+		{"fig5-FLARE", flaresuite.TestbedConfig(cellsim.SchemeFLARE, true, full)},
+		{"fig6-FLARE", flaresuite.SimConfig(cellsim.SchemeFLARE, false, full)},
+		{"fig6-FESTIVE", flaresuite.SimConfig(cellsim.SchemeFESTIVE, false, full)},
+		{"fig7-FLARE", flaresuite.SimConfig(cellsim.SchemeFLARE, true, full)},
+	}
+	for _, sc := range scenarios {
+		for _, loop := range []string{"naive", "fast"} {
+			cfg := sc.cfg
+			cfg.Seed = 1
+			cfg.DisableFastForward = loop == "naive"
+			b.Run(sc.name+"/"+loop, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := cellsim.Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkCellAssemble measures cellsim.New alone on the churn cell:

@@ -19,9 +19,8 @@ import (
 // churnConfig is the declared-but-mostly-idle cell: `sessions` FLARE
 // sessions arrive uniformly over the run and stay for Pareto (shape 2.5)
 // durations whose mean keeps about `live` of them live, so at any TTI
-// most declared bearers are idle — not yet arrived (settled from the
-// first TTI) or departed (decaying, then settled ~75 s later). Departures
-// land wherever the Pareto draw puts them, which is mid-download more
+// most declared bearers are idle — not yet arrived or departed, and in
+// either case outside every per-TTI pass. Departures land wherever the Pareto draw puts them, which is mid-download more
 // often than not.
 func churnConfig(seed uint64, sessions int, duration time.Duration, live float64) Config {
 	cfg := DefaultConfig(SchemeFLARE)

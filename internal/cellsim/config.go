@@ -7,6 +7,7 @@ package cellsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -338,6 +339,9 @@ func (c *Config) Validate() error {
 	}
 	if _, ok := schemes[c.Scheme]; !ok {
 		return fmt.Errorf("cellsim: unknown scheme %v (known: %v)", c.Scheme, knownSchemes())
+	}
+	if math.IsNaN(c.VBRJitter) {
+		return fmt.Errorf("cellsim: VBR jitter is NaN")
 	}
 	if err := c.ControlFaults.Validate(); err != nil {
 		return fmt.Errorf("cellsim: control faults: %w", err)

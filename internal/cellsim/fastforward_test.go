@@ -95,13 +95,13 @@ func TestFastForwardEquivalenceStaticIdleCell(t *testing.T) {
 }
 
 // TestFastForwardEquivalenceChurnCell: 200 declared sessions, about 12
-// live — the cell where most bearers sit settled, outside every per-TTI
-// pass and every idle replay. The naive loop is the oracle for what the
-// kernel's jumps may skip; that a settled bearer's skipped ticks were
-// no-ops is pinned bit for bit in lte (TestSettledSkipMatchesTickEveryTTI).
-// Here the point is the whole engine around it: arrivals onto settled
-// bearers, departures mid-download, bearers settling again ~75 s after
-// their session left.
+// live — the cell where most bearers sit idle, outside every per-TTI
+// pass, and are aged only when next read. The naive loop is the oracle
+// for what the kernel's jumps may skip; that aging on read matches the
+// per-TTI arithmetic is held to the oracle in lte
+// (TestSettledSkipMatchesTickEveryTTI). Here the point is the whole
+// engine around it: arrivals onto idle bearers and departures
+// mid-download.
 func TestFastForwardEquivalenceChurnCell(t *testing.T) {
 	cfg := churnConfig(7, 200, 160*time.Second, 12)
 	naive, fast := runBothLoops(t, cfg)

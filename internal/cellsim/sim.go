@@ -112,13 +112,6 @@ type Sim struct {
 	// canonical order keeps the engine easy to reason about.
 	tickList []*transport.Flow
 
-	// departing is the video sessions that have departed but whose
-	// bearers are not yet retired: each is retired (lte.ENodeB.Retire)
-	// at the end of the first TTI in which it has nothing left to send
-	// (see retireDrained). It shares one backing array with the groups'
-	// flow lists and never outgrows its room, a slot per video flow.
-	departing []*driver.Flow
-
 	// series state
 	rateSeries    []*metrics.TimeSeries
 	bufSeries     []*metrics.TimeSeries
@@ -314,11 +307,9 @@ func (g *simGroup) managed() bool {
 }
 
 func (s *Sim) buildVideo() error {
-	// One backing array holds every group's flow list, then the
-	// departing list, each capped at its own window.
-	n := s.cfg.NumVideo
-	lists := make([]*driver.Flow, 2*n)
-	s.departing = lists[n : n : 2*n]
+	// One backing array holds every group's flow list, each capped at
+	// its own window.
+	lists := make([]*driver.Flow, s.cfg.NumVideo)
 	id := 0
 	for _, g := range s.groups {
 		class := lte.ClassData
@@ -554,39 +545,16 @@ func (s *Sim) flowArrives(id int64) {
 	f.Player.Start()
 }
 
-// flowDeparts is the departure event of video flow id. The flow's
-// bearer is retired once the session has drained (retireDrained).
+// flowDeparts is the departure event of video flow id.
 func (s *Sim) flowDeparts(id int64) {
 	f := &s.videoSlab[id]
 	f.Player.Stop()
 	s.groupOf(f.ID).ctrl.OnFlowDeparture(f)
 	s.rec.Emit(obs.FlowDepart(int32(s.cellID), int32(f.ID)))
-	s.departing = append(s.departing, f)
-}
-
-// retireDrained retires the bearer of every departed session that can
-// never send again: its player has stopped with no segment in progress
-// (so it issues no request and no response is on its way), its
-// transport flow holds no bytes for the radio, and the bearer's queue
-// is empty. From then on the bearer is out of every per-TTI pass. No
-// scheduler will read its frozen averages or credits, because nothing
-// can enqueue into it again.
-func (s *Sim) retireDrained() {
-	n := 0
-	for _, f := range s.departing {
-		if f.Player.Ended() && !f.Transport.Active() && f.Bearer.Backlog() == 0 {
-			s.enb.Retire(f.Bearer)
-			continue
-		}
-		s.departing[n] = f
-		n++
-	}
-	s.departing = s.departing[:n]
 }
 
 // runHooks runs the post-radio per-TTI work shared by both loops: group
-// control ticks (BAIs), series sampling and the retirement of drained
-// departed sessions' bearers.
+// control ticks (BAIs) and series sampling.
 func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	for _, g := range s.groups {
 		if g.tickTTIs > 0 && tti > 0 && tti%g.tickTTIs == 0 {
@@ -597,9 +565,6 @@ func (s *Sim) runHooks(tti, sampleTTIs int64) error {
 	}
 	if s.cfg.CollectSeries && tti > 0 && tti%sampleTTIs == 0 {
 		s.sample(float64(tti) / lte.TTIsPerSecond)
-	}
-	if len(s.departing) > 0 {
-		s.retireDrained()
 	}
 	return nil
 }
@@ -638,8 +603,9 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 // backlogged — the clock jumps straight to the next TTI at which
 // anything can happen: the earliest pending event, the next group
 // control tick, the next series sample, or the end of the run. The
-// skipped span is replayed in aggregate (channel catch-up, idle bearer
-// accounting), so results are byte-identical to the naive loop.
+// channel catches up over the skipped span, and each idle bearer ages
+// over it when next read as it would over TTIs run one by one, so
+// results are byte-identical to the naive loop.
 //
 // Quiescence is decided after RunTTI and the hooks because both can
 // re-arm flows mid-TTI: radio delivery fires OnDeliver → player

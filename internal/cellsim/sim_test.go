@@ -1,6 +1,7 @@
 package cellsim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +62,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Channel.StaticITbs = 99 },
 		func(c *Config) { c.Channel = cyclic(lte.MinITbs-1, 12) },
 		func(c *Config) { c.Channel = cyclic(1, lte.MaxITbs+1) },
+		// A NaN jitter would size every segment int64(NaN) bytes.
+		func(c *Config) { c.VBRJitter = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := quickConfig(SchemeFLARE, 2, 1)

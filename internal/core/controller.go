@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -265,30 +266,31 @@ type Controller struct {
 
 // Normalized returns the configuration with each invalid field replaced
 // by its default: the controller is long-lived and the defaults are
-// always safe, so bad values fall back rather than erroring. Normalizing
+// always safe, so bad values (NaN among them) fall back rather than
+// erroring. Normalizing
 // twice changes nothing, so the server, its controllers and the driver's
 // BAI all read one value.
 func (cfg Config) Normalized() Config {
 	def := DefaultConfig()
-	if cfg.Alpha < 0 {
+	if cfg.Alpha < 0 || math.IsNaN(cfg.Alpha) {
 		cfg.Alpha = def.Alpha
 	}
-	if cfg.Beta <= 0 {
+	if cfg.Beta <= 0 || math.IsNaN(cfg.Beta) {
 		cfg.Beta = def.Beta
 	}
-	if cfg.ThetaBps <= 0 {
+	if cfg.ThetaBps <= 0 || math.IsNaN(cfg.ThetaBps) {
 		cfg.ThetaBps = def.ThetaBps
 	}
 	if cfg.BAI <= 0 {
 		cfg.BAI = def.BAI
 	}
-	if cfg.CostSmoothing <= 0 || cfg.CostSmoothing > 1 {
+	if !(cfg.CostSmoothing > 0 && cfg.CostSmoothing <= 1) {
 		cfg.CostSmoothing = def.CostSmoothing
 	}
-	if cfg.StickinessBonus == 0 {
+	if cfg.StickinessBonus == 0 || math.IsNaN(cfg.StickinessBonus) {
 		cfg.StickinessBonus = def.StickinessBonus
 	}
-	if cfg.CapacityMargin <= 0 || cfg.CapacityMargin > 1 {
+	if !(cfg.CapacityMargin > 0 && cfg.CapacityMargin <= 1) {
 		cfg.CapacityMargin = def.CapacityMargin
 	}
 	return cfg

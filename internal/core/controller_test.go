@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -499,6 +500,32 @@ func TestRegisterReportsExistingRow(t *testing.T) {
 	}
 	if err := c.Register(2, has.SimLadder(), Preferences{}); errors.Is(err, ErrRegistered) {
 		t.Fatalf("new flow refused as registered: %v", err)
+	}
+}
+
+// TestNormalizedReplacesNaN: a NaN passes every "< 0" test, so each
+// float field is checked for it by name; NaN falls back to the default
+// as a negative value does.
+func TestNormalizedReplacesNaN(t *testing.T) {
+	fields := []struct {
+		name  string
+		field func(*Config) *float64
+	}{
+		{"Alpha", func(c *Config) *float64 { return &c.Alpha }},
+		{"Beta", func(c *Config) *float64 { return &c.Beta }},
+		{"ThetaBps", func(c *Config) *float64 { return &c.ThetaBps }},
+		{"StickinessBonus", func(c *Config) *float64 { return &c.StickinessBonus }},
+		{"CapacityMargin", func(c *Config) *float64 { return &c.CapacityMargin }},
+		{"CostSmoothing", func(c *Config) *float64 { return &c.CostSmoothing }},
+	}
+	def := DefaultConfig()
+	for _, f := range fields {
+		cfg := DefaultConfig()
+		*f.field(&cfg) = math.NaN()
+		cfg = cfg.Normalized()
+		if got, want := *f.field(&cfg), *f.field(&def); got != want {
+			t.Errorf("%s NaN normalized to %v, want the default %v", f.name, got, want)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func (c Config) Validate() error {
 	}
 	sum := 0.0
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN included
 			return fmt.Errorf("faults: %s rate %v out of [0, 1]", r.name, r.v)
 		}
 		sum += r.v

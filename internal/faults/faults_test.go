@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -94,6 +95,10 @@ func TestConfigValidate(t *testing.T) {
 		{Config{DropRate: -0.1}, false},
 		{Config{DropRate: 1.1}, false},
 		{Config{DropRate: 0.6, FailRate: 0.6}, false},
+		// NaN fails every range test, so each rate is checked for it.
+		{Config{DropRate: math.NaN()}, false},
+		{Config{FailRate: math.NaN()}, false},
+		{Config{DelayRate: math.NaN(), DelayBy: time.Millisecond}, false},
 		{Config{DelayRate: 0.1}, false}, // needs DelayBy
 		{Config{DelayRate: 0.1, DelayBy: time.Millisecond}, true},
 		{Config{Blackouts: []Window{{From: 2 * time.Second, To: time.Second}}}, false},

@@ -83,7 +83,7 @@ func extABR(t *T) *Report {
 	tbl := metrics.NewTable("Mobile scenario, 8 clients",
 		"rate Kbps", "changes", "stall s", "QoE")
 	for _, scheme := range schemes {
-		results := t.runs(simConfig(scheme, true, t.scale))
+		results := t.runs(SimConfig(scheme, true, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		changes := pooled(results, (*cellsim.Result).Changes)
 		var stalls, scores []float64

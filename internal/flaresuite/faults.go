@@ -30,7 +30,7 @@ func extFaults(t *T) *Report {
 
 	// The pure client-side baseline has no control plane to lose:
 	// one fault-free FESTIVE run set serves every sweep point.
-	baseCfg := simConfig(cellsim.SchemeFESTIVE, false, t.scale)
+	baseCfg := SimConfig(cellsim.SchemeFESTIVE, false, t.scale)
 	baseResults := t.runs(baseCfg)
 	baselineQoE := meanQoE(baseResults)
 	baselineRate := metrics.Mean(pooled(baseResults, (*cellsim.Result).AvgRates))
@@ -40,7 +40,7 @@ func extFaults(t *T) *Report {
 	var qoeCurve, fallbackCurve []metrics.Point
 
 	for _, loss := range extFaultsLossRates {
-		cfg := simConfig(cellsim.SchemeFLARE, false, t.scale)
+		cfg := SimConfig(cellsim.SchemeFLARE, false, t.scale)
 		cfg.ControlFaults = faults.Config{Seed: faultSeed, DropRate: loss}
 		results := t.runs(cfg)
 		row := summarizeFaultRuns(results)
@@ -57,7 +57,7 @@ func extFaults(t *T) *Report {
 
 	// Total blackout through the middle third of the run: every plugin
 	// must degrade and recover.
-	blk := simConfig(cellsim.SchemeFLARE, false, t.scale)
+	blk := SimConfig(cellsim.SchemeFLARE, false, t.scale)
 	third := blk.Duration / 3
 	blk.ControlFaults = faults.Config{
 		Seed:      faultSeed,

@@ -22,7 +22,7 @@ func clientCDFs(t *T, id, title string, mobile bool) *Report {
 	means := map[cellsim.Scheme]float64{}
 	changeMeans := map[cellsim.Scheme]float64{}
 	for _, scheme := range simSchemes {
-		results := t.runs(simConfig(scheme, mobile, t.scale))
+		results := t.runs(SimConfig(scheme, mobile, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		changes := pooled(results, (*cellsim.Result).Changes)
 		var jains []float64
@@ -73,7 +73,7 @@ func fig8(t *T) *Report {
 		var exactMean, relaxMean float64
 		var exactChanges, relaxChanges float64
 		for _, relaxed := range []bool{false, true} {
-			cfg := simConfig(cellsim.SchemeFLARE, mobile, t.scale)
+			cfg := SimConfig(cellsim.SchemeFLARE, mobile, t.scale)
 			cfg.Ladder = has.FineLadder()
 			cfg.Flare.UseRelaxation = relaxed
 			results := t.runs(cfg)
@@ -108,7 +108,7 @@ func fig9(t *T) *Report {
 	for _, relaxed := range []bool{true, false} {
 		arm := map[bool]string{false: "exact", true: "relaxed"}[relaxed]
 		for _, n := range sizes {
-			cfg := simConfig(cellsim.SchemeFLARE, false, t.scale)
+			cfg := SimConfig(cellsim.SchemeFLARE, false, t.scale)
 			cfg.NumVideo = n
 			cfg.Ladder = has.FineLadder()
 			cfg.Flare.UseRelaxation = relaxed
@@ -132,7 +132,7 @@ func fig9(t *T) *Report {
 // CDFs of per-flow throughput by class and of video bitrate changes.
 func fig10(t *T) *Report {
 	rep := &Report{ID: "fig10", Title: "Figure 10 — video/data coexistence under FLARE"}
-	cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
+	cfg := SimConfig(cellsim.SchemeFLARE, true, t.scale)
 	cfg.NumData = 8
 	cfg.Ladder = has.FineLadder()
 	results := t.runs(cfg)
@@ -158,7 +158,7 @@ func fig11(t *T) *Report {
 	videoMean.Name, videoStd.Name = "video/mean_bps", "video/stdev_bps"
 	dataMean.Name, dataStd.Name = "data/mean_bps", "data/stdev_bps"
 	for _, alpha := range alphas {
-		cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
+		cfg := SimConfig(cellsim.SchemeFLARE, true, t.scale)
 		cfg.NumData = 8
 		cfg.Ladder = has.FineLadder()
 		cfg.Flare.Alpha = alpha
@@ -184,7 +184,7 @@ func fig12(t *T) *Report {
 	rateSeries.Name, changeSeries.Name = "avg_bitrate_bps", "bitrate_changes"
 	// delta=0 is the extra ablation arm: Algorithm 1's streak gate off.
 	for delta := 0; delta <= 12; delta++ {
-		cfg := simConfig(cellsim.SchemeFLARE, true, t.scale)
+		cfg := SimConfig(cellsim.SchemeFLARE, true, t.scale)
 		cfg.Flare.Delta = delta
 		results := t.runs(cfg)
 		rates := pooled(results, (*cellsim.Result).AvgRates)

@@ -8,11 +8,11 @@ import (
 	"github.com/flare-sim/flare/internal/lte"
 )
 
-// testbedConfig reproduces the femtocell scenarios of Section IV-A:
+// TestbedConfig reproduces the femtocell scenarios of Section IV-A:
 // three video clients plus one iperf data flow, the 8-level testbed
 // ladder, 2 s segments, and iTbs 2 (static) or a 1->12->1 cycle over
 // four minutes (dynamic).
-func testbedConfig(scheme cellsim.Scheme, dynamic bool, scale Scale) cellsim.Config {
+func TestbedConfig(scheme cellsim.Scheme, dynamic bool, scale Scale) cellsim.Config {
 	cfg := cellsim.DefaultConfig(scheme)
 	cfg.Duration = scaled(600*time.Second, scale)
 	cfg.NumVideo = 3
@@ -50,12 +50,12 @@ func testbedConfig(scheme cellsim.Scheme, dynamic bool, scale Scale) cellsim.Con
 	return cfg
 }
 
-// simConfig reproduces the ns-3 scenarios of Section IV-B: 8 video
+// SimConfig reproduces the ns-3 scenarios of Section IV-B: 8 video
 // clients at random positions in a 2000 m cell, Table III ladder, 10 s
 // segments. "Static" places nearly stationary UEs (distinct positions,
 // so per-client link qualities differ as in ns-3); "mobile" uses the
 // vehicular random-waypoint speeds.
-func simConfig(scheme cellsim.Scheme, mobile bool, scale Scale) cellsim.Config {
+func SimConfig(scheme cellsim.Scheme, mobile bool, scale Scale) cellsim.Config {
 	cfg := cellsim.DefaultConfig(scheme)
 	cfg.Duration = scaled(1200*time.Second, scale)
 	cfg.NumVideo = 8

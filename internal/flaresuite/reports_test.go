@@ -217,7 +217,7 @@ func TestRunManyDeterministicSeeds(t *testing.T) {
 	scale := Scale{DurationFactor: 0.025, Runs: 2}
 	var a, b []*cellsim.Result
 	within(t, scale, func(t *T) {
-		cfg := testbedConfig(cellsim.SchemeFESTIVE, false, t.scale)
+		cfg := TestbedConfig(cellsim.SchemeFESTIVE, false, t.scale)
 		a, b = t.runs(cfg), t.runs(cfg)
 	})
 	for i := range a {

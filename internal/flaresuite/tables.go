@@ -19,7 +19,7 @@ func testbedTable(t *T, id, title string, dynamic bool) *Report {
 
 	var avgRate, stall, changes, jain, dataTput []float64
 	for _, scheme := range testbedSchemes {
-		results := t.runs(testbedConfig(scheme, dynamic, t.scale))
+		results := t.runs(TestbedConfig(scheme, dynamic, t.scale))
 		rates := pooled(results, (*cellsim.Result).AvgRates)
 		chs := pooled(results, (*cellsim.Result).Changes)
 		var stalls, jains, datas []float64
@@ -68,7 +68,7 @@ func table2(t *T) *Report {
 func timeseriesFigure(t *T, id, title string, dynamic bool) *Report {
 	rep := &Report{ID: id, Title: title}
 	for _, scheme := range testbedSchemes {
-		cfg := testbedConfig(scheme, dynamic, t.scale)
+		cfg := TestbedConfig(scheme, dynamic, t.scale)
 		cfg.CollectSeries = true
 		res, err := cellsim.RunContext(t.ctx, cfg)
 		if err != nil {

@@ -274,11 +274,6 @@ func (p *Player) Tally() qoe.Tally { return p.tally }
 // session was stopped.
 func (p *Player) Done() bool { return p.done }
 
-// Ended reports whether the player will never send another byte: it
-// is done (stopped, or past the last segment) with no segment in
-// progress, so no request is pending and no response is on its way.
-func (p *Player) Ended() bool { return p.done && !p.downloading }
-
 // Stop ends the session: no further segment requests are issued (an
 // in-flight download completes and is still recorded). Used for
 // client-churn scenarios where viewers leave mid-stream.

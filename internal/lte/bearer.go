@@ -69,8 +69,9 @@ type Bearer struct {
 	OnDeliver sim.Handler
 
 	// GBRBits is the guaranteed bit rate in bits/s; 0 means non-GBR.
-	// After AddBearer, write it through SetGBR: a settled bearer rejoins
-	// the per-TTI passes only when a setter (or Enqueue) stirs it.
+	// After AddBearer, write it through SetGBR: an idle bearer's
+	// accounting is brought up to date under the rate it accrued at
+	// before a setter replaces it.
 	GBRBits float64
 	// MBRBits is the maximum bit rate in bits/s; 0 means unlimited.
 	// After AddBearer, write it through SetMBR.
@@ -78,13 +79,13 @@ type Bearer struct {
 
 	// The unexported state is laid out by access pattern, not by topic:
 	// everything tick and the schedulers touch every TTI sits in one
-	// contiguous run starting at the two rates above, so a live bearer's
+	// contiguous run starting at the two rates above, so a busy bearer's
 	// per-TTI working set is two or three cache lines.
 	queue int64
 
 	// gbrRefBits and mbrRefBits are the rates the cached derivatives
-	// below were computed from — tick refreshes them, and the derivatives,
-	// whenever it runs with a different positive rate.
+	// below were computed from — accrue refreshes them, and the
+	// derivatives, whenever it runs with a different positive rate.
 	gbrRefBits float64
 	mbrRefBits float64
 
@@ -100,7 +101,7 @@ type Bearer struct {
 	// Cached per-TTI derivatives of the rates in gbrRefBits/mbrRefBits.
 	// Each is produced by exactly the expression tick used to evaluate
 	// inline, so reuse is bit-identical; caching just removes several FP
-	// divisions from a function that runs once per live bearer per TTI.
+	// divisions from a function that runs once per busy bearer per TTI.
 	gbrPerTTI float64 // GBRBits / 8 / TTIsPerSecond
 	gbrLimit  float64 // GBRBits / 8
 	mbrPerTTI float64 // MBRBits / 8 / TTIsPerSecond
@@ -108,12 +109,13 @@ type Bearer struct {
 
 	mbrPrimed  bool
 	everServed bool
-	// settled marks a bearer that has left its cell's per-TTI passes
-	// (see ENodeB.live); stir clears it.
-	settled bool
-	// retired marks a bearer that has left the passes for good
-	// (ENodeB.Retire). It is never settled, so stir passes it by.
-	retired bool
+	// busy marks a bearer in its cell's per-TTI passes (ENodeB.busy):
+	// backlogged, or backlogged when the current TTI began.
+	busy bool
+	// aged is the last TTI the accounting of a bearer that is not busy
+	// covers; the TTIs after it, up to its cell's now, were idle for it
+	// (see age).
+	aged int64
 
 	// enb is the cell the bearer is registered with and idx its position
 	// in that cell's bearer slice (both set by ENodeB.AddBearer).
@@ -126,13 +128,11 @@ type Bearer struct {
 
 // Enqueue adds bytes to the bearer queue and returns the number of bytes
 // actually accepted (drop-tail beyond QueueLimit). Negative counts are
-// rejected with 0.
+// rejected with 0. Bytes that give an idle bearer a backlog bring its
+// accounting up to date and put it into its cell's per-TTI passes.
 func (b *Bearer) Enqueue(bytes int64) int64 {
 	if bytes <= 0 {
 		return 0
-	}
-	if b.retired {
-		panic(fmt.Sprintf("lte: enqueue on retired bearer %d", b.ID))
 	}
 	accepted := bytes
 	if b.QueueLimit > 0 && b.queue+bytes > b.QueueLimit {
@@ -142,35 +142,36 @@ func (b *Bearer) Enqueue(bytes int64) int64 {
 		}
 	}
 	b.queue += accepted
-	b.stir()
+	if accepted > 0 && !b.busy && b.enb != nil {
+		b.age()
+		b.enb.wake(b)
+	}
 	return accepted
 }
 
-// SetGBR updates the guaranteed bit rate (0 = non-GBR). On a retired
-// bearer it only records the rate.
+// SetGBR updates the guaranteed bit rate (0 = non-GBR).
 func (b *Bearer) SetGBR(gbrBits float64) {
+	b.age()
 	b.GBRBits = gbrBits
-	b.stir()
 }
 
-// SetMBR updates the maximum bit rate (0 = unlimited). On a retired
-// bearer it only records the rate.
+// SetMBR updates the maximum bit rate (0 = unlimited).
 func (b *Bearer) SetMBR(mbrBits float64) {
+	b.age()
 	b.MBRBits = mbrBits
-	b.stir()
 }
 
-// stir sends a settled bearer back to the per-TTI passes (the next
-// readmit moves it into the live set). Every write that can end the
-// fixed point calls it without asking whether this one did: a bearer
-// re-admitted at its fixed point costs one tick that proves it and
-// settles it again. Clearing the flag makes a second stir a no-op, so a
-// bearer is listed at most once and the list never outgrows the room
-// AddBearer gave it.
-func (b *Bearer) stir() {
-	if b.settled {
-		b.settled = false
-		b.enb.stirred = append(b.enb.stirred, b)
+// age brings the accounting of a bearer that is not busy up to its
+// cell's now: every TTI since the bearer last left the per-TTI passes
+// was an idle one, at the rates it has held since (a rate is only
+// replaced after age has run). A busy bearer is up to date already.
+func (b *Bearer) age() {
+	if b.busy || b.enb == nil {
+		return
+	}
+	if k := b.enb.now - b.aged; k > 0 {
+		b.ageIdle(k)
+		b.aged = b.enb.now
 	}
 }
 
@@ -217,26 +218,37 @@ func (b *Bearer) serve(capBytes int64, rbs int) int64 {
 	return served
 }
 
-// tick updates the throughput averages with the bits served this TTI.
-// Called once per TTI for every bearer that is not settled, served or
+// tick updates the throughput averages and credits with the bits
+// served this TTI. Called once per TTI for every busy bearer, served or
 // not.
 func (b *Bearer) tick(servedBits float64) {
 	instant := servedBits * TTIsPerSecond // bits/s delivered this TTI
-	// An idle bearer's averages spend most of their decay below the normal
-	// range, where the float expression is microcode-assisted (~15x the
-	// cost); idleDecay is the same step on the bit pattern. Each average
-	// crosses over on its own, the fast one ~45 simulated seconds first.
-	// The range test leads: it predicts, "served this TTI" does not.
-	if b.avgTput < minNormalTput && servedBits == 0 {
-		b.avgTput = idleDecay(b.avgTput, avgTputTTIs)
-	} else {
-		b.avgTput += (instant - b.avgTput) / avgTputTTIs
-	}
-	if b.fastTput < minNormalTput && servedBits == 0 {
-		b.fastTput = idleDecay(b.fastTput, fastTputTTIs)
-	} else {
-		b.fastTput += (instant - b.fastTput) / fastTputTTIs
-	}
+	b.avgTput += (instant - b.avgTput) / avgTputTTIs
+	b.fastTput += (instant - b.fastTput) / fastTputTTIs
+	b.accrue(1, servedBits/8)
+}
+
+// ageIdle is k idle ticks in closed form: an average a decays to
+// a·(1−1/N)^k, the classic PF average (Jalali, Padovani and Pankaj,
+// VTC 2000) with nothing served. It differs from k iterated ticks in
+// the last bits, and where the iterated decay stalls at a denormal the
+// closed form reaches zero; only the schedulers read the averages, and
+// only once the bearer is busy again.
+func (b *Bearer) ageIdle(k int64) {
+	n := float64(k)
+	b.avgTput *= math.Pow(1-1.0/avgTputTTIs, n)
+	b.fastTput *= math.Pow(1-1.0/fastTputTTIs, n)
+	b.accrue(n, 0)
+}
+
+// accrue runs the GBR and MBR credits through k TTIs at the current
+// rates, with servedBytes paid on the first of them: each TTI adds one
+// TTI of credit, and the clamps hold as they would after every TTI.
+// Since the per-TTI accrual is positive, only the first TTI can meet
+// the GBR credit's lower clamp, and once a credit reaches its upper
+// clamp it stays there. With k = 1 this is the per-TTI step, bit for
+// bit.
+func (b *Bearer) accrue(k, servedBytes float64) {
 	if b.GBRBits > 0 {
 		if b.GBRBits != b.gbrRefBits {
 			b.gbrRefBits = b.GBRBits
@@ -244,15 +256,13 @@ func (b *Bearer) tick(servedBits float64) {
 			b.gbrLimit = b.GBRBits / 8
 		}
 		// Accrue the GBR debt in bytes and pay it down with service.
-		b.gbrCredit += b.gbrPerTTI
-		b.gbrCredit -= servedBits / 8
 		// Don't bank more than one second of credit, and don't let
 		// surplus service turn into unbounded negative credit either.
-		if b.gbrCredit > b.gbrLimit {
-			b.gbrCredit = b.gbrLimit
-		} else if b.gbrCredit < -b.gbrLimit {
-			b.gbrCredit = -b.gbrLimit
+		c := max(b.gbrCredit+b.gbrPerTTI-servedBytes, -b.gbrLimit)
+		if k > 1 {
+			c += (k - 1) * b.gbrPerTTI
 		}
+		b.gbrCredit = min(c, b.gbrLimit)
 	} else {
 		b.gbrCredit = 0
 	}
@@ -266,77 +276,14 @@ func (b *Bearer) tick(servedBits float64) {
 			b.mbrPrimed = true
 			b.mbrCredit = b.mbrBurst
 		}
-		b.mbrCredit += b.mbrPerTTI
-		b.mbrCredit -= servedBits / 8
-		if b.mbrCredit > b.mbrBurst {
-			b.mbrCredit = b.mbrBurst
+		c := b.mbrCredit + b.mbrPerTTI - servedBytes
+		if k > 1 {
+			c += (k - 1) * b.mbrPerTTI
 		}
+		b.mbrCredit = min(c, b.mbrBurst)
 	} else {
 		b.mbrPrimed = false
 	}
-}
-
-// minNormalTput is the smallest normal float64. The idle decay
-// a -= a/N changes every normal a (a/N is far above a's last bit), so
-// an average at or above it cannot be at its fixed point.
-const minNormalTput = 0x1p-1022
-
-// idleDecay returns a + (0-a)/n for a subnormal (or zero) average a >= 0,
-// to the bit, without floating-point arithmetic. Below the normal range
-// a float64 is its mantissa m times 2^-1074 and the representable values
-// are exactly the integers, so the quotient rounds to RNE(m/n) — nearest,
-// ties to even — and the sum m - RNE(m/n) is exact.
-func idleDecay(a float64, n uint64) float64 {
-	m := math.Float64bits(a)
-	q, r := m/n, m%n
-	if 2*r > n || (2*r == n && q&1 == 1) {
-		q++
-	}
-	return math.Float64frombits(m - q)
-}
-
-// tickIdleOnce is tick(0) plus the fixed-point test: it reports whether
-// the tick left the accounting state bit-identical. tick(0) is a
-// deterministic function of that state and the bearer's GBR/MBR, so a
-// true result proves every further idle tick at the same rates is a
-// no-op — the one fact both tickIdle and the eNodeB's settled set rest
-// on.
-func (b *Bearer) tickIdleOnce() bool {
-	prevAvg, prevFast := b.avgTput, b.fastTput
-	prevGBR, prevMBR := b.gbrCredit, b.mbrCredit
-	prevPrimed := b.mbrPrimed
-	b.tick(0)
-	return b.avgTput == prevAvg && b.fastTput == prevFast &&
-		b.gbrCredit == prevGBR && b.mbrCredit == prevMBR &&
-		b.mbrPrimed == prevPrimed
-}
-
-// tickIdle replays k idle TTIs (tick(0) k times) — the fast-forward
-// catch-up for a bearer that was neither enqueued into nor served while
-// the kernel skipped dead TTIs. It reports whether the replay ended at
-// a fixed point (see tickIdleOnce).
-//
-// Determinism is the contract here: results must be byte-identical to
-// calling tick(0) k times, so no closed form (pow-based EWMA decay,
-// multiply-accumulate credits) is admissible — IEEE-754 rounding makes
-// a*(1-1/N)^k differ from the iterated a -= a/N in the last bits. What
-// IS admissible is fixed-point detection: the first iteration that
-// leaves the state bit-identical proves every further iteration is a
-// no-op and the remaining k can be dropped. The EWMAs do not reach
-// zero: a -= a/N stalls at a small non-zero denormal (2.47e-322 for the
-// 100-TTI window, 1e-322 for the 40-TTI one, where a/N rounds to zero),
-// about 75 simulated seconds after the last service; the GBR/MBR
-// credits saturate at their clamps within a second. So a skip costs at
-// most those ~75 000 iterations however long it is — the later ones on
-// tick's integer path (idleDecay), which is the literal tick(0) to the
-// bit — and an idle bearer always ends up at a fixed point.
-func (b *Bearer) tickIdle(k int64) bool {
-	for i := int64(0); i < k; i++ {
-		if b.tickIdleOnce() {
-			return true // fixed point: all further idle ticks are no-ops
-		}
-	}
-	return false
 }
 
 // mbrBurstBytes is the MBR token bucket depth: 50 ms at the cap rate.

@@ -20,33 +20,30 @@ type ENodeB struct {
 	// of each ID only: BearerByID binary-searches it.
 	index []*Bearer
 
-	// live holds the bearers that are not settled. A bearer is settled
-	// (Bearer.settled) when it has no backlog and an idle tick provably
-	// leaves its accounting state bit-identical at its current GBR/MBR
-	// (Bearer.tickIdleOnce); every per-TTI pass — active-set scan,
-	// accounting, Idle, FastForwardIdle — walks live only, so the skipped
-	// ticks are exactly the ticks that were no-ops. live stays in bearer
-	// order (the scheduler must see the active set in that order). A
-	// settled bearer is a flag and costs a pass nothing: Enqueue, SetGBR
-	// and SetMBR stir it — append it to stirred, once (stir clears the
-	// flag) — and readmit moves the listed ones back into live. A
-	// retired bearer (Retire) has left both lists for good. Both
-	// slices have room for every bearer (NewENodeB sizes them for one
-	// bearer per UE, AddBearer keeps them at least that large), so
-	// neither grows during a run.
+	// busy is the bearers with queued bytes, in bearer order (the
+	// scheduler must see the active set in that order): every per-TTI
+	// pass walks busy only. A bearer joins it when Enqueue gives it a
+	// backlog and leaves it at the end of the first TTI that finds its
+	// queue empty. The accounting of a bearer outside it is aged when it
+	// is next read (Bearer.age), so an idle bearer costs a TTI nothing.
+	// busy has room for every bearer (NewENodeB sizes it for one bearer
+	// per UE, AddBearer keeps it at least that large), so it never grows
+	// during a run.
 	//
-	// bearers, live, stirred and index are quarters of one backing
-	// array, each capped at its quarter: a table that outgrows it moves
-	// to storage of its own rather than writing into its neighbour.
-	live    []*Bearer
-	stirred []*Bearer
+	// bearers, busy and index are thirds of one backing array, each
+	// capped at its third: a table that outgrows it moves to storage of
+	// its own rather than writing into its neighbour.
+	busy []*Bearer
+	// now is the last TTI the cell has accounted for: the last RunTTI's,
+	// or the last one a FastForwardIdle jump skipped. TTIs count from 0.
+	now int64
 
 	// flowStates is a persistent per-bearer scratch slice, parallel to
 	// bearers: the Bearer pointer and index are written once at AddBearer
 	// time, so the per-TTI refresh only touches the volatile fields
 	// (iTbs, backlog, grant) and only for backlogged bearers. active is
 	// the subset handed to the scheduler, rebuilt each TTI in storage
-	// sized like live's.
+	// sized like busy's.
 	flowStates []FlowState
 	active     []*FlowState
 }
@@ -57,16 +54,16 @@ type ENodeB struct {
 // busy TTIs regrow them.
 func NewENodeB(ch Channel, sched Scheduler) *ENodeB {
 	n := ch.NumUEs()
-	tables := make([]*Bearer, 4*n)
+	tables := make([]*Bearer, 3*n)
 	catchUp, _ := ch.(ChannelCatchUp)
 	return &ENodeB{
 		channel:    ch,
 		catchUp:    catchUp,
 		sched:      sched,
 		bearers:    tables[0:0:n],
-		live:       tables[n : n : 2*n],
-		stirred:    tables[2*n : 2*n : 3*n],
-		index:      tables[3*n : 3*n : 4*n],
+		busy:       tables[n : n : 2*n],
+		index:      tables[2*n : 2*n : 3*n],
+		now:        -1,
 		flowStates: make([]FlowState, 0, n),
 		active:     make([]*FlowState, 0, n),
 		rbgSizes:   RBGSizes(),
@@ -88,17 +85,26 @@ func (e *ENodeB) AddBearer(b *Bearer) (*Bearer, error) {
 	if b.UE < 0 || b.UE >= e.channel.NumUEs() {
 		return nil, fmt.Errorf("lte: bearer %d references UE %d, channel has %d UEs", b.ID, b.UE, e.channel.NumUEs())
 	}
-	b.enb, b.idx = e, len(e.bearers)
+	b.enb, b.idx, b.aged = e, len(e.bearers), e.now
 	e.bearers = append(e.bearers, b)
-	e.stirred = slices.Grow(e.stirred, len(e.bearers)-len(e.stirred))
+	e.busy = slices.Grow(e.busy, len(e.bearers)-len(e.busy))
 	e.flowStates = append(e.flowStates, FlowState{Bearer: b})
-	// A new bearer starts live; its first accounting pass settles it if
-	// it is idle.
-	e.live = append(e.live, b)
+	if b.queue > 0 { // enqueued into before it had a cell
+		e.wake(b)
+	}
 	if i, dup := e.find(b.ID); !dup {
 		e.index = slices.Insert(e.index, i, b)
 	}
 	return b, nil
+}
+
+// wake puts a bearer that Enqueue has just given a backlog into busy, at
+// its place in bearer order. busy is walked only by passes that call
+// out to nothing that can enqueue, so it may change at any other time.
+func (e *ENodeB) wake(b *Bearer) {
+	b.busy = true
+	i, _ := slices.BinarySearchFunc(e.busy, b.idx, func(o *Bearer, idx int) int { return cmp.Compare(o.idx, idx) })
+	e.busy = slices.Insert(e.busy, i, b)
 }
 
 // find returns the position in index of the bearer with the given ID,
@@ -154,16 +160,11 @@ type TTIResult struct {
 func (e *ENodeB) RunTTI(tti int64) TTIResult {
 	e.channel.Update(tti)
 
-	// Build the schedulable set: live bearers with backlog. Idle
-	// bearers' FlowStates are not touched at all — only the volatile
-	// fields of active flows are refreshed (Bearer is fixed at
-	// AddBearer).
-	e.readmit()
+	// Build the schedulable set: the busy bearers. Idle bearers'
+	// FlowStates are not touched at all — only the volatile fields of
+	// active flows are refreshed (Bearer is fixed at AddBearer).
 	e.active = e.active[:0]
-	for _, b := range e.live {
-		if b.queue <= 0 {
-			continue
-		}
+	for _, b := range e.busy {
 		f := &e.flowStates[b.idx]
 		f.ITbs = e.channel.ITbs(b.UE)
 		f.BitsPerRB = BitsPerRB(f.ITbs)
@@ -187,97 +188,30 @@ func (e *ENodeB) RunTTI(tti int64) TTIResult {
 		}
 	}
 
-	// Throughput averages decay every TTI for every live bearer; the
-	// ones the tick proves settled leave the live set here. Only a bearer
-	// whose slow average has already left the normal range, and that was
-	// neither served nor left backlogged, is even tested; the average
-	// comes first because that branch predicts (whether a busy bearer was
-	// served in a given TTI does not).
+	// Tick every busy bearer, served or not — including one that a
+	// delivery above gave a backlog, whose accounting wake brought up
+	// to the previous TTI. A bearer left with an empty queue leaves busy
+	// here; from now on its accounting lags until it is next read.
 	n := 0
-	for _, b := range e.live {
-		if b.avgTput < minNormalTput && b.ttiServedBits == 0 && b.queue == 0 {
-			n = e.keepLive(n, b, b.tickIdleOnce())
-			continue
-		}
+	for _, b := range e.busy {
 		b.tick(b.ttiServedBits)
 		b.ttiServedBits = 0
-		e.live[n] = b
-		n++
-	}
-	e.live = e.live[:n]
-	return res
-}
-
-// keepLive is the body of the loops that filter live in place: b goes
-// back into live at position n, or — settled — drops out of it. It
-// returns the next free position.
-func (e *ENodeB) keepLive(n int, b *Bearer, settled bool) int {
-	if settled {
-		b.settled = true
-		return n
-	}
-	e.live[n] = b
-	return n + 1
-}
-
-// readmit moves every bearer stirred since the last call (Bearer.stir)
-// back into the live set, at its place in bearer order. It runs at the
-// top of every per-TTI pass, so a change made at any point between
-// passes is honoured by the next one.
-func (e *ENodeB) readmit() {
-	for _, b := range e.stirred {
-		i := len(e.live)
-		e.live = append(e.live, b)
-		for ; i > 0 && e.live[i-1].idx > b.idx; i-- {
-			e.live[i] = e.live[i-1]
+		if b.queue > 0 {
+			e.busy[n] = b
+			n++
+		} else {
+			b.busy, b.aged = false, tti
 		}
-		e.live[i] = b
 	}
-	e.stirred = e.stirred[:0]
-}
-
-// Retire takes a bearer out of the cell's per-TTI passes for good: its
-// flow has ended and will never enqueue another byte, so no scheduler
-// will see it again. Its accounting state (the throughput averages and
-// the GBR/MBR credits) freezes where it stands; only the scheduler reads
-// that state, and only for a backlogged bearer. Nothing re-admits a
-// retired bearer: SetGBR and SetMBR record the rate and stir nothing,
-// and Enqueue panics. Idle and FastForwardIdle walk live, so they skip
-// it, and the fast-forward replay no longer decays it. b must have no
-// backlog. The window and total statistics stay readable.
-func (e *ENodeB) Retire(b *Bearer) {
-	if b.queue > 0 {
-		panic(fmt.Sprintf("lte: retire bearer %d with %d bytes queued", b.ID, b.queue))
-	}
-	if !b.settled {
-		// Unsettled, b is in live or (stirred since the last pass)
-		// waiting in stirred; settled, it is in neither.
-		e.live = removeBearer(e.live, b)
-		e.stirred = removeBearer(e.stirred, b)
-	}
-	b.settled, b.retired = false, true
-}
-
-// removeBearer deletes b from list, keeping the order of the rest.
-func removeBearer(list []*Bearer, b *Bearer) []*Bearer {
-	if i := slices.Index(list, b); i >= 0 {
-		return slices.Delete(list, i, i+1)
-	}
-	return list
+	e.busy = e.busy[:n]
+	e.now = tti
+	return res
 }
 
 // Idle reports whether no bearer has queued bytes — together with an
 // inert transport layer and an empty event horizon, the condition under
 // which the kernel may fast-forward past this cell's TTIs.
-func (e *ENodeB) Idle() bool {
-	e.readmit()
-	for _, b := range e.live {
-		if b.queue > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (e *ENodeB) Idle() bool { return len(e.busy) == 0 }
 
 // CanFastForward reports whether the cell's channel model supports
 // byte-exact catch-up over skipped TTIs.
@@ -286,23 +220,13 @@ func (e *ENodeB) CanFastForward() bool { return e.catchUp != nil }
 // FastForwardIdle replays the effect of RunTTI for every TTI in
 // (fromTTI, toTTI) exclusive, under the precondition that the cell was
 // idle for the whole span (no backlog, so no scheduling and no service).
-// The channel catches up its internal state (including RNG consumption)
-// and every live bearer replays its idle accounting decay, settling if
-// the replay reaches its fixed point. The kernel calls RunTTI(toTTI)
-// itself on the wake TTI. Results are byte-identical to the naive
-// per-TTI loop.
+// The channel catches up its internal state (including RNG consumption);
+// the skipped TTIs are idle ones for every bearer, aged with the rest
+// when each is next read. The kernel calls RunTTI(toTTI) itself on the
+// wake TTI. Results are byte-identical to the naive per-TTI loop.
 func (e *ENodeB) FastForwardIdle(fromTTI, toTTI int64) {
 	if e.catchUp != nil {
 		e.catchUp.CatchUp(fromTTI, toTTI)
 	}
-	k := toTTI - fromTTI - 1
-	if k <= 0 {
-		return
-	}
-	e.readmit()
-	n := 0
-	for _, b := range e.live {
-		n = e.keepLive(n, b, b.tickIdle(k))
-	}
-	e.live = e.live[:n]
+	e.now = toTTI - 1
 }

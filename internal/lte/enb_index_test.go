@@ -22,12 +22,12 @@ func (r refByID) add(b *Bearer) {
 // through seeded random AddBearer sequences — IDs out of order,
 // repeated and negative, invalid UEs, and up to three times as many
 // bearers as the channel has UEs, so the tables NewENodeB carves from
-// one backing array outgrow their quarters — with busy TTIs in between
-// that move bearers through the stirred and live lists. After every
+// one backing array outgrow their thirds — with busy TTIs in between
+// that move bearers into and out of the busy list. After every
 // operation BearerByID, SetGBR and SetMBR must agree with the reference
 // for every ID in play, Bearers must be exactly the bearers added, in
-// order, and the live and stirred lists must hold each unsettled bearer
-// once, live in bearer order.
+// order, and the busy list must hold each backlogged bearer once, in
+// bearer order, and nothing else.
 func TestBearerIndexMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := sim.NewRNG(seed)
@@ -65,23 +65,22 @@ func TestBearerIndexMatchesMap(t *testing.T) {
 					}
 				}
 			}
-			seen := make(map[*Bearer]bool)
-			for i, b := range enb.live {
-				if i > 0 && enb.live[i-1].idx >= b.idx {
-					t.Fatalf("seed %d after %s: live out of bearer order at %d", seed, op, i)
+			for i, b := range enb.busy {
+				if i > 0 && enb.busy[i-1].idx >= b.idx {
+					t.Fatalf("seed %d after %s: busy out of bearer order at %d", seed, op, i)
 				}
-				seen[b] = true
 			}
-			for _, b := range enb.stirred {
-				if seen[b] {
-					t.Fatalf("seed %d after %s: bearer %d both live and stirred", seed, op, b.idx)
-				}
-				seen[b] = true
-			}
+			backlogged := 0
 			for _, b := range added {
-				if !b.settled && !seen[b] {
-					t.Fatalf("seed %d after %s: unsettled bearer %d is neither live nor stirred", seed, op, b.idx)
+				if b.Backlog() > 0 {
+					backlogged++
+					if !b.busy {
+						t.Fatalf("seed %d after %s: backlogged bearer %d is not busy", seed, op, b.idx)
+					}
 				}
+			}
+			if len(enb.busy) != backlogged {
+				t.Fatalf("seed %d after %s: %d bearers busy, %d backlogged", seed, op, len(enb.busy), backlogged)
 			}
 		}
 
@@ -102,9 +101,9 @@ func TestBearerIndexMatchesMap(t *testing.T) {
 				}
 				check("AddBearer")
 			default:
-				// Enqueueing stirs a settled bearer: none of them (the
-				// TTIs settle every fresh idle bearer), some, or all at
-				// once, so that the stirred list outgrows its quarter.
+				// Enqueueing makes an idle bearer busy: none of them,
+				// some, or all at once, so that the busy list outgrows
+				// its third.
 				mode := rng.Intn(4)
 				for _, b := range added {
 					if mode == 3 || mode == 2 && rng.Intn(3) == 0 {
@@ -123,11 +122,11 @@ func TestBearerIndexMatchesMap(t *testing.T) {
 }
 
 // TestBearerTablesOutgrowTheirQuarters fills each of the tables that
-// share the ENodeB's backing array past its quarter: twice as many
-// bearers as UEs, two per ID, settled on a quiet TTI and then all
-// stirred at once, so the stirred list holds 2n bearers while the index
-// still holds its n IDs. No table may write into its neighbour's
-// quarter: lookups, Bearers and the live list must come out right.
+// share the ENodeB's backing array past its third: twice as many
+// bearers as UEs, two per ID, all of them enqueued into at once, so
+// the busy list holds 2n bearers while the index still holds its n IDs.
+// No table may write into its neighbour's third: lookups, Bearers and
+// the busy list must come out right.
 func TestBearerTablesOutgrowTheirQuarters(t *testing.T) {
 	const ues = 4
 	enb := NewENodeB(NewUniformStaticChannel(ues, 12), PFScheduler{})
@@ -142,23 +141,20 @@ func TestBearerTablesOutgrowTheirQuarters(t *testing.T) {
 		ref.add(b)
 	}
 	enb.RunTTI(0)
-	if got := enb.numSettled(); got != 2*ues {
-		t.Fatalf("%d of %d fresh idle bearers settled", got, 2*ues)
-	}
-	for _, b := range added {
-		b.Enqueue(1000)
-	}
-	if len(enb.stirred) != 2*ues {
-		t.Fatalf("%d bearers stirred, want %d", len(enb.stirred), 2*ues)
+	for i := len(added) - 1; i >= 0; i-- {
+		added[i].Enqueue(1000)
 	}
 	for id := -1; id <= ues; id++ {
 		if got, want := enb.BearerByID(id), ref[id]; got != want {
-			t.Fatalf("BearerByID(%d) = %p after the stir, want %p", id, got, want)
+			t.Fatalf("BearerByID(%d) = %p after the enqueues, want %p", id, got, want)
 		}
 	}
+	if !slices.Equal(enb.Bearers(), added) || !slices.Equal(enb.busy, added) {
+		t.Fatalf("after enqueueing into every bearer: Bearers() = %v, busy = %v, want %v", enb.Bearers(), enb.busy, added)
+	}
 	enb.RunTTI(1)
-	if !slices.Equal(enb.Bearers(), added) || !slices.Equal(enb.live, added) {
-		t.Fatalf("after re-admitting every bearer: Bearers() = %v, live = %v, want %v", enb.Bearers(), enb.live, added)
+	if !slices.Equal(enb.Bearers(), added) {
+		t.Fatalf("after a busy TTI: Bearers() = %v, want %v", enb.Bearers(), added)
 	}
 }
 
