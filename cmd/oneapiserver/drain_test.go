@@ -30,11 +30,11 @@ func TestShutdownDrainsBAIRounds(t *testing.T) {
 	inInstall := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	server.SetPCEF(func([]oneapi.GBRInstall) []error {
+	blocking := func([]oneapi.GBRInstall) []error {
 		once.Do(func() { close(inInstall) })
 		<-release
 		return nil
-	})
+	}
 
 	if _, err := server.Open(0, oneapi.SessionRequest{FlowID: 1, LadderBps: has.SimLadder()}); err != nil {
 		t.Fatalf("open: %v", err)
@@ -42,7 +42,7 @@ func TestShutdownDrainsBAIRounds(t *testing.T) {
 	report := oneapi.StatsReport{Flows: map[int]core.FlowStats{1: {Bytes: 2_000_000, RBs: 8000}}}
 	roundDone := make(chan error, 1)
 	go func() {
-		_, err := server.RunBAIReport(0, report, nil)
+		_, err := server.RunBAIReport(0, report, blocking)
 		roundDone <- err
 	}()
 	<-inInstall // the round is now in flight, blocked in its install

@@ -11,9 +11,9 @@ const (
 	flareAssemblyAllocs = 32
 	// TestMetroCellAssemblyAllocs: measured 36, no margin.
 	metroAssemblyAllocs = 36
-	// TestMultiCellAllocsPerCell: measured 49.8 per cell, half an
+	// TestMultiCellAllocsPerCell: measured 49.5 per cell, half an
 	// object of margin.
-	multiCellAllocsPerCell = 50.3
+	multiCellAllocsPerCell = 50.0
 	// TestAdmissionRunAllocs: measured 723, some 10 % of margin;
 	// refusals that build errors for flows waiting for a session made
 	// it 4,442.

@@ -12,9 +12,9 @@ const (
 	flareAssemblyAllocs = 33
 	// TestMetroCellAssemblyAllocs: measured 37, no margin.
 	metroAssemblyAllocs = 37
-	// TestMultiCellAllocsPerCell: measured 52.8 per cell, half an
+	// TestMultiCellAllocsPerCell: measured 52.5 per cell, half an
 	// object of margin.
-	multiCellAllocsPerCell = 53.3
+	multiCellAllocsPerCell = 53.0
 	// TestAdmissionRunAllocs: measured 1,022, some 10 % of margin;
 	// refusals that build errors for flows waiting for a session made
 	// it 6,943 to 7,053.

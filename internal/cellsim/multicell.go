@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/flare-sim/flare/internal/obs"
 	"github.com/flare-sim/flare/internal/oneapi"
+	"github.com/flare-sim/flare/internal/sim"
 )
 
 // MultiResult holds the per-cell outcomes of a multi-cell run.
@@ -22,9 +22,9 @@ type MultiResult struct {
 type MultiConfig struct {
 	// Workers bounds how many cells simulate concurrently. 0 means
 	// GOMAXPROCS; negative values are rejected. Results are independent
-	// of the worker count: cells are dispatched in input order, results
-	// are slotted by input index, and each cell owns its RNG, event
-	// queue, and recorder.
+	// of the worker count: each worker runs a contiguous range of cells
+	// in input order, results are slotted by input index, and each cell
+	// owns its RNG, event queue, and recorder.
 	Workers int
 }
 
@@ -54,8 +54,8 @@ func RunMulti(server *oneapi.Server, cells ...Config) (*MultiResult, error) {
 // RunMultiConfig is RunMulti with cooperative cancellation and an
 // explicit execution configuration: every cell's TTI loop watches ctx,
 // the first cell failure cancels the cells still running, and cells are
-// fanned out to a bounded pool of mc.Workers goroutines (default
-// GOMAXPROCS) instead of one goroutine per cell.
+// fanned out to a sim.WorkerPool of mc.Workers goroutines (default
+// GOMAXPROCS), each running a contiguous range of cells in order.
 //
 // Error contract: assembly problems are reported together for every
 // bad cell (errors.Join, in cell order). Run failures are reported as
@@ -113,51 +113,17 @@ func RunMultiConfig(ctx context.Context, mc MultiConfig, server *oneapi.Server, 
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := &MultiResult{Cells: make([]*Result, len(sims))}
-	errs := make([]error, len(sims))
-	return runMany(ctx, cancel, workers, sims, out, errs)
-}
-
-// runMany drains the cells through a bounded worker pool. Jobs are
-// handed out in input order; each worker writes only its own slots of
-// out.Cells/errs, so the merge is deterministic by construction
-// (TestLockstepMultiCell and -race hold it to that).
-//
-// Workers never pre-check ctx before starting a cell: the engine's TTI
-// loops poll only at TTI multiples of 1024 (and never at TTI 0), so
-// every cell simulates at least its first ~1 s before a sibling's
-// cancellation can reach it. A cell that fails within that window
-// therefore always reports its own error — which cells end up in the
-// error fold is a deterministic fact, not a scheduling race.
-func runMany(ctx context.Context, cancel context.CancelFunc, workers int, sims []*Sim, out *MultiResult, errs []error) (*MultiResult, error) {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res, err := sims[i].RunContext(ctx)
-				if err != nil {
-					errs[i] = fmt.Errorf("cellsim: cell %d: %w", i, err)
-					cancel()
-					continue
-				}
-				out.Cells[i] = res
-			}
-		}()
-	}
-	for i := range sims {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	run := &multiRun{ctx: ctx, cancel: cancel, sims: sims,
+		out: make([]*Result, len(sims)), errs: make([]error, len(sims))}
+	pool := sim.NewWorkerPool(workers)
+	defer pool.Close()
+	pool.Do(len(sims), run)
 
 	// Fold errors in input-index order: the lowest-indexed real failure
 	// wins; cancellations only surface when nothing actually failed
 	// (i.e. the caller's ctx fired).
 	var firstCancelled error
-	for _, err := range errs {
+	for _, err := range run.errs {
 		switch {
 		case err == nil:
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -171,5 +137,36 @@ func runMany(ctx context.Context, cancel context.CancelFunc, workers int, sims [
 	if firstCancelled != nil {
 		return nil, firstCancelled
 	}
-	return out, nil
+	return &MultiResult{Cells: run.out}, nil
+}
+
+// multiRun is a multi-cell run's fan-out over a sim.WorkerPool: each
+// range of cells runs in input order and writes only its own slots of
+// out and errs, so the merge is deterministic by construction
+// (TestLockstepMultiCell and -race hold it to that).
+//
+// A cell never pre-checks ctx before it starts: the engine's TTI loops
+// poll only at TTI multiples of 1024 (and never at TTI 0), so every
+// cell simulates at least its first ~1 s before a sibling's
+// cancellation can reach it. A cell that fails within that window
+// therefore always reports its own error — which cells end up in the
+// error fold is a deterministic fact, not a scheduling race.
+type multiRun struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	sims   []*Sim
+	out    []*Result
+	errs   []error
+}
+
+func (m *multiRun) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		res, err := m.sims[i].RunContext(m.ctx)
+		if err != nil {
+			m.errs[i] = fmt.Errorf("cellsim: cell %d: %w", i, err)
+			m.cancel()
+			continue
+		}
+		m.out[i] = res
+	}
 }

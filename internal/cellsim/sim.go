@@ -580,7 +580,7 @@ func (s *Sim) runNaive(ctx context.Context, durTTIs, sampleTTIs int64) error {
 		// its first ~1 s of simulated progress before it can observe
 		// cancellation, so which cells of a multi-cell run reach an
 		// early failure of their own (vs. a sibling's cancel) is a
-		// deterministic fact, not a goroutine race. See runMany.
+		// deterministic fact, not a goroutine race. See multiRun.
 		if tti&0x3ff == 0 && tti != 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}

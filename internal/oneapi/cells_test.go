@@ -447,3 +447,49 @@ func TestBatchPCEFBrokenContract(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRunBAIDistinctCells measures whether BAI rounds on distinct
+// cells serialize on each other: each goroutine b.RunParallel starts
+// (GOMAXPROCS of them) owns one cell of 24 fine-ladder sessions and runs
+// RunBAIReport rounds on it, cycling through the same 16 reports of the
+// shape the ledger's metro_shared cells send, so every cell does the
+// same work. ns/op is wall time per round over all goroutines, so at
+// -cpu 1,2 the second figure is half the first when two cells' rounds
+// share nothing.
+func BenchmarkRunBAIDistinctCells(b *testing.B) {
+	const sessions, reports = 24, 16
+	ladder := has.FineLadder()
+	s := NewServer(core.DefaultConfig(), nil)
+	for c := 0; c < runtime.GOMAXPROCS(0); c++ {
+		for f := 0; f < sessions; f++ {
+			if _, err := s.Open(c, SessionRequest{FlowID: f, LadderBps: ladder}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Read-only from here on: the goroutines share the reports.
+	var rs [reports]StatsReport
+	for r := range rs {
+		flows := make(map[int]core.FlowStats, sessions)
+		for f := 0; f < sessions; f++ {
+			h := uint64(r*sessions+f+1) * 0x9e3779b97f4a7c15
+			flows[f] = core.FlowStats{
+				Bytes: int64(ladder[len(ladder)/2] / 8 * (0.5 + float64(h>>54)/1024)),
+				RBs:   int64(45_000 / sessions * (0.5 + float64(h>>22&1023)/1024)),
+			}
+		}
+		rs[r] = StatsReport{Flows: flows}
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := int(next.Add(1) - 1)
+		for r := 0; pb.Next(); r++ {
+			if _, err := s.RunBAIReport(c, rs[r%reports], nil); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

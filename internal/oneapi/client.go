@@ -21,9 +21,8 @@ import (
 // ClientConfig hardens the plugin client against a lossy control plane.
 // The zero value is normalised to the defaults below.
 type ClientConfig struct {
-	// RequestTimeout bounds each HTTP attempt (default 5 s). The
-	// pre-fault-tolerance client used http.DefaultClient with no
-	// deadline, so a hung server stalled the plugin forever.
+	// RequestTimeout bounds each HTTP attempt (default 5 s), so a hung
+	// server cannot stall the plugin.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried with
 	// backoff (default 3; total attempts = MaxRetries + 1). Retries
@@ -32,15 +31,18 @@ type ClientConfig struct {
 	MaxRetries int
 	// BackoffBase is the first retry's delay (default 100 ms); each
 	// subsequent retry doubles it up to BackoffMax (default 2 s), with
-	// ±50% jitter from a private stream seeded with jitterSeed.
+	// ±50% jitter from the client's private stream (jitterRNG).
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff.
 	BackoffMax time.Duration
 }
 
-// jitterSeed seeds every client's jitter stream, keeping retry timing
-// reproducible in tests and simulations.
-const jitterSeed = 0
+// jitterRNG is the jitter stream of the client for flowID in cellID,
+// seeded from the pair: one flow's retry timing is reproducible, and
+// clients that fail together (a server restart) do not retry together.
+func jitterRNG(cellID, flowID int) *sim.RNG {
+	return sim.NewRNG(uint64(cellID)<<32 ^ uint64(flowID)).Split()
+}
 
 // DefaultClientConfig returns the production retry/timeout parameters.
 func DefaultClientConfig() ClientConfig {
@@ -120,7 +122,7 @@ func NewClientWithConfig(baseURL string, cellID, flowID int, httpc *http.Client,
 	session := cell + "/sessions/" + strconv.Itoa(flowID)
 	return &Client{
 		http: httpc, cellID: cellID, flowID: flowID,
-		cfg: cfg, rng: sim.NewRNG(jitterSeed),
+		cfg: cfg, rng: jitterRNG(cellID, flowID),
 		openURL:    cell + "/sessions",
 		sessionURL: session,
 		prefsURL:   session + "/preferences",
@@ -395,8 +397,8 @@ func (c *cancelOnClose) Close() error {
 // ReportStatsContext is the eNodeB Communication Module's client side:
 // it POSTs one statistics report under ctx (plus the default
 // per-request timeout) and returns the GBR assignments to enforce,
-// together with the BAI sequence and any partial-enforcement failures.
-// A stale sequenced report surfaces as ErrStaleReport.
+// together with the BAI sequence. A stale sequenced report surfaces as
+// ErrStaleReport.
 func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string, cellID int, report StatsReport) (StatsResponse, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -438,11 +440,10 @@ func ReportStatsContext(ctx context.Context, httpc *http.Client, baseURL string,
 // at least 24 bytes (`"0":{"bytes":0,"rbs":0},`), so such a report
 // names at most 2^20 / 24 = 43,690 flows. Each flow comes back as one
 // assignment of at most 100 bytes with its comma (34 bytes of keys and
-// punctuation, two 20-digit integers, a 25-byte float) and at most one
-// failure of 45 bytes plus its reason, so 256 bytes a flow leave the
-// reason 111. The envelope around them (keys, a 20-digit bai_seq, the
-// newline) is 62 bytes. 64 + 43,690 * 256 = 11,184,704 bytes.
-const maxResponseBytes = 64 + maxBodyBytes/24*256
+// punctuation, two 20-digit integers, a 25-byte float). The envelope
+// around them (keys, a 20-digit bai_seq, the newline) is 62 bytes.
+// 64 + 43,690 * 100 = 4,369,064 bytes.
+const maxResponseBytes = 64 + maxBodyBytes/24*100
 
 // maxDrainBytes is how much of an unread body drainClose discards so
 // that the connection can be reused; a longer rest closes it.

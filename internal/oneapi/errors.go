@@ -104,11 +104,12 @@ func errorForCode(code string) error {
 	return nil
 }
 
-// EnforcementFailure records one flow whose GBR install failed during a
-// BAI; the flow keeps its previous assignment and GBR.
+// EnforcementFailure records one flow whose GBR install through an
+// in-process PCEF failed during a BAI; the flow keeps its previous
+// assignment and GBR.
 type EnforcementFailure struct {
-	FlowID int    `json:"flow_id"`
-	Reason string `json:"reason"`
+	FlowID int
+	Reason string
 }
 
 // EnforceError reports a partially enforced BAI: the optimisation ran

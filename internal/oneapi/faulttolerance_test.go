@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -288,41 +289,6 @@ func TestHTTPStaleReportConflict(t *testing.T) {
 	}
 }
 
-// TestHTTPPartialEnforcementOnWire: the stats response carries the
-// per-flow enforcement failures so the eNB sees exactly which GBRs did
-// not install.
-func TestHTTPPartialEnforcementOnWire(t *testing.T) {
-	s := serverForTest()
-	s.SetPCEF(perFlow(func(flowID int, gbr float64) error {
-		if flowID == 2 {
-			return fmt.Errorf("pcef: down")
-		}
-		return nil
-	}))
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
-
-	for _, flow := range []int{1, 2} {
-		if _, err := s.Open(0, SessionRequest{FlowID: flow, LadderBps: has.SimLadder()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	report := StatsReport{Flows: map[int]core.FlowStats{
-		1: {Bytes: 1_000_000, RBs: 25_000},
-		2: {Bytes: 1_000_000, RBs: 25_000},
-	}}
-	resp, err := ReportStatsContext(context.Background(), ts.Client(), ts.URL, 0, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Failed) != 1 || resp.Failed[0].FlowID != 2 || resp.Failed[0].Reason == "" {
-		t.Fatalf("wire failures %+v", resp.Failed)
-	}
-	if len(resp.Assignments) != 1 || resp.Assignments[0].FlowID != 1 {
-		t.Fatalf("wire assignments %+v", resp.Assignments)
-	}
-}
-
 // TestHTTPErrorPaths exercises the binding's failure surface: malformed
 // JSON, non-integer path segments, and unknown cells/flows, each with
 // its machine-readable error code.
@@ -425,6 +391,29 @@ func TestClientExhaustsRetriesAgainstDeadServer(t *testing.T) {
 	}
 	if st := c.Stats(); st.Failures != 1 || st.Retries != 3 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestClientRetryJitterPerFlow: clients of distinct flows draw distinct
+// backoff delays, so they do not retry in lockstep after a shared
+// failure, while one flow's delays repeat from client to client.
+func TestClientRetryJitterPerFlow(t *testing.T) {
+	delays := func(cellID, flowID int) []time.Duration {
+		c := NewClientWithConfig("http://unused", cellID, flowID, nil, DefaultClientConfig())
+		var d []time.Duration
+		for attempt := 1; attempt <= 3; attempt++ {
+			d = append(d, c.backoffLocked(attempt))
+		}
+		return d
+	}
+	first := delays(0, 1)
+	if again := delays(0, 1); !slices.Equal(first, again) {
+		t.Fatalf("flow 1's delays %v, then %v", first, again)
+	}
+	for _, other := range [][2]int{{0, 2}, {1, 1}, {1, 0}} {
+		if d := delays(other[0], other[1]); d[0] == first[0] {
+			t.Errorf("cell %d flow %d draws the first retry delay %v of cell 0 flow 1", other[0], other[1], d[0])
+		}
 	}
 }
 

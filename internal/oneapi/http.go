@@ -206,17 +206,11 @@ func (h handler) stats(w http.ResponseWriter, r *http.Request, cellID int) {
 		h.writeDecodeErr(w, "stats report", err)
 		return
 	}
+	// No PCEF: the eNodeB installs the GBRs the response carries.
 	resp, err := h.s.RunBAIReport(cellID, report, nil)
 	if err != nil {
-		// Declared here, not above: errors.As makes its target escape.
-		// Partial enforcement is an answer, not a refusal: the BAI ran,
-		// and the response carries both the committed assignments and
-		// the failures.
-		var enforceErr *EnforceError
-		if !errors.As(err, &enforceErr) {
-			h.writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
+		h.writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
 	out, err := appendStatsResponse(make([]byte, 0, statsResponseSize(resp)), resp)
 	h.writeEncoded(w, out, err)

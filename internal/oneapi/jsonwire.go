@@ -3,24 +3,27 @@ package oneapi
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
 // JSON primitives under the hand-written codecs of messages.go. The
 // contract is encoding/json's, reproduced rather than reinterpreted:
-// wireEnc emits the bytes json.Marshal emits (ES6 float formatting,
-// HTML-safe string escaping), and checkJSON + wireDec accept and reject
-// what json.Unmarshal does — the syntax is checked over the whole
-// document first, then a second pass that may assume well-formed input
-// stores the values, with every type mismatch an error. The differential
-// fuzz targets in wirefuzz_test.go hold both halves to that oracle.
+// wireEnc emits the bytes json.Marshal emits (ES6 float formatting), and
+// checkJSON + wireDec accept and reject what json.Unmarshal does — the
+// syntax is checked over the whole document first, then a second pass
+// that may assume well-formed input stores the values, with every type
+// mismatch an error. No hot message carries a string value, so the
+// codecs encode none and decode none: a string is only ever skipped, and
+// the one kind of string they read, a member name, is plain ASCII from
+// every encoder in this repo — any other is unquoted by encoding/json.
+// The differential fuzz targets in wirefuzz_test.go hold both halves to
+// that oracle.
 
 // maxJSONDepth is encoding/json's nesting limit.
 const maxJSONDepth = 10000
@@ -341,12 +344,18 @@ func (d *wireDec) rawString() (raw []byte, plain bool) {
 }
 
 // key consumes an object member's name and colon, returning the name
-// with escapes resolved.
+// with escapes resolved. A name with an escape or a non-ASCII byte is
+// one no encoder here sends, so encoding/json unquotes it, off the hot
+// path; checkJSON has vouched for the token, and json coerces invalid
+// UTF-8 to U+FFFD as its decoder does.
 func (d *wireDec) key() []byte {
 	d.peek()
+	start := d.i
 	raw, plain := d.rawString()
 	if !plain {
-		raw = unquoteJSON(raw)
+		var name string
+		_ = json.Unmarshal(d.b[start:d.i], &name)
+		raw = []byte(name)
 	}
 	d.peek()
 	d.i++ // ':'
@@ -354,30 +363,11 @@ func (d *wireDec) key() []byte {
 }
 
 // keyIs reports whether an object member's name selects the field
-// called name (lower-case ASCII), under json's rule: the exact name or
-// any case-folding of it — including, where the name has a k or an s,
-// the Kelvin sign and the long s.
+// called name, under json's rule: the exact name or any case-folding of
+// it — including, where the name has a k or an s, the Kelvin sign and
+// the long s.
 func keyIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	for _, c := range key {
-		if c >= utf8.RuneSelf {
-			return strings.EqualFold(string(key), name)
-		}
-	}
-	if len(key) != len(name) {
-		return false
-	}
-	for i, c := range key {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
-		}
-	}
-	return true
+	return string(key) == name || bytes.EqualFold(key, []byte(name))
 }
 
 // skip passes over one value of any kind.
@@ -476,22 +466,6 @@ func (d *wireDec) floatInto(p *float64, field string) error {
 	return nil
 }
 
-func (d *wireDec) stringInto(p *string, field string) error {
-	switch d.peek() {
-	case 'n':
-		d.i += len("null")
-		return nil
-	case '"':
-		raw, plain := d.rawString()
-		if !plain {
-			raw = unquoteJSON(raw)
-		}
-		*p = string(raw)
-		return nil
-	}
-	return d.mismatch(field)
-}
-
 // sizeHint bounds how many members the composite the cursor has just
 // entered can hold, for sizing a map or slice once: every member of the
 // wire schemas' collections is an object, and none is shorter than the
@@ -543,100 +517,6 @@ func decodeSlice[T any](d *wireDec, s *[]T, field string, elem func(*wireDec, *T
 	return nil
 }
 
-// unquoteJSON resolves the escapes of a string token's inner bytes and
-// coerces invalid UTF-8 to U+FFFD, as json does. It returns s itself
-// when there is nothing to change.
-func unquoteJSON(s []byte) []byte {
-	r := 0
-	for r < len(s) {
-		c := s[r]
-		if c == '\\' {
-			break
-		}
-		if c < utf8.RuneSelf {
-			r++
-			continue
-		}
-		rr, size := utf8.DecodeRune(s[r:])
-		if rr == utf8.RuneError && size == 1 {
-			break
-		}
-		r += size
-	}
-	if r == len(s) {
-		return s
-	}
-	b := make([]byte, r, len(s)+2*utf8.UTFMax)
-	copy(b, s)
-	for r < len(s) {
-		switch c := s[r]; {
-		case c == '\\':
-			r++
-			switch s[r] {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := hex4(s[r+1:])
-				r += 4
-				if utf16.IsSurrogate(rr) {
-					if dec := utf16.DecodeRune(rr, escapedRune(s[r+1:])); dec != utf8.RuneError {
-						// A valid pair; consume the second escape too.
-						r += 6
-						b = utf8.AppendRune(b, dec)
-						break
-					}
-					rr = utf8.RuneError
-				}
-				b = utf8.AppendRune(b, rr)
-			default: // '"', '\\', '/'
-				b = append(b, s[r])
-			}
-			r++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			r += size
-			b = utf8.AppendRune(b, rr)
-		}
-	}
-	return b
-}
-
-// hex4 reads four hex digits; checkJSON has vouched for them.
-func hex4(s []byte) rune {
-	var r rune
-	for _, c := range s[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
-			c -= 'A' - 10
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// escapedRune reads a \uXXXX escape at the head of s, or -1.
-func escapedRune(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	return hex4(s[2:])
-}
-
 // wireEnc appends JSON to b. A float json cannot represent (NaN, ±Inf)
 // sets err and emits nothing; the first such error sticks.
 type wireEnc struct {
@@ -670,59 +550,6 @@ func (e *wireEnc) float(f float64) {
 			e.b = e.b[:n-1]
 		}
 	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// str appends s quoted the way json.Marshal quotes by default: control
-// bytes, the quote and the backslash escaped, and also <, >, &, U+2028
-// and U+2029 (safe to embed in HTML and JSONP); invalid UTF-8 becomes
-// the escape of U+FFFD.
-func (e *wireEnc) str(s string) {
-	b := append(e.b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	e.b = append(b, '"')
 }
 
 // compareDecimal orders two ints as json.Marshal orders integer map

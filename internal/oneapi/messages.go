@@ -3,8 +3,9 @@
 // controller — the role the paper assigns to an OMA OneAPI server.
 //
 // The server is transport-agnostic: simulations call it in-process, and
-// the femtocell testbed binds it to JSON-over-HTTP (see Handler), the
-// shape of the OMA RESTful Network API the paper builds on. Clients
+// Handler binds it to JSON-over-HTTP, the shape of the OMA RESTful
+// Network API the paper builds on, as cmd/oneapiserver serves it to the
+// femtocell testbed and to load generators. Clients
 // register only their bitrate ladder and optional preferences — never
 // the video identity — matching the paper's privacy-minimisation
 // principle.
@@ -42,20 +43,20 @@ type StatsReport struct {
 	// rejects a report whose Seq is not greater than the last accepted
 	// one (ErrStaleReport), so a delayed or duplicated report — e.g. a
 	// retransmission after a control-plane timeout — cannot rewind the
-	// BAI state. Zero means unsequenced (always accepted, the
-	// pre-fault-tolerance wire format).
+	// BAI state. Zero means unsequenced: always accepted.
 	Seq int64 `json:"seq,omitempty"`
 }
 
 // StatsResponse carries the enforcement decisions back to the eNodeB:
 // the GBR to install per video bearer (the PCEF pathway piggybacked on
-// the report exchange), the BAI sequence the decisions came from, and —
-// when the server enforces through its own PCEF — the flows whose GBR
-// install failed and kept their previous assignment.
+// the report exchange) and the BAI sequence the decisions came from.
 type StatsResponse struct {
-	Assignments []core.Assignment    `json:"assignments"`
-	BAISeq      int64                `json:"bai_seq,omitempty"`
-	Failed      []EnforcementFailure `json:"failed,omitempty"`
+	Assignments []core.Assignment `json:"assignments"`
+	BAISeq      int64             `json:"bai_seq,omitempty"`
+	// Failed lists the flows whose install through an in-process
+	// caller's PCEF failed and kept their previous assignment. It never
+	// goes on the wire: over HTTP the eNodeB installs each GBR itself.
+	Failed []EnforcementFailure `json:"-"`
 }
 
 // AssignmentResponse is what a polling plugin receives: its current
@@ -138,33 +139,13 @@ func appendStatsResponse(dst []byte, r StatsResponse) ([]byte, error) {
 		e.raw(`,"bai_seq":`)
 		e.int(r.BAISeq)
 	}
-	if len(r.Failed) > 0 {
-		e.raw(`,"failed":[`)
-		for i, f := range r.Failed {
-			if i > 0 {
-				e.raw(`,`)
-			}
-			e.raw(`{"flow_id":`)
-			e.int(int64(f.FlowID))
-			e.raw(`,"reason":`)
-			e.str(f.Reason)
-			e.raw(`}`)
-		}
-		e.raw(`]`)
-	}
 	e.raw(`}`)
 	return e.b, e.err
 }
 
 // statsResponseSize is a capacity for r's encoding that the ladders and
 // flow counts in use do not outgrow, so a response is one allocation.
-func statsResponseSize(r StatsResponse) int {
-	n := 64 + 64*len(r.Assignments)
-	for _, f := range r.Failed {
-		n += 48 + len(f.Reason)
-	}
-	return n
-}
+func statsResponseSize(r StatsResponse) int { return 64 + 64*len(r.Assignments) }
 
 // appendStatsReport appends r's JSON encoding to dst, flows in the
 // order json.Marshal gives a map: by key as a decimal string.
@@ -293,8 +274,6 @@ func decodeStatsResponse(data []byte, r *StatsResponse) error {
 			err = decodeSlice(&d, &r.Assignments, "StatsResponse.assignments", (*wireDec).assignmentInto)
 		case keyIs(key, "bai_seq"):
 			err = d.int64Into(&r.BAISeq, "StatsResponse.bai_seq")
-		case keyIs(key, "failed"):
-			err = decodeSlice(&d, &r.Failed, "StatsResponse.failed", (*wireDec).failureInto)
 		default:
 			d.skip()
 		}
@@ -312,21 +291,6 @@ func (d *wireDec) assignmentInto(a *core.Assignment) error {
 			err = d.intInto(&a.Level, "Assignment.level")
 		case keyIs(key, "rate_bps"):
 			err = d.floatInto(&a.RateBps, "Assignment.rate_bps")
-		default:
-			d.skip()
-		}
-	}
-	return err
-}
-
-func (d *wireDec) failureInto(f *EnforcementFailure) error {
-	isObject, err := d.open('{', "EnforcementFailure")
-	for first := true; isObject && err == nil && d.more('}', first); first = false {
-		switch key := d.key(); {
-		case keyIs(key, "flow_id"):
-			err = d.intInto(&f.FlowID, "EnforcementFailure.flow_id")
-		case keyIs(key, "reason"):
-			err = d.stringInto(&f.Reason, "EnforcementFailure.reason")
 		default:
 			d.skip()
 		}

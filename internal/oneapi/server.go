@@ -13,15 +13,16 @@ import (
 	"github.com/flare-sim/flare/internal/obs"
 )
 
-// PCEF is the enforcement hook: the policy-and-charging enforcement
-// pathway through which the OneAPI server installs each video flow's GBR
-// at the eNodeB (the Continuous GBR Updater in the testbed MAC). A BAI
-// round's GBRs go down in one grouped call. installs is the server's
-// buffer, good for the duration of the call only. The result slice must
-// be parallel to installs (nil error = installed); a nil slice means
-// every install succeeded. The server folds the results per flow:
-// failed downgrades are published to polls, failed upgrades keep the
-// previous assignment.
+// PCEF is the enforcement hook an in-process caller hands a BAI round:
+// the policy-and-charging enforcement pathway that installs each video
+// flow's GBR at the eNodeB (the Continuous GBR Updater in the testbed
+// MAC). A round's GBRs go down in one grouped call. installs is the
+// server's buffer, good for the duration of the call only. The result
+// slice must be parallel to installs (nil error = installed); a nil
+// slice means every install succeeded. The server folds the results per
+// flow: failed downgrades are published to polls, failed upgrades keep
+// the previous assignment. Over HTTP there is no hook: the eNodeB
+// installs what the stats response carries.
 type PCEF func(installs []GBRInstall) []error
 
 // GBRInstall is one entry of a PCEF install: the GBR a BAI round wants
@@ -38,11 +39,10 @@ type cellState struct {
 
 	id         int
 	controller *core.Controller
-	// rec and pcef are per-cell copies of the server-level hooks, made
-	// at cell creation (and re-pointed by SetRecorder/SetPCEF) so the
-	// hot paths never read server-global state.
-	rec  *obs.Recorder
-	pcef PCEF
+	// rec is a per-cell copy of the server's recorder, made at cell
+	// creation (and re-pointed by SetRecorder) so the hot paths never
+	// read server-global state.
+	rec *obs.Recorder
 
 	// baiSeq counts the cell's BAI rounds. What a poll answers is kept
 	// on the flow's row in the controller (Controller.Installed): the
@@ -96,11 +96,6 @@ type Server struct {
 	// look its cell up.
 	mu    sync.RWMutex
 	cells map[int]*cellState
-	// pcef is the server-side enforcement hook, used by BAIs whose
-	// caller passes no PCEF — notably the HTTP stats endpoint, where the
-	// PCEF lives next to the server rather than the eNodeB. Nil means
-	// enforcement is the response consumer's job (the wire contract).
-	pcef PCEF
 	// rec is the telemetry recorder (nil = disabled) shared by every
 	// per-cell controller this server creates.
 	rec *obs.Recorder
@@ -154,7 +149,6 @@ func (s *Server) cell(cellID int) *cellState {
 		id:         cellID,
 		controller: core.NewController(s.cfg),
 		rec:        s.rec,
-		pcef:       s.pcef,
 	}
 	c.controller.SetRecorder(s.rec, cellID)
 	if s.wallClock != nil {
@@ -234,20 +228,6 @@ func (s *Server) SetWallClock(now func() time.Time) {
 	for _, c := range s.cells {
 		c.mu.Lock()
 		c.controller.SetWallClock(now)
-		c.mu.Unlock()
-	}
-}
-
-// SetPCEF installs the server-side enforcement hook: BAIs triggered
-// with a nil PCEF (e.g. over HTTP) install GBRs through it. Failures
-// are collected per flow, never aborting the BAI (see RunBAIInto).
-func (s *Server) SetPCEF(p PCEF) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pcef = p
-	for _, c := range s.cells {
-		c.mu.Lock()
-		c.pcef = p
 		c.mu.Unlock()
 	}
 }
@@ -555,14 +535,16 @@ func (s *Server) SetPreferences(cellID, flowID int, prefs core.Preferences) erro
 }
 
 // RunBAIReport consumes one statistics report for a cell, runs the
-// bitrate optimisation, installs GBRs through the PCEF (when non-nil),
-// and returns the committed assignments, their BAI sequence and any
-// per-flow enforcement failures in a response of its own. A report's
-// NumDataFlows of -1 defers to the PCRF registry. Every flow's install
-// is attempted; a failed one keeps its previous assignment, and the
-// failures also come back as a *EnforceError — callers decide whether
-// partial enforcement is fatal. It is RunBAIInto handed a fresh
-// StatsResponse; see there for the errors.
+// bitrate optimisation, installs GBRs through pcef, and returns the
+// committed assignments, their BAI sequence and any per-flow enforcement
+// failures in a response of its own. A nil pcef installs nothing: the
+// caller enforces what the response carries, as the HTTP binding's
+// eNodeB does. A report's NumDataFlows of -1 defers to the PCRF
+// registry. Every flow's install is attempted; a failed one keeps its
+// previous assignment, and the failures also come back as a
+// *EnforceError — callers decide whether partial enforcement is fatal.
+// It is RunBAIInto handed a fresh StatsResponse; see there for the
+// errors.
 func (s *Server) RunBAIReport(cellID int, report StatsReport, pcef PCEF) (StatsResponse, error) {
 	var resp StatsResponse
 	err := s.RunBAIInto(cellID, report, pcef, &resp)
@@ -601,9 +583,6 @@ func (s *Server) RunBAIInto(cellID int, report StatsReport, pcef PCEF, resp *Sta
 		return ErrUnknownCell
 	}
 	defer s.unlockCell(c)
-	if pcef == nil {
-		pcef = c.pcef // server-side hook (may still be nil)
-	}
 	if report.Seq > 0 && report.Seq <= c.lastReportSeq {
 		c.rec.Emit(obs.StaleReport(int32(cellID), report.Seq))
 		return fmt.Errorf("oneapi: cell %d: report seq %d <= last accepted %d: %w",

@@ -65,6 +65,9 @@ var trickyDocuments = []string{
 	// keys: escaped, case-folded (Kelvin sign and long s included), unknown, non-integer
 	`{"flows":{"1":{"BYTES":1,"Rbs":2,"rbſ":3,"bytes_per_rb_hint":1e-7}}}`,
 	"{\"FLOWS\":{\"7\":{\"rbſ\":5}},\"K\":1,\"Seq\":3,\"ſeq\":4}",
+	`{"fl\u006fws":{"1":{"r\u0062s":2}},"s\u0065q":3}`, `{"\u0046LOWS":{"\u0031":{"BYTE\u0053":1}},"\u017feq":5}`,
+	`{"flow\u005fid":4,"cell\u005Fseq":5,"r\u0061te_bps":1.5}`, `{"assignments":[{"flow\u005fid":1,"r\u0061te_bps":2}],"bai\u005fseq":3}`,
+	`{"se\ud800q":1,"\ud83d\ude00":2,"s\"eq":3,"s\/eq":4,"seq\u0000":5,"\u0073eq":6}`, "{\"seq\xff\":2,\"fl\u00f6ws\":{},\"\\u0066lows\":null}",
 	`{"flows":{"+1":{},"-0":{},"007":{}}}`, `{"flows":{"1.0":{}}}`, `{"flows":{"":{}}}`, `{"flows":{" 1":{}}}`,
 	`{"flows":{"9223372036854775807":{},"-9223372036854775808":{}}}`, `{"flows":{"9223372036854775808":{}}}`,
 	`{"unknown":[{"deep":[1,2,{"x":"}]"}]}],"seq":9,"more":"\"\\"}`,
@@ -75,13 +78,14 @@ var trickyDocuments = []string{
 	`{"flows":{"1":{"bytes_per_rb_hint":1e400}}}`, `{"flows":{"1":{"bytes_per_rb_hint":-0.0}}}`, `{"flows":{"1":{"bytes_per_rb_hint":5e-324}}}`,
 	`{"flows":{"1":{"bytes_per_rb_hint":1E+2}}}`, `{"flows":{"1":{"bytes_per_rb_hint":"1"}}}`, `{"rate_bps":1e21,"level":2.5}`,
 	// wrong kinds
-	`{"flows":[]}`, `{"flows":3}`, `{"flows":"x"}`, `{"flows":{"1":[]}}`, `{"flows":{"1":7}}`, `{"assignments":{}}`, `{"assignments":[7]}`, `{"failed":"x"}`,
+	`{"flows":[]}`, `{"flows":3}`, `{"flows":"x"}`, `{"flows":{"1":[]}}`, `{"flows":{"1":7}}`, `{"assignments":{}}`, `{"assignments":[7]}`,
 	// slices: null, empty, merge into what an earlier member left, stale tail
 	`{"assignments":null}`, `{"assignments":[]}`, `{"assignments":[{"flow_id":1,"level":2}],"assignments":[{"level":3}]}`,
 	`{"assignments":[{"flow_id":1},{"flow_id":2},{"flow_id":3}],"assignments":[{}],"assignments":[{},{},{},{}]}`,
 	`{"assignments":[{"flow_id":1}],"assignments":[]}`, `{"assignments":[{"flow_id":1}],"assignments":null,"assignments":[{}]}`,
 	`{"assignments":[null,{"flow_id":2},null]}`,
-	`{"failed":[{"flow_id":2,"reason":"a<b 😀 \ud83d \udc00 \ud83dx \n\t\"\\\/"}],"bai_seq":3}`,
+	// string values are only ever skipped: no hot message holds one
+	`{"failed":"x"}`, `{"failed":[{"flow_id":2,"reason":"a<b 😀 \ud83d \udc00 \ud83dx \n\t\"\\\/"}],"bai_seq":3}`,
 	`{"failed":[{"reason":null},{"reason":7}]}`, `{"failed":[{"reason":"é "}]}`, `{"failed":[{"reason":"bad \x escape"}]}`, `{"failed":[{"reason":"\u12"}]}`,
 	"{\"failed\":[{\"reason\":\"ctl\x01\"}]}", "{\"failed\":[{\"reason\":\"tab\t\"}]}",
 	// poll
@@ -193,6 +197,7 @@ func FuzzWireEncode(f *testing.F) {
 			resp.Assignments = []core.Assignment{}
 		case 2:
 			resp.Assignments = []core.Assignment{{FlowID: a, Level: b, RateBps: x}, {FlowID: b, Level: a, RateBps: y}}
+			// json:"-": neither encoder may emit the failures.
 			resp.Failed = []EnforcementFailure{{FlowID: a, Reason: reason}, {FlowID: b}}
 		}
 		got, err = appendStatsResponse(nil, resp)

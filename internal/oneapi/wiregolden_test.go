@@ -139,22 +139,6 @@ func wireScenes() []wireScene {
 			},
 		},
 		{
-			name: "partial enforcement",
-			prepare: func(t *testing.T, s *Server) {
-				mustOpen(0, 1, 2)(t, s)
-				s.SetPCEF(perFlow(func(flow int, _ float64) error {
-					if flow == 2 {
-						return fmt.Errorf("pcef: bearer <2> modify \"rejected\" & dropped\t\u2028(caf\u00e9 \xff)")
-					}
-					return nil
-				}))
-			},
-			exchanges: []wireExchange{
-				{"stats with failed install", "POST", "/oneapi/v4/cells/0/stats", `{"flows":{"1":{"bytes":1000000,"rbs":25000},"2":{"bytes":1000000,"rbs":25000}}}`},
-				{"poll failed flow", "GET", "/oneapi/v4/cells/0/assignments/2", ""},
-			},
-		},
-		{
 			name:    "unusable stats rows",
 			prepare: mustOpen(0, 1, 2),
 			exchanges: []wireExchange{

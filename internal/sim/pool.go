@@ -13,8 +13,9 @@ type RangeRunner interface {
 }
 
 // WorkerPool is a bounded pool of persistent worker goroutines used to
-// split an indexed loop (the flaresuite seeded-run loop) across cores
-// without perturbing determinism. The pool itself never reorders
+// split an indexed loop (the flaresuite seeded-run loop, cellsim's
+// multi-cell run) across cores without perturbing determinism. The
+// pool itself never reorders
 // anything observable: it only partitions [0, n) into contiguous
 // chunks, and every reduction over the results happens in the caller,
 // in index order.
@@ -29,8 +30,7 @@ type RangeRunner interface {
 //
 // The disjoint-slot contract is held by tests: TestWorkerPoolCoversAllIndices
 // (the partition), the callers' lockstep suites — flaresuite's
-// TestRunLockstepAcrossWorkers, and cellsim's TestLockstepMultiCell for
-// the multi-cell fan-out that hand-rolls the same pattern — and
+// TestRunLockstepAcrossWorkers and cellsim's TestLockstepMultiCell — and
 // `go test -race`. A worker that writes another index's slot, or a
 // fold in completion order, fails the lockstep comparison.
 type WorkerPool struct {
